@@ -81,8 +81,9 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
 
 /// Evaluate a pre-built plan, returning (rows, best-of-N ms).
 fn run_plan(ds: &mut Dataset, plan: &Plan, repeats: usize) -> (usize, f64) {
+    let vars = scisparql::eval::VarTable::for_plan(plan);
     let (ms, rows) = best_of(repeats, || {
-        scisparql::eval::eval_plan(ds, plan, vec![scisparql::eval::Row::new()])
+        scisparql::eval::eval_plan(ds, &vars, plan, &[vars.unit_row()])
             .expect("eval")
             .len()
     });

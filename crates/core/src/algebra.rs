@@ -126,6 +126,20 @@ impl Plan {
     }
 }
 
+/// The variables a BIND of `expr` can bind besides its target: the bare
+/// variable subscripts of a dereference (`?a[?i, 2]` → `i`), which
+/// enumerate when unbound (thesis §4.1.2).
+pub(crate) fn subscript_vars(expr: &Expr) -> impl Iterator<Item = &str> {
+    let subscripts: &[SubscriptExpr] = match expr {
+        Expr::ArrayDeref { subscripts, .. } => subscripts,
+        _ => &[],
+    };
+    subscripts.iter().filter_map(|s| match s {
+        SubscriptExpr::Index(Expr::Var(v)) => Some(v.as_str()),
+        _ => None,
+    })
+}
+
 /// Translate a group pattern into a logical plan (filters float to the
 /// top of their group, per SPARQL's group-level filter scope).
 pub fn translate(pattern: &GroupPattern) -> Plan {
@@ -209,7 +223,7 @@ pub fn optimize(plan: Plan, graph: &Graph) -> Plan {
 /// calibration table, zone-map statistics). This is the entry the
 /// evaluator uses; [`optimize`] is the graph-only convenience wrapper.
 pub fn optimize_with(plan: Plan, ctx: &PlannerCtx) -> Plan {
-    let plan = flatten(plan);
+    let plan = sink_filters(flatten(plan));
     order_and_push(plan, ctx, &HashSet::new())
 }
 
@@ -255,6 +269,63 @@ fn flatten(plan: Plan) -> Plan {
             expr,
         },
         other => other,
+    }
+}
+
+/// Move every filter beneath the BINDs it commutes with, so a filter on
+/// other variables runs before the BIND's expression does — which may
+/// fetch an array per row. Filters above a group float over its BINDs
+/// in [`translate`]; this puts them back under.
+fn sink_filters(plan: Plan) -> Plan {
+    let sunk = |p: Box<Plan>| Box::new(sink_filters(*p));
+    match plan {
+        Plan::Filter { input, expr } => sink_filter(sink_filters(*input), expr),
+        Plan::Join(children) => Plan::Join(children.into_iter().map(sink_filters).collect()),
+        Plan::Union(branches) => Plan::Union(branches.into_iter().map(sink_filters).collect()),
+        Plan::LeftJoin { left, right } => Plan::LeftJoin {
+            left: sunk(left),
+            right: sunk(right),
+        },
+        Plan::Extend { input, var, expr } => Plan::Extend {
+            input: sunk(input),
+            var,
+            expr,
+        },
+        Plan::Graph { name, inner } => Plan::Graph {
+            name,
+            inner: sunk(inner),
+        },
+        Plan::Minus { input, pattern } => Plan::Minus {
+            input: sunk(input),
+            pattern,
+        },
+        other => other,
+    }
+}
+
+/// Place one filter over `input`, below every BIND at its top that the
+/// filter commutes with. A filter is row-wise, so it commutes with a
+/// BIND that binds nothing it reads: each solution the BIND fans out to
+/// (or drops, on an unequal re-bind) keeps the other variables as they
+/// were. `EXISTS` reads variables `collect_vars` does not report, so
+/// such a filter stays put.
+fn sink_filter(input: Plan, filter: Expr) -> Plan {
+    let commutes = |var: &String, bind: &Expr| {
+        let mut reads = Vec::new();
+        filter.collect_vars(&mut reads);
+        let binds = |v: &String| v == var || subscript_vars(bind).any(|s| s == v);
+        !filter.has_exists() && !reads.iter().any(binds)
+    };
+    match input {
+        Plan::Extend { input, var, expr } if commutes(&var, &expr) => Plan::Extend {
+            input: Box::new(sink_filter(*input, filter)),
+            var,
+            expr,
+        },
+        other => Plan::Filter {
+            input: Box::new(other),
+            expr: filter,
+        },
     }
 }
 

@@ -381,29 +381,43 @@ impl Expr {
 
     /// True when the expression contains an aggregate call at any depth.
     pub fn has_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Var(_) | Expr::Const(_) | Expr::FunctionRef { .. } | Expr::Exists { .. } => false,
-            Expr::Call { args, .. } => args.iter().any(Expr::has_aggregate),
-            Expr::ArrayDeref { base, subscripts } => {
-                base.has_aggregate()
-                    || subscripts.iter().any(|s| match s {
-                        SubscriptExpr::Index(e) => e.has_aggregate(),
-                        SubscriptExpr::Range { lo, stride, hi } => [lo, stride, hi]
-                            .into_iter()
-                            .flatten()
-                            .any(|e| e.has_aggregate()),
-                        SubscriptExpr::All => false,
-                    })
+        self.any(&|e| matches!(e, Expr::Aggregate { .. }))
+    }
+
+    /// True when the expression contains an `EXISTS` at any depth.
+    pub fn has_exists(&self) -> bool {
+        self.any(&|e| matches!(e, Expr::Exists { .. }))
+    }
+
+    /// True when `test` holds for this expression or a sub-expression
+    /// (not looking inside EXISTS patterns or aggregate arguments).
+    fn any(&self, test: &dyn Fn(&Expr) -> bool) -> bool {
+        let any = |e: &Expr| e.any(test);
+        test(self)
+            || match self {
+                Expr::Var(_) | Expr::Const(_) | Expr::Exists { .. } | Expr::Aggregate { .. } => {
+                    false
+                }
+                Expr::FunctionRef { bound, .. } => bound.iter().flatten().any(any),
+                Expr::Call { args, .. } => args.iter().any(any),
+                Expr::ArrayDeref { base, subscripts } => {
+                    any(base)
+                        || subscripts.iter().any(|s| match s {
+                            SubscriptExpr::Index(e) => any(e),
+                            SubscriptExpr::Range { lo, stride, hi } => {
+                                [lo, stride, hi].into_iter().flatten().any(any)
+                            }
+                            SubscriptExpr::All => false,
+                        })
+                }
+                Expr::Not(e) | Expr::Neg(e) => any(e),
+                Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
+                    any(a) || any(b)
+                }
+                Expr::InList {
+                    needle, haystack, ..
+                } => any(needle) || haystack.iter().any(any),
             }
-            Expr::Not(e) | Expr::Neg(e) => e.has_aggregate(),
-            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-                a.has_aggregate() || b.has_aggregate()
-            }
-            Expr::InList {
-                needle, haystack, ..
-            } => needle.has_aggregate() || haystack.iter().any(Expr::has_aggregate),
-        }
     }
 }
 

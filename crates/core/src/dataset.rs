@@ -537,6 +537,9 @@ impl Dataset {
     }
 
     /// Resolve a term to a runtime value (array refs become proxies).
+    /// This is where the evaluator materializes late: rows carry
+    /// dictionary ids, and only a slot that an expression or the final
+    /// projection reads as a value comes through here.
     pub fn term_to_value(&self, term: &Term) -> Value {
         match term {
             Term::ArrayRef(id) => match self.arrays.proxy(*id) {

@@ -5,195 +5,145 @@
 //! partition. With no GROUP BY but aggregates present, all solutions
 //! form one implicit group.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ssdm_array::Num;
-use ssdm_rdf::Term;
+use ssdm_rdf::{Term, TermId};
 
 use crate::ast::{AggKind, Expr, ProjectionItem};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::expr::eval_expr;
-use crate::eval::Row;
+use crate::eval::expr::{eval_expr, operand, Cx, Operand};
+use crate::eval::{project, value_to_graph_id, Row, VarTable};
 use crate::value::Value;
+
+/// One component of a GROUP BY or DISTINCT key. Keys are equal exactly
+/// when the rendered values are: a graph node whose rendering names it
+/// uniquely is keyed by its id, anything else by its rendering.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) enum KeyPart {
+    Unbound,
+    Id(TermId),
+    Text(String),
+}
+
+pub(crate) fn key_part(ds: &Dataset, op: Option<Operand>) -> KeyPart {
+    let Some(op) = op else {
+        return KeyPart::Unbound;
+    };
+    let id = match &op {
+        Operand::Id(id) => Some(*id),
+        other => value_to_graph_id(ds, &other.value(ds)),
+    };
+    // Arrays of one content render alike under different ids, and so do
+    // a huge integral real and the integer it equals.
+    let named_by_rendering = |id: &TermId| match ds.active().term(*id) {
+        Term::Array(_) | Term::ArrayRef(_) => false,
+        Term::Number(Num::Real(r)) => r.is_finite() && r.abs() < 1e15,
+        _ => true,
+    };
+    match id.filter(named_by_rendering) {
+        Some(id) => KeyPart::Id(id),
+        None => KeyPart::Text(op.value(ds).to_string()),
+    }
+}
 
 /// Evaluate a projection with aggregates over grouped solutions.
 /// Returns projected rows (HAVING applied).
 pub fn grouped_projection(
     ds: &mut Dataset,
+    vars: &VarTable,
     items: &[ProjectionItem],
     group_by: &[Expr],
     having: &Option<Expr>,
     solutions: &[Row],
-) -> Result<Vec<Vec<Option<Value>>>, QueryError> {
-    // Partition by rendered group key (value_eq-compatible for the
-    // term kinds group keys take in practice).
-    let mut groups: Vec<(Vec<Option<Value>>, Vec<Row>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+) -> Result<Vec<Row>, QueryError> {
+    // Partition by group key, groups in first-seen order.
+    let mut groups: Vec<Vec<&Row>> = Vec::new();
     if group_by.is_empty() {
-        groups.push((Vec::new(), solutions.to_vec()));
+        groups.push(solutions.iter().collect());
     } else {
-        for row in solutions.iter().cloned() {
-            let mut key_vals = Vec::with_capacity(group_by.len());
+        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
+        for row in solutions {
+            let mut key = Vec::with_capacity(group_by.len());
             for g in group_by {
-                key_vals.push(eval_expr(ds, &row, g)?);
+                let part = operand(ds, &Cx::new(vars, row), g)?;
+                key.push(key_part(ds, part));
             }
-            let key_str = key_vals
-                .iter()
-                .map(|v| v.as_ref().map(|x| x.to_string()).unwrap_or_default())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            match index.get(&key_str) {
-                Some(&i) => groups[i].1.push(row),
-                None => {
-                    index.insert(key_str, groups.len());
-                    groups.push((key_vals, vec![row]));
-                }
-            }
+            let group = *index.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push(row);
         }
         // SPARQL: grouping an empty solution set yields no groups.
     }
 
+    let unit = vars.unit_row();
     let mut out = Vec::with_capacity(groups.len());
-    for (_, rows) in &groups {
+    for rows in &groups {
         if group_by.is_empty() && rows.is_empty() && !items.iter().any(|i| i.expr.has_aggregate()) {
             continue;
         }
-        // Representative row for non-aggregate expressions.
-        let representative = rows.first().cloned().unwrap_or_default();
+        // Aggregates fold over the group; everything else sees its
+        // first row as the representative.
+        let cx = Cx {
+            vars,
+            row: rows.first().copied().unwrap_or(&unit),
+            group: Some(rows),
+        };
         if let Some(h) = having {
-            let keep = eval_agg_expr(ds, h, rows, &representative)?
+            let keep = eval_expr(ds, &cx, h)?
                 .and_then(|v| v.effective_bool())
                 .unwrap_or(false);
             if !keep {
                 continue;
             }
         }
-        let mut cells = Vec::with_capacity(items.len());
-        for item in items {
-            cells.push(eval_agg_expr(ds, &item.expr, rows, &representative)?);
-        }
-        out.push(cells);
+        out.push(project(ds, &cx, items)?);
     }
     Ok(out)
 }
 
-/// Evaluate an expression in group context: aggregate sub-expressions
-/// fold over the group's rows; everything else sees the representative.
-fn eval_agg_expr(
+/// Fold one aggregate call over the rows of a group.
+pub(crate) fn compute_aggregate(
     ds: &mut Dataset,
-    expr: &Expr,
-    rows: &[Row],
-    representative: &Row,
-) -> Result<Option<Value>, QueryError> {
-    if !expr.has_aggregate() {
-        return eval_expr(ds, representative, expr);
-    }
-    match expr {
-        Expr::Aggregate {
-            kind,
-            distinct,
-            arg,
-            separator,
-        } => compute_aggregate(ds, *kind, *distinct, arg.as_deref(), separator, rows),
-        Expr::Not(e) => Ok(eval_agg_expr(ds, e, rows, representative)?
-            .and_then(|v| v.effective_bool())
-            .map(|b| Value::boolean(!b))),
-        Expr::Neg(e) => {
-            let v = eval_agg_expr(ds, e, rows, representative)?;
-            match v.and_then(|v| v.as_num()) {
-                Some(n) => Ok(n.checked_neg().ok().map(Value::number)),
-                None => Ok(None),
-            }
-        }
-        Expr::And(a, b) => {
-            let av = eval_agg_expr(ds, a, rows, representative)?.and_then(|v| v.effective_bool());
-            let bv = eval_agg_expr(ds, b, rows, representative)?.and_then(|v| v.effective_bool());
-            Ok(match (av, bv) {
-                (Some(false), _) | (_, Some(false)) => Some(Value::boolean(false)),
-                (Some(true), Some(true)) => Some(Value::boolean(true)),
-                _ => None,
-            })
-        }
-        Expr::Or(a, b) => {
-            let av = eval_agg_expr(ds, a, rows, representative)?.and_then(|v| v.effective_bool());
-            let bv = eval_agg_expr(ds, b, rows, representative)?.and_then(|v| v.effective_bool());
-            Ok(match (av, bv) {
-                (Some(true), _) | (_, Some(true)) => Some(Value::boolean(true)),
-                (Some(false), Some(false)) => Some(Value::boolean(false)),
-                _ => None,
-            })
-        }
-        Expr::Cmp(op, a, b) => {
-            let (Some(av), Some(bv)) = (
-                eval_agg_expr(ds, a, rows, representative)?,
-                eval_agg_expr(ds, b, rows, representative)?,
-            ) else {
-                return Ok(None);
-            };
-            crate::eval::expr::compare(ds, *op, av, bv)
-        }
-        Expr::Arith(op, a, b) => {
-            let (Some(av), Some(bv)) = (
-                eval_agg_expr(ds, a, rows, representative)?,
-                eval_agg_expr(ds, b, rows, representative)?,
-            ) else {
-                return Ok(None);
-            };
-            crate::eval::expr::arith(ds, *op, av, bv)
-        }
-        Expr::Call { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                match eval_agg_expr(ds, a, rows, representative)? {
-                    Some(v) => vals.push(v),
-                    None => return Ok(None),
-                }
-            }
-            crate::eval::expr::apply_function(ds, name, &vals)
-        }
-        other => eval_expr(ds, representative, other),
-    }
-}
-
-fn compute_aggregate(
-    ds: &mut Dataset,
+    vars: &VarTable,
     kind: AggKind,
     distinct: bool,
     arg: Option<&Expr>,
     separator: &Option<String>,
-    rows: &[Row],
+    rows: &[&Row],
 ) -> Result<Option<Value>, QueryError> {
     // Collect the argument values (bound, post-DISTINCT).
-    let mut values: Vec<Value> = Vec::new();
+    let mut values: Vec<Operand> = Vec::new();
     for row in rows {
         match arg {
-            Some(e) => {
-                if let Some(v) = eval_expr(ds, row, e)? {
-                    values.push(v);
-                }
-            }
-            None => values.push(Value::integer(1)), // COUNT(*)
+            Some(e) => values.extend(operand(ds, &Cx::new(vars, row), e)?),
+            None => values.push(Operand::Owned(Value::integer(1))), // COUNT(*)
         }
     }
     if distinct {
-        let mut seen = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(v.to_string()));
+        let mut seen = HashSet::new();
+        values.retain(|v| seen.insert(v.value(ds).to_string()));
     }
+    // Counting needs no term; the other kinds take what they fold.
+    let count = values.len();
+    let mut values = values.into_iter().map(|v| v.into_value(ds));
     match kind {
-        AggKind::Count => Ok(Some(Value::integer(values.len() as i64))),
-        AggKind::Sample => Ok(values.into_iter().next()),
+        AggKind::Count => Ok(Some(Value::integer(count as i64))),
+        AggKind::Sample => Ok(values.next()),
         AggKind::GroupConcat => {
             let sep = separator.as_deref().unwrap_or(" ");
             let parts: Vec<String> = values
-                .iter()
                 .map(|v| match v {
-                    Value::Term(Term::Str(s)) => s.clone(),
+                    Value::Term(Term::Str(s)) => s,
                     other => other.to_string(),
                 })
                 .collect();
             Ok(Some(Value::string(parts.join(sep))))
         }
         AggKind::Sum | AggKind::Avg => {
+            let values: Vec<Value> = values.collect();
             if values.is_empty() {
                 return Ok(match kind {
                     AggKind::Sum => Some(Value::integer(0)),

@@ -10,34 +10,123 @@
 //! element-wise over arrays and broadcast scalars, and comparison of
 //! arrays is element-wise with `=`/`!=` comparing whole contents.
 
-use ssdm_array::{BinOp, Num, Subscript};
-use ssdm_rdf::Term;
+use std::borrow::Cow;
+
+use ssdm_array::{BinOp, Subscript};
+use ssdm_rdf::{Term, TermId};
 
 use crate::ast::{ArithOp, CmpOp, Expr, SubscriptExpr};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::{builtins, Row};
+use crate::eval::{agg, builtins, Row, Slot, VarTable};
 use crate::functions::Closure;
 use crate::value::Value;
 
+/// What an expression evaluates against: one row of a variable table,
+/// and — in a projection or HAVING over groups — the rows of its group.
+#[derive(Clone, Copy)]
+pub struct Cx<'a> {
+    pub vars: &'a VarTable,
+    pub row: &'a [Slot],
+    pub group: Option<&'a [&'a Row]>,
+}
+
+impl<'a> Cx<'a> {
+    pub fn new(vars: &'a VarTable, row: &'a [Slot]) -> Self {
+        Cx {
+            vars,
+            row,
+            group: None,
+        }
+    }
+
+    /// The slot of a variable; `None` when the table does not know it.
+    pub fn slot(&self, name: &str) -> Option<&'a Slot> {
+        self.row.get(self.vars.slot(name)?)
+    }
+}
+
+/// A value an operator reads without owning it: a dictionary id, a
+/// constant of the query text, a row's value, or a computed result.
+/// Comparisons look through it by reference; only what reaches a result
+/// (or a function that wants a `Value`) is cloned.
+pub(crate) enum Operand<'a> {
+    Id(TermId),
+    Term(&'a Term),
+    Ref(&'a Value),
+    Owned(Value),
+}
+
+impl<'a> Operand<'a> {
+    pub fn of_slot(slot: &'a Slot) -> Option<Self> {
+        match slot {
+            Slot::Unbound => None,
+            Slot::Id(id) => Some(Operand::Id(*id)),
+            Slot::Val(v) => Some(Operand::Ref(v)),
+        }
+    }
+
+    /// The term behind the operand, when it is one that compares as
+    /// itself: not an array of either flavour, not a closure.
+    fn scalar<'b>(&'b self, ds: &'b Dataset) -> Option<&'b Term> {
+        let term = match self {
+            Operand::Id(id) => ds.active().term(*id),
+            Operand::Term(t) => t,
+            Operand::Ref(Value::Term(t)) | Operand::Owned(Value::Term(t)) => t,
+            _ => return None,
+        };
+        (!matches!(term, Term::Array(_) | Term::ArrayRef(_))).then_some(term)
+    }
+
+    /// The operand as a value; array references become proxies here.
+    pub fn value(&self, ds: &Dataset) -> Cow<'_, Value> {
+        match self {
+            Operand::Id(id) => Cow::Owned(ds.term_to_value(ds.active().term(*id))),
+            Operand::Term(t) => Cow::Owned(ds.term_to_value(t)),
+            Operand::Ref(v) => Cow::Borrowed(v),
+            Operand::Owned(v) => Cow::Borrowed(v),
+        }
+    }
+
+    pub fn into_value(self, ds: &Dataset) -> Value {
+        match self {
+            Operand::Owned(v) => v,
+            other => other.value(ds).into_owned(),
+        }
+    }
+}
+
+/// Evaluate an expression to an operand: variables and constants are
+/// borrowed, everything else is computed.
+pub(crate) fn operand<'a>(
+    ds: &mut Dataset,
+    cx: &Cx<'a>,
+    expr: &'a Expr,
+) -> Result<Option<Operand<'a>>, QueryError> {
+    Ok(match expr {
+        Expr::Var(v) => cx.slot(v).and_then(Operand::of_slot),
+        Expr::Const(t) => Some(Operand::Term(t)),
+        other => eval_expr(ds, cx, other)?.map(Operand::Owned),
+    })
+}
+
 /// Evaluate an expression in a row context.
-pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Value>, QueryError> {
+pub fn eval_expr(ds: &mut Dataset, cx: &Cx, expr: &Expr) -> Result<Option<Value>, QueryError> {
     match expr {
-        Expr::Var(v) => Ok(row.get(v).cloned()),
-        Expr::Const(t) => Ok(Some(ds.term_to_value(t))),
+        Expr::Var(_) | Expr::Const(_) => Ok(operand(ds, cx, expr)?.map(|o| o.into_value(ds))),
         Expr::Not(e) => {
-            let v = eval_expr(ds, row, e)?;
+            let v = eval_expr(ds, cx, e)?;
             Ok(v.and_then(|v| v.effective_bool())
                 .map(|b| Value::boolean(!b)))
         }
         Expr::Neg(e) => {
-            let Some(v) = eval_expr(ds, row, e)? else {
+            let Some(v) = eval_expr(ds, cx, e)? else {
                 return Ok(None);
             };
             negate_value(ds, v)
         }
         Expr::And(a, b) => {
-            let av = eval_expr(ds, row, a)?.and_then(|v| v.effective_bool());
-            let bv = eval_expr(ds, row, b)?.and_then(|v| v.effective_bool());
+            let av = eval_expr(ds, cx, a)?.and_then(|v| v.effective_bool());
+            let bv = eval_expr(ds, cx, b)?.and_then(|v| v.effective_bool());
             // SPARQL three-valued logic: false dominates errors.
             Ok(match (av, bv) {
                 (Some(false), _) | (_, Some(false)) => Some(Value::boolean(false)),
@@ -46,8 +135,8 @@ pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Valu
             })
         }
         Expr::Or(a, b) => {
-            let av = eval_expr(ds, row, a)?.and_then(|v| v.effective_bool());
-            let bv = eval_expr(ds, row, b)?.and_then(|v| v.effective_bool());
+            let av = eval_expr(ds, cx, a)?.and_then(|v| v.effective_bool());
+            let bv = eval_expr(ds, cx, b)?.and_then(|v| v.effective_bool());
             Ok(match (av, bv) {
                 (Some(true), _) | (_, Some(true)) => Some(Value::boolean(true)),
                 (Some(false), Some(false)) => Some(Value::boolean(false)),
@@ -55,36 +144,37 @@ pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Valu
             })
         }
         Expr::Cmp(op, a, b) => {
-            let (Some(av), Some(bv)) = (eval_expr(ds, row, a)?, eval_expr(ds, row, b)?) else {
+            let (Some(a), Some(b)) = (operand(ds, cx, a)?, operand(ds, cx, b)?) else {
                 return Ok(None);
             };
-            compare(ds, *op, av, bv)
+            compare_operands(ds, *op, &a, &b)
         }
         Expr::Arith(op, a, b) => {
-            let (Some(av), Some(bv)) = (eval_expr(ds, row, a)?, eval_expr(ds, row, b)?) else {
+            let (Some(a), Some(b)) = (operand(ds, cx, a)?, operand(ds, cx, b)?) else {
                 return Ok(None);
             };
-            arith(ds, *op, av, bv)
+            let (a, b) = (a.value(ds), b.value(ds));
+            arith(ds, *op, &a, &b)
         }
         Expr::ArrayDeref { base, subscripts } => {
-            let Some(basev) = eval_expr(ds, row, base)? else {
+            let Some(basev) = eval_expr(ds, cx, base)? else {
                 return Ok(None);
             };
             let mut subs = Vec::with_capacity(subscripts.len());
             for s in subscripts {
-                match eval_subscript(ds, row, s)? {
+                match eval_subscript(ds, cx, s)? {
                     Some(sub) => subs.push(sub),
                     None => return Ok(None),
                 }
             }
             dereference(ds, basev, &subs)
         }
-        Expr::Call { name, args } => eval_call(ds, row, name, args),
+        Expr::Call { name, args } => eval_call(ds, cx, name, args),
         Expr::FunctionRef { name, bound } => {
             let mut bound_vals = Vec::with_capacity(bound.len());
             for b in bound {
                 match b {
-                    Some(e) => match eval_expr(ds, row, e)? {
+                    Some(e) => match eval_expr(ds, cx, e)? {
                         Some(v) => bound_vals.push(Some(v)),
                         None => return Ok(None),
                     },
@@ -101,7 +191,9 @@ pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Valu
             }
         }
         Expr::Exists { pattern, negated } => {
-            let rows = crate::eval::eval_pattern(ds, pattern, vec![row.clone()])?;
+            // The pattern sees this row's bindings: its table extends
+            // the row's, so the seed is the row itself.
+            let (_, rows) = crate::eval::eval_pattern(ds, pattern, cx.vars.clone(), cx.row.into())?;
             let exists = !rows.is_empty();
             Ok(Some(Value::boolean(exists != *negated)))
         }
@@ -110,14 +202,14 @@ pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Valu
             haystack,
             negated,
         } => {
-            let Some(n) = eval_expr(ds, row, needle)? else {
+            let Some(n) = operand(ds, cx, needle)? else {
                 return Ok(None);
             };
             let mut saw_error = false;
             for h in haystack {
-                match eval_expr(ds, row, h)? {
+                match operand(ds, cx, h)? {
                     Some(v) => {
-                        let eq = match compare(ds, CmpOp::Eq, n.clone(), v)? {
+                        let eq = match compare_operands(ds, CmpOp::Eq, &n, &v)? {
                             Some(b) => b.effective_bool().unwrap_or(false),
                             None => false,
                         };
@@ -134,19 +226,35 @@ pub fn eval_expr(ds: &mut Dataset, row: &Row, expr: &Expr) -> Result<Option<Valu
                 Ok(Some(Value::boolean(*negated)))
             }
         }
-        Expr::Aggregate { .. } => Err(QueryError::Translation(
-            "aggregate used outside GROUP BY context".into(),
-        )),
+        Expr::Aggregate {
+            kind,
+            distinct,
+            arg,
+            separator,
+        } => match cx.group {
+            Some(rows) => agg::compute_aggregate(
+                ds,
+                cx.vars,
+                *kind,
+                *distinct,
+                arg.as_deref(),
+                separator,
+                rows,
+            ),
+            None => Err(QueryError::Translation(
+                "aggregate used outside GROUP BY context".into(),
+            )),
+        },
     }
 }
 
 fn eval_subscript(
     ds: &mut Dataset,
-    row: &Row,
+    cx: &Cx,
     s: &SubscriptExpr,
 ) -> Result<Option<Subscript>, QueryError> {
     let eval_i64 = |ds: &mut Dataset, e: &Expr| -> Result<Option<i64>, QueryError> {
-        Ok(eval_expr(ds, row, e)?
+        Ok(eval_expr(ds, cx, e)?
             .and_then(|v| v.as_num())
             .map(|n| n.as_i64()))
     };
@@ -229,14 +337,28 @@ fn negate_value(ds: &mut Dataset, v: Value) -> Result<Option<Value>, QueryError>
     Ok(None)
 }
 
+/// Compare two operands: scalar terms by reference, straight out of
+/// the dictionary; anything else as values.
+fn compare_operands(
+    ds: &mut Dataset,
+    op: CmpOp,
+    a: &Operand,
+    b: &Operand,
+) -> Result<Option<Value>, QueryError> {
+    if let (Some(x), Some(y)) = (a.scalar(ds), b.scalar(ds)) {
+        return Ok(compare_terms(op, x, y));
+    }
+    let (a, b) = (a.value(ds), b.value(ds));
+    compare(ds, op, &a, &b)
+}
+
 /// Comparison with numeric, string, boolean and array semantics.
 pub fn compare(
     ds: &mut Dataset,
     op: CmpOp,
-    a: Value,
-    b: Value,
+    a: &Value,
+    b: &Value,
 ) -> Result<Option<Value>, QueryError> {
-    use std::cmp::Ordering;
     // Array equality compares full contents (thesis §4.1.6).
     if a.is_array() || b.is_array() {
         return match op {
@@ -244,52 +366,56 @@ pub fn compare(
                 if !(a.is_array() && b.is_array()) {
                     return Ok(Some(Value::boolean(op == CmpOp::Ne)));
                 }
-                let fa = ds.force_array(&a)?;
-                let fb = ds.force_array(&b)?;
+                let fa = ds.force_array(a)?;
+                let fb = ds.force_array(b)?;
                 let eq = fa.array_eq(&fb);
                 Ok(Some(Value::boolean(if op == CmpOp::Eq { eq } else { !eq })))
             }
             _ => Ok(None),
         };
     }
-    let ord: Option<Ordering> = match (&a, &b) {
-        (Value::Term(Term::Number(x)), Value::Term(Term::Number(y))) => x.partial_cmp(y),
-        (Value::Term(Term::Str(x)), Value::Term(Term::Str(y))) => Some(x.cmp(y)),
-        (Value::Term(Term::Bool(x)), Value::Term(Term::Bool(y))) => Some(x.cmp(y)),
-        (Value::Term(Term::Uri(x)), Value::Term(Term::Uri(y))) => Some(x.cmp(y)),
-        (
-            Value::Term(Term::LangStr { value: x, .. }),
-            Value::Term(Term::LangStr { value: y, .. }),
-        ) => Some(x.cmp(y)),
-        _ => {
-            // Cross-kind: only equality/inequality are defined.
-            return match op {
-                CmpOp::Eq => Ok(Some(Value::boolean(a.value_eq(&b)))),
-                CmpOp::Ne => Ok(Some(Value::boolean(!a.value_eq(&b)))),
-                _ => Ok(None),
-            };
-        }
+    Ok(match (a, b) {
+        (Value::Term(x), Value::Term(y)) => compare_terms(op, x, y),
+        _ => equality_only(op, a.value_eq(b)),
+    })
+}
+
+/// Cross-kind operands: only equality/inequality are defined.
+fn equality_only(op: CmpOp, eq: bool) -> Option<Value> {
+    match op {
+        CmpOp::Eq => Some(Value::boolean(eq)),
+        CmpOp::Ne => Some(Value::boolean(!eq)),
+        _ => None,
+    }
+}
+
+fn compare_terms(op: CmpOp, x: &Term, y: &Term) -> Option<Value> {
+    use std::cmp::Ordering;
+    let ord: Option<Ordering> = match (x, y) {
+        (Term::Number(x), Term::Number(y)) => x.partial_cmp(y),
+        (Term::Str(x), Term::Str(y)) => Some(x.cmp(y)),
+        (Term::Bool(x), Term::Bool(y)) => Some(x.cmp(y)),
+        (Term::Uri(x), Term::Uri(y)) => Some(x.cmp(y)),
+        (Term::LangStr { value: x, .. }, Term::LangStr { value: y, .. }) => Some(x.cmp(y)),
+        _ => return equality_only(op, x.value_eq(y)),
     };
-    let Some(ord) = ord else {
-        return Ok(None); // NaN comparisons are errors.
-    };
-    let result = match op {
+    let ord = ord?; // NaN comparisons are errors.
+    Some(Value::boolean(match op {
         CmpOp::Eq => ord == Ordering::Equal,
         CmpOp::Ne => ord != Ordering::Equal,
         CmpOp::Lt => ord == Ordering::Less,
         CmpOp::Le => ord != Ordering::Greater,
         CmpOp::Gt => ord == Ordering::Greater,
         CmpOp::Ge => ord != Ordering::Less,
-    };
-    Ok(Some(Value::boolean(result)))
+    }))
 }
 
 /// Arithmetic over scalars and arrays (element-wise, scalar broadcast).
 pub fn arith(
     ds: &mut Dataset,
     op: ArithOp,
-    a: Value,
-    b: Value,
+    a: &Value,
+    b: &Value,
 ) -> Result<Option<Value>, QueryError> {
     let bin = match op {
         ArithOp::Add => BinOp::Add,
@@ -310,19 +436,19 @@ pub fn arith(
             let Some(s) = b.as_num() else {
                 return Ok(None);
             };
-            let arr = ds.force_array(&a)?;
+            let arr = ds.force_array(a)?;
             Ok(arr.scalar_op(s, bin).ok().map(Value::array))
         }
         (false, true) => {
             let Some(s) = a.as_num() else {
                 return Ok(None);
             };
-            let arr = ds.force_array(&b)?;
+            let arr = ds.force_array(b)?;
             Ok(arr.scalar_op_rev(s, bin).ok().map(Value::array))
         }
         (true, true) => {
-            let x = ds.force_array(&a)?;
-            let y = ds.force_array(&b)?;
+            let x = ds.force_array(a)?;
+            let y = ds.force_array(b)?;
             Ok(x.zip_with(&y, bin).ok().map(Value::array))
         }
     }
@@ -332,7 +458,7 @@ pub fn arith(
 /// foreign functions.
 fn eval_call(
     ds: &mut Dataset,
-    row: &Row,
+    cx: &Cx,
     name: &str,
     args: &[Expr],
 ) -> Result<Option<Value>, QueryError> {
@@ -343,22 +469,22 @@ fn eval_call(
             let Some(Expr::Var(v)) = args.first() else {
                 return Err(QueryError::Translation("BOUND expects a variable".into()));
             };
-            return Ok(Some(Value::boolean(row.contains_key(v))));
+            return Ok(Some(Value::boolean(cx.slot(v).is_some_and(Slot::is_bound))));
         }
         "if" => {
             if args.len() != 3 {
                 return Err(QueryError::Translation("IF expects 3 arguments".into()));
             }
-            let c = eval_expr(ds, row, &args[0])?.and_then(|v| v.effective_bool());
+            let c = eval_expr(ds, cx, &args[0])?.and_then(|v| v.effective_bool());
             return match c {
-                Some(true) => eval_expr(ds, row, &args[1]),
-                Some(false) => eval_expr(ds, row, &args[2]),
+                Some(true) => eval_expr(ds, cx, &args[1]),
+                Some(false) => eval_expr(ds, cx, &args[2]),
                 None => Ok(None),
             };
         }
         "coalesce" => {
             for a in args {
-                if let Some(v) = eval_expr(ds, row, a)? {
+                if let Some(v) = eval_expr(ds, cx, a)? {
                     return Ok(Some(v));
                 }
             }
@@ -369,7 +495,7 @@ fn eval_call(
     // Evaluate arguments strictly.
     let mut vals = Vec::with_capacity(args.len());
     for a in args {
-        match eval_expr(ds, row, a)? {
+        match eval_expr(ds, cx, a)? {
             Some(v) => vals.push(v),
             None => return Ok(None),
         }
@@ -396,10 +522,8 @@ pub fn apply_function(
                 args.len()
             )));
         }
-        let mut initial = Row::new();
-        for (p, v) in def.params.iter().zip(args) {
-            initial.insert(p.clone(), v.clone());
-        }
+        let params = def.params.iter().map(String::as_str);
+        let initial = params.zip(args.iter().cloned()).collect();
         let (_, rows) = crate::eval::select_solutions(ds, &def.body, initial)?;
         // DAPLEX-style scalar context: the first column of the first
         // solution is the call's value; no solutions is an error value.
@@ -437,9 +561,4 @@ pub fn apply_closure(
 ) -> Result<Option<Value>, QueryError> {
     let full = c.complete_args(args)?;
     apply_function(ds, c.name(), &full)
-}
-
-/// Convenience used by builtins: coerce a value to a scalar number.
-pub fn want_num(v: &Value) -> Option<Num> {
-    v.as_num()
 }

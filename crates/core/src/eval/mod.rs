@@ -1,45 +1,177 @@
 //! The SciSPARQL executor.
 //!
-//! Evaluates optimized [`Plan`] trees against a [`Dataset`] with
-//! materialized binding sets, mirroring SSDM's execution algebra
-//! (thesis §5.4.4): index-driven nested-loop joins over the graph's
-//! SPO/POS/OSP indexes, left joins for OPTIONAL, three-valued filter
-//! logic, grouping/aggregation, and lazy array handling — array proxies
-//! flow through bindings untouched until an expression demands their
-//! elements.
+//! Evaluates optimized [`Plan`] trees against a [`Dataset`] one
+//! operator at a time over materialized sets of solution rows,
+//! mirroring SSDM's execution algebra (thesis §5.4.4): index-driven
+//! nested-loop joins over the graph's SPO/POS/OSP indexes, left joins
+//! for OPTIONAL, three-valued filter logic, grouping/aggregation, and
+//! lazy array handling.
+//!
+//! A solution row is a fixed-width array of [`Slot`]s addressed through
+//! the evaluation's [`VarTable`]. Scans write dictionary ids straight
+//! into slots; a term is only looked up when an expression reads it and
+//! only cloned when it reaches the result, and an array reference only
+//! becomes a proxy when an expression or the projection asks.
 
 pub mod agg;
 pub mod builtins;
 pub mod expr;
 pub mod path;
 
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::rc::Rc;
 
-use ssdm_rdf::{Term, TermId};
+use ssdm_rdf::{Graph, Term, TermId};
 
 use crate::algebra::{self, Plan};
 use crate::ast::*;
 use crate::dataset::{Dataset, QueryError, QueryResult};
 use crate::value::Value;
 
-/// One solution: variable → value.
-pub type Row = HashMap<String, Value>;
+use expr::{eval_expr, Cx, Operand};
+
+/// One cell of a solution row.
+#[derive(Debug, Clone, Default)]
+pub enum Slot {
+    #[default]
+    Unbound,
+    /// A node of the active graph, by its dictionary id.
+    Id(TermId),
+    /// A value that has no id: BIND results, VALUES terms absent from
+    /// the dictionary, sub-select cells, derived proxies, closures, and
+    /// every binding that crossed a graph boundary.
+    Val(Rc<Value>),
+}
+
+impl Slot {
+    pub fn is_bound(&self) -> bool {
+        !matches!(self, Slot::Unbound)
+    }
+}
+
+impl From<Value> for Slot {
+    fn from(v: Value) -> Self {
+        Slot::Val(Rc::new(v))
+    }
+}
+
+/// One solution: a slot per variable of the evaluation's [`VarTable`].
+/// Every `Id` in a live row is relative to the dictionary of
+/// [`Dataset::active`].
+pub type Row = Box<[Slot]>;
 
 /// Projected SELECT output: column names plus rows of optional values.
 pub type SelectOutput = (Vec<String>, Vec<Vec<Option<Value>>>);
 
+/// The variables of one evaluation scope, each with a fixed slot index.
+/// Built once per evaluated pattern from its plan (plus initial
+/// bindings and ORDER BY aliases); a name that is not in the table is
+/// simply unbound.
+#[derive(Debug, Clone, Default)]
+pub struct VarTable {
+    names: Vec<String>,
+}
+
+impl VarTable {
+    /// The table covering every variable `plan` can bind.
+    pub fn for_plan(plan: &Plan) -> VarTable {
+        let mut vars = VarTable::default();
+        vars.add_plan(plan);
+        vars
+    }
+
+    /// The slot of `name`. Tables hold a handful of names, so a scan
+    /// beats hashing the string.
+    pub fn slot(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// The slot of a variable the plan binds.
+    fn bound_slot(&self, name: &str) -> Result<usize, QueryError> {
+        self.slot(name)
+            .ok_or_else(|| QueryError::Eval(format!("?{name} is missing from the variable table")))
+    }
+
+    fn add(&mut self, name: &str) -> usize {
+        self.slot(name).unwrap_or_else(|| {
+            self.names.push(name.to_string());
+            self.names.len() - 1
+        })
+    }
+
+    fn add_plan(&mut self, plan: &Plan) {
+        match plan {
+            Plan::Empty => {}
+            Plan::Scan(t) => {
+                for tp in [Some(&t.subject), t.path.as_pred(), Some(&t.object)] {
+                    if let Some(TermPattern::Var(v)) = tp {
+                        self.add(v);
+                    }
+                }
+            }
+            Plan::Join(children) | Plan::Union(children) => {
+                children.iter().for_each(|c| self.add_plan(c))
+            }
+            Plan::LeftJoin { left, right } => {
+                self.add_plan(left);
+                self.add_plan(right);
+            }
+            Plan::Filter { input, .. } | Plan::Minus { input, .. } => self.add_plan(input),
+            Plan::Extend { input, var, expr } => {
+                self.add_plan(input);
+                self.add(var);
+                algebra::subscript_vars(expr).for_each(|v| {
+                    self.add(v);
+                });
+            }
+            Plan::Values { vars, .. } => vars.iter().for_each(|v| {
+                self.add(v);
+            }),
+            Plan::Graph { name, inner } => {
+                if let TermPattern::Var(v) = name {
+                    self.add(v);
+                }
+                self.add_plan(inner);
+            }
+            Plan::SubSelect(q) => projection_items(q).iter().for_each(|i| {
+                self.add(&i.name());
+            }),
+        }
+    }
+
+    /// The row binding nothing.
+    pub fn unit_row(&self) -> Row {
+        vec![Slot::Unbound; self.names.len()].into()
+    }
+
+    /// The variables bound in every input row (structurally identical
+    /// across rows, so the first row suffices), as the planner's bound
+    /// set.
+    fn bound_names(&self, rows: &[Row]) -> HashSet<String> {
+        let Some(first) = rows.first() else {
+            return HashSet::new();
+        };
+        let bound = self.names.iter().zip(first.iter());
+        bound
+            .filter(|(_, slot)| slot.is_bound())
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+}
+
 /// Execute a SELECT query.
 pub fn execute_select(ds: &mut Dataset, q: &SelectQuery) -> Result<QueryResult, QueryError> {
-    let (vars, rows) = select_solutions(ds, q, Row::new())?;
+    let (vars, rows) = select_solutions(ds, q, Vec::new())?;
     Ok(QueryResult::Solutions { vars, rows })
 }
 
 /// Execute a SELECT query with initial bindings (the entry point for
-/// parameterized-view calls, where parameters arrive pre-bound).
+/// parameterized-view calls, where parameters arrive pre-bound). The
+/// query is a scope of its own: values go in, values come out.
 pub fn select_solutions(
     ds: &mut Dataset,
     q: &SelectQuery,
-    initial: Row,
+    initial: Vec<(&str, Value)>,
 ) -> Result<SelectOutput, QueryError> {
     // FROM / FROM NAMED: retarget the default graph and restrict the
     // named-graph universe for this query (thesis §3.3.4).
@@ -57,15 +189,10 @@ pub fn select_solutions(
     result
 }
 
-fn select_solutions_inner(
-    ds: &mut Dataset,
-    q: &SelectQuery,
-    initial: Row,
-) -> Result<SelectOutput, QueryError> {
-    let solutions = eval_pattern(ds, &q.pattern, vec![initial])?;
-
-    // Projection handling, with or without grouping.
-    let items: Vec<ProjectionItem> = match &q.projection {
+/// The projected columns of a SELECT (`*` expands to the bindable,
+/// non-internal variables of its pattern).
+fn projection_items(q: &SelectQuery) -> Vec<ProjectionItem> {
+    match &q.projection {
         Projection::Items(items) => items.clone(),
         Projection::All => {
             let mut vars = Vec::new();
@@ -78,7 +205,31 @@ fn select_solutions_inner(
                 })
                 .collect()
         }
+    }
+}
+
+fn select_solutions_inner(
+    ds: &mut Dataset,
+    q: &SelectQuery,
+    initial: Vec<(&str, Value)>,
+) -> Result<SelectOutput, QueryError> {
+    let items = projection_items(q);
+    let mut vars = VarTable::default();
+    let mut seed: Vec<Slot> = Vec::with_capacity(initial.len());
+    for (name, value) in initial {
+        let slot = vars.add(name);
+        seed.resize(seed.len().max(slot + 1), Slot::Unbound);
+        seed[slot] = value.into();
+    }
+    // Order keys may name output aliases: give those slots too.
+    let alias_slots: Vec<usize> = if q.order_by.is_empty() {
+        Vec::new()
+    } else {
+        items.iter().map(|i| vars.add(&i.name())).collect()
     };
+    let (vars, solutions) = eval_pattern(ds, &q.pattern, vars, seed.into())?;
+
+    // Projection handling, with or without grouping.
     let needs_grouping = !q.group_by.is_empty()
         || items.iter().any(|i| i.expr.has_aggregate())
         || q.having.as_ref().map(Expr::has_aggregate).unwrap_or(false);
@@ -91,16 +242,15 @@ fn select_solutions_inner(
     if profiling {
         ds.prof_enter("Project".into(), solutions.len() as u64, None, None);
     }
-    let mut out_rows: Vec<Vec<Option<Value>>> = if needs_grouping {
-        agg::grouped_projection(ds, &items, &q.group_by, &q.having, &solutions)?
+    // Projected cells stay slots until DISTINCT and LIMIT have run: a
+    // bare variable projects its id, and only surviving rows are cloned
+    // out of the dictionary.
+    let mut out_rows: Vec<Row> = if needs_grouping {
+        agg::grouped_projection(ds, &vars, &items, &q.group_by, &q.having, &solutions)?
     } else {
         let mut out = Vec::with_capacity(solutions.len());
         for row in &solutions {
-            let mut cells = Vec::with_capacity(items.len());
-            for item in &items {
-                cells.push(expr::eval_expr(ds, row, &item.expr)?);
-            }
-            out.push(cells);
+            out.push(project(ds, &Cx::new(&vars, row), &items)?);
         }
         out
     };
@@ -115,35 +265,24 @@ fn select_solutions_inner(
             ds.prof_enter("OrderBy".into(), out_rows.len() as u64, None, None);
         }
         // Order keys evaluate against the projected row when they are
-        // output aliases, else against the source solution.
-        type Keyed = (Vec<Option<Value>>, Vec<Option<Value>>);
-        let mut keyed: Vec<Keyed> = Vec::new();
-        let source_rows: Vec<Row> = if needs_grouping {
-            // After grouping, sort keys must reference projected columns.
-            out_rows
-                .iter()
-                .map(|cells| {
-                    items
-                        .iter()
-                        .zip(cells)
-                        .filter_map(|(i, c)| c.clone().map(|v| (i.name(), v)))
-                        .collect()
-                })
-                .collect()
-        } else {
-            // The original solutions, in the same order as out_rows.
-            solutions.clone()
-        };
-        for (cells, src) in out_rows.into_iter().zip(source_rows) {
-            let mut augmented = src;
-            for (i, c) in items.iter().zip(&cells) {
-                if let Some(v) = c {
-                    augmented.entry(i.name()).or_insert_with(|| v.clone());
+        // output aliases, else against the source solution (after
+        // grouping there is none: keys must reference projected columns).
+        let mut sources = (!needs_grouping).then(|| solutions.into_iter());
+        let mut keyed: Vec<(Vec<Option<Value>>, Row)> = Vec::with_capacity(out_rows.len());
+        for cells in out_rows {
+            let mut augmented = match &mut sources {
+                Some(rows) => rows.next().expect("one solution per projected row"),
+                None => vars.unit_row(),
+            };
+            for (&slot, cell) in alias_slots.iter().zip(cells.iter()) {
+                if !augmented[slot].is_bound() {
+                    augmented[slot] = cell.clone();
                 }
             }
+            let cx = Cx::new(&vars, &augmented);
             let mut keys = Vec::with_capacity(q.order_by.len());
             for k in &q.order_by {
-                keys.push(expr::eval_expr(ds, &augmented, &k.expr)?);
+                keys.push(eval_expr(ds, &cx, &k.expr)?);
             }
             keyed.push((keys, cells));
         }
@@ -167,17 +306,20 @@ fn select_solutions_inner(
         if profiling {
             ds.prof_exit(out_rows.len() as u64);
         }
+    } else {
+        // Release the solutions' share of every `Val` cell, so the
+        // final materialization moves values instead of cloning them.
+        drop(solutions);
     }
 
     // DISTINCT.
     if q.distinct {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         out_rows.retain(|r| {
-            let key = r
+            let key: Vec<agg::KeyPart> = r
                 .iter()
-                .map(|c| c.as_ref().map(|v| v.to_string()).unwrap_or_default())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
+                .map(|c| agg::key_part(ds, Operand::of_slot(c)))
+                .collect();
             seen.insert(key)
         });
     }
@@ -190,43 +332,125 @@ fn select_solutions_inner(
         out_rows.truncate(lim);
     }
 
-    let vars = items.iter().map(|i| i.name()).collect();
-    Ok((vars, out_rows))
+    let rows = out_rows
+        .into_iter()
+        .map(|r| {
+            r.into_vec()
+                .into_iter()
+                .map(|c| into_value(ds, c))
+                .collect()
+        })
+        .collect();
+    Ok((items.iter().map(|i| i.name()).collect(), rows))
+}
+
+/// Project one solution (or group) onto the output columns. A bare
+/// variable keeps its slot, so an id stays an id.
+fn project(ds: &mut Dataset, cx: &Cx, items: &[ProjectionItem]) -> Result<Row, QueryError> {
+    let mut cells = Vec::with_capacity(items.len());
+    for item in items {
+        cells.push(match &item.expr {
+            Expr::Var(v) => cx.slot(v).cloned().unwrap_or_default(),
+            other => eval_expr(ds, cx, other)?.map_or(Slot::Unbound, Slot::from),
+        });
+    }
+    Ok(cells.into())
+}
+
+/// Materialize a projected cell into the result.
+fn into_value(ds: &Dataset, slot: Slot) -> Option<Value> {
+    match slot {
+        Slot::Val(v) => Some(Rc::unwrap_or_clone(v)),
+        other => Operand::of_slot(&other).map(|o| o.into_value(ds)),
+    }
+}
+
+/// Equality of two bound slots for joins: the same id is the same node;
+/// everything else compares by value.
+fn slot_eq(ds: &Dataset, a: &Slot, b: &Slot) -> bool {
+    match (a, b) {
+        (Slot::Id(x), Slot::Id(y)) => {
+            let graph = ds.active();
+            x == y || graph.term(*x).value_eq(graph.term(*y))
+        }
+        _ => match (Operand::of_slot(a), Operand::of_slot(b)) {
+            (Some(x), Some(y)) => x.value(ds).value_eq(&y.value(ds)),
+            _ => false,
+        },
+    }
+}
+
+/// Bind `slot` of `row` to `cell` (an unbound cell binds nothing);
+/// false when the slot already holds a different value.
+fn bind(ds: &Dataset, row: &mut [Slot], slot: usize, cell: &Slot) -> bool {
+    if !cell.is_bound() {
+        return true;
+    }
+    if row[slot].is_bound() {
+        return slot_eq(ds, &row[slot], cell);
+    }
+    row[slot] = cell.clone();
+    true
+}
+
+/// Join every input row with every compatible row of a table of cells
+/// (VALUES, sub-select results) whose columns are the variables `names`.
+fn join_table(
+    ds: &Dataset,
+    vars: &VarTable,
+    input: &[Row],
+    names: &[String],
+    table: &[Vec<Slot>],
+) -> Result<Vec<Row>, QueryError> {
+    let slots: Vec<usize> = names
+        .iter()
+        .map(|n| vars.bound_slot(n))
+        .collect::<Result<_, _>>()?;
+    let mut out = Vec::new();
+    for row in input {
+        for cells in table {
+            let mut merged = row.clone();
+            let mut columns = slots.iter().zip(cells);
+            if columns.all(|(&slot, cell)| bind(ds, &mut merged, slot, cell)) {
+                out.push(merged);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Ids are relative to one graph's dictionary, so rows crossing a GRAPH
+/// boundary (in either direction) trade them for the values they denote.
+fn detach(ds: &Dataset, rows: &mut [Row]) {
+    for slot in rows.iter_mut().flat_map(|row| row.iter_mut()) {
+        if let Slot::Id(id) = slot {
+            *slot = Operand::Id(*id).into_value(ds).into();
+        }
+    }
 }
 
 /// Execute an ASK query.
 pub fn execute_ask(ds: &mut Dataset, q: &AskQuery) -> Result<QueryResult, QueryError> {
-    let rows = eval_pattern(ds, &q.pattern, vec![Row::new()])?;
+    let (_, rows) = eval_pattern(ds, &q.pattern, VarTable::default(), Row::default())?;
     Ok(QueryResult::Boolean(!rows.is_empty()))
 }
 
 /// Execute a CONSTRUCT query.
 pub fn execute_construct(ds: &mut Dataset, q: &ConstructQuery) -> Result<QueryResult, QueryError> {
-    let rows = eval_pattern(ds, &q.pattern, vec![Row::new()])?;
+    let (vars, rows) = eval_pattern(ds, &q.pattern, VarTable::default(), Row::default())?;
     let mut out = ssdm_rdf::Graph::new();
-    let mut blank_counter = 0usize;
-    for row in rows {
-        blank_counter += 1;
+    for (n, row) in rows.iter().enumerate() {
+        let term = |tp: &TermPattern| match tp {
+            // Blank nodes in templates are scoped per solution.
+            TermPattern::Term(Term::Blank(b)) => Some(Term::blank(format!("{b}_{}", n + 1))),
+            other => instantiate(ds, &vars, row, other),
+        };
         for t in &q.template {
-            let Some(s) = instantiate(ds, &row, &t.subject, blank_counter) else {
-                continue;
-            };
-            let Some(TermPattern::Term(p)) = t
-                .path
-                .as_pred()
-                .map(|p| match p {
-                    TermPattern::Var(v) => row
-                        .get(v)
-                        .and_then(Value::as_term)
-                        .cloned()
-                        .map(TermPattern::Term),
-                    TermPattern::Term(term) => Some(TermPattern::Term(term.clone())),
-                })
-                .unwrap_or(None)
-            else {
-                continue;
-            };
-            let Some(o) = instantiate(ds, &row, &t.object, blank_counter) else {
+            let (Some(s), Some(p), Some(o)) = (
+                term(&t.subject),
+                t.path.as_pred().and_then(term),
+                term(&t.object),
+            ) else {
                 continue;
             };
             out.insert(s, p, o);
@@ -240,17 +464,25 @@ pub fn execute_construct(ds: &mut Dataset, q: &ConstructQuery) -> Result<QueryRe
     Ok(QueryResult::Graph(out))
 }
 
-fn instantiate(ds: &Dataset, row: &Row, tp: &TermPattern, solution: usize) -> Option<Term> {
-    let _ = ds;
+/// The ground term a template position takes in one solution (CONSTRUCT
+/// and `DELETE/INSERT ... WHERE` templates); `None` skips the triple.
+pub(crate) fn instantiate(
+    ds: &Dataset,
+    vars: &VarTable,
+    row: &Row,
+    tp: &TermPattern,
+) -> Option<Term> {
     match tp {
-        TermPattern::Var(v) => match row.get(v)? {
-            Value::Term(t) => Some(t.clone()),
-            Value::Proxy(p) => Some(Term::ArrayRef(p.array_id())),
-            Value::Closure(_) => None,
-        },
-        // Blank nodes in templates are scoped per solution.
-        TermPattern::Term(Term::Blank(b)) => Some(Term::blank(format!("{b}_{solution}"))),
         TermPattern::Term(t) => Some(t.clone()),
+        TermPattern::Var(v) => match &row[vars.slot(v)?] {
+            Slot::Unbound => None,
+            Slot::Id(id) => Some(ds.active().term(*id).clone()),
+            Slot::Val(v) => match &**v {
+                Value::Term(t) => Some(t.clone()),
+                Value::Proxy(p) => Some(Term::ArrayRef(p.array_id())),
+                Value::Closure(_) => None,
+            },
+        },
     }
 }
 
@@ -266,13 +498,17 @@ fn plan_with_dataset(ds: &Dataset, translated: Plan) -> Plan {
     algebra::optimize_with(translated, &ctx)
 }
 
-/// Translate, optimize and evaluate a group pattern.
+/// Translate, optimize and evaluate a group pattern from one `seed` row
+/// over `vars` (both empty for an uncorrelated pattern). The pattern's
+/// own variables are appended to the table, which is returned with the
+/// solutions laid out over it.
 pub fn eval_pattern(
     ds: &mut Dataset,
     pattern: &GroupPattern,
-    input: Vec<Row>,
-) -> Result<Vec<Row>, QueryError> {
-    if ds.profiling() {
+    mut vars: VarTable,
+    seed: Row,
+) -> Result<(VarTable, Vec<Row>), QueryError> {
+    let plan = if ds.profiling() {
         let t0 = std::time::Instant::now();
         let translated = algebra::translate(pattern);
         let t1 = std::time::Instant::now();
@@ -280,28 +516,23 @@ pub fn eval_pattern(
         let t2 = std::time::Instant::now();
         ds.prof_phase("rewrite", t1.duration_since(t0));
         ds.prof_phase("plan", t2.duration_since(t1));
-        return eval_plan(ds, &plan, input);
-    }
-    let plan = plan_with_dataset(ds, algebra::translate(pattern));
-    eval_plan(ds, &plan, input)
-}
-
-/// The variables bound in every input row (structurally identical
-/// across rows, so the first row suffices), as the planner's bound set.
-fn bound_vars_of(input: &[Row]) -> std::collections::HashSet<String> {
-    input
-        .first()
-        .map(|r| r.keys().cloned().collect())
-        .unwrap_or_default()
+        plan
+    } else {
+        plan_with_dataset(ds, algebra::translate(pattern))
+    };
+    vars.add_plan(&plan);
+    let mut seed = seed.into_vec();
+    seed.resize(vars.names.len(), Slot::Unbound);
+    let rows = eval_plan(ds, &vars, &plan, &[seed.into()])?;
+    Ok((vars, rows))
 }
 
 /// Greedily re-order the unexecuted scan suffix of a running join by
 /// estimated cardinality against the *actually* bound variables — the
 /// mid-query re-optimization step. Callers guarantee every element is
 /// a plain triple-pattern scan, so any permutation is join-equivalent.
-fn reorder_suffix(ds: &Dataset, suffix: &mut [&Plan], rows: &[Row]) {
+fn reorder_suffix(ds: &Dataset, suffix: &mut [&Plan], mut bound: HashSet<String>) {
     let graph = ds.active();
-    let mut bound = bound_vars_of(rows);
     for i in 0..suffix.len() {
         let best = (i..suffix.len())
             .min_by(|&a, &b| {
@@ -326,40 +557,52 @@ fn scan_predicate(plan: &Plan) -> Option<String> {
     }
 }
 
-/// Evaluate a plan over input binding rows. With a profiler attached,
-/// every node becomes one operator row carrying the planner's
+/// Evaluate a plan over input rows laid out over `vars`, which must
+/// cover the plan's variables ([`VarTable::for_plan`]). With a profiler
+/// attached, every node becomes one operator row carrying the planner's
 /// (uncalibrated) estimate next to the observed cardinality; without,
 /// this is a direct call into the evaluator.
-pub fn eval_plan(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec<Row>, QueryError> {
+pub fn eval_plan(
+    ds: &mut Dataset,
+    vars: &VarTable,
+    plan: &Plan,
+    input: &[Row],
+) -> Result<Vec<Row>, QueryError> {
     if !ds.profiling() {
-        return eval_plan_inner(ds, plan, input);
+        return eval_plan_inner(ds, vars, plan, input);
     }
     let rows_in = input.len() as u64;
     // Raw statistics estimate (calibration deliberately excluded, so
     // the feedback loop converges on true corrections instead of
     // re-correcting its own output).
-    let est = algebra::estimate(plan, ds.active(), &bound_vars_of(&input)) * rows_in.max(1) as f64;
+    let est =
+        algebra::estimate(plan, ds.active(), &vars.bound_names(input)) * rows_in.max(1) as f64;
     ds.prof_enter(
         algebra::node_label(plan),
         rows_in,
         Some(est),
         scan_predicate(plan),
     );
-    let result = eval_plan_inner(ds, plan, input);
+    let result = eval_plan_inner(ds, vars, plan, input);
     if let Ok(rows) = &result {
         ds.prof_exit(rows.len() as u64);
     }
     result
 }
 
-fn eval_plan_inner(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec<Row>, QueryError> {
+fn eval_plan_inner(
+    ds: &mut Dataset,
+    vars: &VarTable,
+    plan: &Plan,
+    input: &[Row],
+) -> Result<Vec<Row>, QueryError> {
     match plan {
-        Plan::Empty => Ok(input),
+        Plan::Empty => Ok(input.to_vec()),
         Plan::Scan(t) => {
             if t.path.as_pred().is_some() {
-                scan_triples(ds, t, input)
+                scan_triples(ds, vars, t, input)
             } else {
-                path::eval_path_scan(ds, t, input)
+                path::eval_path_scan(ds, vars, t, input)
             }
         }
         Plan::Join(children) => {
@@ -373,20 +616,22 @@ fn eval_plan_inner(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec
             let qbound = ds.planner.adaptive_qerror;
             let min_rows = ds.planner.adaptive_min_rows;
             let mut seq: Vec<&Plan> = children.iter().collect();
-            let mut rows = input;
+            let mut rows: Option<Vec<Row>> = None;
             let mut idx = 0;
             while idx < seq.len() {
                 let child = seq[idx];
+                let current = rows.as_deref().unwrap_or(input);
                 // Pre-execution estimate, only when adaptivity could
                 // still rewrite something downstream.
                 let est = match qbound {
                     Some(_) if seq.len() - idx > 2 => Some(
-                        algebra::estimate(child, ds.active(), &bound_vars_of(&rows))
-                            * rows.len().max(1) as f64,
+                        algebra::estimate(child, ds.active(), &vars.bound_names(current))
+                            * current.len().max(1) as f64,
                     ),
                     _ => None,
                 };
-                rows = eval_plan(ds, child, rows)?;
+                let produced = eval_plan(ds, vars, child, current)?;
+                let rows = rows.insert(produced);
                 if rows.is_empty() {
                     break;
                 }
@@ -400,18 +645,18 @@ fn eval_plan_inner(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec
                             .iter()
                             .all(|c| matches!(c, Plan::Scan(t) if t.path.as_pred().is_some()))
                     {
-                        reorder_suffix(ds, &mut seq[idx..], &rows);
+                        reorder_suffix(ds, &mut seq[idx..], vars.bound_names(rows));
                         ds.prof_note_reopt();
                     }
                 }
             }
-            Ok(rows)
+            Ok(rows.unwrap_or_else(|| input.to_vec()))
         }
         Plan::LeftJoin { left, right } => {
-            let left_rows = eval_plan(ds, left, input)?;
+            let left_rows = eval_plan(ds, vars, left, input)?;
             let mut out = Vec::with_capacity(left_rows.len());
             for lrow in left_rows {
-                let matches = eval_plan(ds, right, vec![lrow.clone()])?;
+                let matches = eval_plan(ds, vars, right, std::slice::from_ref(&lrow))?;
                 if matches.is_empty() {
                     out.push(lrow);
                 } else {
@@ -423,16 +668,16 @@ fn eval_plan_inner(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec
         Plan::Union(branches) => {
             let mut out = Vec::new();
             for b in branches {
-                out.extend(eval_plan(ds, b, input.clone())?);
+                out.extend(eval_plan(ds, vars, b, input)?);
             }
             Ok(out)
         }
         Plan::Filter { input: inner, expr } => {
-            let rows = eval_plan(ds, inner, input)?;
+            let rows = eval_plan(ds, vars, inner, input)?;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 // Expression errors count as false (thesis §3.6).
-                let keep = expr::eval_expr(ds, &row, expr)?
+                let keep = eval_expr(ds, &Cx::new(vars, &row), expr)?
                     .and_then(|v| v.effective_bool())
                     .unwrap_or(false);
                 if keep {
@@ -446,231 +691,245 @@ fn eval_plan_inner(ds: &mut Dataset, plan: &Plan, input: Vec<Row>) -> Result<Vec
             var,
             expr,
         } => {
-            let rows = eval_plan(ds, inner, input)?;
+            let rows = eval_plan(ds, vars, inner, input)?;
+            let slot = vars.bound_slot(var)?;
+            // Bag-valued view calls (DAPLEX semantics, §2.6): a BIND
+            // of a defined-function call fans out over EVERY solution
+            // of the parameterized view, not just the first.
+            let view = match expr {
+                Expr::Call { name, args } => ds.registry.lookup_defined(name).map(|d| (d, args)),
+                _ => None,
+            };
             let mut out = Vec::with_capacity(rows.len());
             for mut row in rows {
                 // Subscript-variable enumeration (thesis §4.1.2): a
                 // dereference whose subscripts contain unbound variables
                 // fans the solution out over every valid subscript.
-                if let Expr::ArrayDeref { base, subscripts } = expr {
-                    let has_unbound = subscript_vars(subscripts)
-                        .iter()
-                        .any(|v| !row.contains_key(*v));
-                    if has_unbound {
-                        out.extend(enumerate_subscripts(ds, &row, var, base, subscripts)?);
-                        continue;
-                    }
-                }
-                // Bag-valued view calls (DAPLEX semantics, §2.6): a BIND
-                // of a defined-function call fans out over EVERY solution
-                // of the parameterized view, not just the first.
-                if let Expr::Call { name, args } = expr {
-                    if let Some(def) = ds.registry.lookup_defined(name) {
-                        out.extend(bind_view_bag(ds, &row, var, &def, args)?);
-                        continue;
-                    }
-                }
-                match expr::eval_expr(ds, &row, expr)? {
-                    Some(v) => match row.get(var) {
-                        Some(existing) => {
-                            if existing.value_eq(&v) {
-                                out.push(row);
-                            }
-                        }
-                        None => {
-                            row.insert(var.clone(), v);
-                            out.push(row);
-                        }
-                    },
+                let cx = Cx::new(vars, &row);
+                if algebra::subscript_vars(expr).any(|v| !cx.slot(v).is_some_and(Slot::is_bound)) {
+                    out.extend(enumerate_subscripts(ds, vars, &row, slot, expr)?);
+                } else if let Some((def, args)) = &view {
+                    out.extend(bind_view_bag(ds, vars, &row, slot, def, args)?);
+                } else {
                     // BIND errors leave the variable unbound.
-                    None => out.push(row),
+                    let bound = match eval_expr(ds, &cx, expr)? {
+                        Some(v) => bind(ds, &mut row, slot, &v.into()),
+                        None => true,
+                    };
+                    if bound {
+                        out.push(row);
+                    }
                 }
             }
             Ok(out)
         }
         Plan::Graph { name, inner } => {
             let saved = ds.active_graph.clone();
-            let result = eval_graph_plan(ds, name, inner, input);
+            let mut input = input.to_vec();
+            detach(ds, &mut input);
+            let result = eval_graph_plan(ds, vars, name, inner, &input);
             ds.active_graph = saved;
             result
         }
         Plan::SubSelect(q) => {
             // SPARQL subqueries evaluate bottom-up, then join.
-            let (vars, sub_rows) = select_solutions(ds, q, Row::new())?;
-            let mut out = Vec::new();
-            for row in &input {
-                'sub: for srow in &sub_rows {
-                    let mut merged = row.clone();
-                    for (var, cell) in vars.iter().zip(srow) {
-                        if let Some(v) = cell {
-                            match merged.get(var) {
-                                Some(existing) if !existing.value_eq(v) => continue 'sub,
-                                Some(_) => {}
-                                None => {
-                                    merged.insert(var.clone(), v.clone());
-                                }
-                            }
-                        }
-                    }
-                    out.push(merged);
-                }
-            }
-            Ok(out)
+            let (names, sub_rows) = select_solutions(ds, q, Vec::new())?;
+            let table: Vec<Vec<Slot>> = sub_rows
+                .into_iter()
+                .map(|r| {
+                    r.into_iter()
+                        .map(|c| c.map_or(Slot::Unbound, Slot::from))
+                        .collect()
+                })
+                .collect();
+            join_table(ds, vars, input, &names, &table)
         }
         Plan::Minus {
             input: inner,
             pattern,
         } => {
-            let rows = eval_plan(ds, inner, input)?;
-            let minus_rows = eval_pattern(ds, pattern, vec![Row::new()])?;
+            let mut rows = eval_plan(ds, vars, inner, input)?;
+            let (minus_vars, minus_rows) =
+                eval_pattern(ds, pattern, VarTable::default(), Row::default())?;
+            let shared: Vec<(usize, usize)> = minus_vars
+                .names
+                .iter()
+                .enumerate()
+                .filter_map(|(m, name)| vars.slot(name).map(|r| (r, m)))
+                .collect();
             // SPARQL MINUS: drop a solution when some minus-solution
             // shares at least one variable and agrees on all shared ones.
-            Ok(rows
-                .into_iter()
-                .filter(|row| {
-                    !minus_rows.iter().any(|m| {
-                        let mut shared = false;
-                        for (k, v) in m {
-                            if let Some(existing) = row.get(k) {
-                                shared = true;
-                                if !existing.value_eq(v) {
-                                    return false;
-                                }
-                            }
-                        }
-                        shared
-                    })
+            rows.retain(|row| {
+                !minus_rows.iter().any(|minus| {
+                    let mut both = shared
+                        .iter()
+                        .filter(|&&(r, m)| row[r].is_bound() && minus[m].is_bound())
+                        .peekable();
+                    both.peek().is_some() && both.all(|&(r, m)| slot_eq(ds, &row[r], &minus[m]))
                 })
-                .collect())
+            });
+            Ok(rows)
         }
-        Plan::Values { vars, rows: table } => {
-            let mut out = Vec::new();
-            for row in input {
-                for vrow in table {
-                    let mut merged = row.clone();
-                    let mut ok = true;
-                    for (var, cell) in vars.iter().zip(vrow) {
-                        if let Some(term) = cell {
-                            let v = ds.term_to_value(term);
-                            match merged.get(var) {
-                                Some(existing) if !existing.value_eq(&v) => {
-                                    ok = false;
-                                    break;
-                                }
-                                Some(_) => {}
-                                None => {
-                                    merged.insert(var.clone(), v);
-                                }
-                            }
-                        }
-                    }
-                    if ok {
-                        out.push(merged);
-                    }
-                }
-            }
-            Ok(out)
+        Plan::Values { vars: names, rows } => {
+            let cell = |term: &Option<Term>| match term {
+                None => Slot::Unbound,
+                Some(term) => match ds.active().dictionary().lookup(term) {
+                    Some(id) => Slot::Id(id),
+                    None => ds.term_to_value(term).into(),
+                },
+            };
+            let table: Vec<Vec<Slot>> = rows.iter().map(|r| r.iter().map(cell).collect()).collect();
+            join_table(ds, vars, input, names, &table)
         }
     }
+}
+
+/// One position of a triple pattern, compiled once per scan call.
+pub(crate) enum Pos {
+    /// A constant, by the id it has in the active graph.
+    Id(TermId),
+    /// An array constant that is not a node: array constants and
+    /// computed arrays match by CONTENT, not node identity (§4.1.6).
+    Array(Value),
+    Var(usize),
+}
+
+/// What a pattern position holds for one input row.
+pub(crate) enum At<'r> {
+    Free(usize),
+    Id(TermId),
+    /// A value that is not a node of the active graph.
+    Value(&'r Value),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Dictionary lookups made for pattern constants, and index range
+    /// scans started, on this thread.
+    static SCAN_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+impl Pos {
+    /// Compile a pattern position; `None` when it is a constant the
+    /// active graph does not hold, which nothing can match.
+    pub(crate) fn compile(
+        ds: &Dataset,
+        vars: &VarTable,
+        tp: &TermPattern,
+    ) -> Result<Option<Pos>, QueryError> {
+        Ok(match tp {
+            TermPattern::Var(v) => Some(Pos::Var(vars.bound_slot(v)?)),
+            TermPattern::Term(term) => {
+                #[cfg(test)]
+                SCAN_WORK.with(|w| w.set((w.get().0 + 1, w.get().1)));
+                match (ds.active().dictionary().lookup(term), term) {
+                    (Some(id), _) => Some(Pos::Id(id)),
+                    (None, Term::Array(_)) => Some(Pos::Array(Value::Term(term.clone()))),
+                    (None, _) => None,
+                }
+            }
+        })
+    }
+
+    pub(crate) fn at<'r>(&'r self, ds: &Dataset, row: &'r Row) -> At<'r> {
+        match self {
+            Pos::Id(id) => At::Id(*id),
+            Pos::Array(a) => At::Value(a),
+            Pos::Var(slot) => match &row[*slot] {
+                Slot::Unbound => At::Free(*slot),
+                Slot::Id(id) => At::Id(*id),
+                Slot::Val(v) => value_to_graph_id(ds, v).map_or(At::Value(v), At::Id),
+            },
+        }
+    }
+}
+
+/// Push `row` extended with the ids a match gives its free slots. A
+/// variable used twice in the pattern must match itself: the same id,
+/// else the same value.
+pub(crate) fn extend(
+    graph: &Graph,
+    row: &Row,
+    bindings: &[(Option<usize>, TermId)],
+    out: &mut Vec<Row>,
+) {
+    let mut extended = row.clone();
+    for &(free, id) in bindings {
+        let Some(slot) = free else { continue };
+        match extended[slot] {
+            Slot::Id(first) if first == id || graph.term(first).value_eq(graph.term(id)) => {}
+            Slot::Id(_) => return,
+            _ => extended[slot] = Slot::Id(id),
+        }
+    }
+    out.push(extended);
 }
 
 /// Match a plain triple pattern against the graph for each input row.
 fn scan_triples(
     ds: &mut Dataset,
+    vars: &VarTable,
     t: &TriplePattern,
-    input: Vec<Row>,
+    input: &[Row],
 ) -> Result<Vec<Row>, QueryError> {
-    let pred = t.path.as_pred().expect("caller checked").clone();
+    let Some(pred) = t.path.as_pred() else {
+        return Err(QueryError::Eval(
+            "a property path reached the triple-pattern scan".into(),
+        ));
+    };
+    let (Some(s), Some(p), Some(o)) = (
+        Pos::compile(ds, vars, &t.subject)?,
+        Pos::compile(ds, vars, pred)?,
+        Pos::compile(ds, vars, &t.object)?,
+    ) else {
+        return Ok(Vec::new());
+    };
+    let pattern = [s, p, o];
     let mut out = Vec::new();
-    for row in input {
-        // Resolve each position: bound (Some id / unmatched) or free var.
-        let mut positions: [Option<TermId>; 3] = [None, None, None];
-        let mut free: [Option<&str>; 3] = [None, None, None];
-        // Array constants / computed arrays match by CONTENT, not node
-        // identity (thesis §4.1.6): remember them for post-filtering.
+    'rows: for row in input {
+        let mut ids: [Option<TermId>; 3] = [None; 3];
+        let mut free: [Option<usize>; 3] = [None; 3];
         let mut content_checks: Vec<(usize, ssdm_array::NumArray)> = Vec::new();
-        let mut dead = false;
-        for (i, tp) in [&t.subject, &pred, &t.object].iter().enumerate() {
-            match tp {
-                TermPattern::Term(term) => match ds.active().dictionary().lookup(term) {
-                    Some(id) => positions[i] = Some(id),
-                    None => match term {
-                        Term::Array(a) => content_checks.push((i, a.clone())),
-                        _ => {
-                            dead = true;
-                            break;
-                        }
-                    },
-                },
-                TermPattern::Var(v) => match row.get(v.as_str()) {
-                    Some(val) => match value_to_graph_id(ds, val) {
-                        Some(id) => positions[i] = Some(id),
-                        None => match val {
-                            Value::Term(Term::Array(a)) => content_checks.push((i, a.clone())),
-                            Value::Proxy(p) => {
-                                content_checks.push((i, ds.arrays.resolve(p, ds.strategy)?))
-                            }
-                            _ => {
-                                dead = true;
-                                break;
-                            }
-                        },
-                    },
-                    None => free[i] = Some(v.as_str()),
-                },
+        for (i, pos) in pattern.iter().enumerate() {
+            match pos.at(ds, row) {
+                At::Free(slot) => free[i] = Some(slot),
+                At::Id(id) => ids[i] = Some(id),
+                At::Value(Value::Term(Term::Array(a))) => content_checks.push((i, a.clone())),
+                At::Value(Value::Proxy(p)) => {
+                    content_checks.push((i, ds.arrays.resolve(p, ds.strategy)?))
+                }
+                At::Value(_) => continue 'rows,
             }
         }
-        if dead {
+        #[cfg(test)]
+        SCAN_WORK.with(|w| w.set((w.get().0, w.get().1 + 1)));
+        if content_checks.is_empty() {
+            let graph = ds.active();
+            for m in graph.match_pattern(ids[0], ids[1], ids[2]) {
+                let bindings = [(free[0], m.s), (free[1], m.p), (free[2], m.o)];
+                extend(graph, row, &bindings, &mut out);
+            }
             continue;
         }
-        let mut matches: Vec<ssdm_rdf::Triple> = ds
-            .active()
-            .match_pattern(positions[0], positions[1], positions[2])
-            .collect();
-        if !content_checks.is_empty() {
-            let mut kept = Vec::new();
-            'triple: for m in matches {
-                for (i, target) in &content_checks {
-                    let id = [m.s, m.p, m.o][*i];
-                    let candidate = match ds.active().term(id).clone() {
-                        Term::Array(a) => a,
-                        Term::ArrayRef(ext) => {
-                            let proxy = ds.arrays.proxy(ext)?;
-                            ds.arrays.resolve(&proxy, ds.strategy)?
-                        }
-                        _ => continue 'triple,
-                    };
-                    if !candidate.array_eq(target) {
-                        continue 'triple;
+        // Resolving candidates needs the array store: collect first.
+        let candidates: Vec<ssdm_rdf::Triple> =
+            ds.active().match_pattern(ids[0], ids[1], ids[2]).collect();
+        'triple: for m in candidates {
+            for (i, target) in &content_checks {
+                let candidate = match ds.active().term([m.s, m.p, m.o][*i]) {
+                    Term::Array(a) => a.clone(),
+                    Term::ArrayRef(ext) => {
+                        let proxy = ds.arrays.proxy(*ext)?;
+                        ds.arrays.resolve(&proxy, ds.strategy)?
                     }
-                }
-                kept.push(m);
-            }
-            matches = kept;
-        }
-        for m in matches {
-            let mut extended = row.clone();
-            let mut ok = true;
-            for (i, id) in [m.s, m.p, m.o].into_iter().enumerate() {
-                if let Some(v) = free[i] {
-                    let val = ds.term_to_value(ds.active().term(id));
-                    match extended.get(v) {
-                        Some(existing) => {
-                            // Same variable twice in this pattern.
-                            if !existing.value_eq(&val) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            extended.insert(v.to_string(), val);
-                        }
-                    }
+                    _ => continue 'triple,
+                };
+                if !candidate.array_eq(target) {
+                    continue 'triple;
                 }
             }
-            if ok {
-                out.push(extended);
-            }
+            let bindings = [(free[0], m.s), (free[1], m.p), (free[2], m.o)];
+            extend(ds.active(), row, &bindings, &mut out);
         }
     }
     Ok(out)
@@ -696,57 +955,40 @@ pub(crate) fn value_to_graph_id(ds: &Dataset, v: &Value) -> Option<TermId> {
     }
 }
 
-/// Evaluate a GRAPH plan: fixed name retargets the active graph; a
-/// variable iterates the visible named graphs, binding it.
+/// Evaluate a GRAPH plan over rows that carry no ids: a fixed name
+/// retargets the active graph; a variable iterates the visible named
+/// graphs, binding it.
 fn eval_graph_plan(
     ds: &mut Dataset,
+    vars: &VarTable,
     name: &TermPattern,
     inner: &Plan,
-    input: Vec<Row>,
+    input: &[Row],
 ) -> Result<Vec<Row>, QueryError> {
+    let mut out = Vec::new();
+    let mut eval_in = |ds: &mut Dataset, graph: String, rows: &[Row]| {
+        ds.active_graph = Some(graph);
+        let mut rows = eval_plan(ds, vars, inner, rows)?;
+        detach(ds, &mut rows);
+        out.extend(rows);
+        Ok::<(), QueryError>(())
+    };
     match name {
-        TermPattern::Term(Term::Uri(u)) => {
-            ds.active_graph = Some(u.clone());
-            eval_plan(ds, inner, input)
-        }
-        TermPattern::Term(_) => Ok(Vec::new()),
+        TermPattern::Term(Term::Uri(u)) => eval_in(ds, u.clone(), input)?,
+        TermPattern::Term(_) => {}
         TermPattern::Var(v) => {
-            let names = ds.iterable_graph_names();
-            let mut out = Vec::new();
-            for n in names {
-                let gterm = Value::Term(Term::uri(n.clone()));
-                let mut rows = Vec::new();
-                for row in &input {
-                    match row.get(v) {
-                        Some(existing) if !existing.value_eq(&gterm) => {}
-                        Some(_) => rows.push(row.clone()),
-                        None => {
-                            let mut r = row.clone();
-                            r.insert(v.clone(), gterm.clone());
-                            rows.push(r);
-                        }
-                    }
+            let slot = vars.bound_slot(v)?;
+            for n in ds.iterable_graph_names() {
+                let cell = Value::Term(Term::uri(n.clone())).into();
+                let mut rows = input.to_vec();
+                rows.retain_mut(|row| bind(ds, row, slot, &cell));
+                if !rows.is_empty() {
+                    eval_in(ds, n, &rows)?;
                 }
-                if rows.is_empty() {
-                    continue;
-                }
-                ds.active_graph = Some(n);
-                out.extend(eval_plan(ds, inner, rows)?);
             }
-            Ok(out)
         }
     }
-}
-
-/// The plain unbound-capable variables appearing as whole subscripts
-/// (`?a[?i, 2]` → ["i"]). Only bare `Index(Var)` subscripts enumerate.
-fn subscript_vars(subs: &[SubscriptExpr]) -> Vec<&str> {
-    subs.iter()
-        .filter_map(|s| match s {
-            SubscriptExpr::Index(Expr::Var(v)) => Some(v.as_str()),
-            _ => None,
-        })
-        .collect()
+    Ok(out)
 }
 
 /// Fan one solution out over all valid subscript combinations of a
@@ -755,12 +997,15 @@ fn subscript_vars(subs: &[SubscriptExpr]) -> Vec<&str> {
 /// element, binding both `?i` (1-based) and `?v`.
 fn enumerate_subscripts(
     ds: &mut Dataset,
+    vars: &VarTable,
     row: &Row,
-    var: &str,
-    base: &Expr,
-    subscripts: &[SubscriptExpr],
+    var: usize,
+    deref: &Expr,
 ) -> Result<Vec<Row>, QueryError> {
-    let Some(basev) = expr::eval_expr(ds, row, base)? else {
+    let Expr::ArrayDeref { base, subscripts } = deref else {
+        return Ok(vec![row.clone()]);
+    };
+    let Some(basev) = eval_expr(ds, &Cx::new(vars, row), base)? else {
         return Ok(vec![row.clone()]);
     };
     let Some(shape) = basev.array_shape() else {
@@ -772,11 +1017,12 @@ fn enumerate_subscripts(
     // Identify the enumerating dimensions. The same variable appearing
     // in several positions (e.g. the diagonal `?a[?i, ?i]`) enumerates
     // once; dereference failures skip invalid combinations.
-    let mut enumerating: Vec<(usize, String)> = Vec::new();
+    let mut enumerating: Vec<(usize, usize)> = Vec::new();
     for (dim, s) in subscripts.iter().enumerate() {
         if let SubscriptExpr::Index(Expr::Var(v)) = s {
-            if !row.contains_key(v) && !enumerating.iter().any(|(_, seen)| seen == v) {
-                enumerating.push((dim, v.clone()));
+            let slot = vars.bound_slot(v)?;
+            if !row[slot].is_bound() && !enumerating.iter().any(|&(_, seen)| seen == slot) {
+                enumerating.push((dim, slot));
             }
         }
     }
@@ -788,27 +1034,12 @@ fn enumerate_subscripts(
     let mut ix = vec![1i64; enumerating.len()];
     for _ in 0..count {
         let mut extended = row.clone();
-        for ((_, v), &i) in enumerating.iter().zip(&ix) {
-            extended.insert(v.clone(), Value::integer(i));
+        for (&(_, slot), &i) in enumerating.iter().zip(&ix) {
+            extended[slot] = Value::integer(i).into();
         }
-        if let Some(value) = expr::eval_expr(
-            ds,
-            &extended,
-            &Expr::ArrayDeref {
-                base: Box::new(base.clone()),
-                subscripts: subscripts.to_vec(),
-            },
-        )? {
-            match extended.get(var) {
-                Some(existing) => {
-                    if existing.value_eq(&value) {
-                        out.push(extended);
-                    }
-                }
-                None => {
-                    extended.insert(var.to_string(), value);
-                    out.push(extended);
-                }
+        if let Some(value) = eval_expr(ds, &Cx::new(vars, &extended), deref)? {
+            if bind(ds, &mut extended, var, &value.into()) {
+                out.push(extended);
             }
         }
         for d in (0..ix.len()).rev() {
@@ -827,9 +1058,10 @@ fn enumerate_subscripts(
 /// per row of f's body, binding ?v to the first projected column.
 fn bind_view_bag(
     ds: &mut Dataset,
+    vars: &VarTable,
     row: &Row,
-    var: &str,
-    def: &std::sync::Arc<FunctionDef>,
+    var: usize,
+    def: &FunctionDef,
     args: &[Expr],
 ) -> Result<Vec<Row>, QueryError> {
     if def.params.len() != args.len() {
@@ -840,12 +1072,10 @@ fn bind_view_bag(
             args.len()
         )));
     }
-    let mut initial = Row::new();
+    let mut initial = Vec::with_capacity(args.len());
     for (p, a) in def.params.iter().zip(args) {
-        match expr::eval_expr(ds, row, a)? {
-            Some(v) => {
-                initial.insert(p.clone(), v);
-            }
+        match eval_expr(ds, &Cx::new(vars, row), a)? {
+            Some(v) => initial.push((p.as_str(), v)),
             // An erroneous argument leaves the BIND unbound.
             None => return Ok(vec![row.clone()]),
         }
@@ -861,17 +1091,58 @@ fn bind_view_bag(
             continue;
         };
         let mut extended = row.clone();
-        match extended.get(var) {
-            Some(existing) => {
-                if existing.value_eq(&v) {
-                    out.push(extended);
-                }
-            }
-            None => {
-                extended.insert(var.to_string(), v);
-                out.push(extended);
-            }
+        if bind(ds, &mut extended, var, &v.into()) {
+            out.push(extended);
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(subject: &str, pred: &str, object: TermPattern) -> TriplePattern {
+        TriplePattern {
+            subject: TermPattern::Var(subject.into()),
+            path: Path::Pred(TermPattern::Term(Term::uri(pred))),
+            object,
+        }
+    }
+
+    /// (constant lookups, index range scans) since the last call.
+    fn scan_work() -> (usize, usize) {
+        SCAN_WORK.with(|w| w.replace((0, 0)))
+    }
+
+    #[test]
+    fn scan_resolves_pattern_constants_once_per_call() {
+        let mut ds = Dataset::in_memory();
+        let mut turtle = String::new();
+        for i in 0..40 {
+            turtle.push_str(&format!(
+                "<http://s{i}> <http://p> {i} ; <http://q> \"on\" .\n"
+            ));
+        }
+        ds.load_turtle(&turtle).unwrap();
+        let first = scan("s", "http://p", TermPattern::Var("o".into()));
+        let on = scan("s", "http://q", TermPattern::Term(Term::str("on")));
+        let off = scan("s", "http://q", TermPattern::Term(Term::str("off")));
+        let vars = VarTable::for_plan(&Plan::Scan(first.clone()));
+        let rows = scan_triples(&mut ds, &vars, &first, &[vars.unit_row()]).unwrap();
+        assert_eq!(rows.len(), 40);
+
+        // Two constants, forty input rows: two lookups, one range scan
+        // per row, with the bound subject passed on as an id.
+        scan_work();
+        let joined = scan_triples(&mut ds, &vars, &on, &rows).unwrap();
+        assert_eq!(joined.len(), 40);
+        assert_eq!(scan_work(), (2, 40));
+
+        // A constant the dictionary has never seen ends the scan
+        // before the index is touched.
+        let none = scan_triples(&mut ds, &vars, &off, &rows).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(scan_work(), (2, 0));
+    }
 }

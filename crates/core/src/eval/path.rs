@@ -11,86 +11,40 @@ use ssdm_rdf::TermId;
 
 use crate::ast::{Path, TermPattern, TriplePattern};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::{value_to_graph_id, Row};
+use crate::eval::{extend, At, Pos, Row, VarTable};
 
 /// Evaluate a path-scan for each input row.
 pub fn eval_path_scan(
-    ds: &mut Dataset,
+    ds: &Dataset,
+    vars: &VarTable,
     t: &TriplePattern,
-    input: Vec<Row>,
+    input: &[Row],
 ) -> Result<Vec<Row>, QueryError> {
+    // An endpoint that doesn't denote a graph node matches nothing.
+    let (Some(subject), Some(object)) = (
+        Pos::compile(ds, vars, &t.subject)?,
+        Pos::compile(ds, vars, &t.object)?,
+    ) else {
+        return Ok(Vec::new());
+    };
+    let graph = ds.active();
     let mut out = Vec::new();
     for row in input {
-        let s_bound = endpoint(ds, &row, &t.subject);
-        let o_bound = endpoint(ds, &row, &t.object);
-        // A bound endpoint that doesn't denote a graph node matches nothing.
-        if matches!(s_bound, Endpoint::Dead) || matches!(o_bound, Endpoint::Dead) {
+        // (free slot, bound id) of an endpoint; a value that is not a
+        // node of this graph matches nothing.
+        let end = |pos: &Pos| match pos.at(ds, row) {
+            At::Free(slot) => Some((Some(slot), None)),
+            At::Id(id) => Some((None, Some(id))),
+            At::Value(_) => None,
+        };
+        let (Some((s_free, s_id)), Some((o_free, o_id))) = (end(&subject), end(&object)) else {
             continue;
-        }
-        let s_id = s_bound.id();
-        let o_id = o_bound.id();
-        let pairs = path_pairs(ds.active(), &t.path, s_id, o_id)?;
-        for (s, o) in pairs {
-            let mut extended = row.clone();
-            let mut ok = true;
-            if let TermPattern::Var(v) = &t.subject {
-                let val = ds.term_to_value(ds.active().term(s));
-                match extended.get(v.as_str()) {
-                    Some(existing) => ok = existing.value_eq(&val),
-                    None => {
-                        extended.insert(v.clone(), val);
-                    }
-                }
-            }
-            if ok {
-                if let TermPattern::Var(v) = &t.object {
-                    let val = ds.term_to_value(ds.active().term(o));
-                    match extended.get(v.as_str()) {
-                        Some(existing) => ok = existing.value_eq(&val),
-                        None => {
-                            extended.insert(v.clone(), val);
-                        }
-                    }
-                }
-            }
-            if ok {
-                out.push(extended);
-            }
+        };
+        for (s, o) in path_pairs(graph, &t.path, s_id, o_id)? {
+            extend(graph, row, &[(s_free, s), (o_free, o)], &mut out);
         }
     }
     Ok(out)
-}
-
-enum Endpoint {
-    Free,
-    Bound(TermId),
-    /// Bound to a value that is not a node of this graph.
-    Dead,
-}
-
-impl Endpoint {
-    fn id(&self) -> Option<TermId> {
-        match self {
-            Endpoint::Bound(id) => Some(*id),
-            _ => None,
-        }
-    }
-}
-
-fn endpoint(ds: &Dataset, row: &Row, tp: &TermPattern) -> Endpoint {
-    match tp {
-        TermPattern::Term(t) => match ds.active().dictionary().lookup(t) {
-            Some(id) => Endpoint::Bound(id),
-            None => Endpoint::Dead,
-        },
-        TermPattern::Var(v) => match row.get(v.as_str()) {
-            Some(val) => match value_to_graph_id(ds, val) {
-                Some(id) => Endpoint::Bound(id),
-                None => Endpoint::Dead,
-            },
-            None => Endpoint::Free,
-        },
-    }
 }
 
 /// All `(s, o)` pairs connected by `path`, restricted by optional bound

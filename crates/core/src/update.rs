@@ -95,20 +95,10 @@ pub fn modify(
     insert: Vec<crate::ast::TriplePattern>,
     pattern: &crate::ast::GroupPattern,
 ) -> Result<QueryResult, QueryError> {
-    use crate::ast::TermPattern;
-    use crate::value::Value;
+    use crate::eval::{eval_pattern, instantiate, Row, VarTable};
 
-    let solutions = crate::eval::eval_pattern(ds, pattern, vec![crate::eval::Row::new()])?;
-    let instantiate = |row: &crate::eval::Row, tp: &TermPattern| -> Option<Term> {
-        match tp {
-            TermPattern::Var(v) => match row.get(v)? {
-                Value::Term(t) => Some(t.clone()),
-                Value::Proxy(p) => Some(Term::ArrayRef(p.array_id())),
-                Value::Closure(_) => None,
-            },
-            TermPattern::Term(t) => Some(t.clone()),
-        }
-    };
+    let (vars, solutions) = eval_pattern(ds, pattern, VarTable::default(), Row::default())?;
+    let instantiate = |row, tp| instantiate(ds, &vars, row, tp);
     // Collect ground triples first: updates must see a stable snapshot
     // of the matched solutions.
     let mut to_delete = Vec::new();

@@ -258,3 +258,47 @@ fn query_profiled_returns_result_and_profile() {
     assert!(profile.contains("operators:"));
     assert!(profile.contains("totals:"));
 }
+
+/// A FILTER on metadata written after a BIND that reads an array runs
+/// beneath the BIND: only the surviving solutions fetch their chunks.
+#[test]
+fn metadata_filter_sinks_below_array_bind() {
+    let mut ds = Dataset::in_memory();
+    ds.externalize_threshold = 16;
+    ds.chunk_bytes = 256; // 32 elements per chunk
+    let mut turtle = String::from("@prefix ex: <http://example.org/> .\n");
+    for station in 0..8 {
+        let elems: Vec<String> = (0..128).map(|i| (station * 1000 + i).to_string()).collect();
+        turtle.push_str(&format!(
+            "ex:m{station} ex:data ({}) ; ex:k {station} .\n",
+            elems.join(" ")
+        ));
+    }
+    ds.load_turtle(&turtle).unwrap();
+    let mut profile = |select: &str, body: &str| {
+        let q = format!(
+            "PREFIX ex: <http://example.org/>
+             EXPLAIN ANALYZE SELECT {select} WHERE {{ ?x ex:data ?a ; ex:k ?k . {body} }}"
+        );
+        let QueryResult::Text(profile) = ds.query(&q).unwrap() else {
+            panic!("text result expected");
+        };
+        let totals = profile.lines().find(|l| l.starts_with("totals:")).unwrap();
+        (fields(totals)["chunks"], profile)
+    };
+    let (in_projection, _) = profile("(array_max(?a) AS ?m)", "FILTER (?k = 5)");
+    let (sunk, plan) = profile("?m", "BIND (array_max(?a) AS ?m) FILTER (?k = 5)");
+    let (held, _) = profile("?m", "BIND (array_max(?a) AS ?m) FILTER (?k = 5 && ?m > 0)");
+    assert!(in_projection > 0);
+    assert_eq!(sunk, in_projection, "one station's chunks:\n{plan}");
+    assert_eq!(
+        held,
+        8 * in_projection,
+        "a filter on ?m fetches every array"
+    );
+    let line = |op: &str| plan.lines().position(|l| l.trim_start().starts_with(op));
+    assert!(
+        line("Extend").unwrap() < line("Filter").unwrap(),
+        "Filter sits below the Extend:\n{plan}"
+    );
+}

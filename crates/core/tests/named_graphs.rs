@@ -174,3 +174,102 @@ fn nested_exists_sees_active_graph() {
         .all(|row| row[0].as_ref().unwrap().to_string() == "<http://graphs/math>"));
     assert_eq!(r.len(), 2);
 }
+
+/// Every graph has its own dictionary, so the same IRI has a different
+/// id in each: joins must carry the term, not the id, across a GRAPH
+/// boundary — in both directions, and over `GRAPH ?g`.
+#[test]
+fn joins_across_graphs_with_different_dictionary_ids() {
+    use scisparql::planner::{PlannerConfig, PlannerMode};
+    use ssdm_rdf::{Graph, Term};
+
+    let mut ds = Dataset::in_memory();
+    // Padding first: the shared IRIs are interned later here than in
+    // the named graphs.
+    ds.load_turtle(
+        r#"@prefix ex: <http://e#> .
+           ex:pad1 ex:pad ex:pad2 . ex:pad3 ex:pad ex:pad4 .
+           ex:bob ex:name "Bob" . ex:alice ex:name "Alice" ; ex:knows ex:bob ."#,
+    )
+    .unwrap();
+    let math = "http://graphs/math";
+    let bio = "http://graphs/bio";
+    let prefix = "@prefix ex: <http://e#> .";
+    ds.load_turtle_named(
+        math,
+        &format!("{prefix} ex:alice ex:score 90 . ex:bob ex:score 60 ."),
+    )
+    .unwrap();
+    ds.load_turtle_named(
+        bio,
+        &format!("{prefix} ex:bob ex:score 40 . ex:alice ex:score 45 ."),
+    )
+    .unwrap();
+    let alice = Term::uri("http://e#alice");
+    let id_in = |g: &Graph| g.dictionary().lookup(&alice).unwrap();
+    assert_ne!(id_in(&ds.graph), id_in(&ds.named_graphs[math]));
+    assert_ne!(id_in(&ds.named_graphs[math]), id_in(&ds.named_graphs[bio]));
+
+    let table = |ds: &mut Dataset, q: &str| -> Vec<String> {
+        let q = format!("PREFIX ex: <http://e#> {q}");
+        let lines = rows(ds, &q).into_iter().map(|r| {
+            let cells = r
+                .iter()
+                .map(|c| c.as_ref().map(|v| v.to_string()).unwrap_or_default());
+            cells.collect::<Vec<_>>().join(" ")
+        });
+        lines.collect()
+    };
+    for mode in [PlannerMode::Textual, PlannerMode::Greedy, PlannerMode::Dp] {
+        ds.planner = PlannerConfig {
+            mode,
+            ..PlannerConfig::default()
+        };
+        // Default graph → named graph → default graph.
+        let there_and_back = table(
+            &mut ds,
+            "SELECT ?n ?s ?friend WHERE {
+               ?p ex:name ?n . GRAPH <http://graphs/math> { ?p ex:score ?s }
+               ?p ex:knows ?f . ?f ex:name ?friend }",
+        );
+        assert_eq!(there_and_back, ["\"Alice\" 90 \"Bob\""], "{mode:?}");
+        // Named graph first, its bindings joined in the default graph.
+        let outward = table(
+            &mut ds,
+            "SELECT ?n ?s WHERE {
+               GRAPH <http://graphs/bio> { ?p ex:score ?s } ?p ex:name ?n } ORDER BY ?n",
+        );
+        assert_eq!(outward, ["\"Alice\" 45", "\"Bob\" 40"], "{mode:?}");
+        // One named graph joined with another.
+        let sideways = table(
+            &mut ds,
+            "SELECT ?p ?m ?b WHERE {
+               GRAPH <http://graphs/math> { ?p ex:score ?m }
+               GRAPH <http://graphs/bio> { ?p ex:score ?b } } ORDER BY ?p",
+        );
+        let expected = ["<http://e#alice> 90 45", "<http://e#bob> 60 40"];
+        assert_eq!(sideways, expected, "{mode:?}");
+        // GRAPH ?g over both graphs, grouped on a variable bound inside.
+        let every_graph = table(
+            &mut ds,
+            "SELECT ?g ?n ?s WHERE { GRAPH ?g { ?p ex:score ?s } ?p ex:name ?n } ORDER BY ?g ?n",
+        );
+        let expected = [
+            "<http://graphs/bio> \"Alice\" 45",
+            "<http://graphs/bio> \"Bob\" 40",
+            "<http://graphs/math> \"Alice\" 90",
+            "<http://graphs/math> \"Bob\" 60",
+        ];
+        assert_eq!(every_graph, expected, "{mode:?}");
+        let per_person = table(
+            &mut ds,
+            "SELECT ?p (SUM(?s) AS ?total) WHERE { GRAPH ?g { ?p ex:score ?s } }
+             GROUP BY ?p ORDER BY ?p",
+        );
+        assert_eq!(
+            per_person,
+            ["<http://e#alice> 135", "<http://e#bob> 100"],
+            "{mode:?}"
+        );
+    }
+}

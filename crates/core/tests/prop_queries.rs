@@ -149,6 +149,43 @@ proptest! {
         prop_assert_eq!(cell(3), values.len().to_string());
     }
 
+    /// A variable bound by VALUES or BIND — to a term the dictionary may
+    /// never have seen — joins, filters, groups and projects exactly as
+    /// when a scan binds it to the same term.
+    #[test]
+    fn values_and_bind_bindings_behave_like_scan_bindings(
+        stored in prop::collection::vec(0i64..8, 1..12),
+        probe in 0i64..12,
+    ) {
+        let mut turtle = String::new();
+        for (i, v) in stored.iter().enumerate() {
+            turtle.push_str(&format!("<http://s{i}> <http://v> {v} .\n"));
+        }
+        // `scanned` also holds the probe as a node a scan can bind;
+        // `unseen` may not have it in its dictionary at all.
+        let mut unseen = Dataset::in_memory();
+        unseen.load_turtle(&turtle).unwrap();
+        let mut scanned = Dataset::in_memory();
+        scanned.load_turtle(&format!("{turtle}<http://w> <http://holds> {probe} .")).unwrap();
+        let shapes = [
+            "SELECT ?v ?s WHERE { BINDING OPTIONAL { ?s <http://v> ?v } } ORDER BY ?s",
+            "SELECT ?v (COUNT(?s) AS ?n) (MAX(?u) AS ?top)
+             WHERE { BINDING ?s <http://v> ?u . FILTER (?u <= ?v) } GROUP BY ?v",
+            "SELECT DISTINCT ?v (?v + 1 AS ?next) WHERE { BINDING ?s <http://v> ?u }",
+        ];
+        for shape in shapes {
+            let answers = |ds: &mut Dataset, binding: &str| {
+                let rows = ds.query(&shape.replace("BINDING", binding)).unwrap().into_rows();
+                format!("{:?}", rows.unwrap())
+            };
+            let by_scan = answers(&mut scanned, "<http://w> <http://holds> ?v .");
+            let by_values = answers(&mut unseen, &format!("VALUES ?v {{ {probe} }}"));
+            let by_bind = answers(&mut unseen, &format!("BIND ({probe} AS ?v)"));
+            prop_assert_eq!(&by_values, &by_scan, "VALUES, {}", shape);
+            prop_assert_eq!(&by_bind, &by_scan, "BIND, {}", shape);
+        }
+    }
+
     /// LIMIT/OFFSET slice ordered output consistently.
     #[test]
     fn limit_offset_window(count in 1usize..20, limit in 0usize..25, offset in 0usize..25) {

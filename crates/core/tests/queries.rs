@@ -693,3 +693,50 @@ fn unknown_function_is_error() {
     let mut ds = Dataset::in_memory();
     assert!(ds.query("SELECT (nosuch(1) AS ?v) WHERE { }").is_err());
 }
+
+/// A FILTER that reads nothing a BIND binds is evaluated beneath it:
+/// same answers as with the filter written first, whatever the BIND
+/// does to the solution (plain value, subscript fan-out, equal re-bind).
+#[test]
+fn filter_commutes_with_bind_on_other_variables() {
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle(
+        r#"@prefix ex: <http://e#> .
+           ex:a ex:k 1 ; ex:v (10 20 30) ; ex:top 30 .
+           ex:b ex:k 2 ; ex:v (40 50 60) ; ex:top 99 .
+           ex:c ex:k 3 ; ex:v (70 80 90) ; ex:top 90 ."#,
+    )
+    .unwrap();
+    let binds = [
+        "BIND (array_max(?v) AS ?m)",
+        "BIND (?v[?i] AS ?m)",
+        "?s ex:top ?m . BIND (array_max(?v) AS ?m)",
+    ];
+    for bind in binds {
+        let q = |body: String| {
+            format!("PREFIX ex: <http://e#> SELECT ?s ?m WHERE {{ {body} }} ORDER BY ?s ?m")
+        };
+        let after = q(format!("?s ex:k ?k ; ex:v ?v . {bind} FILTER (?k >= 2)"));
+        let before = q(format!("?s ex:k ?k ; ex:v ?v . FILTER (?k >= 2) {bind}"));
+        let (after, before) = (rows(&mut ds, &after), rows(&mut ds, &before));
+        assert!(!after.is_empty(), "{bind}");
+        assert_eq!(format!("{after:?}"), format!("{before:?}"), "{bind}");
+    }
+    // The plan shows the filter under the BIND; one that reads the
+    // BIND's variable stays above it.
+    let explain = |ds: &mut Dataset, filter: &str| {
+        let q = format!(
+            "PREFIX ex: <http://e#> EXPLAIN SELECT ?m WHERE {{
+               ?s ex:k ?k ; ex:v ?v . BIND (array_max(?v) AS ?m) FILTER ({filter}) }}"
+        );
+        let QueryResult::Text(plan) = ds.query(&q).unwrap() else {
+            panic!("EXPLAIN returns text");
+        };
+        let line = |op: &str| plan.lines().position(|l| l.trim_start().starts_with(op));
+        (line("Extend").unwrap(), line("Filter").unwrap())
+    };
+    let (extend, filter) = explain(&mut ds, "?k >= 2");
+    assert!(extend < filter, "filter on ?k belongs under the BIND");
+    let (extend, filter) = explain(&mut ds, "?m >= 2");
+    assert!(filter < extend, "filter on ?m needs the BIND's result");
+}

@@ -337,29 +337,40 @@ mod tests {
     #[test]
     fn latency_is_charged_per_statement() {
         use std::time::{Duration, Instant};
+        let latency = LatencyModel {
+            per_statement: Duration::from_micros(300),
+            per_row: Duration::ZERO,
+            per_kib: Duration::ZERO,
+        };
         let mut d = Db::open_memory(DbOptions {
             pool_pages: 64,
-            latency: LatencyModel {
-                per_statement: Duration::from_micros(300),
-                per_row: Duration::ZERO,
-                per_kib: Duration::ZERO,
-            },
+            latency,
         })
         .unwrap();
         for c in 0..8 {
             d.put(Key::new(1, c), b"x").unwrap();
         }
+        // What the model charges follows the statement count, not the
+        // rows: eight point lookups cost eight round trips, one IN-list
+        // over the same rows costs one. Two wall-clock spans are not
+        // compared: a descheduled thread stretches either of them.
         let t = Instant::now();
         for c in 0..8 {
             d.get(Key::new(1, c)).unwrap();
         }
         let eight_statements = t.elapsed();
-        let t = Instant::now();
+        assert_eq!(d.statement_stats().statements, 8);
+        d.reset_stats();
         d.get_in(1, &(0..8).collect::<Vec<_>>()).unwrap();
-        let one_statement = t.elapsed();
-        assert!(
-            eight_statements > one_statement * 3,
-            "batching must amortize per-statement cost: {eight_statements:?} vs {one_statement:?}"
+        let stats = d.statement_stats();
+        assert_eq!((stats.statements, stats.rows_returned), (1, 8));
+        let (point_lookups, batched) = (latency.charge(1, 1) * 8, latency.charge(8, 8));
+        assert_eq!(
+            point_lookups,
+            batched * 8,
+            "batching amortizes the round trip"
         );
+        // The charge is really applied: a busy-wait never returns early.
+        assert!(eight_statements >= latency.per_statement * 8);
     }
 }

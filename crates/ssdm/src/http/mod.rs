@@ -524,8 +524,10 @@ fn pump(
             // DRR push enforces the tenant's in-flight cap (429) and
             // the server-wide queue bound (503) — admission control
             // now rather than unbounded buffering.
-            match dispatch.push(&tenant.name, caps, cost, job) {
-                Ok(()) => tenant.note_admitted(),
+            // Counted as admitted before a worker can pop the job: the
+            // job may be the very `/metrics` read that reports the count.
+            match dispatch.push_then(&tenant.name, caps, cost, job, || tenant.note_admitted()) {
+                Ok(()) => {}
                 Err(why) => {
                     rec.counter("ssdm_http_admission_rejects_total").inc();
                     tenant.note_rejected(&why);

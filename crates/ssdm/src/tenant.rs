@@ -387,7 +387,26 @@ impl<T> FairDispatch<T> {
         cost: u64,
         item: T,
     ) -> Result<(), Rejection> {
-        lock_core(&self.core).push(tenant, caps, cost, item)?;
+        self.push_then(tenant, caps, cost, item, || ())
+    }
+
+    /// [`push`](Self::push), running `admitted` once the item is
+    /// accepted and while the queue is still locked. A consumer
+    /// therefore cannot pop the item — and run it, or report on it —
+    /// before the producer's own bookkeeping for it (an admission
+    /// counter) is in place.
+    pub fn push_then(
+        &self,
+        tenant: &str,
+        caps: TenantCaps,
+        cost: u64,
+        item: T,
+        admitted: impl FnOnce(),
+    ) -> Result<(), Rejection> {
+        let mut core = lock_core(&self.core);
+        core.push(tenant, caps, cost, item)?;
+        admitted();
+        drop(core);
         self.cv.notify_one();
         Ok(())
     }
