@@ -15,6 +15,14 @@ pub enum Buffer {
 }
 
 impl Buffer {
+    /// A zero-filled buffer of `len` elements of the given type.
+    pub fn zeros(ty: NumericType, len: usize) -> Self {
+        match ty {
+            NumericType::Int => Buffer::Int(vec![0; len]),
+            NumericType::Real => Buffer::Real(vec![0.0; len]),
+        }
+    }
+
     pub fn len(&self) -> usize {
         match self {
             Buffer::Int(v) => v.len(),
@@ -33,6 +41,12 @@ impl Buffer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayData {
     buf: Buffer,
+}
+
+impl From<Buffer> for ArrayData {
+    fn from(buf: Buffer) -> Self {
+        ArrayData { buf }
+    }
 }
 
 impl ArrayData {
@@ -59,10 +73,7 @@ impl ArrayData {
 
     /// A zero-filled buffer of `len` elements of the given type.
     pub fn zeros(ty: NumericType, len: usize) -> Self {
-        match ty {
-            NumericType::Int => ArrayData::from_i64(vec![0; len]),
-            NumericType::Real => ArrayData::from_f64(vec![0.0; len]),
-        }
+        Buffer::zeros(ty, len).into()
     }
 
     pub fn numeric_type(&self) -> NumericType {

@@ -550,16 +550,21 @@ impl Dataset {
         }
     }
 
-    /// Force a value to a resident array, resolving proxies through the
-    /// APR with the dataset's retrieval strategy.
+    /// Force a value to a resident array.
     pub fn force_array(&mut self, v: &Value) -> Result<ssdm_array::NumArray, QueryError> {
         match v {
             Value::Term(Term::Array(a)) => Ok(a.clone()),
-            Value::Proxy(p) => Ok(self
-                .arrays
-                .resolve_parallel(p, self.strategy, self.parallel)?),
+            Value::Proxy(p) => self.resolve_proxy(p),
             other => Err(QueryError::Eval(format!("not an array: {other}"))),
         }
+    }
+
+    /// The one way a proxy becomes resident: through the APR with the
+    /// dataset's retrieval strategy and worker count.
+    pub fn resolve_proxy(&mut self, p: &ArrayProxy) -> Result<ssdm_array::NumArray, QueryError> {
+        Ok(self
+            .arrays
+            .resolve_parallel(p, self.strategy, self.parallel)?)
     }
 
     /// A proxy for a stored array id.

@@ -341,6 +341,16 @@ fn num_fn(
     Ok(None)
 }
 
+/// A streamed aggregate's cell: an aggregate that has no value over no
+/// elements is unbound; every other storage error fails the query.
+fn number_or_unbound(folded: Result<Num, ssdm_storage::StorageError>) -> EvalResult {
+    match folded {
+        Ok(n) => Ok(Some(Value::number(n))),
+        Err(ssdm_storage::StorageError::EmptyView) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// AAPR-aware array aggregation: proxies stream through the storage
 /// layer; resident arrays fold in memory.
 fn array_aggregate(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> EvalResult {
@@ -352,14 +362,10 @@ fn array_aggregate(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> EvalRes
         Value::Proxy(p) => {
             let strategy = ds.strategy;
             let parallel = ds.parallel;
-            match ds
-                .arrays
-                .resolve_aggregate_parallel(p, op, strategy, parallel)
-            {
-                Ok(n) => Ok(Some(Value::number(n))),
-                Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
-                Err(e) => Err(e.into()),
-            }
+            number_or_unbound(
+                ds.arrays
+                    .resolve_aggregate_parallel(p, op, strategy, parallel),
+            )
         }
         _ => Ok(None),
     }
@@ -392,14 +398,10 @@ fn array_aggregate_range(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> E
         Value::Proxy(p) => {
             let strategy = ds.strategy;
             let parallel = ds.parallel;
-            match ds
-                .arrays
-                .resolve_aggregate_filtered_parallel(p, &pred, op, strategy, parallel)
-            {
-                Ok(n) => Ok(Some(Value::number(n))),
-                Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
-                Err(e) => Err(e.into()),
-            }
+            number_or_unbound(
+                ds.arrays
+                    .resolve_aggregate_filtered_parallel(p, &pred, op, strategy, parallel),
+            )
         }
         _ => Ok(None),
     }
@@ -448,11 +450,8 @@ fn array_contains(ds: &mut Dataset, args: &[Value]) -> EvalResult {
         ))),
         Value::Proxy(p) => {
             let strategy = ds.strategy;
-            match ds.arrays.resolve_exists(p, &pred, strategy) {
-                Ok(found) => Ok(Some(Value::boolean(found))),
-                Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
-                Err(e) => Err(e.into()),
-            }
+            let found = ds.arrays.resolve_exists(p, &pred, strategy)?;
+            Ok(Some(Value::boolean(found)))
         }
         _ => Ok(None),
     }

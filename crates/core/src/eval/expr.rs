@@ -314,7 +314,7 @@ pub fn dereference(
                     && subs.iter().all(|s| matches!(s, Subscript::Index(_)))
                     && d.ndims() == 0
                 {
-                    let resolved = ds.arrays.resolve(&d, ds.strategy)?;
+                    let resolved = ds.resolve_proxy(&d)?;
                     Ok(resolved.scalar_value().map(Value::number))
                 } else {
                     Ok(Some(Value::Proxy(d)))

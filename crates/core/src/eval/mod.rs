@@ -895,9 +895,7 @@ fn scan_triples(
                 At::Free(slot) => free[i] = Some(slot),
                 At::Id(id) => ids[i] = Some(id),
                 At::Value(Value::Term(Term::Array(a))) => content_checks.push((i, a.clone())),
-                At::Value(Value::Proxy(p)) => {
-                    content_checks.push((i, ds.arrays.resolve(p, ds.strategy)?))
-                }
+                At::Value(Value::Proxy(p)) => content_checks.push((i, ds.resolve_proxy(p)?)),
                 At::Value(_) => continue 'rows,
             }
         }
@@ -920,7 +918,7 @@ fn scan_triples(
                     Term::Array(a) => a.clone(),
                     Term::ArrayRef(ext) => {
                         let proxy = ds.arrays.proxy(*ext)?;
-                        ds.arrays.resolve(&proxy, ds.strategy)?
+                        ds.resolve_proxy(&proxy)?
                     }
                     _ => continue 'triple,
                 };

@@ -55,7 +55,7 @@ pub fn delete_data(
                         Term::Array(a) => a.array_eq(target),
                         Term::ArrayRef(id) => {
                             let proxy = ds.arrays.proxy(id)?;
-                            let resolved = ds.arrays.resolve(&proxy, ds.strategy)?;
+                            let resolved = ds.resolve_proxy(&proxy)?;
                             resolved.array_eq(target)
                         }
                         _ => false,

@@ -201,6 +201,7 @@ impl Ssdm {
             r.push_int("apr", scope, "chunks_skipped", apr.chunks_skipped);
             r.push_int("apr", scope, "chunks_decoded", apr.chunks_decoded);
             r.push_int("apr", scope, "bytes_decoded", apr.bytes_decoded);
+            r.push_int("apr", scope, "elements_examined", apr.elements_examined);
         }
 
         r.push_int(

@@ -1,25 +1,31 @@
 //! Array-proxy resolution (APR) and the retrieval strategies.
 //!
 //! APR is the physical-algebra operator SSDM inserts where a query needs
-//! the *elements* behind an array proxy (thesis §6.1.1). It computes the
-//! linear addresses the proxy's view touches, maps them to chunk ids,
-//! fetches those chunks from the back-end with a [`RetrievalStrategy`],
-//! and assembles a resident [`NumArray`]. The aggregate variant (AAPR)
-//! folds elements chunk-by-chunk without materializing the whole view —
-//! the "costly array processing, e.g. filtering and aggregation, is thus
-//! performed on the server" behaviour of the abstract.
+//! the *elements* behind an array proxy (thesis §6.1.1). It describes
+//! what the proxy's view touches as per-chunk arithmetic runs
+//! ([`crate::runs`]), fetches those chunks from the back-end with a
+//! [`RetrievalStrategy`], and assembles a resident [`NumArray`]. The
+//! aggregate variant (AAPR) folds elements chunk-by-chunk without
+//! materializing the whole view — the "costly array processing, e.g.
+//! filtering and aggregation, is thus performed on the server" behaviour
+//! of the abstract. Every shape — materialize, aggregate, filtered,
+//! existence probe, sequential or parallel — is one [`Request`] executed
+//! by one runner (`ArrayStore::run`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use ssdm_array::{kernel, AggregateOp, ArrayData, LinearRuns, Num, NumArray, NumericType};
+use ssdm_array::{kernel, AggregateOp, Buffer, Num, NumArray, NumericType};
 
 use crate::chunks::Chunking;
 use crate::codec::{self, ChunkSummary, CodecPolicy, ValuePredicate, ZoneMap};
 use crate::meta::{ArrayMeta, ArrayProxy};
+use crate::parallel::{Job, Lane};
 use crate::resilient::ResilienceStats;
+use crate::runs::{Run, ViewRuns};
 use crate::spd::{self, FetchOp, SpdOptions};
-use crate::store::{ChunkStore, IoStats, StorageError};
+use crate::store::{ChunkRows, ChunkStore, IoStats, StorageError};
 use crate::Result;
 
 /// How the APR turns a set of needed chunk ids into back-end statements
@@ -75,8 +81,14 @@ pub struct AprStats {
     /// Fetched `SCC1` frames that were decompressed during this
     /// resolution (zero for raw-stored arrays).
     pub chunks_decoded: u64,
-    /// Uncompressed bytes produced by those decodes.
+    /// Uncompressed bytes produced by those decodes (a decode produces
+    /// only the span of the chunk between the first and last element
+    /// the view needs).
     pub bytes_decoded: u64,
+    /// Elements the runner looked at, after zone-map pruning: every
+    /// view element of the chunks that survived (up to the first match
+    /// for an existence probe).
+    pub elements_examined: u64,
 }
 
 impl AprStats {
@@ -98,6 +110,7 @@ impl AprStats {
         self.chunks_skipped += delta.chunks_skipped;
         self.chunks_decoded += delta.chunks_decoded;
         self.bytes_decoded += delta.bytes_decoded;
+        self.elements_examined += delta.elements_examined;
     }
 }
 
@@ -108,63 +121,13 @@ fn obs_chunks_skipped() -> &'static Arc<ssdm_obs::Counter> {
 }
 
 /// Process-wide count of `SCC1` frames decompressed.
-fn obs_chunks_decoded() -> &'static Arc<ssdm_obs::Counter> {
+pub(crate) fn obs_chunks_decoded() -> &'static Arc<ssdm_obs::Counter> {
     static C: OnceLock<Arc<ssdm_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| ssdm_obs::recorder().counter("ssdm_chunks_decoded"))
 }
 
-/// Decode tallies of one resolution (chunk frames decompressed and the
-/// uncompressed bytes they produced).
-#[derive(Debug, Default, Clone, Copy)]
-struct DecodeTally {
-    chunks: u64,
-    bytes: u64,
-}
-
-impl DecodeTally {
-    fn note(&mut self, decoded_bytes: u64) {
-        if decoded_bytes > 0 {
-            self.chunks += 1;
-            self.bytes += decoded_bytes;
-        }
-    }
-}
-
-/// Decode a fetched payload back to raw little-endian elements when the
-/// owning array stores `SCC1` frames; raw-stored arrays pass through
-/// untouched. Returns the raw payload and the decoded byte count (zero
-/// when no decode happened). Malformed frames surface as the same typed
-/// [`StorageError::Corrupt`] the CRC layer raises, so resilience and
-/// retry accounting treat codec damage exactly like frame damage.
-pub(crate) fn decode_payload(
-    encoded: bool,
-    payload: Vec<u8>,
-    array_id: u64,
-    chunk_id: u64,
-) -> Result<(Vec<u8>, u64)> {
-    if !encoded {
-        return Ok((payload, 0));
-    }
-    match codec::decode_chunk(&payload) {
-        Ok(raw) => {
-            let bytes = raw.len() as u64;
-            if ssdm_obs::recorder().enabled() {
-                obs_chunks_decoded().add(1);
-            }
-            Ok((raw, bytes))
-        }
-        Err(e) => Err(StorageError::Corrupt {
-            array_id,
-            chunk_id,
-            detail: e.to_string(),
-        }),
-    }
-}
-
-/// Process-wide chunk-fetch latency histogram. Sequential fetch ops
-/// ([`ArrayStore::execute`]) and parallel workers
-/// ([`crate::parallel::fetch_plan`]) both time each back-end statement
-/// into it.
+/// Process-wide chunk-fetch latency histogram: both fetch lanes
+/// ([`crate::parallel`]) time each back-end statement into it.
 pub(crate) fn obs_chunk_fetch_hist() -> &'static Arc<ssdm_obs::Histogram> {
     static H: OnceLock<Arc<ssdm_obs::Histogram>> = OnceLock::new();
     H.get_or_init(|| ssdm_obs::recorder().histogram("ssdm_chunk_fetch_seconds"))
@@ -333,35 +296,8 @@ impl<S: ChunkStore> ArrayStore<S> {
 
     /// Resolve a proxy to a resident array (the APR operator).
     pub fn resolve(&mut self, proxy: &ArrayProxy, strategy: RetrievalStrategy) -> Result<NumArray> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        let addresses = proxy.view().addresses();
-        let needed = needed_chunks(proxy, &chunking);
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let chunks = self.fetch(
-            meta,
-            &chunking,
-            &needed,
-            strategy,
-            &mut fallbacks,
-            &mut decoded,
-        )?;
-        let nums = gather(
-            &chunks,
-            &chunking,
-            meta.numeric_type,
-            &addresses,
-            meta.array_id,
-        )?;
-        self.finish_stats(before, before_res, fallbacks, addresses.len(), 0, decoded);
-        let data = match meta.numeric_type {
-            NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-            NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-        };
-        Ok(NumArray::from_data(data, &proxy.shape())?)
+        self.run(&Request::new(proxy, strategy), Lane::exclusive())?
+            .into_array(proxy)
     }
 
     /// Resolve a proxy with the fetch plan partitioned across a worker
@@ -384,162 +320,43 @@ impl<S: ChunkStore> ArrayStore<S> {
     where
         S: crate::SharedChunkRead,
     {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve(proxy, strategy);
-        }
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        let addresses = proxy.view().addresses();
-        let needed = needed_chunks(proxy, &chunking);
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (encoded, array_id) = (meta.encoded, meta.array_id);
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        // Decode inside the fetching worker (via `run_plan`'s `process`
-        // hook), so decompression overlaps the round trips of the other
-        // ops exactly like CRC verification does.
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut out = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let (raw, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    out.push((cid, raw));
-                }
-                Ok(out)
-            },
-        )?;
-        let mut chunks = HashMap::with_capacity(needed.len());
-        for rows in per_op {
-            for (cid, payload) in rows {
-                chunks.insert(cid, payload);
-            }
-        }
-        let nums = gather(
-            &chunks,
-            &chunking,
-            meta.numeric_type,
-            &addresses,
-            meta.array_id,
-        )?;
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
-        };
-        self.finish_stats(before, before_res, fallbacks, addresses.len(), 0, decoded);
-        let data = match meta.numeric_type {
-            NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-            NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-        };
-        Ok(NumArray::from_data(data, &proxy.shape())?)
+        let lane = self.lane(config);
+        self.run(&Request::new(proxy, strategy), lane)?
+            .into_array(proxy)
     }
 
     /// Streamed aggregate over a proxy (the AAPR operator): chunks are
     /// fetched batch-wise and folded immediately, so peak memory is one
     /// batch regardless of the view size.
     ///
-    /// Each chunk's needed elements are decoded densely and folded into
-    /// a *per-chunk partial* by the typed kernels
-    /// (`ssdm_array::kernel`), and partials are combined in plan order —
-    /// the exact same fold structure
-    /// [`resolve_aggregate_parallel`](Self::resolve_aggregate_parallel)
-    /// uses, so sequential and parallel AAPR are bit-identical by
-    /// construction for every strategy (`f64` sums follow the
-    /// documented pairwise order; see DESIGN.md).
+    /// Each chunk's needed elements, in view order, are folded into a
+    /// *per-chunk partial* by the typed kernels (`ssdm_array::kernel`),
+    /// and partials are combined in plan order — the same fold
+    /// structure for every lane and worker count, so sequential and
+    /// parallel AAPR are bit-identical by construction for every
+    /// strategy (`f64` sums follow the documented pairwise order; see
+    /// DESIGN.md). An aggregate with no value over an empty view is
+    /// [`StorageError::EmptyView`].
     pub fn resolve_aggregate(
         &mut self,
         proxy: &ArrayProxy,
         op: AggregateOp,
         strategy: RetrievalStrategy,
     ) -> Result<Num> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        // Group needed addresses by chunk so each fetched chunk is
-        // consumed once and dropped.
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut count = 0u64;
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-            count += 1;
-        });
-        if count == 0 {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return match op {
-                AggregateOp::Count => Ok(Num::Int(0)),
-                AggregateOp::Sum => Ok(Num::Int(0)),
-                AggregateOp::Prod => Ok(Num::Int(1)),
-                _ => Err(StorageError::Backend(
-                    "aggregate over empty array view".into(),
-                )),
-            };
-        }
-        if op == AggregateOp::Count {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return Ok(Num::Int(count as i64));
-        }
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let encoded = meta.encoded;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (chunk_start, _) = chunking.chunk_span(cid);
-                let (part, c) = chunk_partial(
-                    &payload,
-                    addrs,
-                    chunk_start,
-                    meta.numeric_type,
-                    op,
-                    meta.array_id,
-                    cid,
-                )?;
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(op, prev, part)?,
-                });
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, n as usize, 0, decoded);
-        let total = acc.ok_or(StorageError::Backend("no elements resolved".into()))?;
-        Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        })
+        let req = Request {
+            fold: Some(op),
+            ..Request::new(proxy, strategy)
+        };
+        self.run(&req, Lane::exclusive())?.total(op)
     }
 
-    /// Parallel AAPR: the fetch plan is partitioned across a scoped
-    /// worker pool and each worker decodes and folds its chunks into
-    /// per-chunk partial aggregates *in place* (via
-    /// [`crate::parallel::run_plan`]), dropping the payloads without
-    /// central assembly — fetch and compute overlap. Partials are then
-    /// combined in deterministic plan order, so the result is
-    /// bit-identical to [`resolve_aggregate`](Self::resolve_aggregate)
-    /// for every worker count and strategy. Degrades to the sequential
-    /// path when `config` requests at most one worker or the back-end
-    /// lacks [`supports_parallel`].
+    /// Parallel AAPR: each worker decodes and folds the chunks of the
+    /// ops it claims into per-chunk partials *in place*, dropping the
+    /// payloads without central assembly — fetch and compute overlap.
+    /// Bit-identical to [`resolve_aggregate`](Self::resolve_aggregate)
+    /// for every worker count and strategy; degrades to it when
+    /// `config` requests at most one worker or the back-end lacks
+    /// [`supports_parallel`].
     ///
     /// [`supports_parallel`]: crate::Capabilities::supports_parallel
     pub fn resolve_aggregate_parallel(
@@ -552,220 +369,12 @@ impl<S: ChunkStore> ArrayStore<S> {
     where
         S: crate::SharedChunkRead,
     {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve_aggregate(proxy, op, strategy);
-        }
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut count = 0u64;
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-            count += 1;
-        });
-        if count == 0 {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return match op {
-                AggregateOp::Count => Ok(Num::Int(0)),
-                AggregateOp::Sum => Ok(Num::Int(0)),
-                AggregateOp::Prod => Ok(Num::Int(1)),
-                _ => Err(StorageError::Backend(
-                    "aggregate over empty array view".into(),
-                )),
-            };
-        }
-        if op == AggregateOp::Count {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return Ok(Num::Int(count as i64));
-        }
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (ty, array_id, encoded) = (meta.numeric_type, meta.array_id, meta.encoded);
-        let by_chunk = &by_chunk;
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut parts = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let Some(addrs) = by_chunk.get(&cid) else {
-                        continue; // overfetched by a covering range
-                    };
-                    let (payload, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    let (chunk_start, _) = chunking.chunk_span(cid);
-                    parts.push(chunk_partial(
-                        &payload,
-                        addrs,
-                        chunk_start,
-                        ty,
-                        op,
-                        array_id,
-                        cid,
-                    )?);
-                }
-                kernel::note_parallel_folds(parts.len() as u64);
-                Ok(parts)
-            },
-        )?;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        for parts in per_op {
-            for (part, c) in parts {
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(op, prev, part)?,
-                });
-            }
-        }
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
+        let req = Request {
+            fold: Some(op),
+            ..Request::new(proxy, strategy)
         };
-        self.finish_stats(before, before_res, fallbacks, n as usize, 0, decoded);
-        let total = acc.ok_or(StorageError::Backend("no elements resolved".into()))?;
-        Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        })
-    }
-
-    fn fetch(
-        &mut self,
-        meta: &ArrayMeta,
-        chunking: &Chunking,
-        needed: &[u64],
-        strategy: RetrievalStrategy,
-        fallbacks: &mut u64,
-        decoded: &mut DecodeTally,
-    ) -> Result<HashMap<u64, Vec<u8>>> {
-        let (array_id, encoded) = (meta.array_id, meta.encoded);
-        let mut out = HashMap::with_capacity(needed.len());
-        for op in make_plan(needed, chunking, strategy) {
-            for (cid, payload) in self.execute_with_fallback(array_id, &op, needed, fallbacks)? {
-                let (raw, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                decoded.note(bytes);
-                out.insert(cid, raw);
-            }
-        }
-        Ok(out)
-    }
-
-    fn execute(&mut self, array_id: u64, op: &FetchOp) -> Result<Vec<(u64, Vec<u8>)>> {
-        let _span = ssdm_obs::Span::start(obs_chunk_fetch_hist());
-        match op {
-            FetchOp::Range { lo, hi } => self.backend.get_chunk_range(array_id, *lo, *hi),
-            FetchOp::In(ids) => {
-                if ids.len() == 1 {
-                    Ok(vec![(ids[0], self.backend.get_chunk(array_id, ids[0])?)])
-                } else {
-                    self.backend.get_chunks_in(array_id, ids)
-                }
-            }
-        }
-    }
-
-    /// Execute one fetch op; when a *batched* statement (`IN`-list of
-    /// several ids, or a range) fails, degrade to per-chunk `Single`
-    /// retrieval of the needed ids it covered instead of aborting the
-    /// whole resolution. A corrupt or unavailable chunk that was only
-    /// *overfetched* by a covering range thus cannot sink a query that
-    /// never needed it.
-    fn execute_with_fallback(
-        &mut self,
-        array_id: u64,
-        op: &FetchOp,
-        needed: &[u64],
-        fallbacks: &mut u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>> {
-        let batched = match op {
-            FetchOp::Range { .. } => true,
-            FetchOp::In(ids) => ids.len() > 1,
-        };
-        match self.execute(array_id, op) {
-            Ok(rows) => Ok(rows),
-            Err(e) if !batched => Err(e),
-            Err(_) => {
-                *fallbacks += 1;
-                let ids: Vec<u64> = match op {
-                    FetchOp::In(ids) => ids.clone(),
-                    FetchOp::Range { lo, hi } => needed
-                        .iter()
-                        .copied()
-                        .filter(|c| (*lo..=*hi).contains(c))
-                        .collect(),
-                };
-                let mut out = Vec::with_capacity(ids.len());
-                for c in ids {
-                    out.push((c, self.backend.get_chunk(array_id, c)?));
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn finish_stats(
-        &mut self,
-        before: IoStats,
-        before_res: ResilienceStats,
-        fallbacks: u64,
-        elements: usize,
-        skipped: u64,
-        decoded: DecodeTally,
-    ) {
-        let after = self.backend.io_stats();
-        let res = self.backend.resilience_stats().since(&before_res);
-        self.last_stats = AprStats {
-            statements: after.statements - before.statements,
-            chunks_fetched: after.chunks_returned - before.chunks_returned,
-            bytes_fetched: after.bytes_returned - before.bytes_returned,
-            elements_resolved: elements as u64,
-            fallbacks,
-            retries: res.retries,
-            corruption_repaired: res.corruption_repaired,
-            chunks_skipped: skipped,
-            chunks_decoded: decoded.chunks,
-            bytes_decoded: decoded.bytes,
-        };
-        self.cumulative.accumulate(&self.last_stats);
-    }
-
-    /// Drop the chunks of `by_chunk` whose zone-map summary proves they
-    /// cannot hold a match for `pred` — *before* the fetch plan is
-    /// built, so range plans shrink and skipped chunks never reach the
-    /// back-end. Returns the number of chunks skipped. No-ops (and
-    /// stays correct) when skipping is disabled or the array has no
-    /// zone map.
-    fn prune_chunks(
-        &self,
-        array_id: u64,
-        by_chunk: &mut BTreeMap<u64, Vec<usize>>,
-        pred: &ValuePredicate,
-    ) -> u64 {
-        if !self.skip_enabled {
-            return 0;
-        }
-        let Some(zm) = self.zone_maps.get(&array_id) else {
-            return 0;
-        };
-        let before = by_chunk.len();
-        by_chunk.retain(|cid, _| zm.may_match(*cid, pred));
-        let skipped = (before - by_chunk.len()) as u64;
-        if skipped > 0 && ssdm_obs::recorder().enabled() {
-            obs_chunks_skipped().add(skipped);
-        }
-        skipped
+        let lane = self.lane(config);
+        self.run(&req, lane)?.total(op)
     }
 
     /// Resolve the elements of a proxy's view that satisfy `pred`, in
@@ -778,51 +387,11 @@ impl<S: ChunkStore> ArrayStore<S> {
         pred: &ValuePredicate,
         strategy: RetrievalStrategy,
     ) -> Result<Vec<Num>> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let addresses = proxy.view().addresses();
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for &a in &addresses {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        }
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let chunks = self.fetch(
-            &meta,
-            &chunking,
-            &needed,
-            strategy,
-            &mut fallbacks,
-            &mut decoded,
-        )?;
-        let mut out = Vec::new();
-        for &a in &addresses {
-            let cid = chunking.chunk_of(a);
-            if !by_chunk.contains_key(&cid) {
-                continue; // skipped: provably no match at this address
-            }
-            let payload = chunks.get(&cid).ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-            let (start, _) = chunking.chunk_span(cid);
-            let v = decode_element(payload, a - start, meta.numeric_type).ok_or(
-                StorageError::MissingChunk {
-                    array_id: meta.array_id,
-                    chunk_id: cid,
-                },
-            )?;
-            if pred.matches(v) {
-                out.push(v);
-            }
-        }
-        let elements = out.len();
-        self.finish_stats(before, before_res, fallbacks, elements, skipped, decoded);
-        Ok(out)
+        let req = Request {
+            pred: Some(pred),
+            ..Request::new(proxy, strategy)
+        };
+        Ok(self.run(&req, Lane::exclusive())?.matches)
     }
 
     /// Whether any element of the proxy's view satisfies `pred`
@@ -834,48 +403,12 @@ impl<S: ChunkStore> ArrayStore<S> {
         pred: &ValuePredicate,
         strategy: RetrievalStrategy,
     ) -> Result<bool> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let mut examined = 0usize;
-        let mut found = false;
-        'ops: for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(meta.encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (start, _) = chunking.chunk_span(cid);
-                for &a in addrs {
-                    let v = decode_element(&payload, a - start, meta.numeric_type).ok_or(
-                        StorageError::MissingChunk {
-                            array_id: meta.array_id,
-                            chunk_id: cid,
-                        },
-                    )?;
-                    examined += 1;
-                    if pred.matches(v) {
-                        found = true;
-                        break 'ops;
-                    }
-                }
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, examined, skipped, decoded);
-        Ok(found)
+        let req = Request {
+            pred: Some(pred),
+            first_only: true,
+            ..Request::new(proxy, strategy)
+        };
+        Ok(!self.run(&req, Lane::exclusive())?.matches.is_empty())
     }
 
     /// Streamed aggregate over the elements of a proxy's view that
@@ -885,7 +418,7 @@ impl<S: ChunkStore> ArrayStore<S> {
     /// result bit-identical with skipping on or off (including `f64`
     /// sums, whose fold order is structural). With no matching elements
     /// the result mirrors the empty-view semantics: `Count`/`Sum` are
-    /// 0, `Prod` is 1, the rest error.
+    /// 0, `Prod` is 1, the rest are [`StorageError::EmptyView`].
     pub fn resolve_aggregate_filtered(
         &mut self,
         proxy: &ArrayProxy,
@@ -893,62 +426,20 @@ impl<S: ChunkStore> ArrayStore<S> {
         op: AggregateOp,
         strategy: RetrievalStrategy,
     ) -> Result<Num> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(meta.encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (chunk_start, _) = chunking.chunk_span(cid);
-                if let Some((part, c)) = chunk_partial_filtered(
-                    &payload,
-                    addrs,
-                    chunk_start,
-                    meta.numeric_type,
-                    op,
-                    pred,
-                    meta.array_id,
-                    cid,
-                )? {
-                    n += c;
-                    acc = Some(match acc {
-                        None => part,
-                        Some(prev) => fold(combine_op(op), prev, part)?,
-                    });
-                }
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, n as usize, skipped, decoded);
-        finish_filtered_aggregate(acc, n, op)
+        let req = Request {
+            pred: Some(pred),
+            fold: Some(op),
+            ..Request::new(proxy, strategy)
+        };
+        self.run(&req, Lane::exclusive())?.total(op)
     }
 
     /// Parallel filtered AAPR: zone-map pruning happens up front, then
     /// the surviving plan is partitioned across the worker pool with
-    /// decode + filter + fold inside the fetching workers. Partials
-    /// combine in plan order, so the result is bit-identical to
-    /// [`resolve_aggregate_filtered`](Self::resolve_aggregate_filtered)
-    /// for every worker count. Degrades to the sequential path when the
-    /// back-end lacks `supports_parallel` or at most one worker is
-    /// requested.
-    #[allow(clippy::too_many_arguments)]
+    /// decode + filter + fold inside the fetching workers. Bit-identical
+    /// to [`resolve_aggregate_filtered`](Self::resolve_aggregate_filtered)
+    /// for every worker count; degrades to it when the back-end lacks
+    /// `supports_parallel` or at most one worker is requested.
     pub fn resolve_aggregate_filtered_parallel(
         &mut self,
         proxy: &ArrayProxy,
@@ -960,91 +451,463 @@ impl<S: ChunkStore> ArrayStore<S> {
     where
         S: crate::SharedChunkRead,
     {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve_aggregate_filtered(proxy, pred, op, strategy);
+        let req = Request {
+            pred: Some(pred),
+            fold: Some(op),
+            ..Request::new(proxy, strategy)
+        };
+        let lane = self.lane(config);
+        self.run(&req, lane)?.total(op)
+    }
+
+    /// The lane a parallel entry point runs on: the worker pool when it
+    /// is asked for and the back-end tolerates shared reads, else the
+    /// sequential lane.
+    fn lane(&self, config: crate::ParallelConfig) -> Lane<S, OpOut>
+    where
+        S: crate::SharedChunkRead,
+    {
+        if config.workers > 1 && self.backend.capabilities().supports_parallel {
+            Lane::shared(config.workers)
+        } else {
+            Lane::exclusive()
         }
+    }
+
+    /// The one resolve runner. Every public `resolve*` shape is a
+    /// [`Request`] executed here:
+    ///
+    /// 1. the view becomes per-chunk arithmetic runs ([`ViewRuns`]) —
+    ///    no element address is enumerated;
+    /// 2. with a predicate, the zone map drops chunks that provably
+    ///    hold no match, *before* the fetch plan is built;
+    /// 3. the surviving chunk ids become statements per the strategy,
+    ///    executed on `lane`;
+    /// 4. each fetched chunk is decoded only across the span its runs
+    ///    read and turned into that chunk's [`ChunkOut`] inside the
+    ///    worker that fetched it;
+    /// 5. outputs are assembled in plan order: slices copied into the
+    ///    typed result, or partials combined.
+    fn run(&mut self, req: &Request<'_>, lane: Lane<S, OpOut>) -> Result<Resolved> {
         let before = self.backend.io_stats();
         let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (ty, array_id, encoded) = (meta.numeric_type, meta.array_id, meta.encoded);
-        let by_chunk = &by_chunk;
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut parts = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let Some(addrs) = by_chunk.get(&cid) else {
-                        continue; // overfetched by a covering range
-                    };
-                    let (payload, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    let (chunk_start, _) = chunking.chunk_span(cid);
-                    if let Some(part) = chunk_partial_filtered(
-                        &payload,
-                        addrs,
-                        chunk_start,
-                        ty,
-                        op,
-                        pred,
-                        array_id,
-                        cid,
-                    )? {
-                        parts.push(part);
-                    }
+        let meta = req.proxy.meta();
+        let emit_all = req.pred.is_none() && req.fold.is_none();
+        let tally = Tally::default();
+        let mut out = Resolved {
+            elements: Buffer::zeros(meta.numeric_type, 0),
+            matches: Vec::new(),
+            acc: None,
+            folded: 0,
+        };
+        if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
+            // Counting an unfiltered view needs no element.
+            self.finish_stats(before, before_res, 0, 0, 0, &tally);
+            out.acc = Some(Num::Int(req.proxy.element_count() as i64));
+            return Ok(out);
+        }
+        let mut runs = ViewRuns::of(req.proxy.view(), &meta.chunking);
+        let skipped = match req.pred {
+            Some(pred) => self.prune_chunks(meta.array_id, &mut runs, pred) as u64,
+            None => 0,
+        };
+        let needed = runs.chunk_ids();
+        let plan = make_plan(&needed, &meta.chunking, req.strategy);
+        let done = AtomicBool::new(false);
+        let ctx = ChunkCtx {
+            req,
+            meta,
+            runs: &runs,
+            tally: &tally,
+            done: &done,
+            in_pool: lane.is_shared(),
+        };
+        let process = |rows: ChunkRows| match meta.numeric_type {
+            NumericType::Int => ctx.process::<i64>(rows),
+            NumericType::Real => ctx.process::<f64>(rows),
+        };
+        let job = Job {
+            array_id: meta.array_id,
+            plan: &plan,
+            needed: &needed,
+            done: &done,
+        };
+        let (per_op, fallbacks) = lane.run(&mut self.backend, &job, &process)?;
+
+        let chunks = runs.chunks();
+        let mut seen = vec![false; chunks.len()];
+        if emit_all {
+            out.elements = Buffer::zeros(meta.numeric_type, runs.element_count());
+        }
+        let mut found: Vec<(usize, Num)> = Vec::new();
+        for (idx, chunk_out) in per_op.into_iter().flatten() {
+            seen[idx] = true;
+            match chunk_out {
+                ChunkOut::Dense(vals) => {
+                    scatter(&mut out.elements, &vals, runs.runs_of(&chunks[idx]))
                 }
-                kernel::note_parallel_folds(parts.len() as u64);
-                Ok(parts)
-            },
-        )?;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        for parts in per_op {
-            for (part, c) in parts {
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(combine_op(op), prev, part)?,
+                ChunkOut::Matches(hits) => found.extend(hits),
+                ChunkOut::Partial(None) => {}
+                ChunkOut::Partial(Some((part, n))) => {
+                    out.folded += n;
+                    out.acc = Some(match (out.acc, req.fold) {
+                        (Some(prev), Some(op)) => combine(op, prev, part)?,
+                        _ => part,
+                    });
+                }
+            }
+        }
+        if !done.load(Ordering::Relaxed) {
+            if let Some(absent) = seen.iter().position(|s| !s) {
+                return Err(StorageError::MissingChunk {
+                    array_id: meta.array_id,
+                    chunk_id: chunks[absent].chunk_id,
                 });
             }
         }
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
+        // Chunk order is view order for ascending views only (for which
+        // this is one pass over sorted input).
+        found.sort_by_key(|m| m.0);
+        out.matches = found.into_iter().map(|m| m.1).collect();
+        let resolved = if req.first_only {
+            tally.examined.load(Ordering::Relaxed)
+        } else if emit_all {
+            runs.element_count() as u64
+        } else {
+            out.folded + out.matches.len() as u64
         };
-        self.finish_stats(before, before_res, fallbacks, n as usize, skipped, decoded);
-        finish_filtered_aggregate(acc, n, op)
+        self.finish_stats(before, before_res, fallbacks, resolved, skipped, &tally);
+        Ok(out)
+    }
+
+    fn finish_stats(
+        &mut self,
+        before: IoStats,
+        before_res: ResilienceStats,
+        fallbacks: u64,
+        elements: u64,
+        skipped: u64,
+        tally: &Tally,
+    ) {
+        let after = self.backend.io_stats();
+        let res = self.backend.resilience_stats().since(&before_res);
+        self.last_stats = AprStats {
+            statements: after.statements - before.statements,
+            chunks_fetched: after.chunks_returned - before.chunks_returned,
+            bytes_fetched: after.bytes_returned - before.bytes_returned,
+            elements_resolved: elements,
+            fallbacks,
+            retries: res.retries,
+            corruption_repaired: res.corruption_repaired,
+            chunks_skipped: skipped,
+            chunks_decoded: tally.decoded_chunks.load(Ordering::Relaxed),
+            bytes_decoded: tally.decoded_bytes.load(Ordering::Relaxed),
+            elements_examined: tally.examined.load(Ordering::Relaxed),
+        };
+        self.cumulative.accumulate(&self.last_stats);
+    }
+
+    /// Drop the chunks of `runs` whose zone-map summary proves they
+    /// cannot hold a match for `pred` — *before* the fetch plan is
+    /// built and before any of their elements is looked at, so range
+    /// plans shrink and skipped chunks never reach the back-end.
+    /// Returns the number of chunks skipped. No-ops (and stays correct)
+    /// when skipping is disabled or the array has no zone map.
+    fn prune_chunks(&self, array_id: u64, runs: &mut ViewRuns, pred: &ValuePredicate) -> usize {
+        if !self.skip_enabled {
+            return 0;
+        }
+        let Some(zm) = self.zone_maps.get(&array_id) else {
+            return 0;
+        };
+        let skipped = runs.retain_chunks(|cid| zm.may_match(cid, pred));
+        if skipped > 0 && ssdm_obs::recorder().enabled() {
+            obs_chunks_skipped().add(skipped as u64);
+        }
+        skipped
     }
 }
 
-/// Needed chunk ids of a proxy's view, ascending.
-fn needed_chunks(proxy: &ArrayProxy, chunking: &Chunking) -> Vec<u64> {
-    let runs = LinearRuns::of_view(proxy.view());
-    let mut set = BTreeSet::new();
-    for run in runs.runs() {
-        set.extend(chunking.chunks_for_run(run));
-    }
-    set.into_iter().collect()
+/// One resolution: everything the public `resolve*` shapes differ in.
+struct Request<'a> {
+    proxy: &'a ArrayProxy,
+    strategy: RetrievalStrategy,
+    /// Only elements satisfying it take part; `None` is always-true.
+    pred: Option<&'a ValuePredicate>,
+    /// Fold the participating elements to one number instead of
+    /// emitting them.
+    fold: Option<AggregateOp>,
+    /// Stop at the first participating element (membership probes).
+    first_only: bool,
 }
 
-/// Build the statement plan for a strategy.
+impl<'a> Request<'a> {
+    /// Materialize the whole view.
+    fn new(proxy: &'a ArrayProxy, strategy: RetrievalStrategy) -> Self {
+        Request {
+            proxy,
+            strategy,
+            pred: None,
+            fold: None,
+            first_only: false,
+        }
+    }
+}
+
+/// What a [`Request`] resolved to; only the part the request's shape
+/// asks for is populated.
+struct Resolved {
+    /// All elements of the view, in view order (unfiltered, unfolded).
+    elements: Buffer,
+    /// The matching elements, in view order (filtered, unfolded).
+    matches: Vec<Num>,
+    /// The combined fold partials and how many elements they cover.
+    acc: Option<Num>,
+    folded: u64,
+}
+
+impl Resolved {
+    fn into_array(self, proxy: &ArrayProxy) -> Result<NumArray> {
+        Ok(NumArray::from_data(self.elements.into(), &proxy.shape())?)
+    }
+
+    /// Final-value semantics of a fold: over no elements `Count`/`Sum`
+    /// are 0, `Prod` is 1 and the rest have no value
+    /// ([`StorageError::EmptyView`]); otherwise `Avg` divides by the
+    /// count.
+    fn total(self, op: AggregateOp) -> Result<Num> {
+        match self.acc {
+            None => match op {
+                AggregateOp::Count | AggregateOp::Sum => Ok(Num::Int(0)),
+                AggregateOp::Prod => Ok(Num::Int(1)),
+                _ => Err(StorageError::EmptyView),
+            },
+            Some(total) => Ok(match op {
+                AggregateOp::Avg => Num::Real(total.as_f64() / self.folded as f64),
+                _ => total,
+            }),
+        }
+    }
+}
+
+/// What a statement's rows become, inside the worker that fetched
+/// them: per needed chunk, its index in the run plan and its output.
+type OpOut = Vec<(usize, ChunkOut)>;
+
+/// One chunk's contribution to a resolution.
+enum ChunkOut {
+    /// The chunk's needed elements, dense in view order.
+    Dense(Buffer),
+    /// Matching elements with their positions in the view's order.
+    Matches(Vec<(usize, Num)>),
+    /// The fold partial over the participating elements and how many
+    /// there were; `None` when none took part, exactly as if the zone
+    /// map had skipped the chunk. `Avg` partials are raw sums and
+    /// `Count` partials are counts.
+    Partial(Option<(Num, u64)>),
+}
+
+/// Decode and examine tallies of one resolution, shared by its workers.
+#[derive(Default)]
+struct Tally {
+    decoded_chunks: AtomicU64,
+    decoded_bytes: AtomicU64,
+    examined: AtomicU64,
+}
+
+/// An array element type the runner handles as typed slices.
+trait Element: codec::Word {
+    fn num(self) -> Num;
+    /// One dense fold by the typed kernels.
+    fn fold(xs: &[Self], op: AggregateOp) -> Result<Num>;
+    fn buffer(values: Vec<Self>) -> Buffer;
+}
+
+impl Element for i64 {
+    fn num(self) -> Num {
+        Num::Int(self)
+    }
+    fn fold(xs: &[Self], op: AggregateOp) -> Result<Num> {
+        kernel::fold_i64(xs, op).map_err(StorageError::Array)
+    }
+    fn buffer(values: Vec<Self>) -> Buffer {
+        Buffer::Int(values)
+    }
+}
+
+impl Element for f64 {
+    fn num(self) -> Num {
+        Num::Real(self)
+    }
+    fn fold(xs: &[Self], op: AggregateOp) -> Result<Num> {
+        kernel::fold_f64(xs, op).map_err(StorageError::Array)
+    }
+    fn buffer(values: Vec<Self>) -> Buffer {
+        Buffer::Real(values)
+    }
+}
+
+/// What turning fetched rows into [`ChunkOut`]s needs to know.
+struct ChunkCtx<'a> {
+    req: &'a Request<'a>,
+    meta: &'a ArrayMeta,
+    runs: &'a ViewRuns,
+    tally: &'a Tally,
+    done: &'a AtomicBool,
+    /// Whether the rows are processed inside pool workers.
+    in_pool: bool,
+}
+
+impl ChunkCtx<'_> {
+    /// Resolve the needed chunks among one statement's rows. The decode
+    /// scratch and the gather buffer are reused across the rows.
+    fn process<W: Element>(&self, rows: ChunkRows) -> Result<OpOut> {
+        let mut words: Vec<W> = Vec::new();
+        let mut vals: Vec<W> = Vec::new();
+        let mut outs = Vec::with_capacity(rows.len());
+        for (cid, payload) in rows {
+            if self.done.load(Ordering::Relaxed) {
+                break;
+            }
+            // Rows a covering range overfetched, or the zone map pruned,
+            // are dropped undecoded.
+            let Some(idx) = self.runs.position(cid) else {
+                continue;
+            };
+            outs.push((idx, self.chunk_out(idx, &payload, &mut words, &mut vals)?));
+        }
+        if self.in_pool && self.req.fold.is_some() {
+            let partials = outs
+                .iter()
+                .filter(|(_, out)| matches!(out, ChunkOut::Partial(Some(_))));
+            kernel::note_parallel_folds(partials.count() as u64);
+        }
+        Ok(outs)
+    }
+
+    /// Decode the span of one chunk its runs read and produce its
+    /// output. Malformed frames surface as the same typed
+    /// [`StorageError::Corrupt`] the CRC layer raises, so resilience and
+    /// retry accounting treat codec damage exactly like frame damage.
+    fn chunk_out<W: Element>(
+        &self,
+        idx: usize,
+        payload: &[u8],
+        words: &mut Vec<W>,
+        vals: &mut Vec<W>,
+    ) -> Result<ChunkOut> {
+        let chunk = &self.runs.chunks()[idx];
+        let (array_id, chunk_id) = (self.meta.array_id, chunk.chunk_id);
+        if self.meta.encoded {
+            codec::decode_words(payload, chunk.span.clone(), words)
+                .map_err(|e| corrupt(array_id, chunk_id, e))?;
+            let bytes = 8 * words.len() as u64;
+            self.tally.decoded_chunks.fetch_add(1, Ordering::Relaxed);
+            self.tally.decoded_bytes.fetch_add(bytes, Ordering::Relaxed);
+            if ssdm_obs::recorder().enabled() {
+                obs_chunks_decoded().add(1);
+            }
+        } else {
+            words.clear();
+            codec::raw_words(payload, chunk.span.clone(), words);
+        }
+        if words.len() < chunk.span.len() {
+            return Err(StorageError::MissingChunk { array_id, chunk_id });
+        }
+        let runs = self.runs.runs_of(chunk);
+        let dense = dense(words, chunk.span.start, runs, vals);
+        let matches = |w: &W| self.req.pred.is_none_or(|p| p.matches(w.num()));
+        let mut examined = dense.len();
+        let out = match self.req.fold {
+            _ if self.req.first_only => {
+                let hit = dense.iter().position(matches);
+                if let Some(i) = hit {
+                    examined = i + 1;
+                    self.done.store(true, Ordering::Relaxed);
+                }
+                ChunkOut::Matches(hit.map(|i| (0, dense[i].num())).into_iter().collect())
+            }
+            None if self.req.pred.is_none() => ChunkOut::Dense(W::buffer(dense.to_vec())),
+            None => ChunkOut::Matches(
+                runs.iter()
+                    .flat_map(|r| r.out..r.out + r.count)
+                    .zip(dense)
+                    .filter(|(_, w)| matches(w))
+                    .map(|(at, w)| (at, w.num()))
+                    .collect(),
+            ),
+            Some(op) if self.req.pred.is_none() => {
+                ChunkOut::Partial(Some((W::fold(dense, op)?, dense.len() as u64)))
+            }
+            Some(op) => {
+                let kept: Vec<W> = dense.iter().copied().filter(matches).collect();
+                ChunkOut::Partial(match kept.len() {
+                    0 => None,
+                    n => Some((W::fold(&kept, op)?, n as u64)),
+                })
+            }
+        };
+        self.tally
+            .examined
+            .fetch_add(examined as u64, Ordering::Relaxed);
+        Ok(out)
+    }
+}
+
+/// The typed [`StorageError::Corrupt`] a malformed `SCC1` frame raises.
+pub(crate) fn corrupt(array_id: u64, chunk_id: u64, e: codec::CodecError) -> StorageError {
+    StorageError::Corrupt {
+        array_id,
+        chunk_id,
+        detail: e.to_string(),
+    }
+}
+
+/// A chunk's needed elements in view order as one dense slice; `words`
+/// holds the chunk's elements from offset `from` on. A contiguous run is
+/// borrowed straight from the decoded words, anything else is gathered
+/// into `vals` (contiguous runs by slice copy, strided ones by a strided
+/// loop).
+fn dense<'a, W: Copy>(words: &'a [W], from: usize, runs: &[Run], vals: &'a mut Vec<W>) -> &'a [W] {
+    let at = |run: &Run| run.first - from;
+    if let [run] = runs {
+        if run.stride == 1 || run.count == 1 {
+            return &words[at(run)..at(run) + run.count];
+        }
+    }
+    vals.clear();
+    for run in runs {
+        match run.stride {
+            1 => vals.extend_from_slice(&words[at(run)..at(run) + run.count]),
+            s if s > 1 => vals.extend(words[at(run)..].iter().step_by(s as usize).take(run.count)),
+            _ => vals.extend((0..run.count).map(|k| words[run.offset(k) - from])),
+        }
+    }
+    vals
+}
+
+/// Copy a chunk's dense elements to the view positions its runs name.
+fn scatter(out: &mut Buffer, vals: &Buffer, runs: &[Run]) {
+    fn copy<W: Copy>(out: &mut [W], vals: &[W], runs: &[Run]) {
+        let mut at = 0;
+        for run in runs {
+            out[run.out..run.out + run.count].copy_from_slice(&vals[at..at + run.count]);
+            at += run.count;
+        }
+    }
+    match (out, vals) {
+        (Buffer::Int(out), Buffer::Int(vals)) => copy(out, vals, runs),
+        (Buffer::Real(out), Buffer::Real(vals)) => copy(out, vals, runs),
+        _ => unreachable!("an array has one element type"),
+    }
+}
+
+/// Build the statement plan for a strategy (no statement at all when
+/// nothing is needed — an empty view, or every chunk pruned).
 fn make_plan(needed: &[u64], chunking: &Chunking, strategy: RetrievalStrategy) -> Vec<FetchOp> {
+    if needed.is_empty() {
+        return Vec::new();
+    }
     match strategy {
         RetrievalStrategy::Single => needed.iter().map(|&c| FetchOp::In(vec![c])).collect(),
         RetrievalStrategy::BufferedIn { buffer_size } => needed
@@ -1052,192 +915,21 @@ fn make_plan(needed: &[u64], chunking: &Chunking, strategy: RetrievalStrategy) -
             .map(|b| FetchOp::In(b.to_vec()))
             .collect(),
         RetrievalStrategy::SpdRange { options } => spd::plan(needed, options),
-        RetrievalStrategy::WholeArray => {
-            if chunking.chunk_count() == 0 {
-                Vec::new()
-            } else {
-                vec![FetchOp::Range {
-                    lo: 0,
-                    hi: chunking.chunk_count() - 1,
-                }]
-            }
-        }
+        RetrievalStrategy::WholeArray => vec![FetchOp::Range {
+            lo: 0,
+            hi: chunking.chunk_count() - 1,
+        }],
     }
 }
 
-/// Decode one fetched chunk's needed addresses into a dense scratch
-/// vector and fold them into a partial aggregate with the typed
-/// kernels (`ssdm_array::kernel`). Returns the partial and the number
-/// of elements it covers; `Avg` partials are raw sums — the caller
-/// divides once by the total count.
-fn chunk_partial(
-    payload: &[u8],
-    addrs: &[usize],
-    chunk_start: usize,
-    ty: NumericType,
-    op: AggregateOp,
-    array_id: u64,
-    chunk_id: u64,
-) -> Result<(Num, u64)> {
-    let missing = || StorageError::MissingChunk { array_id, chunk_id };
-    let part = match ty {
-        NumericType::Int => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                vals.push(i64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            }
-            kernel::fold_i64(&vals, op).map_err(StorageError::Array)?
-        }
-        NumericType::Real => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                vals.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            }
-            kernel::fold_f64(&vals, op).map_err(StorageError::Array)?
-        }
-    };
-    Ok((part, addrs.len() as u64))
-}
-
-/// Like [`chunk_partial`], but folding only the addressed elements that
-/// satisfy `pred`. Returns `None` when no addressed element matches —
-/// the chunk then contributes nothing to the combine, exactly as if the
-/// zone map had skipped it, which is what keeps filtered aggregates
-/// bit-identical with skipping on or off. `Count` partials are element
-/// counts and combine by addition.
-#[allow(clippy::too_many_arguments)]
-fn chunk_partial_filtered(
-    payload: &[u8],
-    addrs: &[usize],
-    chunk_start: usize,
-    ty: NumericType,
-    op: AggregateOp,
-    pred: &ValuePredicate,
-    array_id: u64,
-    chunk_id: u64,
-) -> Result<Option<(Num, u64)>> {
-    let missing = || StorageError::MissingChunk { array_id, chunk_id };
-    let part = match ty {
-        NumericType::Int => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                let v = i64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                if pred.matches(Num::Int(v)) {
-                    vals.push(v);
-                }
-            }
-            if vals.is_empty() {
-                return Ok(None);
-            }
-            if op == AggregateOp::Count {
-                return Ok(Some((Num::Int(vals.len() as i64), vals.len() as u64)));
-            }
-            let n = vals.len() as u64;
-            (kernel::fold_i64(&vals, op).map_err(StorageError::Array)?, n)
-        }
-        NumericType::Real => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                let v = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                if pred.matches(Num::Real(v)) {
-                    vals.push(v);
-                }
-            }
-            if vals.is_empty() {
-                return Ok(None);
-            }
-            if op == AggregateOp::Count {
-                return Ok(Some((Num::Int(vals.len() as i64), vals.len() as u64)));
-            }
-            let n = vals.len() as u64;
-            (kernel::fold_f64(&vals, op).map_err(StorageError::Array)?, n)
-        }
-    };
-    Ok(Some(part))
-}
-
-/// The operator used to *combine* per-chunk partials of `op`: `Count`
-/// partials are counts, so they add; everything else combines with the
-/// aggregate itself (`Avg` partials are raw sums, divided once by the
-/// caller).
-fn combine_op(op: AggregateOp) -> AggregateOp {
-    match op {
-        AggregateOp::Count => AggregateOp::Sum,
-        other => other,
-    }
-}
-
-/// Final-value semantics of a filtered aggregate: with no matching
-/// elements, mirror the empty-view behaviour of `resolve_aggregate`
-/// (`Count`/`Sum` 0, `Prod` 1, the rest error); otherwise divide `Avg`
-/// by the matched count.
-fn finish_filtered_aggregate(acc: Option<Num>, n: u64, op: AggregateOp) -> Result<Num> {
-    match acc {
-        None => match op {
-            AggregateOp::Count => Ok(Num::Int(0)),
-            AggregateOp::Sum => Ok(Num::Int(0)),
-            AggregateOp::Prod => Ok(Num::Int(1)),
-            _ => Err(StorageError::Backend(
-                "aggregate over empty filtered view".into(),
-            )),
-        },
-        Some(total) => Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        }),
-    }
-}
-
-/// Decode element `off` (in elements) of a chunk payload.
-fn decode_element(payload: &[u8], off: usize, ty: NumericType) -> Option<Num> {
-    let bytes = payload.get(off * 8..off * 8 + 8)?;
-    Some(match ty {
-        NumericType::Int => Num::Int(i64::from_le_bytes(bytes.try_into().unwrap())),
-        NumericType::Real => Num::Real(f64::from_le_bytes(bytes.try_into().unwrap())),
-    })
-}
-
-/// Gather the elements at `addresses` from fetched chunks, in order.
-fn gather(
-    chunks: &HashMap<u64, Vec<u8>>,
-    chunking: &Chunking,
-    ty: NumericType,
-    addresses: &[usize],
-    array_id: u64,
-) -> Result<Vec<Num>> {
-    let mut out = Vec::with_capacity(addresses.len());
-    for &a in addresses {
-        let cid = chunking.chunk_of(a);
-        let payload = chunks.get(&cid).ok_or(StorageError::MissingChunk {
-            array_id,
-            chunk_id: cid,
-        })?;
-        let (start, _) = chunking.chunk_span(cid);
-        out.push(
-            decode_element(payload, a - start, ty).ok_or(StorageError::MissingChunk {
-                array_id,
-                chunk_id: cid,
-            })?,
-        );
-    }
-    Ok(out)
-}
-
-fn fold(op: AggregateOp, a: Num, b: Num) -> Result<Num> {
+/// Combine two per-chunk partials of `op`: `Count` partials are counts,
+/// so they add; `Avg` partials are raw sums, divided once at the end.
+fn combine(op: AggregateOp, a: Num, b: Num) -> Result<Num> {
     let r = match op {
-        AggregateOp::Sum | AggregateOp::Avg => a.checked_add(b),
+        AggregateOp::Sum | AggregateOp::Avg | AggregateOp::Count => a.checked_add(b),
         AggregateOp::Prod => a.checked_mul(b),
         AggregateOp::Min => Ok(a.min(b)),
         AggregateOp::Max => Ok(a.max(b)),
-        AggregateOp::Count => unreachable!("count handled separately"),
     };
     r.map_err(StorageError::Array)
 }

@@ -211,9 +211,11 @@ impl<S: ChunkStore> ArrayStore<S> {
             .collect();
         for (&(a, c), payload) in out.iter_mut() {
             if encoded.get(&a).copied().unwrap_or(false) {
-                let frame = std::mem::take(payload);
-                let (raw, _) = crate::apr::decode_payload(true, frame, a, c)?;
-                *payload = raw;
+                *payload = crate::codec::decode_chunk(payload)
+                    .map_err(|e| crate::apr::corrupt(a, c, e))?;
+                if ssdm_obs::recorder().enabled() {
+                    crate::apr::obs_chunks_decoded().add(1);
+                }
             }
         }
         Ok(out)

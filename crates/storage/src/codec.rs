@@ -47,6 +47,8 @@
 //! match, so filtered results are bit-identical with skipping on or
 //! off.
 
+use std::ops::Range;
+
 use ssdm_array::{Num, NumericType};
 
 /// Inner-frame magic: "Ssdm Compressed Chunk v1".
@@ -631,6 +633,230 @@ pub fn decode_chunk(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
         });
     }
     Ok(raw)
+}
+
+/// An element type the 8-byte stored words decode to directly: the bit
+/// pattern itself, or the `i64` / `f64` it encodes.
+pub trait Word: Copy {
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Word for u64 {
+    fn from_bits(bits: u64) -> Self {
+        bits
+    }
+}
+
+impl Word for i64 {
+    fn from_bits(bits: u64) -> Self {
+        bits as i64
+    }
+}
+
+impl Word for f64 {
+    fn from_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+}
+
+/// Append words `window` of the little-endian 8-byte words in `raw` to
+/// `out`, typed (a ragged tail shorter than a word is ignored).
+pub fn raw_words<W: Word>(raw: &[u8], window: Range<usize>, out: &mut Vec<W>) {
+    out.extend(
+        raw.chunks_exact(8)
+            .take(window.end)
+            .skip(window.start)
+            .map(|w| W::from_bits(u64::from_le_bytes(w.try_into().expect("8 bytes")))),
+    );
+}
+
+/// Decode words `window` of an `SCC1` frame into `out` (cleared first),
+/// typed, stopping as soon as they are produced: `out` ends up holding
+/// exactly the words [`decode_chunk`] would return at `window`, clipped
+/// to the chunk's length. Raw bodies are read straight from the frame
+/// bytes and RLE runs before the window are stepped over; delta-bp
+/// deltas are cumulative, so the words before the window are still
+/// unpacked to carry the running value, but not produced. Delta-bp and
+/// RLE bodies unpack into `out`, which callers reuse across chunks as
+/// the decode scratch.
+///
+/// The header is verified in full, and a body that is malformed or ends
+/// *before* the stop point is an error. On an early stop the checks
+/// that need the whole body — no trailing bytes after the last
+/// delta-bp block, RLE runs adding up to the header's length — are
+/// skipped: the bytes past the stop point are never looked at, and the
+/// frame as a whole is already covered by the `SCK1` CRC32 the
+/// back-ends verify below this layer. With the window's end at or past
+/// the chunk's length every check [`decode_chunk`] makes is made.
+pub fn decode_words<W: Word>(
+    frame: &[u8],
+    window: Range<usize>,
+    out: &mut Vec<W>,
+) -> Result<(), CodecError> {
+    out.clear();
+    let header = parse_header(frame)?;
+    let body = &frame[SCC_HEADER..];
+    let n_words = header.uncompressed / 8;
+    let end = window.end.min(n_words);
+    let window = window.start.min(end)..end;
+    out.reserve(window.len());
+    match header.codec {
+        CodecId::Raw => {
+            if body.len() != header.uncompressed {
+                return Err(CodecError::LengthMismatch {
+                    expected: header.uncompressed,
+                    got: body.len(),
+                });
+            }
+            raw_words(body, window, out);
+            Ok(())
+        }
+        _ if !header.uncompressed.is_multiple_of(8) => Err(CodecError::BadHeader),
+        CodecId::DeltaBp => delta_bp_words(body, n_words, window, out),
+        CodecId::Rle => rle_words(body, n_words, window, out),
+    }
+}
+
+/// A little-endian bit stream over one packed delta-bp block, refilled
+/// eight bytes at a time.
+struct BitReader<'a> {
+    packed: &'a [u8],
+    at: usize,
+    acc: u128,
+    bits: usize,
+}
+
+impl BitReader<'_> {
+    /// The next `width`-bit value (`1 <= width <= 64`; the caller has
+    /// checked that the block holds it). `bits < width <= 64` before a
+    /// refill, so the accumulator never holds more than 127 bits.
+    #[inline]
+    fn take(&mut self, width: usize) -> u64 {
+        if self.bits < width {
+            if let Some(word) = self.packed.get(self.at..self.at + 8) {
+                let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                self.acc |= (word as u128) << self.bits;
+                self.at += 8;
+                self.bits += 64;
+            } else {
+                while self.bits < width {
+                    self.acc |= (self.packed[self.at] as u128) << self.bits;
+                    self.at += 1;
+                    self.bits += 8;
+                }
+            }
+        }
+        let z = self.acc as u64 & (u64::MAX >> (64 - width));
+        self.acc >>= width;
+        self.bits -= width;
+        z
+    }
+}
+
+/// [`delta_bp_decode`] producing the typed words of `window` (already
+/// clipped to `n_words`) and stopping at its end; the blocks after it
+/// are not touched.
+fn delta_bp_words<W: Word>(
+    body: &[u8],
+    n_words: usize,
+    window: Range<usize>,
+    out: &mut Vec<W>,
+) -> Result<(), CodecError> {
+    if n_words == 0 {
+        if !body.is_empty() {
+            return Err(CodecError::BadBody("trailing bytes after empty chunk"));
+        }
+        return Ok(());
+    }
+    if body.len() < 8 {
+        return Err(CodecError::BadBody("missing first word"));
+    }
+    let mut prev = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+    if window.contains(&0) {
+        out.push(W::from_bits(prev));
+    }
+    let mut pos = 8usize;
+    // Index of the next word to unpack.
+    let mut next = 1usize;
+    while next < window.end {
+        let k = (n_words - next).min(BP_BLOCK);
+        let width = *body
+            .get(pos)
+            .ok_or(CodecError::BadBody("missing block width"))? as usize;
+        if width > 64 {
+            return Err(CodecError::BadBody("packed width over 64 bits"));
+        }
+        pos += 1;
+        let packed_len = (k * width).div_ceil(8);
+        let packed = body
+            .get(pos..pos + packed_len)
+            .ok_or(CodecError::BadBody("truncated packed block"))?;
+        pos += packed_len;
+        // Of this block's `k` words, `carried` lie before the window and
+        // `wanted` inside it.
+        let carried = window.start.saturating_sub(next).min(k);
+        let wanted = (window.end - next).min(k) - carried;
+        next += k;
+        if width == 0 {
+            out.resize(out.len() + wanted, W::from_bits(prev));
+            continue;
+        }
+        let mut reader = BitReader {
+            packed,
+            at: 0,
+            acc: 0,
+            bits: 0,
+        };
+        for _ in 0..carried {
+            prev = prev.wrapping_add(unzigzag(reader.take(width)) as u64);
+        }
+        for _ in 0..wanted {
+            prev = prev.wrapping_add(unzigzag(reader.take(width)) as u64);
+            out.push(W::from_bits(prev));
+        }
+    }
+    if window.end == n_words && pos != body.len() {
+        return Err(CodecError::BadBody("trailing bytes after last block"));
+    }
+    Ok(())
+}
+
+/// [`rle_decode`] producing the typed words of `window` (already
+/// clipped to `n_words`) and stopping inside the run that reaches its
+/// end.
+fn rle_words<W: Word>(
+    body: &[u8],
+    n_words: usize,
+    window: Range<usize>,
+    out: &mut Vec<W>,
+) -> Result<(), CodecError> {
+    let full = window.end == n_words;
+    let mut produced = 0usize;
+    let mut pos = 0usize;
+    while pos < body.len() && (full || produced < window.end) {
+        let run = body
+            .get(pos..pos + 12)
+            .ok_or(CodecError::BadBody("truncated run"))?;
+        let count = u32::from_le_bytes(run[..4].try_into().expect("4 bytes")) as usize;
+        if count == 0 || produced + count > n_words {
+            return Err(CodecError::BadBody("run overflows chunk"));
+        }
+        let value = u64::from_le_bytes(run[4..12].try_into().expect("8 bytes"));
+        let lo = window.start.max(produced);
+        let hi = window.end.min(produced + count);
+        if lo < hi {
+            out.resize(out.len() + (hi - lo), W::from_bits(value));
+        }
+        produced += count;
+        pos += 12;
+    }
+    if produced < window.end || (full && produced != n_words) {
+        return Err(CodecError::LengthMismatch {
+            expected: n_words * 8,
+            got: produced * 8,
+        });
+    }
+    Ok(())
 }
 
 /// The summary and element type an `SCC1` frame carries, if `frame`

@@ -32,6 +32,7 @@ mod meta;
 pub mod parallel;
 pub mod replica;
 pub mod resilient;
+pub mod runs;
 pub mod shard;
 pub mod spd;
 mod store;

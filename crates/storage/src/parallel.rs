@@ -12,12 +12,13 @@
 //! accounting stays exact, because exactly the same statements execute —
 //! just concurrently.
 //!
-//! The per-op fallback contract of
-//! `ArrayStore::execute_with_fallback` is preserved: a failed *batched*
-//! statement degrades to per-chunk retrieval of the needed ids it
-//! covered, inside the worker that claimed it. Errors that survive the
-//! fallback are reported deterministically — the failing op earliest in
-//! plan order wins, regardless of worker timing.
+//! Sequential APR runs the same statements through the same code
+//! ([`Lane::exclusive`]), so the per-op fallback contract is one piece
+//! of code for both: a failed *batched* statement degrades to per-chunk
+//! retrieval of the needed ids it covered, inside the worker that
+//! claimed it. Errors that survive the fallback are reported
+//! deterministically — the failing op earliest in plan order wins,
+//! regardless of worker timing.
 //!
 //! Back-ends opt in via [`Capabilities::supports_parallel`]
 //! (austere or fault-injecting stacks leave it unset and callers
@@ -25,14 +26,14 @@
 //!
 //! [`Capabilities::supports_parallel`]: crate::Capabilities::supports_parallel
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ssdm_array::pool;
 use ssdm_obs as obs;
 
 use crate::spd::FetchOp;
-use crate::store::{ChunkRows, SharedChunkRead};
+use crate::store::{ChunkRows, ChunkStore, SharedChunkRead};
 use crate::Result;
 
 /// Process-wide count of batched statements that degraded to per-chunk
@@ -85,7 +86,7 @@ pub fn fetch_plan<S: SharedChunkRead + ?Sized>(
 /// The generalized pipeline under [`fetch_plan`]: each claimed op's
 /// rows are handed to `process` *inside the worker that fetched them*,
 /// so per-chunk work (CRC verification, decoding, partial aggregate
-/// folds — see `ArrayStore::resolve_aggregate_parallel`) overlaps the
+/// folds — see `ArrayStore::run`) overlaps the
 /// round trips of the other ops and the payloads can be dropped without
 /// ever being assembled centrally. `process` receives the op's plan
 /// index; results return per op in plan order, and the earliest op's
@@ -105,7 +106,12 @@ where
 {
     let fallbacks = AtomicU64::new(0);
     let results = scatter_gather(workers, plan, |i, op| {
-        execute_one(backend, array_id, op, needed, &fallbacks).and_then(|rows| process(i, rows))
+        let rows = execute_op(op, needed, &fallbacks, |statement| match statement {
+            Statement::One(c) => backend.read_chunk(array_id, c).map(|d| vec![(c, d)]),
+            Statement::In(ids) => backend.read_chunks_in(array_id, ids),
+            Statement::Range(lo, hi) => backend.read_chunk_range(array_id, lo, hi),
+        })?;
+        process(i, rows)
     });
     let mut out = Vec::with_capacity(plan.len());
     for r in results {
@@ -149,14 +155,24 @@ where
         .collect()
 }
 
-/// Execute one fetch op with the same statement shapes and batched-
-/// statement fallback as the sequential `execute_with_fallback`.
-fn execute_one<S: SharedChunkRead + ?Sized>(
-    backend: &S,
-    array_id: u64,
+/// One back-end statement, over either read contract.
+enum Statement<'a> {
+    One(u64),
+    In(&'a [u64]),
+    Range(u64, u64),
+}
+
+/// Execute one fetch op through `issue`; when a *batched* statement
+/// (`IN`-list of several ids, or a range) fails, degrade to per-chunk
+/// retrieval of the needed ids it covered instead of aborting the whole
+/// resolution. A corrupt or unavailable chunk that was only
+/// *overfetched* by a covering range thus cannot sink a query that
+/// never needed it.
+fn execute_op(
     op: &FetchOp,
     needed: &[u64],
     fallbacks: &AtomicU64,
+    mut issue: impl FnMut(Statement<'_>) -> Result<ChunkRows>,
 ) -> Result<ChunkRows> {
     let _span = ssdm_obs::Span::start(crate::apr::obs_chunk_fetch_hist());
     let batched = match op {
@@ -164,11 +180,9 @@ fn execute_one<S: SharedChunkRead + ?Sized>(
         FetchOp::In(ids) => ids.len() > 1,
     };
     let direct = match op {
-        FetchOp::Range { lo, hi } => backend.read_chunk_range(array_id, *lo, *hi),
-        FetchOp::In(ids) if ids.len() == 1 => backend
-            .read_chunk(array_id, ids[0])
-            .map(|d| vec![(ids[0], d)]),
-        FetchOp::In(ids) => backend.read_chunks_in(array_id, ids),
+        FetchOp::Range { lo, hi } => issue(Statement::Range(*lo, *hi)),
+        FetchOp::In(ids) if ids.len() == 1 => issue(Statement::One(ids[0])),
+        FetchOp::In(ids) => issue(Statement::In(ids)),
     };
     match direct {
         Ok(rows) => Ok(rows),
@@ -186,11 +200,105 @@ fn execute_one<S: SharedChunkRead + ?Sized>(
                     .filter(|c| (*lo..=*hi).contains(c))
                     .collect(),
             };
-            ids.into_iter()
-                .map(|c| backend.read_chunk(array_id, c).map(|d| (c, d)))
-                .collect()
+            let mut out = Vec::with_capacity(ids.len());
+            for c in ids {
+                out.extend(issue(Statement::One(c))?);
+            }
+            Ok(out)
         }
     }
+}
+
+/// The statements of one resolution, as the lanes execute them.
+pub(crate) struct Job<'a> {
+    pub array_id: u64,
+    pub plan: &'a [FetchOp],
+    pub needed: &'a [u64],
+    /// Set (by `process`) once a membership probe has its answer.
+    pub done: &'a AtomicBool,
+}
+
+/// What becomes of one statement's rows, inside the worker that fetched
+/// them.
+pub(crate) type Process<'a, T> = dyn Fn(ChunkRows) -> Result<T> + Sync + 'a;
+
+/// `process`'s outputs per op in plan order, and the number of batched
+/// statements that fell back to per-chunk retrieval.
+type PlanOutput<T> = Result<(Vec<T>, u64)>;
+
+/// How a resolution's statements execute: one after the other through
+/// the exclusive (`&mut`) back-end contract, or partitioned across a
+/// worker pool through the shared one ([`run_plan`]). Both run the same
+/// statements with the same fallback.
+pub(crate) struct Lane<S, T> {
+    workers: usize,
+    run: fn(&mut S, usize, &Job<'_>, &Process<'_, T>) -> PlanOutput<T>,
+}
+
+impl<S: ChunkStore, T: Send> Lane<S, T> {
+    /// For back-ends that only offer the exclusive contract, or when
+    /// one worker is asked for. Unlike the pool it can stop early: no
+    /// further statement is issued once `done` is set.
+    pub(crate) fn exclusive() -> Self {
+        Lane {
+            workers: 1,
+            run: run_plan_exclusive,
+        }
+    }
+
+    pub(crate) fn shared(workers: usize) -> Self
+    where
+        S: SharedChunkRead,
+    {
+        Lane {
+            workers,
+            run: |backend, workers, job, process| {
+                let (plan, needed) = (job.plan, job.needed);
+                run_plan(&*backend, job.array_id, plan, needed, workers, |_, rows| {
+                    process(rows)
+                })
+            },
+        }
+    }
+
+    /// Whether `process` runs inside pool workers.
+    pub(crate) fn is_shared(&self) -> bool {
+        self.workers > 1
+    }
+
+    pub(crate) fn run(
+        &self,
+        backend: &mut S,
+        job: &Job<'_>,
+        process: &Process<'_, T>,
+    ) -> PlanOutput<T> {
+        (self.run)(backend, self.workers, job, process)
+    }
+}
+
+/// [`run_plan`] for the exclusive contract: the same statements and
+/// fallback, one op after the other on the calling thread.
+fn run_plan_exclusive<S: ChunkStore, T>(
+    backend: &mut S,
+    _workers: usize,
+    job: &Job<'_>,
+    process: &Process<'_, T>,
+) -> PlanOutput<T> {
+    let array_id = job.array_id;
+    let fallbacks = AtomicU64::new(0);
+    let mut out = Vec::with_capacity(job.plan.len());
+    for op in job.plan {
+        if job.done.load(Ordering::Relaxed) {
+            break;
+        }
+        let rows = execute_op(op, job.needed, &fallbacks, |statement| match statement {
+            Statement::One(c) => backend.get_chunk(array_id, c).map(|d| vec![(c, d)]),
+            Statement::In(ids) => backend.get_chunks_in(array_id, ids),
+            Statement::Range(lo, hi) => backend.get_chunk_range(array_id, lo, hi),
+        })?;
+        out.push(process(rows)?);
+    }
+    Ok((out, fallbacks.into_inner()))
 }
 
 /// Convenience used by tests and callers that want a flat map of chunk

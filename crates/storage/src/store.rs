@@ -71,6 +71,11 @@ pub enum StorageError {
     ShardUnavailable {
         shards: Vec<usize>,
     },
+    /// An aggregate that has no value over zero elements (`Avg`, `Min`,
+    /// `Max`) was asked of an empty view, or of a filtered view nothing
+    /// matched. Not a failure of the back-end: callers that treat "no
+    /// value" as unbound match exactly this variant.
+    EmptyView,
 }
 
 impl StorageError {
@@ -92,7 +97,8 @@ impl StorageError {
             | StorageError::MissingArray(_)
             | StorageError::Array(_)
             | StorageError::DeadlineExceeded { .. }
-            | StorageError::ShardUnavailable { .. } => false,
+            | StorageError::ShardUnavailable { .. }
+            | StorageError::EmptyView => false,
         }
     }
 
@@ -152,6 +158,7 @@ impl std::fmt::Display for StorageError {
                 let list: Vec<String> = shards.iter().map(|s| s.to_string()).collect();
                 write!(f, "shard(s) {} unavailable", list.join(", "))
             }
+            StorageError::EmptyView => write!(f, "aggregate over empty array view"),
         }
     }
 }

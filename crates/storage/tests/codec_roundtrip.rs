@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 use ssdm_array::{Num, NumArray, NumericType};
-use ssdm_storage::codec::{decode_chunk, encode_chunk, summary_of};
+use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk, summary_of};
 use ssdm_storage::{
-    ArrayStore, ChunkStore, CodecPolicy, MemoryChunkStore, ResilientChunkStore, RetrievalStrategy,
-    RetryPolicy, StorageError, ValuePredicate,
+    ArrayStore, ChunkStore, CodecError, CodecId, CodecPolicy, MemoryChunkStore,
+    ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError, ValuePredicate, SCC_HEADER,
 };
 
 const POLICIES: [CodecPolicy; 4] = [
@@ -237,4 +237,192 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
         )
         .expect_err("aggregate over corrupt chunk must fail");
     assert!(matches!(err, StorageError::Corrupt { .. }));
+}
+
+// ---------------------------------------------------------------------
+// Windowed decode: `decode_words` against `decode_chunk`
+// ---------------------------------------------------------------------
+
+fn words_of(raw: &[u8]) -> Vec<u64> {
+    raw.chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect()
+}
+
+/// `decode_words` at every window must equal that window of the full
+/// `decode_chunk` result (clipped to the chunk), in all three element
+/// typings; windows that end past the chunk decode all of it.
+fn assert_windows_match(frame: &[u8], what: &str) {
+    let all = words_of(&decode_chunk(frame).expect("well-formed frame"));
+    let n = all.len();
+    let mut words: Vec<u64> = Vec::new();
+    for upto in 0..=n + 2 {
+        for from in [0, upto / 3, upto.saturating_sub(1), upto] {
+            decode_words(frame, from..upto, &mut words)
+                .unwrap_or_else(|e| panic!("{what}: window {from}..{upto}: {e}"));
+            assert_eq!(
+                words,
+                &all[from.min(n)..upto.min(n)],
+                "{what}: window {from}..{upto}"
+            );
+        }
+    }
+    let (mut ints, mut reals) = (Vec::<i64>::new(), Vec::<f64>::new());
+    decode_words(frame, 0..n, &mut ints).unwrap();
+    decode_words(frame, 0..n, &mut reals).unwrap();
+    assert!(ints.iter().zip(&all).all(|(v, w)| *v as u64 == *w));
+    assert!(reals.iter().zip(&all).all(|(v, w)| v.to_bits() == *w));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn decode_words_equals_a_window_of_decode_chunk(words in chunk()) {
+        let raw = bytes_of(&words);
+        for policy in POLICIES {
+            let (frame, _) = encode_chunk(&raw, NumericType::Real, policy);
+            assert_windows_match(&frame, policy.name());
+        }
+    }
+}
+
+/// An `SCC1` frame around a hand-built body.
+fn frame_with_body(codec: CodecId, n_words: usize, body: &[u8]) -> Vec<u8> {
+    let mut frame = b"SCC1".to_vec();
+    frame.push(codec as u8);
+    frame.extend_from_slice(&[0u8; 3]);
+    frame.extend_from_slice(&(n_words as u64 * 8).to_le_bytes());
+    frame.extend_from_slice(&[0u8; 24]);
+    assert_eq!(frame.len(), SCC_HEADER);
+    frame.extend_from_slice(body);
+    frame
+}
+
+#[test]
+fn decode_words_handles_the_extreme_encodings() {
+    let encode = |words: &[u64], policy| {
+        let (frame, _) = encode_chunk(&bytes_of(words), NumericType::Real, policy);
+        frame
+    };
+    // Width 0: a constant chunk's deltas are all zero. 300 words span
+    // three mini-blocks, so windows start and stop in each.
+    let constant = encode(&[0xABCD; 300], CodecPolicy::DeltaBp);
+    assert_eq!(
+        ssdm_storage::codec::codec_of(&constant),
+        Some(CodecId::DeltaBp)
+    );
+    assert_windows_match(&constant, "delta-bp width 0");
+    // Width 64: alternating extremes make every zigzagged delta use
+    // all 64 bits. The encoder would fall back to raw (no saving), so
+    // the body is built by hand: first word, then one block of two
+    // 64-bit deltas.
+    let words = [0u64, i64::MIN as u64, 0];
+    let zigzag = |d: i64| ((d << 1) ^ (d >> 63)) as u64;
+    let mut body = words[0].to_le_bytes().to_vec();
+    body.push(64);
+    for pair in words.windows(2) {
+        body.extend_from_slice(&zigzag(pair[1].wrapping_sub(pair[0]) as i64).to_le_bytes());
+    }
+    let wide = frame_with_body(CodecId::DeltaBp, 3, &body);
+    assert_eq!(words_of(&decode_chunk(&wide).unwrap()), words);
+    assert_windows_match(&wide, "delta-bp width 64");
+    // Bit patterns that must survive untouched, under each codec.
+    let patterns = [
+        (-0.0f64).to_bits(),
+        0,
+        f64::NAN.to_bits(),
+        f64::NAN.to_bits() | 0xDEAD,
+        f64::NAN.to_bits() | 0xDEAD,
+        f64::NAN.to_bits() | 0xDEAD,
+        (-0.0f64).to_bits(),
+        (-0.0f64).to_bits(),
+        i64::MIN as u64,
+    ];
+    for policy in POLICIES {
+        assert_windows_match(&encode(&patterns, policy), "NaN payloads and -0.0");
+    }
+    // What a run longer than `u32::MAX` is split into — consecutive
+    // runs of one value — at a length a test can allocate.
+    let mut body = Vec::new();
+    for (count, value) in [(5u32, 7u64), (3, 7), (1, 9), (4, 7)] {
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend_from_slice(&value.to_le_bytes());
+    }
+    let split = frame_with_body(CodecId::Rle, 13, &body);
+    assert_windows_match(&split, "rle split run");
+}
+
+/// Damage in the header, or in the body *before* the stop point, is a
+/// typed error at every window; through the APR it is the same
+/// chunk-addressed `Corrupt` a full decode raises.
+#[test]
+fn decode_words_reports_damage_before_its_stop_point() {
+    let raw = bytes_of(&(0..300u64).map(|i| i * i).collect::<Vec<_>>());
+    let mut scratch: Vec<u64> = Vec::new();
+    for policy in [CodecPolicy::Raw, CodecPolicy::DeltaBp, CodecPolicy::Rle] {
+        let (frame, _) = encode_chunk(&raw, NumericType::Int, policy);
+        // Header damage: caught before any window is looked at.
+        for (at, value) in [(0usize, b'X'), (4, 9), (5, 7), (6, 1)] {
+            let mut bad = frame.clone();
+            bad[at] = value;
+            assert!(
+                decode_words(&bad, 0..1, &mut scratch).is_err(),
+                "header byte {at} under {}",
+                policy.name()
+            );
+        }
+        let mut bomb = frame.clone();
+        bomb[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decode_words(&bomb, 0..1, &mut scratch),
+            Err(CodecError::BadHeader)
+        );
+    }
+    // A delta-bp body cut inside its second mini-block: windows that
+    // stop in the first block still decode, later ones fail typed.
+    let (frame, _) = encode_chunk(&raw, NumericType::Int, CodecPolicy::DeltaBp);
+    assert_eq!(
+        ssdm_storage::codec::codec_of(&frame),
+        Some(CodecId::DeltaBp)
+    );
+    let cut = &frame[..frame.len() / 2];
+    decode_words(cut, 0..100, &mut scratch).unwrap();
+    assert_eq!(scratch, words_of(&raw)[..100]);
+    assert!(matches!(
+        decode_words(cut, 0..300, &mut scratch),
+        Err(CodecError::BadBody(_))
+    ));
+    assert!(decode_chunk(cut).is_err());
+    // An RLE body that ends before the window does.
+    let mut body = Vec::new();
+    body.extend_from_slice(&4u32.to_le_bytes());
+    body.extend_from_slice(&7u64.to_le_bytes());
+    let short = frame_with_body(CodecId::Rle, 10, &body);
+    decode_words(&short, 1..4, &mut scratch).unwrap();
+    assert_eq!(scratch, [7, 7, 7]);
+    assert!(matches!(
+        decode_words(&short, 2..6, &mut scratch),
+        Err(CodecError::LengthMismatch { .. })
+    ));
+
+    // Through the runner: a slice that stops before the damage
+    // resolves, one that reaches it is `Corrupt` on that chunk.
+    let mut store = ArrayStore::new(MemoryChunkStore::new());
+    store.set_codec(CodecPolicy::DeltaBp);
+    let resident = NumArray::from_i64((0..300).map(|i| i * i).collect());
+    let proxy = store.store_array(&resident, 300 * 8).unwrap();
+    store
+        .backend_mut()
+        .put_chunk(proxy.array_id(), 0, cut)
+        .unwrap();
+    let early = proxy.slice(0, 10, 1, 99).unwrap();
+    assert!(store
+        .resolve(&early, RetrievalStrategy::Single)
+        .unwrap()
+        .array_eq(&resident.slice(0, 10, 1, 99).unwrap()));
+    let err = store
+        .resolve(&proxy, RetrievalStrategy::Single)
+        .expect_err("the damaged block is inside the window");
+    assert!(matches!(err, StorageError::Corrupt { chunk_id: 0, .. }));
 }
