@@ -1,15 +1,17 @@
-//! HTTP front-end scenario: idle keep-alive scale, throughput against
-//! the framed protocol, and byte-validated result formats.
+//! Serving-core scenario: idle session scale on both wires, HTTP
+//! throughput against the framed protocol, and byte-validated result
+//! formats.
 //!
 //! Three sweeps over `ssdm::http`'s event-loop server:
 //!
-//! 1. **idle scale** — ≥1000 keep-alive connections held open at once,
-//!    each having served a request; the process thread count must not
-//!    grow with connections (the reactor owns them all), and a request
-//!    issued over one of the parked connections still answers.
-//! 2. **throughput** — the same engine behind the HTTP front end and
-//!    the framed TCP protocol, sequential and concurrent request
-//!    streams over keep-alive connections; requests/s for both.
+//! 1. **idle scale** — ≥1000 HTTP keep-alive connections *and* ≥1000
+//!    framed sessions held open at once on one server, each having
+//!    served a request; the process thread count must not grow with
+//!    connections (the reactor owns them all), and a request issued
+//!    over a parked connection of either wire still answers.
+//! 2. **throughput** — the same engine behind the HTTP and the framed
+//!    listener, sequential and concurrent request streams over
+//!    persistent connections; requests/s for both.
 //! 3. **format round trip** — `GET /query` across the four negotiated
 //!    result formats; each response body must be byte-identical to the
 //!    serializer's output for the expected result.
@@ -23,12 +25,13 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scisparql::{QueryResult, Value};
 use ssdm::http::{results, Format, HttpConfig, HttpServer, ShutdownHandle};
 use ssdm::server::{Client, Server, ServerConfig};
+use ssdm::tenant::{TenantQuotas, TenantRegistry};
 use ssdm::{Backend, Ssdm};
 use ssdm_bench::runner::print_table;
 
@@ -53,8 +56,8 @@ fn start_http(config: HttpConfig) -> (SocketAddr, ShutdownHandle, std::thread::J
     let server = HttpServer::bind("127.0.0.1:0", config).expect("bind http");
     let addr = server.local_addr().expect("http addr");
     let handle = server.shutdown_handle().expect("shutdown handle");
-    let shared = Arc::new(Mutex::new(engine()));
-    let join = std::thread::spawn(move || server.serve(shared).expect("http serve"));
+    let registry = Arc::new(TenantRegistry::new(engine(), TenantQuotas::default()));
+    let join = std::thread::spawn(move || server.serve_registry(registry).expect("http serve"));
     (addr, handle, join)
 }
 
@@ -139,17 +142,26 @@ fn main() {
     let conc_clients: usize = 8;
     let conc_requests: usize = if quick { 50 } else { 200 };
 
-    // The bench process holds both ends of every idle connection.
-    let _ = ssdm::http::raise_nofile_limit((idle_target as u64) * 2 + 512);
+    // The bench process holds both ends of every idle connection, on
+    // both wires.
+    let _ = ssdm::http::raise_nofile_limit((idle_target as u64) * 4 + 512);
 
-    println!("HTTP front end: idle keep-alive scale, throughput vs framed, format round trip");
+    println!("serving core: idle session scale, throughput http vs framed, format round trip");
 
-    // --- Sweep 1: idle keep-alive scale ----------------------------------
-    let (addr, handle, join) = start_http(HttpConfig {
-        max_connections: idle_target * 2,
-        idle_timeout: Duration::from_secs(600),
-        ..HttpConfig::default()
-    });
+    // --- Sweep 1: idle session scale, both wires on one server -----------
+    let mut server = Server::bind_with(
+        "127.0.0.1:0",
+        engine(),
+        ServerConfig {
+            max_connections: idle_target * 4,
+            idle_timeout: Duration::from_secs(600),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind framed");
+    let framed_addr = server.local_addr().expect("framed addr");
+    let addr = server.enable_http("127.0.0.1:0").expect("bind http");
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
     // Warm up first so the reactor and its worker pool exist before the
     // baseline thread count is taken — what must stay flat is the count
     // per *connection*, not the fixed pool.
@@ -176,6 +188,12 @@ fn main() {
         assert_eq!(status, 200, "connection {i} served");
         parked.push(reader);
     }
+    let mut parked_framed: Vec<Client> = Vec::with_capacity(idle_target);
+    for _ in 0..idle_target {
+        let mut client = Client::connect(framed_addr).expect("framed connect");
+        client.query("ASK { }").expect("framed session served");
+        parked_framed.push(client);
+    }
     let establish_s = start.elapsed().as_secs_f64();
     let threads_with_idle = process_threads();
     // A parked connection is still live: ask it for a query.
@@ -188,24 +206,31 @@ fn main() {
     let (status, body) = read_response(&mut parked[mid]);
     assert_eq!(status, 200, "parked connection still answers");
     assert_eq!(body, b"o\r\n7\r\n", "parked-connection query result");
+    let (_, rows) = parked_framed[mid]
+        .query_rows("SELECT ?o WHERE { <http://e#s7> <http://e#p> ?o }")
+        .expect("parked framed session still answers");
+    assert_eq!(rows, vec![vec!["7".to_string()]]);
     let thread_growth = match (threads_before, threads_with_idle) {
         (Some(before), Some(with)) => Some(with as i64 - before as i64),
         _ => None,
     };
     println!(
-        "idle scale: {} keep-alive connections in {:.2}s, thread growth {}",
+        "idle scale: {} keep-alive connections + {} framed sessions in {:.2}s, thread growth {}",
         parked.len(),
+        parked_framed.len(),
         establish_s,
         thread_growth.map_or("n/a".into(), |d| d.to_string()),
     );
     if let Some(growth) = thread_growth {
         assert_eq!(
             growth, 0,
-            "holding {idle_target} connections must not grow the thread count"
+            "holding {idle_target} connections per wire must not grow the thread count"
         );
     }
     drop(parked);
-    handle.shutdown();
+    let mut last = parked_framed.pop().expect("a framed session");
+    drop(parked_framed);
+    last.shutdown().expect("framed shutdown");
     join.join().expect("idle server thread");
 
     // --- Sweep 2: throughput vs the framed protocol ----------------------
@@ -271,8 +296,6 @@ fn main() {
         client.query(query).expect("framed query");
     }
     let framed_seq_rps = seq_requests as f64 / start.elapsed().as_secs_f64();
-    // Disconnect before the concurrent phase: a parked framed session
-    // would pin one of the pool's workers (and eventually idle out).
     drop(client);
     let start = Instant::now();
     let workers: Vec<_> = (0..conc_clients)
@@ -349,7 +372,7 @@ fn main() {
     );
 
     println!(
-        "\nidle acceptance ✓: {idle_target} keep-alive connections, thread growth {}",
+        "\nidle acceptance ✓: {idle_target} keep-alive connections + {idle_target} framed sessions, thread growth {}",
         thread_growth.map_or("n/a (no /proc)".into(), |d| d.to_string()),
     );
 
@@ -358,7 +381,7 @@ fn main() {
         "{{\n  \"config\": {{\"idle_connections\": {idle_target}, \
          \"sequential_requests\": {seq_requests}, \"concurrent_clients\": {conc_clients}, \
          \"requests_per_client\": {conc_requests}, \"quick\": {quick}}},\n  \
-         \"idle_scale\": {{\"connections\": {idle_target}, \"establish_s\": {establish_s:.3}, \
+         \"idle_scale\": {{\"connections\": {idle_target}, \"framed_sessions\": {idle_target}, \"establish_s\": {establish_s:.3}, \
          \"thread_growth\": {}, \"parked_query_ok\": true}},\n  \
          \"throughput\": {{\"http_sequential_rps\": {http_seq_rps:.1}, \
          \"http_concurrent_rps\": {http_conc_rps:.1}, \

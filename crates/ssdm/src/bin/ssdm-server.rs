@@ -1,6 +1,7 @@
-//! The SSDM TCP server: serve SciSPARQL over the framed wire protocol
+//! The SSDM server: serve SciSPARQL over the framed wire protocol
 //! (thesis §5.1 client-server deployment; the ch. 7 Matlab client's
-//! peer).
+//! peer) and, on request, over HTTP — every listener on one serving
+//! core.
 //!
 //! ```text
 //! ssdm-server [--listen ADDR:PORT] [--backend memory|relational|file:DIR]
@@ -30,14 +31,15 @@
 //!
 //! Send the statement `SHUTDOWN` to stop the server, `STATS` for
 //! back-end/cache/resilience/durability statistics, `METRICS` for the
-//! Prometheus text dump.
+//! Prometheus text dump. SIGTERM/SIGINT begin the same graceful drain
+//! as `SHUTDOWN`: requests in flight finish, then the process exits 0.
 //!
-//! `--http` serves the SPARQL 1.1 Protocol over HTTP on the event-loop
-//! core of `ssdm::http`: GET/POST `/query` with content-negotiated
-//! JSON/XML/CSV/TSV results, POST `/update`, plus `/metrics` and
-//! `/stats`. `--metrics` is an alias that binds the same front end
-//! (scrapers just hit `/metrics`). With either flag, SIGTERM/SIGINT
-//! drain both the HTTP and framed sides gracefully before exit.
+//! `--http` also serves the SPARQL 1.1 Protocol over HTTP: GET/POST
+//! `/query` with content-negotiated JSON/XML/CSV/TSV results, POST
+//! `/update`, plus `/metrics` and `/stats`. `--metrics` is an alias
+//! that binds one more such listener (scrapers just hit `/metrics`).
+//! `--workers N` sizes the one pool that executes statements from
+//! every listener; tenant quotas hold across all of them together.
 //! `--slow-query-ms N` logs an `EXPLAIN ANALYZE` profile to stderr for
 //! every statement taking ≥ N ms.
 //!
@@ -75,6 +77,21 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The flag's value as `parse` reads it; a missing or unreadable one
+/// is a usage error.
+fn value<T>(args: &mut impl Iterator<Item = String>, parse: impl Fn(&str) -> Option<T>) -> T {
+    let parsed = args.next().as_deref().and_then(parse);
+    parsed.unwrap_or_else(|| usage())
+}
+
+fn text(v: &str) -> Option<String> {
+    Some(v.to_string())
+}
+
+fn at_least_one(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n >= 1)
+}
+
 fn main() {
     let mut listen = "127.0.0.1:8580".to_string();
     let mut backend = Backend::Memory;
@@ -87,7 +104,6 @@ fn main() {
     let mut durable: Option<PathBuf> = None;
     let mut fsync = FsyncPolicy::Always;
     let mut http: Vec<String> = Vec::new();
-    let mut metrics: Option<String> = None;
     let mut slow_query_ms: Option<u64> = None;
     let mut planner: Option<scisparql::PlannerMode> = None;
     let mut shards: usize = 1;
@@ -98,63 +114,25 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => listen = args.next().unwrap_or_else(|| usage()),
-            "--workers" => {
-                config.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--apr-workers" => {
-                apr_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--cache" => {
-                cache_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--listen" => listen = value(&mut args, text),
+            "--workers" => config.workers = value(&mut args, at_least_one),
+            "--apr-workers" => apr_workers = value(&mut args, at_least_one),
+            "--cache" => cache_bytes = value(&mut args, |v| v.parse().ok()),
             "--backend" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                backend = match v.as_str() {
-                    "memory" => Backend::Memory,
-                    "relational" => Backend::Relational,
-                    other => match other.strip_prefix("file:") {
-                        Some(dir) => Backend::File(PathBuf::from(dir)),
-                        None => usage(),
-                    },
-                };
+                backend = value(&mut args, |v| match v {
+                    "memory" => Some(Backend::Memory),
+                    "relational" => Some(Backend::Relational),
+                    other => Some(Backend::File(other.strip_prefix("file:")?.into())),
+                })
             }
-            "--load" => loads.push(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--threshold" => {
-                threshold = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--chunk" => {
-                chunk = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--durable" => durable = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--fsync" => {
-                fsync = args
-                    .next()
-                    .as_deref()
-                    .and_then(FsyncPolicy::parse)
-                    .unwrap_or_else(|| usage())
-            }
-            "--http" => http.push(args.next().unwrap_or_else(|| usage())),
+            "--load" => loads.push(value(&mut args, text).into()),
+            "--threshold" => threshold = Some(value(&mut args, |v| v.parse().ok())),
+            "--chunk" => chunk = value(&mut args, |v| v.parse().ok()),
+            "--durable" => durable = Some(value(&mut args, text).into()),
+            "--fsync" => fsync = value(&mut args, FsyncPolicy::parse),
+            "--http" | "--metrics" => http.push(value(&mut args, text)),
             "--tenants" => {
-                let specs = args.next().unwrap_or_else(|| usage());
+                let specs = value(&mut args, text);
                 for spec in specs.split(',').filter(|s| !s.trim().is_empty()) {
                     match ssdm::tenant::TenantSpec::parse(spec) {
                         Ok(s) => tenants.push(s),
@@ -165,42 +143,11 @@ fn main() {
                     }
                 }
             }
-            "--metrics" => metrics = Some(args.next().unwrap_or_else(|| usage())),
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--replicas" => {
-                replicas = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--slow-query-ms" => {
-                slow_query_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--codec" => {
-                codec = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(ssdm_storage::CodecPolicy::parse)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--planner" => {
-                planner = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(scisparql::PlannerMode::parse)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--shards" => shards = value(&mut args, |v| v.parse().ok()),
+            "--replicas" => replicas = value(&mut args, |v| v.parse().ok()),
+            "--slow-query-ms" => slow_query_ms = Some(value(&mut args, |v| v.parse().ok())),
+            "--codec" => codec = Some(value(&mut args, ssdm_storage::CodecPolicy::parse)),
+            "--planner" => planner = Some(value(&mut args, scisparql::PlannerMode::parse)),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -215,19 +162,12 @@ fn main() {
     }
     // Block SIGTERM/SIGINT and obtain the signal fd *before* anything
     // spawns a thread, so every later thread inherits the mask and the
-    // HTTP event loop is the one place the signals surface (as a
-    // graceful drain of both front ends).
-    let mut signal_fd = if http.is_empty() && metrics.is_none() {
-        None
-    } else {
-        match ssdm::http::prepare_signal_drain(&[ssdm::http::SIGTERM, ssdm::http::SIGINT]) {
-            Ok(fd) => Some(fd),
-            Err(e) => {
-                eprintln!("signal-driven drain unavailable ({e}); use SHUTDOWN over the wire");
-                None
-            }
-        }
-    };
+    // event loop is the one place the signals surface (as a graceful
+    // drain).
+    match ssdm::http::prepare_signal_drain(&[ssdm::http::SIGTERM, ssdm::http::SIGINT]) {
+        Ok(fd) => config.signal_fd = Some(fd),
+        Err(e) => eprintln!("signal-driven drain unavailable ({e})"),
+    }
     let mut db = match &durable {
         Some(dir) => {
             let options = DurableOptions {
@@ -298,14 +238,8 @@ fn main() {
         }
         eprintln!("tenant {} ready ({:?})", spec.name, spec.backend);
     }
-    for addr in http.iter().chain(&metrics) {
-        // The signal fd goes to the first front end; one signal
-        // listener drains every side.
-        let config = ssdm::http::HttpConfig {
-            signal_fd: signal_fd.take(),
-            ..ssdm::http::HttpConfig::default()
-        };
-        match server.enable_http_with(addr, config) {
+    for addr in &http {
+        match server.enable_http(addr) {
             Ok(bound) => eprintln!("http endpoint on http://{bound}/ (query, update, metrics)"),
             Err(e) => {
                 eprintln!("cannot bind http endpoint {addr}: {e}");

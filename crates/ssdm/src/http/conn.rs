@@ -1,30 +1,61 @@
-//! Per-connection state for the HTTP event loop.
+//! Per-connection state for the event loop.
 //!
 //! A [`Conn`] owns one nonblocking socket plus its receive buffer,
 //! transmit buffer, and the reorder window that keeps pipelined
-//! responses in request order: each parsed request gets a sequence
+//! responses in request order: each decoded request gets a sequence
 //! number, workers complete them in any order, and completed responses
 //! are promoted to the transmit buffer only when every earlier sequence
-//! has been promoted first.
+//! has been promoted first. Which wire the bytes are in — HTTP/1.1 or
+//! the framed protocol — is a [`Codec`] fixed when the connection is
+//! accepted; everything but decoding is common to both.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
+
+use super::frame::{self, Decoded, Statement};
 use super::parser::{self, Limits, Parsed};
 use super::router::{self, Response, Routed};
+use super::{HttpConfig, Work};
 
-/// Cap on requests a single connection may have in flight at once;
+/// Cap on requests a single HTTP connection may have in flight at once;
 /// beyond it, pipelined bytes wait in the receive buffer.
 pub const MAX_PIPELINE: usize = 32;
 
-/// A parsed request handed to the reactor for worker dispatch.
+/// The wire a listener speaks, and so every connection it accepts.
+#[derive(Debug, Clone, Copy)]
+pub enum Codec {
+    Http,
+    Framed,
+}
+
+impl Codec {
+    /// The flat refusal for an arrival over the connection cap.
+    pub fn busy_reply(self, max_frame: u32) -> Vec<u8> {
+        match self {
+            Codec::Http => Response::text(503, "connection limit reached").encode(false),
+            Codec::Framed => {
+                frame::encode(1, "503 server busy: connection limit reached", max_frame)
+            }
+        }
+    }
+}
+
+/// A decoded request handed to the reactor for admission and dispatch.
 pub struct Dispatch {
     pub seq: u64,
-    pub exec: router::Exec,
-    pub head_only: bool,
-    pub keep_alive: bool,
+    pub work: Work,
+}
+
+/// What one [`Conn::drain_input`] pass decoded.
+#[derive(Default)]
+pub struct Input {
+    pub jobs: Vec<Dispatch>,
+    /// A framed `SHUTDOWN` was answered: begin the graceful drain.
+    pub shutdown: bool,
 }
 
 /// What `flush` left behind.
@@ -42,13 +73,17 @@ pub enum FlushState {
 pub struct Conn {
     pub stream: TcpStream,
     pub token: u64,
+    codec: Codec,
     rbuf: Vec<u8>,
+    /// Bytes the frame being received will occupy: the receive cap
+    /// stretches to it, so one frame may exceed `max_buffered`.
+    need: usize,
     wbuf: Vec<u8>,
     wpos: usize,
     /// Completed responses waiting on earlier sequences: seq →
     /// (encoded bytes, close-after flag).
     ready: BTreeMap<u64, (Vec<u8>, bool)>,
-    /// Sequence the next parsed request receives.
+    /// Sequence the next decoded request receives.
     next_seq: u64,
     /// Sequence the next promoted response must carry.
     flush_seq: u64,
@@ -58,17 +93,24 @@ pub struct Conn {
     /// Stop reading; close once the transmit buffer drains.
     close_after_flush: bool,
     peer_closed: bool,
-    /// `Expect: 100-continue` answered already for the request
+    /// HTTP: `Expect: 100-continue` answered already for the request
     /// currently accumulating.
     sent_continue: bool,
+    /// Framed session state: the tenant `USE` selected (`None` = the
+    /// default; always `None` over HTTP), and consecutive non-UTF-8
+    /// statements so far.
+    tenant: Option<String>,
+    protocol_errors: u32,
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, token: u64) -> Conn {
+    pub fn new(stream: TcpStream, token: u64, codec: Codec) -> Conn {
         Conn {
             stream,
             token,
+            codec,
             rbuf: Vec::new(),
+            need: 0,
             wbuf: Vec::new(),
             wpos: 0,
             ready: BTreeMap::new(),
@@ -79,6 +121,8 @@ impl Conn {
             close_after_flush: false,
             peer_closed: false,
             sent_continue: false,
+            tenant: None,
+            protocol_errors: 0,
         }
     }
 
@@ -88,10 +132,17 @@ impl Conn {
         self.inflight == 0 && self.ready.is_empty() && self.wbuf.len() == self.wpos
     }
 
-    /// Bytes buffered but not yet forming a complete request — the
-    /// peer is mid-request (relevant for drain-deadline decisions).
-    pub fn mid_request(&self) -> bool {
-        !self.rbuf.is_empty() && self.inflight == 0 && self.ready.is_empty()
+    /// No byte has moved in either direction for `idle` and no worker
+    /// owes this connection a response: it is parked, stalled
+    /// mid-request, or its peer stopped reading what was sent.
+    pub fn timed_out(&self, now: Instant, idle: Duration) -> bool {
+        self.inflight == 0 && now.duration_since(self.last_activity) > idle
+    }
+
+    /// The tenant a framed job just decoded runs as: with one statement
+    /// in flight, no later `USE` has been decoded yet.
+    pub fn session_tenant(&self) -> Option<&str> {
+        self.tenant.as_deref()
     }
 
     pub fn wants_write(&self) -> bool {
@@ -101,9 +152,10 @@ impl Conn {
     /// Read everything currently available. Returns `false` when the
     /// peer closed its write side (pending responses still flush).
     pub fn fill(&mut self, max_buffered: usize) -> io::Result<bool> {
+        let cap = max_buffered.max(self.need);
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if self.rbuf.len() >= max_buffered {
+            if self.rbuf.len() >= cap {
                 // Backpressure: stop reading until the pipeline drains.
                 return Ok(!self.peer_closed);
             }
@@ -123,66 +175,158 @@ impl Conn {
         }
     }
 
-    /// Parse as many buffered requests as the pipeline window allows.
+    /// Decode as many buffered requests as the pipeline window allows.
     /// Immediate responses are completed in place; engine work comes
-    /// back as [`Dispatch`] entries for the reactor.
-    pub fn drain_input(&mut self, limits: &Limits) -> Vec<Dispatch> {
-        let mut jobs = Vec::new();
+    /// back as [`Dispatch`] entries for the reactor. HTTP requests are
+    /// independent of each other; a framed session's statements execute
+    /// in the order sent (an `ASK` sees the `INSERT` pipelined ahead of
+    /// it), so the next frame waits for the one in flight.
+    pub fn drain_input(&mut self, config: &HttpConfig, registry: &TenantRegistry) -> Input {
+        let mut input = Input::default();
+        let window = match self.codec {
+            Codec::Http => MAX_PIPELINE,
+            Codec::Framed => 1,
+        };
         while !self.close_after_flush
             && !self.rbuf.is_empty()
-            && self.inflight + self.ready.len() < MAX_PIPELINE
+            && self.inflight + self.ready.len() < window
         {
-            match parser::parse_request(&self.rbuf, limits) {
-                Parsed::Incomplete { expects_continue } => {
-                    if expects_continue && !self.sent_continue {
-                        self.sent_continue = true;
-                        self.wbuf
-                            .extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
-                    }
-                    if self.peer_closed {
-                        // A torso with no more bytes coming: give up.
-                        self.close_after_flush = true;
-                    }
-                    break;
-                }
-                Parsed::Error(e) => {
-                    // Framing is broken; answer once and close.
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let resp = Response::text(e.status, e.message);
-                    self.complete(seq, resp.encode(false), true);
-                    self.rbuf.clear();
-                    break;
-                }
-                Parsed::Complete(req, consumed) => {
-                    self.rbuf.drain(..consumed);
-                    self.sent_continue = false;
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let keep_alive = req.keep_alive;
-                    if !keep_alive {
-                        // No further requests will be answered; stop
-                        // parsing whatever was pipelined behind.
-                        self.close_after_flush = true;
-                    }
-                    match router::route(&req) {
-                        Routed::Immediate(resp) => {
-                            self.complete(seq, resp.encode(keep_alive), !keep_alive);
-                        }
-                        Routed::Dispatch { exec, head_only } => {
-                            self.inflight += 1;
-                            jobs.push(Dispatch {
-                                seq,
-                                exec,
-                                head_only,
-                                keep_alive,
-                            });
-                        }
-                    }
-                }
+            let more = match self.codec {
+                Codec::Http => self.next_http(&config.limits, &mut input.jobs),
+                Codec::Framed => self.next_framed(config, registry, &mut input),
+            };
+            if !more {
+                break;
             }
         }
-        jobs
+        input
+    }
+
+    /// Parse one HTTP request off the receive buffer; `false` when the
+    /// buffer holds no further complete request.
+    fn next_http(&mut self, limits: &Limits, jobs: &mut Vec<Dispatch>) -> bool {
+        match parser::parse_request(&self.rbuf, limits) {
+            Parsed::Incomplete { expects_continue } => {
+                if expects_continue && !self.sent_continue {
+                    self.sent_continue = true;
+                    self.wbuf
+                        .extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
+                }
+                // A torso with no more bytes coming: give up.
+                self.close_after_flush |= self.peer_closed;
+                false
+            }
+            Parsed::Error(e) => {
+                // Framing is broken; answer once and close.
+                self.reply(Response::text(e.status, e.message).encode(false), true);
+                self.rbuf.clear();
+                false
+            }
+            Parsed::Complete(req, consumed) => {
+                self.rbuf.drain(..consumed);
+                self.sent_continue = false;
+                let keep_alive = req.keep_alive;
+                // Without keep-alive no further requests will be
+                // answered; stop parsing whatever was pipelined behind.
+                self.close_after_flush |= !keep_alive;
+                match router::route(&req) {
+                    Routed::Immediate(resp) => {
+                        self.reply(resp.encode(keep_alive), !keep_alive);
+                    }
+                    Routed::Dispatch { exec, head_only } => self.dispatch(
+                        jobs,
+                        Work::Http {
+                            exec,
+                            head_only,
+                            keep_alive,
+                        },
+                    ),
+                }
+                true
+            }
+        }
+    }
+
+    /// Decode one frame off the receive buffer and act on it: protocol
+    /// errors and the session's own statements are answered here, the
+    /// rest become jobs. A `USE` therefore takes effect for every frame
+    /// decoded after it.
+    fn next_framed(
+        &mut self,
+        config: &HttpConfig,
+        registry: &TenantRegistry,
+        input: &mut Input,
+    ) -> bool {
+        let max = config.max_frame;
+        let status1 = |message: &str| frame::encode(1, message, max);
+        let (text, consumed) = match frame::decode(&self.rbuf, max) {
+            Decoded::Incomplete { need } => {
+                self.need = need;
+                self.close_after_flush |= self.peer_closed;
+                return false;
+            }
+            Decoded::TooLarge(len) => {
+                // The unread payload makes the stream unframeable:
+                // answer once, then drop the connection.
+                let why = format!("request too large: {len} bytes > {max} max");
+                self.reply(status1(&why), true);
+                self.rbuf.clear();
+                return false;
+            }
+            Decoded::Frame(payload, consumed) => (
+                std::str::from_utf8(payload).ok().map(str::to_owned),
+                consumed,
+            ),
+        };
+        self.rbuf.drain(..consumed);
+        self.need = 0;
+        let Some(text) = text else {
+            self.protocol_errors += 1;
+            if self.protocol_errors >= config.max_protocol_errors {
+                self.reply(status1("too many protocol errors"), true);
+            } else {
+                self.reply(status1("request is not UTF-8"), false);
+            }
+            return true;
+        };
+        self.protocol_errors = 0;
+        match Statement::parse(text) {
+            Statement::Shutdown => {
+                self.reply(frame::encode(0, "bye", max), true);
+                input.shutdown = true;
+            }
+            Statement::Tenant => {
+                let name = self.tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+                self.reply(frame::encode(0, name, max), false);
+            }
+            Statement::Use(name) => match registry.get(&name) {
+                Some(_) => {
+                    self.reply(frame::encode(0, &format!("tenant {name}"), max), false);
+                    self.tenant = Some(name);
+                }
+                None => self.reply(status1(&format!("unknown tenant: {name}")), false),
+            },
+            Statement::Exec(exec) => self.dispatch(&mut input.jobs, Work::Framed(exec)),
+        }
+        true
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Answer the request just decoded from the event loop itself.
+    fn reply(&mut self, encoded: Vec<u8>, close: bool) {
+        let seq = self.take_seq();
+        self.complete(seq, encoded, close);
+    }
+
+    /// Hand the request just decoded to the reactor as a job.
+    fn dispatch(&mut self, jobs: &mut Vec<Dispatch>, work: Work) {
+        self.inflight += 1;
+        let seq = self.take_seq();
+        jobs.push(Dispatch { seq, work });
     }
 
     /// Record a finished response; promotes every response whose turn
@@ -234,29 +378,75 @@ impl Conn {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::FramedExec;
     use super::*;
+    use crate::tenant::TenantQuotas;
+    use crate::{Backend, Ssdm};
     use std::net::TcpListener;
 
-    fn pair() -> (TcpStream, TcpStream) {
+    /// Tight framed limits; HTTP's stay at their defaults.
+    fn config() -> HttpConfig {
+        HttpConfig {
+            max_frame: 1024,
+            max_protocol_errors: 2,
+            ..HttpConfig::default()
+        }
+    }
+
+    fn pair(codec: Codec) -> (Conn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
-        (server, client)
+        (Conn::new(server, 7, codec), client)
+    }
+
+    fn registry() -> TenantRegistry {
+        let registry = TenantRegistry::new(Ssdm::open(Backend::Memory), TenantQuotas::default());
+        registry
+            .add(
+                "alice",
+                Ssdm::open(Backend::Memory),
+                TenantQuotas::default(),
+            )
+            .unwrap();
+        registry
+    }
+
+    /// Write `bytes` from the client and read until the connection has
+    /// buffered all of them.
+    fn send(conn: &mut Conn, client: &mut TcpStream, bytes: &[u8]) {
+        let want = conn.rbuf.len() + bytes.len();
+        client.write_all(bytes).unwrap();
+        while conn.rbuf.len() < want {
+            conn.fill(1 << 20).unwrap();
+            std::thread::yield_now();
+        }
+    }
+
+    fn frame_of(statement: &[u8]) -> Vec<u8> {
+        [&(statement.len() as u32).to_le_bytes()[..], statement].concat()
+    }
+
+    /// Flush and read everything the connection has written so far.
+    fn written(conn: &mut Conn, client: &mut TcpStream) -> Vec<u8> {
+        let expect = conn.wbuf.len() - conn.wpos;
+        conn.flush();
+        let mut out = vec![0u8; expect];
+        client.read_exact(&mut out).unwrap();
+        out
     }
 
     #[test]
     fn pipelined_responses_flush_in_request_order() {
-        let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 7);
-        client
-            .write_all(b"GET /metrics HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n")
-            .unwrap();
-        // Let the bytes arrive.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(conn.fill(1 << 20).unwrap());
-        let jobs = conn.drain_input(&Limits::default());
+        let (mut conn, mut client) = pair(Codec::Http);
+        send(
+            &mut conn,
+            &mut client,
+            b"GET /metrics HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n",
+        );
+        let jobs = conn.drain_input(&config(), &registry()).jobs;
         assert_eq!(jobs.len(), 2);
         assert_eq!(conn.inflight, 2);
 
@@ -265,29 +455,18 @@ mod tests {
         conn.complete_inflight(jobs[1].seq, b"SECOND".to_vec(), false);
         assert!(!conn.wants_write(), "seq 1 held back until seq 0 lands");
         conn.complete_inflight(jobs[0].seq, b"FIRST".to_vec(), false);
-        assert_eq!(conn.flush(), FlushState::Drained);
-
-        client.set_nonblocking(false).unwrap();
-        client
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let mut out = [0u8; 64];
-        let n = client.read(&mut out).unwrap();
-        assert_eq!(&out[..n], b"FIRSTSECOND");
+        assert_eq!(written(&mut conn, &mut client), b"FIRSTSECOND");
     }
 
     #[test]
     fn connection_close_request_stops_the_pipeline() {
-        let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 1);
-        client
-            .write_all(
-                b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\nGET /stats HTTP/1.1\r\n\r\n",
-            )
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        conn.fill(1 << 20).unwrap();
-        let jobs = conn.drain_input(&Limits::default());
+        let (mut conn, mut client) = pair(Codec::Http);
+        send(
+            &mut conn,
+            &mut client,
+            b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\nGET /stats HTTP/1.1\r\n\r\n",
+        );
+        let jobs = conn.drain_input(&config(), &registry()).jobs;
         assert_eq!(jobs.len(), 1, "nothing behind a Connection: close parses");
         conn.complete_inflight(jobs[0].seq, b"BYE".to_vec(), true);
         assert_eq!(conn.flush(), FlushState::Closed);
@@ -295,17 +474,13 @@ mod tests {
 
     #[test]
     fn malformed_request_answers_then_closes() {
-        let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 1);
-        client.write_all(b"garbage\r\n\r\n").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        conn.fill(1 << 20).unwrap();
-        let jobs = conn.drain_input(&Limits::default());
+        let (mut conn, mut client) = pair(Codec::Http);
+        send(&mut conn, &mut client, b"garbage\r\n\r\n");
+        let jobs = conn.drain_input(&config(), &registry()).jobs;
         assert!(jobs.is_empty());
         assert!(conn.wants_write());
         assert_eq!(conn.flush(), FlushState::Closed);
         drop(conn); // the reactor would deregister and drop it here
-        client.set_nonblocking(false).unwrap();
         let mut out = Vec::new();
         client.read_to_end(&mut out).unwrap();
         assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 400"));
@@ -313,23 +488,150 @@ mod tests {
 
     #[test]
     fn expect_continue_gets_the_interim_response_once() {
-        let (server, mut client) = pair();
-        let mut conn = Conn::new(server, 1);
-        client
-            .write_all(b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\nContent-Type: application/sparql-query\r\nContent-Length: 6\r\n\r\n")
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        conn.fill(1 << 20).unwrap();
-        assert!(conn.drain_input(&Limits::default()).is_empty());
+        let (mut conn, mut client) = pair(Codec::Http);
+        let registry = registry();
+        send(&mut conn, &mut client, b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\nContent-Type: application/sparql-query\r\nContent-Length: 6\r\n\r\n");
+        assert!(conn.drain_input(&config(), &registry).jobs.is_empty());
         assert!(conn.wants_write(), "100 Continue queued");
         assert_eq!(conn.flush(), FlushState::Drained);
         // A second parse attempt must not repeat the interim response.
-        assert!(conn.drain_input(&Limits::default()).is_empty());
+        assert!(conn.drain_input(&config(), &registry).jobs.is_empty());
         assert!(!conn.wants_write());
         // Body arrives; the request dispatches.
-        client.write_all(b"ASK {}").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        conn.fill(1 << 20).unwrap();
-        assert_eq!(conn.drain_input(&Limits::default()).len(), 1);
+        send(&mut conn, &mut client, b"ASK {}");
+        assert_eq!(conn.drain_input(&config(), &registry).jobs.len(), 1);
+    }
+
+    #[test]
+    fn framed_statements_run_one_at_a_time_and_use_binds_later_frames() {
+        let (mut conn, mut client) = pair(Codec::Framed);
+        let registry = registry();
+        // One write, five frames: a query on the default tenant, USE,
+        // TENANT, a job that must run as the new tenant, and a USE of a
+        // tenant that does not exist.
+        let wire = [
+            frame_of(b"ASK { }"),
+            frame_of(b"use alice"),
+            frame_of(b"TENANT"),
+            frame_of(b"STATS"),
+            frame_of(b"USE nobody"),
+        ]
+        .concat();
+        send(&mut conn, &mut client, &wire);
+        fn framed(d: &Dispatch) -> &FramedExec {
+            match &d.work {
+                Work::Framed(exec) => exec,
+                Work::Http { .. } => panic!("HTTP work on a framed connection"),
+            }
+        }
+        // Nothing behind the query is decoded while it is in flight: the
+        // session's statements execute in the order sent.
+        let first = conn.drain_input(&config(), &registry).jobs;
+        assert_eq!(first.len(), 1);
+        assert_eq!(framed(&first[0]), &FramedExec::Query("ASK { }".into()));
+        assert_eq!(conn.session_tenant(), None);
+        assert!(conn.drain_input(&config(), &registry).jobs.is_empty());
+        assert!(!conn.wants_write());
+        conn.complete_inflight(first[0].seq, frame::encode(0, "Q", 1024), false);
+
+        let second = conn.drain_input(&config(), &registry).jobs;
+        assert_eq!(second.len(), 1);
+        assert_eq!(framed(&second[0]), &FramedExec::Stats);
+        assert_eq!(conn.session_tenant(), Some("alice"));
+        conn.complete_inflight(second[0].seq, frame::encode(0, "S", 1024), false);
+        assert!(conn.drain_input(&config(), &registry).jobs.is_empty());
+        let expected = [
+            frame::encode(0, "Q", 1024),
+            frame::encode(0, "tenant alice", 1024),
+            frame::encode(0, "alice", 1024),
+            frame::encode(0, "S", 1024),
+            frame::encode(1, "unknown tenant: nobody", 1024),
+        ]
+        .concat();
+        assert_eq!(written(&mut conn, &mut client), expected);
+    }
+
+    #[test]
+    fn framed_protocol_errors_answer_then_drop_at_the_cap() {
+        let (mut conn, mut client) = pair(Codec::Framed);
+        let registry = registry();
+        let bad = frame_of(&[0xFF, 0xFE, 0xFD]);
+        // A valid statement between two bad ones resets the count.
+        let wire = [&bad[..], &frame_of(b"TENANT"), &bad, &bad, &bad].concat();
+        send(&mut conn, &mut client, &wire);
+        assert!(conn.drain_input(&config(), &registry).jobs.is_empty());
+        let expected = [
+            frame::encode(1, "request is not UTF-8", 1024),
+            frame::encode(0, "default", 1024),
+            frame::encode(1, "request is not UTF-8", 1024),
+            frame::encode(1, "too many protocol errors", 1024),
+        ]
+        .concat();
+        assert_eq!(written(&mut conn, &mut client), expected);
+        assert_eq!(conn.flush(), FlushState::Closed, "fifth frame never read");
+    }
+
+    #[test]
+    fn framed_oversized_request_answers_then_closes() {
+        let (mut conn, mut client) = pair(Codec::Framed);
+        send(&mut conn, &mut client, &2048u32.to_le_bytes());
+        assert!(conn.drain_input(&config(), &registry()).jobs.is_empty());
+        assert_eq!(
+            written(&mut conn, &mut client),
+            frame::encode(1, "request too large: 2048 bytes > 1024 max", 1024)
+        );
+        assert_eq!(conn.flush(), FlushState::Closed);
+    }
+
+    #[test]
+    fn framed_shutdown_says_bye_and_stops_decoding() {
+        let (mut conn, mut client) = pair(Codec::Framed);
+        let wire = [frame_of(b"SHUTDOWN"), frame_of(b"ASK { }")].concat();
+        send(&mut conn, &mut client, &wire);
+        let input = conn.drain_input(&config(), &registry());
+        assert!(input.shutdown);
+        assert!(input.jobs.is_empty(), "nothing behind SHUTDOWN is taken");
+        assert_eq!(
+            written(&mut conn, &mut client),
+            frame::encode(0, "bye", 1024)
+        );
+    }
+
+    #[test]
+    fn one_frame_may_exceed_the_receive_cap() {
+        let (mut conn, mut client) = pair(Codec::Framed);
+        let (roomy, registry) = (HttpConfig::default(), registry());
+        let statement = format!("ASK {{ }} #{}", "x".repeat(64 * 1024));
+        let wire = frame_of(statement.as_bytes());
+        client.write_all(&wire).unwrap();
+        // A 4 KiB receive cap: reading pauses there until the decoder
+        // has seen the length prefix and asked for the whole frame.
+        let mut jobs = Vec::new();
+        while jobs.is_empty() {
+            conn.fill(4096).unwrap();
+            jobs = conn.drain_input(&roomy, &registry).jobs;
+            std::thread::yield_now();
+        }
+        assert!(matches!(
+            &jobs[0].work,
+            Work::Framed(FramedExec::Query(q)) if *q == statement
+        ));
+        assert_eq!(conn.need, 0, "the cap falls back once the frame is out");
+    }
+
+    #[test]
+    fn a_connection_times_out_only_while_no_worker_owes_it_a_reply() {
+        let (mut conn, _client) = pair(Codec::Http);
+        let idle = Duration::from_secs(60);
+        let later = conn.last_activity + idle + Duration::from_secs(1);
+        assert!(!conn.timed_out(conn.last_activity + idle, idle));
+        assert!(conn.timed_out(later, idle), "parked");
+        conn.inflight = 1;
+        assert!(!conn.timed_out(later, idle), "waiting on a worker");
+        // The reply arrives but the peer is not reading: unflushed
+        // output is not a reason to keep the connection.
+        conn.complete_inflight(0, b"REPLY".to_vec(), false);
+        assert!(conn.wants_write() && !conn.is_idle());
+        assert!(conn.timed_out(later, idle), "stalled on write");
     }
 }

@@ -1,46 +1,76 @@
-//! HTTP front end: the SPARQL 1.1 Protocol over a readiness-based
-//! nonblocking server core.
+//! The serving core: one readiness-based event loop under both wires.
 //!
-//! The framed protocol of [`crate::server`] pins one worker thread per
-//! active connection — fine for a lab, not for thousands of mostly-idle
-//! HTTP clients. This subsystem decouples the two: a single **reactor**
-//! thread owns every connection (accept, parse, flush) on top of a raw
-//! epoll surface ([`sys`]), and only actual engine work crosses to the
-//! bounded worker pool. Thousands of idle keep-alive connections then
-//! cost file descriptors, not threads.
+//! SSDM runs "stand-alone, client-server, or as a cluster of processes"
+//! (thesis §5.1); this module is the client-server deployment, once. A
+//! single **reactor** thread owns every listener and every connection
+//! (accept, decode, flush) on top of a raw epoll surface ([`sys`]), and
+//! only engine work crosses to the bounded worker pool — thousands of
+//! idle sessions cost file descriptors, not threads. A connection's
+//! wire — HTTP/1.1 carrying the SPARQL 1.1 Protocol, or the framed
+//! protocol of [`crate::server`] — is a [`conn::Codec`] fixed at
+//! accept; everything after decoding is one path:
+//!
+//! ```text
+//! listeners → codec → admit → DRR queue → workers → completion list
+//!           → in-order flush → drain
+//! ```
 //!
 //! * [`parser`] — restartable HTTP/1.1 request parsing;
+//! * [`frame`] — the framed wire: restartable decoder, reply frames,
+//!   the six wire statements;
 //! * [`negotiate`] — Accept-header selection of the result format;
 //! * [`results`] — SPARQL JSON / XML / CSV / TSV serializers;
-//! * [`router`] — protocol routing and engine execution;
+//! * [`router`] — SPARQL 1.1 Protocol routing and engine execution;
 //! * [`conn`] — per-connection buffers and pipelined response order;
 //! * [`sys`] — the epoll/signalfd syscall layer.
 //!
 //! # Multi-tenancy, admission control, and back-pressure
 //!
-//! Requests resolve against a [`TenantRegistry`]: `/query` and
-//! `/update` serve the default tenant, `/tenants/<id>/query|update`
-//! the named one (404 for unknown tenants). Admission happens in the
-//! reactor before any queueing: a tenant over its req/s token bucket
-//! gets a flat `429`, one at its in-flight quota a `429`, and a full
-//! server-wide queue a `503` — instead of piling up unbounded. Queued
-//! work feeds the worker pool through a deficit-round-robin
-//! [`FairDispatch`] keyed on the tenant (replacing the old FIFO
-//! channel), so one tenant's burst cannot starve another's interactive
-//! queries. A worker also re-checks how long the job waited in the
-//! queue and answers `503` past [`HttpConfig::request_timeout`].
-//! Beyond [`HttpConfig::max_connections`] concurrent sockets, new
-//! arrivals get a one-line `503` and are closed.
+//! Requests resolve against a [`TenantRegistry`]: over HTTP `/query`
+//! and `/update` serve the default tenant and
+//! `/tenants/<id>/query|update` the named one; a framed session names
+//! its tenant with `USE`. Admission happens in the reactor before any
+//! queueing: an unknown tenant gets a flat 404, a tenant over its req/s
+//! token bucket or at its in-flight quota a 429, and a full server-wide
+//! queue a 503 — as an HTTP status, or as the text of a status-1 frame.
+//! Admitted work feeds the pool through one deficit-round-robin
+//! [`FairDispatch`] keyed on the tenant, so a tenant's `conc=N` quota
+//! and its fair share hold across every listener together. That
+//! includes `/metrics`, `/stats` and the framed `STATS`, `METRICS` and
+//! `CHECKPOINT`: they are admitted and counted in the tenant's
+//! `admitted`/`completed` like any statement. A worker also re-checks
+//! how long a job waited in the queue and answers 503 past
+//! [`HttpConfig::request_timeout`]. Beyond
+//! [`HttpConfig::max_connections`] concurrent sockets, new arrivals get
+//! a one-line 503 and are closed.
+//!
+//! Each job runs inside one unwind boundary on its worker: a panic
+//! anywhere in it — engine, serializer, encoder — costs that request a
+//! 500 (a status-1 frame) and nothing else; the tenant's DRR slot is
+//! released and the outcome counted on every exit path.
+//!
+//! Counters keep their `ssdm_http_` prefix and count both wires
+//! (`ssdm_http_panics_total` included); request latency is per wire
+//! (`ssdm_http_request_seconds`, `ssdm_framed_request_seconds`).
+//!
+//! HTTP requests on one connection are independent and up to
+//! [`conn::MAX_PIPELINE`] of them execute at once; a framed connection
+//! is a session whose statements execute one at a time in the order
+//! sent, so a statement sees the effects of those pipelined ahead of
+//! it. Replies leave in request order on both.
 //!
 //! # Graceful drain
 //!
-//! Shutdown (a [`ShutdownHandle`], or SIGTERM via an installed signal
-//! fd) reuses the framed server's [`DrainState`] semantics: accepting
-//! stops, idle connections close immediately, in-flight requests finish
-//! and flush, and anything still open when the drain deadline passes is
-//! dropped.
+//! A framed `SHUTDOWN`, a [`ShutdownHandle`] and SIGTERM (via an
+//! installed signal fd) all begin the same drain: accepting stops, idle
+//! connections close immediately, in-flight requests finish and flush,
+//! and anything still open when the drain deadline passes is dropped.
+//! A connection that moves no byte for [`HttpConfig::idle_timeout`]
+//! while no worker owes it a response is dropped at any time — parked,
+//! stalled mid-request, or not reading what it asked for.
 
 pub mod conn;
+pub mod frame;
 pub mod negotiate;
 pub mod parser;
 pub mod results;
@@ -55,12 +85,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::server::DrainState;
-use crate::tenant::{FairDispatch, Tenant, TenantQuotas, TenantRegistry, DEFAULT_QUANTUM};
-use crate::Ssdm;
+use crate::tenant::{FairDispatch, Tenant, TenantRegistry, DEFAULT_QUANTUM};
 
-use conn::{Conn, FlushState};
-use parser::Limits;
+use conn::{Codec, Conn, FlushState};
+use frame::FramedExec;
 use router::{Exec, Response};
 use sys::{Interest, Poller};
 
@@ -71,33 +99,44 @@ pub use sys::native_event_loop;
 pub const SIGINT: i32 = 2;
 pub const SIGTERM: i32 = 15;
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_SIGNAL: u64 = 2;
-const FIRST_CONN_TOKEN: u64 = 16;
+const TOKEN_WAKER: u64 = 0;
+const TOKEN_SIGNAL: u64 = 1;
+/// Listener `i` polls under this token plus `i`; connections follow.
+const FIRST_LISTENER_TOKEN: u64 = 2;
 
-/// Knobs of the HTTP front end.
+/// Knobs of the serving core, each of which exists once whichever
+/// listeners are bound.
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    /// Query-execution worker threads (minimum 1). Connections do not
+    /// Execution worker threads (minimum 1). Connections do not
     /// consume workers; only in-flight requests do.
     pub workers: usize,
-    /// Concurrent sockets; arrivals beyond this are answered 503.
+    /// Concurrent sockets across every listener; arrivals beyond this
+    /// are answered 503.
     pub max_connections: usize,
     /// Dispatch-queue bound: requests beyond `workers` executing plus
     /// this many waiting are answered 503 (admission control).
     pub queue_depth: usize,
-    /// Close keep-alive connections idle longer than this.
+    /// Close a connection that moved no byte for this long while no
+    /// worker owes it a response.
     pub idle_timeout: Duration,
     /// Bound on queue wait per request; exceeded jobs answer 503
     /// without touching the engine.
     pub request_timeout: Duration,
-    /// Graceful-drain bound on shutdown, as in the framed server.
+    /// Graceful-drain bound: in-flight requests finish and get their
+    /// responses, idle connections close, and whatever is still open
+    /// this long after the drain began is abandoned.
     pub drain_timeout: Duration,
     /// HTTP parse limits.
-    pub limits: Limits,
+    pub limits: parser::Limits,
+    /// Largest framed request or response payload, in bytes.
+    pub max_frame: u32,
+    /// Consecutive protocol errors (non-UTF-8 statements) tolerated on
+    /// one framed connection before it is dropped.
+    pub max_protocol_errors: u32,
     /// Per-connection receive-buffer cap; reading pauses beyond it
-    /// until the pipeline drains (back-pressure).
+    /// until the pipeline drains (back-pressure). A single framed
+    /// statement may exceed it, up to `max_frame`.
     pub max_buffered: usize,
     /// A signalfd from [`prepare_signal_drain`]: when readable the
     /// server begins its graceful drain. `None` disables signal-driven
@@ -114,7 +153,9 @@ impl Default for HttpConfig {
             idle_timeout: Duration::from_secs(60),
             request_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
-            limits: Limits::default(),
+            limits: parser::Limits::default(),
+            max_frame: frame::MAX_FRAME,
+            max_protocol_errors: 3,
             max_buffered: 1 << 20,
             signal_fd: None,
         }
@@ -150,13 +191,115 @@ impl ShutdownHandle {
     }
 }
 
-/// A bound, not-yet-serving HTTP front end.
+/// The serving core, bound and not yet serving. Named for its first
+/// wire; [`crate::server::Server`] adds the framed listener to the same
+/// core.
 pub struct HttpServer {
-    listener: TcpListener,
+    listeners: Vec<(TcpListener, Codec)>,
     config: HttpConfig,
     shutdown: Arc<AtomicBool>,
     waker_rx: TcpStream,
     waker_tx: TcpStream,
+}
+
+/// What a request needs from a worker, and the wire its reply goes out
+/// in.
+pub enum Work {
+    Http {
+        exec: Exec,
+        head_only: bool,
+        keep_alive: bool,
+    },
+    Framed(FramedExec),
+}
+
+impl Work {
+    /// Which tenant's queue and quotas this job charges against: the
+    /// request's own over HTTP, the `session`'s on the framed wire.
+    fn tenant<'a>(&'a self, session: Option<&'a str>) -> Option<&'a str> {
+        match self {
+            Work::Http { exec, .. } => exec.tenant(),
+            Work::Framed(_) => session,
+        }
+    }
+
+    fn cost(&self) -> u64 {
+        match self {
+            Work::Http { exec, .. } => exec.cost(),
+            Work::Framed(exec) => exec.cost(),
+        }
+    }
+
+    /// Whether the connection closes once this reply is flushed.
+    fn closes(&self) -> bool {
+        match self {
+            Work::Http { keep_alive, .. } => !keep_alive,
+            Work::Framed(_) => false,
+        }
+    }
+
+    /// Execute on a worker; returns whether it succeeded, and the
+    /// encoded reply.
+    fn run(&self, tenant: &Tenant, registry: &TenantRegistry, max_frame: u32) -> (bool, Vec<u8>) {
+        match self {
+            Work::Http {
+                exec,
+                head_only,
+                keep_alive,
+            } => {
+                let response = router::execute(exec, registry);
+                let ok = response.status < 400;
+                (ok, encode_http(response, *head_only, *keep_alive))
+            }
+            Work::Framed(exec) => {
+                let (status, payload) = exec.run(tenant, registry);
+                (status == 0, frame::encode(status, &payload, max_frame))
+            }
+        }
+    }
+
+    /// A flat refusal: an HTTP status, or the text of a status-1 frame
+    /// that begins with it.
+    fn refuse(&self, status: u16, message: &str, max_frame: u32) -> Vec<u8> {
+        match *self {
+            Work::Http {
+                head_only,
+                keep_alive,
+                ..
+            } => encode_http(Response::text(status, message), head_only, keep_alive),
+            Work::Framed(_) => frame::encode(1, &format!("{status} {message}"), max_frame),
+        }
+    }
+
+    /// The reply to a job that panicked, counted for either wire.
+    fn panicked(&self, panic: Box<dyn std::any::Any + Send>, max_frame: u32) -> Vec<u8> {
+        ssdm_obs::recorder().counter("ssdm_http_panics_total").inc();
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic".into());
+        let message = format!("internal error: query engine panicked: {what}");
+        match self {
+            Work::Http { .. } => self.refuse(500, &message, max_frame),
+            Work::Framed(_) => frame::encode(1, &message, max_frame),
+        }
+    }
+}
+
+fn encode_http(mut response: Response, head_only: bool, keep_alive: bool) -> Vec<u8> {
+    response.head_only = head_only;
+    response.encode(keep_alive)
+}
+
+/// One unit of work queued to the pool.
+struct Job {
+    token: u64,
+    seq: u64,
+    work: Work,
+    enqueued: Instant,
+    /// The admitted tenant (resolved in the reactor).
+    tenant: Arc<Tenant>,
 }
 
 /// A worker-completed response on its way back to the reactor.
@@ -167,17 +310,24 @@ struct Done {
     close: bool,
 }
 
-/// One unit of engine work queued to the pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    exec: Exec,
-    head_only: bool,
-    keep_alive: bool,
-    enqueued: Instant,
-    /// The admitted tenant (resolved in the reactor), for outcome
-    /// counters.
-    tenant: Arc<Tenant>,
+/// Graceful-drain state, owned by the reactor.
+struct DrainState {
+    deadline: Option<Instant>,
+}
+
+impl DrainState {
+    fn begin(&mut self, timeout: Duration) {
+        self.deadline
+            .get_or_insert_with(|| Instant::now() + timeout);
+    }
+
+    fn draining(&self) -> bool {
+        self.deadline.is_some()
+    }
+
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
 }
 
 /// Loopback byte-pipe used to wake the reactor out of `epoll_wait`
@@ -195,19 +345,42 @@ fn waker_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 
 impl HttpServer {
     pub fn bind(addr: impl ToSocketAddrs, config: HttpConfig) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
+        HttpServer::bind_as(addr, config, Codec::Http)
+    }
+
+    /// A core whose first listener speaks `codec`.
+    pub(crate) fn bind_as(
+        addr: impl ToSocketAddrs,
+        config: HttpConfig,
+        codec: Codec,
+    ) -> std::io::Result<HttpServer> {
         let (waker_rx, waker_tx) = waker_pair()?;
-        Ok(HttpServer {
-            listener,
+        let mut server = HttpServer {
+            listeners: Vec::new(),
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
             waker_rx,
             waker_tx,
-        })
+        };
+        server.listen(addr, codec)?;
+        Ok(server)
     }
 
+    /// Bind one more listener speaking `codec`; returns its address.
+    pub(crate) fn listen(
+        &mut self,
+        addr: impl ToSocketAddrs,
+        codec: Codec,
+    ) -> std::io::Result<SocketAddr> {
+        let listener = TcpListener::bind(addr)?;
+        let bound = listener.local_addr()?;
+        self.listeners.push((listener, codec));
+        Ok(bound)
+    }
+
+    /// The address of the first listener.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.listeners[0].0.local_addr()
     }
 
     pub fn shutdown_handle(&self) -> std::io::Result<ShutdownHandle> {
@@ -217,22 +390,13 @@ impl HttpServer {
         })
     }
 
-    /// [`HttpServer::serve_registry`] over a single default tenant
-    /// sharing `engine` — the single-tenant deployment shape, kept for
-    /// embedders.
-    pub fn serve(self, engine: Arc<Mutex<Ssdm>>) -> std::io::Result<()> {
-        self.serve_registry(Arc::new(TenantRegistry::from_shared(
-            engine,
-            TenantQuotas::default(),
-        )))
-    }
-
     /// Run the reactor on the calling thread with the worker pool
-    /// around it, serving every tenant in `registry`; returns after a
-    /// graceful drain (handle, signal, or worker-pool loss).
+    /// around it, serving every tenant in `registry` on every listener;
+    /// returns after a graceful drain (framed `SHUTDOWN`, handle, or
+    /// signal).
     pub fn serve_registry(self, registry: Arc<TenantRegistry>) -> std::io::Result<()> {
         let HttpServer {
-            listener,
+            listeners,
             config,
             shutdown,
             waker_rx,
@@ -240,60 +404,58 @@ impl HttpServer {
         } = self;
         // Best effort: the fd budget should cover the connection cap.
         let _ = sys::raise_nofile_limit(config.max_connections as u64 * 2 + 64);
-        let workers = config.workers.max(1);
-        // DRR-ordered dispatch replacing the old FIFO sync_channel: the
-        // queue_depth bound becomes the server-wide cap, per-tenant
-        // caps ride each push.
-        let dispatch: Arc<FairDispatch<Job>> = Arc::new(FairDispatch::new(
-            DEFAULT_QUANTUM,
-            config.queue_depth.max(1),
-        ));
-        let done: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
-        let request_timeout = config.request_timeout;
-
-        let worker_done = Arc::clone(&done);
-        let worker_registry = Arc::clone(&registry);
-        let worker_dispatch = Arc::clone(&dispatch);
-        let reactor_dispatch = Arc::clone(&dispatch);
+        // The queue_depth bound is the server-wide cap; per-tenant caps
+        // ride each push.
+        let dispatch: FairDispatch<Job> =
+            FairDispatch::new(DEFAULT_QUANTUM, config.queue_depth.max(1));
+        let done: Mutex<Vec<Done>> = Mutex::new(Vec::new());
         ssdm_array::pool::run_scoped(
-            workers,
+            config.workers.max(1),
             || {
-                while let Some((tenant_name, job)) = worker_dispatch.pop() {
-                    let mut response = if job.enqueued.elapsed() > request_timeout {
-                        ssdm_obs::recorder()
-                            .counter("ssdm_http_queue_timeouts_total")
-                            .inc();
-                        job.tenant.note_timed_out();
-                        Response::text(503, "request timed out waiting for a worker")
-                    } else {
-                        let response = router::execute(&job.exec, &worker_registry);
-                        job.tenant.note_done(response.status < 400);
-                        response
+                while let Some((tenant_name, job)) = dispatch.pop() {
+                    // `None`: the job outwaited its queue bound.
+                    let run = || {
+                        if job.enqueued.elapsed() > config.request_timeout {
+                            let why = "request timed out waiting for a worker";
+                            (None, job.work.refuse(503, why, config.max_frame))
+                        } else {
+                            let (ok, encoded) =
+                                job.work.run(&job.tenant, &registry, config.max_frame);
+                            (Some(ok), encoded)
+                        }
                     };
-                    worker_dispatch.finish(&tenant_name);
-                    response.head_only = job.head_only;
-                    let encoded = response.encode(job.keep_alive);
-                    worker_done.lock().expect("http done queue").push(Done {
+                    // The unwind boundary is the whole job: wherever it
+                    // panics, the slot is released, the outcome counted
+                    // and the reply delivered below.
+                    let (outcome, encoded) =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(
+                            |panic| (Some(false), job.work.panicked(panic, config.max_frame)),
+                        );
+                    dispatch.finish(&tenant_name);
+                    match outcome {
+                        Some(ok) => job.tenant.note_done(ok),
+                        None => {
+                            ssdm_obs::recorder()
+                                .counter("ssdm_http_queue_timeouts_total")
+                                .inc();
+                            job.tenant.note_timed_out();
+                        }
+                    }
+                    done.lock().expect("completion list").push(Done {
                         token: job.token,
                         seq: job.seq,
                         encoded,
-                        close: !job.keep_alive,
+                        close: job.work.closes(),
                     });
                     let _ = (&waker_tx).write(&[1]);
                 }
             },
             || {
                 let result = reactor(
-                    listener,
-                    &config,
-                    &shutdown,
-                    waker_rx,
-                    &registry,
-                    &reactor_dispatch,
-                    &done,
+                    &listeners, &config, &shutdown, waker_rx, &registry, &dispatch, &done,
                 );
                 // Unblock the workers (queued jobs still drain).
-                reactor_dispatch.close();
+                dispatch.close();
                 result
             },
         )
@@ -303,7 +465,7 @@ impl HttpServer {
 /// The event loop. Owns all connection state; never blocks on the
 /// engine.
 fn reactor(
-    listener: TcpListener,
+    listeners: &[(TcpListener, Codec)],
     config: &HttpConfig,
     shutdown: &AtomicBool,
     waker_rx: TcpStream,
@@ -312,16 +474,19 @@ fn reactor(
     done: &Mutex<Vec<Done>>,
 ) -> std::io::Result<()> {
     let poller = Poller::new()?;
-    listener.set_nonblocking(true)?;
-    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     poller.add(waker_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
     if let Some(fd) = config.signal_fd {
         poller.add(fd, TOKEN_SIGNAL, Interest::READ)?;
     }
+    let first_conn_token = FIRST_LISTENER_TOKEN + listeners.len() as u64;
+    for (token, (listener, _)) in (FIRST_LISTENER_TOKEN..).zip(listeners) {
+        listener.set_nonblocking(true)?;
+        poller.add(listener.as_raw_fd(), token, Interest::READ)?;
+    }
 
-    let drain = DrainState::new();
+    let mut drain = DrainState { deadline: None };
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
+    let mut next_token = first_conn_token;
     let mut events = Vec::new();
     let rec = ssdm_obs::recorder();
 
@@ -331,9 +496,23 @@ fn reactor(
 
         for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
+                TOKEN_WAKER => {
+                    let mut sink = [0u8; 64];
+                    while matches!((&waker_rx).read(&mut sink), Ok(n) if n > 0) {}
+                }
+                TOKEN_SIGNAL => {
+                    if config
+                        .signal_fd
+                        .is_some_and(|fd| sys::drain_signal_fd(fd) > 0)
+                    {
+                        drain.begin(config.drain_timeout);
+                    }
+                }
+                token if token < first_conn_token => {
+                    let (listener, codec) = &listeners[(token - FIRST_LISTENER_TOKEN) as usize];
                     accept_ready(
-                        &listener,
+                        listener,
+                        *codec,
                         &poller,
                         config,
                         &drain,
@@ -341,42 +520,27 @@ fn reactor(
                         &mut next_token,
                     );
                 }
-                TOKEN_WAKER => {
-                    let mut sink = [0u8; 64];
-                    while matches!((&waker_rx).read(&mut sink), Ok(n) if n > 0) {}
-                }
-                TOKEN_SIGNAL => {
-                    if let Some(fd) = config.signal_fd {
-                        if sys::drain_signal_fd(fd) > 0 && !drain.draining() {
-                            drain.begin(config.drain_timeout);
-                        }
-                    }
-                }
                 token => {
-                    let mut dead = false;
-                    if let Some(conn) = conns.get_mut(&token) {
-                        if (ev.readable || ev.hangup) && conn.fill(config.max_buffered).is_err() {
-                            poller_forget(&poller, conn);
-                            dead = true;
-                        }
-                        if !dead {
-                            touched.push(token);
-                        }
-                    }
-                    if dead {
+                    let Some(conn) = conns.get_mut(&token) else {
+                        continue;
+                    };
+                    if (ev.readable || ev.hangup) && conn.fill(config.max_buffered).is_err() {
+                        poller_forget(&poller, conn);
                         conns.remove(&token);
+                    } else {
+                        touched.push(token);
                     }
                 }
             }
         }
 
-        if shutdown.load(Ordering::SeqCst) && !drain.draining() {
+        if shutdown.load(Ordering::SeqCst) {
             drain.begin(config.drain_timeout);
         }
 
         // Deliver worker completions before pumping, so freed pipeline
         // slots parse further buffered requests in the same pass.
-        let completed = std::mem::take(&mut *done.lock().expect("http done queue"));
+        let completed = std::mem::take(&mut *done.lock().expect("completion list"));
         for d in completed {
             if let Some(conn) = conns.get_mut(&d.token) {
                 conn.complete_inflight(d.seq, d.encoded, d.close);
@@ -390,9 +554,9 @@ fn reactor(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            let finished = pump(conn, config, &drain, registry, dispatch, rec);
-            if finished {
+            if pump(conn, config, &mut drain, registry, dispatch, rec) {
                 poller_forget(&poller, conn);
+                conns.remove(&token);
             } else {
                 let interest = Interest {
                     read: true,
@@ -400,36 +564,21 @@ fn reactor(
                 };
                 let _ = poller.modify(conn.stream.as_raw_fd(), token, interest);
             }
-            if finished {
-                conns.remove(&token);
-            }
         }
 
         // Timeout scan + drain progress.
         let now = Instant::now();
-        let mut expired: Vec<u64> = Vec::new();
-        for (token, conn) in &conns {
-            let idle_too_long = now.duration_since(conn.last_activity) > config.idle_timeout;
-            if (idle_too_long && conn.is_idle()) || (drain.draining() && conn.is_idle()) {
-                expired.push(*token);
-            }
-        }
-        for token in expired {
-            if let Some(conn) = conns.get(&token) {
+        conns.retain(|_, conn| {
+            let expired =
+                conn.timed_out(now, config.idle_timeout) || (drain.draining() && conn.is_idle());
+            if expired {
                 poller_forget(&poller, conn);
             }
-            conns.remove(&token);
-        }
+            !expired
+        });
 
-        if drain.draining() {
-            // `remaining` floors at 10 ms, so that value means expired.
-            let deadline_passed = drain
-                .remaining()
-                .map(|d| d <= Duration::from_millis(10))
-                .unwrap_or(true);
-            if conns.is_empty() || deadline_passed {
-                return Ok(());
-            }
+        if drain.draining() && (conns.is_empty() || drain.expired()) {
+            return Ok(());
         }
     }
 }
@@ -438,10 +587,12 @@ fn poller_forget(poller: &Poller, conn: &Conn) {
     let _ = poller.delete(conn.stream.as_raw_fd());
 }
 
-/// Accept everything pending. During a drain new arrivals are dropped;
-/// over the connection cap they get a one-line 503.
+/// Accept everything pending on one listener. During a drain new
+/// arrivals are dropped; over the connection cap they get a one-line
+/// 503 in the listener's wire.
 fn accept_ready(
     listener: &TcpListener,
+    codec: Codec,
     poller: &Poller,
     config: &HttpConfig,
     drain: &DrainState,
@@ -457,9 +608,8 @@ fn accept_ready(
                 }
                 if conns.len() >= config.max_connections {
                     rec.counter("ssdm_http_rejected_connections_total").inc();
-                    let resp = Response::text(503, "connection limit reached");
                     let _ = stream.set_nonblocking(true);
-                    let _ = (&stream).write(&resp.encode(false));
+                    let _ = (&stream).write(&codec.busy_reply(config.max_frame));
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -473,7 +623,7 @@ fn accept_ready(
                     .is_ok()
                 {
                     rec.counter("ssdm_http_connections_total").inc();
-                    conns.insert(token, Conn::new(stream, token));
+                    conns.insert(token, Conn::new(stream, token, codec));
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -483,58 +633,63 @@ fn accept_ready(
     }
 }
 
-/// Advance one connection: parse buffered requests, dispatch or reject
-/// jobs, flush output. Returns whether the connection is finished.
+/// Advance one connection: decode buffered requests, admit and dispatch
+/// or refuse them, flush output. Returns whether the connection is
+/// finished.
 fn pump(
     conn: &mut Conn,
     config: &HttpConfig,
-    drain: &DrainState,
+    drain: &mut DrainState,
     registry: &TenantRegistry,
     dispatch: &FairDispatch<Job>,
     rec: &'static ssdm_obs::Recorder,
 ) -> bool {
     // During a drain no *new* requests are taken; what is in flight
-    // still completes and flushes below.
-    if !drain.draining() {
-        for d in conn.drain_input(&config.limits) {
-            let keep_alive = d.keep_alive;
-            let seq = d.seq;
-            // Admission before any queueing: unknown tenant → 404,
-            // over the req/s token bucket → 429.
-            let tenant = match registry.admit(d.exec.tenant(), Instant::now()) {
-                Ok(tenant) => tenant,
-                Err(why) => {
-                    rec.counter("ssdm_http_admission_rejects_total").inc();
-                    let resp = Response::text(why.http_status(), why.message());
-                    conn.complete_inflight(seq, resp.encode(keep_alive), !keep_alive);
-                    continue;
+    // still completes and flushes below. A refusal frees its pipeline
+    // slot at once, so decoding resumes behind it.
+    let mut again = !drain.draining();
+    while std::mem::take(&mut again) {
+        let input = conn.drain_input(config, registry);
+        for d in input.jobs {
+            // Admission before any queueing: unknown tenant → 404, over
+            // the req/s token bucket → 429; then the DRR push enforces
+            // the tenant's in-flight cap (429) and the server-wide
+            // queue bound (503).
+            let name = d.work.tenant(conn.session_tenant());
+            let rejected = match registry.admit(name, Instant::now()) {
+                Err(why) => Some((why, d.work)),
+                Ok(tenant) => {
+                    let cost = d.work.cost();
+                    let job = Job {
+                        token: conn.token,
+                        seq: d.seq,
+                        work: d.work,
+                        enqueued: Instant::now(),
+                        tenant: Arc::clone(&tenant),
+                    };
+                    // Counted as admitted before a worker can pop the
+                    // job: the job may be the very `/metrics` read that
+                    // reports the count.
+                    dispatch
+                        .push(&tenant.name, tenant.caps(), cost, job, || {
+                            tenant.note_admitted()
+                        })
+                        .err()
+                        .map(|(why, job)| {
+                            tenant.note_rejected(&why);
+                            (why, job.work)
+                        })
                 }
             };
-            let caps = tenant.caps();
-            let cost = d.exec.cost();
-            let job = Job {
-                token: conn.token,
-                seq,
-                exec: d.exec,
-                head_only: d.head_only,
-                keep_alive,
-                enqueued: Instant::now(),
-                tenant: Arc::clone(&tenant),
-            };
-            // DRR push enforces the tenant's in-flight cap (429) and
-            // the server-wide queue bound (503) — admission control
-            // now rather than unbounded buffering.
-            // Counted as admitted before a worker can pop the job: the
-            // job may be the very `/metrics` read that reports the count.
-            match dispatch.push_then(&tenant.name, caps, cost, job, || tenant.note_admitted()) {
-                Ok(()) => {}
-                Err(why) => {
-                    rec.counter("ssdm_http_admission_rejects_total").inc();
-                    tenant.note_rejected(&why);
-                    let resp = Response::text(why.http_status(), why.message());
-                    conn.complete_inflight(seq, resp.encode(keep_alive), !keep_alive);
-                }
+            if let Some((why, work)) = rejected {
+                rec.counter("ssdm_http_admission_rejects_total").inc();
+                let refusal = work.refuse(why.http_status(), &why.message(), config.max_frame);
+                conn.complete_inflight(d.seq, refusal, work.closes());
+                again = true;
             }
+        }
+        if input.shutdown {
+            drain.begin(config.drain_timeout);
         }
     }
     conn.flush() == FlushState::Closed
@@ -544,6 +699,8 @@ fn pump(
 mod tests {
     use super::negotiate::ResultFormat;
     use super::*;
+    use crate::tenant::TenantQuotas;
+    use crate::Ssdm;
     use scisparql::QueryResult;
     use std::io::BufRead;
 
@@ -560,8 +717,8 @@ mod tests {
         let server = HttpServer::bind("127.0.0.1:0", config).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = server.shutdown_handle().unwrap();
-        let engine = Arc::new(Mutex::new(db));
-        let join = std::thread::spawn(move || server.serve(engine));
+        let registry = Arc::new(TenantRegistry::new(db, TenantQuotas::default()));
+        let join = std::thread::spawn(move || server.serve_registry(registry));
         (addr, handle, join)
     }
 
@@ -762,10 +919,19 @@ mod tests {
             max_connections: 2,
             ..HttpConfig::default()
         });
-        let hold1 = TcpStream::connect(addr).unwrap();
-        let hold2 = TcpStream::connect(addr).unwrap();
-        // Make sure both are registered before the third arrives.
-        std::thread::sleep(Duration::from_millis(300));
+        // A served request shows each held connection is registered
+        // before the third arrives.
+        let held: Vec<_> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                    .unwrap();
+                let mut reader = std::io::BufReader::new(stream);
+                assert_eq!(read_response(&mut reader).0, 200);
+                reader
+            })
+            .collect();
         let third = TcpStream::connect(addr).unwrap();
         third
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -773,7 +939,7 @@ mod tests {
         let mut third = std::io::BufReader::new(third);
         let (status, _, _) = read_response(&mut third);
         assert_eq!(status, 503);
-        drop((hold1, hold2));
+        drop(held);
         handle.shutdown();
         join.join().unwrap().unwrap();
     }

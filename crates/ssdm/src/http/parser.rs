@@ -8,8 +8,6 @@
 //! until a full request is present — and every limit violation maps to
 //! the HTTP status the peer should see.
 
-use std::time::Duration;
-
 /// Request methods the protocol endpoint distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -292,7 +290,9 @@ fn parse_chunked(buf: &[u8], limits: &Limits) -> ChunkedBody {
                 }
             }
         }
-        if body.len() + size > limits.max_body_bytes {
+        // `body.len()` never exceeds the cap, so this cannot overflow
+        // whatever size the peer announces.
+        if size > limits.max_body_bytes - body.len() {
             return ChunkedBody::Error(ParseError::new(413, "request body too large"));
         }
         if buf.len() < pos + size + 2 {
@@ -355,17 +355,6 @@ pub fn parse_urlencoded(s: &str) -> Option<Vec<(String, String)>> {
     }
     Some(pairs)
 }
-
-/// Whether a complete header block at the front of `buf` is still
-/// waiting for its body — used to answer `Expect: 100-continue` without
-/// a full parse. Kept as a helper for the connection layer's timeout
-/// decision: a conn with bytes but no complete request is "mid-request".
-pub fn has_complete_head(buf: &[u8]) -> bool {
-    find_double_crlf(buf).is_some()
-}
-
-/// Connection-layer defaults associated with parsing.
-pub const DEFAULT_REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
 #[cfg(test)]
 mod tests {

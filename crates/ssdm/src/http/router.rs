@@ -5,7 +5,7 @@
 //! database (immediate responses for protocol errors, health checks,
 //! and method/path mismatches; an [`Exec`] job otherwise), and
 //! [`execute`] runs an `Exec` against the resolved tenant's engine on
-//! a worker thread with the same panic isolation as the framed server.
+//! a worker thread, inside that worker's unwind boundary.
 //!
 //! Tenant routing: `/query`, `/update`, and `/stats` serve the default
 //! tenant; `/tenants/<id>/query|update|stats` serve the named one.
@@ -22,7 +22,8 @@
 //! `application/x-www-form-urlencoded; charset=UTF-8` are accepted.
 
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+
+use ssdm_obs::Span;
 
 use crate::tenant::TenantRegistry;
 use crate::Ssdm;
@@ -431,15 +432,15 @@ fn extract_post_statement(
 }
 
 /// Run one dispatched job against its tenant's engine. Called on a
-/// worker thread; takes the engine lock per statement with the framed
-/// server's panic-isolation contract (the evaluator holds no
-/// cross-statement invariants over a panic edge, so recovering a
-/// poisoned lock is sound). Tenants are resolved again here because
-/// one may be evicted between admission and execution.
+/// worker thread, whose unwind boundary contains a panic anywhere in
+/// here; the engine lock is taken per statement and a poisoned one is
+/// recovered (the evaluator holds no cross-statement invariants over a
+/// panic edge). Tenants are resolved again here because one may be
+/// evicted between admission and execution.
 pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
-    let rec = ssdm_obs::recorder();
-    let start = Instant::now();
-    let response = match exec {
+    // Observed on drop, so a statement that panics is timed too.
+    let _timed = Span::start(&ssdm_obs::recorder().histogram("ssdm_http_request_seconds"));
+    match exec {
         Exec::Metrics => Response::new(
             200,
             "text/plain; version=0.0.4; charset=utf-8",
@@ -455,70 +456,46 @@ pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
             format,
         } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run_isolated(statement, t.engine()) {
-                Ok(Ok(result)) => Response::new(
+            Ok(t) => match run(statement, t.engine()) {
+                Ok(result) => Response::new(
                     200,
                     format.content_type(),
                     results::serialize(&result, *format),
                 ),
-                Ok(Err(e)) => {
+                Err(e) => {
                     counter("ssdm_http_query_errors_total");
                     Response::text(400, e.to_string())
-                }
-                Err(what) => {
-                    counter("ssdm_http_panics_total");
-                    Response::text(
-                        500,
-                        format!("internal error: query engine panicked: {what}"),
-                    )
                 }
             },
         },
         Exec::Update { tenant, statement } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run_isolated(statement, t.engine()) {
+            Ok(t) => match run(statement, t.engine()) {
                 // The protocol leaves the success body open; report the
                 // engine's mutation counts as plain text.
-                Ok(Ok(scisparql::QueryResult::Updated { inserted, deleted })) => {
+                Ok(scisparql::QueryResult::Updated { inserted, deleted }) => {
                     Response::text(200, format!("inserted {inserted} deleted {deleted}"))
                 }
-                Ok(Ok(_)) => Response::text(200, "ok"),
-                Ok(Err(e)) => {
+                Ok(_) => Response::text(200, "ok"),
+                Err(e) => {
                     counter("ssdm_http_update_errors_total");
                     Response::text(400, e.to_string())
                 }
-                Err(what) => {
-                    counter("ssdm_http_panics_total");
-                    Response::text(
-                        500,
-                        format!("internal error: query engine panicked: {what}"),
-                    )
-                }
             },
         },
-    };
-    rec.histogram("ssdm_http_request_seconds")
-        .observe(start.elapsed());
-    response
+    }
 }
 
-type PanicMessage = String;
-
-fn run_isolated(
+/// One statement under the engine lock, released before the result is
+/// serialized.
+pub(super) fn run(
     statement: &str,
     engine: &Mutex<Ssdm>,
-) -> Result<Result<scisparql::QueryResult, scisparql::QueryError>, PanicMessage> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut db = engine.lock().unwrap_or_else(PoisonError::into_inner);
-        db.query(statement)
-    }))
-    .map_err(|panic| {
-        panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unknown panic".into())
-    })
+) -> Result<scisparql::QueryResult, scisparql::QueryError> {
+    engine
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .query(statement)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! SSDM "can be utilized as a stand-alone system, a client-server
 //! system, or a cluster of processes"; the Matlab integration of ch. 7
-//! speaks to an SSDM server over TCP. This module implements that wire
-//! layer with a minimal framed protocol:
+//! speaks to an SSDM server over TCP. The wire is a minimal framed
+//! protocol ([`crate::http::frame`]):
 //!
 //! * request: `u32` length (LE) + UTF-8 SciSPARQL statement;
 //! * response: `u8` status (0 = ok, 1 = error) + `u32` length + UTF-8
@@ -19,36 +19,20 @@
 //! durability checkpoint on the session tenant's engine (an error on
 //! non-durable engines), `USE <tenant>` switches the session to a
 //! registered tenant, and `TENANT` reports the session's current
-//! tenant.
+//! tenant. `STATS`, `METRICS` and `CHECKPOINT` pass admission and run
+//! on a worker like any statement (and are counted in the tenant's
+//! `admitted`/`completed`, as HTTP's `/stats` and `/metrics` are); the
+//! other three are answered from the session's own state.
 //!
-//! An optional HTTP front end ([`Server::enable_http`], the `--http`
-//! flag of `ssdm-server`; [`Server::enable_metrics`]/`--metrics` is an
-//! alias) serves the SPARQL 1.1 Protocol plus the same Prometheus dump
-//! over [`crate::http`]'s event-loop core, sharing this server's engine
-//! and graceful drain.
+//! [`Server`] is a builder and nothing more: it binds the framed
+//! listener and any HTTP ones ([`Server::enable_http`]: the `--http`
+//! and `--metrics` flags of `ssdm-server`), collects the tenants, and
+//! hands them to the one serving core of [`crate::http`]. Connections,
+//! admission, fair share, the worker pool, timeouts, panic isolation
+//! and the graceful drain are that core's, identical for both wires
+//! and described there. What is the framed wire's own
+//! ([`ServerConfig::max_frame`], [`ServerConfig::max_protocol_errors`]):
 //!
-//! # Concurrency and fairness
-//!
-//! Each accepted connection gets its own thread (capped at
-//! [`ServerConfig::max_connections`]; over-cap connections get a flat
-//! status-1 busy reply), but statement *execution* is bounded by
-//! [`ServerConfig::workers`] slots handed out by a deficit-round-robin
-//! [`FairGate`] keyed on the session's tenant — so a tenant bursting
-//! hundreds of statements cannot starve another tenant's interactive
-//! queries, which used to be possible with the FIFO worker handoff.
-//! Per tenant, evaluation serializes on that tenant's engine mutex
-//! (the concurrency model of a main-memory DBMS with one query engine
-//! per tenant); different tenants' statements genuinely run in
-//! parallel. A slow or stalled *client* occupies one connection
-//! thread, never an execution slot.
-//!
-//! # Hardening
-//!
-//! A production server must survive misbehaving peers and its own query
-//! engine (the storage back-end may already be degraded under faults):
-//!
-//! * per-connection **read/write timeouts** so a stalled client cannot
-//!   pin its worker thread forever;
 //! * **frame caps in both directions** — an oversized *request* gets a
 //!   status-1 reply and the connection is dropped (the stream can no
 //!   longer be trusted to be in frame sync); an oversized *response* is
@@ -56,625 +40,88 @@
 //!   client framing never desynchronizes;
 //! * a cap on **consecutive protocol errors** (non-UTF-8 statements)
 //!   before the peer is dropped;
-//! * **panic isolation**: a query-engine panic is caught and turned into
-//!   a status-1 response for that connection; the process and other
-//!   sessions keep running (a poisoned engine mutex is recovered — the
-//!   engine holds no cross-statement invariants over a panic edge).
+//! * refusals (unknown tenant, quota, overload, queue timeout) are
+//!   status-1 frames whose text begins with the HTTP-equivalent code;
+//! * pipelined frames on one connection are executed one at a time in
+//!   the order sent and answered in that order — a session reads its
+//!   own writes — and a `USE` takes effect for every frame after it.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 
-use scisparql::{QueryError, QueryResult};
+use scisparql::QueryError;
 
-use crate::http::{HttpConfig, HttpServer};
-use crate::tenant::{FairGate, Rejection, Tenant, TenantQuotas, TenantRegistry};
+use crate::http::conn::Codec;
+use crate::http::frame::MAX_FRAME;
+use crate::http::HttpServer;
+use crate::tenant::{TenantQuotas, TenantRegistry};
 use crate::Ssdm;
 
-/// Default protocol limit: 64 MiB per message.
-const MAX_FRAME: u32 = 64 * 1024 * 1024;
+/// Knobs of the server: the serving core's, one set for every listener.
+pub use crate::http::HttpConfig as ServerConfig;
 
-/// Knobs of the hardened server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Largest request or response payload, in bytes.
-    pub max_frame: u32,
-    /// Per-connection read timeout (None = block forever).
-    pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout.
-    pub write_timeout: Option<Duration>,
-    /// Consecutive protocol errors (malformed statements) tolerated on
-    /// one connection before it is dropped.
-    pub max_protocol_errors: u32,
-    /// Statement-execution slots (minimum 1), handed out in
-    /// deficit-round-robin order across tenants.
-    pub workers: usize,
-    /// Concurrent connections served (each on its own thread);
-    /// connections beyond this get a status-1 busy reply and are
-    /// dropped.
-    pub max_connections: usize,
-    /// Graceful-drain bound after `SHUTDOWN`: in-flight requests finish
-    /// and get their responses, idle connections close, and a peer
-    /// stalled mid-frame is abandoned once this much drain time has
-    /// elapsed — so `serve` returns within roughly this bound plus the
-    /// longest in-flight statement.
-    pub drain_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_frame: MAX_FRAME,
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
-            max_protocol_errors: 3,
-            workers: 4,
-            max_connections: 1024,
-            drain_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Shared shutdown-drain state: flipped by the worker that receives
-/// `SHUTDOWN` (or by the HTTP front end on SIGTERM), observed by every
-/// connection loop.
-pub(crate) struct DrainState {
-    draining: AtomicBool,
-    deadline: Mutex<Option<Instant>>,
-}
-
-impl DrainState {
-    pub(crate) fn new() -> Self {
-        DrainState {
-            draining: AtomicBool::new(false),
-            deadline: Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn begin(&self, timeout: Duration) {
-        *self.deadline.lock().expect("drain deadline") = Some(Instant::now() + timeout);
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    /// Drain time left, floored so an expired deadline still gives the
-    /// socket a non-zero (i.e. not "block forever") timeout.
-    pub(crate) fn remaining(&self) -> Option<Duration> {
-        if !self.draining() {
-            return None;
-        }
-        let deadline = self.deadline.lock().expect("drain deadline");
-        Some(
-            deadline
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::ZERO)
-                .max(Duration::from_millis(10)),
-        )
-    }
-}
-
-/// A running SSDM server.
+/// An SSDM server being set up: listeners bound, tenants collected.
 pub struct Server {
-    listener: TcpListener,
-    db: Ssdm,
-    config: ServerConfig,
-    /// HTTP front ends ([`Server::enable_http`], [`Server::enable_metrics`])
-    /// sharing the framed server's tenant registry; started by
-    /// [`Server::serve`].
-    http: Vec<HttpServer>,
-    /// Additional named tenants registered before serving
-    /// ([`Server::add_tenant`]); `db` becomes the default tenant.
-    tenants: Vec<(String, Ssdm, TenantQuotas)>,
-    /// Quotas applied to the default tenant.
-    default_quotas: TenantQuotas,
-}
-
-/// What reading one request frame produced.
-enum Frame {
-    /// Peer closed (or timed out — either way the connection ends).
-    Closed,
-    Payload(Vec<u8>),
-    /// Peer announced a frame over the cap; the stream is out of sync.
-    TooLarge(u32),
+    core: HttpServer,
+    registry: TenantRegistry,
 }
 
 impl Server {
     /// Bind to an address (use port 0 for an ephemeral port) with
-    /// default hardening limits.
+    /// default limits.
     pub fn bind(addr: impl ToSocketAddrs, db: Ssdm) -> std::io::Result<Server> {
         Self::bind_with(addr, db, ServerConfig::default())
     }
 
-    /// Bind with explicit [`ServerConfig`] limits.
+    /// Bind with explicit [`ServerConfig`] limits; `db` becomes the
+    /// default tenant.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         db: Ssdm,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         Ok(Server {
-            listener: TcpListener::bind(addr)?,
-            db,
-            config,
-            http: Vec::new(),
-            tenants: Vec::new(),
-            default_quotas: TenantQuotas::default(),
+            core: HttpServer::bind_as(addr, config, Codec::Framed)?,
+            registry: TenantRegistry::new(db, TenantQuotas::default()),
         })
     }
 
     /// Quotas for the default tenant (the engine passed to
     /// [`Server::bind`]). Generous by default.
     pub fn set_default_quotas(&mut self, quotas: TenantQuotas) {
-        self.default_quotas = quotas;
+        self.registry.default_tenant().set_quotas(quotas);
     }
 
     /// Register an additional named tenant with its own engine and
     /// quotas, served by both the framed wire (`USE <name>`) and HTTP
     /// (`/tenants/<name>/...`) once [`Server::serve`] starts.
     pub fn add_tenant(&mut self, name: &str, db: Ssdm, quotas: TenantQuotas) -> Result<(), String> {
-        if name == crate::tenant::DEFAULT_TENANT || self.tenants.iter().any(|(n, _, _)| n == name) {
-            return Err(format!("tenant {name:?} already exists"));
-        }
-        self.tenants.push((name.to_string(), db, quotas));
-        Ok(())
+        self.registry.add(name, db, quotas).map(|_| ())
     }
 
-    /// The bound address (to hand to clients).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    /// The bound address of the framed listener (to hand to clients).
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.core.local_addr()
     }
 
-    /// Bind a SPARQL 1.1 Protocol HTTP front end (use port 0 for an
-    /// ephemeral port); returns the bound address. The endpoint starts
-    /// with [`Server::serve`], shares the framed server's engine, and
-    /// drains gracefully with it: `SHUTDOWN` over the framed wire also
-    /// drains HTTP, and a SIGTERM caught by the HTTP front end (see
-    /// [`crate::http::prepare_signal_drain`]) also drains the framed
-    /// side.
-    pub fn enable_http(
-        &mut self,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        self.enable_http_with(addr, HttpConfig::default())
+    /// Bind a SPARQL 1.1 Protocol HTTP listener (use port 0 for an
+    /// ephemeral port); returns the bound address. It is served by the
+    /// same core as the framed listener: same tenants, same worker
+    /// pool and quotas, same graceful drain. `ssdm-server --metrics`
+    /// binds one too: scrapers just hit `/metrics` on it.
+    pub fn enable_http(&mut self, addr: impl ToSocketAddrs) -> std::io::Result<SocketAddr> {
+        self.core.listen(addr, Codec::Http)
     }
 
-    /// [`Server::enable_http`] with explicit [`HttpConfig`] knobs.
-    pub fn enable_http_with(
-        &mut self,
-        addr: impl ToSocketAddrs,
-        config: HttpConfig,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        let server = HttpServer::bind(addr, config)?;
-        let bound = server.local_addr()?;
-        self.http.push(server);
-        Ok(bound)
-    }
-
-    /// Bind a Prometheus metrics endpoint (use port 0 for an ephemeral
-    /// port); returns the bound address. An alias for
-    /// [`Server::enable_http`] kept for the `--metrics` flag: the
-    /// endpoint is a full HTTP front end, so `/metrics` scrapes ride
-    /// the same event loop (and graceful drain) as `/query`.
-    pub fn enable_metrics(
-        &mut self,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        self.enable_http(addr)
-    }
-
-    /// Serve connections until a client sends the statement `SHUTDOWN`.
-    ///
-    /// Each accepted connection runs on its own thread (capped at
-    /// [`ServerConfig::max_connections`]) and carries any number of
-    /// statements until the peer closes it; statement execution is
-    /// bounded by [`ServerConfig::workers`] slots granted in
-    /// deficit-round-robin order across tenants. A connection-level
-    /// I/O error drops that connection only — the server keeps
-    /// serving. On SHUTDOWN the server drains gracefully: the acceptor
-    /// stops taking connections, requests already in flight finish and
-    /// get their responses, idle connections close within one poll
-    /// slice, and peers stalled mid-frame are abandoned after
-    /// [`ServerConfig::drain_timeout`] — so this returns within
-    /// roughly that bound plus the longest in-flight statement.
+    /// Serve every listener until a client sends the statement
+    /// `SHUTDOWN` (or [`ServerConfig::signal_fd`] fires), then drain
+    /// gracefully: accepting stops, requests in flight finish and get
+    /// their responses, idle connections close at once, and whatever is
+    /// still open after [`ServerConfig::drain_timeout`] is abandoned.
     pub fn serve(self) -> std::io::Result<()> {
-        let Server {
-            listener,
-            db,
-            config,
-            http,
-            tenants,
-            default_quotas,
-        } = self;
-        let engine = Arc::new(Mutex::new(db));
-        let registry = Arc::new(TenantRegistry::from_shared(
-            Arc::clone(&engine),
-            default_quotas,
-        ));
-        for (name, db, quotas) in tenants {
-            registry
-                .add(&name, db, quotas)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        }
-        let gate = Arc::new(FairGate::new(config.workers.max(1)));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let drain = Arc::new(DrainState::new());
-        let wake_addr = listener.local_addr()?;
-        // Start each HTTP front end on its own thread. Whichever side
-        // stops first (SHUTDOWN over the framed wire, a SIGTERM caught
-        // by an HTTP signal fd, or a ShutdownHandle) drags the other
-        // into its graceful drain.
-        let mut http_handles = Vec::new();
-        let mut http_joins = Vec::new();
-        for server in http {
-            http_handles.push(server.shutdown_handle()?);
-            let registry = Arc::clone(&registry);
-            let shutdown = Arc::clone(&shutdown);
-            let drain = Arc::clone(&drain);
-            let drain_timeout = config.drain_timeout;
-            http_joins.push(std::thread::spawn(move || {
-                let result = server.serve_registry(registry);
-                if !shutdown.swap(true, Ordering::SeqCst) {
-                    // The HTTP side went down first: drain the framed
-                    // side too (the acceptor may be blocked in accept).
-                    drain.begin(drain_timeout);
-                    let _ = TcpStream::connect(wake_addr);
-                }
-                result
-            }));
-        }
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let framed = loop {
-            let stream = match listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(e) => break Err(e),
-            };
-            if shutdown.load(Ordering::SeqCst) {
-                break Ok(());
-            }
-            // Reap finished connection threads so the handle list stays
-            // proportional to live connections, not total served.
-            joins.retain(|j| !j.is_finished());
-            if live.load(Ordering::SeqCst) >= config.max_connections {
-                let mut stream = stream;
-                let _ = write_response(
-                    &mut stream,
-                    1,
-                    "503 server busy: connection limit reached",
-                    config.max_frame,
-                );
-                continue;
-            }
-            live.fetch_add(1, Ordering::SeqCst);
-            let registry = Arc::clone(&registry);
-            let gate = Arc::clone(&gate);
-            let drain = Arc::clone(&drain);
-            let shutdown = Arc::clone(&shutdown);
-            let live = Arc::clone(&live);
-            joins.push(std::thread::spawn(move || {
-                let outcome = handle_connection(stream, &registry, &gate, &config, &drain);
-                live.fetch_sub(1, Ordering::SeqCst);
-                if let Ok(true) = outcome {
-                    drain.begin(config.drain_timeout);
-                    shutdown.store(true, Ordering::SeqCst);
-                    // The acceptor may be blocked in accept(): poke it
-                    // with a throwaway connection so it notices.
-                    let _ = TcpStream::connect(wake_addr);
-                }
-            }));
-        };
-        // In-flight connections finish their drain before we return.
-        for join in joins {
-            let _ = join.join();
-        }
-        // Framed side done: drain the HTTP front ends (a no-op for any
-        // that initiated the shutdown and already returned).
-        for handle in &http_handles {
-            handle.shutdown();
-        }
-        let mut http_error = None;
-        for join in http_joins {
-            match join.join() {
-                Ok(Err(e)) if http_error.is_none() => http_error = Some(e),
-                _ => {}
-            }
-        }
-        match (framed, http_error) {
-            (Err(e), _) => Err(e),
-            (Ok(()), Some(e)) => Err(e),
-            (Ok(()), None) => Ok(()),
-        }
+        self.core.serve_registry(Arc::new(self.registry))
     }
-}
-
-/// How often an idle connection re-checks its idle deadline and the
-/// shutdown-drain flag while waiting for request bytes.
-const POLL_SLICE: Duration = Duration::from_millis(50);
-
-/// Wait until the connection has request bytes pending, the peer
-/// closes, the idle read timeout expires, or a shutdown drain begins —
-/// whichever comes first. Returns whether a request is arriving.
-///
-/// Polling with `peek` (which never consumes) lets the timeout fire
-/// between frames only; once bytes are pending, `read_frame` reads them
-/// with exact blocking reads and the framing cannot tear. This is also
-/// what lets an *idle* connection notice `SHUTDOWN` within one poll
-/// slice instead of pinning its worker — and the whole server — for the
-/// full idle timeout.
-fn await_request(
-    stream: &TcpStream,
-    config: &ServerConfig,
-    drain: &DrainState,
-) -> std::io::Result<bool> {
-    use std::io::ErrorKind;
-    let idle_deadline = config.read_timeout.map(|t| Instant::now() + t);
-    loop {
-        if drain.draining() {
-            // Nothing of this connection's is in flight (bytes already
-            // pending won the peek on an earlier iteration): close.
-            return Ok(false);
-        }
-        let mut slice = POLL_SLICE;
-        if let Some(deadline) = idle_deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(false); // idle too long, same as peer closing
-            }
-            slice = slice.min(left.max(Duration::from_millis(10)));
-        }
-        stream.set_read_timeout(Some(slice))?;
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return Ok(false), // peer closed
-            Ok(_) => return Ok(true),  // a frame is arriving
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serve one connection against the tenant registry. The session
-/// starts on the default tenant; `USE <name>` switches it. Returns
-/// true when a SHUTDOWN was received.
-fn handle_connection(
-    mut stream: TcpStream,
-    registry: &TenantRegistry,
-    gate: &FairGate,
-    config: &ServerConfig,
-    drain: &DrainState,
-) -> std::io::Result<bool> {
-    stream.set_write_timeout(config.write_timeout)?;
-    // The framed wire sends status, length, and payload as separate
-    // small writes; Nagle + delayed ACK would add ~40 ms per boundary.
-    let _ = stream.set_nodelay(true);
-    let max = config.max_frame;
-    let mut protocol_errors = 0u32;
-    let mut tenant: Arc<Tenant> = registry.default_tenant();
-    loop {
-        if !await_request(&stream, config, drain)? {
-            return Ok(false);
-        }
-        // Frame reads run under the configured stall bound, tightened
-        // to the remaining drain budget once a shutdown is in progress
-        // (a peer mid-frame gets that long to finish sending).
-        let stall_bound = match drain.remaining() {
-            Some(left) => Some(config.read_timeout.map_or(left, |t| t.min(left))),
-            None => config.read_timeout,
-        };
-        stream.set_read_timeout(stall_bound)?;
-        let request = match read_frame(&mut stream, max)? {
-            Frame::Closed => return Ok(false),
-            Frame::TooLarge(len) => {
-                // The unread payload makes the stream unframeable:
-                // answer once, then drop the connection.
-                write_response(
-                    &mut stream,
-                    1,
-                    &format!("request too large: {len} bytes > {max} max"),
-                    max,
-                )?;
-                return Ok(false);
-            }
-            Frame::Payload(p) => p,
-        };
-        let text = match String::from_utf8(request) {
-            Ok(t) => t,
-            Err(_) => {
-                protocol_errors += 1;
-                if protocol_errors >= config.max_protocol_errors {
-                    write_response(&mut stream, 1, "too many protocol errors", max)?;
-                    return Ok(false);
-                }
-                write_response(&mut stream, 1, "request is not UTF-8", max)?;
-                continue;
-            }
-        };
-        protocol_errors = 0;
-        let trimmed = text.trim();
-        if trimmed.eq_ignore_ascii_case("SHUTDOWN") {
-            write_response(&mut stream, 0, "bye", max)?;
-            return Ok(true);
-        }
-        if trimmed.eq_ignore_ascii_case("TENANT") {
-            write_response(&mut stream, 0, &tenant.name, max)?;
-            continue;
-        }
-        if trimmed.len() >= 4 && trimmed[..4].eq_ignore_ascii_case("USE ") {
-            let name = trimmed[4..].trim();
-            match registry.get(name) {
-                Some(next) => {
-                    tenant = next;
-                    write_response(&mut stream, 0, &format!("tenant {name}"), max)?;
-                }
-                None => write_response(&mut stream, 1, &format!("unknown tenant: {name}"), max)?,
-            }
-            continue;
-        }
-        if trimmed.eq_ignore_ascii_case("STATS") {
-            let report = registry.stats_text(&tenant);
-            write_response(&mut stream, 0, &report, max)?;
-            continue;
-        }
-        if trimmed.eq_ignore_ascii_case("METRICS") {
-            let metrics = registry.metrics_prometheus();
-            write_response(&mut stream, 0, &metrics, max)?;
-            continue;
-        }
-        if trimmed.eq_ignore_ascii_case("CHECKPOINT") {
-            let outcome = tenant
-                .engine()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .checkpoint();
-            match outcome {
-                Ok(()) => write_response(&mut stream, 0, "checkpoint complete", max)?,
-                Err(e) => write_response(&mut stream, 1, &e.to_string(), max)?,
-            }
-            continue;
-        }
-        // Admission: spend a rate token, then queue for an execution
-        // slot under the tenant's DRR queue. Rejections are flat
-        // status-1 replies carrying the HTTP-equivalent code.
-        if !tenant.rate_admit(Instant::now()) {
-            let why = Rejection::RateLimited(tenant.name.clone());
-            tenant.note_rejected(&why);
-            write_response(&mut stream, 1, &format!("429 {}", why.message()), max)?;
-            continue;
-        }
-        let slot = match gate.acquire(&tenant.name, tenant.caps(), text.len() as u64) {
-            Ok(slot) => slot,
-            Err(why) => {
-                tenant.note_rejected(&why);
-                write_response(
-                    &mut stream,
-                    1,
-                    &format!("{} {}", why.http_status(), why.message()),
-                    max,
-                )?;
-                continue;
-            }
-        };
-        tenant.note_admitted();
-        // Panic isolation: a query-engine panic poisons only this
-        // response. The engine is a main-memory evaluator without
-        // cross-statement invariants held over a panic edge, so
-        // recovering the poisoned mutex and continuing with the same
-        // instance is sound. The lock is taken *inside* the unwind
-        // boundary and held per statement: rendering and I/O happen
-        // with the engine free for other sessions.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut db = tenant
-                .engine()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            db.query(&text)
-        }));
-        drop(slot);
-        match outcome {
-            Ok(Ok(result)) => {
-                tenant.note_done(true);
-                write_response(&mut stream, 0, &render(&result), max)?;
-            }
-            Ok(Err(e)) => {
-                tenant.note_done(false);
-                write_response(&mut stream, 1, &e.to_string(), max)?;
-            }
-            Err(panic) => {
-                tenant.note_done(false);
-                let what = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".into());
-                write_response(
-                    &mut stream,
-                    1,
-                    &format!("internal error: query engine panicked: {what}"),
-                    max,
-                )?;
-            }
-        }
-    }
-}
-
-/// Serialize a result for the wire.
-fn render(result: &QueryResult) -> String {
-    match result {
-        QueryResult::Solutions { vars, rows } => {
-            let mut out = vars.join("\t");
-            out.push('\n');
-            for row in rows {
-                let cells: Vec<String> = row
-                    .iter()
-                    .map(|c| c.as_ref().map(|v| v.to_string()).unwrap_or_default())
-                    .collect();
-                out.push_str(&cells.join("\t"));
-                out.push('\n');
-            }
-            out
-        }
-        QueryResult::Boolean(b) => format!("{b}\n"),
-        QueryResult::Graph(g) => ssdm_rdf::ntriples::serialize(g),
-        QueryResult::Updated { inserted, deleted } => {
-            format!("inserted {inserted} deleted {deleted}\n")
-        }
-        QueryResult::Text(t) => t.clone(),
-    }
-}
-
-fn read_frame(stream: &mut impl Read, max_frame: u32) -> std::io::Result<Frame> {
-    use std::io::ErrorKind;
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e)
-            if matches!(
-                e.kind(),
-                ErrorKind::UnexpectedEof | ErrorKind::WouldBlock | ErrorKind::TimedOut
-            ) =>
-        {
-            return Ok(Frame::Closed)
-        }
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > max_frame {
-        return Ok(Frame::TooLarge(len));
-    }
-    let mut buf = vec![0u8; len as usize];
-    stream.read_exact(&mut buf)?;
-    Ok(Frame::Payload(buf))
-}
-
-/// Write one response frame, never exceeding `max_frame`: an oversized
-/// payload is replaced by a status-1 "response too large" frame so the
-/// client-side framing stays in sync.
-fn write_response(
-    stream: &mut impl Write,
-    status: u8,
-    payload: &str,
-    max_frame: u32,
-) -> std::io::Result<()> {
-    if payload.len() > max_frame as usize {
-        let mut msg = format!(
-            "response too large: {} bytes > {max_frame} max; refine the query",
-            payload.len()
-        );
-        msg.truncate(max_frame as usize); // ASCII, safe to cut anywhere
-        return write_raw(stream, 1, msg.as_bytes());
-    }
-    write_raw(stream, status, payload.as_bytes())
-}
-
-fn write_raw(stream: &mut impl Write, status: u8, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&[status])?;
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
 }
 
 /// A client connection to an SSDM server — what the Matlab interface of
@@ -765,6 +212,7 @@ mod tests {
     use super::*;
     use crate::Backend;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let mut db = Ssdm::open(Backend::Memory);
@@ -824,24 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_response_becomes_status1_frame() {
-        // A tiny max_frame forces the cap on an ordinary payload.
-        let mut wire = Vec::new();
-        write_response(&mut wire, 0, "a perfectly ordinary response", 8).unwrap();
-        assert_eq!(wire[0], 1, "status flips to error");
-        let len = u32::from_le_bytes(wire[1..5].try_into().unwrap());
-        assert!(len <= 8, "capped frame respects max_frame, got {len}");
-        assert_eq!(wire.len(), 5 + len as usize, "framing stays in sync");
-    }
-
-    #[test]
-    fn small_responses_pass_untouched() {
-        let mut wire = Vec::new();
-        write_response(&mut wire, 0, "ok", MAX_FRAME).unwrap();
-        assert_eq!(wire, [&[0u8][..], &2u32.to_le_bytes(), b"ok"].concat());
-    }
-
-    #[test]
     fn oversized_request_is_answered_then_dropped() {
         let mut db = Ssdm::open(Backend::Memory);
         db.load_turtle("@prefix ex: <http://e#> . ex:a ex:p 1 .")
@@ -877,6 +307,39 @@ mod tests {
         // ...but keeps serving new connections.
         let mut client = Client::connect(addr).unwrap();
         client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn over_the_connection_cap_is_a_busy_frame() {
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            Ssdm::open(Backend::Memory),
+            ServerConfig {
+                max_connections: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.serve().unwrap());
+
+        // A served statement shows the first session is registered.
+        let mut held = Client::connect(addr).unwrap();
+        held.query("ASK { }").unwrap();
+        let mut refused = Vec::new();
+        TcpStream::connect(addr)
+            .unwrap()
+            .read_to_end(&mut refused)
+            .unwrap();
+        let message = "503 server busy: connection limit reached";
+        assert_eq!(
+            refused,
+            crate::http::frame::encode(1, message, MAX_FRAME),
+            "{}",
+            String::from_utf8_lossy(&refused)
+        );
+        held.shutdown().unwrap();
         handle.join().unwrap();
     }
 
@@ -927,7 +390,7 @@ mod tests {
             "127.0.0.1:0",
             db,
             ServerConfig {
-                read_timeout: Some(Duration::from_millis(100)),
+                idle_timeout: Duration::from_millis(100),
                 ..ServerConfig::default()
             },
         )
@@ -935,10 +398,14 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().unwrap());
 
-        // Connect and go silent: the server must give up on us and
-        // accept the next connection.
-        let _stalled = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        // Connect and go silent: the server must give up on us (the
+        // read returns at its close, not at our timeout) and keep
+        // serving.
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(stalled.read(&mut [0u8; 1]).unwrap(), 0);
         let mut client = Client::connect(addr).unwrap();
         client.query("ASK { }").unwrap();
         client.shutdown().unwrap();
@@ -1055,7 +522,7 @@ mod tests {
         let db = Ssdm::open(Backend::Memory);
         let mut server = Server::bind("127.0.0.1:0", db).unwrap();
         let addr = server.local_addr().unwrap();
-        let metrics_addr = server.enable_metrics("127.0.0.1:0").unwrap();
+        let metrics_addr = server.enable_http("127.0.0.1:0").unwrap();
         let handle = std::thread::spawn(move || server.serve().unwrap());
 
         let mut http = TcpStream::connect(metrics_addr).unwrap();
@@ -1121,8 +588,8 @@ mod tests {
     fn slow_in_flight_query_completes_during_shutdown() {
         use ssdm_storage::RelChunkStore;
 
-        // A back-end charging 150 ms per statement makes the query
-        // reliably still in flight when SHUTDOWN lands.
+        // A back-end charging 150 ms per statement keeps the query in
+        // flight while SHUTDOWN lands.
         let mut rel = RelChunkStore::open_memory().unwrap();
         rel.db_mut().set_latency(relstore::LatencyModel {
             per_statement: Duration::from_millis(150),
@@ -1138,22 +605,34 @@ mod tests {
         ))
         .unwrap();
 
-        let server = Server::bind("127.0.0.1:0", db).unwrap();
+        // The slow engine is a named tenant: METRICS reads the default
+        // tenant's engine, which must stay free to be polled.
+        let mut server = Server::bind("127.0.0.1:0", Ssdm::open(Backend::Memory)).unwrap();
+        server
+            .add_tenant("slow", db, TenantQuotas::default())
+            .unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().unwrap());
 
         let slow = std::thread::spawn(move || {
             let mut c = Client::connect(addr).unwrap();
+            c.use_tenant("slow").unwrap();
             c.query_rows(
                 "PREFIX ex: <http://e#>
                  SELECT (array_sum(?v) AS ?s) WHERE { ex:a ex:v ?v }",
             )
             .unwrap()
         });
-        // Let the slow query get read and start evaluating, then pull
-        // the plug from another session.
-        std::thread::sleep(Duration::from_millis(50));
+        // Once the slow query is admitted, pull the plug from another
+        // session.
         let mut killer = Client::connect(addr).unwrap();
+        while !killer
+            .query("METRICS")
+            .unwrap()
+            .contains("ssdm_tenant_admitted_total{tenant=\"slow\"} 1")
+        {
+            std::thread::yield_now();
+        }
         killer.shutdown().unwrap();
 
         // The drain must deliver the in-flight response, complete and
@@ -1171,7 +650,7 @@ mod tests {
             db,
             ServerConfig {
                 // The old behavior pinned serve() on this for 30 s.
-                read_timeout: Some(Duration::from_secs(30)),
+                idle_timeout: Duration::from_secs(30),
                 drain_timeout: Duration::from_millis(300),
                 ..ServerConfig::default()
             },
@@ -1306,9 +785,92 @@ mod tests {
         }
         assert!(saw_429, "burst never hit the rate quota");
         // The bucket refills at 1000/s: the tenant recovers.
-        std::thread::sleep(Duration::from_millis(20));
-        client.query("ASK { }").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while let Err(e) = client.query("ASK { }") {
+            assert!(e.to_string().contains("429"), "unexpected error: {e}");
+            assert!(Instant::now() < deadline, "rate quota never refilled");
+        }
         client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// One write carrying every statement in `statements`, framed.
+    fn pipeline(addr: SocketAddr, statements: &[String]) -> TcpStream {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let wire: Vec<u8> = statements
+            .iter()
+            .flat_map(|s| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat())
+            .collect();
+        raw.write_all(&wire).unwrap();
+        raw
+    }
+
+    fn read_reply(raw: &mut TcpStream) -> (u8, String) {
+        let mut head = [0u8; 5];
+        raw.read_exact(&mut head).unwrap();
+        let len = u32::from_le_bytes(head[1..].try_into().unwrap());
+        let mut payload = vec![0u8; len as usize];
+        raw.read_exact(&mut payload).unwrap();
+        (head[0], String::from_utf8(payload).unwrap())
+    }
+
+    #[test]
+    fn pipelined_statements_execute_in_the_order_sent() {
+        // Four workers, one session: every ASK must see the INSERT
+        // pipelined just ahead of it, not race it to the engine.
+        let (addr, handle) = spawn_server();
+        let statements: Vec<String> = (0..2000)
+            .flat_map(|i| {
+                let triple = format!("<http://e#s{i}> <http://e#p> {i}");
+                [
+                    format!("INSERT DATA {{ {triple} }}"),
+                    format!("ASK {{ {triple} }}"),
+                ]
+            })
+            .collect();
+        let mut raw = pipeline(addr, &statements);
+        for i in 0..2000 {
+            assert_eq!(read_reply(&mut raw), (0, "inserted 1 deleted 0\n".into()));
+            assert_eq!(read_reply(&mut raw), (0, "true\n".into()), "pair {i}");
+        }
+        Client::connect(addr).unwrap().shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_refused_frame_does_not_stall_the_frames_pipelined_behind_it() {
+        use crate::tenant::{RateLimit, TenantQuotas};
+        let mut server = Server::bind("127.0.0.1:0", Ssdm::open(Backend::Memory)).unwrap();
+        let one_then_none = RateLimit {
+            per_sec: 0.0,
+            burst: 1.0,
+        };
+        server
+            .add_tenant(
+                "limited",
+                Ssdm::open(Backend::Memory),
+                TenantQuotas {
+                    rate: Some(one_then_none),
+                    ..TenantQuotas::default()
+                },
+            )
+            .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.serve().unwrap());
+
+        // Nothing further is sent: every reply must come from this one
+        // write, the refusals included.
+        let statements = ["USE limited", "ASK { }", "ASK { }", "ASK { }", "TENANT"];
+        let mut raw = pipeline(addr, &statements.map(String::from));
+        assert_eq!(read_reply(&mut raw), (0, "tenant limited".into()));
+        assert_eq!(read_reply(&mut raw), (0, "true\n".into()));
+        for _ in 0..2 {
+            let (status, text) = read_reply(&mut raw);
+            assert!(status == 1 && text.starts_with("429 "), "{text}");
+        }
+        assert_eq!(read_reply(&mut raw), (0, "limited".into()));
+        Client::connect(addr).unwrap().shutdown().unwrap();
         handle.join().unwrap();
     }
 

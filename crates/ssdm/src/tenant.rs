@@ -16,17 +16,13 @@
 //!   their deficit; per-tenant and global queue caps are enforced on
 //!   push. Pure data structure — no locks, no clocks — so fairness is
 //!   testable as a pop-sequence property.
-//! * [`FairDispatch`] — a blocking MPMC queue around [`DrrCore`] (the
-//!   replacement for the `mpsc::sync_channel` FIFO that used to feed
-//!   the HTTP worker pool).
-//! * [`FairGate`] — DRR-ordered execution slots for the framed server:
-//!   connection threads queue a ticket per statement and run when
-//!   granted, so the framed side shares the same fairness policy
-//!   without a job queue.
+//! * [`FairDispatch`] — a blocking MPMC queue around [`DrrCore`]: the
+//!   one queue between the serving core's event loop and its worker
+//!   pool, whichever wire a statement arrived on.
 //! * [`Tenant`] / [`TenantRegistry`] — a named engine with quotas and
-//!   admission counters, and the registry both front ends resolve
-//!   against. Counters ride the obs [`Report`] as `tenant="..."`
-//!   labelled series in `/metrics`, `.stats`, and `STATS`.
+//!   admission counters, and the registry both wires resolve against.
+//!   Counters ride the obs [`Report`] as `tenant="..."` labelled series
+//!   in `/metrics`, `.stats`, and `STATS`.
 //!
 //! Admission outcomes map onto flat protocol replies: unknown tenant →
 //! 404, rate/quota rejection → 429, global overload → 503
@@ -202,8 +198,7 @@ struct TenantQueue<T> {
 }
 
 /// The DRR scheduler state: per-tenant FIFOs served round-robin with a
-/// deficit counter. Plain data — callers provide locking
-/// ([`FairDispatch`], [`FairGate`]).
+/// deficit counter. Plain data — [`FairDispatch`] provides locking.
 pub struct DrrCore<T> {
     queues: BTreeMap<String, TenantQueue<T>>,
     /// Round-robin order over tenants with waiting items.
@@ -246,20 +241,18 @@ impl<T> DrrCore<T> {
 
     /// Enqueue `item` for `tenant` at `cost` (clamped), enforcing the
     /// global cap (→ [`Rejection::Overloaded`]) and the tenant's
-    /// in-flight cap (→ [`Rejection::QuotaExceeded`]). `caps` is
-    /// re-recorded on every push so quota changes take effect live.
+    /// in-flight cap (→ [`Rejection::QuotaExceeded`]); a rejected item
+    /// comes back with the reason. `caps` is re-recorded on every push
+    /// so quota changes take effect live.
     pub fn push(
         &mut self,
         tenant: &str,
         caps: TenantCaps,
         cost: u64,
         item: T,
-    ) -> Result<(), Rejection> {
-        if self.closed {
-            return Err(Rejection::Overloaded);
-        }
-        if self.global_cap > 0 && self.queued >= self.global_cap {
-            return Err(Rejection::Overloaded);
+    ) -> Result<(), (Rejection, T)> {
+        if self.closed || (self.global_cap > 0 && self.queued >= self.global_cap) {
+            return Err((Rejection::Overloaded, item));
         }
         let q = self
             .queues
@@ -276,7 +269,7 @@ impl<T> DrrCore<T> {
             if q.items.is_empty() && q.active == 0 {
                 self.queues.remove(tenant);
             }
-            return Err(Rejection::QuotaExceeded(tenant.to_string()));
+            return Err((Rejection::QuotaExceeded(tenant.to_string()), item));
         }
         let cost = cost.clamp(1, self.quantum * COST_CLAMP_QUANTA);
         let was_empty = q.items.is_empty();
@@ -347,15 +340,10 @@ impl<T> DrrCore<T> {
             }
         }
     }
-
-    /// Waiting items for one tenant (tests / introspection).
-    pub fn queued_for(&self, tenant: &str) -> usize {
-        self.queues.get(tenant).map_or(0, |q| q.items.len())
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Blocking fair dispatch queue (HTTP worker feed)
+// Blocking fair dispatch queue (worker feed)
 // ---------------------------------------------------------------------------
 
 /// A blocking MPMC queue with DRR ordering: producers `push` (rejected
@@ -380,29 +368,19 @@ impl<T> FairDispatch<T> {
         }
     }
 
+    /// Enqueue as [`DrrCore::push`] does, running `admitted` once the
+    /// item is accepted and while the queue is still locked. A consumer
+    /// therefore cannot pop the item — and run it, or report on it —
+    /// before the producer's own bookkeeping for it (an admission
+    /// counter) is in place.
     pub fn push(
         &self,
         tenant: &str,
         caps: TenantCaps,
         cost: u64,
         item: T,
-    ) -> Result<(), Rejection> {
-        self.push_then(tenant, caps, cost, item, || ())
-    }
-
-    /// [`push`](Self::push), running `admitted` once the item is
-    /// accepted and while the queue is still locked. A consumer
-    /// therefore cannot pop the item — and run it, or report on it —
-    /// before the producer's own bookkeeping for it (an admission
-    /// counter) is in place.
-    pub fn push_then(
-        &self,
-        tenant: &str,
-        caps: TenantCaps,
-        cost: u64,
-        item: T,
         admitted: impl FnOnce(),
-    ) -> Result<(), Rejection> {
+    ) -> Result<(), (Rejection, T)> {
         let mut core = lock_core(&self.core);
         core.push(tenant, caps, cost, item)?;
         admitted();
@@ -435,99 +413,6 @@ impl<T> FairDispatch<T> {
         lock_core(&self.core).close();
         self.cv.notify_all();
     }
-
-    pub fn len(&self) -> usize {
-        lock_core(&self.core).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fair gate (framed server execution slots)
-// ---------------------------------------------------------------------------
-
-struct GateTicket {
-    granted: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// DRR-ordered execution slots: the framed server's replacement for
-/// FIFO worker handoff. Each statement acquires a slot (queuing a
-/// ticket under the tenant's DRR queue); the returned guard releases
-/// the slot and grants the next eligible ticket on drop.
-pub struct FairGate {
-    dispatch: FairDispatch<Arc<GateTicket>>,
-    slots: Mutex<usize>,
-}
-
-/// An execution slot held for one statement; release on drop.
-pub struct GateGuard<'a> {
-    gate: &'a FairGate,
-    tenant: String,
-}
-
-impl FairGate {
-    pub fn new(slots: usize) -> FairGate {
-        FairGate {
-            // No global cap: per-tenant caps bound the ticket queue.
-            dispatch: FairDispatch::new(DEFAULT_QUANTUM, 0),
-            slots: Mutex::new(slots.max(1)),
-        }
-    }
-
-    /// Queue for an execution slot and block until granted. Fails fast
-    /// with [`Rejection::QuotaExceeded`] when the tenant is at its
-    /// in-flight cap.
-    pub fn acquire(
-        &self,
-        tenant: &str,
-        caps: TenantCaps,
-        cost: u64,
-    ) -> Result<GateGuard<'_>, Rejection> {
-        let ticket = Arc::new(GateTicket {
-            granted: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        self.dispatch
-            .push(tenant, caps, cost, Arc::clone(&ticket))?;
-        self.pump();
-        let mut granted = ticket.granted.lock().unwrap_or_else(|e| e.into_inner());
-        while !*granted {
-            granted = ticket.cv.wait(granted).unwrap_or_else(|e| e.into_inner());
-        }
-        Ok(GateGuard {
-            gate: self,
-            tenant: tenant.to_string(),
-        })
-    }
-
-    /// Grant tickets while free slots and runnable tickets exist.
-    fn pump(&self) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        while *slots > 0 {
-            let mut core = lock_core(&self.dispatch.core);
-            let Some((_, ticket)) = core.pop() else { break };
-            drop(core);
-            *slots -= 1;
-            let mut granted = ticket.granted.lock().unwrap_or_else(|e| e.into_inner());
-            *granted = true;
-            ticket.cv.notify_one();
-        }
-    }
-}
-
-impl Drop for GateGuard<'_> {
-    fn drop(&mut self) {
-        self.gate.dispatch.finish(&self.tenant);
-        {
-            let mut slots = self.gate.slots.lock().unwrap_or_else(|e| e.into_inner());
-            *slots += 1;
-        }
-        self.gate.pump();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +420,7 @@ impl Drop for GateGuard<'_> {
 // ---------------------------------------------------------------------------
 
 /// Monotonic per-tenant admission/outcome counters. `admitted` counts
-/// statements accepted into a dispatch queue or gate; every admitted
+/// statements accepted into the dispatch queue; every admitted
 /// statement ends as exactly one of `completed`, `errors`, or
 /// `timed_out` — the reconciliation `repro_tenants` asserts.
 #[derive(Default)]
@@ -565,18 +450,18 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    fn new(name: String, engine: Arc<Mutex<Ssdm>>, quotas: TenantQuotas) -> Tenant {
+    fn new(name: &str, engine: Ssdm, quotas: TenantQuotas) -> Tenant {
         Tenant {
-            name,
-            engine,
+            name: name.to_string(),
+            engine: Arc::new(Mutex::new(engine)),
             bucket: Mutex::new(quotas.rate.map(TokenBucket::new)),
             quotas: Mutex::new(quotas),
             counters: TenantCounters::default(),
         }
     }
 
-    /// The engine mutex — shared with any front end serving this
-    /// tenant, so framed and HTTP traffic see one consistent dataset.
+    /// The engine mutex: framed and HTTP traffic for this tenant see one
+    /// consistent dataset.
     pub fn engine(&self) -> &Arc<Mutex<Ssdm>> {
         &self.engine
     }
@@ -653,19 +538,9 @@ fn valid_name(name: &str) -> bool {
 impl TenantRegistry {
     /// A registry whose default tenant owns `engine`.
     pub fn new(engine: Ssdm, quotas: TenantQuotas) -> TenantRegistry {
-        Self::from_shared(Arc::new(Mutex::new(engine)), quotas)
-    }
-
-    /// A registry whose default tenant shares an existing engine handle
-    /// (how the framed and HTTP front ends serve one dataset).
-    pub fn from_shared(engine: Arc<Mutex<Ssdm>>, quotas: TenantQuotas) -> TenantRegistry {
-        let mut tenants = BTreeMap::new();
-        tenants.insert(
-            DEFAULT_TENANT.to_string(),
-            Arc::new(Tenant::new(DEFAULT_TENANT.to_string(), engine, quotas)),
-        );
+        let default = Arc::new(Tenant::new(DEFAULT_TENANT, engine, quotas));
         TenantRegistry {
-            tenants: RwLock::new(tenants),
+            tenants: RwLock::new(BTreeMap::from([(default.name.clone(), default)])),
         }
     }
 
@@ -680,16 +555,6 @@ impl TenantRegistry {
         engine: Ssdm,
         quotas: TenantQuotas,
     ) -> Result<Arc<Tenant>, String> {
-        self.add_shared(name, Arc::new(Mutex::new(engine)), quotas)
-    }
-
-    /// Register a new tenant over a shared engine handle.
-    pub fn add_shared(
-        &self,
-        name: &str,
-        engine: Arc<Mutex<Ssdm>>,
-        quotas: TenantQuotas,
-    ) -> Result<Arc<Tenant>, String> {
         if !valid_name(name) {
             return Err(format!(
                 "invalid tenant name {name:?}: use 1-64 chars from [A-Za-z0-9_-]"
@@ -699,7 +564,7 @@ impl TenantRegistry {
         if map.contains_key(name) {
             return Err(format!("tenant {name:?} already exists"));
         }
-        let tenant = Arc::new(Tenant::new(name.to_string(), engine, quotas));
+        let tenant = Arc::new(Tenant::new(name, engine, quotas));
         map.insert(name.to_string(), Arc::clone(&tenant));
         Ok(tenant)
     }
@@ -737,9 +602,8 @@ impl TenantRegistry {
             .ok_or_else(|| Rejection::UnknownTenant(name.to_string()))
     }
 
-    /// Resolve + spend a rate token: the common admission prefix for
-    /// both front ends. Queue/slot caps are enforced later, at
-    /// [`FairDispatch::push`] / [`FairGate::acquire`].
+    /// Resolve + spend a rate token: the admission prefix. Queue/slot
+    /// caps are enforced later, at [`FairDispatch::push`].
     pub fn admit(&self, name: Option<&str>, now: Instant) -> Result<Arc<Tenant>, Rejection> {
         let tenant = self.resolve(name)?;
         if !tenant.rate_admit(now) {
@@ -1056,11 +920,14 @@ mod tests {
         core.push("a", caps(1, 1), 1, 2).unwrap();
         assert_eq!(
             core.push("a", caps(1, 1), 1, 3),
-            Err(Rejection::QuotaExceeded("a".to_string()))
+            Err((Rejection::QuotaExceeded("a".to_string()), 3))
         );
         // Global cap: 3 waiting total.
         core.push("b", caps(8, 8), 1, 1).unwrap();
-        assert_eq!(core.push("c", caps(8, 8), 1, 1), Err(Rejection::Overloaded));
+        assert_eq!(
+            core.push("c", caps(8, 8), 1, 1),
+            Err((Rejection::Overloaded, 1))
+        );
         // Draining "a" frees both caps.
         let (name, _) = core.pop().unwrap();
         assert_eq!(name, "a");
@@ -1087,7 +954,7 @@ mod tests {
     #[test]
     fn fair_dispatch_close_drains_then_unblocks() {
         let d: Arc<FairDispatch<u32>> = Arc::new(FairDispatch::new(8, 0));
-        d.push("a", caps(4, 16), 1, 7).unwrap();
+        d.push("a", caps(4, 16), 1, 7, || ()).unwrap();
         d.close();
         // Queued items still served after close…
         let (name, v) = d.pop().unwrap();
@@ -1101,54 +968,6 @@ mod tests {
         let worker = std::thread::spawn(move || d2c.pop());
         d2.close();
         assert!(worker.join().unwrap().is_none());
-    }
-
-    #[test]
-    fn fair_gate_grants_in_drr_order_and_releases() {
-        let gate = Arc::new(FairGate::new(1));
-        let guard = gate.acquire("a", caps(4, 16), 1).unwrap();
-        // Queue two more acquirers; they block until the slot frees.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut handles = Vec::new();
-        for name in ["b", "c"] {
-            let gate = Arc::clone(&gate);
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                let g = gate.acquire(name, caps(4, 16), 1).unwrap();
-                tx.send(name).unwrap();
-                drop(g);
-            }));
-        }
-        // Wait until both tickets are queued before releasing, so the
-        // grant order is decided by DRR, not thread-start timing.
-        while gate.dispatch.len() < 2 {
-            std::thread::yield_now();
-        }
-        drop(guard);
-        let first = rx.recv().unwrap();
-        let second = rx.recv().unwrap();
-        assert_eq!(
-            {
-                let mut got = [first, second];
-                got.sort();
-                got
-            },
-            ["b", "c"]
-        );
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn fair_gate_rejects_over_quota() {
-        let gate = FairGate::new(1);
-        let _g = gate.acquire("a", caps(1, 0), 1).unwrap();
-        // One executing, zero queueable: fail fast.
-        assert_eq!(
-            gate.acquire("a", caps(1, 0), 1).err(),
-            Some(Rejection::QuotaExceeded("a".to_string()))
-        );
     }
 
     #[test]

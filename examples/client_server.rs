@@ -1,9 +1,10 @@
 //! Client–server deployment (thesis §5.1 / ch. 7 transport).
 //!
-//! Spawns an SSDM server thread over the relational back-end, then acts
-//! as a remote client: loads data with updates, defines a function, and
-//! runs array queries over the wire — the same protocol the `ssdm-server`
-//! binary speaks and a Matlab-style client would use.
+//! Runs an SSDM server over the relational back-end on one thread — its
+//! event loop; statements execute on the worker pool it starts — then
+//! acts as a remote client: loads data with updates, defines a function,
+//! and runs array queries over the wire — the same framed protocol the
+//! `ssdm-server` binary speaks and a Matlab-style client would use.
 //!
 //! Run with: `cargo run --example client_server`
 
@@ -12,6 +13,7 @@ use ssdm::{Backend, Ssdm};
 
 fn main() {
     // --- server side --------------------------------------------------
+    // `serve` returns once a client sends SHUTDOWN and the drain is done.
     let mut db = Ssdm::open(Backend::Relational);
     db.set_externalize_threshold(1000, 8192);
     let server = Server::bind("127.0.0.1:0", db).expect("bind");
