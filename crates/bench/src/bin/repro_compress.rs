@@ -1,6 +1,6 @@
 //! Chunk compression + zone-map skipping scenario.
 //!
-//! Two sweeps, asserting this PR's acceptance criteria:
+//! Three sweeps, each asserting its acceptance criteria:
 //!
 //! 1. **codec matrix** — every `SCC1` policy over three chunk shapes:
 //!    BISTAB-like integer series (slowly varying, delta-friendly),
@@ -15,6 +15,11 @@
 //!    non-qualifying chunks before any statement is issued. Required:
 //!    **≥2×** end-to-end speedup with skipping on vs off, identical
 //!    results, and a positive skipped-chunk count.
+//! 3. **frame checksum** — `frame::crc32` (slicing-by-16), which every
+//!    fetched chunk and every replayed WAL record passes through, beside
+//!    the byte-at-a-time table loop it replaced. Required: equal sums
+//!    and a **≥3×** ratio — a ratio between two loops on the same
+//!    machine, not a speed, so it holds on a slow runner.
 //!
 //! Measurements land as JSON (default `BENCH_compress.json`, `--out`).
 //!
@@ -28,6 +33,7 @@ use relstore::{Db, DbOptions, LatencyModel};
 use ssdm_array::{AggregateOp, Num, NumArray, NumericType};
 use ssdm_bench::runner::print_table;
 use ssdm_storage::codec::{decode_chunk, encode_chunk};
+use ssdm_storage::frame::crc32;
 use ssdm_storage::{
     ArrayStore, CodecPolicy, RelChunkStore, RetrievalStrategy, ValuePredicate, SCC_HEADER,
 };
@@ -79,6 +85,30 @@ fn noise_reals(n: usize) -> Vec<u8> {
             f64::from_bits((state >> 12) | 0x3FF0_0000_0000_0000).to_le_bytes()
         })
         .collect()
+}
+
+/// CRC32 (IEEE, reflected) one byte per step: what `frame::crc32` was
+/// before it was sliced, kept here as the yardstick of sweep 3.
+fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+fn crc32_byte_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        *slot = (0..8).fold(i as u32, |crc, _| {
+            if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            }
+        });
+    }
+    table
 }
 
 struct CodecCell {
@@ -208,6 +238,25 @@ fn main() {
     assert!(on_stats.chunks_skipped > 0, "zone map skipped nothing");
     let skip_speedup = off_ms / on_ms;
 
+    // --- Sweep 3: frame checksum ------------------------------------------
+    // Chunk-sized pieces of the incompressible dataset, as the stores
+    // checksum them: one call per stored chunk.
+    let noise = &datasets[2].2;
+    let table = crc32_byte_table();
+    let checksum_all = |f: &dyn Fn(&[u8]) -> u32| {
+        noise.chunks(CHUNK_BYTES).fold(0u32, |acc, c| {
+            acc.rotate_left(1) ^ f(std::hint::black_box(c))
+        })
+    };
+    let (sliced_ms, sliced_sum) = best_of(repeats, || checksum_all(&crc32));
+    let (bytewise_ms, bytewise_sum) =
+        best_of(repeats, || checksum_all(&|c| crc32_bytewise(&table, c)));
+    assert_eq!(sliced_sum, bytewise_sum, "the two CRC32 loops disagree");
+    let crc_mb = noise.len() as f64 / 1e6;
+    let crc32_mb_per_s = crc_mb / (sliced_ms / 1e3);
+    let crc32_bytewise_mb_per_s = crc_mb / (bytewise_ms / 1e3);
+    let crc_ratio = bytewise_ms / sliced_ms;
+
     // --- Report ----------------------------------------------------------
     let header: Vec<String> = ["dataset", "codec", "ratio", "enc MB/s", "dec MB/s"]
         .into_iter()
@@ -251,6 +300,20 @@ fn main() {
         &rows,
     );
 
+    let header: Vec<String> = ["crc32", "MB/s"].into_iter().map(String::from).collect();
+    let rows = vec![
+        vec!["crc32_mb_per_s".to_string(), format!("{crc32_mb_per_s:.0}")],
+        vec![
+            "byte-at-a-time reference".to_string(),
+            format!("{crc32_bytewise_mb_per_s:.0}"),
+        ],
+    ];
+    print_table(
+        &format!("frame checksum, {CHUNK_BYTES} B chunks ({crc_ratio:.1}x the reference)"),
+        &header,
+        &rows,
+    );
+
     // --- Acceptance assertions -------------------------------------------
     for policy in [CodecPolicy::DeltaBp, CodecPolicy::Auto] {
         let cell = cells
@@ -278,9 +341,17 @@ fn main() {
         "expected >=2x end-to-end speedup from chunk skipping, got {skip_speedup:.2}x"
     );
     println!("skipping acceptance ✓: {skip_speedup:.1}x end-to-end (>=2x required)");
+    assert!(
+        crc_ratio >= 3.0,
+        "expected the sliced crc32 at >=3x the byte-at-a-time loop, got {crc_ratio:.2}x"
+    );
+    println!("checksum acceptance ✓: {crc_ratio:.1}x the byte-at-a-time loop (>=3x required)");
 
     // --- JSON -------------------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = format!(
+        "{{\n  \"measured_at\": \"{}\",\n",
+        ssdm_bench::measured_at()
+    );
     json.push_str(&format!(
         "  \"config\": {{\"elements\": {elems}, \"chunk_bytes\": {CHUNK_BYTES}, \
          \"latency\": \"networked_dbms\", \"quick\": {quick}}},\n"
@@ -303,8 +374,13 @@ fn main() {
         "  \"skipping\": {{\"off_ms\": {off_ms:.4}, \"on_ms\": {on_ms:.4}, \
          \"speedup\": {skip_speedup:.3}, \"chunks_skipped\": {}, \
          \"chunks_fetched_on\": {}, \"chunks_fetched_off\": {}, \
-         \"identical_result\": true}}\n",
+         \"identical_result\": true}},\n",
         on_stats.chunks_skipped, on_stats.chunks_fetched, off_stats.chunks_fetched
+    ));
+    json.push_str(&format!(
+        "  \"checksum\": {{\"crc32_mb_per_s\": {crc32_mb_per_s:.1}, \
+         \"bytewise_mb_per_s\": {crc32_bytewise_mb_per_s:.1}, \"ratio\": {crc_ratio:.3}, \
+         \"identical_result\": true}}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out, json).expect("write JSON");

@@ -378,7 +378,7 @@ fn main() {
 
     // --- JSON -------------------------------------------------------------
     let json = format!(
-        "{{\n  \"config\": {{\"idle_connections\": {idle_target}, \
+        "{{\n  \"measured_at\": \"{}\",\n  \"config\": {{\"idle_connections\": {idle_target}, \
          \"sequential_requests\": {seq_requests}, \"concurrent_clients\": {conc_clients}, \
          \"requests_per_client\": {conc_requests}, \"quick\": {quick}}},\n  \
          \"idle_scale\": {{\"connections\": {idle_target}, \"framed_sessions\": {idle_target}, \"establish_s\": {establish_s:.3}, \
@@ -388,6 +388,7 @@ fn main() {
          \"framed_sequential_rps\": {framed_seq_rps:.1}, \
          \"framed_concurrent_rps\": {framed_conc_rps:.1}}},\n  \
          \"format_round_trip\": {{\"formats\": {}, \"byte_identical\": true}}\n}}\n",
+        ssdm_bench::measured_at(),
         thread_growth.map_or("null".into(), |d| d.to_string()),
         formats_ok.len(),
     );

@@ -304,7 +304,10 @@ fn main() {
     println!("cache acceptance ✓: {best:.1}x warm repeat (>=2x required)");
 
     // --- JSON -------------------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = format!(
+        "{{\n  \"measured_at\": \"{}\",\n",
+        ssdm_bench::measured_at()
+    );
     json.push_str(&format!(
         "  \"config\": {{\"rows\": {ROWS}, \"cols\": {COLS}, \"chunk_bytes\": {CHUNK_BYTES}, \
          \"queries\": {queries}, \"latency\": \"networked_dbms\", \"quick\": {quick}}},\n"

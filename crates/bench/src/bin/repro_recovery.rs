@@ -226,7 +226,10 @@ fn main() {
     );
 
     // --- JSON -------------------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = format!(
+        "{{\n  \"measured_at\": \"{}\",\n",
+        ssdm_bench::measured_at()
+    );
     json.push_str(&format!(
         "  \"config\": {{\"updates\": {updates}, \"array_every\": 8, \"quick\": {quick}}},\n"
     ));

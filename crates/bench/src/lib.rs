@@ -22,3 +22,25 @@ pub fn fmt_ms(seconds: f64) -> String {
         format!("{ms:.4}")
     }
 }
+
+/// What a committed `BENCH_*.json` is stamped with: the short hash of
+/// the checked-out commit, `+dirty` when the working tree differs from
+/// it (a measurement taken before its own commit exists names the
+/// parent), `unknown` outside a git checkout.
+pub fn measured_at() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if !head.is_empty() => match git(&["status", "--porcelain"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => format!("{head}+dirty"),
+        },
+        _ => "unknown".to_string(),
+    }
+}

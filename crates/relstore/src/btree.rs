@@ -63,6 +63,47 @@ fn get_key(b: &[u8], off: usize) -> TreeKey {
     b[off..off + 16].try_into().expect("16-byte slice")
 }
 
+/// Binary search over the `n` entries of a node (`stride` bytes apart
+/// from `HDR`, key first): the index of the first entry whose key is not
+/// `before` the probe — `n` when every key is.
+#[inline]
+fn partition_point(p: &[u8], n: usize, stride: usize, before: impl Fn(&[u8]) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let off = HDR + mid * stride;
+        if before(&p[off..off + 16]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The child of internal node `p` that covers `key`, and its position:
+/// the number of separator keys `<= key`.
+#[inline]
+fn child_for(p: &[u8], key: &TreeKey) -> (usize, PageId) {
+    let n = get_u16(p, 1) as usize;
+    let pos = partition_point(p, n, INT_ENTRY, |k| k <= &key[..]);
+    let child = match pos {
+        0 => get_u32(p, 4),
+        _ => get_u32(p, HDR + (pos - 1) * INT_ENTRY + 16),
+    };
+    (pos, child)
+}
+
+/// Where `key` is, or would be inserted, among the entries of leaf `p`:
+/// `(position, entry count, whether the entry there holds `key`)`.
+#[inline]
+fn leaf_slot(p: &[u8], key: &TreeKey) -> (usize, usize, bool) {
+    let n = get_u16(p, 1) as usize;
+    let pos = partition_point(p, n, LEAF_ENTRY, |k| k < &key[..]);
+    let off = HDR + pos * LEAF_ENTRY;
+    (pos, n, pos < n && p[off..off + 16] == key[..])
+}
+
 /// The B+-tree handle: root id plus a free list of recycled value pages.
 /// All operations borrow the buffer pool explicitly so one pool can be
 /// shared by several trees.
@@ -128,20 +169,22 @@ impl BPlusTree {
         Ok(pages[0])
     }
 
+    /// Assemble a value from its chain: each page's bytes are appended
+    /// straight from the pinned page into the pre-sized output.
     fn read_value(&self, pool: &mut BufferPool, head: PageId, len: usize) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(len);
         let mut cur = head;
         while out.len() < len {
-            let (next, part): (u32, Vec<u8>) = pool.with_page(cur, |p| {
+            let next = pool.with_page(cur, |p| {
                 if p[0] != TAG_VALUE {
                     return Err(StoreError::Corrupt(format!(
                         "page {cur} is not a value page"
                     )));
                 }
                 let used = get_u16(p, 5) as usize;
-                Ok((get_u32(p, 1), p[VAL_HDR..VAL_HDR + used].to_vec()))
+                out.extend_from_slice(&p[VAL_HDR..VAL_HDR + used]);
+                Ok(get_u32(p, 1))
             })??;
-            out.extend_from_slice(&part);
             if next == 0 {
                 break;
             }
@@ -186,16 +229,7 @@ impl BPlusTree {
                 if p[0] == TAG_LEAF {
                     (TAG_LEAF, 0)
                 } else {
-                    let n = get_u16(p, 1) as usize;
-                    let mut child = get_u32(p, 4);
-                    for i in 0..n {
-                        let off = HDR + i * INT_ENTRY;
-                        if key < &get_key(p, off) {
-                            break;
-                        }
-                        child = get_u32(p, off + 16);
-                    }
-                    (TAG_INTERNAL, child)
+                    (TAG_INTERNAL, child_for(p, key).1)
                 }
             })?;
             if tag == TAG_LEAF {
@@ -210,14 +244,9 @@ impl BPlusTree {
         let leaf = self.find_leaf(pool, key)?;
         self.leaf_reads += 1;
         let found = pool.with_page(leaf, |p| {
-            let n = get_u16(p, 1) as usize;
-            for i in 0..n {
-                let off = HDR + i * LEAF_ENTRY;
-                if &get_key(p, off) == key {
-                    return Some((get_u32(p, off + 16) as usize, get_u32(p, off + 20)));
-                }
-            }
-            None
+            let (pos, _, found) = leaf_slot(p, key);
+            let off = HDR + pos * LEAF_ENTRY;
+            found.then(|| (get_u32(p, off + 16) as usize, get_u32(p, off + 20)))
         })?;
         match found {
             Some((len, head)) => Ok(Some(self.read_value(pool, head, len)?)),
@@ -236,33 +265,29 @@ impl BPlusTree {
         let mut leaf = self.find_leaf(pool, lo)?;
         loop {
             self.leaf_reads += 1;
-            let (entries, next): (Vec<(TreeKey, usize, PageId)>, u32) =
-                pool.with_page(leaf, |p| {
-                    let n = get_u16(p, 1) as usize;
-                    let mut es = Vec::with_capacity(n);
-                    for i in 0..n {
+            // The entries of this leaf inside the range, from the lower
+            // bound on; `past` once a key above `hi` was seen.
+            let (entries, past, next): (Vec<(TreeKey, usize, PageId)>, bool, u32) = pool
+                .with_page(leaf, |p| {
+                    let (start, n, _) = leaf_slot(p, lo);
+                    let mut es = Vec::new();
+                    let mut past = false;
+                    for i in start..n {
                         let off = HDR + i * LEAF_ENTRY;
-                        es.push((
-                            get_key(p, off),
-                            get_u32(p, off + 16) as usize,
-                            get_u32(p, off + 20),
-                        ));
+                        let k = get_key(p, off);
+                        if &k > hi {
+                            past = true;
+                            break;
+                        }
+                        es.push((k, get_u32(p, off + 16) as usize, get_u32(p, off + 20)));
                     }
-                    (es, get_u32(p, 4))
+                    (es, past, get_u32(p, 4))
                 })?;
-            let mut done = false;
             for (k, len, head) in entries {
-                if &k < lo {
-                    continue;
-                }
-                if &k > hi {
-                    done = true;
-                    break;
-                }
                 let v = self.read_value(pool, head, len)?;
                 out.push((k, v));
             }
-            if done || next == 0 {
+            if past || next == 0 {
                 break;
             }
             leaf = next;
@@ -307,20 +332,7 @@ impl BPlusTree {
             return self.leaf_insert(pool, node, key, len, head);
         }
         // Internal: find child position.
-        let (pos, child) = pool.with_page(node, |p| {
-            let n = get_u16(p, 1) as usize;
-            let mut child = get_u32(p, 4);
-            let mut pos = 0usize;
-            for i in 0..n {
-                let off = HDR + i * INT_ENTRY;
-                if key < &get_key(p, off) {
-                    break;
-                }
-                child = get_u32(p, off + 16);
-                pos = i + 1;
-            }
-            (pos, child)
-        })?;
+        let (pos, child) = pool.with_page(node, |p| child_for(p, key))?;
         let Some((sep, right)) = self.insert_rec(pool, child, key, len, head)? else {
             return Ok(None);
         };
@@ -376,32 +388,21 @@ impl BPlusTree {
     ) -> Result<Option<(TreeKey, PageId)>> {
         // Replace in place if the key exists, freeing the old chain.
         let replaced = pool.with_page_mut(leaf, |p| {
-            let n = get_u16(p, 1) as usize;
-            for i in 0..n {
-                let off = HDR + i * LEAF_ENTRY;
-                if &get_key(p, off) == key {
-                    let old_head = get_u32(p, off + 20);
-                    put_u32(p, off + 16, len);
-                    put_u32(p, off + 20, head);
-                    return Some(old_head);
-                }
-            }
-            None
+            let (pos, _, found) = leaf_slot(p, key);
+            let off = HDR + pos * LEAF_ENTRY;
+            found.then(|| {
+                let old_head = get_u32(p, off + 20);
+                put_u32(p, off + 16, len);
+                put_u32(p, off + 20, head);
+                old_head
+            })
         })?;
         if let Some(old_head) = replaced {
             self.free_value_chain(pool, old_head)?;
             return Ok(None);
         }
         let overflow = pool.with_page_mut(leaf, |p| {
-            let n = get_u16(p, 1) as usize;
-            let mut pos = n;
-            for i in 0..n {
-                let off = HDR + i * LEAF_ENTRY;
-                if key < &get_key(p, off) {
-                    pos = i;
-                    break;
-                }
-            }
+            let (pos, n, _) = leaf_slot(p, key);
             let start = HDR + pos * LEAF_ENTRY;
             let end = HDR + n * LEAF_ENTRY;
             p.copy_within(start..end, start + LEAF_ENTRY);
@@ -443,19 +444,14 @@ impl BPlusTree {
     pub fn delete(&mut self, pool: &mut BufferPool, key: &TreeKey) -> Result<bool> {
         let leaf = self.find_leaf(pool, key)?;
         let removed = pool.with_page_mut(leaf, |p| {
-            let n = get_u16(p, 1) as usize;
-            for i in 0..n {
-                let off = HDR + i * LEAF_ENTRY;
-                if &get_key(p, off) == key {
-                    let head = get_u32(p, off + 20);
-                    let start = off + LEAF_ENTRY;
-                    let end = HDR + n * LEAF_ENTRY;
-                    p.copy_within(start..end, off);
-                    put_u16(p, 1, (n - 1) as u16);
-                    return Some(head);
-                }
-            }
-            None
+            let (pos, n, found) = leaf_slot(p, key);
+            let off = HDR + pos * LEAF_ENTRY;
+            found.then(|| {
+                let head = get_u32(p, off + 20);
+                p.copy_within(off + LEAF_ENTRY..HDR + n * LEAF_ENTRY, off);
+                put_u16(p, 1, (n - 1) as u16);
+                head
+            })
         })?;
         match removed {
             Some(head) => {
@@ -597,5 +593,150 @@ mod tests {
         let rows = tree.range(&mut pool, &key(1, 0), &key(1, 799)).unwrap();
         assert_eq!(rows.len(), 800);
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// First and last key of every node, internal and leaf, in the tree.
+    fn node_edges(
+        pool: &mut BufferPool,
+        node: PageId,
+        edges: &mut Vec<TreeKey>,
+        depth: usize,
+    ) -> usize {
+        let (tag, n, children): (u8, usize, Vec<PageId>) = pool
+            .with_page(node, |p| {
+                let n = get_u16(p, 1) as usize;
+                let stride = if p[0] == TAG_LEAF {
+                    LEAF_ENTRY
+                } else {
+                    INT_ENTRY
+                };
+                if n > 0 {
+                    edges.push(get_key(p, HDR));
+                    edges.push(get_key(p, HDR + (n - 1) * stride));
+                }
+                let children = match p[0] {
+                    TAG_LEAF => Vec::new(),
+                    _ => std::iter::once(get_u32(p, 4))
+                        .chain((0..n).map(|i| get_u32(p, HDR + i * INT_ENTRY + 16)))
+                        .collect(),
+                };
+                (p[0], n, children)
+            })
+            .unwrap();
+        assert!(tag == TAG_LEAF || n > 0);
+        children
+            .into_iter()
+            .map(|c| node_edges(pool, c, edges, depth + 1))
+            .max()
+            .unwrap_or(depth)
+    }
+
+    /// Random put / replace / delete / get / range against a `BTreeMap`,
+    /// with every probe key taken from a node boundary of a three-level
+    /// tree (the first and last key of each node, and the keys just
+    /// below and above them, which fall between nodes), ranges that
+    /// start and end on such keys and cross arrays, and values of every
+    /// chain shape: empty, one byte, exactly one page, one page and a
+    /// byte, and a megabyte.
+    #[test]
+    fn matches_a_btreemap_on_node_boundaries() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let (mut pool, mut tree) = setup();
+        let mut model: BTreeMap<TreeKey, Vec<u8>> = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(0xB7EE);
+        let value = |rng: &mut StdRng, big: bool| -> Vec<u8> {
+            let len = match rng.gen_range(0..if big { 37 } else { 36 }) {
+                0..=7 => 0,
+                8..=15 => 1,
+                16..=19 => VAL_CAP,
+                20..=23 => VAL_CAP + 1,
+                24..=35 => rng.gen_range(2..200usize),
+                _ => 1_000_000,
+            };
+            let salt: u8 = rng.gen();
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+                .collect()
+        };
+        // Array 1 ascending: half-full leaves, enough of them to split
+        // the root a second time. Arrays 2 and 3 scrambled and
+        // descending. Chunk ids step by 4, so a key's neighbours are
+        // absent and sit between nodes.
+        for c in 0..18_000u64 {
+            let (k, v) = (key(1, c * 4), value(&mut rng, false));
+            tree.put(&mut pool, &k, &v).unwrap();
+            model.insert(k, v);
+        }
+        for i in 0..1_500u64 {
+            for k in [key(2, (i * 7919) % 1_500 * 4), key(3, (1_499 - i) * 4)] {
+                let v = value(&mut rng, false);
+                tree.put(&mut pool, &k, &v).unwrap();
+                model.insert(k, v);
+            }
+        }
+        let mut edges = Vec::new();
+        let depth = node_edges(&mut pool, tree.root(), &mut edges, 0);
+        assert!(
+            depth >= 2,
+            "want internal nodes below the root, got depth {depth}"
+        );
+        let mut probes: Vec<TreeKey> = edges
+            .iter()
+            .flat_map(|k| {
+                let n = u128::from_be_bytes(*k);
+                [n.saturating_sub(1), n, n.saturating_add(1)].map(u128::to_be_bytes)
+            })
+            .chain([key(0, 0), key(1, 0), key(2, 0), key(4, 0), [0xFF; 16]])
+            .collect();
+        probes.sort_unstable();
+        probes.dedup();
+
+        let expect_range = |model: &BTreeMap<TreeKey, Vec<u8>>, lo: &TreeKey, hi: &TreeKey| {
+            model
+                .range(*lo..=*hi)
+                .map(|(k, v)| (*k, v.clone()))
+                .collect::<Vec<_>>()
+        };
+        for step in 0..6_000 {
+            let i = rng.gen_range(0..probes.len());
+            let k = probes[i];
+            match rng.gen_range(0..10u32) {
+                0..=2 => {
+                    let got = tree.get(&mut pool, &k).unwrap();
+                    assert_eq!(got.as_ref(), model.get(&k), "step {step}: get {k:?}");
+                }
+                3..=5 => {
+                    let v = value(&mut rng, true);
+                    tree.put(&mut pool, &k, &v).unwrap();
+                    model.insert(k, v);
+                }
+                6..=7 => {
+                    let existed = tree.delete(&mut pool, &k).unwrap();
+                    assert_eq!(existed, model.remove(&k).is_some(), "step {step}: delete");
+                }
+                _ => {
+                    // Mostly a few nodes wide; now and then across
+                    // arrays, or empty (hi below lo's successor).
+                    let width = match rng.gen_range(0..40u32) {
+                        0 => probes.len(),
+                        _ => rng.gen_range(0..12usize),
+                    };
+                    let hi = probes[(i + width).min(probes.len() - 1)];
+                    let got = tree.range(&mut pool, &k, &hi).unwrap();
+                    assert!(
+                        got == expect_range(&model, &k, &hi),
+                        "step {step}: range {k:?}..={hi:?}"
+                    );
+                }
+            }
+        }
+        let all = tree.range(&mut pool, &[0; 16], &[0xFF; 16]).unwrap();
+        assert!(all == expect_range(&model, &[0; 16], &[0xFF; 16]));
+        for k in &probes {
+            assert_eq!(tree.get(&mut pool, k).unwrap().as_ref(), model.get(k));
+        }
     }
 }

@@ -111,21 +111,24 @@ impl Pager {
         }
     }
 
-    /// Read a page into a fresh buffer.
-    pub fn read(&mut self, id: PageId) -> Result<Page, StoreError> {
+    /// Read a page into `buf` — the caller's frame, so a buffer pool can
+    /// fault a page into the buffer it just evicted another from.
+    pub fn read_into(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StoreError> {
         self.physical_reads += 1;
         match &mut self.backing {
-            Backing::Memory(v) => v
-                .get(id as usize)
-                .cloned()
-                .ok_or_else(|| StoreError::Corrupt(format!("page {id} out of range"))),
+            Backing::Memory(v) => {
+                let page = v
+                    .get(id as usize)
+                    .ok_or_else(|| StoreError::Corrupt(format!("page {id} out of range")))?;
+                buf.copy_from_slice(&page[..]);
+                Ok(())
+            }
             Backing::File { file, pages } => {
                 if id >= *pages {
                     return Err(StoreError::Corrupt(format!("page {id} out of range")));
                 }
-                let mut buf = blank_page();
-                file.read_exact_at(&mut buf[..], id as u64 * PAGE_SIZE as u64)?;
-                Ok(buf)
+                file.read_exact_at(buf, id as u64 * PAGE_SIZE as u64)?;
+                Ok(())
             }
         }
     }
@@ -138,7 +141,7 @@ impl Pager {
                 let slot = v
                     .get_mut(id as usize)
                     .ok_or_else(|| StoreError::Corrupt(format!("page {id} out of range")))?;
-                *slot = page.clone();
+                slot.copy_from_slice(&page[..]);
                 Ok(())
             }
             Backing::File { file, pages } => {
@@ -166,17 +169,18 @@ mod tests {
         page[0] = 7;
         page[PAGE_SIZE - 1] = 9;
         p.write(a, &page).unwrap();
-        let back = p.read(a).unwrap();
+        let mut back = blank_page();
+        p.read_into(a, &mut back).unwrap();
         assert_eq!(back[0], 7);
         assert_eq!(back[PAGE_SIZE - 1], 9);
-        let untouched = p.read(b).unwrap();
-        assert_eq!(untouched[0], 0);
+        p.read_into(b, &mut back).unwrap();
+        assert_eq!(back[0], 0, "a read overwrites whatever the buffer held");
     }
 
     #[test]
     fn out_of_range_is_error() {
         let mut p = Pager::in_memory();
-        assert!(p.read(0).is_err());
+        assert!(p.read_into(0, &mut blank_page()).is_err());
     }
 
     #[test]
@@ -189,7 +193,9 @@ mod tests {
         let mut page = blank_page();
         page[100] = 42;
         p.write(a, &page).unwrap();
-        assert_eq!(p.read(a).unwrap()[100], 42);
+        let mut back = blank_page();
+        p.read_into(a, &mut back).unwrap();
+        assert_eq!(back[100], 42);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -197,8 +203,9 @@ mod tests {
     fn io_counters() {
         let mut p = Pager::in_memory();
         let a = p.allocate().unwrap();
-        p.read(a).unwrap();
-        p.read(a).unwrap();
+        let mut buf = blank_page();
+        p.read_into(a, &mut buf).unwrap();
+        p.read_into(a, &mut buf).unwrap();
         assert_eq!(p.physical_reads, 2);
     }
 }

@@ -75,8 +75,9 @@ pub struct Conn {
     pub token: u64,
     codec: Codec,
     rbuf: Vec<u8>,
-    /// Bytes the frame being received will occupy: the receive cap
-    /// stretches to it, so one frame may exceed `max_buffered`.
+    /// Bytes the request being received will occupy, as far as its
+    /// decoder can tell: the receive cap stretches to it, so one frame
+    /// or one HTTP body may exceed `max_buffered`.
     need: usize,
     wbuf: Vec<u8>,
     wpos: usize,
@@ -206,7 +207,22 @@ impl Conn {
     /// buffer holds no further complete request.
     fn next_http(&mut self, limits: &Limits, jobs: &mut Vec<Dispatch>) -> bool {
         match parser::parse_request(&self.rbuf, limits) {
-            Parsed::Incomplete { expects_continue } => {
+            Parsed::Incomplete {
+                expects_continue,
+                need,
+            } => {
+                // The most one request may occupy: a head, its blank
+                // line and a body, each at its limit. An unfinished
+                // request that already fills it (chunk framing counts)
+                // can never complete within the limits.
+                let bound = limits.max_head_bytes + 4 + limits.max_body_bytes;
+                if self.rbuf.len() >= bound {
+                    let refusal = Response::text(413, "request too large");
+                    self.reply(refusal.encode(false), true);
+                    self.rbuf.clear();
+                    return false;
+                }
+                self.need = need.min(bound);
                 if expects_continue && !self.sent_continue {
                     self.sent_continue = true;
                     self.wbuf
@@ -224,6 +240,7 @@ impl Conn {
             }
             Parsed::Complete(req, consumed) => {
                 self.rbuf.drain(..consumed);
+                self.need = 0;
                 self.sent_continue = false;
                 let keep_alive = req.keep_alive;
                 // Without keep-alive no further requests will be
@@ -617,6 +634,92 @@ mod tests {
             Work::Framed(FramedExec::Query(q)) if *q == statement
         ));
         assert_eq!(conn.need, 0, "the cap falls back once the frame is out");
+    }
+
+    /// Pump `wire` through a 4 KiB receive cap until the connection
+    /// either hands out a job or wants to answer by itself.
+    fn receive_through_a_small_cap(
+        conn: &mut Conn,
+        client: &mut TcpStream,
+        wire: &[u8],
+        config: &HttpConfig,
+    ) -> Vec<Dispatch> {
+        let registry = registry();
+        // The peer keeps sending whatever the server does; once the
+        // server has answered and dropped the connection that fails.
+        let mut sender = client.try_clone().unwrap();
+        let wire = wire.to_vec();
+        let sending = std::thread::spawn(move || sender.write_all(&wire).is_ok());
+        let mut jobs = Vec::new();
+        while jobs.is_empty() && !conn.wants_write() {
+            conn.fill(4096).unwrap();
+            jobs = conn.drain_input(config, &registry).jobs;
+            std::thread::yield_now();
+        }
+        if !jobs.is_empty() {
+            assert!(sending.join().unwrap(), "the whole request was taken");
+        }
+        jobs
+    }
+
+    #[test]
+    fn one_http_body_may_exceed_the_receive_cap() {
+        let body = format!("INSERT DATA {{ <a> <b> 1 }} #{}", "x".repeat(64 * 1024));
+        let head = "POST /update HTTP/1.1\r\nContent-Type: application/sparql-update\r\n";
+        let sized = format!("{head}Content-Length: {}\r\n\r\n{body}", body.len());
+        // Chunks larger and smaller than the cap, and a trailer.
+        let (a, b) = body.split_at(50_000);
+        let chunked = format!(
+            "{head}Transfer-Encoding: chunked\r\n\r\n{:x}\r\n{a}\r\n{:x};ext\r\n{b}\r\n0\r\nT: v\r\n\r\n",
+            a.len(),
+            b.len()
+        );
+        for wire in [sized, chunked] {
+            let (mut conn, mut client) = pair(Codec::Http);
+            let jobs = receive_through_a_small_cap(
+                &mut conn,
+                &mut client,
+                wire.as_bytes(),
+                &HttpConfig::default(),
+            );
+            assert!(matches!(
+                &jobs[0].work,
+                Work::Http { exec: router::Exec::Update { statement, .. }, .. } if *statement == body
+            ));
+            assert_eq!(conn.need, 0, "the cap falls back once the request is out");
+            assert!(conn.rbuf.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_request_that_outgrows_head_plus_body_is_refused_not_awaited() {
+        // Two-byte chunks: five bytes of framing for two of body, so the
+        // raw request passes head + body limits long before the decoded
+        // body reaches its own.
+        let config = HttpConfig {
+            limits: Limits {
+                max_head_bytes: 256,
+                max_body_bytes: 8 * 1024,
+                max_headers: 8,
+            },
+            ..HttpConfig::default()
+        };
+        let mut wire = b"POST /update HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        for _ in 0..4096 {
+            wire.extend_from_slice(b"2\r\nxy\r\n");
+        }
+        let (mut conn, mut client) = pair(Codec::Http);
+        let jobs = receive_through_a_small_cap(&mut conn, &mut client, &wire, &config);
+        assert!(jobs.is_empty());
+        assert_eq!(conn.flush(), FlushState::Closed);
+        drop(conn);
+        let mut out = Vec::new();
+        let _ = client.read_to_end(&mut out);
+        assert!(
+            String::from_utf8_lossy(&out).starts_with("HTTP/1.1 413"),
+            "{}",
+            String::from_utf8_lossy(&out)
+        );
     }
 
     #[test]

@@ -52,6 +52,8 @@
 //! Counters keep their `ssdm_http_` prefix and count both wires
 //! (`ssdm_http_panics_total` included); request latency is per wire
 //! (`ssdm_http_request_seconds`, `ssdm_framed_request_seconds`).
+//! `ssdm_http_reactor_wakeups_total` counts returns of the poller: set
+//! against bytes or requests served it shows a loop that spins.
 //!
 //! HTTP requests on one connection are independent and up to
 //! [`conn::MAX_PIPELINE`] of them execute at once; a framed connection
@@ -489,9 +491,13 @@ fn reactor(
     let mut next_token = first_conn_token;
     let mut events = Vec::new();
     let rec = ssdm_obs::recorder();
+    // Every return of the poller, timeouts included: a loop that spins
+    // on a readable socket it will not read shows here, not in a timing.
+    let wakeups = rec.counter("ssdm_http_reactor_wakeups_total");
 
     loop {
         poller.wait(&mut events, Some(Duration::from_millis(200)))?;
+        wakeups.inc();
         let mut touched: Vec<u64> = Vec::new();
 
         for ev in &events {

@@ -117,8 +117,16 @@ pub enum Parsed {
     /// Not enough bytes yet; `expects_continue` is set when a complete
     /// header block announced `Expect: 100-continue` and the body has
     /// not fully arrived (the server should send the interim response).
+    /// `need` is the buffer length the parser is waiting for before it
+    /// can get any further: the end of the body a `Content-Length`
+    /// announced, the end of the chunk whose size line it has read, or
+    /// one byte more than it has when nothing has been announced yet.
+    /// The connection stretches its receive cap to it, so a body larger
+    /// than the cap still arrives; every announced length has passed
+    /// its limit before it is reported here.
     Incomplete {
         expects_continue: bool,
+        need: usize,
     },
     /// One request plus how many buffer bytes it consumed.
     Complete(Box<Request>, usize),
@@ -136,6 +144,7 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parsed {
             }
             return Parsed::Incomplete {
                 expects_continue: false,
+                need: buf.len() + 1,
             };
         }
     };
@@ -203,7 +212,12 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parsed {
         .unwrap_or(false);
     let (body, consumed) = if chunked {
         match parse_chunked(&buf[body_start..], limits) {
-            ChunkedBody::Incomplete => return Parsed::Incomplete { expects_continue },
+            ChunkedBody::Incomplete { need } => {
+                return Parsed::Incomplete {
+                    expects_continue,
+                    need: body_start + need,
+                }
+            }
             ChunkedBody::Error(e) => return Parsed::Error(e),
             ChunkedBody::Complete(body, used) => (body, body_start + used),
         }
@@ -215,7 +229,10 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parsed {
             return Parsed::Error(ParseError::new(413, "request body too large"));
         }
         if buf.len() < body_start + len {
-            return Parsed::Incomplete { expects_continue };
+            return Parsed::Incomplete {
+                expects_continue,
+                need: body_start + len,
+            };
         }
         (buf[body_start..body_start + len].to_vec(), body_start + len)
     } else {
@@ -254,7 +271,10 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parsed {
 }
 
 enum ChunkedBody {
-    Incomplete,
+    /// `need`: the length of `buf` that holds the chunk in progress.
+    Incomplete {
+        need: usize,
+    },
     Complete(Vec<u8>, usize),
     Error(ParseError),
 }
@@ -267,7 +287,9 @@ fn parse_chunked(buf: &[u8], limits: &Limits) -> ChunkedBody {
     let mut pos = 0usize;
     loop {
         let Some(line_end) = find_crlf(&buf[pos..]) else {
-            return ChunkedBody::Incomplete;
+            return ChunkedBody::Incomplete {
+                need: buf.len() + 1,
+            };
         };
         let size_line = &buf[pos..pos + line_end];
         let Some(size) = std::str::from_utf8(size_line)
@@ -282,7 +304,9 @@ fn parse_chunked(buf: &[u8], limits: &Limits) -> ChunkedBody {
             // Trailer section: zero or more header lines, then CRLF.
             loop {
                 let Some(te) = find_crlf(&buf[pos..]) else {
-                    return ChunkedBody::Incomplete;
+                    return ChunkedBody::Incomplete {
+                        need: buf.len() + 1,
+                    };
                 };
                 pos += te + 2;
                 if te == 0 {
@@ -296,7 +320,9 @@ fn parse_chunked(buf: &[u8], limits: &Limits) -> ChunkedBody {
             return ChunkedBody::Error(ParseError::new(413, "request body too large"));
         }
         if buf.len() < pos + size + 2 {
-            return ChunkedBody::Incomplete;
+            return ChunkedBody::Incomplete {
+                need: pos + size + 2,
+            };
         }
         body.extend_from_slice(&buf[pos..pos + size]);
         if &buf[pos + size..pos + size + 2] != b"\r\n" {
@@ -416,12 +442,31 @@ mod tests {
     #[test]
     fn incomplete_returns_incomplete_and_flags_expect_continue() {
         match parse_request(b"POST /q HTTP/1.1\r\nContent-Le", &Limits::default()) {
-            Parsed::Incomplete { expects_continue } => assert!(!expects_continue),
+            Parsed::Incomplete {
+                expects_continue,
+                need,
+            } => {
+                assert!(!expects_continue);
+                assert_eq!(need, 28 + 1, "no length announced yet: one more byte");
+            }
             other => panic!("{other:?}"),
         }
         let head = b"POST /q HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 10\r\n\r\nabc";
         match parse_request(head, &Limits::default()) {
-            Parsed::Incomplete { expects_continue } => assert!(expects_continue),
+            Parsed::Incomplete {
+                expects_continue,
+                need,
+            } => {
+                assert!(expects_continue);
+                assert_eq!(need, head.len() + 7, "the announced body's end");
+            }
+            other => panic!("{other:?}"),
+        }
+        let chunked = b"POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n10\r\nde";
+        match parse_request(chunked, &Limits::default()) {
+            Parsed::Incomplete { need, .. } => {
+                assert_eq!(need, chunked.len() + 14 + 2, "the announced chunk's end")
+            }
             other => panic!("{other:?}"),
         }
     }

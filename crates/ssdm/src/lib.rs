@@ -75,6 +75,25 @@ pub struct Ssdm {
     slow_query_ms: Option<u64>,
 }
 
+/// The process-wide recorder's series in Prometheus text format, with
+/// the core histograms and codec counters registered first, so a scrape
+/// sees stable series (with zero counts) even before the first chunk
+/// fetch, fsync, query, skipped or decoded chunk.
+pub(crate) fn recorder_prometheus_text() -> String {
+    let rec = ssdm_obs::recorder();
+    for name in [
+        "ssdm_chunk_fetch_seconds",
+        "ssdm_wal_fsync_seconds",
+        "ssdm_query_seconds",
+    ] {
+        let _ = rec.histogram(name);
+    }
+    for name in ["ssdm_chunks_skipped", "ssdm_chunks_decoded"] {
+        let _ = rec.counter(name);
+    }
+    rec.prometheus_text()
+}
+
 impl Ssdm {
     /// Wrap an already-configured dataset (no durability).
     pub fn from_dataset(dataset: Dataset) -> Self {
@@ -372,23 +391,8 @@ impl Ssdm {
     /// the structured [`Ssdm::report`] counters plus the process-wide
     /// recorder's latency histograms (chunk fetch, WAL fsync, query).
     pub fn metrics_prometheus(&self) -> String {
-        // Pre-register the core histograms so a scrape sees stable
-        // series (with zero counts) even before the first observation.
-        let rec = ssdm_obs::recorder();
-        for name in [
-            "ssdm_chunk_fetch_seconds",
-            "ssdm_wal_fsync_seconds",
-            "ssdm_query_seconds",
-        ] {
-            let _ = rec.histogram(name);
-        }
-        // Likewise the codec counters, which otherwise first appear on
-        // the first skipped or decoded chunk.
-        for name in ["ssdm_chunks_skipped", "ssdm_chunks_decoded"] {
-            let _ = rec.counter(name);
-        }
         let mut out = self.report().render_prometheus();
-        out.push_str(&rec.prometheus_text());
+        out.push_str(&recorder_prometheus_text());
         out
     }
 

@@ -46,7 +46,7 @@
 //!   the order sent and answered in that order — a session reads its
 //!   own writes — and a `USE` takes effect for every frame after it.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -127,30 +127,33 @@ impl Server {
 /// A client connection to an SSDM server — what the Matlab interface of
 /// ch. 7 uses under the hood.
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through a buffer: status, length and a short
+    /// payload arrive in one `read`.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        // Request frames are written as length + payload; without
-        // nodelay the second write waits out the peer's delayed ACK.
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Send one statement; returns the rendered payload or the server's
     /// error message.
     pub fn query(&mut self, text: &str) -> Result<String, QueryError> {
-        let send = |stream: &mut TcpStream| -> std::io::Result<(u8, String)> {
-            stream.write_all(&(text.len() as u32).to_le_bytes())?;
-            stream.write_all(text.as_bytes())?;
-            stream.flush()?;
-            let mut status = [0u8; 1];
-            stream.read_exact(&mut status)?;
-            let mut len_buf = [0u8; 4];
-            stream.read_exact(&mut len_buf)?;
-            let len = u32::from_le_bytes(len_buf);
+        let send = |stream: &mut BufReader<TcpStream>| -> std::io::Result<(u8, String)> {
+            // Length and statement leave in one write: the server's
+            // event loop wakes once per request, not once per piece.
+            let mut request = Vec::with_capacity(4 + text.len());
+            request.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            request.extend_from_slice(text.as_bytes());
+            stream.get_mut().write_all(&request)?;
+            let mut head = [0u8; 5];
+            stream.read_exact(&mut head)?;
+            let len = u32::from_le_bytes(head[1..].try_into().expect("4 bytes"));
             if len > MAX_FRAME {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -160,7 +163,7 @@ impl Client {
             let mut buf = vec![0u8; len as usize];
             stream.read_exact(&mut buf)?;
             Ok((
-                status[0],
+                head[0],
                 String::from_utf8(buf).unwrap_or_else(|_| "<binary>".into()),
             ))
         };

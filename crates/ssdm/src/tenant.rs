@@ -653,7 +653,7 @@ impl TenantRegistry {
             "{}{}{}",
             engine_part,
             self.report().render_prometheus(),
-            ssdm_obs::recorder().prometheus_text()
+            crate::recorder_prometheus_text()
         )
     }
 

@@ -110,7 +110,13 @@ fn assert_split_invariant(
 
 fn http_step(limits: Limits) -> impl Fn(&[u8]) -> Option<(String, usize)> {
     move |buf| match parse_request(buf, &limits) {
-        Parsed::Incomplete { .. } => None,
+        Parsed::Incomplete { need, .. } => {
+            // What the connection stretches its receive cap to: past
+            // what it holds, by no more than a body (or a chunk and its
+            // CRLF) within the limit.
+            assert!(buf.len() < need && need - buf.len() <= limits.max_body_bytes + 2);
+            None
+        }
         Parsed::Complete(request, consumed) => {
             assert!(0 < consumed && consumed <= buf.len());
             Some((format!("{request:?}"), consumed))
@@ -126,6 +132,34 @@ const FORM: &str = "POST /update HTTP/1.1\r\nContent-Type: application/x-www-for
 const CHUNKED: &str = "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Type: application/sparql-query\r\n\r\n4;ext=1\r\nASK \r\n3\r\n{ }\r\n0\r\nTrailer: x\r\n\r\n";
 const EXPECT: &str = "POST /query HTTP/1.1\r\nExpect: 100-continue\r\nContent-Type: application/sparql-query\r\nContent-Length: 6\r\n\r\nASK {}";
 
+/// An update statement of `len` bytes.
+fn update_of(len: usize) -> String {
+    let statement = "INSERT DATA { <a> <b> 1 } #";
+    format!("{statement}{}", "x".repeat(len - statement.len()))
+}
+
+/// An update whose body is `len` bytes, announced by `Content-Length`.
+fn sized_body(len: usize) -> String {
+    let body = update_of(len);
+    format!(
+        "POST /update HTTP/1.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {len}\r\n\r\n{body}"
+    )
+}
+
+/// The same body in chunks of 1000 bytes and a remainder.
+fn chunked_body(len: usize) -> String {
+    let body = update_of(len);
+    let mut wire = "POST /update HTTP/1.1\r\nContent-Type: application/sparql-update\r\nTransfer-Encoding: chunked\r\n\r\n".to_string();
+    for chunk in body.as_bytes().chunks(1000) {
+        wire += &format!(
+            "{:x}\r\n{}\r\n",
+            chunk.len(),
+            std::str::from_utf8(chunk).unwrap()
+        );
+    }
+    wire + "0\r\n\r\n"
+}
+
 #[test]
 fn http_requests_parse_the_same_wherever_the_stream_is_cut() {
     let step = http_step(Limits::default());
@@ -137,6 +171,8 @@ fn http_requests_parse_the_same_wherever_the_stream_is_cut() {
         ("expect", EXPECT.to_string(), 1),
         ("GET+POST pipelined", format!("{GET}{POST}"), 2),
         ("chunked+GET pipelined", format!("{CHUNKED}{GET}"), 2),
+        ("sized body", sized_body(3000), 1),
+        ("chunked body", chunked_body(3000), 1),
         ("HTTP/1.0", "GET /healthz HTTP/1.0\r\n\r\n".to_string(), 1),
     ] {
         let outcomes = assert_split_invariant(what, stream.as_bytes(), &step);
@@ -186,6 +222,15 @@ fn http_errors_are_the_same_typed_error_wherever_the_stream_is_cut() {
     case("body cap", stream, tight, 413);
     let stream = format!("{chunked}5\r\nabcde\r\n5\r\n");
     case("chunked body cap", &stream, tight, 413);
+    // 17 MiB announced against the 16 MiB default, either way: refused
+    // on the announcement, whatever follows.
+    let stream = format!(
+        "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\nbody",
+        17 << 20
+    );
+    case("17 MiB announced", &stream, roomy, 413);
+    let stream = format!("{chunked}{:x}\r\nbody", 17 << 20);
+    case("17 MiB chunk announced", &stream, roomy, 413);
     // A chunk size that wraps `usize` when added to the body so far.
     let stream = format!("{chunked}1\r\na\r\nffffffffffffffff\r\n");
     case("chunk size overflow", &stream, roomy, 413);
@@ -203,10 +248,46 @@ fn expect_continue_is_announced_exactly_while_the_body_is_awaited() {
     let head_len = EXPECT.find("\r\n\r\n").unwrap() + 4;
     for cut in 0..EXPECT.len() {
         match parse_request(&EXPECT.as_bytes()[..cut], &Limits::default()) {
-            Parsed::Incomplete { expects_continue } => {
+            Parsed::Incomplete {
+                expects_continue, ..
+            } => {
                 assert_eq!(expects_continue, cut >= head_len, "prefix of {cut} bytes")
             }
             other => panic!("prefix of {cut} bytes parsed as {other:?}"),
+        }
+    }
+}
+
+/// `need` is what the receive cap is stretched to, so it has to be
+/// both safe and enough: nothing completes in fewer bytes, and with
+/// `need` bytes in hand the parser gets further — it completes, or it
+/// asks for more than before.
+#[test]
+fn the_length_the_parser_waits_for_is_reached_and_then_suffices() {
+    let limits = Limits::default();
+    for stream in [
+        POST.to_string(),
+        EXPECT.to_string(),
+        CHUNKED.to_string(),
+        sized_body(3000),
+        chunked_body(3000),
+    ] {
+        let stream = stream.as_bytes();
+        for cut in 0..stream.len() {
+            let Parsed::Incomplete { need, .. } = parse_request(&stream[..cut], &limits) else {
+                panic!("prefix of {cut} bytes is a whole request");
+            };
+            assert!(cut < need && need <= stream.len(), "cut {cut}: need {need}");
+            let parsed = parse_request(&stream[..need - 1], &limits);
+            assert!(
+                matches!(parsed, Parsed::Incomplete { need: same, .. } if same == need),
+                "cut {cut}: one byte short of need {need} gave {parsed:?}"
+            );
+            match parse_request(&stream[..need], &limits) {
+                Parsed::Incomplete { need: next, .. } => assert!(next > need, "cut {cut}"),
+                Parsed::Complete(_, consumed) => assert_eq!(consumed, stream.len()),
+                Parsed::Error(e) => panic!("cut {cut}: {e:?}"),
+            }
         }
     }
 }

@@ -62,12 +62,19 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven. The table is
-/// computed at compile time, so this needs no dependencies.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Bytes one step of [`crc32`] consumes.
+const CRC_SLICES: usize = 16;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC32 lookup tables (IEEE 802.3 polynomial, reflected), computed at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
+/// zero bytes, which is what lets sixteen input bytes be folded with
+/// sixteen independent lookups instead of a sixteen-deep dependency
+/// chain.
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -80,17 +87,43 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC32 of `data`.
+/// CRC32 of `data`, slicing-by-16: sixteen bytes per step, one table
+/// per byte position, the trailing `len % 16` bytes one at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let fold = |w: u32, hi: usize| {
+        t[hi][(w & 0xFF) as usize]
+            ^ t[hi - 1][((w >> 8) & 0xFF) as usize]
+            ^ t[hi - 2][((w >> 16) & 0xFF) as usize]
+            ^ t[hi - 3][(w >> 24) as usize]
+    };
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(CRC_SLICES);
+    for b in &mut blocks {
+        crc = fold(word(&b[0..4]) ^ crc, 15)
+            ^ fold(word(&b[4..8]), 11)
+            ^ fold(word(&b[8..12]), 7)
+            ^ fold(word(&b[12..16]), 3);
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -115,10 +148,10 @@ pub fn payload_len(header: &[u8]) -> Option<usize> {
     Some(u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize)
 }
 
-/// Verify and strip the frame around a chunk payload. `bytes` may carry
-/// trailing slack (fixed-slot layouts) — only the framed prefix is
-/// examined.
-pub fn decode(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+/// Verify the frame at the start of `bytes` in place and return its
+/// payload, borrowed. `bytes` may carry trailing slack (fixed-slot
+/// layouts) — only the framed prefix is examined.
+pub fn decode(bytes: &[u8]) -> Result<&[u8], FrameError> {
     if bytes.len() < FRAME_HEADER {
         return Err(FrameError::Truncated {
             expected: FRAME_HEADER,
@@ -145,7 +178,17 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
     if computed != stored {
         return Err(FrameError::BadChecksum { stored, computed });
     }
-    Ok(payload.to_vec())
+    Ok(payload)
+}
+
+/// [`decode`] for a caller that owns the framed bytes: verify in place,
+/// then cut the header and any slack off the same buffer, which becomes
+/// the payload — no second allocation.
+pub fn into_payload(mut frame: Vec<u8>) -> Result<Vec<u8>, FrameError> {
+    let len = decode(&frame)?.len();
+    frame.truncate(FRAME_HEADER + len);
+    frame.drain(..FRAME_HEADER);
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -166,6 +209,80 @@ mod tests {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table loop [`crc32`] replaced, kept as the
+    /// reference the sliced version is checked against.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_byte_loop_at_every_length_and_offset() {
+        let mut state = 0x5EED_C0DE_u64;
+        let buf: Vec<u8> = (0..4_200 + 16)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+        for start in 0..16 {
+            for len in 0..=4_200 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    /// A frame written by the encoder of the commit before the sliced
+    /// CRC: bytes at rest must keep verifying.
+    const GOLDEN_FRAME: [u8; 56] = [
+        0x53, 0x43, 0x4b, 0x31, 0x28, 0x00, 0x00, 0x00, 0x78, 0x7e, 0x7e, 0x83, 0x00, 0x00, 0x00,
+        0x00, 0x0b, 0x30, 0x55, 0x7a, 0x9f, 0xc4, 0xe9, 0x0e, 0x33, 0x58, 0x7d, 0xa2, 0xc7, 0xec,
+        0x11, 0x36, 0x5b, 0x80, 0xa5, 0xca, 0xef, 0x14, 0x39, 0x5e, 0x83, 0xa8, 0xcd, 0xf2, 0x17,
+        0x3c, 0x61, 0x86, 0xab, 0xd0, 0xf5, 0x1a, 0x3f, 0x64, 0x89, 0xae,
+    ];
+
+    #[test]
+    fn golden_frame_still_decodes_and_reencodes_identically() {
+        let payload: Vec<u8> = (0u32..40).map(|i| (i * 37 + 11) as u8).collect();
+        assert_eq!(decode(&GOLDEN_FRAME).unwrap(), payload);
+        assert_eq!(into_payload(GOLDEN_FRAME.to_vec()).unwrap(), payload);
+        assert_eq!(encode(&payload), GOLDEN_FRAME);
+    }
+
+    #[test]
+    fn into_payload_strips_header_and_slack_and_fails_like_decode() {
+        let mut frame = encode(b"abc");
+        frame.extend_from_slice(&[0xAA; 13]);
+        assert_eq!(into_payload(frame.clone()).unwrap(), b"abc");
+        frame[FRAME_HEADER] ^= 1;
+        assert_eq!(
+            into_payload(frame.clone()),
+            decode(&frame).map(<[u8]>::to_vec)
+        );
+        assert!(matches!(
+            into_payload(frame),
+            Err(FrameError::BadChecksum { .. })
+        ));
+        assert!(matches!(
+            into_payload(encode(b"0123456789")[..20].to_vec()),
+            Err(FrameError::Truncated {
+                expected: 10,
+                got: 4
+            })
+        ));
     }
 
     #[test]

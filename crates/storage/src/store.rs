@@ -598,8 +598,12 @@ impl MemoryChunkStore {
         stats.bytes_returned += bytes as u64;
     }
 
+    /// Verify the stored frame where it lies; the one copy is the
+    /// payload leaving the map.
     fn decode(frame: &[u8], array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        crate::frame::decode(frame).map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
+        crate::frame::decode(frame)
+            .map(<[u8]>::to_vec)
+            .map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
     }
 }
 
@@ -791,9 +795,6 @@ pub struct FileChunkStore {
     dir: PathBuf,
     files: RwLock<HashMap<u64, Arc<ArrayFile>>>,
     stats: Mutex<IoStats>,
-    /// Scratch buffer reused across slot reads on the `&mut` paths, so
-    /// a multi-chunk fetch does not allocate one read buffer per chunk.
-    scratch: Vec<u8>,
     /// fsync every chunk write before returning. Off by default; the
     /// durability layer turns it on under `FsyncPolicy::Always` so
     /// acknowledged chunk data is on media, not just in the page cache.
@@ -822,7 +823,6 @@ impl FileChunkStore {
             dir,
             files: RwLock::new(HashMap::new()),
             stats: Mutex::new(IoStats::default()),
-            scratch: Vec::new(),
             sync_writes: false,
         })
     }
@@ -907,66 +907,87 @@ impl FileChunkStore {
         (crate::frame::FRAME_HEADER + crate::codec::SCC_HEADER + chunk_bytes) as u64
     }
 
-    /// Read and verify the framed chunk in one slot, reading through
-    /// `scratch` (grown once, reused across slot reads). Distinguishes
-    /// a chunk beyond the end of the file (missing) from one whose
-    /// frame is cut off by the file end (short read).
-    fn read_slot(
+    /// Up to `want` bytes at `offset`, stopping where the file ends. How
+    /// many come back is how the read paths learn where that is, with no
+    /// `fstat` beside the read; the buffer grows by what the file has
+    /// already proven to hold, so a `want` far past the end allocates
+    /// nothing for it.
+    fn read_up_to(file: &File, offset: u64, want: u64) -> io::Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        let mut got = 0;
+        while (got as u64) < want {
+            if got == buf.len() {
+                let step = (want - got as u64).min((got as u64).max(1 << 20));
+                buf.resize(got + step as usize, 0);
+            }
+            match file.read_at(&mut buf[got..], offset + got as u64) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        buf.truncate(got);
+        Ok(buf)
+    }
+
+    /// The stored bytes from chunk `first`'s slot on, up to `want` of
+    /// them, as far as the file has any. Nothing at the slot's offset
+    /// (or an offset no file can have) is a chunk beyond the end of the
+    /// file: missing.
+    fn read_slots(
         af: &ArrayFile,
-        file_len: u64,
         array_id: u64,
-        chunk_id: u64,
-        scratch: &mut Vec<u8>,
+        first: u64,
+        want: u64,
     ) -> Result<Vec<u8>, StorageError> {
-        let offset = FILE_HEADER + chunk_id * Self::slot_bytes(af.chunk_bytes);
-        if offset >= file_len {
-            return Err(StorageError::MissingChunk { array_id, chunk_id });
+        let offset = first
+            .checked_mul(Self::slot_bytes(af.chunk_bytes))
+            .and_then(|o| o.checked_add(FILE_HEADER))
+            .filter(|&o| o <= i64::MAX as u64);
+        let bytes = match offset {
+            Some(offset) => Self::read_up_to(&af.file, offset, want)?,
+            None => Vec::new(),
+        };
+        if bytes.is_empty() {
+            return Err(StorageError::MissingChunk {
+                array_id,
+                chunk_id: first,
+            });
         }
-        let avail = ((file_len - offset) as usize).min(Self::slot_bytes(af.chunk_bytes) as usize);
-        if scratch.len() < avail {
-            scratch.resize(avail, 0);
-        }
-        af.file.read_exact_at(&mut scratch[..avail], offset)?;
-        crate::frame::decode(&scratch[..avail])
+        Ok(bytes)
+    }
+
+    /// Read one slot into the buffer that becomes the payload, and
+    /// verify the frame in it; a frame cut off by the file end is a
+    /// short read.
+    fn read_slot(af: &ArrayFile, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        let slot = Self::read_slots(af, array_id, chunk_id, Self::slot_bytes(af.chunk_bytes))?;
+        crate::frame::into_payload(slot)
             .map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
     }
 
     /// Native sequential read of a whole chunk-id range in one pread,
-    /// then per-slot frame verification. `scratch` holds the span.
+    /// then per-slot frame verification in the span; each payload is
+    /// copied out of it once.
     fn read_range(
         af: &ArrayFile,
         array_id: u64,
         lo: u64,
         hi: u64,
-        scratch: &mut Vec<u8>,
     ) -> Result<(ChunkRows, usize), StorageError> {
-        let slot = Self::slot_bytes(af.chunk_bytes) as usize;
-        let len = af.file.metadata()?.len();
-        let offset = FILE_HEADER + lo * slot as u64;
-        if offset >= len {
-            return Err(StorageError::MissingChunk {
-                array_id,
-                chunk_id: lo,
-            });
-        }
-        let span = (((hi - lo + 1) as usize) * slot).min((len - offset) as usize);
-        if scratch.len() < span {
-            scratch.resize(span, 0);
-        }
-        af.file.read_exact_at(&mut scratch[..span], offset)?;
-        let mut out = Vec::new();
+        let slot = Self::slot_bytes(af.chunk_bytes);
+        let want = (hi - lo).saturating_add(1).saturating_mul(slot);
+        let span = Self::read_slots(af, array_id, lo, want)?;
+        // Chunks past the end of the file were never written: `chunks`
+        // stops at the last slot the read reached.
+        let mut out = Vec::with_capacity(span.len().div_ceil(slot as usize));
         let mut bytes = 0;
-        for i in 0..=(hi - lo) {
-            let base = i as usize * slot;
-            if base >= span {
-                break; // chunks past the end of the file were never written
-            }
-            let slice = &scratch[base..span.min(base + slot)];
-            let chunk_id = lo + i;
-            let payload = crate::frame::decode(slice)
+        for (chunk_id, framed) in (lo..).zip(span.chunks(slot as usize)) {
+            let payload = crate::frame::decode(framed)
                 .map_err(|e| StorageError::from_frame(array_id, chunk_id, e))?;
             bytes += payload.len();
-            out.push((chunk_id, payload));
+            out.push((chunk_id, payload.to_vec()));
         }
         Ok((out, bytes))
     }
@@ -982,9 +1003,7 @@ impl FileChunkStore {
 impl SharedChunkRead for FileChunkStore {
     fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = Vec::new();
-        let payload = Self::read_slot(&af, len, array_id, chunk_id, &mut scratch)?;
+        let payload = Self::read_slot(&af, array_id, chunk_id)?;
         self.account(1, payload.len());
         Ok(payload)
     }
@@ -995,12 +1014,10 @@ impl SharedChunkRead for FileChunkStore {
         chunk_ids: &[u64],
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
         let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = Vec::new();
         let mut out = Vec::with_capacity(chunk_ids.len());
         let mut bytes = 0;
         for &c in chunk_ids {
-            let payload = Self::read_slot(&af, len, array_id, c, &mut scratch)?;
+            let payload = Self::read_slot(&af, array_id, c)?;
             bytes += payload.len();
             out.push((c, payload));
         }
@@ -1015,8 +1032,7 @@ impl SharedChunkRead for FileChunkStore {
         hi: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
         let af = self.file(array_id)?;
-        let mut scratch = Vec::new();
-        let (out, bytes) = Self::read_range(&af, array_id, lo, hi, &mut scratch)?;
+        let (out, bytes) = Self::read_range(&af, array_id, lo, hi)?;
         self.account(out.len(), bytes);
         Ok(out)
     }
@@ -1061,14 +1077,7 @@ impl ChunkStore for FileChunkStore {
     }
 
     fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = Self::read_slot(&af, len, array_id, chunk_id, &mut scratch);
-        self.scratch = scratch;
-        let payload = result?;
-        self.account(1, payload.len());
-        Ok(payload)
+        self.read_chunk(array_id, chunk_id)
     }
 
     fn get_chunks_in(
@@ -1076,27 +1085,7 @@ impl ChunkStore for FileChunkStore {
         array_id: u64,
         chunk_ids: &[u64],
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut bytes = 0;
-        let mut result = Ok(Vec::with_capacity(chunk_ids.len()));
-        for &c in chunk_ids {
-            match Self::read_slot(&af, len, array_id, c, &mut scratch) {
-                Ok(payload) => {
-                    bytes += payload.len();
-                    result.as_mut().expect("still ok").push((c, payload));
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.scratch = scratch;
-        let out = result?;
-        self.account(out.len(), bytes);
-        Ok(out)
+        self.read_chunks_in(array_id, chunk_ids)
     }
 
     fn get_chunk_range(
@@ -1105,13 +1094,7 @@ impl ChunkStore for FileChunkStore {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let af = self.file(array_id)?;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = Self::read_range(&af, array_id, lo, hi, &mut scratch);
-        self.scratch = scratch;
-        let (out, bytes) = result?;
-        self.account(out.len(), bytes);
-        Ok(out)
+        self.read_chunk_range(array_id, lo, hi)
     }
 
     fn delete_array(&mut self, array_id: u64, _chunk_count: u64) -> Result<(), StorageError> {
@@ -1165,8 +1148,45 @@ pub struct RelChunkStore {
 }
 
 impl RelChunkStore {
-    fn decode_row(frame: &[u8], array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        crate::frame::decode(frame).map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
+    /// Verify a row value in the buffer the substrate returned it in;
+    /// that buffer, less the frame header, is the payload.
+    fn decode_row(frame: Vec<u8>, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        crate::frame::into_payload(frame)
+            .map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
+    }
+
+    fn decode_rows(rows: Vec<(Key, Vec<u8>)>) -> Result<ChunkRows, StorageError> {
+        rows.into_iter()
+            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(v, k.array_id, k.chunk_id)?)))
+            .collect()
+    }
+
+    fn decode_composite_rows(rows: Vec<(Key, Vec<u8>)>) -> Result<CompositeRows, StorageError> {
+        rows.into_iter()
+            .map(|(k, v)| {
+                Ok((
+                    (k.array_id, k.chunk_id),
+                    Self::decode_row(v, k.array_id, k.chunk_id)?,
+                ))
+            })
+            .collect()
+    }
+
+    /// An `IN`-list statement returns the rows it found; a requested
+    /// chunk without a row is missing.
+    fn decode_in_rows(
+        rows: Vec<(Key, Vec<u8>)>,
+        array_id: u64,
+        chunk_ids: &[u64],
+    ) -> Result<ChunkRows, StorageError> {
+        if rows.len() != chunk_ids.len() {
+            let got: std::collections::HashSet<u64> =
+                rows.iter().map(|(k, _)| k.chunk_id).collect();
+            if let Some(&chunk_id) = chunk_ids.iter().find(|c| !got.contains(c)) {
+                return Err(StorageError::MissingChunk { array_id, chunk_id });
+            }
+        }
+        Self::decode_rows(rows)
     }
 }
 
@@ -1249,7 +1269,7 @@ impl SharedChunkRead for RelChunkStore {
             },
         )?;
         let frame = frame.ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
-        Self::decode_row(&frame, array_id, chunk_id)
+        Self::decode_row(frame, array_id, chunk_id)
     }
 
     fn read_chunks_in(
@@ -1261,17 +1281,7 @@ impl SharedChunkRead for RelChunkStore {
             |db| Ok(db.get_in(array_id, chunk_ids)?),
             |rows| (rows.len(), rows.iter().map(|(_, v)| v.len()).sum()),
         )?;
-        if rows.len() != chunk_ids.len() {
-            let got: std::collections::HashSet<u64> =
-                rows.iter().map(|(k, _)| k.chunk_id).collect();
-            let missing = chunk_ids.iter().find(|c| !got.contains(c));
-            if let Some(&chunk_id) = missing {
-                return Err(StorageError::MissingChunk { array_id, chunk_id });
-            }
-        }
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+        Self::decode_in_rows(rows, array_id, chunk_ids)
     }
 
     fn read_chunk_range(
@@ -1284,9 +1294,7 @@ impl SharedChunkRead for RelChunkStore {
             |db| Ok(db.get_range(array_id, lo, hi)?),
             |rows| (rows.len(), rows.iter().map(|(_, v)| v.len()).sum()),
         )?;
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+        Self::decode_rows(rows)
     }
 }
 
@@ -1306,7 +1314,7 @@ impl ChunkStore for RelChunkStore {
             .expect("db mutex")
             .get(Key::new(array_id, chunk_id))?
             .ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
-        Self::decode_row(&frame, array_id, chunk_id)
+        Self::decode_row(frame, array_id, chunk_id)
     }
 
     fn get_chunks_in(
@@ -1319,17 +1327,7 @@ impl ChunkStore for RelChunkStore {
             .get_mut()
             .expect("db mutex")
             .get_in(array_id, chunk_ids)?;
-        if rows.len() != chunk_ids.len() {
-            let got: std::collections::HashSet<u64> =
-                rows.iter().map(|(k, _)| k.chunk_id).collect();
-            let missing = chunk_ids.iter().find(|c| !got.contains(c));
-            if let Some(&chunk_id) = missing {
-                return Err(StorageError::MissingChunk { array_id, chunk_id });
-            }
-        }
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+        Self::decode_in_rows(rows, array_id, chunk_ids)
     }
 
     fn get_chunk_range(
@@ -1343,9 +1341,7 @@ impl ChunkStore for RelChunkStore {
             .get_mut()
             .expect("db mutex")
             .get_range(array_id, lo, hi)?;
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+        Self::decode_rows(rows)
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
@@ -1366,27 +1362,13 @@ impl ChunkStore for RelChunkStore {
             .get_mut()
             .expect("db mutex")
             .get_key_range(Key::new(lo.0, lo.1), Key::new(hi.0, hi.1))?;
-        rows.into_iter()
-            .map(|(k, v)| {
-                Ok((
-                    (k.array_id, k.chunk_id),
-                    Self::decode_row(&v, k.array_id, k.chunk_id)?,
-                ))
-            })
-            .collect()
+        Self::decode_composite_rows(rows)
     }
 
     fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         let db_keys: Vec<Key> = keys.iter().map(|&(a, c)| Key::new(a, c)).collect();
         let rows = self.db.get_mut().expect("db mutex").get_keys(&db_keys)?;
-        rows.into_iter()
-            .map(|(k, v)| {
-                Ok((
-                    (k.array_id, k.chunk_id),
-                    Self::decode_row(&v, k.array_id, k.chunk_id)?,
-                ))
-            })
-            .collect()
+        Self::decode_composite_rows(rows)
     }
 
     fn capabilities(&self) -> Capabilities {

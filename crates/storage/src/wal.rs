@@ -468,15 +468,15 @@ impl WalReader {
                         expected: frame::FRAME_HEADER,
                         got: rest.len(),
                     }));
+                // The frame is verified where it lies in the segment
+                // buffer; the record is parsed out of the borrowed payload.
                 let record = match decoded {
-                    Ok(payload) => decode_payload(&payload),
+                    Ok(payload) => decode_payload(payload).map(|r| (r, payload.len())),
                     Err(e) => Err(e.to_string()),
                 };
                 match record {
-                    Ok((lsn, record)) => {
+                    Ok(((lsn, record), len)) => {
                         scan.records.push((lsn, record));
-                        let len = frame::payload_len(&rest[..frame::FRAME_HEADER])
-                            .expect("decoded frame has a valid header");
                         offset += frame::FRAME_HEADER + len;
                     }
                     Err(reason) => {
@@ -820,6 +820,46 @@ mod tests {
                 chunk_count: 4,
             },
         ]
+    }
+
+    /// A segment written by the commit before the sliced CRC: header
+    /// (start LSN 42), a `PutChunk` record and a `Statement` record.
+    const GOLDEN_SEGMENT: [u8; 113] = [
+        0x53, 0x57, 0x4c, 0x31, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, // segment header
+        0x53, 0x43, 0x4b, 0x31, 0x1f, 0x00, 0x00, 0x00, 0x76, 0x11, 0x3e, 0xa8, 0x00, 0x00, 0x00,
+        0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x07, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0xfa,
+        0xfb, 0xfc, // lsn 42
+        0x53, 0x43, 0x4b, 0x31, 0x22, 0x00, 0x00, 0x00, 0x1a, 0xdf, 0xf8, 0x99, 0x00, 0x00, 0x00,
+        0x00, 0x2b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x49, 0x4e, 0x53, 0x45, 0x52,
+        0x54, 0x20, 0x44, 0x41, 0x54, 0x41, 0x20, 0x7b, 0x20, 0x3c, 0x61, 0x3e, 0x20, 0x3c, 0x62,
+        0x3e, 0x20, 0x31, 0x20, 0x7d, // lsn 43
+    ];
+
+    #[test]
+    fn golden_segment_still_replays_and_appends_byte_identically() {
+        let put = WalRecord::PutChunk {
+            array_id: 7,
+            chunk_id: 3,
+            data: vec![1, 2, 3, 250, 251, 252],
+        };
+        let statement = WalRecord::Statement("INSERT DATA { <a> <b> 1 }".into());
+        let dir = tmp_dir("golden");
+        fs::write(segment_path(&dir, 0), GOLDEN_SEGMENT).unwrap();
+        let scan = WalReader::scan(&dir).unwrap();
+        assert_eq!(scan.torn_tail_at, None);
+        assert_eq!(scan.segments[0].start_lsn, 42);
+        assert_eq!(
+            scan.records,
+            vec![(42, put.clone()), (43, statement.clone())]
+        );
+        // What this build appends for the same records is what is there.
+        let mut written = GOLDEN_SEGMENT[..SEGMENT_HEADER].to_vec();
+        written.extend(frame::encode(&encode_payload(42, &put)));
+        written.extend(frame::encode(&encode_payload(43, &statement)));
+        assert_eq!(written, GOLDEN_SEGMENT);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

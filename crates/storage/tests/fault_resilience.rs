@@ -235,3 +235,122 @@ fn missing_chunk_faults_fail_fast_without_retries() {
     assert_eq!(res.retries, 0, "permanent faults must not be retried");
     assert_eq!(res.permanent_failures, 1);
 }
+
+/// Where the file ends decides between "missing" and "short read", on
+/// every statement shape of both read surfaces: the store learns it
+/// from what the read returns, and the answer must be the one the
+/// length check gave.
+#[test]
+fn file_end_is_missing_or_short_read_on_every_statement_shape() {
+    use ssdm_storage::{FileChunkStore, SharedChunkRead};
+
+    let dir = std::env::temp_dir().join(format!("ssdm-fault-file-end-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = FileChunkStore::new(&dir).unwrap();
+    store.begin_array(1, 16).unwrap();
+    for c in 0..3u64 {
+        store.put_chunk(1, c, &[c as u8 + 7; 16]).unwrap();
+    }
+    // Cut the file 10 bytes into chunk 2's frame (its last 22 bytes go).
+    let path = dir.join("arr_1.bin");
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let len = file.metadata().unwrap().len();
+    file.set_len(len - 22).unwrap();
+    drop(file);
+
+    let short = |r: Result<_, StorageError>, what: &str| match r {
+        Err(
+            e @ StorageError::ShortRead {
+                array_id: 1,
+                chunk_id: 2,
+                expected: 16,
+                got: 10,
+            },
+        ) => assert!(e.is_transient()),
+        Err(other) => panic!("{what}: expected ShortRead of chunk 2, got {other:?}"),
+        Ok(()) => panic!("{what}: a torn frame was served"),
+    };
+    let missing = |r: Result<_, StorageError>, chunk: u64, what: &str| match r {
+        Err(StorageError::MissingChunk {
+            array_id: 1,
+            chunk_id,
+        }) => assert_eq!(chunk_id, chunk, "{what}"),
+        Err(other) => panic!("{what}: expected MissingChunk, got {other:?}"),
+        Ok(()) => panic!("{what}: a chunk past the file end was served"),
+    };
+
+    short(store.read_chunk(1, 2).map(drop), "read_chunk");
+    short(store.read_chunks_in(1, &[0, 2]).map(drop), "read_chunks_in");
+    short(
+        store.read_chunk_range(1, 1, 2).map(drop),
+        "read_chunk_range",
+    );
+    short(store.get_chunk(1, 2).map(drop), "get_chunk");
+    short(store.get_chunks_in(1, &[0, 2]).map(drop), "get_chunks_in");
+    short(store.get_chunk_range(1, 0, 5).map(drop), "get_chunk_range");
+
+    missing(store.read_chunk(1, 3).map(drop), 3, "read_chunk");
+    missing(
+        store.read_chunks_in(1, &[1, 9]).map(drop),
+        9,
+        "read_chunks_in",
+    );
+    missing(
+        store.read_chunk_range(1, 3, 8).map(drop),
+        3,
+        "read_chunk_range",
+    );
+    missing(
+        store.get_chunk(1, u64::MAX).map(drop),
+        u64::MAX,
+        "get_chunk",
+    );
+    missing(store.get_chunks_in(1, &[4]).map(drop), 4, "get_chunks_in");
+    missing(
+        store.get_chunk_range(1, 7, u64::MAX).map(drop),
+        7,
+        "get_chunk_range",
+    );
+
+    // The intact chunks are still served, and a range that runs past
+    // the last written chunk returns what is there.
+    assert_eq!(store.read_chunk(1, 0).unwrap(), vec![7u8; 16]);
+    assert_eq!(
+        store.read_chunks_in(1, &[1, 0]).unwrap(),
+        vec![(1, vec![8u8; 16]), (0, vec![7u8; 16])]
+    );
+    assert_eq!(
+        store.read_chunk_range(1, 0, 1).unwrap(),
+        vec![(0, vec![7u8; 16]), (1, vec![8u8; 16])]
+    );
+    // A file cut exactly at a slot boundary: the range stops there.
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len - 32).unwrap();
+    drop(file);
+    assert_eq!(store.get_chunk_range(1, 0, 9).unwrap().len(), 2);
+    missing(store.read_chunk(1, 2).map(drop), 2, "cut at the boundary");
+
+    // Damage inside a frame is neither: it is Corrupt, on each shape.
+    store.flip_stored_bit(1, 1, 16 * 8 + 3).unwrap();
+    for (what, r) in [
+        ("read_chunk", store.read_chunk(1, 1).map(drop)),
+        ("read_chunks_in", store.read_chunks_in(1, &[0, 1]).map(drop)),
+        (
+            "read_chunk_range",
+            store.read_chunk_range(1, 0, 1).map(drop),
+        ),
+    ] {
+        assert!(
+            matches!(
+                r,
+                Err(StorageError::Corrupt {
+                    array_id: 1,
+                    chunk_id: 1,
+                    ..
+                })
+            ),
+            "{what}: {r:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
