@@ -13,6 +13,14 @@
 //!    table; the corrected plan flips the join order. Required:
 //!    calibration-on beats calibration-off, identical results.
 //!
+//! 3. **Range filter** — BISTAB Q1 (`?t b:k_1 ?k ; b:result 1 .
+//!    FILTER (?k > c)`) with the filter as written, which the planner
+//!    turns into a range scan of the value index, against the same
+//!    filter disguised as `?k + 0 > c`, which it cannot. Reported as
+//!    index entries visited (the scans' output rows in the profile — a
+//!    count that repeats exactly). Required: the ranged scan visits no
+//!    more than the rows in the window, and both return the same rows.
+//!
 //! Measurements land as JSON (default `BENCH_optimizer.json`, `--out`).
 //!
 //! ```text
@@ -115,6 +123,29 @@ fn skew_dataset(n: usize) -> Dataset {
     }
     ds.load_turtle(&turtle).expect("load skew data");
     ds
+}
+
+/// `(label, rows_out)` of every scan operator of a profile. A scan
+/// emits one row per index entry it visits.
+fn scan_rows(profile: &str) -> Vec<(String, u64)> {
+    let scans = profile
+        .lines()
+        .filter(|l| l.trim_start().starts_with("Scan "));
+    scans
+        .map(|line| {
+            let (label, counters) = line
+                .trim_start()
+                .split_once(" rows_in=")
+                .expect("operator row");
+            let rows_out = counters
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix("rows_out="));
+            (
+                label.to_string(),
+                rows_out.expect("rows_out").parse().expect("count"),
+            )
+        })
+        .collect()
 }
 
 fn main() {
@@ -227,6 +258,59 @@ fn main() {
         "DP must not lose to greedy on star-join: dp={star_dp:.2}ms greedy={star_greedy:.2}ms"
     );
 
+    // ----- range-filter leg -------------------------------------------------
+    let q1 = |k: &str| {
+        format!(
+            "PREFIX b: <{b}> SELECT ?t ?k WHERE {{ ?t b:k_1 ?k ; b:result 1 . FILTER ({k} > 46) }}"
+        )
+    };
+    let (sargable, disguised) = (q1("?k"), q1("?k + 0"));
+    let count = format!(
+        "PREFIX b: <{b}> SELECT (COUNT(?t) AS ?n) WHERE {{ ?t b:k_1 ?k . FILTER (?k + 0 >= 46) }}"
+    );
+    let window_rows = match db.query(&count).expect("count").into_rows().as_deref() {
+        Some([row]) => row[0]
+            .as_ref()
+            .and_then(|v| v.as_num())
+            .expect("a count")
+            .as_i64() as u64,
+        other => panic!("one row expected, got {other:?}"),
+    };
+    let mut visited = |query: &str| {
+        let (result, profile) = db.dataset.query_profiled(query).expect("profiled run");
+        let rows = result.into_rows().expect("solutions").len();
+        (rows, scan_rows(&profile))
+    };
+    let (rows_sargable, scans_sargable) = visited(&sargable);
+    let (rows_disguised, scans_disguised) = visited(&disguised);
+    assert_eq!(
+        rows_sargable, rows_disguised,
+        "the disguise changed the answer"
+    );
+    let total = |scans: &[(String, u64)]| scans.iter().map(|(_, n)| n).sum::<u64>();
+    let (visited_sargable, visited_disguised) = (total(&scans_sargable), total(&scans_disguised));
+    let ranged = scans_sargable
+        .iter()
+        .find(|(label, _)| label.contains("k_1") && label.contains(" [?k > 46]"))
+        .unwrap_or_else(|| panic!("no ranged k_1 scan in {scans_sargable:?}"));
+    assert!(
+        ranged.1 <= window_rows,
+        "the ranged scan visited {} entries for a window of {window_rows}",
+        ranged.1
+    );
+    assert!(
+        visited_sargable <= 2 * window_rows,
+        "Q1 visited {visited_sargable} entries for a window of {window_rows}"
+    );
+    let (sargable_ms, _) = best_of(repeats, || db.query(&sargable).expect("Q1"));
+    let (disguised_ms, _) = best_of(repeats, || db.query(&disguised).expect("Q1 disguised"));
+    println!(
+        "\nrange filter (Q1, k_1 > 46): window {window_rows} rows, answer {rows_sargable} rows; \
+         visited {visited_sargable} sargable vs {visited_disguised} disguised; {} vs {}",
+        fmt_ms(sargable_ms),
+        fmt_ms(disguised_ms)
+    );
+
     // ----- calibration leg -------------------------------------------------
     let n = if quick { 6000 } else { 20000 };
     let mut skew = skew_dataset(n);
@@ -262,7 +346,10 @@ fn main() {
     );
 
     // ----- JSON artifact ---------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = format!(
+        "{{\n  \"measured_at\": \"{}\",\n",
+        ssdm_bench::measured_at()
+    );
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str("  \"enumeration\": [\n");
     for (i, (name, rows, textual, greedy, dp)) in matrix.iter().enumerate() {
@@ -273,6 +360,11 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"range_filter\": {{\"window_rows\": {window_rows}, \"rows\": {rows_sargable}, \
+         \"visited_sargable\": {visited_sargable}, \"visited_disguised\": {visited_disguised}, \
+         \"sargable_ms\": {sargable_ms:.3}, \"disguised_ms\": {disguised_ms:.3}}},\n"
+    ));
     json.push_str(&format!(
         "  \"calibration\": {{\"n\": {n}, \"rows\": {rows_on}, \"off_ms\": {off_ms:.3}, \
          \"on_ms\": {on_ms:.3}, \"speedup\": {:.2}}}\n",

@@ -13,15 +13,21 @@ use std::collections::{HashMap, HashSet};
 use ssdm_rdf::{Graph, TermId};
 
 use crate::ast::*;
-use crate::planner::{consts, filter_selectivity, PlannerCtx, PlannerMode};
+use crate::planner::{
+    consts, filter_selectivity, sargable, FilterVars, PlannerCtx, PlannerMode, Window,
+};
 
 /// A logical operator.
 #[derive(Debug, Clone)]
 pub enum Plan {
     /// The unit: one empty solution.
     Empty,
-    /// Match one triple pattern (including property paths).
-    Scan(TriplePattern),
+    /// Match one triple pattern (including property paths). A window
+    /// is what the join's filters say about the object variable: a scan
+    /// that finds subject and object free answers it from the graph's
+    /// value index, any other probes as if it were not there. Either
+    /// way the filter it came from stays in the plan and decides.
+    Scan(TriplePattern, Option<Window>),
     /// Conjunction; children run left-to-right, feeding bindings forward.
     Join(Vec<Plan>),
     /// OPTIONAL.
@@ -58,7 +64,7 @@ impl Plan {
     pub fn certain_vars(&self, out: &mut HashSet<String>) {
         match self {
             Plan::Empty => {}
-            Plan::Scan(t) => {
+            Plan::Scan(t, _) => {
                 if let TermPattern::Var(v) = &t.subject {
                     out.insert(v.clone());
                 }
@@ -147,7 +153,7 @@ pub fn translate(pattern: &GroupPattern) -> Plan {
     let mut filters: Vec<Expr> = Vec::new();
     for elem in &pattern.elems {
         match elem {
-            PatternElem::Triple(t) => conj.push(Plan::Scan(t.clone())),
+            PatternElem::Triple(t) => conj.push(Plan::Scan(t.clone(), None)),
             PatternElem::Group(g) => conj.push(translate(g)),
             PatternElem::Union(branches) => {
                 conj.push(Plan::Union(branches.iter().map(translate).collect()))
@@ -335,15 +341,26 @@ fn sink_filter(input: Plan, filter: Expr) -> Plan {
 fn order_and_push(plan: Plan, ctx: &PlannerCtx, outer_bound: &HashSet<String>) -> Plan {
     match plan {
         Plan::Filter { input, expr } => {
-            // Try to push into a join below.
-            match *input {
-                Plan::Join(children) => optimize_join(children, vec![expr], ctx, outer_bound),
+            // Consecutive filters are one conjunction: push them into
+            // the join (or lone scan) below together.
+            let mut filters = vec![expr];
+            let mut below = *input;
+            while let Plan::Filter { input, expr } = below {
+                filters.push(expr);
+                below = *input;
+            }
+            match below {
+                Plan::Join(children) => optimize_join(children, filters, ctx, outer_bound),
+                scan @ Plan::Scan(..) => optimize_join(vec![scan], filters, ctx, outer_bound),
                 other => {
                     let inner = order_and_push(other, ctx, outer_bound);
-                    Plan::Filter {
-                        input: Box::new(inner),
-                        expr,
-                    }
+                    filters
+                        .into_iter()
+                        .rev()
+                        .fold(inner, |input, expr| Plan::Filter {
+                            input: Box::new(input),
+                            expr,
+                        })
                 }
             }
         }
@@ -383,9 +400,10 @@ fn order_and_push(plan: Plan, ctx: &PlannerCtx, outer_bound: &HashSet<String>) -
     }
 }
 
-/// Collect consecutive filters sitting directly above a join, choose a
-/// child order (textual / greedy / DP per the context's mode), then
-/// assemble the join with filters interleaved at their earliest
+/// Gather the filters sitting directly above a join and its items,
+/// hand each sargable window to the scans that bind its variable,
+/// choose a child order (textual / greedy / DP per the context's mode),
+/// then assemble the join with filters interleaved at their earliest
 /// fully-bound position.
 fn optimize_join(
     children: Vec<Plan>,
@@ -397,7 +415,7 @@ fn optimize_join(
     let mut items: Vec<Plan> = Vec::new();
     for c in children {
         match c {
-            Plan::Filter { input, expr } if matches!(*input, Plan::Join(_) | Plan::Scan(_)) => {
+            Plan::Filter { input, expr } if matches!(*input, Plan::Join(_) | Plan::Scan(..)) => {
                 filters.push(expr);
                 match *input {
                     Plan::Join(inner) => items.extend(inner),
@@ -405,6 +423,16 @@ fn optimize_join(
                 }
             }
             other => items.push(other),
+        }
+    }
+
+    // Every solution of this join passes every filter, so a scan that
+    // binds a windowed variable may skip objects outside the window.
+    let (windows, _) = sargable(&filters);
+    for item in &mut items {
+        if let Plan::Scan(t, range) = item {
+            let var = range_scan_var(t, outer_bound);
+            *range = windows.iter().find(|(v, _)| Some(*v) == var).map(|w| w.1);
         }
     }
 
@@ -523,7 +551,7 @@ fn dp_order(
             vs
         })
         .collect();
-    let var_preds = var_predicates(items, ctx.graph);
+    let preds = var_predicates(items, ctx.graph);
 
     #[derive(Clone)]
     struct State {
@@ -531,6 +559,8 @@ fn dp_order(
         card: f64,
         order: Vec<usize>,
         bound: HashSet<String>,
+        /// Variables whose window a scan placed so far enforces.
+        enforced: HashSet<String>,
         filters_done: u64,
     }
 
@@ -541,6 +571,7 @@ fn dp_order(
         card: 1.0,
         order: Vec::new(),
         bound: outer_bound.clone(),
+        enforced: HashSet::new(),
         filters_done: 0,
     });
 
@@ -573,13 +604,19 @@ fn dp_order(
             let next = mask | (1 << j);
             let per_row = estimate_ctx(&items[j], ctx, &state.bound);
             let scanned = state.card * per_row.max(consts::MIN_JOIN_CHILD_CARD);
+            let mut enforced = state.enforced.clone();
+            enforced_windows(&items[j], &state.bound, &mut enforced);
             let mut bound = state.bound.clone();
             items[j].certain_vars(&mut bound);
             let mut card = scanned;
             let mut filters_done = state.filters_done;
+            let vars = FilterVars {
+                preds: &preds,
+                enforced: &enforced,
+            };
             for (fi, fv) in filter_vars.iter().enumerate() {
                 if filters_done & (1 << fi) == 0 && fv.iter().all(|v| bound.contains(v)) {
-                    card *= filter_selectivity(&filters[fi], ctx, &var_preds);
+                    card *= filter_selectivity(&filters[fi], ctx, vars);
                     filters_done |= 1 << fi;
                 }
             }
@@ -599,6 +636,7 @@ fn dp_order(
                     card,
                     order,
                     bound,
+                    enforced,
                     filters_done,
                 });
             }
@@ -608,6 +646,22 @@ fn dp_order(
         .take()
         .map(|s| s.order)
         .unwrap_or_else(|| (0..n).collect())
+}
+
+/// The object variable of `t` when a scan of it, run with `bound`
+/// bound, can answer a window on that variable from the value index: a
+/// constant predicate, a free object and a free subject — the planner's
+/// view of what `eval::scan_triples` observes per input row.
+fn range_scan_var<'t>(t: &'t TriplePattern, bound: &HashSet<String>) -> Option<&'t str> {
+    let free = |tp: &TermPattern| matches!(tp, TermPattern::Var(v) if !bound.contains(v));
+    match (t.path.as_pred(), &t.object) {
+        (Some(TermPattern::Term(_)), TermPattern::Var(v))
+            if free(&t.subject) && free(&t.object) =>
+        {
+            Some(v)
+        }
+        _ => None,
+    }
 }
 
 /// Map object-position variables of constant-predicate scans to their
@@ -623,7 +677,7 @@ pub(crate) fn var_predicates(items: &[Plan], graph: &Graph) -> HashMap<String, T
 
 fn collect_var_preds(plan: &Plan, graph: &Graph, out: &mut HashMap<String, TermId>) {
     match plan {
-        Plan::Scan(t) => {
+        Plan::Scan(t, _) => {
             if let (Some(TermPattern::Term(p)), TermPattern::Var(v)) = (t.path.as_pred(), &t.object)
             {
                 if let Some(pid) = graph.dictionary().lookup(p) {
@@ -644,6 +698,26 @@ fn collect_var_preds(plan: &Plan, graph: &Graph, out: &mut HashMap<String, TermI
     }
 }
 
+/// Add the variables whose window `plan`, run with `bound` bound,
+/// enforces by itself: a filter above it removes nothing more on them.
+fn enforced_windows(plan: &Plan, bound: &HashSet<String>, out: &mut HashSet<String>) {
+    match plan {
+        Plan::Scan(t, Some(_)) => out.extend(range_scan_var(t, bound).map(String::from)),
+        Plan::Join(children) => {
+            let mut bound = bound.clone();
+            for c in children {
+                enforced_windows(c, &bound, out);
+                c.certain_vars(&mut bound);
+            }
+        }
+        Plan::Filter { input, .. } | Plan::Extend { input, .. } | Plan::Minus { input, .. } => {
+            enforced_windows(input, bound, out)
+        }
+        Plan::LeftJoin { left, .. } => enforced_windows(left, bound, out),
+        _ => {}
+    }
+}
+
 /// Cardinality estimate of one operator given bound variables, from
 /// graph statistics alone (no calibration/zone context). Convenience
 /// wrapper over [`estimate_ctx`] for `EXPLAIN` and the profiler.
@@ -659,7 +733,7 @@ pub fn estimate_ctx(plan: &Plan, ctx: &PlannerCtx, bound: &HashSet<String>) -> f
     let graph = ctx.graph;
     match plan {
         Plan::Empty => 1.0,
-        Plan::Scan(t) => {
+        Plan::Scan(t, range) => {
             let resolve = |tp: &TermPattern| match tp {
                 TermPattern::Var(v) => {
                     if bound.contains(v) {
@@ -674,8 +748,10 @@ pub fn estimate_ctx(plan: &Plan, ctx: &PlannerCtx, bound: &HashSet<String>) -> f
             let o = resolve(&t.object);
             match t.path.as_pred() {
                 Some(p) => {
-                    let p = resolve(p);
-                    estimate_triple(ctx, s, p, o)
+                    let window = range
+                        .as_ref()
+                        .filter(|_| range_scan_var(t, bound).is_some());
+                    estimate_triple(ctx, s, resolve(p), o, window)
                 }
                 None => {
                     // Property paths: assume moderate fan-out per start.
@@ -701,8 +777,14 @@ pub fn estimate_ctx(plan: &Plan, ctx: &PlannerCtx, bound: &HashSet<String>) -> f
         Plan::Filter { input, expr } => {
             // Expression-aware selectivity against the input subtree's
             // object-variable predicates (was a blanket × 0.5).
-            let var_preds = var_predicates(std::slice::from_ref(&**input), graph);
-            estimate_ctx(input, ctx, bound) * filter_selectivity(expr, ctx, &var_preds)
+            let preds = var_predicates(std::slice::from_ref(&**input), graph);
+            let mut enforced = HashSet::new();
+            enforced_windows(input, bound, &mut enforced);
+            let vars = FilterVars {
+                preds: &preds,
+                enforced: &enforced,
+            };
+            estimate_ctx(input, ctx, bound) * filter_selectivity(expr, ctx, vars)
         }
         Plan::Extend { input, .. } => estimate_ctx(input, ctx, bound),
         Plan::Values { rows, .. } => rows.len() as f64,
@@ -718,7 +800,15 @@ enum BoundKind {
     Const(ssdm_rdf::Term),
 }
 
-fn estimate_triple(ctx: &PlannerCtx, s: BoundKind, p: BoundKind, o: BoundKind) -> f64 {
+/// `window` is the range a scan with free subject and object serves
+/// from the value index; it is costed from the predicate's histogram.
+fn estimate_triple(
+    ctx: &PlannerCtx,
+    s: BoundKind,
+    p: BoundKind,
+    o: BoundKind,
+    window: Option<&Window>,
+) -> f64 {
     let graph = ctx.graph;
     let lookup = |k: &BoundKind| match k {
         BoundKind::Const(t) => graph.dictionary().lookup(t),
@@ -735,6 +825,11 @@ fn estimate_triple(ctx: &PlannerCtx, s: BoundKind, p: BoundKind, o: BoundKind) -
         return 0.0;
     }
     let mut est = graph.estimate_pattern(s_id, p_id, o_id);
+    if let (Some(pid), Some(w)) = (p_id, window) {
+        if let Some(in_range) = graph.estimate_object_range(pid, w.lo_value(), w.hi_value()) {
+            est = est.min(in_range);
+        }
+    }
     // A constant numeric object under a known predicate: refine with
     // that predicate's object-value histogram, which sees skew the
     // uniform (count / distinct) model misses.
@@ -783,17 +878,8 @@ pub fn explain(plan: &Plan, graph: &Graph) -> String {
         let est = estimate(plan, graph, &HashSet::new());
         match plan {
             Plan::Empty => out.push_str(&format!("{pad}Empty\n")),
-            Plan::Scan(t) => {
-                let pred = match &t.path {
-                    Path::Pred(p) => term_pattern_text(p),
-                    other => format!("path:{other:?}"),
-                };
-                out.push_str(&format!(
-                    "{pad}Scan {} {} {}   (est {est:.1})\n",
-                    term_pattern_text(&t.subject),
-                    pred,
-                    term_pattern_text(&t.object)
-                ));
+            Plan::Scan(..) => {
+                out.push_str(&format!("{pad}{}   (est {est:.1})\n", node_label(plan)));
             }
             Plan::Join(children) => {
                 out.push_str(&format!("{pad}Join   (est {est:.1})\n"));
@@ -852,13 +938,17 @@ fn term_pattern_text(tp: &TermPattern) -> String {
 pub fn node_label(plan: &Plan) -> String {
     match plan {
         Plan::Empty => "Empty".into(),
-        Plan::Scan(t) => {
+        Plan::Scan(t, range) => {
             let pred = match &t.path {
                 Path::Pred(p) => term_pattern_text(p),
                 other => format!("path:{other:?}"),
             };
+            let window = match (range, &t.object) {
+                (Some(w), TermPattern::Var(v)) => format!(" [{}]", w.describe(v)),
+                _ => String::new(),
+            };
             format!(
-                "Scan {} {} {}",
+                "Scan {} {} {}{window}",
                 term_pattern_text(&t.subject),
                 pred,
                 term_pattern_text(&t.object)
@@ -914,7 +1004,7 @@ mod tests {
             panic!("expected join, got {plan:?}")
         };
         // First child must be the constant-object name scan.
-        let Plan::Scan(t) = &children[0] else {
+        let Plan::Scan(t, _) = &children[0] else {
             panic!("expected scan first, got {:?}", children[0])
         };
         assert!(
@@ -953,16 +1043,22 @@ mod tests {
     #[test]
     fn union_certain_vars_is_intersection() {
         let p = Plan::Union(vec![
-            Plan::Scan(TriplePattern {
-                subject: TermPattern::Var("x".into()),
-                path: Path::Pred(TermPattern::Term(ssdm_rdf::Term::uri("p"))),
-                object: TermPattern::Var("y".into()),
-            }),
-            Plan::Scan(TriplePattern {
-                subject: TermPattern::Var("x".into()),
-                path: Path::Pred(TermPattern::Term(ssdm_rdf::Term::uri("q"))),
-                object: TermPattern::Var("z".into()),
-            }),
+            Plan::Scan(
+                TriplePattern {
+                    subject: TermPattern::Var("x".into()),
+                    path: Path::Pred(TermPattern::Term(ssdm_rdf::Term::uri("p"))),
+                    object: TermPattern::Var("y".into()),
+                },
+                None,
+            ),
+            Plan::Scan(
+                TriplePattern {
+                    subject: TermPattern::Var("x".into()),
+                    path: Path::Pred(TermPattern::Term(ssdm_rdf::Term::uri("q"))),
+                    object: TermPattern::Var("z".into()),
+                },
+                None,
+            ),
         ]);
         let mut vars = HashSet::new();
         p.certain_vars(&mut vars);

@@ -26,6 +26,7 @@ use ssdm_rdf::{Graph, Term, TermId};
 use crate::algebra::{self, Plan};
 use crate::ast::*;
 use crate::dataset::{Dataset, QueryError, QueryResult};
+use crate::planner::Window;
 use crate::value::Value;
 
 use expr::{eval_expr, Cx, Operand};
@@ -102,7 +103,7 @@ impl VarTable {
     fn add_plan(&mut self, plan: &Plan) {
         match plan {
             Plan::Empty => {}
-            Plan::Scan(t) => {
+            Plan::Scan(t, _) => {
                 for tp in [Some(&t.subject), t.path.as_pred(), Some(&t.object)] {
                     if let Some(TermPattern::Var(v)) = tp {
                         self.add(v);
@@ -549,7 +550,7 @@ fn reorder_suffix(ds: &Dataset, suffix: &mut [&Plan], mut bound: HashSet<String>
 /// The constant predicate of a scan node, as the calibration key.
 fn scan_predicate(plan: &Plan) -> Option<String> {
     match plan {
-        Plan::Scan(t) => match t.path.as_pred() {
+        Plan::Scan(t, _) => match t.path.as_pred() {
             Some(TermPattern::Term(p)) => Some(p.to_string()),
             _ => None,
         },
@@ -598,9 +599,9 @@ fn eval_plan_inner(
 ) -> Result<Vec<Row>, QueryError> {
     match plan {
         Plan::Empty => Ok(input.to_vec()),
-        Plan::Scan(t) => {
+        Plan::Scan(t, range) => {
             if t.path.as_pred().is_some() {
-                scan_triples(ds, vars, t, input)
+                scan_triples(ds, vars, t, range.as_ref(), input)
             } else {
                 path::eval_path_scan(ds, vars, t, input)
             }
@@ -643,7 +644,7 @@ fn eval_plan_inner(
                         && rows.len() >= min_rows
                         && seq[idx..]
                             .iter()
-                            .all(|c| matches!(c, Plan::Scan(t) if t.path.as_pred().is_some()))
+                            .all(|c| matches!(c, Plan::Scan(t, _) if t.path.as_pred().is_some()))
                     {
                         reorder_suffix(ds, &mut seq[idx..], vars.bound_names(rows));
                         ds.prof_note_reopt();
@@ -804,9 +805,27 @@ pub(crate) enum At<'r> {
 
 #[cfg(test)]
 thread_local! {
-    /// Dictionary lookups made for pattern constants, and index range
-    /// scans started, on this thread.
-    static SCAN_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// Dictionary lookups made for pattern constants, index range
+    /// scans started, and index entries visited, on this thread.
+    static SCAN_WORK: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Which `SCAN_WORK` counter.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum ScanWork {
+    Lookups,
+    Scans,
+    Visited,
+}
+
+#[cfg(test)]
+fn note_scan_work(counter: ScanWork) {
+    SCAN_WORK.with(|w| {
+        let mut work = w.get();
+        work[counter as usize] += 1;
+        w.set(work);
+    });
 }
 
 impl Pos {
@@ -821,7 +840,7 @@ impl Pos {
             TermPattern::Var(v) => Some(Pos::Var(vars.bound_slot(v)?)),
             TermPattern::Term(term) => {
                 #[cfg(test)]
-                SCAN_WORK.with(|w| w.set((w.get().0 + 1, w.get().1)));
+                note_scan_work(ScanWork::Lookups);
                 match (ds.active().dictionary().lookup(term), term) {
                     (Some(id), _) => Some(Pos::Id(id)),
                     (None, Term::Array(_)) => Some(Pos::Array(Value::Term(term.clone()))),
@@ -866,10 +885,15 @@ pub(crate) fn extend(
 }
 
 /// Match a plain triple pattern against the graph for each input row.
+/// `range` is a window every solution's object must lie in (the filter
+/// that says so runs above): a row that leaves subject and object free
+/// under a constant predicate reads only that stretch of the graph's
+/// value index; any other row probes as if there were no window.
 fn scan_triples(
     ds: &mut Dataset,
     vars: &VarTable,
     t: &TriplePattern,
+    range: Option<&Window>,
     input: &[Row],
 ) -> Result<Vec<Row>, QueryError> {
     let Some(pred) = t.path.as_pred() else {
@@ -900,10 +924,18 @@ fn scan_triples(
             }
         }
         #[cfg(test)]
-        SCAN_WORK.with(|w| w.set((w.get().0, w.get().1 + 1)));
+        note_scan_work(ScanWork::Scans);
         if content_checks.is_empty() {
             let graph = ds.active();
-            for m in graph.match_pattern(ids[0], ids[1], ids[2]) {
+            let matches = match (range, ids, free) {
+                (Some(w), [None, Some(p), None], [Some(_), None, Some(_)]) => {
+                    graph.match_object_range(p, w.lo_value(), w.hi_value())
+                }
+                _ => graph.match_pattern(ids[0], ids[1], ids[2]),
+            };
+            for m in matches {
+                #[cfg(test)]
+                note_scan_work(ScanWork::Visited);
                 let bindings = [(free[0], m.s), (free[1], m.p), (free[2], m.o)];
                 extend(graph, row, &bindings, &mut out);
             }
@@ -1108,9 +1140,10 @@ mod tests {
         }
     }
 
-    /// (constant lookups, index range scans) since the last call.
-    fn scan_work() -> (usize, usize) {
-        SCAN_WORK.with(|w| w.replace((0, 0)))
+    /// [constant lookups, index range scans, index entries visited]
+    /// since the last call.
+    fn scan_work() -> [usize; 3] {
+        SCAN_WORK.with(|w| w.replace([0; 3]))
     }
 
     #[test]
@@ -1126,21 +1159,58 @@ mod tests {
         let first = scan("s", "http://p", TermPattern::Var("o".into()));
         let on = scan("s", "http://q", TermPattern::Term(Term::str("on")));
         let off = scan("s", "http://q", TermPattern::Term(Term::str("off")));
-        let vars = VarTable::for_plan(&Plan::Scan(first.clone()));
-        let rows = scan_triples(&mut ds, &vars, &first, &[vars.unit_row()]).unwrap();
+        let vars = VarTable::for_plan(&Plan::Scan(first.clone(), None));
+        let rows = scan_triples(&mut ds, &vars, &first, None, &[vars.unit_row()]).unwrap();
         assert_eq!(rows.len(), 40);
 
         // Two constants, forty input rows: two lookups, one range scan
         // per row, with the bound subject passed on as an id.
         scan_work();
-        let joined = scan_triples(&mut ds, &vars, &on, &rows).unwrap();
+        let joined = scan_triples(&mut ds, &vars, &on, None, &rows).unwrap();
         assert_eq!(joined.len(), 40);
-        assert_eq!(scan_work(), (2, 40));
+        assert_eq!(scan_work(), [2, 40, 40]);
 
         // A constant the dictionary has never seen ends the scan
         // before the index is touched.
-        let none = scan_triples(&mut ds, &vars, &off, &rows).unwrap();
+        let none = scan_triples(&mut ds, &vars, &off, None, &rows).unwrap();
         assert!(none.is_empty());
-        assert_eq!(scan_work(), (2, 0));
+        assert_eq!(scan_work(), [2, 0, 0]);
+    }
+
+    #[test]
+    fn a_pushed_window_visits_only_its_rows() {
+        // The BISTAB Q1 shape over 2 000 tasks, k_1 = 0.00, 0.02 ...
+        let mut ds = Dataset::in_memory();
+        let mut turtle = String::new();
+        for i in 0..2000 {
+            turtle.push_str(&format!(
+                "<http://task{i}> <http://k_1> {:.2} ; <http://result> {} .\n",
+                i as f64 / 50.0,
+                i % 2
+            ));
+        }
+        ds.load_turtle(&turtle).unwrap();
+        let q1 = |k1: &str| {
+            format!(
+                "SELECT ?task ?k1 WHERE {{ ?task <http://k_1> ?k1 ; <http://result> 1 . \
+                 FILTER ({k1} > 38) }}"
+            )
+        };
+        let window = 100; // 38.00 itself (the index is inclusive) to 39.98
+
+        scan_work();
+        let rows = ds.query(&q1("?k1")).unwrap().into_rows().unwrap();
+        assert_eq!(rows.len(), 50);
+        // One range scan that visits the window, then one probe per row
+        // that passed the filter, each visiting at most its one match.
+        let [_, scans, visited] = scan_work();
+        assert_eq!(scans, 1 + (window - 1));
+        assert!(visited <= window + (window - 1), "visited {visited}");
+
+        // Disguised, the same filter costs the predicate, not the answer.
+        let rows = ds.query(&q1("?k1 + 0")).unwrap().into_rows().unwrap();
+        assert_eq!(rows.len(), 50);
+        let [_, _, visited] = scan_work();
+        assert!(visited >= 2000, "visited {visited}");
     }
 }

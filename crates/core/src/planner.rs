@@ -30,7 +30,8 @@
 //! estimate by more than [`PlannerConfig::adaptive_qerror`]) lives in
 //! `eval`; its knobs are configured here.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Bound;
 
 use ssdm_rdf::{Graph, Term, TermId};
 use ssdm_storage::{ArrayStore, ValuePredicate};
@@ -400,31 +401,158 @@ impl<'a> PlannerCtx<'a> {
     }
 }
 
-/// Expression-aware filter selectivity: the fraction of input rows a
-/// `FILTER expr` is expected to keep. `var_preds` maps object-position
-/// variables of the surrounding join to the (constant) predicate whose
-/// triples bind them, letting comparisons consult that predicate's
-/// object-value histogram.
-pub fn filter_selectivity(
-    expr: &Expr,
-    ctx: &PlannerCtx,
-    var_preds: &HashMap<String, TermId>,
-) -> f64 {
-    selectivity(expr, ctx, var_preds).clamp(consts::MIN_SELECTIVITY, 1.0)
+/// What the sargable conjuncts of a filter say, together, about one
+/// variable: `?v > 30 && 31 >= ?v` is the window `(30, 31]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    pub lo: Bound<f64>,
+    pub hi: Bound<f64>,
 }
 
-fn selectivity(expr: &Expr, ctx: &PlannerCtx, var_preds: &HashMap<String, TermId>) -> f64 {
+impl Window {
+    const ALL: Window = Window {
+        lo: Bound::Unbounded,
+        hi: Bound::Unbounded,
+    };
+
+    /// The lower end as the inclusive bound the graph's range scan and
+    /// range estimate take (they answer a superset; strictness is the
+    /// residual filter's business).
+    pub fn lo_value(&self) -> Option<f64> {
+        bound_value(self.lo)
+    }
+
+    pub fn hi_value(&self) -> Option<f64> {
+        bound_value(self.hi)
+    }
+
+    /// Intersect with `?v op c`, `op` one of `< <= > >=`.
+    fn tighten(&mut self, op: CmpOp, c: f64) {
+        let lower = matches!(op, CmpOp::Gt | CmpOp::Ge);
+        let strict = matches!(op, CmpOp::Gt | CmpOp::Lt);
+        let end = if lower { &mut self.lo } else { &mut self.hi };
+        // The new bound wins when it cuts deeper, or at the same value
+        // strictly.
+        let wins = match bound_value(*end) {
+            None => true,
+            Some(old) if c == old => strict,
+            Some(old) => (c > old) == lower,
+        };
+        if wins {
+            *end = if strict {
+                Bound::Excluded(c)
+            } else {
+                Bound::Included(c)
+            };
+        }
+    }
+
+    /// The window as the conjunction it came from, for `EXPLAIN`.
+    pub fn describe(&self, var: &str) -> String {
+        let side = |bound, strict, inclusive| match bound {
+            Bound::Excluded(c) => Some(format!("?{var} {strict} {c}")),
+            Bound::Included(c) => Some(format!("?{var} {inclusive} {c}")),
+            Bound::Unbounded => None,
+        };
+        let sides = [side(self.lo, ">", ">="), side(self.hi, "<", "<=")];
+        sides.into_iter().flatten().collect::<Vec<_>>().join(" && ")
+    }
+}
+
+fn bound_value(b: Bound<f64>) -> Option<f64> {
+    match b {
+        Bound::Included(c) | Bound::Excluded(c) => Some(c),
+        Bound::Unbounded => None,
+    }
+}
+
+/// `?v op c`, for a comparison between a variable and a numeric
+/// constant written either way round.
+fn var_cmp_const<'e>(op: CmpOp, lhs: &'e Expr, rhs: &'e Expr) -> Option<(&'e str, CmpOp, f64)> {
+    match (lhs, rhs) {
+        (Expr::Var(v), e) => Some((v.as_str(), op, const_num(e)?)),
+        (e, Expr::Var(v)) => Some((v.as_str(), flip(op), const_num(e)?)),
+        _ => None,
+    }
+}
+
+/// The recognizer of sargable filter conjuncts — the one place that
+/// decides what a range predicate on a variable is. Splits the
+/// top-level conjunction of `filters` into one [`Window`] per variable
+/// compared with a numeric constant by `< <= > >=`, and the conjuncts
+/// that are anything else. The join planner attaches a window to the
+/// scan that binds its variable and the selectivity model costs it as
+/// one range, so the two cannot disagree about what was recognized.
+pub(crate) fn sargable<'e>(
+    filters: impl IntoIterator<Item = &'e Expr>,
+) -> (Vec<(&'e str, Window)>, Vec<&'e Expr>) {
+    let mut windows: Vec<(&str, Window)> = Vec::new();
+    let mut rest = Vec::new();
+    let mut todo: Vec<&Expr> = filters.into_iter().collect();
+    todo.reverse();
+    while let Some(e) = todo.pop() {
+        let ranged = match e {
+            Expr::And(a, b) => {
+                todo.extend([&**b, &**a]);
+                continue;
+            }
+            Expr::Cmp(op, a, b) if !matches!(op, CmpOp::Eq | CmpOp::Ne) => {
+                // A NaN constant compares with nothing: not a window.
+                var_cmp_const(*op, a, b).filter(|(_, _, c)| !c.is_nan())
+            }
+            _ => None,
+        };
+        let Some((var, op, c)) = ranged else {
+            rest.push(e);
+            continue;
+        };
+        let at = windows.iter().position(|(v, _)| *v == var);
+        let at = at.unwrap_or_else(|| {
+            windows.push((var, Window::ALL));
+            windows.len() - 1
+        });
+        windows[at].1.tighten(op, c);
+    }
+    (windows, rest)
+}
+
+/// What the join under a filter says about the variables it reads.
+#[derive(Debug, Clone, Copy)]
+pub struct FilterVars<'a> {
+    /// Object-position variables of constant-predicate scans, by that
+    /// predicate's id: comparisons on them consult its value histogram.
+    pub preds: &'a HashMap<String, TermId>,
+    /// Variables whose window the scan binding them already enforces
+    /// (and was costed with): the filter removes nothing more there.
+    pub enforced: &'a HashSet<String>,
+}
+
+/// Expression-aware filter selectivity: the fraction of input rows a
+/// `FILTER expr` is expected to keep.
+pub fn filter_selectivity(expr: &Expr, ctx: &PlannerCtx, vars: FilterVars) -> f64 {
+    selectivity(expr, ctx, vars).clamp(consts::MIN_SELECTIVITY, 1.0)
+}
+
+fn selectivity(expr: &Expr, ctx: &PlannerCtx, vars: FilterVars) -> f64 {
     match expr {
-        Expr::Not(e) => 1.0 - selectivity(e, ctx, var_preds),
-        Expr::And(a, b) => selectivity(a, ctx, var_preds) * selectivity(b, ctx, var_preds),
+        Expr::Not(e) => 1.0 - selectivity(e, ctx, vars),
+        // A conjunction is its windows, each one range estimate, times
+        // its other conjuncts.
+        Expr::And(..) | Expr::Cmp(..) => {
+            let (windows, rest) = sargable([expr]);
+            let ranges = windows
+                .iter()
+                .map(|(v, w)| range_selectivity(v, w, ctx, vars));
+            let others = rest.iter().map(|e| match e {
+                Expr::Cmp(op, a, b) => cmp_selectivity(*op, a, b, ctx, vars),
+                other => selectivity(other, ctx, vars),
+            });
+            ranges.chain(others).product()
+        }
         Expr::Or(a, b) => {
-            let (sa, sb) = (
-                selectivity(a, ctx, var_preds),
-                selectivity(b, ctx, var_preds),
-            );
+            let (sa, sb) = (selectivity(a, ctx, vars), selectivity(b, ctx, vars));
             (sa + sb - sa * sb).min(1.0)
         }
-        Expr::Cmp(op, a, b) => cmp_selectivity(*op, a, b, ctx, var_preds),
         Expr::InList {
             needle,
             haystack,
@@ -433,7 +561,10 @@ fn selectivity(expr: &Expr, ctx: &PlannerCtx, var_preds: &HashMap<String, TermId
             let eq = if let Expr::Var(v) = &**needle {
                 haystack
                     .iter()
-                    .map(|h| eq_selectivity(Some(v), const_num(h), ctx, var_preds))
+                    .map(|h| match const_num(h) {
+                        Some(n) => eq_selectivity(v, n, ctx, vars),
+                        None => consts::EQ_SELECTIVITY,
+                    })
                     .sum::<f64>()
             } else {
                 consts::EQ_SELECTIVITY * haystack.len() as f64
@@ -451,29 +582,25 @@ fn selectivity(expr: &Expr, ctx: &PlannerCtx, var_preds: &HashMap<String, TermId
     }
 }
 
-fn cmp_selectivity(
-    op: CmpOp,
-    lhs: &Expr,
-    rhs: &Expr,
-    ctx: &PlannerCtx,
-    var_preds: &HashMap<String, TermId>,
-) -> f64 {
+/// A comparison that is not part of a window: equality, or a range
+/// comparison [`sargable`] did not recognize.
+fn cmp_selectivity(op: CmpOp, lhs: &Expr, rhs: &Expr, ctx: &PlannerCtx, vars: FilterVars) -> f64 {
     // Comparisons over zone-mapped array predicates: cost by the
     // fraction of chunks the filtered scan cannot skip.
     if let Some(frac) = zone_call_fraction(lhs, ctx).or_else(|| zone_call_fraction(rhs, ctx)) {
         return frac;
     }
-    // Normalize to `var op constant`.
-    let (var, num, op) = match (lhs, rhs) {
-        (Expr::Var(v), e) if const_num(e).is_some() => (Some(v.as_str()), const_num(e), op),
-        (e, Expr::Var(v)) if const_num(e).is_some() => (Some(v.as_str()), const_num(e), flip(op)),
-        _ => (None, None, op),
+    if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
+        return consts::RANGE_SELECTIVITY;
+    }
+    let eq = match var_cmp_const(op, lhs, rhs) {
+        Some((v, _, n)) => eq_selectivity(v, n, ctx, vars),
+        None => consts::EQ_SELECTIVITY,
     };
-    match op {
-        CmpOp::Eq => eq_selectivity(var, num, ctx, var_preds),
-        CmpOp::Ne => 1.0 - eq_selectivity(var, num, ctx, var_preds),
-        CmpOp::Lt | CmpOp::Le => range_selectivity(var, None, num, ctx, var_preds),
-        CmpOp::Gt | CmpOp::Ge => range_selectivity(var, num, None, ctx, var_preds),
+    if op == CmpOp::Eq {
+        eq
+    } else {
+        1.0 - eq
     }
 }
 
@@ -497,41 +624,31 @@ fn const_num(e: &Expr) -> Option<f64> {
 
 /// Histogram-backed equality selectivity, falling back to
 /// [`consts::EQ_SELECTIVITY`].
-fn eq_selectivity(
-    var: Option<&str>,
-    num: Option<f64>,
-    ctx: &PlannerCtx,
-    var_preds: &HashMap<String, TermId>,
-) -> f64 {
-    if let (Some(v), Some(n)) = (var, num) {
-        if let Some(&p) = var_preds.get(v) {
-            if let Some(matches) = ctx.graph.estimate_object_eq(p, n) {
-                let total = ctx.graph.estimate_pattern(None, Some(p), None).max(1.0);
-                return matches / total;
-            }
+fn eq_selectivity(var: &str, num: f64, ctx: &PlannerCtx, vars: FilterVars) -> f64 {
+    if let Some(&p) = vars.preds.get(var) {
+        if let Some(matches) = ctx.graph.estimate_object_eq(p, num) {
+            let total = ctx.graph.estimate_pattern(None, Some(p), None).max(1.0);
+            return matches / total;
         }
     }
     consts::EQ_SELECTIVITY
 }
 
-/// Histogram-backed range selectivity, falling back to
-/// [`consts::RANGE_SELECTIVITY`].
-fn range_selectivity(
-    var: Option<&str>,
-    lo: Option<f64>,
-    hi: Option<f64>,
-    ctx: &PlannerCtx,
-    var_preds: &HashMap<String, TermId>,
-) -> f64 {
-    if let Some(v) = var {
-        if let Some(&p) = var_preds.get(v) {
-            if let Some(matches) = ctx.graph.estimate_object_range(p, lo, hi) {
-                let total = ctx.graph.estimate_pattern(None, Some(p), None).max(1.0);
-                return matches / total;
-            }
+/// Histogram-backed selectivity of a window — one range estimate for
+/// both of its ends — falling back to [`consts::RANGE_SELECTIVITY`]
+/// per end.
+fn range_selectivity(var: &str, window: &Window, ctx: &PlannerCtx, vars: FilterVars) -> f64 {
+    if vars.enforced.contains(var) {
+        return 1.0;
+    }
+    let (lo, hi) = (window.lo_value(), window.hi_value());
+    if let Some(&p) = vars.preds.get(var) {
+        if let Some(matches) = ctx.graph.estimate_object_range(p, lo, hi) {
+            let total = ctx.graph.estimate_pattern(None, Some(p), None).max(1.0);
+            return matches / total;
         }
     }
-    consts::RANGE_SELECTIVITY
+    consts::RANGE_SELECTIVITY.powi(lo.is_some() as i32 + hi.is_some() as i32)
 }
 
 fn call_selectivity(name: &str, args: &[Expr], ctx: &PlannerCtx) -> f64 {
@@ -621,6 +738,37 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
+    fn cmp(op: CmpOp, var: &str, c: i64) -> Expr {
+        Expr::Cmp(
+            op,
+            Box::new(Expr::Var(var.into())),
+            Box::new(Expr::Const(Term::integer(c))),
+        )
+    }
+
+    fn and(a: Expr, b: Expr) -> Expr {
+        Expr::And(Box::new(a), Box::new(b))
+    }
+
+    /// Selectivity of `e` with `?x` the object of predicate `pid`.
+    fn selectivity_on(g: &Graph, pid: TermId, e: &Expr) -> f64 {
+        let preds = HashMap::from([("x".to_string(), pid)]);
+        let vars = FilterVars {
+            preds: &preds,
+            enforced: &HashSet::new(),
+        };
+        filter_selectivity(e, &PlannerCtx::plain(g), vars)
+    }
+
+    /// Selectivity of `e` when nothing is known about its variables.
+    fn blind_selectivity(g: &Graph, e: &Expr) -> f64 {
+        let vars = FilterVars {
+            preds: &HashMap::new(),
+            enforced: &HashSet::new(),
+        };
+        filter_selectivity(e, &PlannerCtx::plain(g), vars)
+    }
+
     #[test]
     fn filter_selectivity_uses_histograms() {
         let mut g = Graph::new();
@@ -635,37 +783,112 @@ mod tests {
             );
         }
         let pid = g.dictionary().lookup(&p).unwrap();
-        let ctx = PlannerCtx::plain(&g);
-        let mut vp = HashMap::new();
-        vp.insert("x".to_string(), pid);
-        let gt = Expr::Cmp(
-            CmpOp::Gt,
-            Box::new(Expr::Var("x".into())),
-            Box::new(Expr::Const(Term::integer(500))),
-        );
-        let sel = filter_selectivity(&gt, &ctx, &vp);
+        let gt = cmp(CmpOp::Gt, "x", 500);
+        let sel = selectivity_on(&g, pid, &gt);
         assert!(
             sel < 0.25,
             "high-range filter should be selective, got {sel}"
         );
         // Same comparison with no predicate mapping → documented fallback.
-        assert_eq!(
-            filter_selectivity(&gt, &ctx, &HashMap::new()),
-            consts::RANGE_SELECTIVITY
+        assert_eq!(blind_selectivity(&g, &gt), consts::RANGE_SELECTIVITY);
+    }
+
+    #[test]
+    fn a_window_is_one_range_estimate() {
+        // The `planner_matrix` score distribution: 90 % in 0..9, the
+        // rest spread over 1009..1159.
+        let mut g = Graph::new();
+        let p = Term::uri("http://ex/score");
+        for i in 0..160i64 {
+            let score = if i % 10 == 9 { 1000 + i } else { i % 10 };
+            g.insert(
+                Term::uri(format!("http://ex/s{i}")),
+                p.clone(),
+                Term::integer(score),
+            );
+        }
+        let pid = g.dictionary().lookup(&p).unwrap();
+        let window = and(cmp(CmpOp::Gt, "x", 1000), cmp(CmpOp::Lt, "x", 1050));
+        let truth = 5.0 / 160.0; // 1009, 1019, 1029, 1039, 1049
+        let sel = selectivity_on(&g, pid, &window);
+        assert!(
+            (truth / 2.0..=truth * 2.0).contains(&sel),
+            "window estimated at {sel}, truth {truth}"
         );
+        // The product of its two one-sided estimates is not.
+        let product = selectivity_on(&g, pid, &cmp(CmpOp::Gt, "x", 1000))
+            * selectivity_on(&g, pid, &cmp(CmpOp::Lt, "x", 1050));
+        assert!(product > truth * 2.0, "product {product}");
+        // A window the scan already enforced filters nothing more.
+        let preds = HashMap::from([("x".to_string(), pid)]);
+        let enforced = HashSet::from(["x".to_string()]);
+        let vars = FilterVars {
+            preds: &preds,
+            enforced: &enforced,
+        };
+        assert_eq!(
+            filter_selectivity(&window, &PlannerCtx::plain(&g), vars),
+            1.0
+        );
+    }
+
+    #[test]
+    fn sargable_recognizes_windows_and_nothing_else() {
+        let flipped = Expr::Cmp(
+            CmpOp::Ge,
+            Box::new(Expr::Neg(Box::new(Expr::Const(Term::integer(3))))),
+            Box::new(Expr::Var("y".into())),
+        );
+        let disguised = Expr::Cmp(
+            CmpOp::Gt,
+            Box::new(Expr::Arith(
+                crate::ast::ArithOp::Add,
+                Box::new(Expr::Var("x".into())),
+                Box::new(Expr::Const(Term::integer(0))),
+            )),
+            Box::new(Expr::Const(Term::integer(1))),
+        );
+        let nan = Expr::Cmp(
+            CmpOp::Lt,
+            Box::new(Expr::Var("x".into())),
+            Box::new(Expr::Const(Term::double(f64::NAN))),
+        );
+        let filters = [
+            and(
+                cmp(CmpOp::Gt, "x", 30),
+                and(flipped, cmp(CmpOp::Eq, "x", 7)),
+            ),
+            and(cmp(CmpOp::Le, "x", 40), cmp(CmpOp::Ge, "x", 30)),
+            cmp(CmpOp::Lt, "x", 45),
+            disguised,
+            nan,
+            Expr::Or(
+                Box::new(cmp(CmpOp::Lt, "z", 1)),
+                Box::new(cmp(CmpOp::Gt, "z", 2)),
+            ),
+        ];
+        let (windows, rest) = sargable(&filters);
+        let x = Window {
+            lo: Bound::Excluded(30.0),
+            hi: Bound::Included(40.0),
+        };
+        let y = Window {
+            lo: Bound::Unbounded,
+            hi: Bound::Included(-3.0),
+        };
+        assert_eq!(windows, [("x", x), ("y", y)]);
+        assert_eq!(x.describe("x"), "?x > 30 && ?x <= 40");
+        assert_eq!(y.describe("y"), "?y <= -3");
+        // Equality, the disguised comparison, the NaN bound and the
+        // disjunction stay with the filter alone.
+        assert_eq!(rest.len(), 4);
     }
 
     #[test]
     fn boolean_combinations_compose() {
         let g = Graph::new();
-        let ctx = PlannerCtx::plain(&g);
-        let vp = HashMap::new();
-        let t = |e: &Expr| filter_selectivity(e, &ctx, &vp);
-        let eq = Expr::Cmp(
-            CmpOp::Eq,
-            Box::new(Expr::Var("x".into())),
-            Box::new(Expr::Const(Term::integer(1))),
-        );
+        let t = |e: &Expr| blind_selectivity(&g, e);
+        let eq = cmp(CmpOp::Eq, "x", 1);
         let and = Expr::And(Box::new(eq.clone()), Box::new(eq.clone()));
         let or = Expr::Or(Box::new(eq.clone()), Box::new(eq.clone()));
         let not = Expr::Not(Box::new(eq.clone()));

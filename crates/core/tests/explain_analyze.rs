@@ -302,3 +302,58 @@ fn metadata_filter_sinks_below_array_bind() {
         "Filter sits below the Extend:\n{plan}"
     );
 }
+
+#[test]
+fn a_pushed_window_shows_on_its_scan_and_is_estimated_as_one_range() {
+    // 4 000 tasks, k uniform on [10, 50) in steps of 0.01, every other
+    // one with result 1: the BISTAB Q1 shape with a window filter.
+    let mut ds = Dataset::in_memory();
+    let mut turtle = String::from("@prefix ex: <http://example.org/> .\n");
+    for i in 0..4000 {
+        let k = 10.0 + i as f64 / 100.0;
+        turtle.push_str(&format!("ex:t{i} ex:k {k:.2} ; ex:result {} .\n", i % 2));
+    }
+    ds.load_turtle(&turtle).unwrap();
+    let result = ds
+        .query(
+            "PREFIX ex: <http://example.org/>
+             EXPLAIN ANALYZE SELECT ?t WHERE { ?t ex:k ?k ; ex:result 1 . FILTER(?k > 30 && ?k < 31) }",
+        )
+        .unwrap();
+    let QueryResult::Text(profile) = result else {
+        panic!("text result expected");
+    };
+    let float = |line: &str, key: &str| -> f64 {
+        let tok = line.split_whitespace().find(|t| t.starts_with(key));
+        tok.unwrap_or_else(|| panic!("{key} missing in {line}"))[key.len()..]
+            .parse()
+            .unwrap()
+    };
+    let operators: Vec<&str> = profile
+        .lines()
+        .filter(|l| l.contains("rows_out="))
+        .collect();
+    let scan = operators
+        .iter()
+        .find(|l| l.contains("Scan ?t <http://example.org/k> ?k [?k > 30 && ?k < 31]"))
+        .unwrap_or_else(|| panic!("no windowed scan in:\n{profile}"));
+    // The scan reads the window (both ends included: the index answers
+    // a superset), the filter above it drops the two ends.
+    assert_eq!(fields(scan)["rows_in"], 1, "the ranged scan runs first");
+    assert_eq!(fields(scan)["rows_out"], 101);
+    let filter = operators
+        .iter()
+        .find(|l| l.trim_start().starts_with("Filter"))
+        .expect("the filter stays in the plan");
+    assert_eq!(fields(filter)["rows_out"], 99);
+    // One range estimate for the window, within 2x of what came back;
+    // the filter is not discounted a second time.
+    assert!(float(scan, "qerr=") <= 2.0, "{scan}");
+    assert!(float(filter, "qerr=") <= 2.0, "{filter}");
+    assert_eq!(float(filter, "est="), float(scan, "est="));
+    // Nobody paid for the predicate: no operator saw the 4 000 tasks,
+    // or the 2 000 with result 1.
+    for op in &operators {
+        assert!(fields(op)["rows_out"] <= 101, "{op}");
+    }
+}

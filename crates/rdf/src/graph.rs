@@ -2,12 +2,15 @@
 //!
 //! Triples of interned term ids are kept in three sorted indexes (SPO,
 //! POS, OSP) so any pattern with bound components resolves to a range
-//! scan — the standard native-RDF-store layout (thesis §2.2.3). The
-//! store maintains per-predicate statistics (triple count, distinct
-//! subjects/objects) that drive the SciSPARQL cost-based optimizer the
-//! way RDF-3X-style histograms do (§2.3.1).
+//! scan — the standard native-RDF-store layout (thesis §2.2.3). A
+//! fourth, derived index orders the triples whose object is a numeric
+//! literal by that literal's *value* under each predicate, so a range
+//! predicate on the object is a range scan too. The store maintains
+//! per-predicate statistics (triple count, distinct subjects/objects)
+//! that drive the SciSPARQL cost-based optimizer the way RDF-3X-style
+//! histograms do (§2.3.1).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{btree_set, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 
 use crate::dictionary::{Dictionary, TermId};
@@ -44,6 +47,10 @@ pub struct Graph {
     spo: BTreeSet<(TermId, TermId, TermId)>,
     pos: BTreeSet<(TermId, TermId, TermId)>,
     osp: BTreeSet<(TermId, TermId, TermId)>,
+    /// `(p, value_key(o), o, s)` for every triple whose object is a
+    /// non-NaN numeric literal. Derived from the triples alone: rebuilt
+    /// by `insert_ids` on load, never persisted.
+    num: BTreeSet<NumEntry>,
     pred_subjects: HashMap<TermId, HashSet<TermId>>,
     pred_objects: HashMap<TermId, HashSet<TermId>>,
     pred_counts: HashMap<TermId, usize>,
@@ -98,6 +105,9 @@ impl Graph {
             let st = self.pred_obj_stats.entry(p).or_default();
             st.histogram.insert(v);
             st.sketch.insert_f64(v);
+            if let Some(key) = value_key(v) {
+                self.num.insert((p, key, o, s));
+            }
         }
         true
     }
@@ -133,6 +143,9 @@ impl Graph {
                 st.histogram.remove(v);
                 st.sketch.note_delete();
             }
+            if let Some(key) = value_key(v) {
+                self.num.remove(&(p, key, o, s));
+            }
         }
         // Distinct-value stats are maintained lazily: recompute on demand.
         if !self.spo.range(range_sp_any(s, p)).any(|_| true) {
@@ -166,55 +179,51 @@ impl Graph {
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Box<dyn Iterator<Item = Triple> + '_> {
+    ) -> Matches<'_> {
         const MIN: TermId = TermId(0);
         const MAX: TermId = TermId(u32::MAX);
-        match (s, p, o) {
+        let span = |lo, hi| (Bound::Included(lo), Bound::Included(hi));
+        Matches(match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                let hit = self.spo.contains(&(s, p, o));
-                Box::new(hit.then_some(Triple { s, p, o }).into_iter())
+                Cursor::One(self.spo.contains(&(s, p, o)).then_some(Triple { s, p, o }))
             }
-            (Some(s), Some(p), None) => Box::new(
-                self.spo
-                    .range((Bound::Included((s, p, MIN)), Bound::Included((s, p, MAX))))
-                    .map(|&(s, p, o)| Triple { s, p, o }),
-            ),
-            (Some(s), None, None) => Box::new(
-                self.spo
-                    .range((
-                        Bound::Included((s, MIN, MIN)),
-                        Bound::Included((s, MAX, MAX)),
-                    ))
-                    .map(|&(s, p, o)| Triple { s, p, o }),
-            ),
-            (None, Some(p), Some(o)) => Box::new(
-                self.pos
-                    .range((Bound::Included((p, o, MIN)), Bound::Included((p, o, MAX))))
-                    .map(|&(p, o, s)| Triple { s, p, o }),
-            ),
-            (None, Some(p), None) => Box::new(
-                self.pos
-                    .range((
-                        Bound::Included((p, MIN, MIN)),
-                        Bound::Included((p, MAX, MAX)),
-                    ))
-                    .map(|&(p, o, s)| Triple { s, p, o }),
-            ),
-            (None, None, Some(o)) => Box::new(
-                self.osp
-                    .range((
-                        Bound::Included((o, MIN, MIN)),
-                        Bound::Included((o, MAX, MAX)),
-                    ))
-                    .map(|&(o, s, p)| Triple { s, p, o }),
-            ),
-            (Some(s), None, Some(o)) => Box::new(
-                self.osp
-                    .range((Bound::Included((o, s, MIN)), Bound::Included((o, s, MAX))))
-                    .map(|&(o, s, p)| Triple { s, p, o }),
-            ),
-            (None, None, None) => Box::new(self.spo.iter().map(|&(s, p, o)| Triple { s, p, o })),
-        }
+            (Some(s), Some(p), None) => Cursor::Spo(self.spo.range(span((s, p, MIN), (s, p, MAX)))),
+            (Some(s), None, None) => {
+                Cursor::Spo(self.spo.range(span((s, MIN, MIN), (s, MAX, MAX))))
+            }
+            (None, Some(p), Some(o)) => Cursor::Pos(self.pos.range(span((p, o, MIN), (p, o, MAX)))),
+            (None, Some(p), None) => {
+                Cursor::Pos(self.pos.range(span((p, MIN, MIN), (p, MAX, MAX))))
+            }
+            (None, None, Some(o)) => {
+                Cursor::Osp(self.osp.range(span((o, MIN, MIN), (o, MAX, MAX))))
+            }
+            (Some(s), None, Some(o)) => Cursor::Osp(self.osp.range(span((o, s, MIN), (o, s, MAX)))),
+            (None, None, None) => Cursor::All(self.spo.iter()),
+        })
+    }
+
+    /// Triples `(?, p, o)` whose object is a numeric literal with value
+    /// in `[lo, hi]` (either bound optional), in value order — as a
+    /// **superset**: bounds apply to the order-preserving key of the
+    /// value as an f64, inclusively, so a caller with a strict or an
+    /// integer-exact comparison (`Num::partial_cmp` compares two
+    /// integers beyond 2⁵³ exactly, the key cannot) re-applies it to
+    /// what comes back. No qualifying triple is ever missing. NaN
+    /// objects compare with nothing and are never returned; a NaN bound
+    /// matches nothing.
+    pub fn match_object_range(&self, p: TermId, lo: Option<f64>, hi: Option<f64>) -> Matches<'_> {
+        let key = |bound: Option<f64>, open: u64| match bound {
+            None => Some(open),
+            Some(v) => value_key(v),
+        };
+        Matches(match (key(lo, u64::MIN), key(hi, u64::MAX)) {
+            (Some(lo), Some(hi)) if lo <= hi => Cursor::Num(self.num.range((
+                Bound::Included((p, lo, TermId(0), TermId(0))),
+                Bound::Included((p, hi, TermId(u32::MAX), TermId(u32::MAX))),
+            ))),
+            _ => Cursor::One(None),
+        })
     }
 
     /// Estimated number of matches for a pattern, without scanning.
@@ -293,6 +302,57 @@ impl Graph {
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.spo.iter().map(|&(s, p, o)| Triple { s, p, o })
     }
+}
+
+/// `(p, value_key(o), o, s)`: one entry of the numeric value index.
+type NumEntry = (TermId, u64, TermId, TermId);
+
+/// The matches of [`Graph::match_pattern`] or
+/// [`Graph::match_object_range`]: a cursor over whichever index serves
+/// the pattern.
+#[derive(Debug, Clone)]
+pub struct Matches<'a>(Cursor<'a>);
+
+#[derive(Debug, Clone)]
+enum Cursor<'a> {
+    One(Option<Triple>),
+    Spo(btree_set::Range<'a, (TermId, TermId, TermId)>),
+    Pos(btree_set::Range<'a, (TermId, TermId, TermId)>),
+    Osp(btree_set::Range<'a, (TermId, TermId, TermId)>),
+    All(btree_set::Iter<'a, (TermId, TermId, TermId)>),
+    Num(btree_set::Range<'a, NumEntry>),
+}
+
+impl Iterator for Matches<'_> {
+    type Item = Triple;
+
+    fn next(&mut self) -> Option<Triple> {
+        match &mut self.0 {
+            Cursor::One(hit) => hit.take(),
+            Cursor::Spo(it) => it.next().map(|&(s, p, o)| Triple { s, p, o }),
+            Cursor::Pos(it) => it.next().map(|&(p, o, s)| Triple { s, p, o }),
+            Cursor::Osp(it) => it.next().map(|&(o, s, p)| Triple { s, p, o }),
+            Cursor::All(it) => it.next().map(|&(s, p, o)| Triple { s, p, o }),
+            Cursor::Num(it) => it.next().map(|&(p, _, o, s)| Triple { s, p, o }),
+        }
+    }
+}
+
+/// The key the numeric value index orders by: monotone under
+/// `Num::partial_cmp` (`a < b` implies `key(a) <= key(b)`, and equal
+/// values — `2` and `2.0`, `-0.0` and `0.0` — share a key), `None` for
+/// NaN, which has no place in the order.
+fn value_key(v: f64) -> Option<u64> {
+    if v.is_nan() {
+        return None;
+    }
+    // `-0.0 + 0.0` is `+0.0`: both zeros get one key.
+    let bits = (v + 0.0).to_bits();
+    Some(if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    })
 }
 
 type TripleRange = (

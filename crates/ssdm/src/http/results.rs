@@ -10,6 +10,9 @@
 //! serialize as literals typed `urn:ssdm:array` whose lexical form is
 //! the SciSPARQL collection notation; closures as `urn:ssdm:closure`.
 
+use std::borrow::Cow;
+use std::fmt::{self, Display, Write};
+
 use scisparql::{QueryResult, Value};
 use ssdm_array::Num;
 use ssdm_rdf::Term;
@@ -22,242 +25,285 @@ const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 const SSDM_ARRAY: &str = "urn:ssdm:array";
 const SSDM_CLOSURE: &str = "urn:ssdm:closure";
 
-/// Serialize a result in the negotiated format.
+type Rows = [Vec<Option<Value>>];
+
+/// Serialize a result in the negotiated format. A SELECT result is
+/// read where it lies; every lexical form is written, escaped, straight
+/// into the one output buffer.
 pub fn serialize(result: &QueryResult, format: ResultFormat) -> Vec<u8> {
-    let lowered = lower(result);
-    let (vars, rows, boolean) = match &lowered {
-        Lowered::Solutions { vars, rows } => (vars.as_slice(), rows.as_slice(), None),
-        Lowered::Boolean(b) => (&[] as &[String], &[] as &[Vec<Option<Value>>], Some(*b)),
+    let (vars, rows) = match lower(result) {
+        Lowered::Solutions { vars, rows } => (vars, rows),
+        Lowered::Boolean(b) => return boolean(b, format).into_bytes(),
     };
+    let mut out = String::with_capacity(256 + 64 * vars.len() * rows.len());
     match format {
-        ResultFormat::Json => to_json(vars, rows, boolean).into_bytes(),
-        ResultFormat::Xml => to_xml(vars, rows, boolean).into_bytes(),
-        ResultFormat::Csv => to_csv(vars, rows, boolean).into_bytes(),
-        ResultFormat::Tsv => to_tsv(vars, rows, boolean).into_bytes(),
+        ResultFormat::Json => to_json(&mut out, &vars, &rows),
+        ResultFormat::Xml => to_xml(&mut out, &vars, &rows),
+        ResultFormat::Csv => to_csv(&mut out, &vars, &rows),
+        ResultFormat::Tsv => to_tsv(&mut out, &vars, &rows),
     }
+    out.into_bytes()
 }
 
-enum Lowered {
+enum Lowered<'a> {
     Solutions {
-        vars: Vec<String>,
-        rows: Vec<Vec<Option<Value>>>,
+        vars: Cow<'a, [String]>,
+        rows: Cow<'a, Rows>,
     },
     Boolean(bool),
 }
 
 /// Lower every result kind to a table or a boolean.
-fn lower(result: &QueryResult) -> Lowered {
+fn lower(result: &QueryResult) -> Lowered<'_> {
+    let table = |vars: &[&str], rows| Lowered::Solutions {
+        vars: vars.iter().map(|v| v.to_string()).collect(),
+        rows: Cow::Owned(rows),
+    };
     match result {
         QueryResult::Solutions { vars, rows } => Lowered::Solutions {
-            vars: vars.clone(),
-            rows: rows.clone(),
+            vars: Cow::Borrowed(vars),
+            rows: Cow::Borrowed(rows),
         },
         QueryResult::Boolean(b) => Lowered::Boolean(*b),
         QueryResult::Graph(g) => {
-            let vars = vec![
-                "subject".to_string(),
-                "predicate".to_string(),
-                "object".to_string(),
-            ];
-            let rows = g
-                .iter()
-                .map(|t| {
-                    vec![
-                        Some(Value::Term(g.term(t.s).clone())),
-                        Some(Value::Term(g.term(t.p).clone())),
-                        Some(Value::Term(g.term(t.o).clone())),
-                    ]
-                })
-                .collect();
-            Lowered::Solutions { vars, rows }
+            let node = |id| Some(Value::Term(g.term(id).clone()));
+            let rows = g.iter().map(|t| vec![node(t.s), node(t.p), node(t.o)]);
+            table(&["subject", "predicate", "object"], rows.collect())
         }
-        QueryResult::Updated { inserted, deleted } => Lowered::Solutions {
-            vars: vec!["inserted".to_string(), "deleted".to_string()],
-            rows: vec![vec![
-                Some(Value::integer(*inserted as i64)),
-                Some(Value::integer(*deleted as i64)),
-            ]],
-        },
-        QueryResult::Text(t) => Lowered::Solutions {
-            vars: vec!["text".to_string()],
-            rows: t
-                .lines()
-                .map(|l| vec![Some(Value::Term(Term::str(l)))])
-                .collect(),
-        },
+        QueryResult::Updated { inserted, deleted } => {
+            let count = |n: usize| Some(Value::integer(n as i64));
+            let row = vec![count(*inserted), count(*deleted)];
+            table(&["inserted", "deleted"], vec![row])
+        }
+        QueryResult::Text(t) => {
+            let line = |l| vec![Some(Value::Term(Term::str(l)))];
+            table(&["text"], t.lines().map(line).collect())
+        }
     }
 }
 
-/// The (lexical form, term kind) decomposition every serializer needs.
-enum Node {
-    Uri(String),
-    Bnode(String),
-    /// value, optional language tag, optional datatype URI.
-    Literal(String, Option<String>, Option<String>),
+/// An ASK result, whole.
+fn boolean(b: bool, format: ResultFormat) -> String {
+    match format {
+        ResultFormat::Json => format!("{{\"head\":{{}},\"boolean\":{b}}}"),
+        ResultFormat::Xml => {
+            format!("{XML_OPEN}  <head>\n  </head>\n  <boolean>{b}</boolean>\n</sparql>\n")
+        }
+        ResultFormat::Csv => format!("boolean\r\n{b}\r\n"),
+        ResultFormat::Tsv => format!("?boolean\n{b}\n"),
+    }
 }
 
-fn decompose(value: &Value) -> Node {
+/// The (lexical form, term kind) decomposition every serializer needs,
+/// borrowed from the value: a lexical form is whatever displays as it.
+enum Node<'a> {
+    Uri(&'a str),
+    Bnode(&'a str),
+    /// value, optional language tag, optional datatype URI.
+    Literal(&'a dyn Display, Option<&'a str>, Option<&'a str>),
+}
+
+fn decompose(value: &Value) -> Node<'_> {
     match value {
         Value::Term(t) => match t {
-            Term::Uri(u) => Node::Uri(u.clone()),
-            Term::Blank(b) => Node::Bnode(b.clone()),
-            Term::Str(s) => Node::Literal(s.clone(), None, None),
-            Term::LangStr { value, lang } => Node::Literal(value.clone(), Some(lang.clone()), None),
-            Term::Number(Num::Int(i)) => {
-                Node::Literal(i.to_string(), None, Some(XSD_INTEGER.to_string()))
-            }
-            Term::Number(n @ Num::Real(_)) => {
-                Node::Literal(n.to_string(), None, Some(XSD_DOUBLE.to_string()))
-            }
-            Term::Bool(b) => Node::Literal(b.to_string(), None, Some(XSD_BOOLEAN.to_string())),
-            Term::Typed { value, datatype } => {
-                Node::Literal(value.clone(), None, Some(datatype.clone()))
-            }
-            Term::Array(a) => Node::Literal(a.to_string(), None, Some(SSDM_ARRAY.to_string())),
-            Term::ArrayRef(id) => {
-                Node::Literal(format!("@array:{id}"), None, Some(SSDM_ARRAY.to_string()))
-            }
+            Term::Uri(u) => Node::Uri(u),
+            Term::Blank(b) => Node::Bnode(b),
+            Term::Str(s) => Node::Literal(s, None, None),
+            Term::LangStr { value, lang } => Node::Literal(value, Some(lang), None),
+            Term::Number(Num::Int(i)) => Node::Literal(i, None, Some(XSD_INTEGER)),
+            Term::Number(n @ Num::Real(_)) => Node::Literal(n, None, Some(XSD_DOUBLE)),
+            Term::Bool(b) => Node::Literal(b, None, Some(XSD_BOOLEAN)),
+            Term::Typed { value, datatype } => Node::Literal(value, None, Some(datatype)),
+            Term::Array(a) => Node::Literal(a, None, Some(SSDM_ARRAY)),
+            // Displays as `@array:<id>`.
+            Term::ArrayRef(_) => Node::Literal(t, None, Some(SSDM_ARRAY)),
         },
-        Value::Proxy(_) => Node::Literal(value.to_string(), None, Some(SSDM_ARRAY.to_string())),
-        Value::Closure(_) => Node::Literal(value.to_string(), None, Some(SSDM_CLOSURE.to_string())),
+        Value::Proxy(_) => Node::Literal(value, None, Some(SSDM_ARRAY)),
+        Value::Closure(_) => Node::Literal(value, None, Some(SSDM_CLOSURE)),
     }
+}
+
+/// Appends what is written to it to `out`, with each byte `replace`
+/// knows replaced by what it returns. (Every escaped character of
+/// every format is ASCII, so bytes are characters here.)
+struct Escaped<'o, F> {
+    out: &'o mut String,
+    replace: F,
+}
+
+impl<F: Fn(u8) -> Option<&'static str>> Write for Escaped<'_, F> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut clean = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if let Some(replacement) = (self.replace)(b) {
+                self.out.push_str(&s[clean..i]);
+                self.out.push_str(replacement);
+                clean = i + 1;
+            }
+        }
+        self.out.push_str(&s[clean..]);
+        Ok(())
+    }
+}
+
+/// Append `lexical`, escaped by `replace`, to `out`.
+fn escaped(out: &mut String, lexical: &dyn Display, replace: impl Fn(u8) -> Option<&'static str>) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(Escaped { out, replace }, "{lexical}");
 }
 
 // ---------------------------------------------------------------- JSON
 
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The escape of one byte inside a JSON string literal.
+fn json_special(b: u8) -> Option<&'static str> {
+    #[rustfmt::skip]
+    const CONTROL: [&str; 0x20] = [
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+        "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f",
+        "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+        "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+    ];
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        0..=0x1f => Some(CONTROL[b as usize]),
+        _ => None,
     }
-    out
 }
 
-fn to_json(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -> String {
-    let mut out = String::new();
-    out.push_str("{\"head\":{");
-    if boolean.is_none() {
-        out.push_str("\"vars\":[");
-        for (i, v) in vars.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(v)));
+/// Append `"name":"value"`, `value` escaped.
+fn json_member(out: &mut String, name: &str, value: &dyn Display) {
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":\"");
+    escaped(out, value, json_special);
+    out.push('"');
+}
+
+fn to_json(out: &mut String, vars: &[String], rows: &Rows) {
+    // `"var":`, escaped once.
+    let keys: Vec<String> = vars
+        .iter()
+        .map(|v| {
+            let mut key = String::from("\"");
+            escaped(&mut key, v, json_special);
+            key.push_str("\":");
+            key
+        })
+        .collect();
+    out.push_str("{\"head\":{\"vars\":[");
+    for (i, key) in keys.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push(']');
+        out.push_str(&key[..key.len() - 1]);
     }
-    out.push('}');
-    if let Some(b) = boolean {
-        out.push_str(&format!(",\"boolean\":{b}}}"));
-        return out;
-    }
-    out.push_str(",\"results\":{\"bindings\":[");
+    out.push_str("]},\"results\":{\"bindings\":[");
     for (ri, row) in rows.iter().enumerate() {
         if ri > 0 {
             out.push(',');
         }
         out.push('{');
         let mut first = true;
-        for (var, cell) in vars.iter().zip(row.iter()) {
+        for (key, cell) in keys.iter().zip(row.iter()) {
             let Some(value) = cell else { continue };
             if !first {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":", json_escape(var)));
+            out.push_str(key);
             match decompose(value) {
                 Node::Uri(u) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"uri\",\"value\":\"{}\"}}",
-                        json_escape(&u)
-                    ));
+                    out.push_str("{\"type\":\"uri\",");
+                    json_member(out, "value", &u);
                 }
                 Node::Bnode(b) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"bnode\",\"value\":\"{}\"}}",
-                        json_escape(&b)
-                    ));
+                    out.push_str("{\"type\":\"bnode\",");
+                    json_member(out, "value", &b);
                 }
                 Node::Literal(v, lang, dt) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"literal\",\"value\":\"{}\"",
-                        json_escape(&v)
-                    ));
+                    out.push_str("{\"type\":\"literal\",");
+                    json_member(out, "value", v);
                     if let Some(lang) = lang {
-                        out.push_str(&format!(",\"xml:lang\":\"{}\"", json_escape(&lang)));
+                        out.push(',');
+                        json_member(out, "xml:lang", &lang);
                     }
                     if let Some(dt) = dt {
-                        out.push_str(&format!(",\"datatype\":\"{}\"", json_escape(&dt)));
+                        out.push(',');
+                        json_member(out, "datatype", &dt);
                     }
-                    out.push('}');
                 }
             }
+            out.push('}');
         }
         out.push('}');
     }
     out.push_str("]}}");
-    out
 }
 
 // ----------------------------------------------------------------- XML
 
-/// Escape a string for XML text content or attribute values.
-fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
+const XML_OPEN: &str =
+    "<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n";
+
+/// The escape of one byte in XML text content or attribute values.
+fn xml_special(b: u8) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' => Some("&quot;"),
+        _ => None,
     }
-    out
 }
 
-fn to_xml(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -> String {
-    let mut out = String::from(
-        "<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n",
-    );
+/// Append ` name="value"`, `value` escaped.
+fn xml_attribute(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    escaped(out, &value, xml_special);
+    out.push('"');
+}
+
+fn to_xml(out: &mut String, vars: &[String], rows: &Rows) {
+    out.push_str(XML_OPEN);
     out.push_str("  <head>\n");
-    if boolean.is_none() {
-        for v in vars {
-            out.push_str(&format!("    <variable name=\"{}\"/>\n", xml_escape(v)));
-        }
+    for v in vars {
+        out.push_str("    <variable");
+        xml_attribute(out, "name", v);
+        out.push_str("/>\n");
     }
-    out.push_str("  </head>\n");
-    if let Some(b) = boolean {
-        out.push_str(&format!("  <boolean>{b}</boolean>\n</sparql>\n"));
-        return out;
-    }
-    out.push_str("  <results>\n");
+    out.push_str("  </head>\n  <results>\n");
     for row in rows {
         out.push_str("    <result>\n");
         for (var, cell) in vars.iter().zip(row.iter()) {
             let Some(value) = cell else { continue };
-            out.push_str(&format!("      <binding name=\"{}\">", xml_escape(var)));
+            out.push_str("      <binding");
+            xml_attribute(out, "name", var);
+            out.push('>');
             match decompose(value) {
-                Node::Uri(u) => out.push_str(&format!("<uri>{}</uri>", xml_escape(&u))),
-                Node::Bnode(b) => out.push_str(&format!("<bnode>{}</bnode>", xml_escape(&b))),
+                Node::Uri(u) => {
+                    out.push_str("<uri>");
+                    escaped(out, &u, xml_special);
+                    out.push_str("</uri>");
+                }
+                Node::Bnode(b) => {
+                    out.push_str("<bnode>");
+                    escaped(out, &b, xml_special);
+                    out.push_str("</bnode>");
+                }
                 Node::Literal(v, lang, dt) => {
                     out.push_str("<literal");
                     if let Some(lang) = lang {
-                        out.push_str(&format!(" xml:lang=\"{}\"", xml_escape(&lang)));
+                        xml_attribute(out, "xml:lang", lang);
                     }
                     if let Some(dt) = dt {
-                        out.push_str(&format!(" datatype=\"{}\"", xml_escape(&dt)));
+                        xml_attribute(out, "datatype", dt);
                     }
-                    out.push_str(&format!(">{}</literal>", xml_escape(&v)));
+                    out.push('>');
+                    escaped(out, v, xml_special);
+                    out.push_str("</literal>");
                 }
             }
             out.push_str("</binding>\n");
@@ -265,54 +311,49 @@ fn to_xml(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -
         out.push_str("    </result>\n");
     }
     out.push_str("  </results>\n</sparql>\n");
-    out
 }
 
 // ----------------------------------------------------------------- CSV
 
-/// RFC 4180 quoting: wrap in double quotes when the field contains a
-/// comma, quote, CR, or LF; embedded quotes double.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// Append one field with RFC 4180 quoting: wrapped in double quotes
+/// when it contains a comma, quote, CR, or LF; embedded quotes double.
+fn csv_field(out: &mut String, prefix: &str, lexical: &dyn Display) {
+    let start = out.len();
+    out.push_str(prefix);
+    let _ = write!(out, "{lexical}");
+    if out[start..].contains([',', '"', '\n', '\r']) {
+        let field = out.split_off(start);
+        out.push('"');
+        out.push_str(&field.replace('"', "\"\""));
+        out.push('"');
     }
 }
 
 /// CSV serializes bare lexical forms (SPARQL 1.1 Query Results CSV
 /// format): IRIs without brackets, literals without quotes or type
-/// annotations. A boolean result becomes a one-column table.
-fn to_csv(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -> String {
-    if let Some(b) = boolean {
-        return format!("boolean\r\n{b}\r\n");
+/// annotations.
+fn to_csv(out: &mut String, vars: &[String], rows: &Rows) {
+    for (i, v) in vars.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        csv_field(out, "", v);
     }
-    let mut out = String::new();
-    out.push_str(
-        &vars
-            .iter()
-            .map(|v| csv_field(v))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
     out.push_str("\r\n");
     for row in rows {
-        let cells: Vec<String> = vars
-            .iter()
-            .zip(row.iter())
-            .map(|(_, cell)| match cell {
-                None => String::new(),
-                Some(value) => match decompose(value) {
-                    Node::Uri(u) => csv_field(&u),
-                    Node::Bnode(b) => csv_field(&format!("_:{b}")),
-                    Node::Literal(v, _, _) => csv_field(&v),
-                },
-            })
-            .collect();
-        out.push_str(&cells.join(","));
+        for (i, (_, cell)) in vars.iter().zip(row.iter()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match cell.as_ref().map(decompose) {
+                None => {}
+                Some(Node::Uri(u)) => csv_field(out, "", &u),
+                Some(Node::Bnode(b)) => csv_field(out, "_:", &b),
+                Some(Node::Literal(v, _, _)) => csv_field(out, "", v),
+            }
+        }
         out.push_str("\r\n");
     }
-    out
 }
 
 // ----------------------------------------------------------------- TSV
@@ -321,32 +362,26 @@ fn to_csv(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -
 /// `<iri>`, `"literal"@lang`, `"lex"^^<dt>`, numbers bare. [`Term`]'s
 /// `Display` already produces exactly this, with tabs and newlines
 /// escaped inside literals.
-fn to_tsv(vars: &[String], rows: &[Vec<Option<Value>>], boolean: Option<bool>) -> String {
-    if let Some(b) = boolean {
-        return format!("?boolean\n{b}\n");
+fn to_tsv(out: &mut String, vars: &[String], rows: &Rows) {
+    for (i, v) in vars.iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        out.push('?');
+        out.push_str(v);
     }
-    let mut out = String::new();
-    out.push_str(
-        &vars
-            .iter()
-            .map(|v| format!("?{v}"))
-            .collect::<Vec<_>>()
-            .join("\t"),
-    );
     out.push('\n');
     for row in rows {
-        let cells: Vec<String> = vars
-            .iter()
-            .zip(row.iter())
-            .map(|(_, cell)| match cell {
-                None => String::new(),
-                Some(value) => value.to_string(),
-            })
-            .collect();
-        out.push_str(&cells.join("\t"));
+        for (i, (_, cell)) in vars.iter().zip(row.iter()).enumerate() {
+            if i > 0 {
+                out.push('\t');
+            }
+            if let Some(value) = cell {
+                let _ = write!(out, "{value}");
+            }
+        }
         out.push('\n');
     }
-    out
 }
 
 #[cfg(test)]
