@@ -527,10 +527,49 @@ pub fn fold_i64(xs: &[i64], op: AggregateOp) -> Result<Num> {
     })
 }
 
+/// Lanes of [`extreme_f64`]: independent running extremes the compiler
+/// keeps in vector registers.
+const LANES: usize = 8;
+
+/// The `f64` `Min`/`Max` fold, **bit-identical** to the left fold
+/// `acc = xs[0]; for x in &xs[1..] { if replaces(acc, x) { acc = x } }`
+/// (`replaces` is `acc > x` for `Min`, `acc < x` for `Max`), which
+/// replicates `Num`'s NaN-keeps-left behaviour: a NaN first element
+/// sticks, later NaNs never replace anything. One compare per element
+/// there is a loop-carried chain; here [`LANES`] independent extremes
+/// run side by side and are combined at the end. The extreme *value* is
+/// the same in any order; only `0.0` and `-0.0` compare equal with
+/// different bits, and the left fold keeps whichever came first, so a
+/// zero result is settled by the serial loop.
+fn extreme_f64(xs: &[f64], replaces: impl Fn(f64, f64) -> bool) -> f64 {
+    let serial = |acc: f64, xs: &[f64]| {
+        xs.iter()
+            .fold(acc, |acc, &x| if replaces(acc, x) { x } else { acc })
+    };
+    let first = xs[0];
+    if first.is_nan() {
+        return first;
+    }
+    let mut lanes = [first; LANES];
+    let groups = xs.chunks_exact(LANES);
+    let tail = groups.remainder();
+    for group in groups {
+        for (acc, &x) in lanes.iter_mut().zip(group) {
+            *acc = if replaces(*acc, x) { x } else { *acc };
+        }
+    }
+    let best = serial(serial(first, &lanes), tail);
+    if best == 0.0 {
+        serial(first, xs)
+    } else {
+        best
+    }
+}
+
 /// Dense partial fold over an `f64` slice. Sum/Avg use [`pairwise_sum`]
-/// (the documented deterministic order); Prod/Min/Max fold left to
-/// right from the first element, replicating `Num`'s NaN-keeps-left
-/// min/max behaviour.
+/// (the documented deterministic order); Prod folds left to right from
+/// the first element, and Min/Max return what that left fold would
+/// ([`extreme_f64`]).
 pub fn fold_f64(xs: &[f64], op: AggregateOp) -> Result<Num> {
     if let AggregateOp::Count = op {
         return Ok(Num::Int(xs.len() as i64));
@@ -548,24 +587,8 @@ pub fn fold_f64(xs: &[f64], op: AggregateOp) -> Result<Num> {
             }
             Num::Real(acc)
         }
-        AggregateOp::Min => {
-            let mut acc = xs[0];
-            for &x in &xs[1..] {
-                if acc > x {
-                    acc = x;
-                }
-            }
-            Num::Real(acc)
-        }
-        AggregateOp::Max => {
-            let mut acc = xs[0];
-            for &x in &xs[1..] {
-                if acc < x {
-                    acc = x;
-                }
-            }
-            Num::Real(acc)
-        }
+        AggregateOp::Min => Num::Real(extreme_f64(xs, |acc, x| acc > x)),
+        AggregateOp::Max => Num::Real(extreme_f64(xs, |acc, x| acc < x)),
         AggregateOp::Count => unreachable!("handled above"),
     })
 }
@@ -582,6 +605,7 @@ pub(crate) fn aggregate_view(data: &ArrayData, view: &ArrayView, op: AggregateOp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pairwise_sum_matches_documented_order() {
@@ -638,6 +662,62 @@ mod tests {
         assert!(nan_first.as_f64().is_nan());
         let nan_later = fold_f64(&[1.0, f64::NAN], AggregateOp::Min).unwrap();
         assert_eq!(nan_later, Num::Real(1.0));
+    }
+
+    /// The left fold [`extreme_f64`] replaced, kept as its reference.
+    fn left_fold(xs: &[f64], op: AggregateOp) -> f64 {
+        let mut acc = xs[0];
+        for &x in &xs[1..] {
+            let replace = match op {
+                AggregateOp::Min => acc > x,
+                _ => acc < x,
+            };
+            if replace {
+                acc = x;
+            }
+        }
+        acc
+    }
+
+    /// Values that make a min/max fold order-sensitive, and small ones
+    /// that repeat.
+    fn tricky() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (-3i64..4).prop_map(|v| v as f64),
+            -1e3..1e3f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn min_max_lanes_equal_the_left_fold_bitwise(
+            xs in prop::collection::vec(tricky(), 1..=300),
+        ) {
+            for op in [AggregateOp::Min, AggregateOp::Max] {
+                let got = fold_f64(&xs, op).unwrap().as_f64();
+                prop_assert_eq!(got.to_bits(), left_fold(&xs, op).to_bits(), "{:?}", op);
+            }
+        }
+    }
+
+    #[test]
+    fn min_max_zero_ties_keep_the_leftmost() {
+        // A zero in every lane and in the tail, the first one deciding.
+        for first in [0.0f64, -0.0] {
+            let mut xs = vec![first];
+            xs.extend((0..40).map(|i| if i % 2 == 0 { -0.0 } else { 0.0 }));
+            for op in [AggregateOp::Min, AggregateOp::Max] {
+                let got = fold_f64(&xs, op).unwrap().as_f64();
+                assert_eq!(got.to_bits(), first.to_bits(), "{op:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chunk compression + zone-map skipping scenario.
 //!
-//! Three sweeps, each asserting its acceptance criteria:
+//! Four sweeps, each asserting its acceptance criteria:
 //!
 //! 1. **codec matrix** — every `SCC1` policy over three chunk shapes:
 //!    BISTAB-like integer series (slowly varying, delta-friendly),
@@ -20,6 +20,13 @@
 //!    the byte-at-a-time table loop it replaced. Required: equal sums
 //!    and a **≥3×** ratio — a ratio between two loops on the same
 //!    machine, not a speed, so it holds on a slow runner.
+//! 4. **decode kernels** — `codec::decode_words`, the block decoder
+//!    every delta-bp chunk goes through, on the two chunk shapes the
+//!    end-to-end benchmark stores (a raster row, deltas 7 bits wide, and
+//!    a trajectory, 51 bits wide), beside the value-at-a-time loop it
+//!    replaced: ns per word produced for a full 2 048-word chunk and for
+//!    a 256-word window in the middle of one. Required: equal words and
+//!    a **≥2×** ratio on both, again a ratio and not a speed.
 //!
 //! Measurements land as JSON (default `BENCH_compress.json`, `--out`).
 //!
@@ -27,12 +34,13 @@
 //! repro_compress [--quick] [--out PATH]
 //! ```
 
+use std::ops::Range;
 use std::time::Instant;
 
 use relstore::{Db, DbOptions, LatencyModel};
 use ssdm_array::{AggregateOp, Num, NumArray, NumericType};
 use ssdm_bench::runner::print_table;
-use ssdm_storage::codec::{decode_chunk, encode_chunk};
+use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk};
 use ssdm_storage::frame::crc32;
 use ssdm_storage::{
     ArrayStore, CodecPolicy, RelChunkStore, RetrievalStrategy, ValuePredicate, SCC_HEADER,
@@ -111,12 +119,94 @@ fn crc32_byte_table() -> [u32; 256] {
     table
 }
 
+/// The delta-bp decoder as it was before the block kernels: one value
+/// at a time out of a `u128` accumulator refilled eight bytes at a go,
+/// each word a dependent add on the one before, the words before the
+/// window produced and dropped. Kept here as the yardstick of sweep 4
+/// (well-formed bodies only; the library's decoder does the checking).
+fn delta_bp_words_valuewise(body: &[u8], n_words: usize, window: Range<usize>, out: &mut Vec<u64>) {
+    out.clear();
+    let mut prev = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+    if window.contains(&0) {
+        out.push(prev);
+    }
+    let (mut pos, mut next) = (8usize, 1usize);
+    while next < window.end {
+        let k = (n_words - next).min(128);
+        let width = body[pos] as usize;
+        let packed = &body[pos + 1..pos + 1 + (k * width).div_ceil(8)];
+        pos += 1 + packed.len();
+        let (mut at, mut acc, mut bits) = (0usize, 0u128, 0usize);
+        for i in next..next + k.min(window.end - next) {
+            if bits < width {
+                if let Some(word) = packed.get(at..at + 8) {
+                    acc |= (u64::from_le_bytes(word.try_into().expect("8 bytes")) as u128) << bits;
+                    at += 8;
+                    bits += 64;
+                } else {
+                    while bits < width {
+                        acc |= (packed[at] as u128) << bits;
+                        at += 1;
+                        bits += 8;
+                    }
+                }
+            }
+            let z = if width == 0 {
+                0
+            } else {
+                acc as u64 & (u64::MAX >> (64 - width))
+            };
+            acc >>= width;
+            bits -= width;
+            prev = prev.wrapping_add(((z >> 1) as i64 ^ -((z & 1) as i64)) as u64);
+            if i >= window.start {
+                out.push(prev);
+            }
+        }
+        next += k;
+    }
+}
+
+/// One raster row of the end-to-end benchmark: values in a 64-wide band,
+/// so the zigzagged deltas are 7 bits wide.
+fn raster_row(n: usize) -> Vec<u8> {
+    (0..n as i64)
+        .flat_map(|c| (6_400 + (3_100 + c * 17) % 64).to_le_bytes())
+        .collect()
+}
+
+/// A BISTAB-shaped `f64` trajectory: a noisy walk settling on a level;
+/// the deltas of the bit patterns are 51 bits wide.
+fn trajectory(n: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let (target, mut level) = (120.0f64, 60.0f64);
+    (0..n)
+        .flat_map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            level += (target - level) * 0.1 + (unit - 0.5) * target * 0.1;
+            level.to_le_bytes()
+        })
+        .collect()
+}
+
 struct CodecCell {
     dataset: &'static str,
     policy: CodecPolicy,
     ratio: f64,
     encode_mbps: f64,
     decode_mbps: f64,
+}
+
+/// One chunk shape of sweep 4: ns per word produced, kernel and
+/// reference, for the full chunk and for the window.
+struct KernelCell {
+    shape: &'static str,
+    width: u8,
+    full: (f64, f64),
+    window: (f64, f64),
 }
 
 fn main() {
@@ -257,6 +347,46 @@ fn main() {
     let crc32_bytewise_mb_per_s = crc_mb / (bytewise_ms / 1e3);
     let crc_ratio = bytewise_ms / sliced_ms;
 
+    // --- Sweep 4: decode kernels -------------------------------------------
+    // One 16 KiB chunk of each shape, decoded in full and at the window
+    // a `tile_avg` reads: 256 words that start 700 words in.
+    const KERNEL_WORDS: usize = 2048;
+    let kernel_window = 700..956usize;
+    let kernel_loops = if quick { 500 } else { 4000 };
+    let mut kernel_cells: Vec<KernelCell> = Vec::new();
+    for (shape, ty, raw) in [
+        ("raster-row", NumericType::Int, raster_row(KERNEL_WORDS)),
+        ("trajectory", NumericType::Real, trajectory(KERNEL_WORDS)),
+    ] {
+        let (frame, _) = encode_chunk(&raw, ty, CodecPolicy::DeltaBp);
+        let body = &frame[SCC_HEADER..];
+        let ns_per_word = |window: &Range<usize>| {
+            let (mut kernel, mut reference) = (Vec::<u64>::new(), Vec::<u64>::new());
+            let (kernel_ms, ()) = best_of(repeats, || {
+                for _ in 0..kernel_loops {
+                    decode_words(std::hint::black_box(&frame), window.clone(), &mut kernel)
+                        .expect("well-formed frame");
+                }
+            });
+            let (reference_ms, ()) = best_of(repeats, || {
+                for _ in 0..kernel_loops {
+                    let body = std::hint::black_box(body);
+                    delta_bp_words_valuewise(body, KERNEL_WORDS, window.clone(), &mut reference);
+                }
+            });
+            assert_eq!(kernel.len(), window.len());
+            assert_eq!(kernel, reference, "the two decoders disagree on {shape}");
+            let per_word = 1e6 / (kernel_loops * window.len()) as f64;
+            (kernel_ms * per_word, reference_ms * per_word)
+        };
+        kernel_cells.push(KernelCell {
+            shape,
+            width: body[8],
+            full: ns_per_word(&(0..KERNEL_WORDS)),
+            window: ns_per_word(&kernel_window),
+        });
+    }
+
     // --- Report ----------------------------------------------------------
     let header: Vec<String> = ["dataset", "codec", "ratio", "enc MB/s", "dec MB/s"]
         .into_iter()
@@ -314,6 +444,43 @@ fn main() {
         &rows,
     );
 
+    let header: Vec<String> = [
+        "chunk shape",
+        "width",
+        "full ns/word",
+        "reference",
+        "ratio",
+        "window ns/word",
+        "reference",
+        "ratio",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect();
+    let rows: Vec<Vec<String>> = kernel_cells
+        .iter()
+        .map(|c| {
+            vec![
+                c.shape.to_string(),
+                c.width.to_string(),
+                format!("{:.2}", c.full.0),
+                format!("{:.2}", c.full.1),
+                format!("{:.1}x", c.full.1 / c.full.0),
+                format!("{:.2}", c.window.0),
+                format!("{:.2}", c.window.1),
+                format!("{:.1}x", c.window.1 / c.window.0),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "delta-bp decode kernel, {KERNEL_WORDS}-word chunk, window {}..{} (equal words ✓)",
+            kernel_window.start, kernel_window.end
+        ),
+        &header,
+        &rows,
+    );
+
     // --- Acceptance assertions -------------------------------------------
     for policy in [CodecPolicy::DeltaBp, CodecPolicy::Auto] {
         let cell = cells
@@ -346,6 +513,30 @@ fn main() {
         "expected the sliced crc32 at >=3x the byte-at-a-time loop, got {crc_ratio:.2}x"
     );
     println!("checksum acceptance ✓: {crc_ratio:.1}x the byte-at-a-time loop (>=3x required)");
+    for c in &kernel_cells {
+        for (what, (kernel, reference)) in [("full chunk", c.full), ("window", c.window)] {
+            assert!(
+                reference / kernel >= 2.0,
+                "expected the block decoder at >=2x the value-at-a-time loop on {} ({what}), \
+                 got {:.2}x",
+                c.shape,
+                reference / kernel
+            );
+        }
+    }
+    println!(
+        "decode kernel acceptance ✓: {} the value-at-a-time loop (>=2x required)",
+        kernel_cells
+            .iter()
+            .map(|c| format!(
+                "{:.1}x full / {:.1}x windowed at width {}",
+                c.full.1 / c.full.0,
+                c.window.1 / c.window.0,
+                c.width
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     // --- JSON -------------------------------------------------------------
     let mut json = format!(
@@ -380,8 +571,30 @@ fn main() {
     json.push_str(&format!(
         "  \"checksum\": {{\"crc32_mb_per_s\": {crc32_mb_per_s:.1}, \
          \"bytewise_mb_per_s\": {crc32_bytewise_mb_per_s:.1}, \"ratio\": {crc_ratio:.3}, \
-         \"identical_result\": true}}\n"
+         \"identical_result\": true}},\n"
     ));
+    json.push_str("  \"decode_kernel\": [\n");
+    for (i, c) in kernel_cells.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"shape\": \"{}\", \"width\": {}, \"words\": {KERNEL_WORDS}, \
+             \"window\": [{}, {}], \"full_ns_per_word\": {:.3}, \
+             \"full_reference_ns_per_word\": {:.3}, \"full_ratio\": {:.3}, \
+             \"window_ns_per_word\": {:.3}, \"window_reference_ns_per_word\": {:.3}, \
+             \"window_ratio\": {:.3}, \"identical_result\": true}}{}\n",
+            c.shape,
+            c.width,
+            kernel_window.start,
+            kernel_window.end,
+            c.full.0,
+            c.full.1,
+            c.full.1 / c.full.0,
+            c.window.0,
+            c.window.1,
+            c.window.1 / c.window.0,
+            if i + 1 < kernel_cells.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n");
     json.push_str("}\n");
     std::fs::write(&out, json).expect("write JSON");
     println!("wrote {out}");

@@ -426,3 +426,374 @@ fn decode_words_reports_damage_before_its_stop_point() {
         .expect_err("the damaged block is inside the window");
     assert!(matches!(err, StorageError::Corrupt { chunk_id: 0, .. }));
 }
+
+// ---------------------------------------------------------------------
+// Kernel differential: the block kernels against value-at-a-time oracles
+// ---------------------------------------------------------------------
+//
+// The decoder and the packer in `codec.rs` move mini-blocks through
+// width-specialized kernels. The loops below are what they replaced,
+// kept as oracles: a decoder that assembles every value one *bit* at a
+// time, and the packers that pushed one byte at a time through a `u128`
+// accumulator and encoded every candidate in full before choosing.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use ssdm_storage::codec::summarize;
+
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    ((z >> 1) as i64) ^ -((z & 1) as i64)
+}
+
+/// The words of a well-formed delta-bp body, bit by bit.
+fn oracle_delta_bp_words(body: &[u8], n_words: usize) -> Vec<u64> {
+    let mut words = Vec::with_capacity(n_words);
+    if n_words == 0 {
+        return words;
+    }
+    let mut prev = u64::from_le_bytes(body[..8].try_into().unwrap());
+    words.push(prev);
+    let mut pos = 8;
+    while words.len() < n_words {
+        let k = (n_words - words.len()).min(128);
+        let width = body[pos] as usize;
+        pos += 1;
+        for i in 0..k {
+            let z = (0..width).fold(0u64, |z, b| {
+                let at = i * width + b;
+                z | (((body[pos + at / 8] >> (at % 8)) & 1) as u64) << b
+            });
+            prev = prev.wrapping_add(unzigzag(z) as u64);
+            words.push(prev);
+        }
+        pos += (k * width).div_ceil(8);
+    }
+    assert_eq!(pos, body.len(), "oracle: body longer than its blocks");
+    words
+}
+
+/// The delta-bp packer as it was: a byte at a time out of a `u128`.
+fn oracle_delta_bp_encode(words: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let Some((&first, rest)) = words.split_first() else {
+        return out;
+    };
+    out.extend_from_slice(&first.to_le_bytes());
+    let mut prev = first;
+    let mut deltas = Vec::with_capacity(rest.len());
+    for &w in rest {
+        deltas.push(zigzag(w.wrapping_sub(prev) as i64));
+        prev = w;
+    }
+    for block in deltas.chunks(128) {
+        let width = block
+            .iter()
+            .map(|z| 64 - z.leading_zeros() as usize)
+            .max()
+            .unwrap_or(0);
+        out.push(width as u8);
+        let mut acc: u128 = 0;
+        let mut bits = 0usize;
+        for &z in block {
+            acc |= (z as u128) << bits;
+            bits += width;
+            while bits >= 8 {
+                out.push((acc & 0xFF) as u8);
+                acc >>= 8;
+                bits -= 8;
+            }
+        }
+        if bits > 0 {
+            out.push((acc & 0xFF) as u8);
+        }
+    }
+    out
+}
+
+/// The RLE packer as it was.
+fn oracle_rle_encode(words: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < words.len() {
+        let run = words[at..].iter().take_while(|w| **w == words[at]).count();
+        out.extend_from_slice(&(run as u32).to_le_bytes());
+        out.extend_from_slice(&words[at].to_le_bytes());
+        at += run;
+    }
+    out
+}
+
+/// `encode_chunk` as it was: every candidate of the policy encoded in
+/// full, the first smallest kept if it beats the raw bytes.
+fn oracle_frame(raw: &[u8], ty: NumericType, policy: CodecPolicy) -> Vec<u8> {
+    let words = words_of(raw);
+    let mut candidates: Vec<(CodecId, Vec<u8>)> = Vec::new();
+    if raw.len().is_multiple_of(8) {
+        if matches!(policy, CodecPolicy::DeltaBp | CodecPolicy::Auto) {
+            candidates.push((CodecId::DeltaBp, oracle_delta_bp_encode(&words)));
+        }
+        if matches!(policy, CodecPolicy::Rle | CodecPolicy::Auto) {
+            candidates.push((CodecId::Rle, oracle_rle_encode(&words)));
+        }
+    }
+    let (codec, body) = candidates
+        .into_iter()
+        .min_by_key(|(_, body)| body.len())
+        .filter(|(_, body)| body.len() < raw.len())
+        .unwrap_or((CodecId::Raw, raw.to_vec()));
+    let summary = summarize(raw, ty);
+    let mut frame = b"SCC1".to_vec();
+    frame.push(codec as u8);
+    frame.push(matches!(ty, NumericType::Real) as u8);
+    frame.extend_from_slice(&[0u8; 2]);
+    frame.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&summary.min_bits.to_le_bytes());
+    frame.extend_from_slice(&summary.max_bits.to_le_bytes());
+    frame.extend_from_slice(&summary.nulls.to_le_bytes());
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// `n` words whose zigzagged deltas need exactly `width` bits in every
+/// mini-block.
+fn words_of_width(rng: &mut StdRng, n: usize, width: usize) -> Vec<u64> {
+    let mut prev: u64 = rng.gen();
+    let mut words = vec![prev];
+    for i in 1..n {
+        let z = match width {
+            0 => 0,
+            // The first delta of each block carries the top bit.
+            w if (i - 1) % 128 == 0 => (rng.gen::<u64>() >> (64 - w)) | 1 << (w - 1),
+            w => rng.gen::<u64>() >> (64 - w),
+        };
+        prev = prev.wrapping_add(unzigzag(z) as u64);
+        words.push(prev);
+    }
+    words
+}
+
+/// `decode_words` at `window` in all three element types against the
+/// oracle's words.
+fn assert_window(frame: &[u8], all: &[u64], window: std::ops::Range<usize>, what: &str) {
+    let want = &all[window.start.min(all.len())..window.end.min(all.len())];
+    let (mut bits, mut ints, mut reals) = (Vec::<u64>::new(), Vec::<i64>::new(), Vec::<f64>::new());
+    decode_words(frame, window.clone(), &mut bits).unwrap();
+    decode_words(frame, window.clone(), &mut ints).unwrap();
+    decode_words(frame, window.clone(), &mut reals).unwrap();
+    assert_eq!(bits, want, "{what}: window {window:?}");
+    assert!(ints.iter().map(|v| *v as u64).eq(want.iter().copied()));
+    assert!(reals.iter().map(|v| v.to_bits()).eq(want.iter().copied()));
+}
+
+const KERNEL_LENGTHS: [usize; 12] = [1, 2, 8, 9, 127, 128, 129, 130, 255, 256, 257, 2048];
+
+/// Every width × the chunk lengths around the group and block seams:
+/// the block decoder equals the bit-at-a-time oracle at every window of
+/// the short chunks and a seeded sample of the long ones, and the new
+/// packer's frames are byte-identical to the old packer's under every
+/// policy.
+#[test]
+fn block_kernels_equal_the_value_at_a_time_oracles() {
+    let mut rng = StdRng::seed_from_u64(0x5CC1);
+    for width in 0..=64usize {
+        for n in KERNEL_LENGTHS {
+            let words = words_of_width(&mut rng, n, width);
+            let what = format!("width {width}, {n} words");
+            // Decoder: the old packer's body under a delta-bp header
+            // (the encoder itself falls back to raw where packing does
+            // not pay, which would leave the wide kernels untested).
+            let body = oracle_delta_bp_encode(&words);
+            assert!(n < 2 || body[8] as usize == width, "{what}: generator");
+            let frame = frame_with_body(CodecId::DeltaBp, n, &body);
+            let all = oracle_delta_bp_words(&body, n);
+            assert_eq!(all, words, "{what}: oracle");
+            if n <= 9 {
+                for upto in 0..=n + 1 {
+                    for from in 0..=upto {
+                        assert_window(&frame, &all, from..upto, &what);
+                    }
+                }
+            } else {
+                assert_window(&frame, &all, 0..n, &what);
+                assert_window(&frame, &all, n - 1..n + 3, &what);
+                for _ in 0..if n > 300 { 6 } else { 12 } {
+                    let from = rng.gen_range(0..n);
+                    let upto = rng.gen_range(from..=n);
+                    assert_window(&frame, &all, from..upto, &what);
+                }
+            }
+            assert_eq!(decode_chunk(&frame).unwrap(), bytes_of(&words), "{what}");
+            // Packer.
+            let raw = bytes_of(&words);
+            for policy in POLICIES {
+                for ty in [NumericType::Int, NumericType::Real] {
+                    assert_eq!(
+                        encode_chunk(&raw, ty, policy).0,
+                        oracle_frame(&raw, ty, policy),
+                        "{what}: packer under {}",
+                        policy.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The same identity over word soup, runs and ramps (mixed widths
+    /// from block to block, RLE winning some), ragged tails included.
+    #[test]
+    fn packer_is_byte_identical_to_the_old_one(
+        words in chunk(),
+        ragged in prop_oneof![Just(0usize), 0usize..8],
+    ) {
+        let mut raw = bytes_of(&words);
+        raw.extend_from_slice(&[0xA5; 8][..ragged]);
+        for policy in POLICIES {
+            let frame = encode_chunk(&raw, NumericType::Real, policy).0;
+            prop_assert_eq!(&frame, &oracle_frame(&raw, NumericType::Real, policy));
+            prop_assert_eq!(&decode_chunk(&frame).unwrap(), &raw);
+        }
+    }
+}
+
+/// Frames written by the packer before the block kernels existed, for
+/// the three chunk shapes the benchmark stores: a format drift fails
+/// here even if packer and oracle drift together.
+#[test]
+fn golden_frames_are_reproduced_byte_for_byte() {
+    let raster_row: Vec<u64> = (0..2048i64)
+        .map(|c| (64 * 100 + (100 * 31 + c * 17 + 5) % 64) as u64)
+        .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let (target, mut level) = (120.0f64, 60.0f64);
+    let trajectory: Vec<u64> = (0..512)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            level += (target - level) * 0.1 + (unit - 0.5) * target * 0.1;
+            level.to_bits()
+        })
+        .collect();
+    let plateau: Vec<u64> = (0..2048u64).map(|i| (i / 512) * 40).collect();
+    let check = |what: &str, words: &[u64], ty, golden: &[u8], codec| {
+        let raw = bytes_of(words);
+        assert_eq!(ssdm_storage::codec::codec_of(golden), Some(codec), "{what}");
+        assert_eq!(
+            encode_chunk(&raw, ty, CodecPolicy::Auto).0,
+            golden,
+            "{what}"
+        );
+        assert_eq!(oracle_frame(&raw, ty, CodecPolicy::Auto), golden, "{what}");
+        assert_eq!(decode_chunk(golden).unwrap(), raw, "{what}");
+        assert_windows_match(golden, what);
+    };
+    let (int, real) = (NumericType::Int, NumericType::Real);
+    let golden = include_bytes!("golden/raster_row.scc1");
+    check("raster row", &raster_row, int, golden, CodecId::DeltaBp);
+    let golden = include_bytes!("golden/trajectory.scc1");
+    check("trajectory", &trajectory, real, golden, CodecId::DeltaBp);
+    let golden = include_bytes!("golden/plateau.scc1");
+    check("plateau", &plateau, int, golden, CodecId::Rle);
+}
+
+/// Each way a delta-bp body can be malformed keeps the typed error it
+/// always raised (the APR turns it into `StorageError::Corrupt`).
+#[test]
+fn malformed_delta_bp_bodies_keep_their_typed_errors() {
+    let words: Vec<u64> = (0..300u64).map(|i| i * i).collect();
+    let body = oracle_delta_bp_encode(&words);
+    let decode = |n: usize, body: &[u8], window| {
+        let mut out: Vec<u64> = Vec::new();
+        decode_words(
+            &frame_with_body(CodecId::DeltaBp, n, body),
+            window,
+            &mut out,
+        )
+        .map(|()| out)
+    };
+    assert_eq!(decode(300, &body, 0..300).unwrap(), words);
+    let bad = |why| Err(CodecError::BadBody(why));
+    assert_eq!(decode(300, &body[..5], 0..1), bad("missing first word"));
+    assert_eq!(decode(300, &body[..8], 0..2), bad("missing block width"));
+    let mut wide = body.clone();
+    wide[8] = 65;
+    assert_eq!(decode(300, &wide, 0..2), bad("packed width over 64 bits"));
+    // The last block ends on the body's last byte; one byte short of it
+    // is a truncated block, one byte more is trailing garbage — seen
+    // only by a window that reaches the end.
+    let cut = &body[..body.len() - 1];
+    assert_eq!(decode(300, cut, 0..300), bad("truncated packed block"));
+    assert_eq!(decode(300, cut, 0..200).unwrap(), words[..200]);
+    let mut long = body.clone();
+    long.push(0);
+    assert_eq!(
+        decode(300, &long, 0..300),
+        bad("trailing bytes after last block")
+    );
+    assert_eq!(decode(300, &long, 0..299).unwrap(), words[..299]);
+    assert_eq!(
+        decode(0, &[0], 0..1),
+        bad("trailing bytes after empty chunk")
+    );
+}
+
+/// 10 000 bodies of seeded garbage — pure noise, and well-formed bodies
+/// cut, extended or with a byte overwritten — under a valid header, at
+/// random windows: `Ok` or `Err`, never a panic, never a read past the
+/// body, never more words than the window asked for.
+#[test]
+fn garbage_bodies_never_panic_or_overproduce() {
+    let mut rng = StdRng::seed_from_u64(0xBAD_B0D1);
+    let mut out: Vec<u64> = Vec::new();
+    let (mut oks, mut errs) = (0, 0);
+    for case in 0..10_000 {
+        let n = rng.gen_range(0..400usize);
+        let codec = [CodecId::DeltaBp, CodecId::Rle, CodecId::Raw][case % 3];
+        let mut body: Vec<u8> = if rng.gen::<bool>() {
+            let len = rng.gen_range(0..600usize);
+            (0..len).map(|_| rng.gen()).collect()
+        } else {
+            let width = rng.gen_range(0..=64usize);
+            let words = words_of_width(&mut rng, n.max(1), width);
+            match codec {
+                CodecId::DeltaBp => oracle_delta_bp_encode(&words[..n]),
+                CodecId::Rle => oracle_rle_encode(&words[..n]),
+                CodecId::Raw => bytes_of(&words[..n]),
+            }
+        };
+        match rng.gen_range(0..4u8) {
+            0 => body.truncate(rng.gen_range(0..=body.len())),
+            1 => body.extend((0..rng.gen_range(1..12usize)).map(|_| rng.gen::<u8>())),
+            2 if !body.is_empty() => {
+                let at = rng.gen_range(0..body.len());
+                body[at] = rng.gen();
+            }
+            _ => {}
+        }
+        let frame = frame_with_body(codec, n, &body);
+        let from = rng.gen_range(0..=n + 2);
+        let window = from..rng.gen_range(from..=n + 4);
+        match decode_words(&frame, window.clone(), &mut out) {
+            Ok(()) => {
+                oks += 1;
+                assert_eq!(out.len(), window.end.min(n) - window.start.min(n));
+            }
+            Err(_) => errs += 1,
+        }
+        assert!(out.len() <= window.len(), "case {case}: overproduced");
+        if let Ok(raw) = decode_chunk(&frame) {
+            assert_eq!(raw.len(), n * 8);
+        }
+    }
+    // The mix reaches both outcomes, or it tests nothing.
+    assert!(oks > 1_000 && errs > 1_000, "{oks} ok, {errs} err");
+}
