@@ -40,7 +40,6 @@ mod data;
 mod dtype;
 mod error;
 mod fmt;
-mod iter;
 pub mod kernel;
 mod num_array;
 mod ops;
@@ -52,7 +51,6 @@ pub use agg::AggregateOp;
 pub use data::{ArrayData, Buffer};
 pub use dtype::{Num, NumericType};
 pub use error::{ArrayError, Result};
-pub use iter::{LinearRuns, Run};
 pub use kernel::{compute_stats, reset_compute_stats, ComputeStats};
 pub use num_array::{Nested, NumArray, Subscript};
 pub use ops::BinOp;

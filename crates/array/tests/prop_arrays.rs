@@ -1,7 +1,7 @@
 //! Property-based tests for the array data model invariants.
 
 use proptest::prelude::*;
-use ssdm_array::{ArrayView, LinearRuns, Num, NumArray, Subscript};
+use ssdm_array::{ArrayView, Num, NumArray, Subscript};
 
 /// Strategy: a shape with 1..=3 dimensions, each of extent 1..=8.
 fn shapes() -> impl Strategy<Value = Vec<usize>> {
@@ -101,20 +101,6 @@ proptest! {
         prop_assume!(a.ndims() >= 2);
         let per_row = a.aggregate_dim(ssdm_array::AggregateOp::Sum, a.ndims() - 1).unwrap();
         prop_assert_eq!(per_row.sum().unwrap().as_i64(), a.sum().unwrap().as_i64());
-    }
-
-    /// LinearRuns reproduces exactly the view's address stream.
-    #[test]
-    fn linear_runs_lossless(a in arrays()) {
-        let view = a.view();
-        let runs = LinearRuns::of_view(view);
-        let mut expanded = Vec::new();
-        for r in runs.runs() {
-            for k in 0..r.len {
-                expanded.push(r.start + k * r.step);
-            }
-        }
-        prop_assert_eq!(expanded, view.addresses());
     }
 
     /// Dereference with full index lists hits the same element as get1.

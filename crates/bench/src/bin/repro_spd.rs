@@ -5,7 +5,9 @@
 //! batch budget), and reports statements issued, chunks fetched and
 //! time against the latency-charged relational back-end. This isolates
 //! the SPD's contribution: discovering access regularity *at query
-//! runtime* instead of relying on tile design (§2.5).
+//! runtime* instead of relying on tile design (§2.5). Part C's
+//! statement, chunk and decode counts are asserted; the process exits
+//! non-zero on a miss.
 
 use relstore::{DbOptions, LatencyModel};
 use ssdm_bench::fmt_ms;
@@ -150,7 +152,14 @@ fn main() {
         .map(|s| s.to_string())
         .collect();
     let mut table = Vec::new();
-    for (wname, views) in [("whole arrays", &fleet), ("first quarter", &heads)] {
+    let mut misses = Vec::new();
+    // (workload, views, bag statements, chunks the bag needs): the whole
+    // fleet is one clustered range; the first chunks are every fourth
+    // row, too sparse for a range, so two composite IN-lists of ≤ 256.
+    for (wname, views, bag_statements, needed) in [
+        ("whole arrays", &fleet, 1, 2000),
+        ("first quarter", &heads, 2, 500),
+    ] {
         // Per-proxy resolution.
         store.backend_mut().reset_io_stats();
         let t = std::time::Instant::now();
@@ -177,6 +186,17 @@ fn main() {
             )
             .expect("bag");
         let bag = (t.elapsed().as_secs_f64(), store.backend().io_stats());
+        let decoded = store.last_stats().chunks_decoded;
+        for (what, got, want) in [
+            ("per-proxy statements", per.1.statements, 500),
+            ("bag statements", bag.1.statements, bag_statements),
+            ("bag chunks", bag.1.chunks_returned, needed),
+            ("bag chunks decoded", decoded, needed),
+        ] {
+            if got != want {
+                misses.push(format!("{wname}: {what} {got}, expected {want}"));
+            }
+        }
         table.push(vec![
             wname.to_string(),
             "per-proxy".into(),
@@ -193,6 +213,12 @@ fn main() {
         ]);
     }
     print_table("per-proxy vs bag resolution (500 arrays)", &header, &table);
+    if !misses.is_empty() {
+        for m in &misses {
+            eprintln!("Part C: {m}");
+        }
+        std::process::exit(1);
+    }
 
     println!(
         "\nReading: regular patterns collapse to a handful of range statements under \

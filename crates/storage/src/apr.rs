@@ -10,7 +10,8 @@
 //! filtering and aggregation, is thus performed on the server" behaviour
 //! of the abstract. Every shape — materialize, aggregate, filtered,
 //! existence probe, sequential or parallel — is one [`Request`] executed
-//! by one runner (`ArrayStore::run`).
+//! by one runner (`ArrayStore::run`), and a bag of proxies
+//! (`resolve_bag`) is a list of them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,11 +22,11 @@ use ssdm_array::{kernel, AggregateOp, Buffer, Num, NumArray, NumericType};
 use crate::chunks::Chunking;
 use crate::codec::{self, ChunkSummary, CodecPolicy, ValuePredicate, ZoneMap};
 use crate::meta::{ArrayMeta, ArrayProxy};
-use crate::parallel::{Job, Lane};
+use crate::parallel::{Job, KeyOp, Lane};
 use crate::resilient::ResilienceStats;
 use crate::runs::{Run, ViewRuns};
 use crate::spd::{self, FetchOp, SpdOptions};
-use crate::store::{ChunkRows, ChunkStore, IoStats, StorageError};
+use crate::store::{ChunkStore, CompositeRows, IoStats, StorageError};
 use crate::Result;
 
 /// How the APR turns a set of needed chunk ids into back-end statements
@@ -121,7 +122,7 @@ fn obs_chunks_skipped() -> &'static Arc<ssdm_obs::Counter> {
 }
 
 /// Process-wide count of `SCC1` frames decompressed.
-pub(crate) fn obs_chunks_decoded() -> &'static Arc<ssdm_obs::Counter> {
+fn obs_chunks_decoded() -> &'static Arc<ssdm_obs::Counter> {
     static C: OnceLock<Arc<ssdm_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| ssdm_obs::recorder().counter("ssdm_chunks_decoded"))
 }
@@ -296,7 +297,7 @@ impl<S: ChunkStore> ArrayStore<S> {
 
     /// Resolve a proxy to a resident array (the APR operator).
     pub fn resolve(&mut self, proxy: &ArrayProxy, strategy: RetrievalStrategy) -> Result<NumArray> {
-        self.run(&Request::new(proxy, strategy), Lane::exclusive())?
+        self.run_one(Request::new(proxy), strategy, Lane::exclusive())?
             .into_array(proxy)
     }
 
@@ -321,7 +322,7 @@ impl<S: ChunkStore> ArrayStore<S> {
         S: crate::SharedChunkRead,
     {
         let lane = self.lane(config);
-        self.run(&Request::new(proxy, strategy), lane)?
+        self.run_one(Request::new(proxy), strategy, lane)?
             .into_array(proxy)
     }
 
@@ -331,11 +332,11 @@ impl<S: ChunkStore> ArrayStore<S> {
     ///
     /// Each chunk's needed elements, in view order, are folded into a
     /// *per-chunk partial* by the typed kernels (`ssdm_array::kernel`),
-    /// and partials are combined in plan order — the same fold
-    /// structure for every lane and worker count, so sequential and
-    /// parallel AAPR are bit-identical by construction for every
-    /// strategy (`f64` sums follow the documented pairwise order; see
-    /// DESIGN.md). An aggregate with no value over an empty view is
+    /// and partials are combined in ascending chunk order — the same
+    /// fold structure for every lane, worker count, strategy and bag,
+    /// so sequential, parallel and bag AAPR are bit-identical by
+    /// construction (`f64` sums follow the documented pairwise order;
+    /// see DESIGN.md). An aggregate with no value over an empty view is
     /// [`StorageError::EmptyView`].
     pub fn resolve_aggregate(
         &mut self,
@@ -345,9 +346,9 @@ impl<S: ChunkStore> ArrayStore<S> {
     ) -> Result<Num> {
         let req = Request {
             fold: Some(op),
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
-        self.run(&req, Lane::exclusive())?.total(op)
+        self.run_one(req, strategy, Lane::exclusive())?.total(op)
     }
 
     /// Parallel AAPR: each worker decodes and folds the chunks of the
@@ -371,10 +372,10 @@ impl<S: ChunkStore> ArrayStore<S> {
     {
         let req = Request {
             fold: Some(op),
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
         let lane = self.lane(config);
-        self.run(&req, lane)?.total(op)
+        self.run_one(req, strategy, lane)?.total(op)
     }
 
     /// Resolve the elements of a proxy's view that satisfy `pred`, in
@@ -389,9 +390,9 @@ impl<S: ChunkStore> ArrayStore<S> {
     ) -> Result<Vec<Num>> {
         let req = Request {
             pred: Some(pred),
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
-        Ok(self.run(&req, Lane::exclusive())?.matches)
+        Ok(self.run_one(req, strategy, Lane::exclusive())?.matches)
     }
 
     /// Whether any element of the proxy's view satisfies `pred`
@@ -406,9 +407,10 @@ impl<S: ChunkStore> ArrayStore<S> {
         let req = Request {
             pred: Some(pred),
             first_only: true,
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
-        Ok(!self.run(&req, Lane::exclusive())?.matches.is_empty())
+        let found = self.run_one(req, strategy, Lane::exclusive())?.matches;
+        Ok(!found.is_empty())
     }
 
     /// Streamed aggregate over the elements of a proxy's view that
@@ -429,9 +431,9 @@ impl<S: ChunkStore> ArrayStore<S> {
         let req = Request {
             pred: Some(pred),
             fold: Some(op),
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
-        self.run(&req, Lane::exclusive())?.total(op)
+        self.run_one(req, strategy, Lane::exclusive())?.total(op)
     }
 
     /// Parallel filtered AAPR: zone-map pruning happens up front, then
@@ -454,10 +456,10 @@ impl<S: ChunkStore> ArrayStore<S> {
         let req = Request {
             pred: Some(pred),
             fold: Some(op),
-            ..Request::new(proxy, strategy)
+            ..Request::new(proxy)
         };
         let lane = self.lane(config);
-        self.run(&req, lane)?.total(op)
+        self.run_one(req, strategy, lane)?.total(op)
     }
 
     /// The lane a parallel entry point runs on: the worker pool when it
@@ -474,110 +476,163 @@ impl<S: ChunkStore> ArrayStore<S> {
         }
     }
 
-    /// The one resolve runner. Every public `resolve*` shape is a
-    /// [`Request`] executed here:
+    /// Run one request: a single-proxy `resolve*` is a bag of one.
+    fn run_one(
+        &mut self,
+        req: Request<'_>,
+        strategy: RetrievalStrategy,
+        lane: Lane<S, OpOut>,
+    ) -> Result<Resolved> {
+        Ok(self.run(&[req], strategy, lane)?.remove(0))
+    }
+
+    /// The one resolve runner. Every public `resolve*` shape, and every
+    /// bag of them, is a list of [`Request`]s executed here:
     ///
-    /// 1. the view becomes per-chunk arithmetic runs ([`ViewRuns`]) —
-    ///    no element address is enumerated;
+    /// 1. each request's view becomes per-chunk arithmetic runs
+    ///    ([`ViewRuns`]) — no element address is enumerated;
     /// 2. with a predicate, the zone map drops chunks that provably
     ///    hold no match, *before* the fetch plan is built;
-    /// 3. the surviving chunk ids become statements per the strategy,
-    ///    executed on `lane`;
-    /// 4. each fetched chunk is decoded only across the span its runs
-    ///    read and turned into that chunk's [`ChunkOut`] inside the
-    ///    worker that fetched it;
-    /// 5. outputs are assembled in plan order: slices copied into the
-    ///    typed result, or partials combined.
-    fn run(&mut self, req: &Request<'_>, lane: Lane<S, OpOut>) -> Result<Resolved> {
+    /// 3. the union of the surviving `(array, chunk)` keys becomes
+    ///    statements per the strategy ([`Self::plan`]), executed on
+    ///    `lane` — a chunk two requests read is fetched once;
+    /// 4. each fetched row goes to every request that reads it, is
+    ///    decoded only across the span that request's runs read and
+    ///    turned into its [`ChunkOut`] inside the worker that fetched
+    ///    it; a row no request reads (a covering range's overfetch) is
+    ///    dropped undecoded;
+    /// 5. per request, outputs are assembled in ascending chunk order:
+    ///    slices copied into the typed result, or partials combined.
+    pub(crate) fn run(
+        &mut self,
+        reqs: &[Request<'_>],
+        strategy: RetrievalStrategy,
+        lane: Lane<S, OpOut>,
+    ) -> Result<Vec<Resolved>> {
+        debug_assert!(
+            reqs.len() == 1 || reqs.iter().all(|r| !r.first_only),
+            "a membership probe runs alone, so its early stop stops only it"
+        );
         let before = self.backend.io_stats();
         let before_res = self.backend.resilience_stats();
-        let meta = req.proxy.meta();
-        let emit_all = req.pred.is_none() && req.fold.is_none();
-        let tally = Tally::default();
-        let mut out = Resolved {
-            elements: Buffer::zeros(meta.numeric_type, 0),
-            matches: Vec::new(),
-            acc: None,
-            folded: 0,
-        };
-        if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
-            // Counting an unfiltered view needs no element.
-            self.finish_stats(before, before_res, 0, 0, 0, &tally);
-            out.acc = Some(Num::Int(req.proxy.element_count() as i64));
-            return Ok(out);
+        let mut out: Vec<Resolved> = reqs.iter().map(|_| Resolved::default()).collect();
+        let mut parts = Vec::with_capacity(reqs.len());
+        let mut skipped = 0;
+        for (at, req) in reqs.iter().enumerate() {
+            if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
+                // Counting an unfiltered view needs no element.
+                out[at].acc = Some(Num::Int(req.proxy.element_count() as i64));
+                continue;
+            }
+            let meta = req.proxy.meta();
+            let mut runs = ViewRuns::of(req.proxy.view(), &meta.chunking);
+            if let Some(pred) = req.pred {
+                skipped += self.prune_chunks(meta.array_id, &mut runs, pred) as u64;
+            }
+            parts.push(Part {
+                at,
+                req,
+                meta,
+                runs,
+            });
         }
-        let mut runs = ViewRuns::of(req.proxy.view(), &meta.chunking);
-        let skipped = match req.pred {
-            Some(pred) => self.prune_chunks(meta.array_id, &mut runs, pred) as u64,
-            None => 0,
-        };
-        let needed = runs.chunk_ids();
-        let plan = make_plan(&needed, &meta.chunking, req.strategy);
+        // Stable: the requests reading one array stay adjacent, so a
+        // row's readers are found by binary search.
+        parts.sort_by_key(|p| p.meta.array_id);
+        let mut arrays: Vec<(&ArrayMeta, Vec<u64>)> = Vec::new();
+        for reading in parts.chunk_by(|a, b| a.meta.array_id == b.meta.array_id) {
+            let mut ids = reading[0].runs.chunk_ids();
+            if reading.len() > 1 {
+                ids.extend(reading[1..].iter().flat_map(|p| p.runs.chunk_ids()));
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            // An empty view, or every chunk pruned: no statement.
+            if !ids.is_empty() {
+                arrays.push((reading[0].meta, ids));
+            }
+        }
+        let needed: Vec<(u64, u64)> = arrays
+            .iter()
+            .flat_map(|(meta, ids)| ids.iter().map(|&c| (meta.array_id, c)))
+            .collect();
+        let plan = self.plan(&arrays, strategy, !lane.is_shared());
         let done = AtomicBool::new(false);
+        let tally = Tally::default();
         let ctx = ChunkCtx {
-            req,
-            meta,
-            runs: &runs,
+            parts: &parts,
             tally: &tally,
             done: &done,
             in_pool: lane.is_shared(),
         };
-        let process = |rows: ChunkRows| match meta.numeric_type {
-            NumericType::Int => ctx.process::<i64>(rows),
-            NumericType::Real => ctx.process::<f64>(rows),
-        };
         let job = Job {
-            array_id: meta.array_id,
             plan: &plan,
             needed: &needed,
             done: &done,
         };
+        // Rows are processed by value, so each payload is freed as soon
+        // as it is consumed, in one monomorphic pass per element type.
+        let reads_int = |a: u64| {
+            let at = parts.partition_point(|p| p.meta.array_id < a);
+            parts
+                .get(at)
+                .is_some_and(|p| p.meta.numeric_type == NumericType::Int)
+        };
+        let process = |rows: CompositeRows| {
+            let (ints, reals): (Vec<_>, Vec<_>) =
+                rows.into_iter().partition(|((a, _), _)| reads_int(*a));
+            let mut outs = ctx.process::<i64>(ints)?;
+            outs.extend(ctx.process::<f64>(reals)?);
+            Ok(outs)
+        };
         let (per_op, fallbacks) = lane.run(&mut self.backend, &job, &process)?;
 
-        let chunks = runs.chunks();
-        let mut seen = vec![false; chunks.len()];
-        if emit_all {
-            out.elements = Buffer::zeros(meta.numeric_type, runs.element_count());
+        let mut slots: Vec<Vec<Option<ChunkOut>>> = parts
+            .iter()
+            .map(|p| p.runs.chunks().iter().map(|_| None).collect())
+            .collect();
+        for (p, idx, chunk_out) in per_op.into_iter().flatten() {
+            slots[p][idx] = Some(chunk_out);
         }
-        let mut found: Vec<(usize, Num)> = Vec::new();
-        for (idx, chunk_out) in per_op.into_iter().flatten() {
-            seen[idx] = true;
-            match chunk_out {
-                ChunkOut::Dense(vals) => {
-                    scatter(&mut out.elements, &vals, runs.runs_of(&chunks[idx]))
-                }
-                ChunkOut::Matches(hits) => found.extend(hits),
-                ChunkOut::Partial(None) => {}
-                ChunkOut::Partial(Some((part, n))) => {
-                    out.folded += n;
-                    out.acc = Some(match (out.acc, req.fold) {
-                        (Some(prev), Some(op)) => combine(op, prev, part)?,
-                        _ => part,
-                    });
-                }
-            }
+        let (stopped, examined) = (done.into_inner(), tally.examined.load(Ordering::Relaxed));
+        let mut resolved = 0;
+        for (part, slots) in parts.iter().zip(slots) {
+            resolved += out[part.at].assemble(part, slots, stopped, examined)?;
         }
-        if !done.load(Ordering::Relaxed) {
-            if let Some(absent) = seen.iter().position(|s| !s) {
-                return Err(StorageError::MissingChunk {
-                    array_id: meta.array_id,
-                    chunk_id: chunks[absent].chunk_id,
-                });
-            }
-        }
-        // Chunk order is view order for ascending views only (for which
-        // this is one pass over sorted input).
-        found.sort_by_key(|m| m.0);
-        out.matches = found.into_iter().map(|m| m.1).collect();
-        let resolved = if req.first_only {
-            tally.examined.load(Ordering::Relaxed)
-        } else if emit_all {
-            runs.element_count() as u64
-        } else {
-            out.folded + out.matches.len() as u64
-        };
         self.finish_stats(before, before_res, fallbacks, resolved, skipped, &tally);
         Ok(out)
+    }
+
+    /// The statements of a run, from the chunk ids each array it reads
+    /// needs (ascending by array): [`make_plan`]'s statements for each
+    /// array — all a run over one array ever gets — except that
+    /// `SpdRange` over several arrays plans across them
+    /// ([`Self::bag_plan`]) when the back-end can scan across arrays
+    /// and the lane is `exclusive`, the one contract with composite
+    /// reads.
+    fn plan(
+        &self,
+        arrays: &[(&ArrayMeta, Vec<u64>)],
+        strategy: RetrievalStrategy,
+        exclusive: bool,
+    ) -> Vec<KeyOp> {
+        match strategy {
+            RetrievalStrategy::SpdRange { options }
+                if arrays.len() > 1
+                    && exclusive
+                    && self.backend.capabilities().supports_cross_range =>
+            {
+                self.bag_plan(arrays, options)
+            }
+            _ => arrays
+                .iter()
+                .flat_map(|(meta, ids)| {
+                    let array_id = meta.array_id;
+                    let plan = make_plan(ids, &meta.chunking, strategy);
+                    plan.into_iter().map(move |op| KeyOp::Array(array_id, op))
+                })
+                .collect(),
+        }
     }
 
     fn finish_stats(
@@ -629,24 +684,22 @@ impl<S: ChunkStore> ArrayStore<S> {
 }
 
 /// One resolution: everything the public `resolve*` shapes differ in.
-struct Request<'a> {
-    proxy: &'a ArrayProxy,
-    strategy: RetrievalStrategy,
+pub(crate) struct Request<'a> {
+    pub(crate) proxy: &'a ArrayProxy,
     /// Only elements satisfying it take part; `None` is always-true.
-    pred: Option<&'a ValuePredicate>,
+    pub(crate) pred: Option<&'a ValuePredicate>,
     /// Fold the participating elements to one number instead of
     /// emitting them.
-    fold: Option<AggregateOp>,
+    pub(crate) fold: Option<AggregateOp>,
     /// Stop at the first participating element (membership probes).
-    first_only: bool,
+    pub(crate) first_only: bool,
 }
 
 impl<'a> Request<'a> {
     /// Materialize the whole view.
-    fn new(proxy: &'a ArrayProxy, strategy: RetrievalStrategy) -> Self {
+    pub(crate) fn new(proxy: &'a ArrayProxy) -> Self {
         Request {
             proxy,
-            strategy,
             pred: None,
             fold: None,
             first_only: false,
@@ -656,9 +709,10 @@ impl<'a> Request<'a> {
 
 /// What a [`Request`] resolved to; only the part the request's shape
 /// asks for is populated.
-struct Resolved {
+#[derive(Default)]
+pub(crate) struct Resolved {
     /// All elements of the view, in view order (unfiltered, unfolded).
-    elements: Buffer,
+    elements: Option<Buffer>,
     /// The matching elements, in view order (filtered, unfolded).
     matches: Vec<Num>,
     /// The combined fold partials and how many elements they cover.
@@ -667,15 +721,72 @@ struct Resolved {
 }
 
 impl Resolved {
-    fn into_array(self, proxy: &ArrayProxy) -> Result<NumArray> {
-        Ok(NumArray::from_data(self.elements.into(), &proxy.shape())?)
+    /// Take one request's chunk outputs, in ascending chunk order, and
+    /// return how many elements it resolved (a membership probe: how
+    /// many the run `examined`). A chunk without output is missing,
+    /// unless a membership probe `stopped` before reaching it.
+    fn assemble(
+        &mut self,
+        part: &Part<'_>,
+        outs: Vec<Option<ChunkOut>>,
+        stopped: bool,
+        examined: u64,
+    ) -> Result<u64> {
+        let emit_all = part.req.pred.is_none() && part.req.fold.is_none();
+        let len = if emit_all {
+            part.runs.element_count()
+        } else {
+            0
+        };
+        let mut elements = Buffer::zeros(part.meta.numeric_type, len);
+        let mut found: Vec<(usize, Num)> = Vec::new();
+        for (chunk, chunk_out) in part.runs.chunks().iter().zip(outs) {
+            match chunk_out {
+                None if stopped => {}
+                None => {
+                    return Err(StorageError::MissingChunk {
+                        array_id: part.meta.array_id,
+                        chunk_id: chunk.chunk_id,
+                    })
+                }
+                Some(ChunkOut::Dense(vals)) => {
+                    scatter(&mut elements, &vals, part.runs.runs_of(chunk))
+                }
+                Some(ChunkOut::Matches(hits)) => found.extend(hits),
+                Some(ChunkOut::Partial(None)) => {}
+                Some(ChunkOut::Partial(Some((partial, n)))) => {
+                    self.folded += n;
+                    self.acc = Some(match (self.acc, part.req.fold) {
+                        (Some(prev), Some(op)) => combine(op, prev, partial)?,
+                        _ => partial,
+                    });
+                }
+            }
+        }
+        // Chunk order is view order for ascending views only (for which
+        // this is one pass over sorted input).
+        found.sort_by_key(|m| m.0);
+        self.matches = found.into_iter().map(|m| m.1).collect();
+        self.elements = emit_all.then_some(elements);
+        Ok(if part.req.first_only {
+            examined
+        } else if emit_all {
+            part.runs.element_count() as u64
+        } else {
+            self.folded + self.matches.len() as u64
+        })
+    }
+
+    pub(crate) fn into_array(self, proxy: &ArrayProxy) -> Result<NumArray> {
+        let elements = self.elements.expect("a materializing request");
+        Ok(NumArray::from_data(elements.into(), &proxy.shape())?)
     }
 
     /// Final-value semantics of a fold: over no elements `Count`/`Sum`
     /// are 0, `Prod` is 1 and the rest have no value
     /// ([`StorageError::EmptyView`]); otherwise `Avg` divides by the
     /// count.
-    fn total(self, op: AggregateOp) -> Result<Num> {
+    pub(crate) fn total(self, op: AggregateOp) -> Result<Num> {
         match self.acc {
             None => match op {
                 AggregateOp::Count | AggregateOp::Sum => Ok(Num::Int(0)),
@@ -690,12 +801,23 @@ impl Resolved {
     }
 }
 
+/// One request of a run, with the runs of its view that survived
+/// pruning.
+struct Part<'a> {
+    /// The request's position in the run's list.
+    at: usize,
+    req: &'a Request<'a>,
+    meta: &'a ArrayMeta,
+    runs: ViewRuns,
+}
+
 /// What a statement's rows become, inside the worker that fetched
-/// them: per needed chunk, its index in the run plan and its output.
-type OpOut = Vec<(usize, ChunkOut)>;
+/// them: per needed chunk, the [`Part`] that reads it, its index in
+/// that part's runs and its output.
+pub(crate) type OpOut = Vec<(usize, usize, ChunkOut)>;
 
 /// One chunk's contribution to a resolution.
-enum ChunkOut {
+pub(crate) enum ChunkOut {
     /// The chunk's needed elements, dense in view order.
     Dense(Buffer),
     /// Matching elements with their positions in the view's order.
@@ -717,6 +839,7 @@ struct Tally {
 
 /// An array element type the runner handles as typed slices.
 trait Element: codec::Word {
+    const TYPE: NumericType;
     fn num(self) -> Num;
     /// One dense fold by the typed kernels.
     fn fold(xs: &[Self], op: AggregateOp) -> Result<Num>;
@@ -724,6 +847,7 @@ trait Element: codec::Word {
 }
 
 impl Element for i64 {
+    const TYPE: NumericType = NumericType::Int;
     fn num(self) -> Num {
         Num::Int(self)
     }
@@ -736,6 +860,7 @@ impl Element for i64 {
 }
 
 impl Element for f64 {
+    const TYPE: NumericType = NumericType::Real;
     fn num(self) -> Num {
         Num::Real(self)
     }
@@ -749,9 +874,8 @@ impl Element for f64 {
 
 /// What turning fetched rows into [`ChunkOut`]s needs to know.
 struct ChunkCtx<'a> {
-    req: &'a Request<'a>,
-    meta: &'a ArrayMeta,
-    runs: &'a ViewRuns,
+    /// Sorted by array id.
+    parts: &'a [Part<'a>],
     tally: &'a Tally,
     done: &'a AtomicBool,
     /// Whether the rows are processed inside pool workers.
@@ -759,46 +883,53 @@ struct ChunkCtx<'a> {
 }
 
 impl ChunkCtx<'_> {
-    /// Resolve the needed chunks among one statement's rows. The decode
-    /// scratch and the gather buffer are reused across the rows.
-    fn process<W: Element>(&self, rows: ChunkRows) -> Result<OpOut> {
-        let mut words: Vec<W> = Vec::new();
-        let mut vals: Vec<W> = Vec::new();
+    /// Resolve the needed chunks among one statement's rows, for every
+    /// part of element type `W` that reads them. The decode scratch and
+    /// the gather buffer are reused across the rows.
+    fn process<W: Element>(&self, rows: CompositeRows) -> Result<OpOut> {
+        let mut scratch: (Vec<W>, Vec<W>) = (Vec::new(), Vec::new());
         let mut outs = Vec::with_capacity(rows.len());
-        for (cid, payload) in rows {
+        for ((array_id, cid), payload) in rows {
             if self.done.load(Ordering::Relaxed) {
                 break;
             }
-            // Rows a covering range overfetched, or the zone map pruned,
-            // are dropped undecoded.
-            let Some(idx) = self.runs.position(cid) else {
-                continue;
-            };
-            outs.push((idx, self.chunk_out(idx, &payload, &mut words, &mut vals)?));
+            let from = self.parts.partition_point(|p| p.meta.array_id < array_id);
+            let readers = (from..)
+                .zip(&self.parts[from..])
+                .take_while(|(_, p)| p.meta.array_id == array_id)
+                .filter(|(_, p)| p.meta.numeric_type == W::TYPE);
+            for (p, part) in readers {
+                // Rows a covering range overfetched, or the zone map
+                // pruned, are dropped undecoded.
+                let Some(idx) = part.runs.position(cid) else {
+                    continue;
+                };
+                outs.push((p, idx, self.chunk_out(part, idx, &payload, &mut scratch)?));
+            }
         }
-        if self.in_pool && self.req.fold.is_some() {
+        if self.in_pool {
             let partials = outs
                 .iter()
-                .filter(|(_, out)| matches!(out, ChunkOut::Partial(Some(_))));
+                .filter(|(_, _, out)| matches!(out, ChunkOut::Partial(Some(_))));
             kernel::note_parallel_folds(partials.count() as u64);
         }
         Ok(outs)
     }
 
-    /// Decode the span of one chunk its runs read and produce its
-    /// output. Malformed frames surface as the same typed
+    /// Decode the span of one chunk the part's runs read and produce
+    /// its output. Malformed frames surface as the same typed
     /// [`StorageError::Corrupt`] the CRC layer raises, so resilience and
     /// retry accounting treat codec damage exactly like frame damage.
     fn chunk_out<W: Element>(
         &self,
+        part: &Part<'_>,
         idx: usize,
         payload: &[u8],
-        words: &mut Vec<W>,
-        vals: &mut Vec<W>,
+        (words, vals): &mut (Vec<W>, Vec<W>),
     ) -> Result<ChunkOut> {
-        let chunk = &self.runs.chunks()[idx];
-        let (array_id, chunk_id) = (self.meta.array_id, chunk.chunk_id);
-        if self.meta.encoded {
+        let chunk = &part.runs.chunks()[idx];
+        let (array_id, chunk_id) = (part.meta.array_id, chunk.chunk_id);
+        if part.meta.encoded {
             codec::decode_words(payload, chunk.span.clone(), words)
                 .map_err(|e| corrupt(array_id, chunk_id, e))?;
             let bytes = 8 * words.len() as u64;
@@ -814,12 +945,13 @@ impl ChunkCtx<'_> {
         if words.len() < chunk.span.len() {
             return Err(StorageError::MissingChunk { array_id, chunk_id });
         }
-        let runs = self.runs.runs_of(chunk);
+        let req = part.req;
+        let runs = part.runs.runs_of(chunk);
         let dense = dense(words, chunk.span.start, runs, vals);
-        let matches = |w: &W| self.req.pred.is_none_or(|p| p.matches(w.num()));
+        let matches = |w: &W| req.pred.is_none_or(|p| p.matches(w.num()));
         let mut examined = dense.len();
-        let out = match self.req.fold {
-            _ if self.req.first_only => {
+        let out = match req.fold {
+            _ if req.first_only => {
                 let hit = dense.iter().position(matches);
                 if let Some(i) = hit {
                     examined = i + 1;
@@ -827,7 +959,7 @@ impl ChunkCtx<'_> {
                 }
                 ChunkOut::Matches(hit.map(|i| (0, dense[i].num())).into_iter().collect())
             }
-            None if self.req.pred.is_none() => ChunkOut::Dense(W::buffer(dense.to_vec())),
+            None if req.pred.is_none() => ChunkOut::Dense(W::buffer(dense.to_vec())),
             None => ChunkOut::Matches(
                 runs.iter()
                     .flat_map(|r| r.out..r.out + r.count)
@@ -836,7 +968,7 @@ impl ChunkCtx<'_> {
                     .map(|(at, w)| (at, w.num()))
                     .collect(),
             ),
-            Some(op) if self.req.pred.is_none() => {
+            Some(op) if req.pred.is_none() => {
                 ChunkOut::Partial(Some((W::fold(dense, op)?, dense.len() as u64)))
             }
             Some(op) => {
@@ -855,7 +987,7 @@ impl ChunkCtx<'_> {
 }
 
 /// The typed [`StorageError::Corrupt`] a malformed `SCC1` frame raises.
-pub(crate) fn corrupt(array_id: u64, chunk_id: u64, e: codec::CodecError) -> StorageError {
+fn corrupt(array_id: u64, chunk_id: u64, e: codec::CodecError) -> StorageError {
     StorageError::Corrupt {
         array_id,
         chunk_id,
@@ -902,12 +1034,9 @@ fn scatter(out: &mut Buffer, vals: &Buffer, runs: &[Run]) {
     }
 }
 
-/// Build the statement plan for a strategy (no statement at all when
-/// nothing is needed — an empty view, or every chunk pruned).
+/// Build the statement plan for a strategy over the (non-empty) chunk
+/// ids one array needs.
 fn make_plan(needed: &[u64], chunking: &Chunking, strategy: RetrievalStrategy) -> Vec<FetchOp> {
-    if needed.is_empty() {
-        return Vec::new();
-    }
     match strategy {
         RetrievalStrategy::Single => needed.iter().map(|&c| FetchOp::In(vec![c])).collect(),
         RetrievalStrategy::BufferedIn { buffer_size } => needed

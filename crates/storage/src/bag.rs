@@ -2,23 +2,25 @@
 //!
 //! A query that touches an array per solution — every task's trajectory,
 //! say — produces a *bag* of proxies. Resolving them one at a time pays
-//! one round of statements per proxy; resolving the **bag** collects all
-//! needed `(array, chunk)` keys first, linearizes them in clustered
-//! table order, lets the SPD discover regularity *across* proxies, and
-//! issues a few composite-range / IN statements for the whole bag. This
-//! is where the thesis' "discover that regularity at query runtime"
-//! pays off most: chunk ids of consecutive arrays are adjacent rows in
-//! the clustered table, so per-array point probes become one scan.
+//! one round of statements per proxy; resolving the **bag** hands one
+//! request per proxy to the one runner (`ArrayStore::run`), which plans
+//! the union of the `(array, chunk)` keys they need at once: under
+//! `SpdRange` the keys are linearized in clustered table order, the SPD
+//! discovers regularity *across* proxies, and a few composite-range /
+//! IN statements serve the whole bag. This is where the thesis'
+//! "discover that regularity at query runtime" pays off most: chunk ids
+//! of consecutive arrays are adjacent rows in the clustered table, so
+//! per-array point probes become one scan.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use ssdm_array::{AggregateOp, ArrayData, LinearRuns, Num, NumArray, NumericType};
+use ssdm_array::{AggregateOp, Num, NumArray};
 
-use crate::apr::{ArrayStore, RetrievalStrategy};
-use crate::chunks::Chunking;
-use crate::meta::ArrayProxy;
-use crate::spd::{self, FetchOp};
-use crate::store::{ChunkStore, StorageError};
+use crate::apr::{ArrayStore, Request, RetrievalStrategy};
+use crate::meta::{ArrayMeta, ArrayProxy};
+use crate::parallel::{KeyOp, Lane};
+use crate::spd::{self, FetchOp, SpdOptions};
+use crate::store::ChunkStore;
 use crate::Result;
 
 impl<S: ChunkStore> ArrayStore<S> {
@@ -29,246 +31,94 @@ impl<S: ChunkStore> ArrayStore<S> {
         proxies: &[ArrayProxy],
         strategy: RetrievalStrategy,
     ) -> Result<Vec<NumArray>> {
-        let chunks = self.fetch_bag(proxies, strategy)?;
-        proxies
-            .iter()
-            .map(|p| assemble(p, &chunks))
-            .collect::<Result<Vec<_>>>()
+        let reqs: Vec<Request> = proxies.iter().map(Request::new).collect();
+        let resolved = self.run(&reqs, strategy, Lane::exclusive())?;
+        resolved
+            .into_iter()
+            .zip(proxies)
+            .map(|(r, p)| r.into_array(p))
+            .collect()
     }
 
     /// Aggregate every proxy in the bag (AAPR over a bag): one shared
-    /// fetch, one scalar per proxy.
+    /// fetch, one streamed fold per proxy, each bit-identical to
+    /// [`resolve_aggregate`](Self::resolve_aggregate) of that proxy.
     pub fn resolve_aggregate_bag(
         &mut self,
         proxies: &[ArrayProxy],
         op: AggregateOp,
         strategy: RetrievalStrategy,
     ) -> Result<Vec<Num>> {
-        let chunks = self.fetch_bag(proxies, strategy)?;
-        proxies
+        let reqs: Vec<Request> = proxies
             .iter()
-            .map(|p| {
-                let a = assemble(p, &chunks)?;
-                a.aggregate(op).map_err(StorageError::Array)
+            .map(|p| Request {
+                fold: Some(op),
+                ..Request::new(p)
             })
-            .collect()
-    }
-
-    /// Fetch the union of chunks the bag needs.
-    fn fetch_bag(
-        &mut self,
-        proxies: &[ArrayProxy],
-        strategy: RetrievalStrategy,
-    ) -> Result<HashMap<(u64, u64), Vec<u8>>> {
-        // 1. The needed composite keys, in clustered order.
-        let mut needed: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for p in proxies {
-            let chunking = p.meta().chunking;
-            for run in LinearRuns::of_view(p.view()).runs() {
-                for c in chunking.chunks_for_run(run) {
-                    needed.insert((p.array_id(), c));
-                }
-            }
-        }
-        if needed.is_empty() {
-            return Ok(HashMap::new());
-        }
-        // 2. Linearize composite keys into global clustered positions
-        //    using the catalog's chunk counts (arrays sorted by id are
-        //    physically consecutive in the clustered table).
-        let mut offsets: BTreeMap<u64, u64> = BTreeMap::new();
-        {
-            let mut metas: Vec<(u64, u64)> = self
-                .catalog()
-                .map(|m| (m.array_id, m.chunking.chunk_count()))
-                .collect();
-            metas.sort_unstable();
-            let mut acc = 0u64;
-            for (id, count) in metas {
-                offsets.insert(id, acc);
-                acc += count;
-            }
-        }
-        let linearize = |(a, c): (u64, u64)| -> Option<u64> { offsets.get(&a).map(|off| off + c) };
-        let mut by_linear: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        let mut unlinearizable: Vec<(u64, u64)> = Vec::new();
-        for &key in &needed {
-            match linearize(key) {
-                Some(l) => {
-                    by_linear.insert(l, key);
-                }
-                None => unlinearizable.push(key),
-            }
-        }
-
-        // 3. Plan and execute.
-        let supports_cross = self.backend().capabilities().supports_cross_range;
-        let mut out: HashMap<(u64, u64), Vec<u8>> = HashMap::new();
-        match strategy {
-            RetrievalStrategy::Single => {
-                for &(a, c) in &needed {
-                    out.insert((a, c), self.backend_mut().get_chunk(a, c)?);
-                }
-            }
-            RetrievalStrategy::BufferedIn { buffer_size } => {
-                // Per-array IN batches (the §6.2.4 buffered strategy).
-                let mut per_array: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-                for &(a, c) in &needed {
-                    per_array.entry(a).or_default().push(c);
-                }
-                for (a, cs) in per_array {
-                    for batch in cs.chunks(buffer_size.max(1)) {
-                        for (c, payload) in self.backend_mut().get_chunks_in(a, batch)? {
-                            out.insert((a, c), payload);
-                        }
-                    }
-                }
-            }
-            RetrievalStrategy::SpdRange { options } => {
-                let linear_ids: Vec<u64> = by_linear.keys().copied().collect();
-                let plan = spd::plan(&linear_ids, options);
-                for op in plan {
-                    match op {
-                        FetchOp::Range { lo, hi } if supports_cross => {
-                            let lo_key = delinearize(lo, &offsets);
-                            let hi_key = delinearize(hi, &offsets);
-                            for (k, payload) in
-                                self.backend_mut().get_composite_range(lo_key, hi_key)?
-                            {
-                                out.insert(k, payload);
-                            }
-                        }
-                        FetchOp::Range { lo, hi } => {
-                            // No cross-array scans: split per array.
-                            let mut per_array: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-                            for l in lo..=hi {
-                                let (a, c) = delinearize(l, &offsets);
-                                per_array
-                                    .entry(a)
-                                    .and_modify(|(plo, phi)| {
-                                        *plo = (*plo).min(c);
-                                        *phi = (*phi).max(c);
-                                    })
-                                    .or_insert((c, c));
-                            }
-                            for (a, (clo, chi)) in per_array {
-                                for (c, payload) in
-                                    self.backend_mut().get_chunk_range(a, clo, chi)?
-                                {
-                                    out.insert((a, c), payload);
-                                }
-                            }
-                        }
-                        FetchOp::In(ids) if supports_cross => {
-                            // Row-value IN over composite keys: one
-                            // statement per batch regardless of how many
-                            // arrays it spans.
-                            let keys: Vec<(u64, u64)> =
-                                ids.iter().map(|&l| delinearize(l, &offsets)).collect();
-                            for (k, payload) in self.backend_mut().get_composite_in(&keys)? {
-                                out.insert(k, payload);
-                            }
-                        }
-                        FetchOp::In(ids) => {
-                            let mut per_array: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-                            for l in ids {
-                                let (a, c) = delinearize(l, &offsets);
-                                per_array.entry(a).or_default().push(c);
-                            }
-                            for (a, cs) in per_array {
-                                for (c, payload) in self.backend_mut().get_chunks_in(a, &cs)? {
-                                    out.insert((a, c), payload);
-                                }
-                            }
-                        }
-                    }
-                }
-                for (a, c) in unlinearizable {
-                    out.insert((a, c), self.backend_mut().get_chunk(a, c)?);
-                }
-            }
-            RetrievalStrategy::WholeArray => {
-                let arrays: BTreeSet<u64> = needed.iter().map(|&(a, _)| a).collect();
-                for a in arrays {
-                    let meta = self.proxy(a)?.meta().clone();
-                    let count = meta.chunking.chunk_count();
-                    if count == 0 {
-                        continue;
-                    }
-                    for (c, payload) in self.backend_mut().get_chunk_range(a, 0, count - 1)? {
-                        out.insert((a, c), payload);
-                    }
-                }
-            }
-        }
-        // 4. Decode the SCC1 frames of encoded arrays in place — once
-        //    per fetched chunk, shared by every proxy that reads it.
-        //    Chunks overfetched from arrays outside the bag stay as
-        //    stored (`assemble` never reads them).
-        let encoded: HashMap<u64, bool> = proxies
-            .iter()
-            .map(|p| (p.array_id(), p.meta().encoded))
             .collect();
-        for (&(a, c), payload) in out.iter_mut() {
-            if encoded.get(&a).copied().unwrap_or(false) {
-                *payload = crate::codec::decode_chunk(payload)
-                    .map_err(|e| crate::apr::corrupt(a, c, e))?;
-                if ssdm_obs::recorder().enabled() {
-                    crate::apr::obs_chunks_decoded().add(1);
+        let resolved = self.run(&reqs, strategy, Lane::exclusive())?;
+        resolved.into_iter().map(|r| r.total(op)).collect()
+    }
+
+    /// The `SpdRange` plan of a run over several arrays, from the chunk
+    /// ids each needs (ascending by array), for a back-end that scans
+    /// across arrays. Arrays by ascending id are physically consecutive
+    /// in the clustered table, so a key's linear id is its chunk id plus
+    /// the chunk counts of the arrays before it (the catalog's, and the
+    /// bag's as it sees them), and the SPD runs over the linear ids of
+    /// every needed key. An op that stays inside one array becomes that
+    /// array's statement; one that crosses arrays becomes one composite
+    /// statement. Rows are routed by their keys, so the linear order
+    /// only has to be monotone to be correct; being physical is what
+    /// makes the SPD's density estimates true.
+    pub(crate) fn bag_plan(
+        &self,
+        arrays: &[(&ArrayMeta, Vec<u64>)],
+        options: SpdOptions,
+    ) -> Vec<KeyOp> {
+        let chunks = |m: &ArrayMeta| (m.array_id, m.chunking.chunk_count());
+        let mut counts: BTreeMap<u64, u64> = self.catalog().map(|m| chunks(m)).collect();
+        counts.extend(arrays.iter().map(|(m, _)| chunks(m)));
+        // (first linear id, array id), ascending in both.
+        let offsets: Vec<(u64, u64)> = counts
+            .into_iter()
+            .scan(0, |next, (array_id, count)| {
+                *next += count;
+                Some((*next - count, array_id))
+            })
+            .collect();
+        let first_of = |a: u64| offsets[offsets.partition_point(|&(_, id)| id < a)].0;
+        let delinearize = |l: u64| {
+            let (first, array_id) = offsets[offsets.partition_point(|&(o, _)| o <= l) - 1];
+            (array_id, l - first)
+        };
+        let linear: Vec<u64> = arrays
+            .iter()
+            .flat_map(|(m, ids)| ids.iter().map(move |c| first_of(m.array_id) + c))
+            .collect();
+        let ops = spd::plan(&linear, options).into_iter();
+        ops.map(|op| match op {
+            FetchOp::Range { lo, hi } => match (delinearize(lo), delinearize(hi)) {
+                ((a, lo), (b, hi)) if a == b => KeyOp::Array(a, FetchOp::Range { lo, hi }),
+                (lo, hi) => KeyOp::CompositeRange(lo, hi),
+            },
+            FetchOp::In(ids) => {
+                let keys: Vec<(u64, u64)> = ids.iter().map(|&l| delinearize(l)).collect();
+                match (keys[0].0, keys[keys.len() - 1].0) {
+                    (a, b) if a == b => {
+                        KeyOp::Array(a, FetchOp::In(keys.iter().map(|k| k.1).collect()))
+                    }
+                    _ => KeyOp::CompositeIn(keys),
                 }
             }
-        }
-        Ok(out)
+        })
+        .collect()
     }
-}
-
-fn delinearize(linear: u64, offsets: &BTreeMap<u64, u64>) -> (u64, u64) {
-    // The greatest offset <= linear identifies the array.
-    let (&array_id, &off) = offsets
-        .iter()
-        .rfind(|(_, &o)| o <= linear)
-        .expect("offsets start at 0");
-    (array_id, linear - off)
-}
-
-/// Build one proxy's resident array from the fetched chunk map.
-fn assemble(proxy: &ArrayProxy, chunks: &HashMap<(u64, u64), Vec<u8>>) -> Result<NumArray> {
-    let meta = proxy.meta();
-    let chunking: Chunking = meta.chunking;
-    let addresses = proxy.view().addresses();
-    let mut nums = Vec::with_capacity(addresses.len());
-    for a in addresses {
-        let cid = chunking.chunk_of(a);
-        let payload = chunks
-            .get(&(meta.array_id, cid))
-            .ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-        let (start, _) = chunking.chunk_span(cid);
-        let off = a - start;
-        let bytes = payload
-            .get(off * 8..off * 8 + 8)
-            .ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-        nums.push(match meta.numeric_type {
-            NumericType::Int => Num::Int(i64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
-            NumericType::Real => Num::Real(f64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
-        });
-    }
-    let data = match meta.numeric_type {
-        NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-        NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-    };
-    NumArray::from_data(data, &proxy.shape()).map_err(StorageError::Array)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spd::SpdOptions;
     use crate::store::{MemoryChunkStore, RelChunkStore};
 
     /// 50 small arrays of 8 elements, 2 chunks each (32-byte chunks).
@@ -324,6 +174,13 @@ mod tests {
         let stats = store.backend().io_stats();
         assert_eq!(stats.statements, 1, "one clustered scan for the bag");
         assert_eq!(stats.chunks_returned, 100);
+        // The bag reports its own statistics.
+        let st = store.last_stats();
+        assert_eq!(st.statements, 1);
+        assert_eq!(st.chunks_fetched, 100);
+        assert_eq!(st.chunks_decoded, 100);
+        let elements: usize = proxies.iter().map(|p| p.element_count()).sum();
+        assert_eq!(st.elements_resolved, elements as u64);
         // Versus per-proxy resolution: at least one statement each.
         store.backend_mut().reset_io_stats();
         for p in &proxies {
@@ -362,6 +219,13 @@ mod tests {
         // Density 0.5 with the default threshold: one covering range.
         assert_eq!(stats.statements, 1);
         assert_eq!(stats.chunks_returned, 99, "covering scan overfetches");
+        // Only the 50 needed chunks are decoded; the 49 overfetched
+        // second chunks are dropped undecoded.
+        let st = store.last_stats();
+        assert_eq!((st.statements, st.chunks_fetched), (1, 99));
+        assert_eq!(st.chunks_decoded, 50);
+        let elements: usize = heads.iter().map(|p| p.element_count()).sum();
+        assert_eq!(st.elements_resolved, elements as u64);
         for (k, a) in bag.iter().enumerate() {
             assert_eq!(a.elements()[0], Num::Int(k as i64 * 100));
         }

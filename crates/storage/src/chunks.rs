@@ -5,8 +5,6 @@
 //! the single tuning parameter (thesis §2.5, §6.3.4). Elements are 8
 //! bytes, so a chunk holds `chunk_size_bytes / 8` elements.
 
-use ssdm_array::Run;
-
 /// The chunking layout of one stored array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunking {
@@ -40,11 +38,6 @@ impl Chunking {
         }
     }
 
-    /// Chunk holding linear element address `addr`.
-    pub fn chunk_of(&self, addr: usize) -> u64 {
-        (addr / self.elements_per_chunk()) as u64
-    }
-
     /// Element range `[start, end)` stored in chunk `id`.
     pub fn chunk_span(&self, id: u64) -> (usize, usize) {
         let epc = self.elements_per_chunk();
@@ -56,27 +49,6 @@ impl Chunking {
     pub fn chunk_len(&self, id: u64) -> usize {
         let (s, e) = self.chunk_span(id);
         e.saturating_sub(s)
-    }
-
-    /// The chunk ids touched by an arithmetic run of element addresses,
-    /// in ascending order without duplicates.
-    pub fn chunks_for_run(&self, run: &Run) -> Vec<u64> {
-        let epc = self.elements_per_chunk();
-        if run.len == 0 {
-            return Vec::new();
-        }
-        if run.step == 0 || run.step >= epc {
-            // Each element lands in its own (possibly repeated) chunk.
-            let mut out: Vec<u64> = (0..run.len)
-                .map(|k| self.chunk_of(run.start + k * run.step))
-                .collect();
-            out.dedup();
-            return out;
-        }
-        // Dense-ish run: all chunks between first and last are touched.
-        let first = self.chunk_of(run.start);
-        let last = self.chunk_of(run.end());
-        (first..=last).collect()
     }
 }
 
@@ -98,29 +70,19 @@ pub fn auto_chunk_bytes(total_elements: usize) -> usize {
     target.next_power_of_two().clamp(MIN, MAX).min(cap)
 }
 
-/// Chunk id of `addr` under element-per-chunk `epc` (free function for
-/// call sites without a full [`Chunking`]).
-pub fn chunk_of(addr: usize, epc: usize) -> u64 {
-    (addr / epc) as u64
-}
-
-/// The inclusive chunk-id range covering a run.
-pub fn chunk_range_for_run(run: &Run, epc: usize) -> (u64, u64) {
-    ((run.start / epc) as u64, (run.end() / epc) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::ViewRuns;
+    use ssdm_array::ArrayView;
 
     #[test]
     fn basic_layout() {
         let c = Chunking::new(64, 100); // 8 elements per chunk
         assert_eq!(c.elements_per_chunk(), 8);
         assert_eq!(c.chunk_count(), 13);
-        assert_eq!(c.chunk_of(0), 0);
-        assert_eq!(c.chunk_of(7), 0);
-        assert_eq!(c.chunk_of(8), 1);
+        assert_eq!(c.chunk_span(0), (0, 8));
+        assert_eq!(c.chunk_span(1), (8, 16));
         assert_eq!(c.chunk_span(12), (96, 100), "last chunk is partial");
         assert_eq!(c.chunk_len(12), 4);
     }
@@ -131,37 +93,36 @@ mod tests {
         assert_eq!(c.chunk_count(), 0);
     }
 
+    /// The chunks an arithmetic run of `len` addresses from `start`,
+    /// `step` apart, touches — as the runner derives them, from the
+    /// view's runs.
+    fn chunks_for_run(c: &Chunking, start: usize, step: usize, len: usize) -> Vec<u64> {
+        let whole = ArrayView::contiguous(&[c.total_elements]);
+        let view = whole
+            .slice(0, start, step, start + step * (len - 1))
+            .unwrap();
+        ViewRuns::of(&view, c).chunk_ids()
+    }
+
     #[test]
     fn chunks_for_dense_run() {
         let c = Chunking::new(64, 100);
-        let run = Run {
-            start: 4,
-            step: 1,
-            len: 10,
-        }; // addresses 4..14 -> chunks 0,1
-        assert_eq!(c.chunks_for_run(&run), vec![0, 1]);
+        // addresses 4..14 -> chunks 0,1
+        assert_eq!(chunks_for_run(&c, 4, 1, 10), vec![0, 1]);
     }
 
     #[test]
     fn chunks_for_strided_run() {
         let c = Chunking::new(64, 200);
-        let run = Run {
-            start: 0,
-            step: 16,
-            len: 5,
-        }; // 0,16,32,48,64 -> chunks 0,2,4,6,8
-        assert_eq!(c.chunks_for_run(&run), vec![0, 2, 4, 6, 8]);
+        // 0,16,32,48,64 -> chunks 0,2,4,6,8
+        assert_eq!(chunks_for_run(&c, 0, 16, 5), vec![0, 2, 4, 6, 8]);
     }
 
     #[test]
     fn chunks_for_small_stride_covers_range() {
         let c = Chunking::new(64, 200);
-        let run = Run {
-            start: 0,
-            step: 3,
-            len: 10,
-        }; // up to address 27 -> chunks 0..=3
-        assert_eq!(c.chunks_for_run(&run), vec![0, 1, 2, 3]);
+        // up to address 27 -> chunks 0..=3
+        assert_eq!(chunks_for_run(&c, 0, 3, 10), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -211,11 +172,6 @@ mod tests {
     #[test]
     fn single_element_run() {
         let c = Chunking::new(64, 100);
-        let run = Run {
-            start: 42,
-            step: 0,
-            len: 1,
-        };
-        assert_eq!(c.chunks_for_run(&run), vec![5]);
+        assert_eq!(chunks_for_run(&c, 42, 1, 1), vec![5]);
     }
 }

@@ -40,7 +40,7 @@ pub mod wal;
 
 pub use apr::{AprStats, ArrayStore, RetrievalStrategy};
 pub use cache::{CacheStats, CachedChunkStore, ChunkCache};
-pub use chunks::{auto_chunk_bytes, chunk_of, chunk_range_for_run, Chunking};
+pub use chunks::{auto_chunk_bytes, Chunking};
 pub use codec::{
     ChunkSummary, CodecError, CodecId, CodecPolicy, ValuePredicate, ZoneMap, SCC_HEADER, SCC_MAGIC,
 };

@@ -22,9 +22,9 @@ pub struct ArrayMeta {
     pub chunking: Chunking,
     /// Whether the back-end holds `SCC1` codec frames
     /// ([`crate::codec`]) rather than raw little-endian elements. Set
-    /// when the array is stored and persisted in snapshots: every
-    /// consumer (APR resolve paths, bag assembly) decodes if and only
-    /// if this flag is set — payload bytes are never sniffed, since
+    /// when the array is stored and persisted in snapshots: the APR
+    /// runner decodes if and only if this flag is set — payload bytes
+    /// are never sniffed, since
     /// adversarial raw data could begin with the frame magic.
     pub encoded: bool,
 }

@@ -1,8 +1,10 @@
 //! The parallel chunk-retrieval pipeline.
 //!
 //! The APR fetch plan is a list of independent back-end statements
-//! ([`FetchOp`]s) — one per chunk under `Single`, one per batch under
-//! `BufferedIn`, one per detected run under `SpdRange`. Sequential APR
+//! ([`FetchOp`]s over one array's chunk ids) — one per chunk under
+//! `Single`, one per batch under `BufferedIn`, one per detected run
+//! under `SpdRange`, plus, for a bag of proxies on the exclusive lane,
+//! composite-key statements that cross arrays. Sequential APR
 //! executes them one at a time, so total latency is the *sum* of the
 //! round trips. This module partitions the plan across a scoped worker
 //! pool over the [`SharedChunkRead`] contract, so round trips (and the
@@ -15,7 +17,7 @@
 //! Sequential APR runs the same statements through the same code
 //! ([`Lane::exclusive`]), so the per-op fallback contract is one piece
 //! of code for both: a failed *batched* statement degrades to per-chunk
-//! retrieval of the needed ids it covered, inside the worker that
+//! retrieval of the needed keys it covered, inside the worker that
 //! claimed it. Errors that survive the fallback are reported
 //! deterministically — the failing op earliest in plan order wins,
 //! regardless of worker timing.
@@ -26,6 +28,7 @@
 //!
 //! [`Capabilities::supports_parallel`]: crate::Capabilities::supports_parallel
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -33,7 +36,7 @@ use ssdm_array::pool;
 use ssdm_obs as obs;
 
 use crate::spd::FetchOp;
-use crate::store::{ChunkRows, ChunkStore, SharedChunkRead};
+use crate::store::{ChunkRows, ChunkStore, CompositeRows, SharedChunkRead};
 use crate::Result;
 
 /// Process-wide count of batched statements that degraded to per-chunk
@@ -80,7 +83,14 @@ pub fn fetch_plan<S: SharedChunkRead + ?Sized>(
     needed: &[u64],
     workers: usize,
 ) -> Result<(Vec<ChunkRows>, u64)> {
-    run_plan(backend, array_id, plan, needed, workers, |_, rows| Ok(rows))
+    let plan: Vec<KeyOp> = plan
+        .iter()
+        .map(|op| KeyOp::Array(array_id, op.clone()))
+        .collect();
+    let needed: Vec<(u64, u64)> = needed.iter().map(|&c| (array_id, c)).collect();
+    run_plan(backend, &plan, &needed, workers, |rows| {
+        Ok(rows.into_iter().map(|((_, c), d)| (c, d)).collect())
+    })
 }
 
 /// The generalized pipeline under [`fetch_plan`]: each claimed op's
@@ -88,30 +98,32 @@ pub fn fetch_plan<S: SharedChunkRead + ?Sized>(
 /// so per-chunk work (CRC verification, decoding, partial aggregate
 /// folds — see `ArrayStore::run`) overlaps the
 /// round trips of the other ops and the payloads can be dropped without
-/// ever being assembled centrally. `process` receives the op's plan
-/// index; results return per op in plan order, and the earliest op's
-/// error (fetch or process) wins deterministically.
-pub fn run_plan<S, T, F>(
+/// ever being assembled centrally. Results return per op in plan order,
+/// and the earliest op's error (fetch or process) wins
+/// deterministically.
+fn run_plan<S, T, F>(
     backend: &S,
-    array_id: u64,
-    plan: &[FetchOp],
-    needed: &[u64],
+    plan: &[KeyOp],
+    needed: &[(u64, u64)],
     workers: usize,
     process: F,
 ) -> Result<(Vec<T>, u64)>
 where
     S: SharedChunkRead + ?Sized,
     T: Send,
-    F: Fn(usize, ChunkRows) -> Result<T> + Sync,
+    F: Fn(CompositeRows) -> Result<T> + Sync,
 {
     let fallbacks = AtomicU64::new(0);
-    let results = scatter_gather(workers, plan, |i, op| {
+    let results = scatter_gather(workers, plan, |_, op| {
         let rows = execute_op(op, needed, &fallbacks, |statement| match statement {
-            Statement::One(c) => backend.read_chunk(array_id, c).map(|d| vec![(c, d)]),
-            Statement::In(ids) => backend.read_chunks_in(array_id, ids),
-            Statement::Range(lo, hi) => backend.read_chunk_range(array_id, lo, hi),
+            Statement::One(a, c) => backend.read_chunk(a, c).map(|d| vec![((a, c), d)]),
+            Statement::In(a, ids) => keyed(a, backend.read_chunks_in(a, ids)),
+            Statement::Range(a, lo, hi) => keyed(a, backend.read_chunk_range(a, lo, hi)),
+            Statement::CompositeRange(..) | Statement::CompositeIn(_) => {
+                unreachable!("composite statements are planned for the exclusive lane only")
+            }
         })?;
-        process(i, rows)
+        process(rows)
     });
     let mut out = Vec::with_capacity(plan.len());
     for r in results {
@@ -123,7 +135,7 @@ where
     Ok((out, fallbacks.load(Ordering::Relaxed)))
 }
 
-/// The scatter-gather engine under [`run_plan`], generalized from "N
+/// The scatter-gather engine under [`fetch_plan`], generalized from "N
 /// workers over one backend's fetch plan" to any job list — the sharded
 /// store ([`crate::ShardedChunkStore`]) reuses it to run "N workers
 /// over N shards". Workers claim jobs from a shared cursor and deposit
@@ -155,72 +167,92 @@ where
         .collect()
 }
 
+/// One statement of a resolution's plan: a [`FetchOp`] over one
+/// array's chunk ids, or a statement over `(array, chunk)` keys that
+/// crosses arrays — the clustered-table scans behind bag resolution
+/// (thesis §6.2.4), planned only for the exclusive lane, since
+/// [`SharedChunkRead`] has no composite reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum KeyOp {
+    Array(u64, FetchOp),
+    CompositeRange((u64, u64), (u64, u64)),
+    CompositeIn(Vec<(u64, u64)>),
+}
+
 /// One back-end statement, over either read contract.
 enum Statement<'a> {
-    One(u64),
-    In(&'a [u64]),
-    Range(u64, u64),
+    One(u64, u64),
+    In(u64, &'a [u64]),
+    Range(u64, u64, u64),
+    CompositeRange((u64, u64), (u64, u64)),
+    CompositeIn(&'a [(u64, u64)]),
+}
+
+/// Tag one array's rows with the array id.
+fn keyed(array_id: u64, rows: Result<ChunkRows>) -> Result<CompositeRows> {
+    Ok(rows?.into_iter().map(|(c, d)| ((array_id, c), d)).collect())
 }
 
 /// Execute one fetch op through `issue`; when a *batched* statement
-/// (`IN`-list of several ids, or a range) fails, degrade to per-chunk
-/// retrieval of the needed ids it covered instead of aborting the whole
-/// resolution. A corrupt or unavailable chunk that was only
+/// (`IN`-list of several keys, or a range) fails, degrade to per-chunk
+/// retrieval of the `needed` keys it covered instead of aborting the
+/// whole resolution. A corrupt or unavailable chunk that was only
 /// *overfetched* by a covering range thus cannot sink a query that
 /// never needed it.
 fn execute_op(
-    op: &FetchOp,
-    needed: &[u64],
+    op: &KeyOp,
+    needed: &[(u64, u64)],
     fallbacks: &AtomicU64,
-    mut issue: impl FnMut(Statement<'_>) -> Result<ChunkRows>,
-) -> Result<ChunkRows> {
+    mut issue: impl FnMut(Statement<'_>) -> Result<CompositeRows>,
+) -> Result<CompositeRows> {
     let _span = ssdm_obs::Span::start(crate::apr::obs_chunk_fetch_hist());
-    let batched = match op {
-        FetchOp::Range { .. } => true,
-        FetchOp::In(ids) => ids.len() > 1,
-    };
     let direct = match op {
-        FetchOp::Range { lo, hi } => issue(Statement::Range(*lo, *hi)),
-        FetchOp::In(ids) if ids.len() == 1 => issue(Statement::One(ids[0])),
-        FetchOp::In(ids) => issue(Statement::In(ids)),
-    };
-    match direct {
-        Ok(rows) => Ok(rows),
-        Err(e) if !batched => Err(e),
-        Err(_) => {
-            fallbacks.fetch_add(1, Ordering::Relaxed);
-            if obs::recorder().enabled() {
-                obs_apr_fallbacks().add(1);
-            }
-            let ids: Vec<u64> = match op {
-                FetchOp::In(ids) => ids.clone(),
-                FetchOp::Range { lo, hi } => needed
-                    .iter()
-                    .copied()
-                    .filter(|c| (*lo..=*hi).contains(c))
-                    .collect(),
-            };
-            let mut out = Vec::with_capacity(ids.len());
-            for c in ids {
-                out.extend(issue(Statement::One(c))?);
-            }
-            Ok(out)
+        KeyOp::Array(a, FetchOp::In(ids)) if ids.len() == 1 => {
+            return issue(Statement::One(*a, ids[0]));
         }
-    }
+        KeyOp::Array(a, FetchOp::In(ids)) => issue(Statement::In(*a, ids)),
+        KeyOp::Array(a, FetchOp::Range { lo, hi }) => issue(Statement::Range(*a, *lo, *hi)),
+        KeyOp::CompositeRange(lo, hi) => issue(Statement::CompositeRange(*lo, *hi)),
+        KeyOp::CompositeIn(keys) => issue(Statement::CompositeIn(keys)),
+    };
+    direct.or_else(|_| {
+        fallbacks.fetch_add(1, Ordering::Relaxed);
+        if obs::recorder().enabled() {
+            obs_apr_fallbacks().add(1);
+        }
+        let within = |span: RangeInclusive<(u64, u64)>| -> Vec<(u64, u64)> {
+            needed
+                .iter()
+                .copied()
+                .filter(|k| span.contains(k))
+                .collect()
+        };
+        let keys = match op {
+            KeyOp::Array(a, FetchOp::In(ids)) => ids.iter().map(|&c| (*a, c)).collect(),
+            KeyOp::Array(a, FetchOp::Range { lo, hi }) => within((*a, *lo)..=(*a, *hi)),
+            KeyOp::CompositeRange(lo, hi) => within(*lo..=*hi),
+            KeyOp::CompositeIn(keys) => keys.clone(),
+        };
+        let mut out = Vec::with_capacity(keys.len());
+        for (a, c) in keys {
+            out.extend(issue(Statement::One(a, c))?);
+        }
+        Ok(out)
+    })
 }
 
 /// The statements of one resolution, as the lanes execute them.
 pub(crate) struct Job<'a> {
-    pub array_id: u64,
-    pub plan: &'a [FetchOp],
-    pub needed: &'a [u64],
+    pub plan: &'a [KeyOp],
+    /// Every key the resolution reads, ascending.
+    pub needed: &'a [(u64, u64)],
     /// Set (by `process`) once a membership probe has its answer.
     pub done: &'a AtomicBool,
 }
 
 /// What becomes of one statement's rows, inside the worker that fetched
 /// them.
-pub(crate) type Process<'a, T> = dyn Fn(ChunkRows) -> Result<T> + Sync + 'a;
+pub(crate) type Process<'a, T> = dyn Fn(CompositeRows) -> Result<T> + Sync + 'a;
 
 /// `process`'s outputs per op in plan order, and the number of batched
 /// statements that fell back to per-chunk retrieval.
@@ -228,7 +260,7 @@ type PlanOutput<T> = Result<(Vec<T>, u64)>;
 
 /// How a resolution's statements execute: one after the other through
 /// the exclusive (`&mut`) back-end contract, or partitioned across a
-/// worker pool through the shared one ([`run_plan`]). Both run the same
+/// worker pool through the shared one (as [`fetch_plan`]). Both run the same
 /// statements with the same fallback.
 pub(crate) struct Lane<S, T> {
     workers: usize,
@@ -253,10 +285,7 @@ impl<S: ChunkStore, T: Send> Lane<S, T> {
         Lane {
             workers,
             run: |backend, workers, job, process| {
-                let (plan, needed) = (job.plan, job.needed);
-                run_plan(&*backend, job.array_id, plan, needed, workers, |_, rows| {
-                    process(rows)
-                })
+                run_plan(&*backend, job.plan, job.needed, workers, process)
             },
         }
     }
@@ -284,7 +313,6 @@ fn run_plan_exclusive<S: ChunkStore, T>(
     job: &Job<'_>,
     process: &Process<'_, T>,
 ) -> PlanOutput<T> {
-    let array_id = job.array_id;
     let fallbacks = AtomicU64::new(0);
     let mut out = Vec::with_capacity(job.plan.len());
     for op in job.plan {
@@ -292,32 +320,15 @@ fn run_plan_exclusive<S: ChunkStore, T>(
             break;
         }
         let rows = execute_op(op, job.needed, &fallbacks, |statement| match statement {
-            Statement::One(c) => backend.get_chunk(array_id, c).map(|d| vec![(c, d)]),
-            Statement::In(ids) => backend.get_chunks_in(array_id, ids),
-            Statement::Range(lo, hi) => backend.get_chunk_range(array_id, lo, hi),
+            Statement::One(a, c) => backend.get_chunk(a, c).map(|d| vec![((a, c), d)]),
+            Statement::In(a, ids) => keyed(a, backend.get_chunks_in(a, ids)),
+            Statement::Range(a, lo, hi) => keyed(a, backend.get_chunk_range(a, lo, hi)),
+            Statement::CompositeRange(lo, hi) => backend.get_composite_range(lo, hi),
+            Statement::CompositeIn(keys) => backend.get_composite_in(keys),
         })?;
         out.push(process(rows)?);
     }
     Ok((out, fallbacks.into_inner()))
-}
-
-/// Convenience used by tests and callers that want a flat map of chunk
-/// id → payload from a parallel fetch.
-pub fn fetch_plan_merged<S: SharedChunkRead + ?Sized>(
-    backend: &S,
-    array_id: u64,
-    plan: &[FetchOp],
-    needed: &[u64],
-    workers: usize,
-) -> Result<(std::collections::HashMap<u64, Vec<u8>>, u64)> {
-    let (per_op, fallbacks) = fetch_plan(backend, array_id, plan, needed, workers)?;
-    let mut out = std::collections::HashMap::new();
-    for rows in per_op {
-        for (cid, payload) in rows {
-            out.insert(cid, payload);
-        }
-    }
-    Ok((out, fallbacks))
 }
 
 // An explicit sanity check that the trait object is usable across

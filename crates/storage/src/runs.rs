@@ -297,4 +297,90 @@ mod tests {
         assert_eq!(runs.position(4), Some(2));
         assert_eq!(runs.position(5), None);
     }
+
+    /// The runs of a view over one chunk of `elements` elements.
+    fn runs_in_one_chunk(view: &ArrayView, elements: usize) -> Vec<Run> {
+        let runs = ViewRuns::of(view, &Chunking::new(8 * elements, elements));
+        let got: Vec<usize> = expand(&runs, elements)
+            .into_iter()
+            .map(|(_, a)| a)
+            .collect();
+        assert_eq!(got, view.addresses(), "{view:?}");
+        runs.chunks()
+            .iter()
+            .flat_map(|c| runs.runs_of(c))
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn contiguous_view_is_one_run() {
+        let runs = runs_in_one_chunk(&ArrayView::contiguous(&[3, 4]), 12);
+        assert_eq!(
+            runs,
+            [Run {
+                chunk: 0,
+                first: 0,
+                stride: 1,
+                count: 12,
+                out: 0
+            }]
+        );
+    }
+
+    #[test]
+    fn column_view_is_strided_run() {
+        let view = ArrayView::contiguous(&[3, 4]).subscript(1, 2).unwrap();
+        let runs = runs_in_one_chunk(&view, 12);
+        assert_eq!(
+            runs,
+            [Run {
+                chunk: 0,
+                first: 2,
+                stride: 4,
+                count: 3,
+                out: 0
+            }]
+        );
+    }
+
+    #[test]
+    fn row_slice_of_matrix_makes_runs_per_row() {
+        // rows 0..2, cols 1..=2 of a 3x4 matrix: addresses 1,2,5,6,9,10
+        let view = ArrayView::contiguous(&[3, 4]).slice(1, 1, 1, 2).unwrap();
+        let runs = runs_in_one_chunk(&view, 12);
+        let shape: Vec<(usize, usize, usize)> =
+            runs.iter().map(|r| (r.first, r.count, r.out)).collect();
+        assert_eq!(shape, [(1, 2, 0), (5, 2, 2), (9, 2, 4)]);
+    }
+
+    #[test]
+    fn transposed_view_descending_addresses_split() {
+        // logical order addresses: 0, 2, 1, 3 — the descent 2->1 splits.
+        let runs = runs_in_one_chunk(&ArrayView::contiguous(&[2, 2]).transpose(), 4);
+        assert_eq!(runs.len(), 2);
+        assert!(runs.iter().all(|r| r.stride == 2 && r.count == 2));
+    }
+
+    #[test]
+    fn empty_view() {
+        let runs = ViewRuns::of(&ArrayView::contiguous(&[0]), &Chunking::new(64, 0));
+        assert!(runs.chunks().is_empty());
+        assert_eq!(runs.element_count(), 0);
+    }
+
+    #[test]
+    fn scalar_view_single_run() {
+        let runs = runs_in_one_chunk(&ArrayView::scalar_at(5), 8);
+        assert_eq!(
+            runs,
+            [Run {
+                chunk: 0,
+                first: 5,
+                stride: 0,
+                count: 1,
+                out: 0
+            }]
+        );
+    }
 }

@@ -13,8 +13,9 @@
 use ssdm_array::{AggregateOp, NumArray};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultKind, FaultPlan, MemoryChunkStore,
-    OpKind, RawChunkAccess, ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError,
+    ArrayProxy, ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultKind, FaultPlan,
+    MemoryChunkStore, OpKind, RawChunkAccess, RelChunkStore, ResilientChunkStore,
+    RetrievalStrategy, RetryPolicy, StorageError,
 };
 
 const ROWS: usize = 24;
@@ -234,6 +235,79 @@ fn missing_chunk_faults_fail_fast_without_retries() {
     let res = store.backend().resilience_stats();
     assert_eq!(res.retries, 0, "permanent faults must not be retried");
     assert_eq!(res.permanent_failures, 1);
+}
+
+/// 20 arrays of 8 reals in 32-byte chunks (two each), and a bag reading
+/// elements 1..=3 of each: the first chunks, every other row of the
+/// clustered table, which SPD-RANGE covers with one composite range
+/// that overfetches each array's second chunk.
+fn bag_fleet<S: ChunkStore>(store: &mut ArrayStore<S>) -> Vec<ArrayProxy> {
+    (0..20)
+        .map(|k| {
+            let a = NumArray::from_f64((0..8).map(|i| k as f64 * 10.0 + i as f64 * 0.1).collect());
+            let p = store.store_array(&a, 32).unwrap();
+            p.slice(0, 0, 1, 2).unwrap()
+        })
+        .collect()
+}
+
+fn spd() -> RetrievalStrategy {
+    RetrievalStrategy::SpdRange {
+        options: SpdOptions::default(),
+    }
+}
+
+fn bag_bits<S: ChunkStore>(store: &mut ArrayStore<S>, bag: &[ArrayProxy]) -> Vec<Vec<u64>> {
+    let resolved = store.resolve_bag(bag, spd()).unwrap();
+    resolved
+        .iter()
+        .map(|a| a.elements().iter().map(|n| n.as_f64().to_bits()).collect())
+        .collect()
+}
+
+/// A bag gets the per-op fallback contract of a single proxy: its
+/// composite statement, scripted to fail, is served by per-chunk reads
+/// of exactly the keys the bag needs, bit-identically.
+#[test]
+fn bag_composite_statement_failure_falls_back_to_needed_keys() {
+    let mut clean = ArrayStore::new(RelChunkStore::open_memory().unwrap());
+    let clean_bag = bag_fleet(&mut clean);
+    let expected = bag_bits(&mut clean, &clean_bag);
+    assert_eq!(clean.last_stats().statements, 1, "one composite range");
+
+    let plan = FaultPlan::scripted(seed(), vec![]).fail_nth(OpKind::Read, 1, FaultKind::Transient);
+    let injected = FaultInjectingChunkStore::new(RelChunkStore::open_memory().unwrap(), plan);
+    let mut store = ArrayStore::new(injected);
+    let bag = bag_fleet(&mut store);
+    assert_eq!(bag_bits(&mut store, &bag), expected);
+    let st = store.last_stats();
+    assert_eq!(st.fallbacks, 1, "{st:?}");
+    // The failed composite statement never reached the store; the 20
+    // needed chunks were then read one by one, and nothing else.
+    assert_eq!((st.statements, st.chunks_fetched), (20, 20), "{st:?}");
+    assert_eq!(store.backend().fault_stats().ops[0], 21);
+}
+
+/// A corrupt chunk that a covering composite range only overfetched
+/// cannot sink the bag: the range fails its checksum, and the per-chunk
+/// fallback reads only what the bag needs.
+#[test]
+fn bag_survives_corruption_in_an_overfetched_chunk() {
+    let mut clean = ArrayStore::new(RelChunkStore::open_memory().unwrap());
+    let clean_bag = bag_fleet(&mut clean);
+    let expected = bag_bits(&mut clean, &clean_bag);
+
+    let mut store = ArrayStore::new(RelChunkStore::open_memory().unwrap());
+    let bag = bag_fleet(&mut store);
+    // The second chunk of the 8th array: inside the composite range,
+    // outside the bag.
+    store
+        .backend_mut()
+        .flip_stored_bit(bag[7].array_id(), 1, 77)
+        .unwrap();
+    assert_eq!(bag_bits(&mut store, &bag), expected);
+    assert_eq!(store.last_stats().fallbacks, 1);
+    assert!(store.backend_mut().get_chunk(bag[7].array_id(), 1).is_err());
 }
 
 /// Where the file ends decides between "missing" and "short read", on

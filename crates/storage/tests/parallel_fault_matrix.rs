@@ -19,7 +19,7 @@
 //!
 //! The plan seed honours `SSDM_FAULT_SEED` (CI runs seeds 1, 2, 3).
 
-use ssdm_storage::parallel::{fetch_plan, fetch_plan_merged};
+use ssdm_storage::parallel::fetch_plan;
 use ssdm_storage::spd::{plan as spd_plan, SpdOptions};
 use ssdm_storage::{
     CachedChunkStore, ChunkStore, FaultInjectingChunkStore, FaultKind, FaultPlan, MemoryChunkStore,
@@ -94,7 +94,7 @@ fn parallel_fetch_over_faulty_stack_is_bit_identical() {
         .chain([51, 55, 62, 63])
         .collect();
     let ops = spd_plan(&ids, SpdOptions::default());
-    let (expected, _) = fetch_plan_merged(&clean, 1, &ops, &ids, 4).unwrap();
+    let (expected, _) = fetch_plan(&clean, 1, &ops, &ids, 4).unwrap();
 
     for workers in [1, 2, 4, 8] {
         // Cache sized to zero so every iteration re-runs the gauntlet.
@@ -104,7 +104,7 @@ fn parallel_fetch_over_faulty_stack_is_bit_identical() {
         // under seeds 1-3.
         let stack = faulty_stack(FaultPlan::transient_reads(seed(), 0.30), 0);
         for round in 0..16 {
-            let (got, _) = fetch_plan_merged(&stack, 1, &ops, &ids, workers)
+            let (got, _) = fetch_plan(&stack, 1, &ops, &ids, workers)
                 .expect("aggressive retries must absorb a 30% transient plan");
             assert_eq!(got, expected, "workers={workers} round={round}");
         }
@@ -153,9 +153,9 @@ fn warm_cache_shields_the_injector() {
     let ids: Vec<u64> = (0..CHUNKS).collect();
     let ops = spd_plan(&ids, SpdOptions::default());
     let stack = faulty_stack(FaultPlan::transient_reads(seed(), 0.15), 1 << 20);
-    let (first, _) = fetch_plan_merged(&stack, 1, &ops, &ids, 4).unwrap();
+    let (first, _) = fetch_plan(&stack, 1, &ops, &ids, 4).unwrap();
     let ops_after_first = injector(&stack).fault_stats().ops;
-    let (second, _) = fetch_plan_merged(&stack, 1, &ops, &ids, 4).unwrap();
+    let (second, _) = fetch_plan(&stack, 1, &ops, &ids, 4).unwrap();
     assert_eq!(first, second);
     assert_eq!(
         injector(&stack).fault_stats().ops,
@@ -163,6 +163,6 @@ fn warm_cache_shields_the_injector() {
         "a warm cache must not let reads reach the injector"
     );
     let clean = clean_store();
-    let (expected, _) = fetch_plan_merged(&clean, 1, &ops, &ids, 4).unwrap();
+    let (expected, _) = fetch_plan(&clean, 1, &ops, &ids, 4).unwrap();
     assert_eq!(first, expected);
 }

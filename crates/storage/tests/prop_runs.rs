@@ -16,7 +16,7 @@ fn by_enumeration(view: &ArrayView, chunking: &Chunking) -> BTreeMap<u64, Vec<(u
     let mut groups: BTreeMap<u64, Vec<(usize, usize)>> = BTreeMap::new();
     for (at, addr) in view.addresses().into_iter().enumerate() {
         groups
-            .entry(chunking.chunk_of(addr))
+            .entry((addr / chunking.elements_per_chunk()) as u64)
             .or_default()
             .push((at, addr));
     }
