@@ -2,8 +2,11 @@
 //!
 //! Triples of interned term ids are kept in three sorted indexes (SPO,
 //! POS, OSP) so any pattern with bound components resolves to a range
-//! scan — the standard native-RDF-store layout (thesis §2.2.3). A
-//! fourth, derived index orders the triples whose object is a numeric
+//! scan — the standard native-RDF-store layout (thesis §2.2.3). SPO is
+//! a table indexed by the subject's dense id whose row holds that
+//! subject's sorted `(p, o)` pairs, so a probe with a bound subject
+//! starts at its row instead of descending one tree over every triple.
+//! A fourth, derived index orders the triples whose object is a numeric
 //! literal by that literal's *value* under each predicate, so a range
 //! predicate on the object is a range scan too. The store maintains
 //! per-predicate statistics (triple count, distinct subjects/objects)
@@ -12,6 +15,7 @@
 
 use std::collections::{btree_set, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
+use std::slice;
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::stats::ObjectStats;
@@ -44,7 +48,11 @@ pub struct GraphStats {
 #[derive(Debug, Default)]
 pub struct Graph {
     dict: Dictionary,
-    spo: BTreeSet<(TermId, TermId, TermId)>,
+    /// Row `s.index()` holds subject `s`'s `(p, o)` pairs; the table
+    /// ends at the largest subject id ever inserted.
+    spo: Vec<Row>,
+    /// Triples in the graph (the rows' total).
+    len: usize,
     pos: BTreeSet<(TermId, TermId, TermId)>,
     osp: BTreeSet<(TermId, TermId, TermId)>,
     /// `(p, value_key(o), o, s)` for every triple whose object is a
@@ -74,11 +82,11 @@ impl Graph {
     }
 
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.len == 0
     }
 
     /// Intern a term into this graph's dictionary.
@@ -93,9 +101,13 @@ impl Graph {
 
     /// Insert a triple of already-interned ids. Returns false if present.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        if !self.spo.insert((s, p, o)) {
+        if s.index() >= self.spo.len() {
+            self.spo.resize_with(s.index() + 1, Row::new);
+        }
+        if !self.spo[s.index()].insert((p, o)) {
             return false;
         }
+        self.len += 1;
         self.pos.insert((p, o, s));
         self.osp.insert((o, s, p));
         *self.pred_counts.entry(p).or_default() += 1;
@@ -130,8 +142,18 @@ impl Graph {
 
     /// Remove a triple. Returns true if it was present.
     pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        if !self.spo.remove(&(s, p, o)) {
+        let Some(row) = self.spo.get_mut(s.index()) else {
             return false;
+        };
+        if !row.remove(&(p, o)) {
+            return false;
+        }
+        self.len -= 1;
+        // Distinct-value stats are maintained lazily: recompute on demand.
+        if row.range(pairs_of(p)).next().is_none() {
+            if let Some(set) = self.pred_subjects.get_mut(&p) {
+                set.remove(&s);
+            }
         }
         self.pos.remove(&(p, o, s));
         self.osp.remove(&(o, s, p));
@@ -145,12 +167,6 @@ impl Graph {
             }
             if let Some(key) = value_key(v) {
                 self.num.remove(&(p, key, o, s));
-            }
-        }
-        // Distinct-value stats are maintained lazily: recompute on demand.
-        if !self.spo.range(range_sp_any(s, p)).any(|_| true) {
-            if let Some(set) = self.pred_subjects.get_mut(&p) {
-                set.remove(&s);
             }
         }
         if !self
@@ -169,7 +185,12 @@ impl Graph {
     }
 
     pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.spo.contains(&(s, p, o))
+        self.row(s).is_some_and(|row| row.contains(&(p, o)))
+    }
+
+    /// Subject `s`'s row, if the table reaches it.
+    fn row(&self, s: TermId) -> Option<&Row> {
+        self.spo.get(s.index())
     }
 
     /// All triples matching a pattern with optional bound components.
@@ -183,14 +204,20 @@ impl Graph {
         const MIN: TermId = TermId(0);
         const MAX: TermId = TermId(u32::MAX);
         let span = |lo, hi| (Bound::Included(lo), Bound::Included(hi));
+        let subject = |s: TermId, pairs: PairRange| match self.row(s) {
+            Some(row) => Cursor::Spo(Rows {
+                s,
+                row: row.range(pairs),
+                rest: slice::Iter::default(),
+            }),
+            None => Cursor::One(None),
+        };
         Matches(match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                Cursor::One(self.spo.contains(&(s, p, o)).then_some(Triple { s, p, o }))
+                Cursor::One(self.contains_ids(s, p, o).then_some(Triple { s, p, o }))
             }
-            (Some(s), Some(p), None) => Cursor::Spo(self.spo.range(span((s, p, MIN), (s, p, MAX)))),
-            (Some(s), None, None) => {
-                Cursor::Spo(self.spo.range(span((s, MIN, MIN), (s, MAX, MAX))))
-            }
+            (Some(s), Some(p), None) => subject(s, pairs_of(p)),
+            (Some(s), None, None) => subject(s, (Bound::Unbounded, Bound::Unbounded)),
             (None, Some(p), Some(o)) => Cursor::Pos(self.pos.range(span((p, o, MIN), (p, o, MAX)))),
             (None, Some(p), None) => {
                 Cursor::Pos(self.pos.range(span((p, MIN, MIN), (p, MAX, MAX))))
@@ -199,7 +226,14 @@ impl Graph {
                 Cursor::Osp(self.osp.range(span((o, MIN, MIN), (o, MAX, MAX))))
             }
             (Some(s), None, Some(o)) => Cursor::Osp(self.osp.range(span((o, s, MIN), (o, s, MAX)))),
-            (None, None, None) => Cursor::All(self.spo.iter()),
+            (None, None, None) => match self.spo.split_first() {
+                Some((first, rest)) => Cursor::Spo(Rows {
+                    s: TermId(0),
+                    row: first.range(..),
+                    rest: rest.iter(),
+                }),
+                None => Cursor::One(None),
+            },
         })
     }
 
@@ -229,7 +263,7 @@ impl Graph {
     /// Estimated number of matches for a pattern, without scanning.
     /// Drives join-order selection in the optimizer.
     pub fn estimate_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> f64 {
-        let total = self.spo.len() as f64;
+        let total = self.len as f64;
         if total == 0.0 {
             return 0.0;
         }
@@ -293,15 +327,28 @@ impl Graph {
 
     pub fn stats(&self) -> GraphStats {
         GraphStats {
-            triples: self.spo.len(),
+            triples: self.len,
             predicates: self.pred_counts.iter().filter(|(_, &c)| c > 0).count(),
         }
     }
 
     /// All triples in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(|&(s, p, o)| Triple { s, p, o })
+        self.match_pattern(None, None, None)
     }
+}
+
+/// One subject's `(p, o)` pairs in the SPO table.
+type Row = BTreeSet<(TermId, TermId)>;
+
+type PairRange = (Bound<(TermId, TermId)>, Bound<(TermId, TermId)>);
+
+/// The pairs of one row under predicate `p`.
+fn pairs_of(p: TermId) -> PairRange {
+    (
+        Bound::Included((p, TermId(0))),
+        Bound::Included((p, TermId(u32::MAX))),
+    )
 }
 
 /// `(p, value_key(o), o, s)`: one entry of the numeric value index.
@@ -316,11 +363,33 @@ pub struct Matches<'a>(Cursor<'a>);
 #[derive(Debug, Clone)]
 enum Cursor<'a> {
     One(Option<Triple>),
-    Spo(btree_set::Range<'a, (TermId, TermId, TermId)>),
+    Spo(Rows<'a>),
     Pos(btree_set::Range<'a, (TermId, TermId, TermId)>),
     Osp(btree_set::Range<'a, (TermId, TermId, TermId)>),
-    All(btree_set::Iter<'a, (TermId, TermId, TermId)>),
     Num(btree_set::Range<'a, NumEntry>),
+}
+
+/// A walk over SPO rows in subject-id order: what is left of subject
+/// `s`'s row, then every row in `rest` whole.
+#[derive(Debug, Clone)]
+struct Rows<'a> {
+    s: TermId,
+    row: btree_set::Range<'a, (TermId, TermId)>,
+    rest: slice::Iter<'a, Row>,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Triple;
+
+    fn next(&mut self) -> Option<Triple> {
+        loop {
+            if let Some(&(p, o)) = self.row.next() {
+                return Some(Triple { s: self.s, p, o });
+            }
+            self.row = self.rest.next()?.range(..);
+            self.s = TermId(self.s.0 + 1);
+        }
+    }
 }
 
 impl Iterator for Matches<'_> {
@@ -329,10 +398,9 @@ impl Iterator for Matches<'_> {
     fn next(&mut self) -> Option<Triple> {
         match &mut self.0 {
             Cursor::One(hit) => hit.take(),
-            Cursor::Spo(it) => it.next().map(|&(s, p, o)| Triple { s, p, o }),
+            Cursor::Spo(it) => it.next(),
             Cursor::Pos(it) => it.next().map(|&(p, o, s)| Triple { s, p, o }),
             Cursor::Osp(it) => it.next().map(|&(o, s, p)| Triple { s, p, o }),
-            Cursor::All(it) => it.next().map(|&(s, p, o)| Triple { s, p, o }),
             Cursor::Num(it) => it.next().map(|&(p, _, o, s)| Triple { s, p, o }),
         }
     }
@@ -353,18 +421,6 @@ fn value_key(v: f64) -> Option<u64> {
     } else {
         !bits
     })
-}
-
-type TripleRange = (
-    Bound<(TermId, TermId, TermId)>,
-    Bound<(TermId, TermId, TermId)>,
-);
-
-fn range_sp_any(s: TermId, p: TermId) -> TripleRange {
-    (
-        Bound::Included((s, p, TermId(0))),
-        Bound::Included((s, p, TermId(u32::MAX))),
-    )
 }
 
 #[cfg(test)]

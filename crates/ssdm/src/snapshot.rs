@@ -386,10 +386,11 @@ fn graph_to_block(graph: &Graph) -> String {
     ssdm_rdf::ntriples::serialize(graph)
 }
 
-/// Convert `urn:ssdm:array:N` URIs back into `Term::ArrayRef(N)`.
+/// Convert `urn:ssdm:array:N` URIs in object position back into
+/// `Term::ArrayRef(N)`; the same URI as a subject stays a URI.
 fn relink_array_refs(graph: &mut Graph) {
     use ssdm_rdf::Term;
-    let refs: Vec<(ssdm_rdf::TermId, u64)> = graph
+    let mut refs: Vec<(ssdm_rdf::TermId, u64)> = graph
         .iter()
         .filter_map(|t| match graph.term(t.o) {
             Term::Uri(u) => u
@@ -399,17 +400,17 @@ fn relink_array_refs(graph: &mut Graph) {
             _ => None,
         })
         .collect();
-    // Rewrite every triple whose object is such a URI.
-    let mut rewrites = Vec::new();
+    refs.sort_unstable();
+    refs.dedup();
+    // Rewrite every triple whose object is such a URI: one OSP probe
+    // per distinct URI.
     for (uri_id, array_id) in refs {
-        for t in graph.iter().filter(|t| t.o == uri_id).collect::<Vec<_>>() {
-            rewrites.push((t, array_id));
-        }
-    }
-    for (t, array_id) in rewrites {
-        graph.remove_ids(t.s, t.p, t.o);
+        let linked: Vec<_> = graph.match_pattern(None, None, Some(uri_id)).collect();
         let new_o = graph.intern(Term::ArrayRef(array_id));
-        graph.insert_ids(t.s, t.p, new_o);
+        for t in linked {
+            graph.remove_ids(t.s, t.p, t.o);
+            graph.insert_ids(t.s, t.p, new_o);
+        }
     }
 }
 
@@ -497,6 +498,39 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shared_array_refs_relink_and_a_subject_urn_stays_a_uri() {
+        use ssdm_rdf::Term;
+        let path = tmp("shared-ref");
+        let mut db = Ssdm::open(Backend::Memory);
+        db.set_externalize_threshold(2, 16);
+        db.load_turtle("@prefix ex: <http://e#> . ex:r ex:data (7 8 9) .")
+            .unwrap();
+        let id = db.dataset.arrays.catalog().next().unwrap().array_id;
+        let urn = Term::uri(format!("urn:ssdm:array:{id}"));
+        let data = Term::uri("http://e#data");
+        let g = &mut db.dataset.graph;
+        g.insert(Term::uri("http://e#q"), data.clone(), Term::ArrayRef(id));
+        g.insert(urn.clone(), Term::uri("http://e#note"), Term::str("shared"));
+        db.save_snapshot(&path).unwrap();
+
+        let mut back = Ssdm::open(Backend::Memory);
+        back.load_snapshot(&path).unwrap();
+        let g = &back.dataset.graph;
+        let lookup = |t: &Term| g.dictionary().lookup(t).unwrap();
+        let linked: Vec<&Term> = g
+            .match_pattern(None, Some(lookup(&data)), None)
+            .map(|t| g.term(t.o))
+            .collect();
+        assert_eq!(linked, [&Term::ArrayRef(id), &Term::ArrayRef(id)]);
+        let urn_id = lookup(&urn);
+        assert_eq!(g.match_pattern(None, None, Some(urn_id)).count(), 0);
+        let notes: Vec<_> = g.match_pattern(Some(urn_id), None, None).collect();
+        assert_eq!(notes.len(), 1);
+        assert_eq!(g.term(notes[0].o), &Term::str("shared"));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
