@@ -56,7 +56,7 @@ pub struct StatementStats {
 }
 
 /// Construction options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbOptions {
     /// Buffer-pool capacity in pages.
     pub pool_pages: usize,

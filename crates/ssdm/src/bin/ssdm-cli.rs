@@ -18,14 +18,18 @@
 //! `--durable DIR` opens a crash-safe instance: updates are write-ahead
 //! logged under `DIR` and recovered (snapshot + WAL replay) on the next
 //! start; `--fsync` picks the durability/latency trade-off. `--durable`
-//! replaces `--backend`/`--cache`/`--snapshot` (the instance manages
-//! its own chunk store and checkpoints — use `.checkpoint`).
+//! replaces `--backend` (the instance keeps its chunks under `DIR`);
+//! `--cache` still fronts them. It cannot be combined with `--snapshot`
+//! (the instance keeps its own snapshot — use `.checkpoint`), which would
+//! replace the recovered graph without journaling it.
 //!
 //! `--shards N` spreads externalized arrays over N back-ends of the
 //! chosen kind by rendezvous placement; `--replicas K` adds K
 //! WAL-shipping read replicas per shard (failover and breaker counters
-//! show under `.stats`). Not combinable with `--durable`, whose
-//! statement journal manages a single store.
+//! show under `.stats`). Neither combines with `--durable`: placement
+//! depends on the shard count, which a durable directory does not
+//! record, so a restart with another count would look for chunks on the
+//! wrong shards.
 //!
 //! Without `--exec`, reads statements from stdin; a statement ends at a
 //! line containing only `;;` (queries may span lines). Meta-commands:
@@ -33,6 +37,10 @@
 //! `.profile on|off` (print an `EXPLAIN ANALYZE` profile after every
 //! statement), `.help`, `.quit`. `--slow-query-ms N` profiles only
 //! statements taking ≥ N ms.
+//!
+//! Startup exits with status 2 on a usage error or a refused
+//! combination, and with status 1 when the engine cannot be opened (its
+//! back-end cannot be created, or recovery fails).
 //!
 //! `--planner` forces the join-enumeration mode (`dp` is the default:
 //! dynamic-programming enumeration with greedy fallback on large
@@ -42,7 +50,7 @@
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
-use ssdm::{Backend, DurableOptions, FsyncPolicy, Ssdm};
+use ssdm::{OpenOptions, Ssdm};
 
 fn usage() -> ! {
     eprintln!(
@@ -53,170 +61,44 @@ fn usage() -> ! {
          \x20               [--codec raw|delta-bp|rle|auto]\n\
          \x20               [--durable DIR] [--fsync always|interval[:MS]|off]\n\
          \x20               [--slow-query-ms N] [--planner textual|greedy|dp]\n\
-         \x20               [--exec 'STATEMENT']"
+         \x20               [--exec 'STATEMENT']\n\
+         --durable excludes --shards, --replicas and --snapshot"
     );
     std::process::exit(2)
 }
 
 fn main() {
-    let mut backend = Backend::Memory;
+    let mut engine = OpenOptions {
+        workers: Some(1),
+        ..OpenOptions::default()
+    };
     let mut loads: Vec<PathBuf> = Vec::new();
-    let mut threshold: Option<usize> = None;
-    let mut chunk: usize = 64 * 1024;
-    let mut cache_bytes: usize = 0;
-    let mut workers: usize = 1;
     let mut exec: Vec<String> = Vec::new();
     let mut snapshot: Option<PathBuf> = None;
-    let mut durable: Option<PathBuf> = None;
-    let mut fsync = FsyncPolicy::Always;
-    let mut slow_query_ms: Option<u64> = None;
-    let mut shards: usize = 1;
-    let mut replicas: usize = 0;
-    let mut codec: Option<ssdm_storage::CodecPolicy> = None;
-    let mut planner: Option<scisparql::PlannerMode> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--backend" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                backend = match v.as_str() {
-                    "memory" => Backend::Memory,
-                    "relational" => Backend::Relational,
-                    other => match other.strip_prefix("file:") {
-                        Some(dir) => Backend::File(PathBuf::from(dir)),
-                        None => usage(),
-                    },
-                };
-            }
-            "--load" => loads.push(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--threshold" => {
-                threshold = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--chunk" => {
-                chunk = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--cache" => {
-                cache_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--exec" => exec.push(args.next().unwrap_or_else(|| usage())),
-            "--snapshot" => snapshot = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--durable" => durable = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--fsync" => {
-                fsync = args
-                    .next()
-                    .as_deref()
-                    .and_then(FsyncPolicy::parse)
-                    .unwrap_or_else(|| usage())
-            }
-            "--slow-query-ms" => {
-                slow_query_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--replicas" => {
-                replicas = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--codec" => {
-                codec = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(ssdm_storage::CodecPolicy::parse)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--planner" => {
-                planner = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(scisparql::PlannerMode::parse)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--load" => loads.push(value().into()),
+            "--exec" => exec.push(value()),
+            "--snapshot" => snapshot = Some(value().into()),
+            "--workers" => engine.workers = Some(value().parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
+            flag => {
+                if let Err(e) = engine.parse_flag(flag, &mut args) {
+                    eprintln!("{e}");
+                    usage()
+                }
             }
         }
     }
 
-    if durable.is_some() && (shards > 1 || replicas > 0) {
-        eprintln!("--shards/--replicas cannot be combined with --durable");
+    if engine.durable.is_some() && snapshot.is_some() {
+        eprintln!("--snapshot cannot be combined with --durable, whose directory keeps its own");
         std::process::exit(2);
     }
-    let mut db = match &durable {
-        Some(dir) => {
-            let options = DurableOptions {
-                fsync,
-                cache_bytes,
-                ..DurableOptions::default()
-            };
-            match Ssdm::open_durable_with(dir, options) {
-                Ok(db) => {
-                    let stats = db.durability_stats().expect("durable instance");
-                    eprintln!(
-                        "durable dir {} recovered: {} wal records replayed in {:.1} ms{}",
-                        dir.display(),
-                        stats.replayed_records,
-                        stats.replay_ms,
-                        if stats.torn_tail_truncations > 0 {
-                            " (torn tail truncated)"
-                        } else {
-                            ""
-                        },
-                    );
-                    db
-                }
-                Err(e) => {
-                    eprintln!("cannot open durable dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        None if shards > 1 || replicas > 0 => {
-            Ssdm::open_sharded(backend, shards, replicas, cache_bytes)
-        }
-        None => Ssdm::open_with_cache(backend, cache_bytes),
-    };
-    db.set_parallel_workers(workers);
-    db.set_slow_query_ms(slow_query_ms);
-    if let Some(c) = codec {
-        db.set_codec(c);
-    }
-    if let Some(m) = planner {
-        db.dataset.planner.mode = m;
-    }
-    if let Some(t) = threshold {
-        db.set_externalize_threshold(t, chunk);
-    }
+    let mut db = engine.open_or_exit("the engine");
     if let Some(snap) = &snapshot {
         if snap.exists() {
             match db.load_snapshot(snap) {

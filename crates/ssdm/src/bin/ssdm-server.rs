@@ -21,13 +21,16 @@
 //! `--durable DIR` serves a crash-safe instance: committed updates are
 //! write-ahead logged under `DIR` and recovered on the next start;
 //! clients trigger checkpoints with the `CHECKPOINT` wire statement.
-//! `--durable` replaces `--backend`/`--cache` (the durable instance
-//! manages its own chunk store).
+//! `--durable` replaces `--backend` (the instance keeps its chunks under
+//! `DIR`); `--cache` still fronts them.
 //!
 //! `--shards N` spreads externalized arrays over N back-ends of the
 //! chosen kind; `--replicas K` adds K WAL-shipping read replicas per
 //! shard, with automatic failover (counters under `STATS` and the
-//! Prometheus dump). Not combinable with `--durable`.
+//! Prometheus dump). Neither combines with `--durable`: placement
+//! depends on the shard count, which a durable directory does not
+//! record, so a restart with another count would look for chunks on the
+//! wrong shards.
 //!
 //! Send the statement `SHUTDOWN` to stop the server, `STATS` for
 //! back-end/cache/resilience/durability statistics, `METRICS` for the
@@ -56,11 +59,16 @@
 //! framed clients switch with the `USE <name>` statement. The flags
 //! above configure only the default tenant, which keeps serving at the
 //! bare paths.
+//!
+//! Startup exits with status 2 on a usage error or a refused
+//! combination, and with status 1 when an engine — the default one or a
+//! tenant's — cannot be opened (its back-end cannot be created, or
+//! recovery fails).
 
 use std::path::PathBuf;
 
 use ssdm::server::{Server, ServerConfig};
-use ssdm::{Backend, DurableOptions, FsyncPolicy, Ssdm};
+use ssdm::OpenOptions;
 
 fn usage() -> ! {
     eprintln!(
@@ -72,7 +80,8 @@ fn usage() -> ! {
          \x20                  [--durable DIR] [--fsync always|interval[:MS]|off]\n\
          \x20                  [--http ADDR:PORT] [--metrics ADDR:PORT]\n\
          \x20                  [--tenants NAME[:key=value]...[,NAME...]]\n\
-         \x20                  [--slow-query-ms N] [--planner textual|greedy|dp]"
+         \x20                  [--slow-query-ms N] [--planner textual|greedy|dp]\n\
+         --durable excludes --shards and --replicas"
     );
     std::process::exit(2)
 }
@@ -94,21 +103,13 @@ fn at_least_one(v: &str) -> Option<usize> {
 
 fn main() {
     let mut listen = "127.0.0.1:8580".to_string();
-    let mut backend = Backend::Memory;
+    let mut engine = OpenOptions {
+        workers: Some(1),
+        ..OpenOptions::default()
+    };
     let mut loads: Vec<PathBuf> = Vec::new();
-    let mut threshold: Option<usize> = None;
-    let mut chunk: usize = 64 * 1024;
     let mut config = ServerConfig::default();
-    let mut cache_bytes: usize = 0;
-    let mut apr_workers: usize = 1;
-    let mut durable: Option<PathBuf> = None;
-    let mut fsync = FsyncPolicy::Always;
     let mut http: Vec<String> = Vec::new();
-    let mut slow_query_ms: Option<u64> = None;
-    let mut planner: Option<scisparql::PlannerMode> = None;
-    let mut shards: usize = 1;
-    let mut replicas: usize = 0;
-    let mut codec: Option<ssdm_storage::CodecPolicy> = None;
     let mut tenants: Vec<ssdm::tenant::TenantSpec> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -116,20 +117,8 @@ fn main() {
         match arg.as_str() {
             "--listen" => listen = value(&mut args, text),
             "--workers" => config.workers = value(&mut args, at_least_one),
-            "--apr-workers" => apr_workers = value(&mut args, at_least_one),
-            "--cache" => cache_bytes = value(&mut args, |v| v.parse().ok()),
-            "--backend" => {
-                backend = value(&mut args, |v| match v {
-                    "memory" => Some(Backend::Memory),
-                    "relational" => Some(Backend::Relational),
-                    other => Some(Backend::File(other.strip_prefix("file:")?.into())),
-                })
-            }
+            "--apr-workers" => engine.workers = Some(value(&mut args, at_least_one)),
             "--load" => loads.push(value(&mut args, text).into()),
-            "--threshold" => threshold = Some(value(&mut args, |v| v.parse().ok())),
-            "--chunk" => chunk = value(&mut args, |v| v.parse().ok()),
-            "--durable" => durable = Some(value(&mut args, text).into()),
-            "--fsync" => fsync = value(&mut args, FsyncPolicy::parse),
             "--http" | "--metrics" => http.push(value(&mut args, text)),
             "--tenants" => {
                 let specs = value(&mut args, text);
@@ -143,23 +132,16 @@ fn main() {
                     }
                 }
             }
-            "--shards" => shards = value(&mut args, |v| v.parse().ok()),
-            "--replicas" => replicas = value(&mut args, |v| v.parse().ok()),
-            "--slow-query-ms" => slow_query_ms = Some(value(&mut args, |v| v.parse().ok())),
-            "--codec" => codec = Some(value(&mut args, ssdm_storage::CodecPolicy::parse)),
-            "--planner" => planner = Some(value(&mut args, scisparql::PlannerMode::parse)),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
+            flag => {
+                if let Err(e) = engine.parse_flag(flag, &mut args) {
+                    eprintln!("{e}");
+                    usage()
+                }
             }
         }
     }
 
-    if durable.is_some() && (shards > 1 || replicas > 0) {
-        eprintln!("--shards/--replicas cannot be combined with --durable");
-        std::process::exit(2);
-    }
     // Block SIGTERM/SIGINT and obtain the signal fd *before* anything
     // spawns a thread, so every later thread inherits the mask and the
     // event loop is the one place the signals surface (as a graceful
@@ -168,45 +150,7 @@ fn main() {
         Ok(fd) => config.signal_fd = Some(fd),
         Err(e) => eprintln!("signal-driven drain unavailable ({e})"),
     }
-    let mut db = match &durable {
-        Some(dir) => {
-            let options = DurableOptions {
-                fsync,
-                cache_bytes,
-                ..DurableOptions::default()
-            };
-            match Ssdm::open_durable_with(dir, options) {
-                Ok(db) => {
-                    let stats = db.durability_stats().expect("durable instance");
-                    eprintln!(
-                        "durable dir {} recovered: {} wal records replayed in {:.1} ms",
-                        dir.display(),
-                        stats.replayed_records,
-                        stats.replay_ms,
-                    );
-                    db
-                }
-                Err(e) => {
-                    eprintln!("cannot open durable dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        None if shards > 1 || replicas > 0 => {
-            Ssdm::open_sharded(backend, shards, replicas, cache_bytes)
-        }
-        None => Ssdm::open_with_cache(backend, cache_bytes),
-    };
-    db.set_parallel_workers(apr_workers);
-    if let Some(c) = codec {
-        db.set_codec(c);
-    }
-    if let Some(m) = planner {
-        db.dataset.planner.mode = m;
-    }
-    if let Some(t) = threshold {
-        db.set_externalize_threshold(t, chunk);
-    }
+    let mut db = engine.open_or_exit("the default tenant");
     for path in &loads {
         match db.load_turtle_file(path) {
             Ok(n) => eprintln!("loaded {n} triples from {}", path.display()),
@@ -216,7 +160,6 @@ fn main() {
             }
         }
     }
-    db.set_slow_query_ms(slow_query_ms);
     let mut server = match Server::bind_with(&listen, db, config) {
         Ok(s) => s,
         Err(e) => {
@@ -225,18 +168,12 @@ fn main() {
         }
     };
     for spec in &tenants {
-        let tenant_db = match spec.open() {
-            Ok(db) => db,
-            Err(e) => {
-                eprintln!("cannot open tenant {}: {e}", spec.name);
-                std::process::exit(1);
-            }
-        };
+        let tenant_db = spec.options.open_or_exit(&format!("tenant {}", spec.name));
         if let Err(e) = server.add_tenant(&spec.name, tenant_db, spec.quotas) {
             eprintln!("cannot add tenant {}: {e}", spec.name);
             std::process::exit(1);
         }
-        eprintln!("tenant {} ready ({:?})", spec.name, spec.backend);
+        eprintln!("tenant {} ready", spec.name);
     }
     for addr in &http {
         match server.enable_http(addr) {

@@ -43,42 +43,21 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use scisparql::journal::{JournalEntry, UpdateJournal};
-use scisparql::{Dataset, QueryError};
-use ssdm_storage::wal::DEFAULT_SEGMENT_BYTES;
+use scisparql::QueryError;
 use ssdm_storage::{
-    CachedChunkStore, ChunkStore, CrashPlan, FileChunkStore, FsyncPolicy, WalOptions, WalRecord,
+    ChunkStore, CrashPlan, FileChunkStore, FsyncPolicy, StorageError, WalOptions, WalRecord,
     WalStats, WalWriter,
 };
 
-use crate::Ssdm;
+use crate::{OpenError, OpenOptions, Ssdm};
 
 const SNAPSHOT_FILE: &str = "snapshot.ssdm";
 const WAL_DIR: &str = "wal";
 const CHUNKS_DIR: &str = "chunks";
 
-/// Configuration for [`Ssdm::open_durable_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct DurableOptions {
-    /// When WAL appends (and chunk writes) reach durable media.
-    pub fsync: FsyncPolicy,
-    /// WAL segment rotation threshold.
-    pub segment_bytes: u64,
-    /// LRU chunk cache over the file back-end; 0 disables.
-    pub cache_bytes: usize,
-    /// Deterministic crash injection for recovery testing.
-    pub crash_plan: Option<CrashPlan>,
-}
-
-impl Default for DurableOptions {
-    fn default() -> Self {
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            cache_bytes: 0,
-            crash_plan: None,
-        }
-    }
-}
+/// The options [`Ssdm::open_durable_with`] takes: an [`OpenOptions`]
+/// whose durable directory is the one passed alongside.
+pub type DurableOptions = OpenOptions;
 
 /// Counters the durability subsystem surfaces through
 /// [`Ssdm::stats_report`].
@@ -141,11 +120,19 @@ impl UpdateJournal for WalJournal {
     }
 }
 
+/// The chunk store of the durable instance in `dir`; under
+/// `fsync always` its writes reach media before they are acknowledged.
+pub(crate) fn chunk_store(dir: &Path, fsync: FsyncPolicy) -> Result<FileChunkStore, StorageError> {
+    let mut chunks = FileChunkStore::new(dir.join(CHUNKS_DIR))?;
+    chunks.set_sync_writes(fsync == FsyncPolicy::Always);
+    Ok(chunks)
+}
+
 impl Ssdm {
     /// Open (or recover) a durable instance in `dir` with the default
     /// options (`fsync always`, no cache). See the module docs for the
     /// directory layout and recovery protocol.
-    pub fn open_durable(dir: impl AsRef<Path>) -> Result<Ssdm, QueryError> {
+    pub fn open_durable(dir: impl AsRef<Path>) -> Result<Ssdm, OpenError> {
         Ssdm::open_durable_with(dir, DurableOptions::default())
     }
 
@@ -153,22 +140,24 @@ impl Ssdm {
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         options: DurableOptions,
-    ) -> Result<Ssdm, QueryError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| QueryError::Eval(format!("cannot create durable dir: {e}")))?;
-        let mut chunks = FileChunkStore::new(dir.join(CHUNKS_DIR)).map_err(QueryError::Storage)?;
-        chunks.set_sync_writes(options.fsync == FsyncPolicy::Always);
-        let backend: scisparql::dataset::DynChunkStore = if options.cache_bytes > 0 {
-            Box::new(CachedChunkStore::new(chunks, options.cache_bytes))
-        } else {
-            Box::new(chunks)
-        };
-        let mut db = Ssdm::from_dataset(Dataset::with_backend(backend));
+    ) -> Result<Ssdm, OpenError> {
+        let durable = Some(dir.as_ref().to_path_buf());
+        OpenOptions { durable, ..options }.open()
+    }
 
+    /// Recover the durable instance in `dir` into this freshly built
+    /// one, whose store is [`chunk_store`]: load the snapshot if
+    /// present, replay the WAL from the snapshot's LSN with no journal
+    /// attached, then install the WAL writer as the journal.
+    pub(crate) fn recover(
+        &mut self,
+        dir: &Path,
+        fsync: FsyncPolicy,
+        crash: Option<CrashPlan>,
+    ) -> Result<(), QueryError> {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let snapshot_lsn = if snapshot_path.exists() {
-            db.load_snapshot_contents(&snapshot_path)?
+            self.load_snapshot_contents(&snapshot_path)?
         } else {
             0
         };
@@ -177,12 +166,11 @@ impl Ssdm {
         let (mut writer, recovery) = WalWriter::open(
             &dir.join(WAL_DIR),
             WalOptions {
-                policy: options.fsync,
-                segment_bytes: options.segment_bytes,
-                crash: options.crash_plan,
+                policy: fsync,
+                crash,
+                ..WalOptions::default()
             },
-        )
-        .map_err(QueryError::Storage)?;
+        )?;
         writer.ensure_lsn_at_least(snapshot_lsn);
 
         // Replay with no journal attached: recovery must not re-log.
@@ -193,13 +181,13 @@ impl Ssdm {
             }
             match record {
                 WalRecord::Statement(text) => {
-                    db.dataset.query(text)?;
+                    self.dataset.query(text)?;
                 }
                 WalRecord::TurtleDefault(text) => {
-                    db.dataset.load_turtle(text)?;
+                    self.dataset.load_turtle(text)?;
                 }
                 WalRecord::TurtleNamed { graph, text } => {
-                    db.dataset.load_turtle_named(graph, text)?;
+                    self.dataset.load_turtle_named(graph, text)?;
                 }
                 WalRecord::Checkpoint { .. } => {}
                 // Chunk-level records belong to shard-replication WALs
@@ -214,11 +202,11 @@ impl Ssdm {
         let replay_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let writer = Arc::new(Mutex::new(writer));
-        db.dataset.journal = Some(Box::new(WalJournal {
+        self.dataset.journal = Some(Box::new(WalJournal {
             writer: Arc::clone(&writer),
         }));
-        db.durable = Some(DurableState {
-            dir,
+        self.durable = Some(DurableState {
+            dir: dir.to_path_buf(),
             writer,
             replays: 1,
             replayed_records,
@@ -226,7 +214,7 @@ impl Ssdm {
             torn_tail_truncations: u64::from(recovery.truncated_tail),
             last_checkpoint_ms: 0.0,
         });
-        Ok(db)
+        Ok(())
     }
 
     /// Whether this instance was opened with [`Ssdm::open_durable`].

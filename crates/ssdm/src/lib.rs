@@ -16,16 +16,29 @@
 //!
 //! # Choosing a back-end
 //!
-//! ```
-//! use ssdm::{Backend, Ssdm};
+//! Every engine is built by [`OpenOptions::open`]: a back-end kind, an
+//! optional chunk cache, shards and replicas or a durable directory, and
+//! the settings applied right after opening.
 //!
-//! let mut db = Ssdm::open(Backend::Memory);
+//! ```
+//! use ssdm::{Backend, OpenOptions};
+//!
+//! let mut db = OpenOptions {
+//!     backend: Backend::Relational,
+//!     cache_bytes: 1 << 20,
+//!     ..OpenOptions::default()
+//! }
+//! .open()
+//! .unwrap();
 //! db.load_turtle("@prefix ex: <http://example.org/> . ex:a ex:v (1 2 3) .").unwrap();
 //! let rows = db.query("PREFIX ex: <http://example.org/> \
 //!                      SELECT (array_sum(?v) AS ?s) WHERE { ex:a ex:v ?v }").unwrap()
 //!     .into_rows().unwrap();
 //! assert_eq!(rows[0][0].as_ref().unwrap().to_string(), "6");
 //! ```
+//!
+//! [`Ssdm::open`], [`Ssdm::open_with_cache`] and [`Ssdm::open_durable`]
+//! are shorthands for the common option sets.
 
 pub mod bistab;
 pub mod datacube;
@@ -38,18 +51,20 @@ pub mod tabular;
 pub mod tenant;
 pub mod workflow;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use scisparql::{Dataset, QueryError, QueryResult};
+use scisparql::dataset::{DynChunkStore, DEFAULT_CHUNK_BYTES};
+use scisparql::{Dataset, PlannerMode, QueryError, QueryResult};
 use ssdm_storage::{
-    CachedChunkStore, ChunkStore, FileChunkStore, MemoryChunkStore, RelChunkStore,
-    ShardedChunkStore, SharedChunkStore,
+    CachedChunkStore, ChunkStore, CodecPolicy, FileChunkStore, MemoryChunkStore, RelChunkStore,
+    ShardedChunkStore, StorageError,
 };
 
 pub use durability::{DurabilityStats, DurableOptions};
 pub use ssdm_storage::{CrashPlan, FsyncPolicy, ShardOptions, ShardStats};
 
 /// Storage back-end selection for externalized arrays.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Backend {
     /// In-process chunk map (the resident baseline).
     Memory,
@@ -59,6 +74,248 @@ pub enum Backend {
     Relational,
     /// The embedded relational substrate, file-backed, with options.
     RelationalFile(PathBuf, relstore::DbOptions),
+}
+
+impl Backend {
+    /// One store of this kind. `shard` gives shard `i` of a persistent
+    /// kind a location of its own (`dir/shard-i`, `path.shard<i>`).
+    fn store(&self, shard: Option<usize>) -> Result<DynChunkStore, StorageError> {
+        Ok(match self {
+            Backend::Memory => Box::new(MemoryChunkStore::new()),
+            Backend::Relational => Box::new(RelChunkStore::open_memory()?),
+            Backend::File(dir) => {
+                let dir = shard.map_or_else(|| dir.clone(), |i| dir.join(format!("shard-{i}")));
+                Box::new(FileChunkStore::new(dir)?)
+            }
+            Backend::RelationalFile(path, options) => {
+                let path =
+                    shard.map_or_else(|| path.clone(), |i| beside(path, &format!("shard{i}")));
+                Box::new(RelChunkStore::create_file(&path, options.clone())?)
+            }
+        })
+    }
+}
+
+/// `path` with `.suffix` appended to its file name.
+fn beside(path: &Path, suffix: &str) -> PathBuf {
+    PathBuf::from(format!("{}.{suffix}", path.display()))
+}
+
+/// How to build and configure an engine. [`OpenOptions::open`] is the
+/// one place an engine is made: a store of the chosen kind, spread over
+/// shards when asked, behind the chunk cache when it has a budget. A
+/// durable directory is orthogonal to the cache: it replaces the
+/// back-end by its own file store and adds the write-ahead log
+/// ([`durability`]). The defaults are an in-memory engine with every
+/// setting left as [`Dataset`] chooses it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpenOptions {
+    /// Where externalized arrays live; unused when `durable` is set.
+    pub backend: Backend,
+    /// Shared LRU chunk cache in front of the whole store
+    /// ([`CachedChunkStore`]); 0 disables it.
+    pub cache_bytes: usize,
+    /// Back-ends of the chosen kind the arrays are spread over by
+    /// rendezvous placement on `(array_id, chunk_id)`
+    /// ([`ShardedChunkStore`]); results are identical for every count.
+    pub shards: usize,
+    /// WAL-shipping read replicas per shard.
+    pub replicas: usize,
+    /// Open, or recover, a crash-safe engine in this directory.
+    pub durable: Option<PathBuf>,
+    /// When a durable engine's WAL appends and chunk writes reach media.
+    pub fsync: FsyncPolicy,
+    /// Deterministic WAL crash injection, for recovery tests.
+    pub crash_plan: Option<CrashPlan>,
+    /// Workers for proxy resolution and the compute kernels
+    /// ([`Ssdm::set_parallel_workers`]); `None` keeps the defaults.
+    pub workers: Option<usize>,
+    /// Chunk codec for arrays stored from now on; `None` keeps the
+    /// `SSDM_CODEC` default.
+    pub codec: Option<CodecPolicy>,
+    /// Join-enumeration mode; `None` keeps the `SSDM_PLANNER` default.
+    pub planner: Option<PlannerMode>,
+    /// Arrays with more elements than this are stored in the back-end
+    /// ([`Ssdm::set_externalize_threshold`]).
+    pub externalize_threshold: usize,
+    /// Chunk size of externalized arrays (0 tunes it per array).
+    pub chunk_bytes: usize,
+    /// Statements taking at least this many milliseconds run profiled
+    /// and log their `EXPLAIN ANALYZE` profile to stderr.
+    pub slow_query_ms: Option<u64>,
+}
+
+impl Default for OpenOptions {
+    fn default() -> Self {
+        OpenOptions {
+            backend: Backend::Memory,
+            cache_bytes: 0,
+            shards: 1,
+            replicas: 0,
+            durable: None,
+            fsync: FsyncPolicy::Always,
+            crash_plan: None,
+            workers: None,
+            codec: None,
+            planner: None,
+            externalize_threshold: usize::MAX,
+            chunk_bytes: DEFAULT_CHUNK_BYTES,
+            slow_query_ms: None,
+        }
+    }
+}
+
+/// Why [`OpenOptions::open`] built no engine.
+#[derive(Debug)]
+pub enum OpenError {
+    /// `durable` with more than one shard or with replicas. Rendezvous
+    /// placement moves about 1/(N+1) of the chunks when a shard is
+    /// added, and a durable directory does not record the shard count,
+    /// so a restart with another count would read chunks from shards
+    /// that never stored them.
+    DurableSharded,
+    /// A back-end could not be created, or recovery failed.
+    Engine(QueryError),
+}
+
+impl std::fmt::Display for OpenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpenError::DurableSharded => f.write_str(
+                "shards and replicas cannot be combined with a durable directory, \
+                 which does not record the shard count its chunks were placed by",
+            ),
+            OpenError::Engine(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for OpenError {}
+
+impl From<StorageError> for OpenError {
+    fn from(e: StorageError) -> Self {
+        OpenError::Engine(e.into())
+    }
+}
+
+impl OpenOptions {
+    /// Build the engine: raw store → sharded cluster → chunk cache, or a
+    /// durable directory's file store recovered from its snapshot and
+    /// WAL; then apply the settings.
+    pub fn open(&self) -> Result<Ssdm, OpenError> {
+        let sharded = self.shards > 1 || self.replicas > 0;
+        let store: DynChunkStore = match &self.durable {
+            Some(_) if sharded => return Err(OpenError::DurableSharded),
+            Some(dir) => Box::new(durability::chunk_store(dir, self.fsync)?),
+            None if sharded => {
+                let primaries = (0..self.shards.max(1))
+                    .map(|i| self.backend.store(Some(i)))
+                    .collect::<Result<_, _>>()?;
+                let opts = ShardOptions {
+                    replicas: self.replicas,
+                    ..ShardOptions::default()
+                };
+                // A persistent kind keeps the replication state (WALs,
+                // replica segment copies) next to its data.
+                Box::new(match &self.backend {
+                    Backend::File(dir) => {
+                        ShardedChunkStore::with_root(primaries, dir.join("replication"), opts)
+                    }
+                    Backend::RelationalFile(path, _) => {
+                        ShardedChunkStore::with_root(primaries, beside(path, "replication"), opts)
+                    }
+                    Backend::Memory | Backend::Relational => {
+                        ShardedChunkStore::new(primaries, opts)
+                    }
+                }?)
+            }
+            None => self.backend.store(None)?,
+        };
+        let store: DynChunkStore = match self.cache_bytes {
+            0 => store,
+            bytes => Box::new(CachedChunkStore::new(store, bytes)),
+        };
+        let mut db = Ssdm::from_dataset(Dataset::with_backend(store));
+        if let Some(dir) = &self.durable {
+            db.recover(dir, self.fsync, self.crash_plan)
+                .map_err(OpenError::Engine)?;
+        }
+        if let Some(workers) = self.workers {
+            db.set_parallel_workers(workers);
+        }
+        if let Some(codec) = self.codec {
+            db.set_codec(codec);
+        }
+        if let Some(mode) = self.planner {
+            db.dataset.planner.mode = mode;
+        }
+        db.set_externalize_threshold(self.externalize_threshold, self.chunk_bytes);
+        db.slow_query_ms = self.slow_query_ms;
+        Ok(db)
+    }
+
+    /// [`OpenOptions::open`] for the command-line binaries: report on
+    /// stderr what recovery replayed, or why `what` did not open, and
+    /// then exit with status 2 for a refused composition, 1 otherwise.
+    pub fn open_or_exit(&self, what: &str) -> Ssdm {
+        let db = self.open().unwrap_or_else(|e| {
+            eprintln!("cannot open {what}: {e}");
+            let refused = matches!(e, OpenError::DurableSharded);
+            std::process::exit(if refused { 2 } else { 1 })
+        });
+        if let (Some(dir), Some(stats)) = (&self.durable, db.durability_stats()) {
+            eprintln!(
+                "durable dir {} recovered: {} wal records replayed in {:.1} ms{}",
+                dir.display(),
+                stats.replayed_records,
+                stats.replay_ms,
+                match stats.torn_tail_truncations {
+                    0 => "",
+                    _ => " (torn tail truncated)",
+                },
+            );
+        }
+        db
+    }
+
+    /// Read one engine flag that `ssdm-cli` and `ssdm-server` share,
+    /// taking its value from `args`. `Err` names an unknown flag, or a
+    /// value that is missing or unreadable.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<(), String> {
+        fn value<T>(
+            flag: &str,
+            args: &mut impl Iterator<Item = String>,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Result<T, String> {
+            let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            parse(&v).ok_or_else(|| format!("bad {flag} value {v:?}"))
+        }
+        match flag {
+            "--backend" => {
+                self.backend = value(flag, args, |v| match v {
+                    "memory" => Some(Backend::Memory),
+                    "relational" => Some(Backend::Relational),
+                    v => Some(Backend::File(v.strip_prefix("file:")?.into())),
+                })?
+            }
+            "--cache" => self.cache_bytes = value(flag, args, |v| v.parse().ok())?,
+            "--shards" => self.shards = value(flag, args, |v| v.parse().ok())?,
+            "--replicas" => self.replicas = value(flag, args, |v| v.parse().ok())?,
+            "--durable" => self.durable = Some(value(flag, args, |v| Some(v.into()))?),
+            "--fsync" => self.fsync = value(flag, args, FsyncPolicy::parse)?,
+            "--threshold" => self.externalize_threshold = value(flag, args, |v| v.parse().ok())?,
+            "--chunk" => self.chunk_bytes = value(flag, args, |v| v.parse().ok())?,
+            "--codec" => self.codec = Some(value(flag, args, CodecPolicy::parse)?),
+            "--planner" => self.planner = Some(value(flag, args, PlannerMode::parse)?),
+            "--slow-query-ms" => self.slow_query_ms = Some(value(flag, args, |v| v.parse().ok())?),
+            _ => return Err(format!("unknown argument: {flag}")),
+        }
+        Ok(())
+    }
 }
 
 /// An SSDM instance.
@@ -106,51 +363,21 @@ impl Ssdm {
 
     /// Open an instance over the chosen back-end.
     pub fn open(backend: Backend) -> Self {
-        Ssdm::from_dataset(Dataset::with_backend(raw_store(backend)))
+        Self::open_with_cache(backend, 0)
     }
 
     /// Open an instance whose back-end is wrapped in a shared LRU chunk
     /// cache of `cache_bytes` ([`CachedChunkStore`]), so repeated array
     /// accesses skip back-end round trips. `cache_bytes == 0` disables
-    /// caching (equivalent to [`Ssdm::open`]).
+    /// caching. Panics when the back-end cannot be created; use
+    /// [`OpenOptions::open`] to get the error instead.
     pub fn open_with_cache(backend: Backend, cache_bytes: usize) -> Self {
-        if cache_bytes == 0 {
-            return Self::open(backend);
-        }
-        let cached: scisparql::dataset::DynChunkStore =
-            Box::new(CachedChunkStore::new(raw_store(backend), cache_bytes));
-        Ssdm::from_dataset(Dataset::with_backend(cached))
-    }
-
-    /// Open an instance whose arrays are spread across `shards`
-    /// independent back-ends of the chosen kind by rendezvous placement
-    /// on `(array_id, chunk_id)`, each shard optionally carrying
-    /// `replicas` WAL-shipping read replicas ([`ShardedChunkStore`]).
-    /// `cache_bytes > 0` fronts the whole cluster with the shared LRU
-    /// chunk cache, exactly as [`Ssdm::open_with_cache`] does for a
-    /// single back-end. `shards <= 1` with no replicas degenerates to
-    /// the unsharded open (results are bit-identical either way).
-    pub fn open_sharded(
-        backend: Backend,
-        shards: usize,
-        replicas: usize,
-        cache_bytes: usize,
-    ) -> Self {
-        let shards = shards.max(1);
-        if shards == 1 && replicas == 0 {
-            return Self::open_with_cache(backend, cache_bytes);
-        }
-        let opts = ShardOptions {
-            replicas,
-            ..ShardOptions::default()
+        let options = OpenOptions {
+            backend,
+            cache_bytes,
+            ..OpenOptions::default()
         };
-        let store = sharded_store(backend, shards, opts);
-        let boxed: scisparql::dataset::DynChunkStore = if cache_bytes == 0 {
-            Box::new(store)
-        } else {
-            Box::new(CachedChunkStore::new(store, cache_bytes))
-        };
-        Ssdm::from_dataset(Dataset::with_backend(boxed))
+        options.open().expect("cannot create the back-end")
     }
 
     /// Every counter the instance exposes, as one structured
@@ -396,13 +623,6 @@ impl Ssdm {
         out
     }
 
-    /// Enable (`Some(ms)`) or disable (`None`) the slow-query log:
-    /// statements at or above the threshold run profiled and print
-    /// their `EXPLAIN ANALYZE` profile to stderr.
-    pub fn set_slow_query_ms(&mut self, ms: Option<u64>) {
-        self.slow_query_ms = ms;
-    }
-
     /// Parse and execute one SciSPARQL statement.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, QueryError> {
         let Some(threshold) = self.slow_query_ms else {
@@ -448,7 +668,7 @@ impl Ssdm {
     /// (already-stored arrays keep the frames they were written with;
     /// every policy decodes every frame). The default comes from the
     /// `SSDM_CODEC` environment variable, falling back to `auto`.
-    pub fn set_codec(&mut self, codec: ssdm_storage::CodecPolicy) {
+    pub fn set_codec(&mut self, codec: CodecPolicy) {
         self.dataset.arrays.set_codec(codec);
     }
 
@@ -468,77 +688,6 @@ impl Ssdm {
         self.dataset.parallel = ssdm_storage::ParallelConfig::with_workers(workers);
         ssdm_array::pool::set_compute_workers(workers);
     }
-}
-
-fn raw_store(backend: Backend) -> scisparql::dataset::DynChunkStore {
-    match backend {
-        Backend::Memory => Box::new(MemoryChunkStore::new()),
-        Backend::File(dir) => {
-            Box::new(FileChunkStore::new(dir).expect("cannot create array directory"))
-        }
-        Backend::Relational => Box::new(RelChunkStore::open_memory().expect("in-memory store")),
-        Backend::RelationalFile(path, options) => Box::new(
-            RelChunkStore::create_file(&path, options).expect("cannot create database file"),
-        ),
-    }
-}
-
-/// Build the sharded cluster for [`Ssdm::open_sharded`]: one primary of
-/// the chosen kind per shard. Persistent kinds split their on-disk
-/// location per shard (`dir/shard-N`, `path.shardN`) and keep the
-/// replication state (WALs, replica segment copies) next to the data;
-/// volatile kinds use a private temp root removed on drop.
-fn sharded_store(backend: Backend, shards: usize, opts: ShardOptions) -> ShardedChunkStore {
-    let boxed = |s: Vec<_>| -> Vec<Box<dyn SharedChunkStore>> { s };
-    match backend {
-        Backend::Memory => ShardedChunkStore::new(
-            (0..shards)
-                .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
-                .collect(),
-            opts,
-        ),
-        Backend::Relational => ShardedChunkStore::new(
-            (0..shards)
-                .map(|_| {
-                    Box::new(RelChunkStore::open_memory().expect("in-memory store"))
-                        as Box<dyn SharedChunkStore>
-                })
-                .collect(),
-            opts,
-        ),
-        Backend::File(dir) => ShardedChunkStore::with_root(
-            boxed(
-                (0..shards)
-                    .map(|i| {
-                        Box::new(
-                            FileChunkStore::new(dir.join(format!("shard-{i}")))
-                                .expect("cannot create array directory"),
-                        ) as Box<dyn SharedChunkStore>
-                    })
-                    .collect(),
-            ),
-            dir.join("replication"),
-            opts,
-        ),
-        Backend::RelationalFile(path, options) => {
-            let shard_path = |i: usize| PathBuf::from(format!("{}.shard{i}", path.display()));
-            ShardedChunkStore::with_root(
-                boxed(
-                    (0..shards)
-                        .map(|i| {
-                            Box::new(
-                                RelChunkStore::create_file(&shard_path(i), options.clone())
-                                    .expect("cannot create database file"),
-                            ) as Box<dyn SharedChunkStore>
-                        })
-                        .collect(),
-                ),
-                PathBuf::from(format!("{}.replication", path.display())),
-                opts,
-            )
-        }
-    }
-    .expect("cannot initialize sharded store")
 }
 
 /// Intern a dynamically built per-shard counter name so it satisfies

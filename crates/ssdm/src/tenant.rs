@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use ssdm_obs::{Report, Scope};
 
-use crate::{Backend, DurableOptions, Ssdm};
+use crate::{Backend, OpenOptions, Ssdm};
 
 /// The tenant requests without an explicit tenant route resolve to.
 pub const DEFAULT_TENANT: &str = "default";
@@ -672,24 +672,12 @@ impl TenantRegistry {
 // Tenant spec (CLI / config surface)
 // ---------------------------------------------------------------------------
 
-/// How a tenant's engine is opened.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TenantBackend {
-    Memory,
-    Relational,
-    File(PathBuf),
-    /// WAL + snapshot durability rooted at the directory
-    /// (per-tenant snapshot/recovery wiring).
-    Durable(PathBuf),
-}
-
-/// A parsed `--tenants` entry: backend root, cache budget, and quotas
-/// for one named tenant.
+/// A parsed `--tenants` entry: how to open one named tenant's engine,
+/// and its quotas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     pub name: String,
-    pub backend: TenantBackend,
-    pub cache_bytes: usize,
+    pub options: OpenOptions,
     pub quotas: TenantQuotas,
 }
 
@@ -708,6 +696,12 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
         .map_err(|_| format!("bad byte size {s:?} (use N, Nk, Nm, or Ng)"))
 }
 
+fn number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {key} value {value:?}"))
+}
+
 impl TenantSpec {
     /// Parse `name[:key=value]...` where keys are `mem`, `rel`,
     /// `file=DIR`, `durable=DIR`, `cache=BYTES`, `conc=N`, `queue=N`,
@@ -723,8 +717,7 @@ impl TenantSpec {
         }
         let mut spec = TenantSpec {
             name,
-            backend: TenantBackend::Memory,
-            cache_bytes: 0,
+            options: OpenOptions::default(),
             quotas: TenantQuotas::default(),
         };
         let mut rate: Option<f64> = None;
@@ -735,35 +728,21 @@ impl TenantSpec {
                 None => (part.trim(), ""),
             };
             match key {
-                "mem" => spec.backend = TenantBackend::Memory,
-                "rel" => spec.backend = TenantBackend::Relational,
-                "file" => spec.backend = TenantBackend::File(PathBuf::from(value)),
-                "durable" => spec.backend = TenantBackend::Durable(PathBuf::from(value)),
-                "cache" => spec.cache_bytes = parse_bytes(value)?,
-                "conc" => {
-                    spec.quotas.max_concurrent = value
-                        .parse()
-                        .map_err(|_| format!("bad conc value {value:?}"))?;
+                "mem" | "rel" | "file" => {
+                    // The last back-end key wins, `durable` included.
+                    spec.options.durable = None;
+                    spec.options.backend = match key {
+                        "mem" => Backend::Memory,
+                        "rel" => Backend::Relational,
+                        _ => Backend::File(PathBuf::from(value)),
+                    };
                 }
-                "queue" => {
-                    spec.quotas.max_queued = value
-                        .parse()
-                        .map_err(|_| format!("bad queue value {value:?}"))?;
-                }
-                "rate" => {
-                    rate = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad rate value {value:?}"))?,
-                    );
-                }
-                "burst" => {
-                    burst = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad burst value {value:?}"))?,
-                    );
-                }
+                "durable" => spec.options.durable = Some(PathBuf::from(value)),
+                "cache" => spec.options.cache_bytes = parse_bytes(value)?,
+                "conc" => spec.quotas.max_concurrent = number(key, value)?,
+                "queue" => spec.quotas.max_queued = number(key, value)?,
+                "rate" => rate = Some(number(key, value)?),
+                "burst" => burst = Some(number(key, value)?),
                 other => return Err(format!("unknown tenant option {other:?} in {s:?}")),
             }
         }
@@ -776,28 +755,6 @@ impl TenantSpec {
             return Err(format!("tenant option burst requires rate in {s:?}"));
         }
         Ok(spec)
-    }
-
-    /// Open this tenant's engine.
-    pub fn open(&self) -> Result<Ssdm, String> {
-        match &self.backend {
-            TenantBackend::Memory => Ok(Ssdm::open_with_cache(Backend::Memory, self.cache_bytes)),
-            TenantBackend::Relational => {
-                Ok(Ssdm::open_with_cache(Backend::Relational, self.cache_bytes))
-            }
-            TenantBackend::File(dir) => Ok(Ssdm::open_with_cache(
-                Backend::File(dir.clone()),
-                self.cache_bytes,
-            )),
-            TenantBackend::Durable(dir) => Ssdm::open_durable_with(
-                dir,
-                DurableOptions {
-                    cache_bytes: self.cache_bytes,
-                    ..DurableOptions::default()
-                },
-            )
-            .map_err(|e| format!("tenant {}: {e:?}", self.name)),
-        }
     }
 }
 
@@ -1112,8 +1069,14 @@ mod tests {
             TenantSpec::parse("alice:file=/data/a:cache=64m:conc=2:queue=8:rate=100:burst=20")
                 .unwrap();
         assert_eq!(spec.name, "alice");
-        assert_eq!(spec.backend, TenantBackend::File(PathBuf::from("/data/a")));
-        assert_eq!(spec.cache_bytes, 64 << 20);
+        assert_eq!(
+            spec.options,
+            OpenOptions {
+                backend: Backend::File(PathBuf::from("/data/a")),
+                cache_bytes: 64 << 20,
+                ..OpenOptions::default()
+            }
+        );
         assert_eq!(spec.quotas.max_concurrent, 2);
         assert_eq!(spec.quotas.max_queued, 8);
         assert_eq!(
@@ -1123,9 +1086,55 @@ mod tests {
                 burst: 20.0
             })
         );
+        // Every engine key, alone and in the order that decides between
+        // back-end keys: the last one wins.
+        let options = |s: &str| TenantSpec::parse(s).unwrap().options;
+        let with = |backend, durable: Option<&str>, cache_bytes| OpenOptions {
+            backend,
+            durable: durable.map(PathBuf::from),
+            cache_bytes,
+            ..OpenOptions::default()
+        };
+        assert_eq!(options("bob"), with(Backend::Memory, None, 0));
+        assert_eq!(options("bob:rel"), with(Backend::Relational, None, 0));
+        assert_eq!(options("bob:rel:mem"), with(Backend::Memory, None, 0));
         assert_eq!(
-            TenantSpec::parse("bob").unwrap().backend,
-            TenantBackend::Memory
+            options("bob:cache=3k"),
+            with(Backend::Memory, None, 3 << 10)
+        );
+        assert_eq!(
+            options("bob:cache=2g"),
+            with(Backend::Memory, None, 2 << 30)
+        );
+        assert_eq!(
+            options("bob:durable=/d:cache=1m"),
+            with(Backend::Memory, Some("/d"), 1 << 20)
+        );
+        assert_eq!(
+            options("bob:file=/f:durable=/d"),
+            with(Backend::File("/f".into()), Some("/d"), 0)
+        );
+        assert_eq!(
+            options("bob:durable=/d:file=/f"),
+            with(Backend::File("/f".into()), None, 0)
+        );
+        assert_eq!(
+            options("bob:durable=/d:rel"),
+            with(Backend::Relational, None, 0)
+        );
+        let quotas = TenantSpec::parse("bob:conc=3:queue=0:rate=2.5")
+            .unwrap()
+            .quotas;
+        assert_eq!(
+            quotas,
+            TenantQuotas {
+                max_concurrent: 3,
+                max_queued: 0,
+                rate: Some(RateLimit {
+                    per_sec: 2.5,
+                    burst: 2.5
+                }),
+            }
         );
         assert!(TenantSpec::parse("bad name").is_err());
         assert!(TenantSpec::parse("x:nope=1").is_err());

@@ -287,7 +287,7 @@ pub fn decode_payload(bytes: &[u8]) -> Result<(u64, WalRecord), String> {
 /// write that crosses `at_bytes` (counted from WAL open, headers
 /// included) persists only a prefix, and every later WAL operation
 /// fails as if the process died.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashPlan {
     /// Total bytes the WAL is allowed to persist before the "failure".
     pub at_bytes: u64,
