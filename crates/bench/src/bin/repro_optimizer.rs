@@ -91,7 +91,7 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
 fn run_plan(ds: &mut Dataset, plan: &Plan, repeats: usize) -> (usize, f64) {
     let vars = scisparql::eval::VarTable::for_plan(plan);
     let (ms, rows) = best_of(repeats, || {
-        scisparql::eval::eval_plan(ds, &vars, plan, &[vars.unit_row()])
+        scisparql::eval::eval_plan(ds, &vars, plan, vec![vars.unit_row()])
             .expect("eval")
             .len()
     });

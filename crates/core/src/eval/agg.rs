@@ -62,17 +62,25 @@ pub fn grouped_projection(
     if group_by.is_empty() {
         groups.push(solutions.iter().collect());
     } else {
+        // One key buffer, looked up by slice: a key is only kept (and
+        // the buffer replaced) for a new group.
         let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
+        let mut key = Vec::with_capacity(group_by.len());
         for row in solutions {
-            let mut key = Vec::with_capacity(group_by.len());
+            key.clear();
             for g in group_by {
                 let part = operand(ds, &Cx::new(vars, row), g)?;
                 key.push(key_part(ds, part));
             }
-            let group = *index.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
+            let group = match index.get(key.as_slice()) {
+                Some(&group) => group,
+                None => {
+                    groups.push(Vec::new());
+                    let fresh = Vec::with_capacity(group_by.len());
+                    index.insert(std::mem::replace(&mut key, fresh), groups.len() - 1);
+                    groups.len() - 1
+                }
+            };
             groups[group].push(row);
         }
         // SPARQL: grouping an empty solution set yields no groups.
@@ -114,6 +122,17 @@ pub(crate) fn compute_aggregate(
     separator: &Option<String>,
     rows: &[&Row],
 ) -> Result<Option<Value>, QueryError> {
+    // SUM and AVG without DISTINCT in one pass over the group: a number
+    // folds as it is read, straight from its dictionary term or value.
+    if let (AggKind::Sum | AggKind::Avg, false, Some(arg)) = (kind, distinct, arg) {
+        let mut sum = Sum::new();
+        for row in rows {
+            if let Some(op) = operand(ds, &Cx::new(vars, row), arg)? {
+                sum.add(op.num(ds), || op.into_value(ds));
+            }
+        }
+        return sum.finish(ds, kind);
+    }
     // Collect the argument values (bound, post-DISTINCT).
     let mut values: Vec<Operand> = Vec::new();
     for row in rows {
@@ -143,46 +162,9 @@ pub(crate) fn compute_aggregate(
             Ok(Some(Value::string(parts.join(sep))))
         }
         AggKind::Sum | AggKind::Avg => {
-            let values: Vec<Value> = values.collect();
-            if values.is_empty() {
-                return Ok(match kind {
-                    AggKind::Sum => Some(Value::integer(0)),
-                    _ => None,
-                });
-            }
-            // Arrays sum element-wise when every value is an array.
-            if values.iter().all(Value::is_array) {
-                let mut acc = ds.force_array(&values[0])?;
-                for v in &values[1..] {
-                    let next = ds.force_array(v)?;
-                    match acc.add(&next) {
-                        Ok(r) => acc = r,
-                        Err(_) => return Ok(None),
-                    }
-                }
-                if kind == AggKind::Avg {
-                    return Ok(acc
-                        .scalar_op(Num::Int(values.len() as i64), ssdm_array::BinOp::Div)
-                        .ok()
-                        .map(Value::array));
-                }
-                return Ok(Some(Value::array(acc)));
-            }
-            let mut acc = Num::Int(0);
-            let n = values.len();
-            for v in values {
-                let Some(x) = v.as_num() else {
-                    return Ok(None);
-                };
-                match acc.checked_add(x) {
-                    Ok(r) => acc = r,
-                    Err(_) => return Ok(None),
-                }
-            }
-            Ok(Some(match kind {
-                AggKind::Avg => Value::number(Num::Real(acc.as_f64() / n as f64)),
-                _ => Value::number(acc),
-            }))
+            let mut sum = Sum::new();
+            values.for_each(|v| sum.add(v.as_num(), || v));
+            sum.finish(ds, kind)
         }
         AggKind::Min | AggKind::Max => {
             let mut best: Option<Value> = None;
@@ -205,5 +187,66 @@ pub(crate) fn compute_aggregate(
             }
             Ok(best)
         }
+    }
+}
+
+/// The state of a SUM or AVG: numbers fold left to right as they
+/// arrive; anything else is kept aside.
+struct Sum {
+    /// The numbers so far; `None` once the sum overflowed.
+    acc: Option<Num>,
+    n: usize,
+    others: Vec<Value>,
+}
+
+impl Sum {
+    fn new() -> Sum {
+        Sum {
+            acc: Some(Num::Int(0)),
+            n: 0,
+            others: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, num: Option<Num>, value: impl FnOnce() -> Value) {
+        match num {
+            Some(x) => {
+                self.acc = self.acc.and_then(|a| a.checked_add(x).ok());
+                self.n += 1;
+            }
+            None => self.others.push(value()),
+        }
+    }
+
+    /// Numbers alone sum (nothing at all sums to 0 and averages to an
+    /// error); arrays alone sum element-wise; a mix, a non-number or an
+    /// overflow is an error.
+    fn finish(self, ds: &mut Dataset, kind: AggKind) -> Result<Option<Value>, QueryError> {
+        let Sum { acc, n, others } = self;
+        if others.is_empty() {
+            return Ok(match kind {
+                AggKind::Avg if n == 0 => None,
+                AggKind::Avg => acc.map(|a| Value::number(Num::Real(a.as_f64() / n as f64))),
+                _ => acc.map(Value::number),
+            });
+        }
+        if n > 0 || !others.iter().all(Value::is_array) {
+            return Ok(None);
+        }
+        let mut acc = ds.force_array(&others[0])?;
+        for v in &others[1..] {
+            let next = ds.force_array(v)?;
+            match acc.add(&next) {
+                Ok(r) => acc = r,
+                Err(_) => return Ok(None),
+            }
+        }
+        if kind == AggKind::Avg {
+            return Ok(acc
+                .scalar_op(Num::Int(others.len() as i64), ssdm_array::BinOp::Div)
+                .ok()
+                .map(Value::array));
+        }
+        Ok(Some(Value::array(acc)))
     }
 }

@@ -12,7 +12,7 @@
 
 use std::borrow::Cow;
 
-use ssdm_array::{BinOp, Subscript};
+use ssdm_array::{BinOp, Num, Subscript};
 use ssdm_rdf::{Term, TermId};
 
 use crate::ast::{ArithOp, CmpOp, Expr, SubscriptExpr};
@@ -75,6 +75,15 @@ impl<'a> Operand<'a> {
             _ => return None,
         };
         (!matches!(term, Term::Array(_) | Term::ArrayRef(_))).then_some(term)
+    }
+
+    /// The number behind the operand, read in place; `None` for
+    /// anything that is not a numeric term.
+    pub fn num(&self, ds: &Dataset) -> Option<Num> {
+        match self.scalar(ds)? {
+            Term::Number(n) => Some(*n),
+            _ => None,
+        }
     }
 
     /// The operand as a value; array references become proxies here.

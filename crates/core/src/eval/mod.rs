@@ -12,6 +12,11 @@
 //! into slots; a term is only looked up when an expression reads it and
 //! only cloned when it reaches the result, and an array reference only
 //! becomes a proxy when an expression or the projection asks.
+//!
+//! Operators own their rows: each takes its input by value and hands
+//! the same rows on, extended in place, so a row is copied only where
+//! it really goes two ways — a scan match other than the row's last,
+//! a UNION branch other than the last, the probe of an OPTIONAL.
 
 pub mod agg;
 pub mod builtins;
@@ -26,7 +31,7 @@ use ssdm_rdf::{Graph, Term, TermId};
 use crate::algebra::{self, Plan};
 use crate::ast::*;
 use crate::dataset::{Dataset, QueryError, QueryResult};
-use crate::planner::Window;
+use crate::planner::{self, Window};
 use crate::value::Value;
 
 use expr::{eval_expr, Cx, Operand};
@@ -399,7 +404,7 @@ fn bind(ds: &Dataset, row: &mut [Slot], slot: usize, cell: &Slot) -> bool {
 fn join_table(
     ds: &Dataset,
     vars: &VarTable,
-    input: &[Row],
+    input: Vec<Row>,
     names: &[String],
     table: &[Vec<Slot>],
 ) -> Result<Vec<Row>, QueryError> {
@@ -409,15 +414,37 @@ fn join_table(
         .collect::<Result<_, _>>()?;
     let mut out = Vec::new();
     for row in input {
-        for cells in table {
-            let mut merged = row.clone();
+        fan_out(row, table, |mut merged, cells| {
             let mut columns = slots.iter().zip(cells);
             if columns.all(|(&slot, cell)| bind(ds, &mut merged, slot, cell)) {
                 out.push(merged);
             }
-        }
+        });
     }
     Ok(out)
+}
+
+/// A copy of a row that goes two ways — the only way rows are copied.
+fn copy_row(row: &Row) -> Row {
+    #[cfg(test)]
+    note_scan_work(ScanWork::RowCopies);
+    row.clone()
+}
+
+/// Hand `row` to `each` once per item, copying it for every item but
+/// the last, which takes the row itself.
+pub(crate) fn fan_out<T>(
+    row: Row,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(Row, T),
+) {
+    let mut items = items.into_iter().peekable();
+    while let Some(item) = items.next() {
+        if items.peek().is_none() {
+            return each(row, item);
+        }
+        each(copy_row(&row), item);
+    }
 }
 
 /// Ids are relative to one graph's dictionary, so rows crossing a GRAPH
@@ -438,7 +465,12 @@ pub fn execute_ask(ds: &mut Dataset, q: &AskQuery) -> Result<QueryResult, QueryE
 
 /// Execute a CONSTRUCT query.
 pub fn execute_construct(ds: &mut Dataset, q: &ConstructQuery) -> Result<QueryResult, QueryError> {
-    let (vars, rows) = eval_pattern(ds, &q.pattern, VarTable::default(), Row::default())?;
+    let (vars, mut rows) = eval_pattern(ds, &q.pattern, VarTable::default(), Row::default())?;
+    // LIMIT cuts the solution sequence, not the triples it instantiates
+    // (SPARQL 1.1 §15).
+    if let Some(lim) = q.limit {
+        rows.truncate(lim);
+    }
     let mut out = ssdm_rdf::Graph::new();
     for (n, row) in rows.iter().enumerate() {
         let term = |tp: &TermPattern| match tp {
@@ -455,11 +487,6 @@ pub fn execute_construct(ds: &mut Dataset, q: &ConstructQuery) -> Result<QueryRe
                 continue;
             };
             out.insert(s, p, o);
-            if let Some(lim) = q.limit {
-                if out.len() >= lim {
-                    return Ok(QueryResult::Graph(out));
-                }
-            }
         }
     }
     Ok(QueryResult::Graph(out))
@@ -524,7 +551,7 @@ pub fn eval_pattern(
     vars.add_plan(&plan);
     let mut seed = seed.into_vec();
     seed.resize(vars.names.len(), Slot::Unbound);
-    let rows = eval_plan(ds, &vars, &plan, &[seed.into()])?;
+    let rows = eval_plan(ds, &vars, &plan, vec![seed.into()])?;
     Ok((vars, rows))
 }
 
@@ -558,8 +585,44 @@ fn scan_predicate(plan: &Plan) -> Option<String> {
     }
 }
 
+/// The window a filter says exactly and nothing more — one window on
+/// one variable, no other conjunct — with that variable's slot.
+fn exact_window(vars: &VarTable, expr: &Expr) -> Option<(usize, Window)> {
+    let (windows, rest) = planner::sargable([expr]);
+    match (&windows[..], rest.is_empty()) {
+        ([(var, window)], true) => Some((vars.slot(var)?, *window)),
+        _ => None,
+    }
+}
+
+/// Whether a row passes an exact window filter without evaluating it:
+/// its slot holds a numeric node strictly inside the window
+/// ([`Window::contains_strictly`]). Anything else — a boundary value,
+/// NaN, a non-number, a value without an id — is for [`passes`].
+fn strictly_inside(ds: &Dataset, window: Option<(usize, Window)>, row: &Row) -> bool {
+    let Some((slot, window)) = window else {
+        return false;
+    };
+    match row[slot] {
+        Slot::Id(id) => {
+            matches!(ds.active().term(id), Term::Number(n) if window.contains_strictly(n.as_f64()))
+        }
+        _ => false,
+    }
+}
+
+/// Whether a row passes a filter; expression errors count as false
+/// (thesis §3.6).
+fn passes(ds: &mut Dataset, vars: &VarTable, expr: &Expr, row: &Row) -> Result<bool, QueryError> {
+    #[cfg(test)]
+    note_scan_work(ScanWork::Rechecks);
+    let value = eval_expr(ds, &Cx::new(vars, row), expr)?;
+    Ok(value.and_then(|v| v.effective_bool()).unwrap_or(false))
+}
+
 /// Evaluate a plan over input rows laid out over `vars`, which must
-/// cover the plan's variables ([`VarTable::for_plan`]). With a profiler
+/// cover the plan's variables ([`VarTable::for_plan`]). The plan takes
+/// the rows and returns its solutions, built from them. With a profiler
 /// attached, every node becomes one operator row carrying the planner's
 /// (uncalibrated) estimate next to the observed cardinality; without,
 /// this is a direct call into the evaluator.
@@ -567,7 +630,7 @@ pub fn eval_plan(
     ds: &mut Dataset,
     vars: &VarTable,
     plan: &Plan,
-    input: &[Row],
+    input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
     if !ds.profiling() {
         return eval_plan_inner(ds, vars, plan, input);
@@ -577,7 +640,7 @@ pub fn eval_plan(
     // the feedback loop converges on true corrections instead of
     // re-correcting its own output).
     let est =
-        algebra::estimate(plan, ds.active(), &vars.bound_names(input)) * rows_in.max(1) as f64;
+        algebra::estimate(plan, ds.active(), &vars.bound_names(&input)) * rows_in.max(1) as f64;
     ds.prof_enter(
         algebra::node_label(plan),
         rows_in,
@@ -595,10 +658,10 @@ fn eval_plan_inner(
     ds: &mut Dataset,
     vars: &VarTable,
     plan: &Plan,
-    input: &[Row],
+    mut input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
     match plan {
-        Plan::Empty => Ok(input.to_vec()),
+        Plan::Empty => Ok(input),
         Plan::Scan(t, range) => {
             if t.path.as_pred().is_some() {
                 scan_triples(ds, vars, t, range.as_ref(), input)
@@ -617,22 +680,20 @@ fn eval_plan_inner(
             let qbound = ds.planner.adaptive_qerror;
             let min_rows = ds.planner.adaptive_min_rows;
             let mut seq: Vec<&Plan> = children.iter().collect();
-            let mut rows: Option<Vec<Row>> = None;
+            let mut rows = input;
             let mut idx = 0;
             while idx < seq.len() {
                 let child = seq[idx];
-                let current = rows.as_deref().unwrap_or(input);
                 // Pre-execution estimate, only when adaptivity could
                 // still rewrite something downstream.
                 let est = match qbound {
                     Some(_) if seq.len() - idx > 2 => Some(
-                        algebra::estimate(child, ds.active(), &vars.bound_names(current))
-                            * current.len().max(1) as f64,
+                        algebra::estimate(child, ds.active(), &vars.bound_names(&rows))
+                            * rows.len().max(1) as f64,
                     ),
                     _ => None,
                 };
-                let produced = eval_plan(ds, vars, child, current)?;
-                let rows = rows.insert(produced);
+                rows = eval_plan(ds, vars, child, rows)?;
                 if rows.is_empty() {
                     break;
                 }
@@ -646,18 +707,20 @@ fn eval_plan_inner(
                             .iter()
                             .all(|c| matches!(c, Plan::Scan(t, _) if t.path.as_pred().is_some()))
                     {
-                        reorder_suffix(ds, &mut seq[idx..], vars.bound_names(rows));
+                        reorder_suffix(ds, &mut seq[idx..], vars.bound_names(&rows));
                         ds.prof_note_reopt();
                     }
                 }
             }
-            Ok(rows.unwrap_or_else(|| input.to_vec()))
+            Ok(rows)
         }
         Plan::LeftJoin { left, right } => {
             let left_rows = eval_plan(ds, vars, left, input)?;
             let mut out = Vec::with_capacity(left_rows.len());
             for lrow in left_rows {
-                let matches = eval_plan(ds, vars, right, std::slice::from_ref(&lrow))?;
+                // The row goes both ways: into the probe, and out as
+                // itself when the probe finds nothing.
+                let matches = eval_plan(ds, vars, right, vec![copy_row(&lrow)])?;
                 if matches.is_empty() {
                     out.push(lrow);
                 } else {
@@ -668,24 +731,28 @@ fn eval_plan_inner(
         }
         Plan::Union(branches) => {
             let mut out = Vec::new();
-            for b in branches {
-                out.extend(eval_plan(ds, vars, b, input)?);
+            for (i, b) in branches.iter().enumerate() {
+                let rows = if i + 1 < branches.len() {
+                    input.iter().map(copy_row).collect()
+                } else {
+                    std::mem::take(&mut input)
+                };
+                out.extend(eval_plan(ds, vars, b, rows)?);
             }
             Ok(out)
         }
         Plan::Filter { input: inner, expr } => {
-            let rows = eval_plan(ds, vars, inner, input)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                // Expression errors count as false (thesis §3.6).
-                let keep = eval_expr(ds, &Cx::new(vars, &row), expr)?
-                    .and_then(|v| v.effective_bool())
-                    .unwrap_or(false);
-                if keep {
-                    out.push(row);
+            let mut rows = eval_plan(ds, vars, inner, input)?;
+            let window = exact_window(vars, expr);
+            let mut kept = 0;
+            for at in 0..rows.len() {
+                if strictly_inside(ds, window, &rows[at]) || passes(ds, vars, expr, &rows[at])? {
+                    rows.swap(kept, at);
+                    kept += 1;
                 }
             }
-            Ok(out)
+            rows.truncate(kept);
+            Ok(rows)
         }
         Plan::Extend {
             input: inner,
@@ -708,9 +775,9 @@ fn eval_plan_inner(
                 // fans the solution out over every valid subscript.
                 let cx = Cx::new(vars, &row);
                 if algebra::subscript_vars(expr).any(|v| !cx.slot(v).is_some_and(Slot::is_bound)) {
-                    out.extend(enumerate_subscripts(ds, vars, &row, slot, expr)?);
+                    out.extend(enumerate_subscripts(ds, vars, row, slot, expr)?);
                 } else if let Some((def, args)) = &view {
-                    out.extend(bind_view_bag(ds, vars, &row, slot, def, args)?);
+                    out.extend(bind_view_bag(ds, vars, row, slot, def, args)?);
                 } else {
                     // BIND errors leave the variable unbound.
                     let bound = match eval_expr(ds, &cx, expr)? {
@@ -726,9 +793,8 @@ fn eval_plan_inner(
         }
         Plan::Graph { name, inner } => {
             let saved = ds.active_graph.clone();
-            let mut input = input.to_vec();
             detach(ds, &mut input);
-            let result = eval_graph_plan(ds, vars, name, inner, &input);
+            let result = eval_graph_plan(ds, vars, name, inner, input);
             ds.active_graph = saved;
             result
         }
@@ -806,8 +872,9 @@ pub(crate) enum At<'r> {
 #[cfg(test)]
 thread_local! {
     /// Dictionary lookups made for pattern constants, index range
-    /// scans started, and index entries visited, on this thread.
-    static SCAN_WORK: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// scans started, index entries visited, filter rows handed to
+    /// `eval_expr`, and rows copied, on this thread.
+    static SCAN_WORK: std::cell::Cell<[usize; 5]> = const { std::cell::Cell::new([0; 5]) };
 }
 
 /// Which `SCAN_WORK` counter.
@@ -817,6 +884,8 @@ enum ScanWork {
     Lookups,
     Scans,
     Visited,
+    Rechecks,
+    RowCopies,
 }
 
 #[cfg(test)]
@@ -868,11 +937,10 @@ impl Pos {
 /// else the same value.
 pub(crate) fn extend(
     graph: &Graph,
-    row: &Row,
+    mut extended: Row,
     bindings: &[(Option<usize>, TermId)],
     out: &mut Vec<Row>,
 ) {
-    let mut extended = row.clone();
     for &(free, id) in bindings {
         let Some(slot) = free else { continue };
         match extended[slot] {
@@ -894,7 +962,7 @@ fn scan_triples(
     vars: &VarTable,
     t: &TriplePattern,
     range: Option<&Window>,
-    input: &[Row],
+    input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
     let Some(pred) = t.path.as_pred() else {
         return Err(QueryError::Eval(
@@ -915,7 +983,7 @@ fn scan_triples(
         let mut free: [Option<usize>; 3] = [None; 3];
         let mut content_checks: Vec<(usize, ssdm_array::NumArray)> = Vec::new();
         for (i, pos) in pattern.iter().enumerate() {
-            match pos.at(ds, row) {
+            match pos.at(ds, &row) {
                 At::Free(slot) => free[i] = Some(slot),
                 At::Id(id) => ids[i] = Some(id),
                 At::Value(Value::Term(Term::Array(a))) => content_checks.push((i, a.clone())),
@@ -933,17 +1001,18 @@ fn scan_triples(
                 }
                 _ => graph.match_pattern(ids[0], ids[1], ids[2]),
             };
-            for m in matches {
+            let matches = matches.map(|m| {
                 #[cfg(test)]
                 note_scan_work(ScanWork::Visited);
-                let bindings = [(free[0], m.s), (free[1], m.p), (free[2], m.o)];
-                extend(graph, row, &bindings, &mut out);
-            }
+                [(free[0], m.s), (free[1], m.p), (free[2], m.o)]
+            });
+            fan_out(row, matches, |r, b| extend(graph, r, &b, &mut out));
             continue;
         }
         // Resolving candidates needs the array store: collect first.
         let candidates: Vec<ssdm_rdf::Triple> =
             ds.active().match_pattern(ids[0], ids[1], ids[2]).collect();
+        let mut hits = Vec::new();
         'triple: for m in candidates {
             for (i, target) in &content_checks {
                 let candidate = match ds.active().term([m.s, m.p, m.o][*i]) {
@@ -958,9 +1027,9 @@ fn scan_triples(
                     continue 'triple;
                 }
             }
-            let bindings = [(free[0], m.s), (free[1], m.p), (free[2], m.o)];
-            extend(ds.active(), row, &bindings, &mut out);
+            hits.push([(free[0], m.s), (free[1], m.p), (free[2], m.o)]);
         }
+        fan_out(row, hits, |r, b| extend(ds.active(), r, &b, &mut out));
     }
     Ok(out)
 }
@@ -993,10 +1062,10 @@ fn eval_graph_plan(
     vars: &VarTable,
     name: &TermPattern,
     inner: &Plan,
-    input: &[Row],
+    mut input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
     let mut out = Vec::new();
-    let mut eval_in = |ds: &mut Dataset, graph: String, rows: &[Row]| {
+    let mut eval_in = |ds: &mut Dataset, graph: String, rows: Vec<Row>| {
         ds.active_graph = Some(graph);
         let mut rows = eval_plan(ds, vars, inner, rows)?;
         detach(ds, &mut rows);
@@ -1008,12 +1077,17 @@ fn eval_graph_plan(
         TermPattern::Term(_) => {}
         TermPattern::Var(v) => {
             let slot = vars.bound_slot(v)?;
-            for n in ds.iterable_graph_names() {
+            let mut names = ds.iterable_graph_names().into_iter().peekable();
+            while let Some(n) = names.next() {
                 let cell = Value::Term(Term::uri(n.clone())).into();
-                let mut rows = input.to_vec();
+                let mut rows: Vec<Row> = if names.peek().is_some() {
+                    input.iter().map(copy_row).collect()
+                } else {
+                    std::mem::take(&mut input)
+                };
                 rows.retain_mut(|row| bind(ds, row, slot, &cell));
                 if !rows.is_empty() {
-                    eval_in(ds, n, &rows)?;
+                    eval_in(ds, n, rows)?;
                 }
             }
         }
@@ -1028,21 +1102,21 @@ fn eval_graph_plan(
 fn enumerate_subscripts(
     ds: &mut Dataset,
     vars: &VarTable,
-    row: &Row,
+    row: Row,
     var: usize,
     deref: &Expr,
 ) -> Result<Vec<Row>, QueryError> {
     let Expr::ArrayDeref { base, subscripts } = deref else {
-        return Ok(vec![row.clone()]);
+        return Ok(vec![row]);
     };
-    let Some(basev) = eval_expr(ds, &Cx::new(vars, row), base)? else {
-        return Ok(vec![row.clone()]);
+    let Some(basev) = eval_expr(ds, &Cx::new(vars, &row), base)? else {
+        return Ok(vec![row]);
     };
     let Some(shape) = basev.array_shape() else {
-        return Ok(vec![row.clone()]); // not an array: error -> unbound
+        return Ok(vec![row]); // not an array: error -> unbound
     };
     if subscripts.len() > shape.len() {
-        return Ok(vec![row.clone()]);
+        return Ok(vec![row]);
     }
     // Identify the enumerating dimensions. The same variable appearing
     // in several positions (e.g. the diagonal `?a[?i, ?i]`) enumerates
@@ -1063,7 +1137,7 @@ fn enumerate_subscripts(
     let mut out = Vec::with_capacity(count);
     let mut ix = vec![1i64; enumerating.len()];
     for _ in 0..count {
-        let mut extended = row.clone();
+        let mut extended = copy_row(&row);
         for (&(_, slot), &i) in enumerating.iter().zip(&ix) {
             extended[slot] = Value::integer(i).into();
         }
@@ -1089,7 +1163,7 @@ fn enumerate_subscripts(
 fn bind_view_bag(
     ds: &mut Dataset,
     vars: &VarTable,
-    row: &Row,
+    row: Row,
     var: usize,
     def: &FunctionDef,
     args: &[Expr],
@@ -1104,27 +1178,26 @@ fn bind_view_bag(
     }
     let mut initial = Vec::with_capacity(args.len());
     for (p, a) in def.params.iter().zip(args) {
-        match eval_expr(ds, &Cx::new(vars, row), a)? {
+        match eval_expr(ds, &Cx::new(vars, &row), a)? {
             Some(v) => initial.push((p.as_str(), v)),
             // An erroneous argument leaves the BIND unbound.
-            None => return Ok(vec![row.clone()]),
+            None => return Ok(vec![row]),
         }
     }
     let (_, results) = select_solutions(ds, &def.body, initial)?;
     if results.is_empty() {
         // No solutions: the call errors, the variable stays unbound.
-        return Ok(vec![row.clone()]);
+        return Ok(vec![row]);
     }
     let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        let Some(v) = r.into_iter().next().flatten() else {
-            continue;
-        };
-        let mut extended = row.clone();
+    let values = results
+        .into_iter()
+        .filter_map(|r| r.into_iter().next().flatten());
+    fan_out(row, values, |mut extended, v| {
         if bind(ds, &mut extended, var, &v.into()) {
             out.push(extended);
         }
-    }
+    });
     Ok(out)
 }
 
@@ -1140,10 +1213,10 @@ mod tests {
         }
     }
 
-    /// [constant lookups, index range scans, index entries visited]
-    /// since the last call.
-    fn scan_work() -> [usize; 3] {
-        SCAN_WORK.with(|w| w.replace([0; 3]))
+    /// [constant lookups, index range scans, index entries visited,
+    /// filter rows evaluated, rows copied] since the last call.
+    fn scan_work() -> [usize; 5] {
+        SCAN_WORK.with(|w| w.replace([0; 5]))
     }
 
     #[test]
@@ -1160,21 +1233,63 @@ mod tests {
         let on = scan("s", "http://q", TermPattern::Term(Term::str("on")));
         let off = scan("s", "http://q", TermPattern::Term(Term::str("off")));
         let vars = VarTable::for_plan(&Plan::Scan(first.clone(), None));
-        let rows = scan_triples(&mut ds, &vars, &first, None, &[vars.unit_row()]).unwrap();
+        let rows = scan_triples(&mut ds, &vars, &first, None, vec![vars.unit_row()]).unwrap();
         assert_eq!(rows.len(), 40);
 
         // Two constants, forty input rows: two lookups, one range scan
         // per row, with the bound subject passed on as an id.
         scan_work();
-        let joined = scan_triples(&mut ds, &vars, &on, None, &rows).unwrap();
+        let joined = scan_triples(&mut ds, &vars, &on, None, rows.clone()).unwrap();
         assert_eq!(joined.len(), 40);
-        assert_eq!(scan_work(), [2, 40, 40]);
+        assert_eq!(scan_work()[..3], [2, 40, 40]);
 
         // A constant the dictionary has never seen ends the scan
         // before the index is touched.
-        let none = scan_triples(&mut ds, &vars, &off, None, &rows).unwrap();
+        let none = scan_triples(&mut ds, &vars, &off, None, rows).unwrap();
         assert!(none.is_empty());
-        assert_eq!(scan_work(), [2, 0, 0]);
+        assert_eq!(scan_work()[..3], [2, 0, 0]);
+    }
+
+    #[test]
+    fn a_scan_moves_each_row_into_its_last_match() {
+        // s_i has one `p`, the flag `q "on"`, and i % 4 values of `r`.
+        let mut ds = Dataset::in_memory();
+        let mut turtle = String::new();
+        for i in 0..40 {
+            turtle.push_str(&format!(
+                "<http://s{i}> <http://p> {i} ; <http://q> \"on\" .\n"
+            ));
+            for k in 0..i % 4 {
+                turtle.push_str(&format!("<http://s{i}> <http://r> {k} .\n"));
+            }
+        }
+        ds.load_turtle(&turtle).unwrap();
+        let subjects = scan("s", "http://q", TermPattern::Var("f".into()));
+        let member = scan("s", "http://q", TermPattern::Term(Term::str("on")));
+        let one = scan("s", "http://p", TermPattern::Var("o".into()));
+        let many = scan("s", "http://r", TermPattern::Var("k".into()));
+        let plan = Plan::Join(
+            [&subjects, &one, &many]
+                .map(|t| Plan::Scan(t.clone(), None))
+                .into(),
+        );
+        let vars = VarTable::for_plan(&plan);
+        let rows = scan_triples(&mut ds, &vars, &subjects, None, vec![vars.unit_row()]).unwrap();
+        assert_eq!(rows.len(), 40);
+
+        // A membership probe and a 1:1 `(s, p, ?)` probe copy nothing.
+        scan_work();
+        let rows = scan_triples(&mut ds, &vars, &member, None, rows).unwrap();
+        assert_eq!((rows.len(), scan_work()[4]), (40, 0));
+        let rows = scan_triples(&mut ds, &vars, &one, None, rows).unwrap();
+        assert_eq!((rows.len(), scan_work()[4]), (40, 0));
+
+        // k matches copy the row k - 1 times; no match drops it.
+        let out = scan_triples(&mut ds, &vars, &many, None, rows).unwrap();
+        let matches: usize = (0..40).map(|i| i % 4).sum();
+        let with_any = (0..40).filter(|i| i % 4 > 0).count();
+        assert_eq!(out.len(), matches);
+        assert_eq!(scan_work()[4], matches - with_any);
     }
 
     #[test]
@@ -1203,14 +1318,18 @@ mod tests {
         assert_eq!(rows.len(), 50);
         // One range scan that visits the window, then one probe per row
         // that passed the filter, each visiting at most its one match.
-        let [_, scans, visited] = scan_work();
+        let [_, scans, visited, rechecked, _] = scan_work();
         assert_eq!(scans, 1 + (window - 1));
         assert!(visited <= window + (window - 1), "visited {visited}");
+        // Only the row on the boundary key, 38.00, reaches the
+        // comparison; the 99 strictly inside pass without it.
+        assert_eq!(rechecked, 1);
 
         // Disguised, the same filter costs the predicate, not the answer.
         let rows = ds.query(&q1("?k1 + 0")).unwrap().into_rows().unwrap();
         assert_eq!(rows.len(), 50);
-        let [_, _, visited] = scan_work();
+        let [_, _, visited, rechecked, _] = scan_work();
         assert!(visited >= 2000, "visited {visited}");
+        assert!(rechecked >= 1000, "rechecked {rechecked}");
     }
 }

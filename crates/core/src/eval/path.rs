@@ -11,14 +11,14 @@ use ssdm_rdf::TermId;
 
 use crate::ast::{Path, TermPattern, TriplePattern};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::{extend, At, Pos, Row, VarTable};
+use crate::eval::{extend, fan_out, At, Pos, Row, VarTable};
 
 /// Evaluate a path-scan for each input row.
 pub fn eval_path_scan(
     ds: &Dataset,
     vars: &VarTable,
     t: &TriplePattern,
-    input: &[Row],
+    input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
     // An endpoint that doesn't denote a graph node matches nothing.
     let (Some(subject), Some(object)) = (
@@ -32,7 +32,7 @@ pub fn eval_path_scan(
     for row in input {
         // (free slot, bound id) of an endpoint; a value that is not a
         // node of this graph matches nothing.
-        let end = |pos: &Pos| match pos.at(ds, row) {
+        let end = |pos: &Pos| match pos.at(ds, &row) {
             At::Free(slot) => Some((Some(slot), None)),
             At::Id(id) => Some((None, Some(id))),
             At::Value(_) => None,
@@ -40,9 +40,9 @@ pub fn eval_path_scan(
         let (Some((s_free, s_id)), Some((o_free, o_id))) = (end(&subject), end(&object)) else {
             continue;
         };
-        for (s, o) in path_pairs(graph, &t.path, s_id, o_id)? {
-            extend(graph, row, &[(s_free, s), (o_free, o)], &mut out);
-        }
+        fan_out(row, path_pairs(graph, &t.path, s_id, o_id)?, |r, (s, o)| {
+            extend(graph, r, &[(s_free, s), (o_free, o)], &mut out)
+        });
     }
     Ok(out)
 }

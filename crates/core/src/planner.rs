@@ -33,6 +33,7 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
+use ssdm_array::Num;
 use ssdm_rdf::{Graph, Term, TermId};
 use ssdm_storage::{ArrayStore, ValuePredicate};
 
@@ -426,6 +427,17 @@ impl Window {
         bound_value(self.hi)
     }
 
+    /// Whether `x`, a number as f64, lies strictly inside both ends. A
+    /// number that does satisfies every comparison the window came
+    /// from: `Num::partial_cmp` compares Int with Int exactly and all
+    /// else as f64, and i64 → f64 rounding is monotone, so for each
+    /// constant `c` of a lower end `f64(x) > lo >= f64(c)` gives
+    /// `x > c` — beyond 2⁵³ too — and likewise below an upper end.
+    /// NaN is inside nothing; a value on an end is for the comparison.
+    pub fn contains_strictly(&self, x: f64) -> bool {
+        self.lo_value().is_none_or(|lo| x > lo) && self.hi_value().is_none_or(|hi| x < hi)
+    }
+
     /// Intersect with `?v op c`, `op` one of `< <= > >=`.
     fn tighten(&mut self, op: CmpOp, c: f64) {
         let lower = matches!(op, CmpOp::Gt | CmpOp::Ge);
@@ -614,12 +626,17 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
+/// A numeric constant, negated as the evaluator negates it: `-c` of
+/// `i64::MIN` is an error there, so it is no constant here.
 fn const_num(e: &Expr) -> Option<f64> {
-    match e {
-        Expr::Const(Term::Number(n)) => Some(n.as_f64()),
-        Expr::Neg(inner) => const_num(inner).map(|v| -v),
-        _ => None,
+    fn num(e: &Expr) -> Option<Num> {
+        match e {
+            Expr::Const(Term::Number(n)) => Some(*n),
+            Expr::Neg(inner) => num(inner)?.checked_neg().ok(),
+            _ => None,
+        }
     }
+    num(e).map(Num::as_f64)
 }
 
 /// Histogram-backed equality selectivity, falling back to
@@ -853,6 +870,12 @@ mod tests {
             Box::new(Expr::Var("x".into())),
             Box::new(Expr::Const(Term::double(f64::NAN))),
         );
+        // The evaluator cannot negate i64::MIN: an error, not a bound.
+        let unnegatable = Expr::Cmp(
+            CmpOp::Lt,
+            Box::new(Expr::Var("w".into())),
+            Box::new(Expr::Neg(Box::new(Expr::Const(Term::integer(i64::MIN))))),
+        );
         let filters = [
             and(
                 cmp(CmpOp::Gt, "x", 30),
@@ -862,6 +885,7 @@ mod tests {
             cmp(CmpOp::Lt, "x", 45),
             disguised,
             nan,
+            unnegatable,
             Expr::Or(
                 Box::new(cmp(CmpOp::Lt, "z", 1)),
                 Box::new(cmp(CmpOp::Gt, "z", 2)),
@@ -879,9 +903,9 @@ mod tests {
         assert_eq!(windows, [("x", x), ("y", y)]);
         assert_eq!(x.describe("x"), "?x > 30 && ?x <= 40");
         assert_eq!(y.describe("y"), "?y <= -3");
-        // Equality, the disguised comparison, the NaN bound and the
-        // disjunction stay with the filter alone.
-        assert_eq!(rest.len(), 4);
+        // Equality, the disguised comparison, the NaN bound, the
+        // unnegatable one and the disjunction stay with the filter alone.
+        assert_eq!(rest.len(), 5);
     }
 
     #[test]

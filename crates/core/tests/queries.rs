@@ -206,6 +206,39 @@ fn ask_and_construct() {
     assert_eq!(g.len(), 3);
 }
 
+/// The number of triples a CONSTRUCT returns.
+fn constructed(ds: &mut Dataset, q: &str) -> usize {
+    match ds.query(q).unwrap() {
+        QueryResult::Graph(g) => g.len(),
+        other => panic!("expected a graph, got {other:?}"),
+    }
+}
+
+#[test]
+fn construct_limit_cuts_solutions_not_triples() {
+    // SPARQL 1.1 §15: LIMIT applies to the solution sequence, and every
+    // solution instantiates the whole template.
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle("<http://s1> <http://p> 1 . <http://s2> <http://p> 2 .")
+        .unwrap();
+    let two = "CONSTRUCT { ?s <http://a> ?o . ?s <http://b> ?o } WHERE { ?s <http://p> ?o }";
+    assert_eq!(constructed(&mut ds, two), 4);
+    assert_eq!(constructed(&mut ds, &format!("{two} LIMIT 1")), 2);
+    assert_eq!(constructed(&mut ds, &format!("{two} LIMIT 0")), 0);
+    assert_eq!(constructed(&mut ds, &format!("{two} LIMIT 5")), 4);
+
+    // A solution whose template triples are all skipped (unbound) is
+    // still a solution: it uses up its place under LIMIT.
+    ds.load_turtle("<http://s2> <http://q> \"w\" .").unwrap();
+    let pattern = "?s <http://p> ?o OPTIONAL { ?s <http://q> ?w }";
+    let order = rows(&mut ds, &format!("SELECT ?s ?w WHERE {{ {pattern} }}"));
+    let with_w: Vec<bool> = order.iter().map(|r| r[1].is_some()).collect();
+    assert_eq!(with_w, [false, true], "the solution without ?w comes first");
+    let sparse = format!("CONSTRUCT {{ ?s <http://a> ?w }} WHERE {{ {pattern} }}");
+    assert_eq!(constructed(&mut ds, &format!("{sparse} LIMIT 1")), 0);
+    assert_eq!(constructed(&mut ds, &format!("{sparse} LIMIT 2")), 1);
+}
+
 #[test]
 fn values_restricts() {
     let mut ds = foaf_dataset();
