@@ -96,11 +96,12 @@ fn bench_parsing(c: &mut Criterion) {
     let scisparql::ast::Statement::Select(q) = scisparql::parser::parse(query).unwrap() else {
         unreachable!()
     };
+    let ctx = scisparql::PlannerCtx::new(&graph);
     g.bench_function("optimize_plan", |b| {
         b.iter(|| {
-            std::hint::black_box(scisparql::algebra::optimize(
+            std::hint::black_box(scisparql::algebra::optimize_with(
                 scisparql::algebra::translate(&q.pattern),
-                &graph,
+                &ctx,
             ))
         })
     });

@@ -1,11 +1,17 @@
 //! Experiment 5 (thesis §2.3.5.1 / §5.3.2): collection consolidation.
 //!
 //! Quantifies the thesis' motivating claim: representing an n-element
-//! numeric collection as an RDF linked list costs ~3n+1 triples and
+//! numeric collection as an RDF linked list costs 2n+1 triples and
 //! makes element access a chain of `rdf:first`/`rdf:rest` hops, while
 //! the consolidated array costs one triple and answers `?a[i]` in
 //! constant time. Sweeps the array size and reports graph sizes and
 //! element-access query times for both representations.
+//!
+//! The triple counts are asserted, not just printed: 2n+1 for every
+//! list, 1 for every array (consolidated on load, and by
+//! `consolidate_collections` from the list form), and the thesis'
+//! Fig. 4 case — a 2×2 matrix is 13 triples as lists and 1 once
+//! consolidated. A miss prints what differed and exits 1.
 
 use std::time::Instant;
 
@@ -30,6 +36,12 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
     let mut table = Vec::new();
+    let mut misses = Vec::new();
+    let mut expect = |what: String, triples: usize, want: usize| {
+        if triples != want {
+            misses.push(format!("{what}: {triples} triples, expected {want}"));
+        }
+    };
 
     for &n in &sizes {
         let values: String = (0..n).map(|i| i.to_string()).collect::<Vec<_>>().join(" ");
@@ -92,6 +104,12 @@ fn main() {
         let array_time = t.elapsed().as_secs_f64();
         assert_eq!(rows[0][0].as_ref().unwrap().to_string(), target.to_string());
 
+        expect(format!("{n} elements as a list"), list_triples, 2 * n + 1);
+        expect(format!("{n} elements as an array"), array_triples, 1);
+        list_db.consolidate_collections();
+        let consolidated = list_db.dataset.graph.len();
+        expect(format!("{n} elements consolidated"), consolidated, 1);
+
         table.push(vec![
             n.to_string(),
             list_triples.to_string(),
@@ -106,9 +124,32 @@ fn main() {
         &header,
         &table,
     );
+
+    // Thesis Fig. 4: the 2x2 matrix ((1 2) (3 4)).
+    let mut matrix = Ssdm::open(Backend::Memory);
+    ssdm_rdf::turtle::parse_into_with(
+        &mut matrix.dataset.graph,
+        "<http://e#m> <http://e#value> ((1 2) (3 4)) .",
+        ParseOptions {
+            consolidate_arrays: false,
+        },
+    )
+    .expect("parse");
+    let lists = matrix.dataset.graph.len();
+    expect("Fig. 4 matrix as lists".into(), lists, 13);
+    matrix.consolidate_collections();
+    let arrays = matrix.dataset.graph.len();
+    expect("Fig. 4 matrix consolidated".into(), arrays, 1);
+    println!("\nFig. 4 matrix: {lists} triples as lists, {arrays} consolidated");
     println!(
         "\nReading: the list form needs 2n+1 triples and O(n) path evaluation per \
          access; the array form is 1 triple and O(1) dereference — the gap the \
          thesis' Fig. 4 example (13 triples for a 2x2 matrix) illustrates."
     );
+    if !misses.is_empty() {
+        for miss in &misses {
+            eprintln!("MISS {miss}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -75,7 +75,7 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
         ..PlannerConfig::default()
     };
     let ctx = PlannerCtx {
-        graph: &ds.graph,
+        graph: ds.graph.view(),
         config,
         calibration: if calibrated {
             Some(&ds.calibration)

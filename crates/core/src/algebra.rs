@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use ssdm_rdf::{Graph, TermId};
+use ssdm_rdf::{GraphView, TermId};
 
 use crate::ast::*;
 use crate::planner::{
@@ -217,17 +217,10 @@ fn join_of(mut children: Vec<Plan>) -> Plan {
 // Optimization
 // ---------------------------------------------------------------------
 
-/// Optimize a plan against graph statistics with an
-/// environment-derived planner configuration: flatten joins, push
-/// filters down, and order join children by estimated cardinality
-/// given already-bound variables.
-pub fn optimize(plan: Plan, graph: &Graph) -> Plan {
-    optimize_with(plan, &PlannerCtx::new(graph))
-}
-
-/// Optimize under an explicit planner context (configuration mode,
-/// calibration table, zone-map statistics). This is the entry the
-/// evaluator uses; [`optimize`] is the graph-only convenience wrapper.
+/// Optimize a plan under a planner context (configuration mode,
+/// calibration table, zone-map statistics): flatten joins, push filters
+/// down, and order join children by estimated cardinality given
+/// already-bound variables.
 pub fn optimize_with(plan: Plan, ctx: &PlannerCtx) -> Plan {
     let plan = sink_filters(flatten(plan));
     order_and_push(plan, ctx, &HashSet::new())
@@ -667,7 +660,7 @@ fn range_scan_var<'t>(t: &'t TriplePattern, bound: &HashSet<String>) -> Option<&
 /// Map object-position variables of constant-predicate scans to their
 /// predicate's id, so filter selectivity can consult that predicate's
 /// object-value histogram.
-pub(crate) fn var_predicates(items: &[Plan], graph: &Graph) -> HashMap<String, TermId> {
+pub(crate) fn var_predicates(items: &[Plan], graph: GraphView) -> HashMap<String, TermId> {
     let mut out = HashMap::new();
     for item in items {
         collect_var_preds(item, graph, &mut out);
@@ -675,7 +668,7 @@ pub(crate) fn var_predicates(items: &[Plan], graph: &Graph) -> HashMap<String, T
     out
 }
 
-fn collect_var_preds(plan: &Plan, graph: &Graph, out: &mut HashMap<String, TermId>) {
+fn collect_var_preds(plan: &Plan, graph: GraphView, out: &mut HashMap<String, TermId>) {
     match plan {
         Plan::Scan(t, _) => {
             if let (Some(TermPattern::Term(p)), TermPattern::Var(v)) = (t.path.as_pred(), &t.object)
@@ -721,7 +714,7 @@ fn enforced_windows(plan: &Plan, bound: &HashSet<String>, out: &mut HashSet<Stri
 /// Cardinality estimate of one operator given bound variables, from
 /// graph statistics alone (no calibration/zone context). Convenience
 /// wrapper over [`estimate_ctx`] for `EXPLAIN` and the profiler.
-pub fn estimate(plan: &Plan, graph: &Graph, bound: &HashSet<String>) -> f64 {
+pub fn estimate(plan: &Plan, graph: GraphView, bound: &HashSet<String>) -> f64 {
     estimate_ctx(plan, &PlannerCtx::plain(graph), bound)
 }
 
@@ -871,9 +864,9 @@ fn estimate_triple(
 }
 
 /// Render a plan as an indented operator tree (the `EXPLAIN` output).
-pub fn explain(plan: &Plan, graph: &Graph) -> String {
+pub fn explain(plan: &Plan, graph: GraphView) -> String {
     let mut out = String::new();
-    fn walk(plan: &Plan, graph: &Graph, depth: usize, out: &mut String) {
+    fn walk(plan: &Plan, graph: GraphView, depth: usize, out: &mut String) {
         let pad = "  ".repeat(depth);
         let est = estimate(plan, graph, &HashSet::new());
         match plan {
@@ -970,7 +963,7 @@ pub fn node_label(plan: &Plan) -> String {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use ssdm_rdf::turtle;
+    use ssdm_rdf::{turtle, Graph};
 
     fn plan_for(query: &str, data: &str) -> (Plan, Graph) {
         let mut g = Graph::new();
@@ -1073,7 +1066,7 @@ mod tests {
             "SELECT ?x WHERE { ?x <http://nothere> 1 }",
             "<http://s> <http://p> 2 .",
         );
-        let est = estimate(&plan, &g, &HashSet::new());
+        let est = estimate(&plan, g.view(), &HashSet::new());
         assert_eq!(est, 0.0);
     }
 

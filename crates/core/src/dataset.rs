@@ -7,10 +7,13 @@
 //! entry points. The higher-level `ssdm` crate layers data loaders and
 //! workflow APIs on top.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use ssdm_array::ArrayError;
-use ssdm_rdf::{Graph, Namespaces, RdfError, Term};
+use ssdm_rdf::{
+    Graph, GraphIndex, GraphMut, GraphView, Namespaces, RdfError, Term, TermId, Triple,
+};
 use ssdm_storage::{
     ArrayProxy, ArrayStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy, SharedChunkStore,
     StorageError,
@@ -174,16 +177,18 @@ fn obs_query_hist() -> &'static std::sync::Arc<ssdm_obs::Histogram> {
 
 /// An SSDM dataset: graph + arrays + functions.
 pub struct Dataset {
-    /// The default graph.
+    /// The default graph. Its dictionary is the dataset's one
+    /// dictionary (thesis §5.1): the named graphs index the same ids, so
+    /// an id means the same term in every graph of a query.
     pub graph: Graph,
-    /// Named graphs (thesis §3.3.4). Each has its own dictionary.
-    pub named_graphs: std::collections::HashMap<String, Graph>,
-    /// The graph currently being matched (set by GRAPH patterns and
-    /// FROM clauses during evaluation).
-    pub(crate) active_graph: Option<String>,
-    /// When set (by FROM NAMED), restricts which graphs `GRAPH ?g`
-    /// iterates over.
-    pub(crate) visible_named: Option<Vec<String>>,
+    /// Named graphs (thesis §3.3.4), keyed by the id of their name.
+    pub named_graphs: BTreeMap<TermId, GraphIndex>,
+    /// The named graph scans target while a GRAPH pattern or FROM clause
+    /// is active (always a key of `named_graphs`); `None` is the default
+    /// graph.
+    pub(crate) active_graph: Option<TermId>,
+    /// When set (by FROM NAMED), the names `GRAPH ?g` ranges over.
+    pub(crate) visible_named: Option<Vec<TermId>>,
     pub arrays: ArrayStore<DynChunkStore>,
     pub registry: FunctionRegistry,
     pub namespaces: Namespaces,
@@ -225,7 +230,7 @@ impl Dataset {
     pub fn with_backend(backend: DynChunkStore) -> Self {
         Dataset {
             graph: Graph::new(),
-            named_graphs: std::collections::HashMap::new(),
+            named_graphs: BTreeMap::new(),
             active_graph: None,
             visible_named: None,
             arrays: ArrayStore::new(backend),
@@ -256,40 +261,87 @@ impl Dataset {
         Ok(())
     }
 
-    /// The graph scans currently target: a named graph while a GRAPH
-    /// pattern or FROM clause is active, else the default graph.
-    pub fn active(&self) -> &Graph {
-        static EMPTY: std::sync::OnceLock<Graph> = std::sync::OnceLock::new();
-        match &self.active_graph {
-            Some(name) => self
-                .named_graphs
-                .get(name)
-                .unwrap_or_else(|| EMPTY.get_or_init(Graph::new)),
-            None => &self.graph,
+    /// The graph scans currently target — a named graph while a GRAPH
+    /// pattern or FROM clause is active, else the default graph — over
+    /// the dataset's one dictionary.
+    pub fn active(&self) -> GraphView<'_> {
+        self.graph_view(self.active_graph)
+    }
+
+    /// The named graph of a name's id, or with `None` the default graph.
+    fn graph_view(&self, name: Option<TermId>) -> GraphView<'_> {
+        match name {
+            Some(name) => Graph::from_parts(self.graph.dictionary(), &self.named_graphs[&name]),
+            None => self.graph.view(),
         }
+    }
+
+    /// [`Dataset::graph_view`] for writing; a new name starts empty.
+    fn graph_mut(&mut self, name: Option<TermId>) -> GraphMut<'_> {
+        match name {
+            Some(name) => Graph::from_parts(
+                self.graph.dictionary_mut(),
+                self.named_graphs.entry(name).or_default(),
+            ),
+            None => self.graph.view_mut(),
+        }
+    }
+
+    /// The id of the named graph called `name`, if the dataset has one.
+    pub(crate) fn named_graph_id(&self, name: &Term) -> Option<TermId> {
+        let id = self.graph.dictionary().lookup(name)?;
+        self.named_graphs.contains_key(&id).then_some(id)
+    }
+
+    /// The named graph called `name`, if the dataset has one.
+    pub fn named_graph(&self, name: &str) -> Option<GraphView<'_>> {
+        let id = self.named_graph_id(&Term::uri(name))?;
+        Some(self.graph_view(Some(id)))
+    }
+
+    /// The named graph called `name`, created empty if it is new.
+    pub fn named_graph_mut(&mut self, name: &str) -> GraphMut<'_> {
+        let id = self.graph.intern(Term::uri(name));
+        self.graph_mut(Some(id))
+    }
+
+    /// The named graphs' ids, in name order.
+    pub fn named_graph_ids(&self) -> Vec<TermId> {
+        let mut ids: Vec<TermId> = self.named_graphs.keys().copied().collect();
+        ids.sort_by_key(|&id| self.graph.term(id).as_uri());
+        ids
+    }
+
+    /// Run `f` under a query's FROM / FROM NAMED clauses, which retarget
+    /// the default graph and restrict the named-graph universe (thesis
+    /// §3.3.4). `f` learns whether the FROM graph exists: one the
+    /// dataset lacks matches nothing.
+    pub(crate) fn in_query_scope<T>(
+        &mut self,
+        q: &crate::ast::SelectQuery,
+        f: impl FnOnce(&mut Self, bool) -> T,
+    ) -> T {
+        let saved = (self.active_graph, self.visible_named.clone());
+        let graph_id = |ds: &Self, name: &String| ds.named_graph_id(&Term::uri(name.as_str()));
+        let from = q.from.as_ref().map(|f| graph_id(self, f));
+        if let Some(Some(id)) = from {
+            self.active_graph = Some(id);
+        }
+        if !q.from_named.is_empty() {
+            let visible = q.from_named.iter().filter_map(|n| graph_id(self, n));
+            self.visible_named = Some(visible.collect());
+        }
+        let result = f(self, from != Some(None));
+        (self.active_graph, self.visible_named) = saved;
+        result
     }
 
     /// Load Turtle into a named graph (creating it if needed).
     pub fn load_turtle_named(&mut self, name: &str, text: &str) -> Result<usize, QueryError> {
-        let graph = self.named_graphs.entry(name.to_string()).or_default();
-        let n = ssdm_rdf::turtle::parse_into(graph, text)?;
+        let n = ssdm_rdf::turtle::parse_into(self.named_graph_mut(name), text)?;
+        self.externalize_large_arrays()?;
         self.journal_entry(crate::journal::JournalEntry::TurtleNamed { graph: name, text })?;
         Ok(n)
-    }
-
-    /// Names of the graphs a `GRAPH ?g` pattern ranges over, sorted for
-    /// deterministic iteration.
-    pub(crate) fn iterable_graph_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = match &self.visible_named {
-            Some(allowed) => allowed
-                .iter()
-                .filter(|n| self.named_graphs.contains_key(*n))
-                .cloned()
-                .collect(),
-            None => self.named_graphs.keys().cloned().collect(),
-        };
-        names.sort();
-        names
     }
 
     /// Parse and execute one SciSPARQL statement. Mutations are
@@ -443,14 +495,13 @@ impl Dataset {
             Statement::Select(q) => crate::eval::execute_select(self, &q),
             Statement::Ask(q) => crate::eval::execute_ask(self, &q),
             Statement::Construct(q) => crate::eval::execute_construct(self, &q),
-            Statement::Explain(q) => {
+            // The plan the query runs: planned as evaluation plans it,
+            // under the same FROM graph.
+            Statement::Explain(q) => Ok(QueryResult::Text(self.in_query_scope(&q, |ds, _| {
                 let plan =
-                    crate::algebra::optimize(crate::algebra::translate(&q.pattern), &self.graph);
-                Ok(QueryResult::Text(crate::algebra::explain(
-                    &plan,
-                    &self.graph,
-                )))
-            }
+                    crate::eval::plan_with_dataset(ds, crate::algebra::translate(&q.pattern));
+                crate::algebra::explain(&plan, ds.active())
+            }))),
             Statement::ExplainAnalyze(q) => {
                 // Pre-parsed entry (wire protocol, replay): no parse
                 // phase to report. `Dataset::query` intercepts the
@@ -500,40 +551,48 @@ impl Dataset {
         Ok(n)
     }
 
-    /// Move every resident array above the threshold out to the ASEI
-    /// back-end, replacing its term with an [`Term::ArrayRef`].
+    /// Move every resident array above the threshold, in every graph,
+    /// out to the ASEI back-end, replacing its term with an
+    /// [`Term::ArrayRef`].
     pub fn externalize_large_arrays(&mut self) -> Result<usize, QueryError> {
         if self.externalize_threshold == usize::MAX {
             return Ok(0);
         }
         let threshold = self.externalize_threshold;
-        let chunk_bytes = self.chunk_bytes;
-        // Collect triples whose object is a large resident array.
-        let todo: Vec<(ssdm_rdf::TermId, ssdm_rdf::TermId, ssdm_rdf::TermId)> = self
-            .graph
-            .iter()
-            .filter(
-                |t| matches!(self.graph.term(t.o), Term::Array(a) if a.element_count() > threshold),
-            )
-            .map(|t| (t.s, t.p, t.o))
+        let graphs: Vec<Option<TermId>> = std::iter::once(None)
+            .chain(self.named_graphs.keys().copied().map(Some))
             .collect();
         let mut moved = 0;
-        for (s, p, o) in todo {
-            let Term::Array(a) = self.graph.term(o).clone() else {
-                continue;
-            };
-            let cb = if chunk_bytes == 0 {
-                ssdm_storage::auto_chunk_bytes(a.element_count())
-            } else {
-                chunk_bytes
-            };
-            let proxy = self.arrays.store_array(&a, cb)?;
-            let new_o = self.graph.intern(Term::ArrayRef(proxy.array_id()));
-            self.graph.remove_ids(s, p, o);
-            self.graph.insert_ids(s, p, new_o);
-            moved += 1;
+        for name in graphs {
+            let graph = self.graph_view(name);
+            let large = |t: &Triple| matches!(graph.term(t.o), Term::Array(a) if a.element_count() > threshold);
+            let todo: Vec<Triple> = graph.iter().filter(large).collect();
+            moved += todo.len();
+            for t in todo {
+                let object = self.externalize(self.graph.term(t.o).clone())?;
+                let mut graph = self.graph_mut(name);
+                let new_o = graph.intern(object);
+                graph.remove_ids(t.s, t.p, t.o);
+                graph.insert_ids(t.s, t.p, new_o);
+            }
         }
         Ok(moved)
+    }
+
+    /// `term`, or the reference it becomes when it is a resident array
+    /// above the threshold: the array moves to the ASEI back-end.
+    pub(crate) fn externalize(&mut self, term: Term) -> Result<Term, QueryError> {
+        match term {
+            Term::Array(a) if a.element_count() > self.externalize_threshold => {
+                let chunk_bytes = match self.chunk_bytes {
+                    0 => ssdm_storage::auto_chunk_bytes(a.element_count()),
+                    bytes => bytes,
+                };
+                let proxy = self.arrays.store_array(&a, chunk_bytes)?;
+                Ok(Term::ArrayRef(proxy.array_id()))
+            }
+            other => Ok(other),
+        }
     }
 
     /// Resolve a term to a runtime value (array refs become proxies).
@@ -556,6 +615,22 @@ impl Dataset {
             Value::Term(Term::Array(a)) => Ok(a.clone()),
             Value::Proxy(p) => self.resolve_proxy(p),
             other => Err(QueryError::Eval(format!("not an array: {other}"))),
+        }
+    }
+
+    /// The array node `id` holds — resident, or resolved through its
+    /// proxy; `None` when it holds none.
+    pub(crate) fn node_array(
+        &mut self,
+        id: TermId,
+    ) -> Result<Option<ssdm_array::NumArray>, QueryError> {
+        match self.graph.term(id) {
+            Term::Array(a) => Ok(Some(a.clone())),
+            &Term::ArrayRef(ext) => {
+                let proxy = self.arrays.proxy(ext)?;
+                Ok(Some(self.resolve_proxy(&proxy)?))
+            }
+            _ => Ok(None),
         }
     }
 
@@ -616,5 +691,30 @@ mod tests {
         let arr = ds.force_array(&v).unwrap();
         assert_eq!(arr.element_count(), 8);
         assert_eq!(arr.get(&[7]).unwrap().as_i64(), 8);
+    }
+
+    #[test]
+    fn named_graphs_externalize_like_the_default_graph() {
+        let mut ds = Dataset::in_memory();
+        ds.externalize_threshold = 4;
+        ds.chunk_bytes = 16;
+        let line = "<http://s> <http://big> (1 2 3 4 5 6 7 8) .";
+        ds.load_turtle(line).unwrap();
+        ds.load_turtle_named("http://g", line).unwrap();
+        let big = ds
+            .graph
+            .dictionary()
+            .lookup(&Term::uri("http://big"))
+            .unwrap();
+        for graph in [ds.graph.view(), ds.named_graph("http://g").unwrap()] {
+            let o = graph.match_pattern(None, Some(big), None).next().unwrap().o;
+            assert!(matches!(graph.term(o), Term::ArrayRef(_)));
+        }
+        let rows = ds
+            .query("SELECT (array_avg(?a) AS ?m) WHERE { GRAPH <http://g> { ?s <http://big> ?a } }")
+            .unwrap()
+            .into_rows()
+            .unwrap();
+        assert_eq!(rows[0][0].as_ref().unwrap().to_string(), "4.5");
     }
 }

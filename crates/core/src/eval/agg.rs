@@ -13,7 +13,7 @@ use ssdm_rdf::{Term, TermId};
 use crate::ast::{AggKind, Expr, ProjectionItem};
 use crate::dataset::{Dataset, QueryError};
 use crate::eval::expr::{eval_expr, operand, Cx, Operand};
-use crate::eval::{project, value_to_graph_id, Row, VarTable};
+use crate::eval::{node_id, project, Row, VarTable};
 use crate::value::Value;
 
 /// One component of a GROUP BY or DISTINCT key. Keys are equal exactly
@@ -32,11 +32,11 @@ pub(crate) fn key_part(ds: &Dataset, op: Option<Operand>) -> KeyPart {
     };
     let id = match &op {
         Operand::Id(id) => Some(*id),
-        other => value_to_graph_id(ds, &other.value(ds)),
+        other => node_id(ds, &other.value(ds)),
     };
     // Arrays of one content render alike under different ids, and so do
     // a huge integral real and the integer it equals.
-    let named_by_rendering = |id: &TermId| match ds.active().term(*id) {
+    let named_by_rendering = |id: &TermId| match ds.graph.term(*id) {
         Term::Array(_) | Term::ArrayRef(_) => false,
         Term::Number(Num::Real(r)) => r.is_finite() && r.abs() < 1e15,
         _ => true,

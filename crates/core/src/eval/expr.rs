@@ -69,7 +69,7 @@ impl<'a> Operand<'a> {
     /// itself: not an array of either flavour, not a closure.
     fn scalar<'b>(&'b self, ds: &'b Dataset) -> Option<&'b Term> {
         let term = match self {
-            Operand::Id(id) => ds.active().term(*id),
+            Operand::Id(id) => ds.graph.term(*id),
             Operand::Term(t) => t,
             Operand::Ref(Value::Term(t)) | Operand::Owned(Value::Term(t)) => t,
             _ => return None,
@@ -89,7 +89,7 @@ impl<'a> Operand<'a> {
     /// The operand as a value; array references become proxies here.
     pub fn value(&self, ds: &Dataset) -> Cow<'_, Value> {
         match self {
-            Operand::Id(id) => Cow::Owned(ds.term_to_value(ds.active().term(*id))),
+            Operand::Id(id) => Cow::Owned(ds.term_to_value(ds.graph.term(*id))),
             Operand::Term(t) => Cow::Owned(ds.term_to_value(t)),
             Operand::Ref(v) => Cow::Borrowed(v),
             Operand::Owned(v) => Cow::Borrowed(v),
@@ -524,23 +524,14 @@ pub fn apply_function(
         return result;
     }
     if let Some(def) = ds.registry.lookup_defined(name) {
-        if def.params.len() != args.len() {
-            return Err(QueryError::Eval(format!(
-                "function {name} expects {} argument(s), got {}",
-                def.params.len(),
-                args.len()
-            )));
-        }
-        let params = def.params.iter().map(String::as_str);
-        let initial = params.zip(args.iter().cloned()).collect();
-        let (_, rows) = crate::eval::select_solutions(ds, &def.body, initial)?;
+        let rows = crate::eval::call_view(ds, &def, args.to_vec())?;
         // DAPLEX-style scalar context: the first column of the first
         // solution is the call's value; no solutions is an error value.
-        return Ok(rows
+        let first = rows
             .into_iter()
             .next()
-            .and_then(|r| r.into_iter().next())
-            .flatten());
+            .and_then(|r| r.into_vec().into_iter().next());
+        return Ok(first.and_then(|cell| crate::eval::into_value(ds, cell)));
     }
     if let Some(f) = ds.registry.lookup_foreign(name) {
         if f.arity != args.len() {

@@ -26,7 +26,7 @@ pub mod path;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use ssdm_rdf::{Graph, Term, TermId};
+use ssdm_rdf::{Dictionary, Term, TermId};
 
 use crate::algebra::{self, Plan};
 use crate::ast::*;
@@ -41,11 +41,12 @@ use expr::{eval_expr, Cx, Operand};
 pub enum Slot {
     #[default]
     Unbound,
-    /// A node of the active graph, by its dictionary id.
+    /// A node, by its id in the dataset's one dictionary — the same id
+    /// in every graph.
     Id(TermId),
-    /// A value that has no id: BIND results, VALUES terms absent from
-    /// the dictionary, sub-select cells, derived proxies, closures, and
-    /// every binding that crossed a graph boundary.
+    /// A value that names no node: computed numbers and strings the
+    /// dictionary lacks, derived proxies, closures. Computed values that
+    /// do name a node become `Id`s where they are bound ([`as_node`]).
     Val(Rc<Value>),
 }
 
@@ -62,12 +63,10 @@ impl From<Value> for Slot {
 }
 
 /// One solution: a slot per variable of the evaluation's [`VarTable`].
-/// Every `Id` in a live row is relative to the dictionary of
-/// [`Dataset::active`].
 pub type Row = Box<[Slot]>;
 
-/// Projected SELECT output: column names plus rows of optional values.
-pub type SelectOutput = (Vec<String>, Vec<Vec<Option<Value>>>);
+/// Projected SELECT output: column names plus one row of cells each.
+pub type SelectOutput = (Vec<String>, Vec<Row>);
 
 /// The variables of one evaluation scope, each with a fixed slot index.
 /// Built once per evaluated pattern from its plan (plus initial
@@ -165,34 +164,32 @@ impl VarTable {
     }
 }
 
-/// Execute a SELECT query.
+/// Execute a SELECT query: the one place its cells become values.
 pub fn execute_select(ds: &mut Dataset, q: &SelectQuery) -> Result<QueryResult, QueryError> {
     let (vars, rows) = select_solutions(ds, q, Vec::new())?;
+    let rows = rows
+        .into_iter()
+        .map(|r| {
+            r.into_vec()
+                .into_iter()
+                .map(|c| into_value(ds, c))
+                .collect()
+        })
+        .collect();
     Ok(QueryResult::Solutions { vars, rows })
 }
 
 /// Execute a SELECT query with initial bindings (the entry point for
-/// parameterized-view calls, where parameters arrive pre-bound). The
-/// query is a scope of its own: values go in, values come out.
+/// parameterized-view calls, where parameters arrive pre-bound) and
+/// return its projected rows.
 pub fn select_solutions(
     ds: &mut Dataset,
     q: &SelectQuery,
     initial: Vec<(&str, Value)>,
 ) -> Result<SelectOutput, QueryError> {
-    // FROM / FROM NAMED: retarget the default graph and restrict the
-    // named-graph universe for this query (thesis §3.3.4).
-    let saved_active = ds.active_graph.clone();
-    let saved_visible = ds.visible_named.clone();
-    if let Some(f) = &q.from {
-        ds.active_graph = Some(f.clone());
-    }
-    if !q.from_named.is_empty() {
-        ds.visible_named = Some(q.from_named.clone());
-    }
-    let result = select_solutions_inner(ds, q, initial);
-    ds.active_graph = saved_active;
-    ds.visible_named = saved_visible;
-    result
+    ds.in_query_scope(q, |ds, from_exists| {
+        select_solutions_inner(ds, q, initial, from_exists)
+    })
 }
 
 /// The projected columns of a SELECT (`*` expands to the bindable,
@@ -218,6 +215,7 @@ fn select_solutions_inner(
     ds: &mut Dataset,
     q: &SelectQuery,
     initial: Vec<(&str, Value)>,
+    from_exists: bool,
 ) -> Result<SelectOutput, QueryError> {
     let items = projection_items(q);
     let mut vars = VarTable::default();
@@ -225,7 +223,7 @@ fn select_solutions_inner(
     for (name, value) in initial {
         let slot = vars.add(name);
         seed.resize(seed.len().max(slot + 1), Slot::Unbound);
-        seed[slot] = value.into();
+        seed[slot] = as_node(ds, value.into());
     }
     // Order keys may name output aliases: give those slots too.
     let alias_slots: Vec<usize> = if q.order_by.is_empty() {
@@ -233,7 +231,11 @@ fn select_solutions_inner(
     } else {
         items.iter().map(|i| vars.add(&i.name())).collect()
     };
-    let (vars, solutions) = eval_pattern(ds, &q.pattern, vars, seed.into())?;
+    let (vars, solutions) = if from_exists {
+        eval_pattern(ds, &q.pattern, vars, seed.into())?
+    } else {
+        (vars, Vec::new())
+    };
 
     // Projection handling, with or without grouping.
     let needs_grouping = !q.group_by.is_empty()
@@ -337,17 +339,7 @@ fn select_solutions_inner(
     if let Some(lim) = q.limit {
         out_rows.truncate(lim);
     }
-
-    let rows = out_rows
-        .into_iter()
-        .map(|r| {
-            r.into_vec()
-                .into_iter()
-                .map(|c| into_value(ds, c))
-                .collect()
-        })
-        .collect();
-    Ok((items.iter().map(|i| i.name()).collect(), rows))
+    Ok((items.iter().map(|i| i.name()).collect(), out_rows))
 }
 
 /// Project one solution (or group) onto the output columns. A bare
@@ -375,10 +367,7 @@ fn into_value(ds: &Dataset, slot: Slot) -> Option<Value> {
 /// everything else compares by value.
 fn slot_eq(ds: &Dataset, a: &Slot, b: &Slot) -> bool {
     match (a, b) {
-        (Slot::Id(x), Slot::Id(y)) => {
-            let graph = ds.active();
-            x == y || graph.term(*x).value_eq(graph.term(*y))
-        }
+        (Slot::Id(x), Slot::Id(y)) => x == y || ds.graph.term(*x).value_eq(ds.graph.term(*y)),
         _ => match (Operand::of_slot(a), Operand::of_slot(b)) {
             (Some(x), Some(y)) => x.value(ds).value_eq(&y.value(ds)),
             _ => false,
@@ -406,7 +395,7 @@ fn join_table(
     vars: &VarTable,
     input: Vec<Row>,
     names: &[String],
-    table: &[Vec<Slot>],
+    table: &[Row],
 ) -> Result<Vec<Row>, QueryError> {
     let slots: Vec<usize> = names
         .iter()
@@ -447,14 +436,15 @@ pub(crate) fn fan_out<T>(
     }
 }
 
-/// Ids are relative to one graph's dictionary, so rows crossing a GRAPH
-/// boundary (in either direction) trade them for the values they denote.
-fn detach(ds: &Dataset, rows: &mut [Row]) {
-    for slot in rows.iter_mut().flat_map(|row| row.iter_mut()) {
-        if let Slot::Id(id) = slot {
-            *slot = Operand::Id(*id).into_value(ds).into();
+/// A cell that holds a value naming a node holds its id instead: the
+/// one lookup a computed value gets, where it is bound.
+pub(crate) fn as_node(ds: &Dataset, cell: Slot) -> Slot {
+    if let Slot::Val(v) = &cell {
+        if let Some(id) = node_id(ds, v) {
+            return Slot::Id(id);
         }
     }
+    cell
 }
 
 /// Execute an ASK query.
@@ -504,7 +494,7 @@ pub(crate) fn instantiate(
         TermPattern::Term(t) => Some(t.clone()),
         TermPattern::Var(v) => match &row[vars.slot(v)?] {
             Slot::Unbound => None,
-            Slot::Id(id) => Some(ds.active().term(*id).clone()),
+            Slot::Id(id) => Some(ds.graph.term(*id).clone()),
             Slot::Val(v) => match &**v {
                 Value::Term(t) => Some(t.clone()),
                 Value::Proxy(p) => Some(Term::ArrayRef(p.array_id())),
@@ -516,7 +506,7 @@ pub(crate) fn instantiate(
 
 /// Optimize an already-translated plan with the dataset's full planner
 /// context: configuration, calibration table and zone-map statistics.
-fn plan_with_dataset(ds: &Dataset, translated: Plan) -> Plan {
+pub(crate) fn plan_with_dataset(ds: &Dataset, translated: Plan) -> Plan {
     let ctx = crate::planner::PlannerCtx {
         graph: ds.active(),
         config: ds.planner,
@@ -605,7 +595,7 @@ fn strictly_inside(ds: &Dataset, window: Option<(usize, Window)>, row: &Row) -> 
     };
     match row[slot] {
         Slot::Id(id) => {
-            matches!(ds.active().term(id), Term::Number(n) if window.contains_strictly(n.as_f64()))
+            matches!(ds.graph.term(id), Term::Number(n) if window.contains_strictly(n.as_f64()))
         }
         _ => false,
     }
@@ -781,7 +771,7 @@ fn eval_plan_inner(
                 } else {
                     // BIND errors leave the variable unbound.
                     let bound = match eval_expr(ds, &cx, expr)? {
-                        Some(v) => bind(ds, &mut row, slot, &v.into()),
+                        Some(v) => bind(ds, &mut row, slot, &as_node(ds, v.into())),
                         None => true,
                     };
                     if bound {
@@ -792,23 +782,17 @@ fn eval_plan_inner(
             Ok(out)
         }
         Plan::Graph { name, inner } => {
-            let saved = ds.active_graph.clone();
-            detach(ds, &mut input);
+            let saved = ds.active_graph;
             let result = eval_graph_plan(ds, vars, name, inner, input);
             ds.active_graph = saved;
             result
         }
         Plan::SubSelect(q) => {
             // SPARQL subqueries evaluate bottom-up, then join.
-            let (names, sub_rows) = select_solutions(ds, q, Vec::new())?;
-            let table: Vec<Vec<Slot>> = sub_rows
-                .into_iter()
-                .map(|r| {
-                    r.into_iter()
-                        .map(|c| c.map_or(Slot::Unbound, Slot::from))
-                        .collect()
-                })
-                .collect();
+            let (names, mut table) = select_solutions(ds, q, Vec::new())?;
+            for cell in table.iter_mut().flat_map(|row| row.iter_mut()) {
+                *cell = as_node(ds, std::mem::take(cell));
+            }
             join_table(ds, vars, input, &names, &table)
         }
         Plan::Minus {
@@ -838,14 +822,11 @@ fn eval_plan_inner(
             Ok(rows)
         }
         Plan::Values { vars: names, rows } => {
-            let cell = |term: &Option<Term>| match term {
-                None => Slot::Unbound,
-                Some(term) => match ds.active().dictionary().lookup(term) {
-                    Some(id) => Slot::Id(id),
-                    None => ds.term_to_value(term).into(),
-                },
+            let cell = |term: &Option<Term>| {
+                term.as_ref()
+                    .map_or(Slot::Unbound, |t| as_node(ds, ds.term_to_value(t).into()))
             };
-            let table: Vec<Vec<Slot>> = rows.iter().map(|r| r.iter().map(cell).collect()).collect();
+            let table: Vec<Row> = rows.iter().map(|r| r.iter().map(cell).collect()).collect();
             join_table(ds, vars, input, names, &table)
         }
     }
@@ -853,7 +834,7 @@ fn eval_plan_inner(
 
 /// One position of a triple pattern, compiled once per scan call.
 pub(crate) enum Pos {
-    /// A constant, by the id it has in the active graph.
+    /// A constant, by its dictionary id.
     Id(TermId),
     /// An array constant that is not a node: array constants and
     /// computed arrays match by CONTENT, not node identity (§4.1.6).
@@ -865,7 +846,7 @@ pub(crate) enum Pos {
 pub(crate) enum At<'r> {
     Free(usize),
     Id(TermId),
-    /// A value that is not a node of the active graph.
+    /// A value that is not a node.
     Value(&'r Value),
 }
 
@@ -899,7 +880,7 @@ fn note_scan_work(counter: ScanWork) {
 
 impl Pos {
     /// Compile a pattern position; `None` when it is a constant the
-    /// active graph does not hold, which nothing can match.
+    /// dictionary does not hold, which nothing can match.
     pub(crate) fn compile(
         ds: &Dataset,
         vars: &VarTable,
@@ -910,7 +891,7 @@ impl Pos {
             TermPattern::Term(term) => {
                 #[cfg(test)]
                 note_scan_work(ScanWork::Lookups);
-                match (ds.active().dictionary().lookup(term), term) {
+                match (ds.graph.dictionary().lookup(term), term) {
                     (Some(id), _) => Some(Pos::Id(id)),
                     (None, Term::Array(_)) => Some(Pos::Array(Value::Term(term.clone()))),
                     (None, _) => None,
@@ -919,14 +900,14 @@ impl Pos {
         })
     }
 
-    pub(crate) fn at<'r>(&'r self, ds: &Dataset, row: &'r Row) -> At<'r> {
+    pub(crate) fn at<'r>(&'r self, row: &'r Row) -> At<'r> {
         match self {
             Pos::Id(id) => At::Id(*id),
             Pos::Array(a) => At::Value(a),
             Pos::Var(slot) => match &row[*slot] {
                 Slot::Unbound => At::Free(*slot),
                 Slot::Id(id) => At::Id(*id),
-                Slot::Val(v) => value_to_graph_id(ds, v).map_or(At::Value(v), At::Id),
+                Slot::Val(v) => At::Value(v),
             },
         }
     }
@@ -936,7 +917,7 @@ impl Pos {
 /// variable used twice in the pattern must match itself: the same id,
 /// else the same value.
 pub(crate) fn extend(
-    graph: &Graph,
+    dict: &Dictionary,
     mut extended: Row,
     bindings: &[(Option<usize>, TermId)],
     out: &mut Vec<Row>,
@@ -944,7 +925,7 @@ pub(crate) fn extend(
     for &(free, id) in bindings {
         let Some(slot) = free else { continue };
         match extended[slot] {
-            Slot::Id(first) if first == id || graph.term(first).value_eq(graph.term(id)) => {}
+            Slot::Id(first) if first == id || dict.term(first).value_eq(dict.term(id)) => {}
             Slot::Id(_) => return,
             _ => extended[slot] = Slot::Id(id),
         }
@@ -983,7 +964,7 @@ fn scan_triples(
         let mut free: [Option<usize>; 3] = [None; 3];
         let mut content_checks: Vec<(usize, ssdm_array::NumArray)> = Vec::new();
         for (i, pos) in pattern.iter().enumerate() {
-            match pos.at(ds, &row) {
+            match pos.at(&row) {
                 At::Free(slot) => free[i] = Some(slot),
                 At::Id(id) => ids[i] = Some(id),
                 At::Value(Value::Term(Term::Array(a))) => content_checks.push((i, a.clone())),
@@ -1006,7 +987,9 @@ fn scan_triples(
                 note_scan_work(ScanWork::Visited);
                 [(free[0], m.s), (free[1], m.p), (free[2], m.o)]
             });
-            fan_out(row, matches, |r, b| extend(graph, r, &b, &mut out));
+            fan_out(row, matches, |r, b| {
+                extend(graph.dictionary(), r, &b, &mut out)
+            });
             continue;
         }
         // Resolving candidates needs the array store: collect first.
@@ -1015,37 +998,31 @@ fn scan_triples(
         let mut hits = Vec::new();
         'triple: for m in candidates {
             for (i, target) in &content_checks {
-                let candidate = match ds.active().term([m.s, m.p, m.o][*i]) {
-                    Term::Array(a) => a.clone(),
-                    Term::ArrayRef(ext) => {
-                        let proxy = ds.arrays.proxy(*ext)?;
-                        ds.resolve_proxy(&proxy)?
-                    }
-                    _ => continue 'triple,
-                };
-                if !candidate.array_eq(target) {
+                let candidate = ds.node_array([m.s, m.p, m.o][*i])?;
+                if !candidate.is_some_and(|a| a.array_eq(target)) {
                     continue 'triple;
                 }
             }
             hits.push([(free[0], m.s), (free[1], m.p), (free[2], m.o)]);
         }
-        fan_out(row, hits, |r, b| extend(ds.active(), r, &b, &mut out));
+        fan_out(row, hits, |r, b| {
+            extend(ds.graph.dictionary(), r, &b, &mut out)
+        });
     }
     Ok(out)
 }
 
-/// Map a bound value back to a graph term id, if it denotes a graph
-/// node. Computed values (fresh arrays, closures) match nothing.
-pub(crate) fn value_to_graph_id(ds: &Dataset, v: &Value) -> Option<TermId> {
+/// The id of the node a value names, if any. Computed values (fresh
+/// arrays, closures) name none.
+pub(crate) fn node_id(ds: &Dataset, v: &Value) -> Option<TermId> {
+    let dict = ds.graph.dictionary();
     match v {
-        Value::Term(t) => ds.active().dictionary().lookup(t),
+        Value::Term(t) => dict.lookup(t),
         Value::Proxy(p) => {
             // Only a whole-array proxy denotes the stored node.
             let whole = ssdm_storage::ArrayProxy::whole(p.meta().clone());
             if whole.view() == p.view() {
-                ds.active()
-                    .dictionary()
-                    .lookup(&Term::ArrayRef(p.array_id()))
+                dict.lookup(&Term::ArrayRef(p.array_id()))
             } else {
                 None
             }
@@ -1054,9 +1031,9 @@ pub(crate) fn value_to_graph_id(ds: &Dataset, v: &Value) -> Option<TermId> {
     }
 }
 
-/// Evaluate a GRAPH plan over rows that carry no ids: a fixed name
-/// retargets the active graph; a variable iterates the visible named
-/// graphs, binding it.
+/// Evaluate a GRAPH plan: a fixed name retargets the active graph (a
+/// graph the dataset lacks matches nothing); a variable iterates the
+/// visible named graphs in name order, binding it to each name's id.
 fn eval_graph_plan(
     ds: &mut Dataset,
     vars: &VarTable,
@@ -1064,32 +1041,32 @@ fn eval_graph_plan(
     inner: &Plan,
     mut input: Vec<Row>,
 ) -> Result<Vec<Row>, QueryError> {
-    let mut out = Vec::new();
-    let mut eval_in = |ds: &mut Dataset, graph: String, rows: Vec<Row>| {
-        ds.active_graph = Some(graph);
-        let mut rows = eval_plan(ds, vars, inner, rows)?;
-        detach(ds, &mut rows);
-        out.extend(rows);
-        Ok::<(), QueryError>(())
-    };
-    match name {
-        TermPattern::Term(Term::Uri(u)) => eval_in(ds, u.clone(), input)?,
-        TermPattern::Term(_) => {}
-        TermPattern::Var(v) => {
-            let slot = vars.bound_slot(v)?;
-            let mut names = ds.iterable_graph_names().into_iter().peekable();
-            while let Some(n) = names.next() {
-                let cell = Value::Term(Term::uri(n.clone())).into();
-                let mut rows: Vec<Row> = if names.peek().is_some() {
-                    input.iter().map(copy_row).collect()
-                } else {
-                    std::mem::take(&mut input)
-                };
-                rows.retain_mut(|row| bind(ds, row, slot, &cell));
-                if !rows.is_empty() {
-                    eval_in(ds, n, rows)?;
-                }
+    let slot = match name {
+        TermPattern::Term(name) => match ds.named_graph_id(name) {
+            Some(graph) => {
+                ds.active_graph = Some(graph);
+                return eval_plan(ds, vars, inner, input);
             }
+            None => return Ok(Vec::new()),
+        },
+        TermPattern::Var(v) => vars.bound_slot(v)?,
+    };
+    let mut graphs = ds.named_graph_ids();
+    if let Some(visible) = &ds.visible_named {
+        graphs.retain(|g| visible.contains(g));
+    }
+    let mut out = Vec::new();
+    let mut graphs = graphs.into_iter().peekable();
+    while let Some(graph) = graphs.next() {
+        let mut rows: Vec<Row> = if graphs.peek().is_some() {
+            input.iter().map(copy_row).collect()
+        } else {
+            std::mem::take(&mut input)
+        };
+        rows.retain_mut(|row| bind(ds, row, slot, &Slot::Id(graph)));
+        if !rows.is_empty() {
+            ds.active_graph = Some(graph);
+            out.extend(eval_plan(ds, vars, inner, rows)?);
         }
     }
     Ok(out)
@@ -1139,10 +1116,10 @@ fn enumerate_subscripts(
     for _ in 0..count {
         let mut extended = copy_row(&row);
         for (&(_, slot), &i) in enumerating.iter().zip(&ix) {
-            extended[slot] = Value::integer(i).into();
+            extended[slot] = as_node(ds, Value::integer(i).into());
         }
         if let Some(value) = eval_expr(ds, &Cx::new(vars, &extended), deref)? {
-            if bind(ds, &mut extended, var, &value.into()) {
+            if bind(ds, &mut extended, var, &as_node(ds, value.into())) {
                 out.push(extended);
             }
         }
@@ -1168,6 +1145,39 @@ fn bind_view_bag(
     def: &FunctionDef,
     args: &[Expr],
 ) -> Result<Vec<Row>, QueryError> {
+    let mut values = Vec::with_capacity(args.len());
+    for a in args {
+        match eval_expr(ds, &Cx::new(vars, &row), a)? {
+            Some(v) => values.push(v),
+            // An erroneous argument leaves the BIND unbound.
+            None => return Ok(vec![row]),
+        }
+    }
+    let results = call_view(ds, def, values)?;
+    if results.is_empty() {
+        // No solutions: the call errors, the variable stays unbound.
+        return Ok(vec![row]);
+    }
+    let mut out = Vec::with_capacity(results.len());
+    let cells = results
+        .into_iter()
+        .filter_map(|r| r.into_vec().into_iter().next())
+        .filter(Slot::is_bound);
+    fan_out(row, cells, |mut extended, cell| {
+        if bind(ds, &mut extended, var, &as_node(ds, cell)) {
+            out.push(extended);
+        }
+    });
+    Ok(out)
+}
+
+/// The projected rows of a parameterized view called with `args`: its
+/// body run with the parameters pre-bound.
+pub(crate) fn call_view(
+    ds: &mut Dataset,
+    def: &FunctionDef,
+    args: Vec<Value>,
+) -> Result<Vec<Row>, QueryError> {
     if def.params.len() != args.len() {
         return Err(QueryError::Eval(format!(
             "function {} expects {} argument(s), got {}",
@@ -1176,29 +1186,8 @@ fn bind_view_bag(
             args.len()
         )));
     }
-    let mut initial = Vec::with_capacity(args.len());
-    for (p, a) in def.params.iter().zip(args) {
-        match eval_expr(ds, &Cx::new(vars, &row), a)? {
-            Some(v) => initial.push((p.as_str(), v)),
-            // An erroneous argument leaves the BIND unbound.
-            None => return Ok(vec![row]),
-        }
-    }
-    let (_, results) = select_solutions(ds, &def.body, initial)?;
-    if results.is_empty() {
-        // No solutions: the call errors, the variable stays unbound.
-        return Ok(vec![row]);
-    }
-    let mut out = Vec::with_capacity(results.len());
-    let values = results
-        .into_iter()
-        .filter_map(|r| r.into_iter().next().flatten());
-    fan_out(row, values, |mut extended, v| {
-        if bind(ds, &mut extended, var, &v.into()) {
-            out.push(extended);
-        }
-    });
-    Ok(out)
+    let initial = def.params.iter().map(String::as_str).zip(args).collect();
+    Ok(select_solutions(ds, &def.body, initial)?.1)
 }
 
 #[cfg(test)]
@@ -1331,5 +1320,48 @@ mod tests {
         let [_, _, visited, rechecked, _] = scan_work();
         assert!(visited >= 2000, "visited {visited}");
         assert!(rechecked >= 1000, "rechecked {rechecked}");
+    }
+
+    #[test]
+    fn rows_keep_ids_across_graph_and_subselect_boundaries() {
+        let mut ds = Dataset::in_memory();
+        let prefix = "@prefix ex: <http://e#> .";
+        ds.load_turtle(&format!(
+            "{prefix} ex:alice ex:name \"Alice\" . ex:bob ex:name \"Bob\" ."
+        ))
+        .unwrap();
+        for (graph, scores) in [("math", "90 ; ex:rank 1"), ("bio", "45")] {
+            let text = format!("{prefix} ex:alice ex:score {scores} . ex:bob ex:score 60 .");
+            ds.load_turtle_named(&format!("http://graphs/{graph}"), &text)
+                .unwrap();
+        }
+        // Every bound slot names a node of some graph — the graph names
+        // ?g binds included — so every one must be an id.
+        let rows_of = |ds: &mut Dataset, query: &str| {
+            let Statement::Select(q) = crate::parser::parse(query).unwrap() else {
+                panic!("not a SELECT: {query}")
+            };
+            let (vars, rows) =
+                eval_pattern(ds, &q.pattern, VarTable::default(), Row::default()).unwrap();
+            for row in &rows {
+                for (name, slot) in vars.names.iter().zip(row.iter()) {
+                    assert!(
+                        matches!(slot, Slot::Id(_)),
+                        "?{name} is {slot:?} in {query}"
+                    );
+                }
+            }
+            rows.len()
+        };
+        let across_graphs = "PREFIX ex: <http://e#> SELECT * WHERE {
+            ?p ex:name ?n . GRAPH ?g { ?p ex:score ?s } }";
+        assert_eq!(rows_of(&mut ds, across_graphs), 4);
+        let sub_select = "PREFIX ex: <http://e#> SELECT * WHERE {
+            ?p ex:name ?n .
+            { SELECT ?p ?s ?top WHERE {
+                GRAPH <http://graphs/math> { ?p ex:score ?s OPTIONAL { ?p ex:rank ?r } }
+                BIND (ex:alice AS ?top) } }
+            ?top ex:name ?who }";
+        assert_eq!(rows_of(&mut ds, sub_select), 2);
     }
 }

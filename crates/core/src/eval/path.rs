@@ -7,7 +7,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use ssdm_rdf::TermId;
+use ssdm_rdf::{GraphView, TermId};
 
 use crate::ast::{Path, TermPattern, TriplePattern};
 use crate::dataset::{Dataset, QueryError};
@@ -32,7 +32,7 @@ pub fn eval_path_scan(
     for row in input {
         // (free slot, bound id) of an endpoint; a value that is not a
         // node of this graph matches nothing.
-        let end = |pos: &Pos| match pos.at(ds, &row) {
+        let end = |pos: &Pos| match pos.at(&row) {
             At::Free(slot) => Some((Some(slot), None)),
             At::Id(id) => Some((None, Some(id))),
             At::Value(_) => None,
@@ -41,7 +41,7 @@ pub fn eval_path_scan(
             continue;
         };
         fan_out(row, path_pairs(graph, &t.path, s_id, o_id)?, |r, (s, o)| {
-            extend(graph, r, &[(s_free, s), (o_free, o)], &mut out)
+            extend(graph.dictionary(), r, &[(s_free, s), (o_free, o)], &mut out)
         });
     }
     Ok(out)
@@ -50,7 +50,7 @@ pub fn eval_path_scan(
 /// All `(s, o)` pairs connected by `path`, restricted by optional bound
 /// endpoints.
 pub fn path_pairs(
-    graph: &ssdm_rdf::Graph,
+    graph: GraphView,
     path: &Path,
     s: Option<TermId>,
     o: Option<TermId>,
@@ -66,7 +66,7 @@ pub fn path_pairs(
 }
 
 fn raw_pairs(
-    graph: &ssdm_rdf::Graph,
+    graph: GraphView,
     path: &Path,
     s: Option<TermId>,
     o: Option<TermId>,
@@ -141,7 +141,7 @@ fn raw_pairs(
 }
 
 /// Candidate nodes for zero-length path matches.
-fn identity_nodes(graph: &ssdm_rdf::Graph, s: Option<TermId>, o: Option<TermId>) -> Vec<TermId> {
+fn identity_nodes(graph: GraphView, s: Option<TermId>, o: Option<TermId>) -> Vec<TermId> {
     match (s, o) {
         (Some(a), Some(b)) => {
             if a == b {
@@ -166,7 +166,7 @@ fn identity_nodes(graph: &ssdm_rdf::Graph, s: Option<TermId>, o: Option<TermId>)
 
 /// Transitive closure (one or more steps) of `inner`.
 fn closure_pairs(
-    graph: &ssdm_rdf::Graph,
+    graph: GraphView,
     inner: &Path,
     s: Option<TermId>,
     o: Option<TermId>,

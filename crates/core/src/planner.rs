@@ -34,7 +34,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
 use ssdm_array::Num;
-use ssdm_rdf::{Graph, Term, TermId};
+use ssdm_rdf::{GraphView, Term, TermId};
 use ssdm_storage::{ArrayStore, ValuePredicate};
 
 use crate::ast::{CmpOp, Expr};
@@ -358,10 +358,10 @@ impl ZoneStatsProvider for ArrayStore<DynChunkStore> {
 
 /// Everything the cost model may consult while planning one query.
 /// Statistics sources are optional: a bare `PlannerCtx::new(graph)`
-/// plans from graph statistics alone (the `EXPLAIN` / library path),
-/// while `eval` builds the full context from the dataset.
+/// plans from graph statistics alone (the library path), while `eval`
+/// builds the full context from the dataset.
 pub struct PlannerCtx<'a> {
-    pub graph: &'a Graph,
+    pub graph: GraphView<'a>,
     pub config: PlannerConfig,
     pub calibration: Option<&'a Calibration>,
     pub zones: Option<&'a dyn ZoneStatsProvider>,
@@ -369,9 +369,9 @@ pub struct PlannerCtx<'a> {
 
 impl<'a> PlannerCtx<'a> {
     /// Graph-only context with environment-derived configuration.
-    pub fn new(graph: &'a Graph) -> Self {
+    pub fn new(graph: impl Into<GraphView<'a>>) -> Self {
         PlannerCtx {
-            graph,
+            graph: graph.into(),
             config: PlannerConfig::from_env(),
             calibration: None,
             zones: None,
@@ -380,9 +380,9 @@ impl<'a> PlannerCtx<'a> {
 
     /// Graph-only context with the built-in default configuration (no
     /// environment reads — for hot estimate wrappers).
-    pub fn plain(graph: &'a Graph) -> Self {
+    pub fn plain(graph: impl Into<GraphView<'a>>) -> Self {
         PlannerCtx {
-            graph,
+            graph: graph.into(),
             config: PlannerConfig::default(),
             calibration: None,
             zones: None,
@@ -725,7 +725,7 @@ fn zone_fraction_for(name: &str, args: &[Expr], ctx: &PlannerCtx) -> Option<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_rdf::Term;
+    use ssdm_rdf::{Graph, Term};
 
     #[test]
     fn mode_parsing_accepts_aliases() {

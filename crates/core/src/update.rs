@@ -17,7 +17,7 @@ pub fn insert_data(
 ) -> Result<QueryResult, QueryError> {
     let mut inserted = 0;
     for t in triples {
-        let object = externalize_if_large(ds, t.object)?;
+        let object = ds.externalize(t.object)?;
         if ds.graph.insert(t.subject, t.predicate, object) {
             inserted += 1;
         }
@@ -51,16 +51,7 @@ pub fn delete_data(
                     .map(|tr| tr.o)
                     .collect();
                 for o in candidates {
-                    let matches = match ds.graph.term(o).clone() {
-                        Term::Array(a) => a.array_eq(target),
-                        Term::ArrayRef(id) => {
-                            let proxy = ds.arrays.proxy(id)?;
-                            let resolved = ds.resolve_proxy(&proxy)?;
-                            resolved.array_eq(target)
-                        }
-                        _ => false,
-                    };
-                    if matches {
+                    if ds.node_array(o)?.is_some_and(|a| a.array_eq(target)) {
                         if let Term::ArrayRef(id) = ds.graph.term(o).clone() {
                             ds.arrays.delete_array(id)?;
                         }
@@ -140,25 +131,10 @@ pub fn modify(
     }
     let mut inserted = 0;
     for (s, p, o) in to_insert {
-        let o = externalize_if_large(ds, o)?;
+        let o = ds.externalize(o)?;
         if ds.graph.insert(s, p, o) {
             inserted += 1;
         }
     }
     Ok(QueryResult::Updated { inserted, deleted })
-}
-
-fn externalize_if_large(ds: &mut Dataset, object: Term) -> Result<Term, QueryError> {
-    match object {
-        Term::Array(a) if a.element_count() > ds.externalize_threshold => {
-            let chunk_bytes = if ds.chunk_bytes == 0 {
-                ssdm_storage::auto_chunk_bytes(a.element_count())
-            } else {
-                ds.chunk_bytes
-            };
-            let proxy = ds.arrays.store_array(&a, chunk_bytes)?;
-            Ok(Term::ArrayRef(proxy.array_id()))
-        }
-        other => Ok(other),
-    }
 }

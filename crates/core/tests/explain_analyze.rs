@@ -357,3 +357,63 @@ fn a_pushed_window_shows_on_its_scan_and_is_estimated_as_one_range() {
         assert!(fields(op)["rows_out"] <= 101, "{op}");
     }
 }
+
+/// The predicate IRIs of the scans in a rendered plan or profile, in
+/// operator order.
+fn scan_order(text: &str) -> Vec<String> {
+    text.lines()
+        .filter_map(|line| line.split_once("Scan ")?.1.split_once('<'))
+        .filter_map(|(_, rest)| Some(rest.split_once('>')?.0.to_string()))
+        .collect()
+}
+
+/// `EXPLAIN` shows the plan the query runs: under every planner mode
+/// its scans come in the order `EXPLAIN ANALYZE` executes them — with
+/// the dataset's mode, and under a `FROM` graph whose statistics differ
+/// from the default graph's.
+#[test]
+fn explain_plans_what_explain_analyze_runs() {
+    use scisparql::planner::{PlannerConfig, PlannerMode};
+
+    let mut common = String::from("@prefix ex: <http://e#> . ex:s0 ex:rare \"x\" .\n");
+    for i in 0..500 {
+        common.push_str(&format!("ex:s{i} ex:common {i} .\n"));
+    }
+    // `a` is common and `b` rare in the default graph; the reverse in <g>.
+    let skewed = |many: &str, few: &str| {
+        let mut text = String::from("@prefix ex: <http://e#> .\n");
+        for i in 0..500 {
+            text.push_str(&format!("ex:s{i} ex:{many} {i} .\n"));
+        }
+        for i in 0..3 {
+            text.push_str(&format!("ex:s{i} ex:{few} {i} .\n"));
+        }
+        text
+    };
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle(&common).unwrap();
+    ds.load_turtle(&skewed("a", "b")).unwrap();
+    ds.load_turtle_named("http://g", &skewed("b", "a")).unwrap();
+    let queries = [
+        "SELECT ?s WHERE { ?s ex:common ?v . ?s ex:rare \"x\" }",
+        "SELECT ?s FROM <http://g> WHERE { ?s ex:a ?x . ?s ex:b ?y }",
+    ];
+    for mode in [PlannerMode::Textual, PlannerMode::Greedy, PlannerMode::Dp] {
+        ds.planner = PlannerConfig {
+            mode,
+            ..PlannerConfig::default()
+        };
+        for q in queries {
+            let run = |ds: &mut Dataset, verb: &str| match ds
+                .query(&format!("PREFIX ex: <http://e#> {verb} {q}"))
+            {
+                Ok(QueryResult::Text(text)) => scan_order(&text),
+                other => panic!("{verb} {q}: {other:?}"),
+            };
+            let planned = run(&mut ds, "EXPLAIN");
+            let ran = run(&mut ds, "EXPLAIN ANALYZE");
+            assert_eq!(planned.len(), 2, "{mode:?} {q}");
+            assert_eq!(planned, ran, "{mode:?} {q}");
+        }
+    }
+}

@@ -175,17 +175,18 @@ fn nested_exists_sees_active_graph() {
     assert_eq!(r.len(), 2);
 }
 
-/// Every graph has its own dictionary, so the same IRI has a different
-/// id in each: joins must carry the term, not the id, across a GRAPH
-/// boundary — in both directions, and over `GRAPH ?g`.
+/// Every graph indexes the dataset's one dictionary, so an IRI has one
+/// id in all of them, even when the graphs load it in different orders,
+/// and joins carry that id across a GRAPH boundary — in both
+/// directions, and over `GRAPH ?g`.
 #[test]
-fn joins_across_graphs_with_different_dictionary_ids() {
+fn joins_across_graphs_share_one_dictionary_id() {
     use scisparql::planner::{PlannerConfig, PlannerMode};
-    use ssdm_rdf::{Graph, Term};
+    use ssdm_rdf::Term;
 
     let mut ds = Dataset::in_memory();
-    // Padding first: the shared IRIs are interned later here than in
-    // the named graphs.
+    // Padding first: the default graph interns the shared IRIs after
+    // terms no named graph has.
     ds.load_turtle(
         r#"@prefix ex: <http://e#> .
            ex:pad1 ex:pad ex:pad2 . ex:pad3 ex:pad ex:pad4 .
@@ -206,9 +207,12 @@ fn joins_across_graphs_with_different_dictionary_ids() {
     )
     .unwrap();
     let alice = Term::uri("http://e#alice");
-    let id_in = |g: &Graph| g.dictionary().lookup(&alice).unwrap();
-    assert_ne!(id_in(&ds.graph), id_in(&ds.named_graphs[math]));
-    assert_ne!(id_in(&ds.named_graphs[math]), id_in(&ds.named_graphs[bio]));
+    let id = ds.graph.dictionary().lookup(&alice).unwrap();
+    for name in [math, bio] {
+        let graph = ds.named_graph(name).unwrap();
+        assert_eq!(graph.dictionary().lookup(&alice), Some(id), "{name}");
+        assert_eq!(graph.match_pattern(Some(id), None, None).count(), 1);
+    }
 
     let table = |ds: &mut Dataset, q: &str| -> Vec<String> {
         let q = format!("PREFIX ex: <http://e#> {q}");
@@ -272,4 +276,50 @@ fn joins_across_graphs_with_different_dictionary_ids() {
             "{mode:?}"
         );
     }
+}
+
+/// Two graphs that use one blank-node label: both mean one node, so a
+/// join across the boundary matches on it.
+#[test]
+fn a_blank_label_in_two_graphs_joins() {
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle(r#"@prefix ex: <http://e#> . _:b ex:name "Bee" ."#)
+        .unwrap();
+    ds.load_turtle_named("http://g", "@prefix ex: <http://e#> . _:b ex:score 7 .")
+        .unwrap();
+    let r = rows(
+        &mut ds,
+        r#"PREFIX ex: <http://e#>
+           SELECT ?n ?s WHERE { ?x ex:name ?n . GRAPH <http://g> { ?x ex:score ?s } }"#,
+    );
+    assert_eq!(r.len(), 1);
+    assert_eq!(r[0][0].as_ref().unwrap().to_string(), "\"Bee\"");
+    assert_eq!(r[0][1].as_ref().unwrap().to_string(), "7");
+}
+
+/// A VALUES constant only a named graph holds binds before the GRAPH
+/// pattern and still matches inside it; one no graph holds matches
+/// nothing.
+#[test]
+fn a_values_constant_only_a_named_graph_holds() {
+    let mut ds = dataset();
+    ds.load_turtle_named(
+        "http://graphs/chem",
+        "@prefix ex: <http://e#> . ex:carol ex:score 12 .",
+    )
+    .unwrap();
+    let q = |who: &str| {
+        format!(
+            r#"PREFIX ex: <http://e#>
+               SELECT ?g ?s WHERE {{ VALUES ?p {{ {who} }} GRAPH ?g {{ ?p ex:score ?s }} }}"#
+        )
+    };
+    let r = rows(&mut ds, &q("ex:carol"));
+    assert_eq!(r.len(), 1);
+    assert_eq!(
+        r[0][0].as_ref().unwrap().to_string(),
+        "<http://graphs/chem>"
+    );
+    assert_eq!(r[0][1].as_ref().unwrap().to_string(), "12");
+    assert!(rows(&mut ds, &q("ex:dave")).is_empty());
 }

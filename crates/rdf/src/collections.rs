@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use ssdm_array::{Nested, NumArray};
 
 use crate::dictionary::TermId;
-use crate::graph::{Graph, Triple};
+use crate::graph::{GraphMut, GraphView, Triple};
 use crate::namespaces::{RDF_FIRST, RDF_NIL, RDF_REST};
 use crate::term::Term;
 
@@ -29,7 +29,8 @@ pub struct ConsolidationReport {
 /// Find every numeric rectangular collection reachable as the object of
 /// a non-list triple and replace it with an array value. Returns what
 /// was rewritten.
-pub fn consolidate_collections(graph: &mut Graph) -> ConsolidationReport {
+pub fn consolidate_collections<'a>(graph: impl Into<GraphMut<'a>>) -> ConsolidationReport {
+    let mut graph = graph.into();
     let Some(first) = graph.dictionary().lookup(&Term::uri(RDF_FIRST)) else {
         return ConsolidationReport::default();
     };
@@ -53,7 +54,7 @@ pub fn consolidate_collections(graph: &mut Graph) -> ConsolidationReport {
     let mut report = ConsolidationReport::default();
     for t in referring {
         let mut cells: HashSet<TermId> = HashSet::new();
-        let Some(nested) = read_list(graph, t.o, first, rest, nil, &mut cells, 0) else {
+        let Some(nested) = read_list(graph.view(), t.o, first, rest, nil, &mut cells, 0) else {
             continue;
         };
         let Ok(array) = NumArray::from_nested(&nested) else {
@@ -91,7 +92,7 @@ pub fn consolidate_collections(graph: &mut Graph) -> ConsolidationReport {
 /// when the structure is not a pure numeric collection. `depth` guards
 /// against cyclic lists.
 fn read_list(
-    graph: &Graph,
+    graph: GraphView,
     head: TermId,
     first: TermId,
     rest: TermId,
@@ -140,6 +141,7 @@ fn read_list(
 mod tests {
     use super::*;
     use crate::turtle::{self, ParseOptions};
+    use crate::Graph;
 
     fn load_expanded(text: &str) -> Graph {
         let mut g = Graph::new();

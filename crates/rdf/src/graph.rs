@@ -12,9 +12,14 @@
 //! per-predicate statistics (triple count, distinct subjects/objects)
 //! that drive the SciSPARQL cost-based optimizer the way RDF-3X-style
 //! histograms do (§2.3.1).
+//!
+//! The indexes ([`GraphIndex`]) are kept apart from the dictionary their
+//! ids come from, so the named graphs of a dataset index the ids of one
+//! dictionary (thesis §5.1): a term has one id in every graph.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::{btree_set, BTreeSet, HashMap, HashSet};
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 use std::slice;
 
 use crate::dictionary::{Dictionary, TermId};
@@ -44,10 +49,10 @@ pub struct GraphStats {
     pub predicates: usize,
 }
 
-/// An RDF-with-Arrays graph: dictionary plus indexed triples.
+/// The indexes and statistics of one graph's triples, over the ids of
+/// a dictionary kept beside them (see [`Graph`]).
 #[derive(Debug, Default)]
-pub struct Graph {
-    dict: Dictionary,
+pub struct GraphIndex {
     /// Row `s.index()` holds subject `s`'s `(p, o)` pairs; the table
     /// ends at the largest subject id ever inserted.
     spo: Vec<Row>,
@@ -68,19 +73,144 @@ pub struct Graph {
     pred_obj_stats: HashMap<TermId, ObjectStats>,
 }
 
+/// A graph: the indexes `I` of its triples over the term ids of the
+/// dictionary `D`. `Graph` owns both — a standalone graph, or a
+/// dataset's default graph, whose dictionary every named graph of the
+/// dataset shares. [`GraphView`] and [`GraphMut`] borrow them: one
+/// graph's indexes over a dictionary that is not its own. Every method
+/// exists once, for all three.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Graph<D = Dictionary, I = GraphIndex> {
+    dict: D,
+    index: I,
+}
+
+/// A graph read through borrowed parts.
+pub type GraphView<'a> = Graph<&'a Dictionary, &'a GraphIndex>;
+
+/// A graph written through borrowed parts.
+pub type GraphMut<'a> = Graph<&'a mut Dictionary, &'a mut GraphIndex>;
+
 impl Graph {
     pub fn new() -> Self {
         Graph::default()
     }
+}
 
+impl<D, I> Graph<D, I> {
+    /// The graph whose triples `index` holds as ids of `dict`.
+    pub fn from_parts(dict: D, index: I) -> Self {
+        Graph { dict, index }
+    }
+}
+
+impl<D: Borrow<Dictionary>, I: Borrow<GraphIndex>> Graph<D, I> {
     pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
+        self.dict.borrow()
     }
 
+    /// Resolve an id to its term.
+    pub fn term(&self, id: TermId) -> &Term {
+        self.dictionary().term(id)
+    }
+
+    pub fn view(&self) -> GraphView<'_> {
+        Graph::from_parts(self.dict.borrow(), self.index.borrow())
+    }
+
+    /// The f64 value of a numeric-literal term id, if it is one.
+    fn numeric_value(&self, id: TermId) -> Option<f64> {
+        match self.dictionary().get(id)? {
+            Term::Number(n) => Some(n.as_f64()),
+            _ => None,
+        }
+    }
+
+    /// Estimated number of matches for a pattern, without scanning.
+    /// Drives join-order selection in the optimizer.
+    pub fn estimate_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> f64 {
+        let total = self.len() as f64;
+        if total == 0.0 {
+            return 0.0;
+        }
+        let terms = self.dictionary().len().max(1) as f64;
+        match (s, p, o) {
+            (Some(_), Some(_), Some(_)) => 1.0,
+            (_, Some(p), _) => {
+                let st = self.predicate_stats(p);
+                let mut est = st.count as f64;
+                if s.is_some() {
+                    est /= (st.distinct_subjects.max(1)) as f64;
+                }
+                if o.is_some() {
+                    est /= (st.distinct_objects.max(1)) as f64;
+                }
+                est.max(if st.count == 0 { 0.0 } else { 1.0 })
+            }
+            (Some(_), None, Some(_)) => (total / terms).max(1.0),
+            (Some(_), None, None) | (None, None, Some(_)) => (total / terms).max(1.0) * 3.0,
+            (None, None, None) => total,
+        }
+    }
+}
+
+impl<D: BorrowMut<Dictionary>, I: BorrowMut<GraphIndex>> Graph<D, I> {
     pub fn dictionary_mut(&mut self) -> &mut Dictionary {
-        &mut self.dict
+        self.dict.borrow_mut()
     }
 
+    pub fn view_mut(&mut self) -> GraphMut<'_> {
+        Graph::from_parts(self.dict.borrow_mut(), self.index.borrow_mut())
+    }
+
+    /// Intern a term into the graph's dictionary.
+    pub fn intern(&mut self, t: Term) -> TermId {
+        self.dictionary_mut().intern(t)
+    }
+
+    /// Insert a triple of already-interned ids. Returns false if present.
+    pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        let numeric = self.numeric_value(o);
+        self.index.borrow_mut().add(s, p, o, numeric)
+    }
+
+    /// Intern terms and insert the triple.
+    pub fn insert(&mut self, s: Term, p: Term, o: Term) -> bool {
+        let s = self.intern(s);
+        let p = self.intern(p);
+        let o = self.intern(o);
+        self.insert_ids(s, p, o)
+    }
+
+    /// Remove a triple. Returns true if it was present.
+    pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        let numeric = self.numeric_value(o);
+        self.index.borrow_mut().remove(s, p, o, numeric)
+    }
+}
+
+/// The index reads need no dictionary.
+impl<D, I: Borrow<GraphIndex>> Deref for Graph<D, I> {
+    type Target = GraphIndex;
+
+    fn deref(&self) -> &GraphIndex {
+        self.index.borrow()
+    }
+}
+
+impl<'a> From<&'a Graph> for GraphView<'a> {
+    fn from(graph: &'a Graph) -> Self {
+        graph.view()
+    }
+}
+
+impl<'a> From<&'a mut Graph> for GraphMut<'a> {
+    fn from(graph: &'a mut Graph) -> Self {
+        graph.view_mut()
+    }
+}
+
+impl GraphIndex {
     pub fn len(&self) -> usize {
         self.len
     }
@@ -89,18 +219,9 @@ impl Graph {
         self.len == 0
     }
 
-    /// Intern a term into this graph's dictionary.
-    pub fn intern(&mut self, t: Term) -> TermId {
-        self.dict.intern(t)
-    }
-
-    /// Resolve an id to its term.
-    pub fn term(&self, id: TermId) -> &Term {
-        self.dict.term(id)
-    }
-
-    /// Insert a triple of already-interned ids. Returns false if present.
-    pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+    /// Insert a triple whose object has the value `numeric` if it is a
+    /// number. Returns false if present.
+    fn add(&mut self, s: TermId, p: TermId, o: TermId, numeric: Option<f64>) -> bool {
         if s.index() >= self.spo.len() {
             self.spo.resize_with(s.index() + 1, Row::new);
         }
@@ -113,7 +234,7 @@ impl Graph {
         *self.pred_counts.entry(p).or_default() += 1;
         self.pred_subjects.entry(p).or_default().insert(s);
         self.pred_objects.entry(p).or_default().insert(o);
-        if let Some(v) = self.numeric_value(o) {
+        if let Some(v) = numeric {
             let st = self.pred_obj_stats.entry(p).or_default();
             st.histogram.insert(v);
             st.sketch.insert_f64(v);
@@ -124,24 +245,9 @@ impl Graph {
         true
     }
 
-    /// The f64 value of a numeric-literal term id, if it is one.
-    fn numeric_value(&self, id: TermId) -> Option<f64> {
-        match self.dict.get(id)? {
-            Term::Number(n) => Some(n.as_f64()),
-            _ => None,
-        }
-    }
-
-    /// Intern terms and insert the triple.
-    pub fn insert(&mut self, s: Term, p: Term, o: Term) -> bool {
-        let s = self.dict.intern(s);
-        let p = self.dict.intern(p);
-        let o = self.dict.intern(o);
-        self.insert_ids(s, p, o)
-    }
-
-    /// Remove a triple. Returns true if it was present.
-    pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+    /// Remove a triple (`numeric` as for [`GraphIndex::add`]). Returns
+    /// true if it was present.
+    fn remove(&mut self, s: TermId, p: TermId, o: TermId, numeric: Option<f64>) -> bool {
         let Some(row) = self.spo.get_mut(s.index()) else {
             return false;
         };
@@ -160,7 +266,7 @@ impl Graph {
         if let Some(c) = self.pred_counts.get_mut(&p) {
             *c -= 1;
         }
-        if let Some(v) = self.numeric_value(o) {
+        if let Some(v) = numeric {
             if let Some(st) = self.pred_obj_stats.get_mut(&p) {
                 st.histogram.remove(v);
                 st.sketch.note_delete();
@@ -258,34 +364,6 @@ impl Graph {
             ))),
             _ => Cursor::One(None),
         })
-    }
-
-    /// Estimated number of matches for a pattern, without scanning.
-    /// Drives join-order selection in the optimizer.
-    pub fn estimate_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> f64 {
-        let total = self.len as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        match (s, p, o) {
-            (Some(_), Some(_), Some(_)) => 1.0,
-            (_, Some(p), _) => {
-                let st = self.predicate_stats(p);
-                let mut est = st.count as f64;
-                if s.is_some() {
-                    est /= (st.distinct_subjects.max(1)) as f64;
-                }
-                if o.is_some() {
-                    est /= (st.distinct_objects.max(1)) as f64;
-                }
-                est.max(if st.count == 0 { 0.0 } else { 1.0 })
-            }
-            (Some(_), None, Some(_)) => (total / self.dict.len().max(1) as f64).max(1.0),
-            (Some(_), None, None) | (None, None, Some(_)) => {
-                (total / self.dict.len().max(1) as f64).max(1.0) * 3.0
-            }
-            (None, None, None) => total,
-        }
     }
 
     pub fn predicate_stats(&self, p: TermId) -> PredicateStats {

@@ -36,7 +36,8 @@ pub mod turtle;
 
 pub use collections::{consolidate_collections, ConsolidationReport};
 pub use dictionary::{Dictionary, TermId};
-pub use graph::{Graph, GraphStats, Matches, PredicateStats, Triple};
+pub use graph::{Graph, GraphIndex, GraphMut, GraphView};
+pub use graph::{GraphStats, Matches, PredicateStats, Triple};
 pub use namespaces::{Namespaces, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_DOUBLE, XSD_INTEGER};
 pub use stats::{DistinctSketch, NumericHistogram, ObjectStats};
 pub use term::{RdfError, Term};

@@ -8,13 +8,14 @@
 
 use ssdm_array::NumArray;
 
-use crate::graph::Graph;
+use crate::graph::{GraphMut, GraphView};
 use crate::namespaces::{RDF_FIRST, RDF_NIL, RDF_REST};
-use crate::term::{escape_str, Term};
+use crate::term::{escape_str, RdfError, Term};
 
 /// Serialize a graph as N-Triples text. Arrays expand to linked lists
 /// with generated blank nodes.
-pub fn serialize(graph: &Graph) -> String {
+pub fn serialize<'a>(graph: impl Into<GraphView<'a>>) -> String {
+    let graph = graph.into();
     let mut out = String::new();
     let mut gen = 0usize;
     for t in graph.iter() {
@@ -92,7 +93,7 @@ pub fn term_text(term: &Term) -> String {
 }
 
 /// Parse N-Triples text (a syntactic subset of Turtle).
-pub fn parse_into(graph: &mut Graph, text: &str) -> Result<usize, crate::term::RdfError> {
+pub fn parse_into<'a>(graph: impl Into<GraphMut<'a>>, text: &str) -> Result<usize, RdfError> {
     crate::turtle::parse_into(graph, text)
 }
 
@@ -100,6 +101,7 @@ pub fn parse_into(graph: &mut Graph, text: &str) -> Result<usize, crate::term::R
 mod tests {
     use super::*;
     use crate::turtle;
+    use crate::Graph;
 
     #[test]
     fn scalar_triples_round_trip() {

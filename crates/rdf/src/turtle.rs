@@ -17,7 +17,7 @@
 use ssdm_array::{Nested, NumArray};
 
 use crate::dictionary::TermId;
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphMut};
 use crate::namespaces::{Namespaces, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE};
 use crate::term::{escape_str, RdfError, Term};
 
@@ -40,18 +40,18 @@ impl Default for ParseOptions {
 
 /// Parse a Turtle document into `graph` with default options
 /// (array consolidation on). Returns the number of triples added.
-pub fn parse_into(graph: &mut Graph, text: &str) -> Result<usize, RdfError> {
+pub fn parse_into<'a>(graph: impl Into<GraphMut<'a>>, text: &str) -> Result<usize, RdfError> {
     parse_into_with(graph, text, ParseOptions::default())
 }
 
 /// Parse with explicit options.
-pub fn parse_into_with(
-    graph: &mut Graph,
+pub fn parse_into_with<'a>(
+    graph: impl Into<GraphMut<'a>>,
     text: &str,
     options: ParseOptions,
 ) -> Result<usize, RdfError> {
     let mut parser = Parser::new(text, options);
-    parser.parse_document(graph)
+    parser.parse_document(&mut graph.into())
 }
 
 // ---------------------------------------------------------------------
@@ -508,7 +508,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn fresh_blank(&mut self, graph: &mut Graph) -> TermId {
+    fn fresh_blank(&mut self, graph: &mut GraphMut) -> TermId {
         loop {
             let label = format!("tb{}", self.blank_counter);
             self.blank_counter += 1;
@@ -519,7 +519,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_document(&mut self, graph: &mut Graph) -> Result<usize, RdfError> {
+    fn parse_document(&mut self, graph: &mut GraphMut) -> Result<usize, RdfError> {
         self.advance()?;
         loop {
             match &self.tok {
@@ -563,13 +563,13 @@ impl<'a> Parser<'a> {
         Ok(self.added)
     }
 
-    fn parse_statement(&mut self, graph: &mut Graph) -> Result<(), RdfError> {
+    fn parse_statement(&mut self, graph: &mut GraphMut) -> Result<(), RdfError> {
         let subject = self.parse_subject(graph)?;
         self.parse_predicate_object_list(graph, subject)?;
         self.expect(Tok::Dot)
     }
 
-    fn parse_subject(&mut self, graph: &mut Graph) -> Result<TermId, RdfError> {
+    fn parse_subject(&mut self, graph: &mut GraphMut) -> Result<TermId, RdfError> {
         match self.tok.clone() {
             Tok::IriRef(u) => {
                 self.advance()?;
@@ -607,7 +607,7 @@ impl<'a> Parser<'a> {
 
     fn parse_predicate_object_list(
         &mut self,
-        graph: &mut Graph,
+        graph: &mut GraphMut,
         subject: TermId,
     ) -> Result<(), RdfError> {
         loop {
@@ -651,7 +651,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_object(&mut self, graph: &mut Graph) -> Result<Node, RdfError> {
+    fn parse_object(&mut self, graph: &mut GraphMut) -> Result<Node, RdfError> {
         match self.tok.clone() {
             Tok::IriRef(u) => {
                 self.advance()?;
@@ -726,7 +726,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_collection_nodes(&mut self, graph: &mut Graph) -> Result<Vec<Node>, RdfError> {
+    fn parse_collection_nodes(&mut self, graph: &mut GraphMut) -> Result<Vec<Node>, RdfError> {
         let mut nodes = Vec::new();
         while self.tok != Tok::RParen {
             if self.tok == Tok::Eof {
@@ -741,7 +741,7 @@ impl<'a> Parser<'a> {
     /// Turn a parsed object node into an interned object id, emitting
     /// auxiliary triples (lists) as needed and consolidating numeric
     /// collections into arrays when enabled.
-    fn node_to_object(&mut self, graph: &mut Graph, node: Node) -> Result<TermId, RdfError> {
+    fn node_to_object(&mut self, graph: &mut GraphMut, node: Node) -> Result<TermId, RdfError> {
         match node {
             Node::Term(t) => Ok(graph.intern(t)),
             Node::BlankWithProps(id) => Ok(id),
@@ -760,7 +760,7 @@ impl<'a> Parser<'a> {
 
     /// Expand a collection into rdf:first / rdf:rest triples; returns the
     /// head node (or rdf:nil for the empty collection).
-    fn emit_list(&mut self, graph: &mut Graph, nodes: Vec<Node>) -> Result<TermId, RdfError> {
+    fn emit_list(&mut self, graph: &mut GraphMut, nodes: Vec<Node>) -> Result<TermId, RdfError> {
         let nil = graph.intern(Term::uri(RDF_NIL));
         if nodes.is_empty() {
             return Ok(nil);

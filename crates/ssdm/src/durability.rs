@@ -383,6 +383,33 @@ mod tests {
     }
 
     #[test]
+    fn named_graph_arrays_relink_after_checkpoint_and_recovery() {
+        let dir = tmp_dir("named-external");
+        {
+            let mut db = Ssdm::open_durable(&dir).unwrap();
+            db.set_externalize_threshold(4, 64);
+            db.load_turtle_named("http://g", "<http://a> <http://data> ( 1 2 3 4 5 6 7 8 ) .")
+                .unwrap();
+            db.checkpoint().unwrap();
+        }
+        let mut db = Ssdm::open_durable(&dir).unwrap();
+        assert_eq!(db.durability_stats().unwrap().replayed_records, 1);
+        let graph = db.dataset.named_graph("http://g").unwrap();
+        let objects: Vec<_> = graph.iter().map(|t| graph.term(t.o).clone()).collect();
+        assert!(
+            matches!(objects[..], [ssdm_rdf::Term::ArrayRef(_)]),
+            "{objects:?}"
+        );
+        let rows = db
+            .query("SELECT (array_avg(?v) AS ?m) WHERE { GRAPH <http://g> { ?s ?p ?v } }")
+            .unwrap()
+            .into_rows()
+            .unwrap();
+        assert_eq!(rows[0][0].as_ref().unwrap().to_string(), "4.5");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_failure_vetoes_acknowledgement() {
         let dir = tmp_dir("veto");
         let record_overhead = SEGMENT_HEADER as u64 + 256;

@@ -5,6 +5,8 @@
 //! server restarts" (thesis §2.2.3). A snapshot holds the default and
 //! named graphs (N-Triples, with resident arrays expanded to collection
 //! lists and re-consolidated on load) plus the external-array catalog.
+//! Loading interns the default graph's terms first, then each named
+//! graph's name and terms, into the dataset's one dictionary.
 //! Chunk payloads are *not* in the snapshot — they live in the
 //! back-end, which is durable on its own for the file and
 //! relational-file configurations.
@@ -22,14 +24,14 @@
 //!   which its state is already included; recovery replays only records
 //!   at or above it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
 use scisparql::QueryError;
 use ssdm_array::NumericType;
-use ssdm_rdf::Graph;
+use ssdm_rdf::{Graph, GraphIndex, GraphMut, Term, TermId};
 use ssdm_storage::{ArrayMeta, ChunkSummary, Chunking, ZoneMap};
 
 use crate::Ssdm;
@@ -53,7 +55,9 @@ pub(crate) struct SnapshotContents {
     /// re-learning them from scratch.
     calibration: Vec<(String, f64, u64)>,
     default_graph: Graph,
-    named: HashMap<String, Graph>,
+    /// Named graphs by the id of their name in `default_graph`'s
+    /// dictionary, which they share.
+    named: BTreeMap<TermId, GraphIndex>,
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
@@ -156,12 +160,17 @@ impl Ssdm {
                 .expect("string write");
         }
         out.push_str("[graph]\n");
-        out.push_str(&graph_to_block(&self.dataset.graph));
-        let mut names: Vec<&String> = self.dataset.named_graphs.keys().collect();
-        names.sort();
-        for name in names {
+        let dataset = &self.dataset;
+        out.push_str(&ssdm_rdf::ntriples::serialize(&dataset.graph));
+        for id in dataset.named_graph_ids() {
+            let name = dataset
+                .graph
+                .term(id)
+                .as_uri()
+                .expect("graph names are IRIs");
             writeln!(out, "[graph {name}]").expect("string write");
-            out.push_str(&graph_to_block(&self.dataset.named_graphs[name]));
+            let graph = Graph::from_parts(dataset.graph.dictionary(), &dataset.named_graphs[&id]);
+            out.push_str(&ssdm_rdf::ntriples::serialize(graph));
         }
         atomic_write(path, out.as_bytes())
             .map_err(|e| QueryError::Eval(format!("cannot write snapshot: {e}")))
@@ -271,7 +280,7 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
         zone_maps: HashMap::new(),
         calibration: Vec::new(),
         default_graph: Graph::new(),
-        named: HashMap::new(),
+        named: BTreeMap::new(),
     };
     let mut header = lines.next();
     if let Some(lsn) = header
@@ -295,13 +304,18 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
                  block: &str|
      -> Result<(), QueryError> {
         if let Some(target) = section {
-            let graph = match target {
-                None => &mut contents.default_graph,
-                Some(name) => contents.named.entry(name.clone()).or_default(),
+            let default = &mut contents.default_graph;
+            let mut graph = match target {
+                None => default.view_mut(),
+                Some(name) => {
+                    let id = default.intern(Term::uri(name.as_str()));
+                    let index = contents.named.entry(id).or_default();
+                    Graph::from_parts(default.dictionary_mut(), index)
+                }
             };
-            ssdm_rdf::turtle::parse_into(graph, block)?;
+            ssdm_rdf::turtle::parse_into(graph.view_mut(), block)?;
             // Restore consolidated arrays and external references.
-            ssdm_rdf::consolidate_collections(graph);
+            ssdm_rdf::consolidate_collections(graph.view_mut());
             relink_array_refs(graph);
         }
         Ok(())
@@ -380,16 +394,9 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
     Ok(contents)
 }
 
-/// Serialize one graph as N-Triples (arrays expand to lists; external
-/// references render as `urn:ssdm:array:N`).
-fn graph_to_block(graph: &Graph) -> String {
-    ssdm_rdf::ntriples::serialize(graph)
-}
-
 /// Convert `urn:ssdm:array:N` URIs in object position back into
 /// `Term::ArrayRef(N)`; the same URI as a subject stays a URI.
-fn relink_array_refs(graph: &mut Graph) {
-    use ssdm_rdf::Term;
+fn relink_array_refs(mut graph: GraphMut) {
     let mut refs: Vec<(ssdm_rdf::TermId, u64)> = graph
         .iter()
         .filter_map(|t| match graph.term(t.o) {

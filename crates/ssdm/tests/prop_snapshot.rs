@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use ssdm::{Backend, Ssdm};
 use ssdm_array::NumArray;
-use ssdm_rdf::{Graph, Term};
+use ssdm_rdf::{GraphMut, GraphView, Term};
 
 /// IRI tail characters: plain ASCII, percent-encodings-as-text,
 /// punctuation legal inside an IRIREF, and non-ASCII letters.
@@ -65,13 +65,13 @@ fn triple_sets() -> BoxedStrategy<Triples> {
     prop::collection::vec((iris(), iris(), objects()), 0..12).boxed()
 }
 
-fn fill(graph: &mut Graph, triples: &Triples) {
+fn fill(mut graph: GraphMut, triples: &Triples) {
     for (s, p, o) in triples {
         graph.insert(Term::uri(s.clone()), Term::uri(p.clone()), o.clone());
     }
 }
 
-fn graphs_equivalent(a: &Graph, b: &Graph) -> bool {
+fn graphs_equivalent(a: GraphView, b: GraphView) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -105,25 +105,26 @@ proptest! {
     ) {
         let path = tmp("graphs", case_id());
         let mut db = Ssdm::open(Backend::Memory);
-        fill(&mut db.dataset.graph, &default);
+        fill(db.dataset.graph.view_mut(), &default);
         // Duplicate names collapse into one graph, like repeated loads.
         let named: std::collections::BTreeMap<String, Triples> =
             named_list.into_iter().collect();
         for (name, triples) in &named {
-            let graph = db.dataset.named_graphs.entry(name.clone()).or_default();
-            fill(graph, triples); // may stay empty: empty graphs must survive too
+            // May stay empty: empty graphs must survive too.
+            fill(db.dataset.named_graph_mut(name), triples);
         }
         db.save_snapshot(&path).unwrap();
 
         let mut back = Ssdm::open(Backend::Memory);
         back.load_snapshot(&path).unwrap();
         prop_assert!(
-            graphs_equivalent(&db.dataset.graph, &back.dataset.graph),
+            graphs_equivalent(db.dataset.graph.view(), back.dataset.graph.view()),
             "default graph diverged"
         );
         prop_assert_eq!(db.dataset.named_graphs.len(), back.dataset.named_graphs.len());
-        for (name, graph) in &db.dataset.named_graphs {
-            let restored = back.dataset.named_graphs.get(name);
+        for name in named.keys() {
+            let graph = db.dataset.named_graph(name).unwrap();
+            let restored = back.dataset.named_graph(name);
             prop_assert!(restored.is_some(), "named graph {} lost", name);
             prop_assert!(
                 graphs_equivalent(graph, restored.unwrap()),
