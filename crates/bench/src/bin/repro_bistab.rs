@@ -5,20 +5,20 @@
 //! in-memory graph, memory-chunk back-end, binary files, and the
 //! relational back-end (with and without simulated client–server
 //! latency). Reports per-query wall time and back-end I/O — the
-//! thesis' table of query times per storage choice — and asserts what
+//! thesis' table of query times per storage choice — and checks what
 //! must not depend on the storage choice: every query returns the same
-//! table in every configuration (reals to 1e-12 relative, since fold
-//! order may differ by back-end), and Q1, a metadata query, transfers
-//! no bytes. Exits 1 on a miss.
+//! non-empty table in every configuration (reals to 1e-12 relative,
+//! since fold order may differ by back-end), and Q1, a metadata query,
+//! transfers no bytes.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use scisparql::Value;
 use ssdm::bistab::{self, BistabConfig};
 use ssdm::{Backend, Ssdm};
 use ssdm_array::Num;
-use ssdm_bench::fmt_ms;
-use ssdm_bench::runner::print_table;
+use ssdm_bench::{Args, Bar, Fmt, Report};
 use ssdm_storage::ChunkStore;
 
 type Table = Vec<Vec<Option<Value>>>;
@@ -47,7 +47,8 @@ fn same_table(a: &Table, b: &Table) -> bool {
             .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| cell_eq(x, y)))
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new(&Args::parse("repro_bistab", &[]));
     let config = BistabConfig {
         tasks: 500,
         realizations: 4,
@@ -60,46 +61,31 @@ fn main() {
     );
 
     let dir = std::env::temp_dir().join(format!("ssdm-bistab-{}", std::process::id()));
-    type MakeDb = Box<dyn Fn() -> Ssdm>;
+    let externalized = |backend| {
+        let mut db = Ssdm::open(backend);
+        db.set_externalize_threshold(256, 4096);
+        db
+    };
+    type MakeDb<'a> = Box<dyn Fn() -> Ssdm + 'a>;
     let configs: Vec<(&str, MakeDb)> = vec![
         ("resident", Box::new(|| Ssdm::open(Backend::Memory))),
+        ("memory-chunks", Box::new(|| externalized(Backend::Memory))),
         (
-            "memory-chunks",
+            "file",
             Box::new(|| {
-                let mut db = Ssdm::open(Backend::Memory);
-                db.set_externalize_threshold(256, 4096);
-                db
-            }),
-        ),
-        ("file", {
-            let dir = dir.clone();
-            Box::new(move || {
                 let d = dir.join(format!("f{}", std::process::id()));
                 std::fs::remove_dir_all(&d).ok();
-                let mut db = Ssdm::open(Backend::File(d));
-                db.set_externalize_threshold(256, 4096);
-                db
-            })
-        }),
-        (
-            "relational",
-            Box::new(|| {
-                let mut db = Ssdm::open(Backend::Relational);
-                db.set_externalize_threshold(256, 4096);
-                db
+                externalized(Backend::File(d))
             }),
         ),
+        ("relational", Box::new(|| externalized(Backend::Relational))),
         (
             "relational+latency",
             Box::new(|| {
-                let db_inner = relstore::Db::open_memory(relstore::DbOptions {
-                    pool_pages: 8192,
-                    latency: relstore::LatencyModel::local_dbms(),
-                })
-                .expect("db");
-                let mut db = Ssdm::from_dataset(scisparql::Dataset::with_backend(Box::new(
-                    ssdm_storage::RelChunkStore::new(db_inner),
-                )));
+                let store =
+                    ssdm_bench::runner::rel_store(relstore::LatencyModel::local_dbms(), 8192);
+                let dataset = scisparql::Dataset::with_backend(Box::new(store));
+                let mut db = Ssdm::from_dataset(dataset);
                 db.set_externalize_threshold(256, 4096);
                 db
             }),
@@ -107,58 +93,56 @@ fn main() {
     ];
 
     let queries = bistab::queries();
-    let header: Vec<String> = std::iter::once("storage".to_string())
-        .chain(std::iter::once("load ms".to_string()))
-        .chain(
-            queries
-                .iter()
-                .flat_map(|(n, _)| [format!("{n} ms"), format!("{n} KiB")]),
-        )
-        .collect();
+    let mut columns = vec![
+        ("storage".to_string(), "storage".to_string(), Fmt::Plain),
+        ("load ms".into(), "load ms".into(), Fmt::Ms),
+    ];
+    for (n, _) in &queries {
+        columns.push((format!("{n} ms"), format!("{n} ms"), Fmt::Ms));
+        columns.push((format!("{n} KiB"), format!("{n} KiB"), Fmt::Plain));
+    }
     let mut table = Vec::new();
     let mut answers: Vec<Table> = Vec::new();
-    let mut misses = Vec::new();
+    let mut tallies = Vec::new();
     for (name, make) in configs {
         let mut db = make();
         let t = Instant::now();
         bistab::load_bistab(&mut db, &config).expect("load");
-        let load = t.elapsed().as_secs_f64();
-        let mut row = vec![name.to_string(), fmt_ms(load)];
+        let mut row = vec![name.into(), (t.elapsed().as_secs_f64() * 1e3).into()];
+        let (mut empty, mut differing, mut q1_bytes) = (0, 0, 0);
         for (i, (qname, q)) in queries.iter().enumerate() {
             db.dataset.arrays.backend_mut().reset_io_stats();
             let t = Instant::now();
             let result = db.query(q).unwrap_or_else(|e| panic!("{qname}: {e}"));
-            let elapsed = t.elapsed().as_secs_f64();
+            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
             let io = db.dataset.arrays.backend().io_stats();
-            row.push(fmt_ms(elapsed));
-            row.push(format!("{}", io.bytes_returned / 1024));
+            row.extend([elapsed_ms.into(), (io.bytes_returned / 1024).into()]);
             let rows = result.into_rows().expect("a SELECT");
-            if rows.is_empty() {
-                misses.push(format!("{name}: {qname} returned no rows"));
-            }
+            empty += usize::from(rows.is_empty());
             match answers.get(i) {
                 None => answers.push(rows),
-                Some(first) if !same_table(first, &rows) => {
-                    misses.push(format!(
-                        "{name}: {qname} differs from the first configuration"
-                    ));
-                }
-                Some(_) => {}
+                Some(first) => differing += usize::from(!same_table(first, &rows)),
             }
-            if *qname == "Q1" && io.bytes_returned != 0 {
-                misses.push(format!(
-                    "{name}: Q1 transferred {} bytes",
-                    io.bytes_returned
-                ));
+            if *qname == "Q1" {
+                q1_bytes = io.bytes_returned;
             }
         }
         table.push(row);
+        tallies.push((name, empty, differing, q1_bytes));
     }
-    print_table(
-        "BISTAB query times per storage configuration",
-        &header,
-        &table,
-    );
+    let title = "BISTAB query times per storage configuration";
+    report.table("queries", title, &columns, table);
+    for (name, empty, differing, q1_bytes) in tallies {
+        report.check(
+            format!("{name}: empty answers"),
+            empty as f64,
+            Bar::Equals(0.0),
+        );
+        let claim = format!("{name}: answers differing from the first configuration");
+        report.check(claim, differing as f64, Bar::Equals(0.0));
+        let claim = format!("{name}: bytes Q1 transferred");
+        report.check(claim, q1_bytes as f64, Bar::Equals(0.0));
+    }
     println!(
         "\nReading: Q1 (metadata only) is storage-independent; Q2/Q3 touch small parts \
          of each trajectory, so chunked back-ends transfer KiB where 'resident' holds \
@@ -166,10 +150,5 @@ fn main() {
          and the latency model shows the round-trip share."
     );
     std::fs::remove_dir_all(&dir).ok();
-    if !misses.is_empty() {
-        for m in &misses {
-            eprintln!("{m}");
-        }
-        std::process::exit(1);
-    }
+    report.finish()
 }

@@ -6,37 +6,29 @@
 //! reducing the graph size ... speeding up pattern-matching queries"
 //! claim.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use ssdm::datacube::{consolidate_datacube, generate_datacube};
 use ssdm::{Backend, Ssdm};
-use ssdm_bench::fmt_ms;
-use ssdm_bench::runner::print_table;
+use ssdm_bench::{Args, Fmt, Report};
 
-fn main() {
+/// The first cell of `query`'s answer, and how long it took (ms).
+fn first_cell(db: &mut Ssdm, query: &str) -> (String, f64) {
+    let t = Instant::now();
+    let rows = db.query(query).expect("query").into_rows().expect("rows");
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    (rows[0][0].as_ref().expect("bound").to_string(), ms)
+}
+
+fn main() -> ExitCode {
+    let mut report = Report::new(&Args::parse("repro_datacube", &[]));
     println!("Experiment 6: Data Cube consolidation (thesis §5.3.3)");
     let shapes: [&[usize]; 5] = [&[4, 4], &[8, 8], &[16, 16], &[16, 16, 4], &[32, 32, 4]];
-
-    let header: Vec<String> = [
-        "cube",
-        "cells",
-        "triples before",
-        "triples after",
-        "reduction",
-        "consolidate ms",
-        "obs lookup ms",
-        "array lookup ms",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
     let mut table = Vec::new();
-
     for dims in shapes {
-        let cells: usize = dims.iter().product();
-        let turtle = generate_datacube(dims);
         let mut db = Ssdm::open(Backend::Memory);
-        db.load_turtle(&turtle).expect("load");
+        db.load_turtle(&generate_datacube(dims)).expect("load");
         let before = db.dataset.graph.len();
 
         // Observation-form lookup of a middle cell.
@@ -51,53 +43,55 @@ fn main() {
              PREFIX ex: <http://example.org/cube/>
              SELECT ?m WHERE {{ ?o {dim_conds} qb:measure ?m }}"
         );
-        let t = Instant::now();
-        let obs_rows = db.query(&obs_q).expect("obs query").into_rows().unwrap();
-        let obs_time = t.elapsed().as_secs_f64();
+        let (obs_value, obs_ms) = first_cell(&mut db, &obs_q);
 
         let t = Instant::now();
-        let report = consolidate_datacube(&mut db.dataset.graph);
-        let cons_time = t.elapsed().as_secs_f64();
-        assert_eq!(report.datasets, 1, "cube must consolidate");
+        let consolidated = consolidate_datacube(&mut db.dataset.graph);
+        let consolidate_ms = t.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(consolidated.datasets, 1, "cube must consolidate");
         let after = db.dataset.graph.len();
 
-        let subs: String = coord
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
+        let subs: Vec<String> = coord.iter().map(|c| c.to_string()).collect();
         let arr_q = format!(
             "PREFIX ex: <http://example.org/cube/>
-             SELECT (?a[{subs}] AS ?m)
-             WHERE {{ ex:ds <urn:ssdm:datacube:measureArray> ?a }}"
+             SELECT (?a[{}] AS ?m)
+             WHERE {{ ex:ds <urn:ssdm:datacube:measureArray> ?a }}",
+            subs.join(", ")
         );
-        let t = Instant::now();
-        let arr_rows = db.query(&arr_q).expect("array query").into_rows().unwrap();
-        let arr_time = t.elapsed().as_secs_f64();
-        assert_eq!(
-            obs_rows[0][0].as_ref().unwrap().to_string(),
-            arr_rows[0][0].as_ref().unwrap().to_string(),
-            "lookups must agree"
-        );
+        let (arr_value, arr_ms) = first_cell(&mut db, &arr_q);
+        assert_eq!(obs_value, arr_value, "lookups must agree");
 
+        let shape: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
         table.push(vec![
-            dims.iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("x"),
-            cells.to_string(),
-            before.to_string(),
-            after.to_string(),
-            format!("{}x", before / after.max(1)),
-            fmt_ms(cons_time),
-            fmt_ms(obs_time),
-            fmt_ms(arr_time),
+            shape.join("x").into(),
+            dims.iter().product::<usize>().into(),
+            before.into(),
+            after.into(),
+            format!("{}x", before / after.max(1)).into(),
+            consolidate_ms.into(),
+            obs_ms.into(),
+            arr_ms.into(),
         ]);
     }
-    print_table("Data Cube: graph size and lookup time", &header, &table);
+    report.table(
+        "cubes",
+        "Data Cube: graph size and lookup time",
+        &[
+            ("cube", "cube", Fmt::Plain),
+            ("cells", "cells", Fmt::Plain),
+            ("triples before", "triples_before", Fmt::Plain),
+            ("triples after", "triples_after", Fmt::Plain),
+            ("reduction", "reduction", Fmt::Plain),
+            ("consolidate ms", "consolidate_ms", Fmt::Ms),
+            ("obs lookup ms", "obs_lookup_ms", Fmt::Ms),
+            ("array lookup ms", "array_lookup_ms", Fmt::Ms),
+        ],
+        table,
+    );
     println!(
         "\nReading: the observation form grows with cells x (dims+2) while the \
          consolidated form stays constant-size; cell lookups in the array form \
          are O(1) dereferences instead of multi-way joins."
     );
+    report.finish()
 }

@@ -11,10 +11,13 @@
 //! Expected shape: the bare stack's success rate decays roughly with
 //! (1 - rate)^statements, while the resilient stack stays at 100% far
 //! past realistic fault rates, at the cost of retries visible in the
-//! right-hand columns. `SSDM_FAULT_SEED` overrides the plan seed.
+//! right-hand columns. Checked: no query returns wrong bits.
+//! `SSDM_FAULT_SEED` overrides the plan seed.
 
-use ssdm_bench::runner::print_table;
+use std::process::ExitCode;
+
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
+use ssdm_bench::{Args, Bar, Fmt, Report};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultPlan, MemoryChunkStore,
@@ -26,16 +29,14 @@ const COLS: usize = 128;
 const CHUNK_BYTES: usize = 1024;
 const QUERIES: usize = 150;
 const GEN_SEED: u64 = 4242;
+const PATTERNS: [AccessPattern; 4] = [
+    AccessPattern::Row,
+    AccessPattern::Column,
+    AccessPattern::StridedRows { stride: 4 },
+    AccessPattern::Block { rows: 16, cols: 16 },
+];
 
-fn patterns() -> Vec<AccessPattern> {
-    vec![
-        AccessPattern::Row,
-        AccessPattern::Column,
-        AccessPattern::StridedRows { stride: 4 },
-        AccessPattern::Block { rows: 16, cols: 16 },
-    ]
-}
-
+#[derive(Default)]
 struct Outcome {
     succeeded: usize,
     wrong: usize,
@@ -44,28 +45,25 @@ struct Outcome {
     giveups: u64,
 }
 
-/// Run the workload against a fresh store stack; `expected[i]` is the
-/// fault-free result of query `i`.
-fn run<S: ChunkStore>(store: &mut ArrayStore<S>, expected: &[Vec<f64>]) -> Outcome {
+/// Run the workload against a fresh store stack, comparing query `i`
+/// with `expected[i]` (none: record the answers as the baseline).
+fn run<S: ChunkStore>(store: &mut ArrayStore<S>, expected: &mut Vec<Vec<f64>>) -> Outcome {
     let matrix = QueryGenerator::matrix(ROWS, COLS);
     let base = store.store_array(&matrix, CHUNK_BYTES).expect("store");
     let mut gen = QueryGenerator::new(ROWS, COLS, GEN_SEED);
     let strategy = RetrievalStrategy::SpdRange {
         options: SpdOptions::default(),
     };
-    let mut out = Outcome {
-        succeeded: 0,
-        wrong: 0,
-        retries: 0,
-        fallbacks: 0,
-        giveups: 0,
-    };
-    let pats = patterns();
+    let baseline = expected.is_empty();
+    let mut out = Outcome::default();
     for i in 0..QUERIES {
-        let view = gen.instance(&base, pats[i % pats.len()]);
+        let view = gen.instance(&base, PATTERNS[i % PATTERNS.len()]);
         if let Ok(a) = store.resolve(&view, strategy) {
             let got: Vec<f64> = a.elements().iter().map(|n| n.as_f64()).collect();
-            if got == expected[i] {
+            if baseline {
+                expected.push(got);
+                out.succeeded += 1;
+            } else if got == expected[i] {
                 out.succeeded += 1;
             } else {
                 out.wrong += 1;
@@ -75,14 +73,19 @@ fn run<S: ChunkStore>(store: &mut ArrayStore<S>, expected: &[Vec<f64>]) -> Outco
         out.retries += s.retries;
         out.fallbacks += s.fallbacks;
     }
+    assert_eq!(
+        expected.len(),
+        QUERIES,
+        "the fault-free baseline answers all"
+    );
     out.giveups = store.backend().resilience_stats().giveups;
     out
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new(&Args::parse("repro_faults", &[]));
     let seed = FaultPlan::seed_from_env(7);
     let rates = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.40];
-
     println!("Fault tolerance: success rate vs injected transient-fault rate");
     println!(
         "matrix {ROWS}x{COLS} f64, chunk {CHUNK_BYTES} B, {QUERIES} SPD-RANGE queries per cell, \
@@ -90,80 +93,52 @@ fn main() {
     );
 
     // Fault-free ground truth, once.
-    let expected: Vec<Vec<f64>> = {
-        let mut store = ArrayStore::new(MemoryChunkStore::new());
-        let matrix = QueryGenerator::matrix(ROWS, COLS);
-        let base = store.store_array(&matrix, CHUNK_BYTES).expect("store");
-        let mut gen = QueryGenerator::new(ROWS, COLS, GEN_SEED);
-        let pats = patterns();
-        (0..QUERIES)
-            .map(|i| {
-                let view = gen.instance(&base, pats[i % pats.len()]);
-                store
-                    .resolve(
-                        &view,
-                        RetrievalStrategy::SpdRange {
-                            options: SpdOptions::default(),
-                        },
-                    )
-                    .expect("fault-free resolve")
-                    .elements()
-                    .iter()
-                    .map(|n| n.as_f64())
-                    .collect()
-            })
-            .collect()
-    };
-
-    let header: Vec<String> = [
-        "fault rate",
-        "bare ok",
-        "resilient ok",
-        "wrong bits",
-        "retries (res)",
-        "fallbacks (bare)",
-        "giveups (res)",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
+    let mut expected = Vec::new();
+    run(&mut ArrayStore::new(MemoryChunkStore::new()), &mut expected);
 
     let mut table = Vec::new();
+    let mut wrong = 0;
     for rate in rates {
         let plan = FaultPlan::transient_reads(seed, rate);
-
-        let mut bare = ArrayStore::new(FaultInjectingChunkStore::new(
-            MemoryChunkStore::new(),
-            plan.clone(),
-        ));
-        let bare_out = run(&mut bare, &expected);
-
-        let mut resilient = ArrayStore::new(ResilientChunkStore::new(
-            FaultInjectingChunkStore::new(MemoryChunkStore::new(), plan),
-            RetryPolicy::aggressive(),
-        ));
-        let res_out = run(&mut resilient, &expected);
-
-        let pct = |n: usize| format!("{:.0}%", 100.0 * n as f64 / QUERIES as f64);
+        let faulty = || FaultInjectingChunkStore::new(MemoryChunkStore::new(), plan.clone());
+        let bare = run(&mut ArrayStore::new(faulty()), &mut expected);
+        let resilient = ResilientChunkStore::new(faulty(), RetryPolicy::aggressive());
+        let res = run(&mut ArrayStore::new(resilient), &mut expected);
+        let share = |n: usize| n as f64 / QUERIES as f64;
+        wrong += bare.wrong + res.wrong;
         table.push(vec![
-            format!("{:.0}%", rate * 100.0),
-            pct(bare_out.succeeded),
-            pct(res_out.succeeded),
-            format!("{}", bare_out.wrong + res_out.wrong),
-            format!("{}", res_out.retries),
-            format!("{}", bare_out.fallbacks),
-            format!("{}", res_out.giveups),
+            rate.into(),
+            share(bare.succeeded).into(),
+            share(res.succeeded).into(),
+            (bare.wrong + res.wrong).into(),
+            res.retries.into(),
+            bare.fallbacks.into(),
+            res.giveups.into(),
         ]);
     }
-    print_table(
+    report.table(
+        "rates",
         "query success rate (bit-identical results) per stack",
-        &header,
-        &table,
+        &[
+            ("fault rate", "fault_rate", Fmt::Pct(0)),
+            ("bare ok", "bare_ok", Fmt::Pct(0)),
+            ("resilient ok", "resilient_ok", Fmt::Pct(0)),
+            ("wrong bits", "wrong_bits", Fmt::Plain),
+            ("retries (res)", "resilient_retries", Fmt::Plain),
+            ("fallbacks (bare)", "bare_fallbacks", Fmt::Plain),
+            ("giveups (res)", "resilient_giveups", Fmt::Plain),
+        ],
+        table,
     );
-
+    report.check(
+        "queries answering wrong bits",
+        wrong as f64,
+        Bar::Equals(0.0),
+    );
     println!(
         "\nReading: 'wrong bits' must stay 0 — checksummed frames turn corruption into \
          retryable errors, never silent damage. The resilient column should hold 100% \
          while the bare column decays as the fault rate grows."
     );
+    report.finish()
 }

@@ -9,25 +9,23 @@
 //! disabled via `Recorder::set_enabled(false)`, interleaved A/B so
 //! drift hits both sides equally.
 //!
-//! The binary *asserts* the PR's acceptance criterion — **< 3 %
-//! overhead** on the latency-simulated workload — and writes the
-//! measurements as JSON (default `BENCH_obs.json`, `--out PATH`). A
+//! Claim: **< 3 % overhead** on the latency-simulated workload. A
 //! second, latency-free sweep over an in-memory back-end reports the
-//! worst-case relative cost for information (not asserted: with no
+//! worst-case relative cost for information (not checked: with no
 //! simulated round trips the denominator is microseconds).
 //!
 //! ```text
 //! repro_obs [--quick] [--rounds N] [--out PATH]
 //! ```
 
-use std::time::Instant;
+use std::num::NonZeroUsize;
+use std::process::ExitCode;
 
-use relstore::{Db, DbOptions, LatencyModel};
-use ssdm_bench::runner::print_table;
+use relstore::LatencyModel;
+use ssdm_bench::runner::rel_store;
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
-use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, RelChunkStore, RetrievalStrategy,
-};
+use ssdm_bench::{best_of, median, Args, Bar, Fmt, Report};
+use ssdm_storage::{ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, RetrievalStrategy};
 
 const ROWS: usize = 128;
 const COLS: usize = 128;
@@ -35,58 +33,20 @@ const CHUNK_BYTES: usize = 1024;
 const GEN_SEED: u64 = 1717;
 const CACHE_BYTES: usize = 4 << 20;
 
-fn usage() -> ! {
-    eprintln!("usage: repro_obs [--quick] [--rounds N] [--out PATH]");
-    std::process::exit(2)
-}
-
-/// One timed pass of the query batch: resolve every view, return
-/// milliseconds per query.
-fn run_batch<S: ChunkStore>(store: &mut ArrayStore<S>, views: &[ssdm_storage::ArrayProxy]) -> f64 {
-    let start = Instant::now();
-    for v in views {
-        std::hint::black_box(
-            store
-                .resolve(v, RetrievalStrategy::Single)
-                .expect("resolve"),
-        );
-    }
-    start.elapsed().as_secs_f64() * 1e3 / views.len() as f64
-}
-
-/// Median of a sample (ms).
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    xs[xs.len() / 2]
-}
-
-struct Sweep {
-    label: &'static str,
-    on_ms: f64,
-    off_ms: f64,
-}
-
-impl Sweep {
-    fn overhead_pct(&self) -> f64 {
-        (self.on_ms / self.off_ms - 1.0) * 100.0
-    }
-}
-
 /// A/B the recorder over one store constructor: alternate
-/// enabled/disabled passes for `rounds` rounds, keep medians.
+/// enabled/disabled passes for `rounds` rounds, each pass resolving
+/// every view, and return the medians (ms per query, on then off).
 /// `cold_each_pass` drops the chunk cache before every timed pass so
 /// each pass pays the simulated round trips (the repro_parallel cold
 /// profile); otherwise passes run warm (pure in-memory hit path).
 fn sweep<S: ChunkStore>(
-    label: &'static str,
     rounds: usize,
     queries: usize,
     cold_each_pass: bool,
     mut make: impl FnMut() -> ArrayStore<CachedChunkStore<S>>,
-) -> Sweep {
+) -> (f64, f64) {
     let rec = ssdm_obs::recorder();
-    let mut on = Vec::new();
-    let mut off = Vec::new();
+    let (mut on, mut off) = (Vec::new(), Vec::new());
     for round in 0..rounds {
         let mut store = make();
         let matrix = QueryGenerator::matrix(ROWS, COLS);
@@ -95,60 +55,48 @@ fn sweep<S: ChunkStore>(
         let views: Vec<_> = (0..queries)
             .map(|_| gen.instance(&base, AccessPattern::Column))
             .collect();
+        let pass = |store: &mut ArrayStore<CachedChunkStore<S>>| {
+            let (ms, ()) = best_of(1, || {
+                for v in &views {
+                    let got = store.resolve(v, RetrievalStrategy::Single);
+                    std::hint::black_box(got.expect("resolve"));
+                }
+            });
+            ms / queries as f64
+        };
         // Warm pass to populate the cache and fault in lazy state, then
         // alternate the A/B order per round so neither side always runs
         // second (drift-fair).
-        run_batch(&mut store, &views);
-        let order = [round % 2 == 0, round % 2 != 0];
-        for enabled in order {
+        pass(&mut store);
+        for enabled in [round % 2 == 0, round % 2 != 0] {
             if cold_each_pass {
                 store.backend().cache().clear();
             }
             rec.set_enabled(enabled);
-            let ms = run_batch(&mut store, &views);
-            if enabled {
-                on.push(ms);
-            } else {
-                off.push(ms);
-            }
+            let ms = pass(&mut store);
+            if enabled { &mut on } else { &mut off }.push(ms);
         }
         rec.set_enabled(true);
     }
-    Sweep {
-        label,
-        on_ms: median(on),
-        off_ms: median(off),
-    }
+    (median(&on), median(&off))
 }
 
-fn main() {
-    let mut quick = false;
-    let mut rounds = 9;
-    let mut out = "BENCH_obs.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
-    }
-    if quick {
-        rounds = rounds.min(3);
-    }
+fn main() -> ExitCode {
+    let args = Args::parse("repro_obs", &["--quick", "--rounds N", "--out PATH"]);
+    let mut report = Report::new(&args);
+    let quick = args.quick();
+    let rounds = args
+        .value::<NonZeroUsize>("--rounds")
+        .map_or(9, usize::from);
+    let rounds = if quick { rounds.min(3) } else { rounds };
     let queries = if quick { 5 } else { 20 };
-
+    report.config(&[
+        ("rows", ROWS.into()),
+        ("cols", COLS.into()),
+        ("chunk_bytes", CHUNK_BYTES.into()),
+        ("queries", queries.into()),
+        ("rounds", rounds.into()),
+    ]);
     println!("Recorder overhead: enabled vs. disabled, interleaved A/B");
     println!(
         "matrix {ROWS}x{COLS} f64, chunk {CHUNK_BYTES} B, {queries} queries/pass, \
@@ -157,66 +105,38 @@ fn main() {
 
     // The repro_parallel workload: simulated network round trips
     // dominate, as in the thesis' client-server runs. This is the
-    // configuration the <3% acceptance bound applies to.
-    let latency = sweep("networked (cold cache)", rounds, queries, true, || {
-        let db = Db::open_memory(DbOptions {
-            latency: LatencyModel::networked_dbms(),
-            ..DbOptions::default()
-        })
-        .expect("in-memory relational store");
-        ArrayStore::new(CachedChunkStore::new(RelChunkStore::new(db), CACHE_BYTES))
+    // configuration the <3% claim applies to.
+    let networked = sweep(rounds, queries, true, || {
+        let backend = rel_store(LatencyModel::networked_dbms(), 1024);
+        ArrayStore::new(CachedChunkStore::new(backend, CACHE_BYTES))
     });
-
     // Worst case for information only: no latency, warm cache — every
     // span and counter lands on a nanosecond-scale operation.
-    let memory = sweep("in-memory (warm cache)", rounds, queries, false, || {
+    let memory = sweep(rounds, queries, false, || {
         ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), CACHE_BYTES))
     });
 
-    let header: Vec<String> = ["workload", "on ms/q", "off ms/q", "overhead"]
-        .into_iter()
-        .map(String::from)
-        .collect();
-    let rows: Vec<Vec<String>> = [&latency, &memory]
-        .iter()
-        .map(|s| {
-            vec![
-                s.label.to_string(),
-                format!("{:.3}", s.on_ms),
-                format!("{:.3}", s.off_ms),
-                format!("{:+.2}%", s.overhead_pct()),
-            ]
-        })
-        .collect();
-    print_table("recorder overhead", &header, &rows);
-
-    assert!(
-        latency.overhead_pct() < 3.0,
-        "recorder overhead {:.2}% >= 3% on the latency-simulated workload",
-        latency.overhead_pct()
+    let overhead_pct = |(on, off): (f64, f64)| (on / off - 1.0) * 100.0;
+    let row = |label: &str, (on, off): (f64, f64)| {
+        let overhead = overhead_pct((on, off));
+        vec![label.into(), on.into(), off.into(), overhead.into()]
+    };
+    let rows = vec![
+        row("networked (cold cache)", networked),
+        row("in-memory (warm cache)", memory),
+    ];
+    report.table(
+        "sweeps",
+        "recorder overhead",
+        &[
+            ("workload", "workload", Fmt::Plain),
+            ("on ms/q", "on_ms", Fmt::Fixed(3)),
+            ("off ms/q", "off_ms", Fmt::Fixed(3)),
+            ("overhead", "overhead_pct", Fmt::Unit(2, "%")),
+        ],
+        rows,
     );
-    println!(
-        "\nobs acceptance ✓: {:+.2}% overhead on the networked workload (<3% required)",
-        latency.overhead_pct()
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"rows\": {ROWS}, \"cols\": {COLS}, \"chunk_bytes\": {CHUNK_BYTES}, \
-         \"queries\": {queries}, \"rounds\": {rounds}, \"quick\": {quick}}},\n  \"sweeps\": [\n"
-    ));
-    for (i, s) in [&latency, &memory].iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"on_ms\": {:.5}, \"off_ms\": {:.5}, \
-             \"overhead_pct\": {:.3}}}{}\n",
-            s.label,
-            s.on_ms,
-            s.off_ms,
-            s.overhead_pct(),
-            if i == 0 { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out, json).expect("write JSON");
-    println!("wrote {out}");
+    let claim = "recorder overhead on the networked workload, %";
+    report.check(claim, overhead_pct(networked), Bar::Below(3.0));
+    report.finish()
 }

@@ -3,31 +3,29 @@
 //!
 //! 1. **Enumeration matrix** — star-join queries over the BISTAB
 //!    workload, written selective-pattern-LAST (worst textual order),
-//!    evaluated under all three planner modes. Required: DP **≥ 2×**
+//!    evaluated under all three planner modes. Claims: DP **≥ 2×**
 //!    faster than textual order on the star-join shape, DP no slower
-//!    than greedy, and identical row counts everywhere.
-//! 2. **Calibration** — a deliberately misestimated skew shape: the
-//!    uniform count/distinct model orders a "selective-looking" scan
-//!    first even though it matches most of the graph. Two profiled
-//!    training runs feed observed cardinalities into the calibration
-//!    table; the corrected plan flips the join order. Required:
-//!    calibration-on beats calibration-off, identical results.
-//!
-//! 3. **Range filter** — BISTAB Q1 (`?t b:k_1 ?k ; b:result 1 .
+//!    than greedy; identical row counts everywhere.
+//! 2. **Range filter** — BISTAB Q1 (`?t b:k_1 ?k ; b:result 1 .
 //!    FILTER (?k > c)`) with the filter as written, which the planner
 //!    turns into a range scan of the value index, against the same
 //!    filter disguised as `?k + 0 > c`, which it cannot. Reported as
 //!    index entries visited (the scans' output rows in the profile — a
-//!    count that repeats exactly). Required: the ranged scan visits no
-//!    more than the rows in the window, and both return the same rows.
-//!
-//! Measurements land as JSON (default `BENCH_optimizer.json`, `--out`).
+//!    count that repeats exactly). Claims: the ranged scan visits no
+//!    more than the rows in the window, the query no more than twice
+//!    that; both return the same rows.
+//! 3. **Calibration** — a deliberately misestimated skew shape: the
+//!    uniform count/distinct model orders a "selective-looking" scan
+//!    first even though it matches most of the graph. Two profiled
+//!    training runs feed observed cardinalities into the calibration
+//!    table; the corrected plan flips the join order. Claim:
+//!    calibration-on beats calibration-off; identical results.
 //!
 //! ```text
 //! repro_optimizer [--quick] [--out PATH]
 //! ```
 
-use std::time::Instant;
+use std::process::ExitCode;
 
 use scisparql::algebra::{self, Plan};
 use scisparql::ast::Statement;
@@ -35,27 +33,7 @@ use scisparql::planner::{PlannerConfig, PlannerCtx, PlannerMode};
 use scisparql::Dataset;
 use ssdm::bistab::{self, BistabConfig};
 use ssdm::{Backend, Ssdm};
-use ssdm_bench::fmt_ms;
-use ssdm_bench::runner::print_table;
-
-fn usage() -> ! {
-    eprintln!("usage: repro_optimizer [--quick] [--out PATH]");
-    std::process::exit(2)
-}
-
-/// Best-of-N timing: the minimum is the least-noise estimate for a
-/// deterministic computation.
-fn best_of<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        result = Some(r);
-    }
-    (best, result.expect("repeats >= 1"))
-}
+use ssdm_bench::{best_of, Args, Bar, Fmt, Report};
 
 /// Plan a SELECT under an explicit mode, optionally with the dataset's
 /// learned calibration factors. `Textual` here means the plan exactly
@@ -77,11 +55,7 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
     let ctx = PlannerCtx {
         graph: ds.graph.view(),
         config,
-        calibration: if calibrated {
-            Some(&ds.calibration)
-        } else {
-            None
-        },
+        calibration: calibrated.then_some(&ds.calibration),
         zones: None,
     };
     algebra::optimize_with(algebra::translate(&q.pattern), &ctx)
@@ -148,38 +122,31 @@ fn scan_rows(profile: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn main() {
-    let mut quick = false;
-    let mut out = "BENCH_optimizer.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
+fn main() -> ExitCode {
+    let args = Args::parse("repro_optimizer", &["--quick", "--out PATH"]);
+    let mut report = Report::new(&args);
+    let quick = args.quick();
     let repeats = if quick { 3 } else { 7 };
+    let tasks = if quick { 800 } else { 2000 };
+    let n = if quick { 6000 } else { 20000 };
+    report.config(&[("tasks", tasks.into()), ("skew_subjects", n.into())]);
 
     println!("Optimizer ablation v2: enumeration matrix + calibration (thesis §5.4)");
     let mut db = Ssdm::open(Backend::Memory);
-    bistab::load_bistab(
-        &mut db,
-        &BistabConfig {
-            tasks: if quick { 800 } else { 2000 },
-            realizations: 4,
-            trajectory_len: 8,
-            seed: 3,
-        },
-    )
-    .expect("load");
+    let config = BistabConfig {
+        tasks,
+        realizations: 4,
+        trajectory_len: 8,
+        seed: 3,
+    };
+    bistab::load_bistab(&mut db, &config).expect("load");
     // Static plans only: adaptivity would partially repair the bad
     // textual order mid-flight and blur the comparison.
     db.dataset.planner.adaptive_qerror = None;
 
     // Queries written selective-pattern-LAST (worst textual order).
     let b = bistab::NS;
-    let queries = vec![
+    let queries = [
         (
             "star-join",
             format!(
@@ -204,58 +171,43 @@ fn main() {
             ),
         ),
     ];
-
     let modes = [PlannerMode::Textual, PlannerMode::Greedy, PlannerMode::Dp];
-    let header: Vec<String> = [
-        "query",
-        "rows",
-        "textual ms",
-        "greedy ms",
-        "dp ms",
-        "dp vs textual",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
     let mut table = Vec::new();
-    let mut matrix = Vec::new();
+    let mut star = [0.0; 3];
     for (name, q) in &queries {
-        let mut times = Vec::new();
         let mut rows_seen = None;
-        for mode in modes {
+        let times = modes.map(|mode| {
             let plan = plan_for(&db.dataset, q, mode, false);
             let (rows, ms) = run_plan(&mut db.dataset, &plan, repeats);
-            match rows_seen {
-                None => rows_seen = Some(rows),
-                Some(r) => assert_eq!(r, rows, "{name}: {} diverged", mode.name()),
-            }
-            times.push(ms);
+            let first = *rows_seen.get_or_insert(rows);
+            assert_eq!(first, rows, "{name}: {} diverged", mode.name());
+            ms
+        });
+        if *name == "star-join" {
+            star = times;
         }
-        let (textual, greedy, dp) = (times[0], times[1], times[2]);
-        let rows = rows_seen.expect("ran");
+        let [textual, greedy, dp] = times;
         table.push(vec![
-            name.to_string(),
-            rows.to_string(),
-            fmt_ms(textual),
-            fmt_ms(greedy),
-            fmt_ms(dp),
-            format!("{:.1}x", textual / dp.max(1e-9)),
+            (*name).into(),
+            rows_seen.into(),
+            textual.into(),
+            greedy.into(),
+            dp.into(),
+            (textual / dp.max(1e-9)).into(),
         ]);
-        matrix.push((name.to_string(), rows, textual, greedy, dp));
     }
-    print_table("join enumeration: textual vs greedy vs DP", &header, &table);
-
-    // Acceptance: DP ≥2× over textual on the star join, and no slower
-    // than greedy (identical order is expected on this shape; the
-    // tolerance absorbs timer noise).
-    let (_, _, star_textual, star_greedy, star_dp) = matrix[0].clone();
-    assert!(
-        star_dp * 2.0 <= star_textual,
-        "DP must be >=2x faster than textual on star-join: dp={star_dp:.2}ms textual={star_textual:.2}ms"
-    );
-    assert!(
-        star_dp <= star_greedy * 1.25,
-        "DP must not lose to greedy on star-join: dp={star_dp:.2}ms greedy={star_greedy:.2}ms"
+    report.table(
+        "enumeration",
+        "join enumeration: textual vs greedy vs DP",
+        &[
+            ("query", "query", Fmt::Plain),
+            ("rows", "rows", Fmt::Plain),
+            ("textual ms", "textual_ms", Fmt::Ms),
+            ("greedy ms", "greedy_ms", Fmt::Ms),
+            ("dp ms", "dp_ms", Fmt::Ms),
+            ("dp vs textual", "dp_vs_textual", Fmt::Unit(1, "x")),
+        ],
+        table,
     );
 
     // ----- range-filter leg -------------------------------------------------
@@ -264,7 +216,6 @@ fn main() {
             "PREFIX b: <{b}> SELECT ?t ?k WHERE {{ ?t b:k_1 ?k ; b:result 1 . FILTER ({k} > 46) }}"
         )
     };
-    let (sargable, disguised) = (q1("?k"), q1("?k + 0"));
     let count = format!(
         "PREFIX b: <{b}> SELECT (COUNT(?t) AS ?n) WHERE {{ ?t b:k_1 ?k . FILTER (?k + 0 >= 46) }}"
     );
@@ -276,43 +227,46 @@ fn main() {
             .as_i64() as u64,
         other => panic!("one row expected, got {other:?}"),
     };
-    let mut visited = |query: &str| {
-        let (result, profile) = db.dataset.query_profiled(query).expect("profiled run");
+    let mut table = Vec::new();
+    let mut visited = Vec::new(); // per filter: (answer rows, entries visited)
+    let mut ranged_scan = None;
+    for (label, query) in [("sargable", q1("?k")), ("disguised", q1("?k + 0"))] {
+        let (result, profile) = db.dataset.query_profiled(&query).expect("profiled run");
         let rows = result.into_rows().expect("solutions").len();
-        (rows, scan_rows(&profile))
-    };
-    let (rows_sargable, scans_sargable) = visited(&sargable);
-    let (rows_disguised, scans_disguised) = visited(&disguised);
+        let scans = scan_rows(&profile);
+        let total: u64 = scans.iter().map(|(_, n)| n).sum();
+        let ranged = scans
+            .iter()
+            .find(|(l, _)| l.contains("k_1") && l.contains(" [?k > 46]"));
+        ranged_scan = ranged_scan.or(ranged.map(|(_, n)| *n));
+        let (ms, _) = best_of(repeats, || db.query(&query).expect("Q1"));
+        visited.push((rows, total));
+        table.push(vec![
+            label.into(),
+            window_rows.into(),
+            rows.into(),
+            total.into(),
+            ms.into(),
+        ]);
+    }
     assert_eq!(
-        rows_sargable, rows_disguised,
+        visited[0].0, visited[1].0,
         "the disguise changed the answer"
     );
-    let total = |scans: &[(String, u64)]| scans.iter().map(|(_, n)| n).sum::<u64>();
-    let (visited_sargable, visited_disguised) = (total(&scans_sargable), total(&scans_disguised));
-    let ranged = scans_sargable
-        .iter()
-        .find(|(label, _)| label.contains("k_1") && label.contains(" [?k > 46]"))
-        .unwrap_or_else(|| panic!("no ranged k_1 scan in {scans_sargable:?}"));
-    assert!(
-        ranged.1 <= window_rows,
-        "the ranged scan visited {} entries for a window of {window_rows}",
-        ranged.1
-    );
-    assert!(
-        visited_sargable <= 2 * window_rows,
-        "Q1 visited {visited_sargable} entries for a window of {window_rows}"
-    );
-    let (sargable_ms, _) = best_of(repeats, || db.query(&sargable).expect("Q1"));
-    let (disguised_ms, _) = best_of(repeats, || db.query(&disguised).expect("Q1 disguised"));
-    println!(
-        "\nrange filter (Q1, k_1 > 46): window {window_rows} rows, answer {rows_sargable} rows; \
-         visited {visited_sargable} sargable vs {visited_disguised} disguised; {} vs {}",
-        fmt_ms(sargable_ms),
-        fmt_ms(disguised_ms)
+    report.table(
+        "range_filter",
+        "range filter (Q1, k_1 > 46)",
+        &[
+            ("filter", "filter", Fmt::Plain),
+            ("window rows", "window_rows", Fmt::Plain),
+            ("answer rows", "rows", Fmt::Plain),
+            ("index entries visited", "visited", Fmt::Plain),
+            ("ms/query", "ms", Fmt::Ms),
+        ],
+        table,
     );
 
     // ----- calibration leg -------------------------------------------------
-    let n = if quick { 6000 } else { 20000 };
     let mut skew = skew_dataset(n);
     skew.planner.adaptive_qerror = None;
     let query = "PREFIX ex: <http://example.org/>
@@ -321,7 +275,6 @@ fn main() {
                    ?s ex:grade \"b7\" .
                    ?s ex:payload ?p .
                  }";
-
     let cold_plan = plan_for(&skew, query, PlannerMode::Dp, false);
     let (rows_off, off_ms) = run_plan(&mut skew, &cold_plan, repeats);
     // Train: two profiled runs feed observed scan cardinalities into
@@ -332,45 +285,37 @@ fn main() {
     let warm_plan = plan_for(&skew, query, PlannerMode::Dp, true);
     let (rows_on, on_ms) = run_plan(&mut skew, &warm_plan, repeats);
     assert_eq!(rows_off, rows_on, "calibration changed results");
-    println!(
-        "\ncalibration (skewed shape, n={n}): off={} on={} ({:.1}x), {} rows, {} learned predicates",
-        fmt_ms(off_ms),
-        fmt_ms(on_ms),
-        off_ms / on_ms.max(1e-9),
-        rows_on,
-        skew.calibration.len()
-    );
-    assert!(
-        on_ms < off_ms,
-        "calibration-on must beat calibration-off on the misestimated shape: on={on_ms:.2}ms off={off_ms:.2}ms"
+    let learned = skew.calibration.len();
+    report.table(
+        "calibration",
+        &format!("calibration (skewed shape, n={n}, {learned} learned predicates)"),
+        &[
+            ("calibration", "calibration", Fmt::Plain),
+            ("rows", "rows", Fmt::Plain),
+            ("ms/query", "ms", Fmt::Ms),
+        ],
+        vec![
+            vec!["off".into(), rows_off.into(), off_ms.into()],
+            vec!["on".into(), rows_on.into(), on_ms.into()],
+        ],
     );
 
-    // ----- JSON artifact ---------------------------------------------------
-    let mut json = format!(
-        "{{\n  \"measured_at\": \"{}\",\n",
-        ssdm_bench::measured_at()
+    // ----- claims -------------------------------------------------------------
+    let [textual, greedy, dp] = star;
+    let claim = "star-join: DP speedup over textual order";
+    report.check(claim, textual / dp, Bar::AtLeast(2.0));
+    report.check(
+        "star-join: DP time / greedy time",
+        dp / greedy,
+        Bar::AtMost(1.25),
     );
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"enumeration\": [\n");
-    for (i, (name, rows, textual, greedy, dp)) in matrix.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"query\": \"{name}\", \"rows\": {rows}, \"textual_ms\": {textual:.3}, \
-             \"greedy_ms\": {greedy:.3}, \"dp_ms\": {dp:.3}}}{}\n",
-            if i + 1 == matrix.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"range_filter\": {{\"window_rows\": {window_rows}, \"rows\": {rows_sargable}, \
-         \"visited_sargable\": {visited_sargable}, \"visited_disguised\": {visited_disguised}, \
-         \"sargable_ms\": {sargable_ms:.3}, \"disguised_ms\": {disguised_ms:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"calibration\": {{\"n\": {n}, \"rows\": {rows_on}, \"off_ms\": {off_ms:.3}, \
-         \"on_ms\": {on_ms:.3}, \"speedup\": {:.2}}}\n",
-        off_ms / on_ms.max(1e-9)
-    ));
-    json.push_str("}\n");
-    std::fs::write(&out, json).expect("write JSON");
-    println!("wrote {out}");
+    let window = window_rows as f64;
+    let ranged = ranged_scan.expect("a ranged k_1 scan in Q1's profile");
+    let claim = "Q1: index entries the ranged k_1 scan visits";
+    report.check(claim, ranged as f64, Bar::AtMost(window));
+    let claim = "Q1: index entries visited in all";
+    report.check(claim, visited[0].1 as f64, Bar::AtMost(2.0 * window));
+    let claim = "skewed shape: calibrated / uncalibrated time";
+    report.check(claim, on_ms / off_ms, Bar::Below(1.0));
+    report.finish()
 }

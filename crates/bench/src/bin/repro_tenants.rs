@@ -14,21 +14,17 @@
 //! re-measures them while the hog saturates. Deficit-round-robin
 //! dispatch plus the hog's concurrency quota must keep the interactive
 //! p99 within a bounded factor of solo — a plain FIFO queue fails this
-//! by parking interactive requests behind the hog's backlog. The
-//! binary *asserts* the acceptance criteria: interactive p99 ≤ 3× solo
-//! (with a small absolute floor against scheduler noise) and exact
-//! per-tenant counter reconciliation (`admitted = completed + errors +
-//! timed_out`) in `/metrics`.
-//!
-//! Measurements land as JSON (default `BENCH_tenants.json`, `--out
-//! PATH`).
+//! by parking interactive requests behind the hog's backlog. Claims:
+//! interactive p99 ≤ 3× solo (with a 2 ms floor on the solo p99 against
+//! scheduler noise) and exact per-tenant counter reconciliation
+//! (`admitted = completed + errors + timed_out`) in `/metrics`.
 //!
 //! ```text
 //! repro_tenants [--quick] [--out PATH]
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,12 +32,8 @@ use std::time::{Duration, Instant};
 use ssdm::http::{HttpConfig, HttpServer, ShutdownHandle};
 use ssdm::tenant::{RateLimit, TenantQuotas, TenantRegistry};
 use ssdm::{Backend, Ssdm};
-use ssdm_bench::runner::print_table;
-
-fn usage() -> ! {
-    eprintln!("usage: repro_tenants [--quick] [--out PATH]");
-    std::process::exit(2)
-}
+use ssdm_bench::client::{connect, get, query_target};
+use ssdm_bench::{percentile, Args, Bar, Fmt, Report};
 
 fn engine(rows: usize) -> Ssdm {
     let mut db = Ssdm::open(Backend::Memory);
@@ -85,108 +77,33 @@ fn start_server(
     (addr, handle, join)
 }
 
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, body)
-}
-
-fn percent_encode(query: &str) -> String {
-    let mut out = String::new();
-    for b in query.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    BufReader::new(stream)
-}
-
-fn get(reader: &mut BufReader<TcpStream>, target: &str) -> (u16, Vec<u8>) {
-    reader
-        .get_mut()
-        .write_all(
-            format!("GET {target} HTTP/1.1\r\nHost: bench\r\nAccept: text/csv\r\n\r\n").as_bytes(),
-        )
-        .expect("request write");
-    read_response(reader)
-}
-
-/// Per-request latencies for `n` sequential point queries on `tenant`.
-fn measure(addr: SocketAddr, tenant: &str, n: usize) -> Vec<Duration> {
-    let target = format!(
-        "/tenants/{tenant}/query?query={}",
-        percent_encode("SELECT ?o WHERE { <http://e#s7> <http://e#p> ?o }")
-    );
+/// Per-request latencies (ms) for `n` sequential point queries on
+/// `tenant`.
+fn measure(addr: SocketAddr, tenant: &str, n: usize) -> Vec<f64> {
+    let path = format!("/tenants/{tenant}/query");
+    let target = query_target(&path, "SELECT ?o WHERE { <http://e#s7> <http://e#p> ?o }");
     let mut reader = connect(addr);
-    let (status, _) = get(&mut reader, &target); // warm up
+    let (status, _) = get(&mut reader, &target, "text/csv"); // warm up
     assert_eq!(status, 200, "interactive warm-up on {tenant}");
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
+    let sample = |_| {
         let start = Instant::now();
-        let (status, _) = get(&mut reader, &target);
+        let (status, _) = get(&mut reader, &target, "text/csv");
         assert_eq!(status, 200, "interactive request on {tenant}");
-        samples.push(start.elapsed());
-    }
-    samples
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    (0..n).map(sample).collect()
 }
 
-fn percentile(samples: &mut [Duration], p: f64) -> Duration {
-    samples.sort();
-    let idx = ((samples.len() as f64 * p).ceil() as usize).saturating_sub(1);
-    samples[idx.min(samples.len() - 1)]
-}
-
-fn main() {
-    let mut quick = false;
-    let mut out = "BENCH_tenants.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
-    }
-    let interactive_n: usize = if quick { 150 } else { 500 };
+fn main() -> ExitCode {
+    let args = Args::parse("repro_tenants", &["--quick", "--out PATH"]);
+    let mut report = Report::new(&args);
+    let interactive_n: usize = if args.quick() { 150 } else { 500 };
     let hog_clients: usize = 4;
-
+    report.config(&[
+        ("interactive_requests", interactive_n.into()),
+        ("hog_clients", hog_clients.into()),
+        ("workers", 2u8.into()),
+    ]);
     println!("multi-tenant fair share: one hog, two interactive tenants, shared worker pool");
 
     let (addr, handle, join) = start_server(TenantQuotas {
@@ -199,10 +116,8 @@ fn main() {
     });
 
     // --- Phase 1: solo baselines -----------------------------------------
-    let mut solo: Vec<(String, Vec<Duration>)> = Vec::new();
-    for tenant in ["i1", "i2"] {
-        solo.push((tenant.to_string(), measure(addr, tenant, interactive_n)));
-    }
+    let interactive = ["i1", "i2"];
+    let solo = interactive.map(|tenant| measure(addr, tenant, interactive_n));
 
     // --- Phase 2: the hog saturates, interactive re-measured -------------
     let stop = Arc::new(AtomicBool::new(false));
@@ -211,21 +126,19 @@ fn main() {
     // A cross join over the hog's 120 subjects: ~14k result rows per
     // request, expensive enough that an unfair queue visibly stalls
     // the interactive tenants behind it.
-    let hog_target = format!(
-        "/tenants/hog/query?query={}",
-        percent_encode("SELECT ?a ?b WHERE { ?a <http://e#p> ?x . ?b <http://e#p> ?y }")
+    let hog_target = query_target(
+        "/tenants/hog/query",
+        "SELECT ?a ?b WHERE { ?a <http://e#p> ?x . ?b <http://e#p> ?y }",
     );
     let hogs: Vec<_> = (0..hog_clients)
         .map(|_| {
-            let stop = Arc::clone(&stop);
-            let ok = Arc::clone(&hog_ok);
+            let (stop, ok) = (Arc::clone(&stop), Arc::clone(&hog_ok));
             let rejected = Arc::clone(&hog_rejected);
             let target = hog_target.clone();
             std::thread::spawn(move || {
                 let mut reader = connect(addr);
                 while !stop.load(Ordering::Relaxed) {
-                    let (status, _) = get(&mut reader, &target);
-                    match status {
+                    match get(&mut reader, &target, "text/csv").0 {
                         200 => ok.fetch_add(1, Ordering::Relaxed),
                         429 | 503 => rejected.fetch_add(1, Ordering::Relaxed),
                         other => panic!("unexpected hog status {other}"),
@@ -238,72 +151,58 @@ fn main() {
     while hog_ok.load(Ordering::Relaxed) < 4 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let mut contended: Vec<(String, Vec<Duration>)> = Vec::new();
-    for tenant in ["i1", "i2"] {
-        contended.push((tenant.to_string(), measure(addr, tenant, interactive_n)));
-    }
+    let contended = interactive.map(|tenant| measure(addr, tenant, interactive_n));
     stop.store(true, Ordering::Relaxed);
     for h in hogs {
         h.join().expect("hog client");
     }
-    let hog_served = hog_ok.load(Ordering::Relaxed);
-    let hog_429s = hog_rejected.load(Ordering::Relaxed);
-    assert!(
-        hog_served >= 4,
-        "hog must actually saturate ({hog_served} served)"
-    );
 
-    // --- Acceptance: bounded interference --------------------------------
-    let floor = Duration::from_millis(2);
-    let header: Vec<String> = [
-        "tenant",
-        "solo p50",
-        "solo p99",
-        "contended p50",
-        "contended p99",
-        "ratio",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
+    // --- Bounded interference --------------------------------------------
+    let floor_ms = 2.0;
     let mut rows = Vec::new();
-    let mut report: Vec<(String, f64, f64, f64)> = Vec::new();
-    for ((name, mut s), (_, mut c)) in solo.into_iter().zip(contended) {
-        let solo_p50 = percentile(&mut s, 0.50);
-        let solo_p99 = percentile(&mut s, 0.99);
-        let cont_p50 = percentile(&mut c, 0.50);
-        let cont_p99 = percentile(&mut c, 0.99);
-        let bound = solo_p99.max(floor);
-        let ratio = cont_p99.as_secs_f64() / bound.as_secs_f64();
+    let mut ratios = Vec::new();
+    for ((tenant, s), c) in interactive.iter().zip(&solo).zip(&contended) {
+        let (solo_p99, cont_p99) = (percentile(s, 0.99), percentile(c, 0.99));
+        let ratio = cont_p99 / solo_p99.max(floor_ms);
+        ratios.push((tenant, ratio));
         rows.push(vec![
-            name.clone(),
-            format!("{:.2}ms", solo_p50.as_secs_f64() * 1e3),
-            format!("{:.2}ms", solo_p99.as_secs_f64() * 1e3),
-            format!("{:.2}ms", cont_p50.as_secs_f64() * 1e3),
-            format!("{:.2}ms", cont_p99.as_secs_f64() * 1e3),
-            format!("{ratio:.2}"),
+            (*tenant).into(),
+            percentile(s, 0.5).into(),
+            solo_p99.into(),
+            percentile(c, 0.5).into(),
+            cont_p99.into(),
+            ratio.into(),
         ]);
-        assert!(
-            cont_p99 <= bound * 3,
-            "tenant {name}: contended p99 {cont_p99:?} exceeds 3x solo bound {bound:?}"
-        );
-        report.push((
-            name,
-            solo_p99.as_secs_f64() * 1e3,
-            cont_p99.as_secs_f64() * 1e3,
-            ratio,
-        ));
     }
-    print_table(
+    report.table(
+        "interactive",
         "interactive latency, hog saturating its quota",
-        &header,
-        &rows,
+        &[
+            ("tenant", "tenant", Fmt::Plain),
+            ("solo p50", "solo_p50_ms", Fmt::Unit(2, "ms")),
+            ("solo p99", "solo_p99_ms", Fmt::Unit(2, "ms")),
+            ("contended p50", "contended_p50_ms", Fmt::Unit(2, "ms")),
+            ("contended p99", "contended_p99_ms", Fmt::Unit(2, "ms")),
+            ("ratio", "ratio_vs_bound", Fmt::Fixed(2)),
+        ],
+        rows,
     );
-    println!("hog: {hog_served} served, {hog_429s} rejected over quota");
+    let (served, rejected) = (
+        hog_ok.load(Ordering::Relaxed),
+        hog_rejected.load(Ordering::Relaxed),
+    );
+    report.table(
+        "hog",
+        "hog tenant over its quota",
+        &[
+            ("served", "served", Fmt::Plain),
+            ("rejected", "rejected", Fmt::Plain),
+        ],
+        vec![vec![served.into(), rejected.into()]],
+    );
 
-    // --- Acceptance: per-tenant counters reconcile ------------------------
-    let mut reader = connect(addr);
-    let (status, body) = get(&mut reader, "/metrics");
+    // --- Per-tenant counters reconcile ------------------------------------
+    let (status, body) = get(&mut connect(addr), "/metrics", "text/csv");
     assert_eq!(status, 200, "/metrics");
     let metrics = String::from_utf8(body).expect("metrics utf-8");
     let series = |name: &str, tenant: &str| -> u64 {
@@ -316,48 +215,20 @@ fn main() {
             .parse()
             .expect("numeric series")
     };
-    let mut reconciled = Vec::new();
-    for tenant in ["hog", "i1", "i2"] {
-        let admitted = series("ssdm_tenant_admitted_total", tenant);
-        let finished = series("ssdm_tenant_completed_total", tenant)
-            + series("ssdm_tenant_errors_total", tenant)
-            + series("ssdm_tenant_timed_out_total", tenant);
-        assert_eq!(
-            admitted, finished,
-            "tenant {tenant}: admitted != completed + errors + timed_out"
-        );
-        reconciled.push((tenant, admitted));
-    }
-    println!(
-        "counter reconciliation ✓: {}",
-        reconciled
-            .iter()
-            .map(|(t, n)| format!("{t}={n}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-
     handle.shutdown();
     join.join().expect("server thread");
 
-    // --- JSON -------------------------------------------------------------
-    let tenants_json = report
-        .iter()
-        .map(|(name, solo_ms, cont_ms, ratio)| {
-            format!(
-                "{{\"tenant\": \"{name}\", \"solo_p99_ms\": {solo_ms:.3}, \
-                 \"contended_p99_ms\": {cont_ms:.3}, \"ratio_vs_bound\": {ratio:.3}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"config\": {{\"interactive_requests\": {interactive_n}, \
-         \"hog_clients\": {hog_clients}, \"workers\": 2, \"quick\": {quick}}},\n  \
-         \"interactive\": [{tenants_json}],\n  \
-         \"hog\": {{\"served\": {hog_served}, \"rejected\": {hog_429s}}},\n  \
-         \"counters_reconcile\": true\n}}\n",
-    );
-    std::fs::write(&out, json).expect("write JSON");
-    println!("wrote {out}");
+    for (tenant, ratio) in ratios {
+        let claim = format!("{tenant}: contended p99 / max(solo p99, {floor_ms} ms)");
+        report.check(claim, ratio, Bar::AtMost(3.0));
+    }
+    for tenant in ["hog", "i1", "i2"] {
+        let finished = ["completed", "errors", "timed_out"]
+            .map(|what| series(&format!("ssdm_tenant_{what}_total"), tenant));
+        let unreconciled = series("ssdm_tenant_admitted_total", tenant) as f64
+            - finished.iter().sum::<u64>() as f64;
+        let claim = format!("{tenant}: admitted - (completed + errors + timed_out)");
+        report.check(claim, unreconciled, Bar::Equals(0.0));
+    }
+    report.finish()
 }

@@ -2,7 +2,8 @@
 
 use std::time::Instant;
 
-use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, RetrievalStrategy};
+use relstore::{Db, DbOptions, LatencyModel};
+use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, RelChunkStore, RetrievalStrategy};
 
 use crate::workload::{AccessPattern, QueryGenerator};
 
@@ -23,11 +24,26 @@ impl Measurement {
         self.total_seconds * 1e3 / self.queries.max(1) as f64
     }
 
+    /// Back-end statements per query.
+    pub fn statements_per_query(&self) -> f64 {
+        self.statements as f64 / self.queries.max(1) as f64
+    }
+
     /// Overfetch factor: bytes fetched per byte actually needed.
     pub fn overfetch(&self) -> f64 {
         let needed = self.elements_resolved.max(1) * 8;
         self.bytes_fetched as f64 / needed as f64
     }
+}
+
+/// An in-memory relational chunk store that charges `latency` per
+/// statement, with a buffer pool of `pool_pages`.
+pub fn rel_store(latency: LatencyModel, pool_pages: usize) -> RelChunkStore {
+    let options = DbOptions {
+        pool_pages,
+        latency,
+    };
+    RelChunkStore::new(Db::open_memory(options).expect("in-memory relational store"))
 }
 
 /// Run `queries` instances of `pattern` under `strategy`, resolving
@@ -61,71 +77,6 @@ pub fn run_pattern<S: ChunkStore>(
     }
 }
 
-/// Like [`run_pattern`] but computing a streamed aggregate (AAPR)
-/// instead of materializing.
-pub fn run_pattern_aggregate<S: ChunkStore>(
-    store: &mut ArrayStore<S>,
-    base: &ArrayProxy,
-    generator: &mut QueryGenerator,
-    pattern: AccessPattern,
-    strategy: RetrievalStrategy,
-    queries: usize,
-) -> Measurement {
-    store.backend_mut().reset_io_stats();
-    let mut elements = 0u64;
-    let start = Instant::now();
-    for _ in 0..queries {
-        let proxy = generator.instance(base, pattern);
-        elements += proxy.element_count() as u64;
-        let agg = store
-            .resolve_aggregate(&proxy, ssdm_array::AggregateOp::Sum, strategy)
-            .expect("aggregate");
-        std::hint::black_box(agg);
-    }
-    let total_seconds = start.elapsed().as_secs_f64();
-    let io = store.backend().io_stats();
-    Measurement {
-        queries,
-        total_seconds,
-        statements: io.statements,
-        chunks_fetched: io.chunks_returned,
-        bytes_fetched: io.bytes_returned,
-        elements_resolved: elements,
-    }
-}
-
-/// Print an aligned table: header then rows of cells.
-pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    println!("\n== {title}");
-    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:<w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
-        }
-        s
-    };
-    println!("{}", line(header));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
-    for r in rows {
-        println!("{}", line(r));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,23 +104,5 @@ mod tests {
                 meas.overfetch()
             );
         }
-    }
-
-    #[test]
-    fn aggregate_runner_matches_materialized_totals() {
-        let mut store = ArrayStore::new(MemoryChunkStore::new());
-        let m = QueryGenerator::matrix(16, 16);
-        let base = store.store_array(&m, 64).unwrap();
-        let mut gen = QueryGenerator::new(16, 16, 9);
-        let meas = run_pattern_aggregate(
-            &mut store,
-            &base,
-            &mut gen,
-            AccessPattern::Whole,
-            RetrievalStrategy::WholeArray,
-            2,
-        );
-        assert_eq!(meas.elements_resolved, 2 * 256);
-        assert_eq!(meas.statements, 2);
     }
 }

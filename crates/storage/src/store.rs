@@ -368,89 +368,6 @@ pub trait RawChunkAccess {
     ) -> Result<bool, StorageError>;
 }
 
-impl ChunkStore for Box<dyn ChunkStore> {
-    fn begin_array(&mut self, array_id: u64, chunk_bytes: usize) -> Result<(), StorageError> {
-        (**self).begin_array(array_id, chunk_bytes)
-    }
-
-    fn put_chunk(&mut self, array_id: u64, chunk_id: u64, data: &[u8]) -> Result<(), StorageError> {
-        (**self).put_chunk(array_id, chunk_id, data)
-    }
-
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        (**self).get_chunk(array_id, chunk_id)
-    }
-
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).get_chunks_in(array_id, chunk_ids)
-    }
-
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).get_chunk_range(array_id, lo, hi)
-    }
-
-    fn get_composite_range(
-        &mut self,
-        lo: (u64, u64),
-        hi: (u64, u64),
-    ) -> Result<CompositeRows, StorageError> {
-        (**self).get_composite_range(lo, hi)
-    }
-
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
-        (**self).get_composite_in(keys)
-    }
-
-    fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
-        (**self).delete_array(array_id, chunk_count)
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        (**self).capabilities()
-    }
-
-    fn io_stats(&self) -> IoStats {
-        (**self).io_stats()
-    }
-
-    fn reset_io_stats(&mut self) {
-        (**self).reset_io_stats()
-    }
-
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        (**self).resilience_stats()
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        (**self).reset_resilience_stats()
-    }
-
-    fn cache_stats(&self) -> crate::cache::CacheStats {
-        (**self).cache_stats()
-    }
-
-    fn reset_cache_stats(&mut self) {
-        (**self).reset_cache_stats()
-    }
-
-    fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        (**self).shard_stats()
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        (**self).sync()
-    }
-}
-
 /// [`ChunkStore`] + [`SharedChunkRead`] combined: what a boxed dataset
 /// back-end must provide so *both* the mutating store path and the
 /// parallel read pipeline work through one trait object. Blanket-
