@@ -65,9 +65,13 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
 fn run_plan(ds: &mut Dataset, plan: &Plan, repeats: usize) -> (usize, f64) {
     let vars = scisparql::eval::VarTable::for_plan(plan);
     let (ms, rows) = best_of(repeats, || {
-        scisparql::eval::eval_plan(ds, &vars, plan, vec![vars.unit_row()])
-            .expect("eval")
-            .len()
+        let mut rows = 0;
+        scisparql::eval::eval_plan(ds, &vars, plan, &[], &mut |_, batch| {
+            rows += batch.len();
+            Ok(())
+        })
+        .expect("eval");
+        rows
     });
     (rows, ms)
 }

@@ -59,6 +59,23 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// Call `f` on each plan this node runs, its inputs and operands, in
+    /// order.
+    pub(crate) fn each_child<'a>(&'a self, mut f: impl FnMut(&'a Plan)) {
+        match self {
+            Plan::Empty | Plan::Scan(..) | Plan::Values { .. } | Plan::SubSelect(_) => {}
+            Plan::Join(children) | Plan::Union(children) => children.iter().for_each(f),
+            Plan::LeftJoin { left, right } => {
+                f(left);
+                f(right);
+            }
+            Plan::Filter { input, .. } | Plan::Extend { input, .. } | Plan::Minus { input, .. } => {
+                f(input)
+            }
+            Plan::Graph { inner, .. } => f(inner),
+        }
+    }
+
     /// Variables this plan is guaranteed to bind in every solution
     /// (used for filter placement).
     pub fn certain_vars(&self, out: &mut HashSet<String>) {
@@ -644,7 +661,7 @@ fn dp_order(
 /// The object variable of `t` when a scan of it, run with `bound`
 /// bound, can answer a window on that variable from the value index: a
 /// constant predicate, a free object and a free subject — the planner's
-/// view of what `eval::scan_triples` observes per input row.
+/// view of what the executor's scan observes per input row.
 fn range_scan_var<'t>(t: &'t TriplePattern, bound: &HashSet<String>) -> Option<&'t str> {
     let free = |tp: &TermPattern| matches!(tp, TermPattern::Var(v) if !bound.contains(v));
     match (t.path.as_pred(), &t.object) {
@@ -923,6 +940,35 @@ fn term_pattern_text(tp: &TermPattern) -> String {
     match tp {
         TermPattern::Var(v) => format!("?{v}"),
         TermPattern::Term(t) => t.to_string(),
+    }
+}
+
+/// The constant predicate of a scan node, as the calibration key.
+pub(crate) fn scan_predicate(plan: &Plan) -> Option<String> {
+    match plan {
+        Plan::Scan(t, _) => match t.path.as_pred() {
+            Some(TermPattern::Term(p)) => Some(p.to_string()),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Greedily re-order the unexecuted scan suffix of a running join by
+/// estimated cardinality against the *actually* bound variables — the
+/// mid-query re-optimization step. Callers guarantee every element is
+/// a plain triple-pattern scan, so any permutation is join-equivalent.
+pub(crate) fn reorder_scans(graph: GraphView, suffix: &mut [&Plan], mut bound: HashSet<String>) {
+    for i in 0..suffix.len() {
+        let best = (i..suffix.len())
+            .min_by(|&a, &b| {
+                let ea = estimate(suffix[a], graph, &bound);
+                let eb = estimate(suffix[b], graph, &bound);
+                ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("nonempty range");
+        suffix.swap(i, best);
+        suffix[i].certain_vars(&mut bound);
     }
 }
 

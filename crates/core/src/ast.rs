@@ -67,6 +67,26 @@ pub struct SelectQuery {
     pub offset: Option<usize>,
 }
 
+impl SelectQuery {
+    /// The projected columns (`*` expands to the bindable, non-internal
+    /// variables of the pattern).
+    pub(crate) fn projection_items(&self) -> Vec<ProjectionItem> {
+        match &self.projection {
+            Projection::Items(items) => items.clone(),
+            Projection::All => {
+                let mut vars = Vec::new();
+                self.pattern.bindable_vars(&mut vars);
+                let vars = vars.into_iter().filter(|v| !v.starts_with('_'));
+                let item = |v| ProjectionItem {
+                    expr: Expr::Var(v),
+                    alias: None,
+                };
+                vars.map(item).collect()
+            }
+        }
+    }
+}
+
 /// An ASK query.
 #[derive(Debug, Clone)]
 pub struct AskQuery {
@@ -381,43 +401,43 @@ impl Expr {
 
     /// True when the expression contains an aggregate call at any depth.
     pub fn has_aggregate(&self) -> bool {
-        self.any(&|e| matches!(e, Expr::Aggregate { .. }))
+        self.any(&mut |e| matches!(e, Expr::Aggregate { .. }))
     }
 
     /// True when the expression contains an `EXISTS` at any depth.
     pub fn has_exists(&self) -> bool {
-        self.any(&|e| matches!(e, Expr::Exists { .. }))
+        self.any(&mut |e| matches!(e, Expr::Exists { .. }))
     }
 
     /// True when `test` holds for this expression or a sub-expression
     /// (not looking inside EXISTS patterns or aggregate arguments).
-    fn any(&self, test: &dyn Fn(&Expr) -> bool) -> bool {
-        let any = |e: &Expr| e.any(test);
-        test(self)
-            || match self {
-                Expr::Var(_) | Expr::Const(_) | Expr::Exists { .. } | Expr::Aggregate { .. } => {
-                    false
-                }
-                Expr::FunctionRef { bound, .. } => bound.iter().flatten().any(any),
-                Expr::Call { args, .. } => args.iter().any(any),
-                Expr::ArrayDeref { base, subscripts } => {
-                    any(base)
-                        || subscripts.iter().any(|s| match s {
-                            SubscriptExpr::Index(e) => any(e),
-                            SubscriptExpr::Range { lo, stride, hi } => {
-                                [lo, stride, hi].into_iter().flatten().any(any)
-                            }
-                            SubscriptExpr::All => false,
-                        })
-                }
-                Expr::Not(e) | Expr::Neg(e) => any(e),
-                Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-                    any(a) || any(b)
-                }
-                Expr::InList {
-                    needle, haystack, ..
-                } => any(needle) || haystack.iter().any(any),
+    pub(crate) fn any(&self, test: &mut dyn FnMut(&Expr) -> bool) -> bool {
+        if test(self) {
+            return true;
+        }
+        let mut any = |e: &Expr| e.any(test);
+        match self {
+            Expr::Var(_) | Expr::Const(_) | Expr::Exists { .. } | Expr::Aggregate { .. } => false,
+            Expr::FunctionRef { bound, .. } => bound.iter().flatten().any(any),
+            Expr::Call { args, .. } => args.iter().any(any),
+            Expr::ArrayDeref { base, subscripts } => {
+                any(base)
+                    || subscripts.iter().any(|s| match s {
+                        SubscriptExpr::Index(e) => any(e),
+                        SubscriptExpr::Range { lo, stride, hi } => {
+                            [lo, stride, hi].into_iter().flatten().any(&mut any)
+                        }
+                        SubscriptExpr::All => false,
+                    })
             }
+            Expr::Not(e) | Expr::Neg(e) => any(e),
+            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
+                any(a) || any(b)
+            }
+            Expr::InList {
+                needle, haystack, ..
+            } => any(needle) || haystack.iter().any(any),
+        }
     }
 }
 

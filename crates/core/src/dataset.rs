@@ -410,7 +410,7 @@ impl Dataset {
         // the calibration table and refresh the backend cost figure, so
         // the next plan benefits from what this query measured.
         if self.planner.calibration {
-            for op in profiler.ops() {
+            for op in profiler.ops().iter().filter(|op| !op.cut) {
                 if let (Some(est), Some(pred)) = (op.est, op.predicate.as_ref()) {
                     self.calibration.observe(pred, est, op.rows_out as f64);
                 }
@@ -440,21 +440,28 @@ impl Dataset {
         }
     }
 
-    /// Open a profiled operator frame. No-op when no profiler is
-    /// attached — callers gate on `profiling()` to skip label building.
-    /// `est`/`predicate` carry the planner estimate and scan predicate
-    /// for the est/actual/q-error columns and the calibration loop.
-    pub(crate) fn prof_enter(
+    /// Add a profiled operator row `depth` levels below the innermost
+    /// open frame and return its index (0, unused, with no profiler).
+    pub(crate) fn prof_add(
         &mut self,
         label: String,
-        rows_in: u64,
-        est: Option<f64>,
         predicate: Option<String>,
-    ) {
+        depth: usize,
+    ) -> usize {
+        self.profiler
+            .as_mut()
+            .map_or(0, |p| p.add_op(label, predicate, depth))
+    }
+
+    /// Open a frame of profiled operator row `row`. No-op when no
+    /// profiler is attached. `est` is the planner's output estimate for
+    /// the frame's `rows_in` rows (the est/actual/q-error columns and
+    /// the calibration loop).
+    pub(crate) fn prof_enter(&mut self, row: usize, rows_in: usize, est: Option<f64>) {
         if self.profiler.is_some() {
             let snap = self.counter_snapshot();
             if let Some(p) = self.profiler.as_mut() {
-                p.enter(label, snap, rows_in, est, predicate);
+                p.enter(row, snap, rows_in as u64, est);
             }
         }
     }
@@ -466,12 +473,13 @@ impl Dataset {
         }
     }
 
-    /// Close the innermost profiled operator frame.
-    pub(crate) fn prof_exit(&mut self, rows_out: u64) {
+    /// Close the innermost profiled operator frame, which handed on
+    /// `rows_out` rows and was `cut` short by its consumer or not.
+    pub(crate) fn prof_exit(&mut self, rows_out: usize, cut: bool) {
         if self.profiler.is_some() {
             let snap = self.counter_snapshot();
             if let Some(p) = self.profiler.as_mut() {
-                p.exit(snap, rows_out);
+                p.exit(snap, rows_out as u64, cut);
             }
         }
     }
@@ -498,8 +506,7 @@ impl Dataset {
             // The plan the query runs: planned as evaluation plans it,
             // under the same FROM graph.
             Statement::Explain(q) => Ok(QueryResult::Text(self.in_query_scope(&q, |ds, _| {
-                let plan =
-                    crate::eval::plan_with_dataset(ds, crate::algebra::translate(&q.pattern));
+                let plan = ds.plan(crate::algebra::translate(&q.pattern));
                 crate::algebra::explain(&plan, ds.active())
             }))),
             Statement::ExplainAnalyze(q) => {
@@ -593,6 +600,33 @@ impl Dataset {
             }
             other => Ok(other),
         }
+    }
+
+    /// The id of the node a value names, if any. Computed values (fresh
+    /// arrays, closures) name none; only a whole-array proxy denotes the
+    /// stored node.
+    pub(crate) fn node_id(&self, v: &Value) -> Option<TermId> {
+        let dict = self.graph.dictionary();
+        match v {
+            Value::Term(t) => dict.lookup(t),
+            Value::Proxy(p) if ArrayProxy::whole(p.meta().clone()).view() == p.view() => {
+                dict.lookup(&Term::ArrayRef(p.array_id()))
+            }
+            Value::Proxy(_) | Value::Closure(_) => None,
+        }
+    }
+
+    /// Optimize an already-translated plan with the dataset's full
+    /// planner context: configuration, calibration table and zone-map
+    /// statistics.
+    pub(crate) fn plan(&self, translated: crate::algebra::Plan) -> crate::algebra::Plan {
+        let ctx = crate::planner::PlannerCtx {
+            graph: self.active(),
+            config: self.planner,
+            calibration: Some(&self.calibration),
+            zones: Some(&self.arrays),
+        };
+        crate::algebra::optimize_with(translated, &ctx)
     }
 
     /// Resolve a term to a runtime value (array refs become proxies).

@@ -1,9 +1,11 @@
 //! Grouping and aggregation (thesis §3.5).
 //!
-//! Solutions are partitioned by the GROUP BY key expressions; aggregate
-//! calls inside projection and HAVING expressions evaluate over each
-//! partition. With no GROUP BY but aggregates present, all solutions
-//! form one implicit group.
+//! Solutions are partitioned by the GROUP BY key expressions as they
+//! arrive, a batch at a time. Every aggregate call of the projection and
+//! HAVING folds its argument into one accumulator per group, and a group
+//! keeps only its first row, as the representative everything else in
+//! the projection sees. With no GROUP BY but aggregates present, all
+//! solutions form one implicit group.
 
 use std::collections::{HashMap, HashSet};
 
@@ -13,7 +15,7 @@ use ssdm_rdf::{Term, TermId};
 use crate::ast::{AggKind, Expr, ProjectionItem};
 use crate::dataset::{Dataset, QueryError};
 use crate::eval::expr::{eval_expr, operand, Cx, Operand};
-use crate::eval::{node_id, project, Row, VarTable};
+use crate::eval::{project, Rows, Slot, VarTable};
 use crate::value::Value;
 
 /// One component of a GROUP BY or DISTINCT key. Keys are equal exactly
@@ -32,7 +34,7 @@ pub(crate) fn key_part(ds: &Dataset, op: Option<Operand>) -> KeyPart {
     };
     let id = match &op {
         Operand::Id(id) => Some(*id),
-        other => node_id(ds, &other.value(ds)),
+        other => ds.node_id(&other.value(ds)),
     };
     // Arrays of one content render alike under different ids, and so do
     // a huge integral real and the integer it equals.
@@ -47,145 +49,258 @@ pub(crate) fn key_part(ds: &Dataset, op: Option<Operand>) -> KeyPart {
     }
 }
 
-/// Evaluate a projection with aggregates over grouped solutions.
-/// Returns projected rows (HAVING applied).
-pub fn grouped_projection(
-    ds: &mut Dataset,
-    vars: &VarTable,
-    items: &[ProjectionItem],
-    group_by: &[Expr],
-    having: &Option<Expr>,
-    solutions: &[Row],
-) -> Result<Vec<Row>, QueryError> {
-    // Partition by group key, groups in first-seen order.
-    let mut groups: Vec<Vec<&Row>> = Vec::new();
-    if group_by.is_empty() {
-        groups.push(solutions.iter().collect());
-    } else {
-        // One key buffer, looked up by slice: a key is only kept (and
-        // the buffer replaced) for a new group.
-        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-        let mut key = Vec::with_capacity(group_by.len());
-        for row in solutions {
-            key.clear();
-            for g in group_by {
-                let part = operand(ds, &Cx::new(vars, row), g)?;
-                key.push(key_part(ds, part));
-            }
-            let group = match index.get(key.as_slice()) {
-                Some(&group) => group,
-                None => {
-                    groups.push(Vec::new());
-                    let fresh = Vec::with_capacity(group_by.len());
-                    index.insert(std::mem::replace(&mut key, fresh), groups.len() - 1);
-                    groups.len() - 1
-                }
-            };
-            groups[group].push(row);
-        }
-        // SPARQL: grouping an empty solution set yields no groups.
-    }
-
-    let unit = vars.unit_row();
-    let mut out = Vec::with_capacity(groups.len());
-    for rows in &groups {
-        if group_by.is_empty() && rows.is_empty() && !items.iter().any(|i| i.expr.has_aggregate()) {
-            continue;
-        }
-        // Aggregates fold over the group; everything else sees its
-        // first row as the representative.
-        let cx = Cx {
-            vars,
-            row: rows.first().copied().unwrap_or(&unit),
-            group: Some(rows),
-        };
-        if let Some(h) = having {
-            let keep = eval_expr(ds, &cx, h)?
-                .and_then(|v| v.effective_bool())
-                .unwrap_or(false);
-            if !keep {
-                continue;
-            }
-        }
-        out.push(project(ds, &cx, items)?);
-    }
-    Ok(out)
+/// What a key or an aggregate reads from each solution: a variable's
+/// slot, any other expression's value, or (`COUNT(*)`) a one per row.
+enum Arg {
+    Slot(usize),
+    Expr(Expr),
+    Row,
 }
 
-/// Fold one aggregate call over the rows of a group.
-pub(crate) fn compute_aggregate(
-    ds: &mut Dataset,
-    vars: &VarTable,
+impl Arg {
+    fn of(vars: &VarTable, expr: Option<&Expr>) -> Arg {
+        let slot = match expr {
+            Some(Expr::Var(v)) => vars.slot(v),
+            _ => None,
+        };
+        match (slot, expr) {
+            (Some(slot), _) => Arg::Slot(slot),
+            (None, Some(e)) => Arg::Expr(e.clone()),
+            (None, None) => Arg::Row,
+        }
+    }
+
+    fn read<'a>(
+        &'a self,
+        ds: &mut Dataset,
+        cx: &Cx<'a>,
+    ) -> Result<Option<Operand<'a>>, QueryError> {
+        Ok(match self {
+            Arg::Slot(slot) => Operand::of_slot(&cx.row[*slot]),
+            Arg::Expr(e) => operand(ds, cx, e)?,
+            Arg::Row => Some(Operand::Owned(Value::integer(1))),
+        })
+    }
+}
+
+/// One aggregate call of the query: its node, and what it folds.
+struct Call {
+    at: *const Expr,
     kind: AggKind,
     distinct: bool,
-    arg: Option<&Expr>,
-    separator: &Option<String>,
-    rows: &[&Row],
-) -> Result<Option<Value>, QueryError> {
-    // SUM and AVG without DISTINCT in one pass over the group: a number
-    // folds as it is read, straight from its dictionary term or value.
-    if let (AggKind::Sum | AggKind::Avg, false, Some(arg)) = (kind, distinct, arg) {
-        let mut sum = Sum::new();
-        for row in rows {
-            if let Some(op) = operand(ds, &Cx::new(vars, row), arg)? {
-                sum.add(op.num(ds), || op.into_value(ds));
+    arg: Arg,
+    separator: Option<String>,
+}
+
+/// The groups of one grouped projection, folded a batch at a time.
+pub(crate) struct Groups<'q> {
+    keys: Vec<Arg>,
+    calls: Vec<Call>,
+    index: HashMap<Vec<KeyPart>, usize>,
+    /// Each group's first row.
+    firsts: Rows,
+    /// `calls.len()` accumulators per group, group after group.
+    accs: Vec<Acc>,
+    items: &'q [ProjectionItem],
+    having: Option<&'q Expr>,
+}
+
+impl<'q> Groups<'q> {
+    pub fn new(
+        vars: &VarTable,
+        width: usize,
+        items: &'q [ProjectionItem],
+        group_by: &[Expr],
+        having: Option<&'q Expr>,
+    ) -> Self {
+        let mut calls = Vec::new();
+        for e in items.iter().map(|i| &i.expr).chain(having) {
+            e.any(&mut |e| {
+                if let Expr::Aggregate {
+                    kind,
+                    distinct,
+                    arg,
+                    separator,
+                } = e
+                {
+                    let (kind, distinct) = (*kind, *distinct);
+                    let (arg, separator) = (Arg::of(vars, arg.as_deref()), separator.clone());
+                    calls.push(Call {
+                        at: e,
+                        kind,
+                        distinct,
+                        arg,
+                        separator,
+                    });
+                }
+                false
+            });
+        }
+        let keys = group_by.iter().map(|g| Arg::of(vars, Some(g))).collect();
+        let (index, firsts, accs) = (HashMap::new(), Rows::new(width), Vec::new());
+        Groups {
+            keys,
+            calls,
+            index,
+            firsts,
+            accs,
+            items,
+            having,
+        }
+    }
+
+    /// Fold one batch of solutions into their groups.
+    pub fn fold(
+        &mut self,
+        ds: &mut Dataset,
+        vars: &VarTable,
+        rows: &Rows,
+    ) -> Result<(), QueryError> {
+        let mut key = Vec::with_capacity(self.keys.len());
+        for row in rows.iter() {
+            let cx = Cx::new(vars, row);
+            key.clear();
+            for k in &self.keys {
+                let part = k.read(ds, &cx)?;
+                key.push(key_part(ds, part));
+            }
+            // The implicit group needs no lookup; a key is only kept (and
+            // the buffer replaced) for a new group.
+            let implicit = (self.keys.is_empty() && !self.firsts.is_empty()).then_some(0);
+            let group = match implicit.or_else(|| self.index.get(key.as_slice()).copied()) {
+                Some(group) => group,
+                None => {
+                    let group = self.open(row);
+                    let fresh = Vec::with_capacity(self.keys.len());
+                    self.index.insert(std::mem::replace(&mut key, fresh), group);
+                    group
+                }
+            };
+            let accs = &mut self.accs[group * self.calls.len()..];
+            for (call, acc) in self.calls.iter().zip(accs) {
+                if let Some(op) = call.arg.read(ds, &cx)? {
+                    acc.add(ds, call.kind, op);
+                }
             }
         }
-        return sum.finish(ds, kind);
+        Ok(())
     }
-    // Collect the argument values (bound, post-DISTINCT).
-    let mut values: Vec<Operand> = Vec::new();
-    for row in rows {
-        match arg {
-            Some(e) => values.extend(operand(ds, &Cx::new(vars, row), e)?),
-            None => values.push(Operand::Owned(Value::integer(1))), // COUNT(*)
+
+    /// A new group whose first row is `row`.
+    fn open(&mut self, row: &[Slot]) -> usize {
+        self.firsts.push(row);
+        let accs = self.calls.iter().map(|c| Acc::new(c.kind, c.distinct));
+        self.accs.extend(accs);
+        self.firsts.len() - 1
+    }
+
+    /// The projected rows of the groups, HAVING applied.
+    pub fn finish(mut self, ds: &mut Dataset, vars: &VarTable) -> Result<Rows, QueryError> {
+        // SPARQL: grouping an empty solution set yields no groups; without
+        // GROUP BY it is one empty group, if something is aggregated.
+        let aggregated = self.items.iter().any(|i| i.expr.has_aggregate());
+        if self.firsts.is_empty() && self.keys.is_empty() && aggregated {
+            self.open(&vec![Slot::Unbound; self.firsts.width]);
+        }
+        let mut out = Rows::new(self.items.len());
+        let mut accs = self.accs.into_iter();
+        for g in 0..self.firsts.len() {
+            let mut done = Vec::with_capacity(self.calls.len());
+            for (call, acc) in self.calls.iter().zip(accs.by_ref()) {
+                let sep = call.separator.as_deref().unwrap_or(" ");
+                done.push((call.at, acc.finish(ds, call.kind, sep)?));
+            }
+            let (row, group) = (self.firsts.row(g), Some(&done[..]));
+            let cx = Cx { vars, row, group };
+            let keep = match self.having {
+                Some(h) => eval_expr(ds, &cx, h)?.and_then(|v| v.effective_bool()),
+                None => Some(true),
+            };
+            if keep.unwrap_or(false) {
+                project(ds, &cx, self.items, &mut out)?;
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The running state of one aggregate call over one group.
+enum Acc {
+    Count(i64),
+    Sum(Sum),
+    /// SAMPLE, MIN or MAX so far.
+    Best(Option<Value>),
+    /// GROUP_CONCAT, and DISTINCT of any kind: the values, folded at the
+    /// end; under DISTINCT with the renderings seen.
+    Values(Option<HashSet<String>>, Vec<Value>),
+}
+
+impl Acc {
+    fn new(kind: AggKind, distinct: bool) -> Acc {
+        match (kind, distinct) {
+            (_, true) => Acc::Values(Some(HashSet::new()), Vec::new()),
+            (AggKind::Count, _) => Acc::Count(0),
+            (AggKind::Sum | AggKind::Avg, _) => Acc::Sum(Sum::new()),
+            (AggKind::Sample | AggKind::Min | AggKind::Max, _) => Acc::Best(None),
+            (AggKind::GroupConcat, _) => Acc::Values(None, Vec::new()),
         }
     }
-    if distinct {
-        let mut seen = HashSet::new();
-        values.retain(|v| seen.insert(v.value(ds).to_string()));
+
+    /// Fold in one bound argument: a number straight from its
+    /// dictionary term or value, anything else as a value.
+    fn add(&mut self, ds: &Dataset, kind: AggKind, op: Operand) {
+        use std::cmp::Ordering::*;
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum(sum) => {
+                let num = op.num(ds);
+                sum.add(num, || op.into_value(ds));
+            }
+            Acc::Best(best) => {
+                let v = op.into_value(ds);
+                let take = best.as_ref().is_none_or(|b| match v.order_cmp(b) {
+                    Less => kind == AggKind::Min,
+                    Greater => kind == AggKind::Max,
+                    Equal => false,
+                });
+                if take {
+                    *best = Some(v);
+                }
+            }
+            Acc::Values(seen, values) => {
+                let v = op.into_value(ds);
+                if seen.as_mut().is_none_or(|seen| seen.insert(v.to_string())) {
+                    values.push(v);
+                }
+            }
+        }
     }
-    // Counting needs no term; the other kinds take what they fold.
-    let count = values.len();
-    let mut values = values.into_iter().map(|v| v.into_value(ds));
-    match kind {
-        AggKind::Count => Ok(Some(Value::integer(count as i64))),
-        AggKind::Sample => Ok(values.next()),
-        AggKind::GroupConcat => {
-            let sep = separator.as_deref().unwrap_or(" ");
-            let parts: Vec<String> = values
-                .map(|v| match v {
+
+    fn finish(
+        self,
+        ds: &mut Dataset,
+        kind: AggKind,
+        sep: &str,
+    ) -> Result<Option<Value>, QueryError> {
+        match (self, kind) {
+            (Acc::Count(n), _) => Ok(Some(Value::integer(n))),
+            (Acc::Sum(sum), _) => sum.finish(ds, kind),
+            (Acc::Best(v), _) => Ok(v),
+            (Acc::Values(_, values), AggKind::GroupConcat) => {
+                let text = |v: Value| match v {
                     Value::Term(Term::Str(s)) => s,
                     other => other.to_string(),
-                })
-                .collect();
-            Ok(Some(Value::string(parts.join(sep))))
-        }
-        AggKind::Sum | AggKind::Avg => {
-            let mut sum = Sum::new();
-            values.for_each(|v| sum.add(v.as_num(), || v));
-            sum.finish(ds, kind)
-        }
-        AggKind::Min | AggKind::Max => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let take_new = match v.order_cmp(&b) {
-                            std::cmp::Ordering::Less => kind == AggKind::Min,
-                            std::cmp::Ordering::Greater => kind == AggKind::Max,
-                            std::cmp::Ordering::Equal => false,
-                        };
-                        if take_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
+                };
+                let parts: Vec<String> = values.into_iter().map(text).collect();
+                Ok(Some(Value::string(parts.join(sep))))
             }
-            Ok(best)
+            (Acc::Values(_, values), _) => {
+                let mut acc = Acc::new(kind, false);
+                values
+                    .into_iter()
+                    .for_each(|v| acc.add(ds, kind, Operand::Owned(v)));
+                acc.finish(ds, kind, sep)
+            }
         }
     }
 }
@@ -201,11 +316,8 @@ struct Sum {
 
 impl Sum {
     fn new() -> Sum {
-        Sum {
-            acc: Some(Num::Int(0)),
-            n: 0,
-            others: Vec::new(),
-        }
+        let (acc, others) = (Some(Num::Int(0)), Vec::new());
+        Sum { acc, n: 0, others }
     }
 
     fn add(&mut self, num: Option<Num>, value: impl FnOnce() -> Value) {
@@ -242,8 +354,9 @@ impl Sum {
             }
         }
         if kind == AggKind::Avg {
+            let count = Num::Int(others.len() as i64);
             return Ok(acc
-                .scalar_op(Num::Int(others.len() as i64), ssdm_array::BinOp::Div)
+                .scalar_op(count, ssdm_array::BinOp::Div)
                 .ok()
                 .map(Value::array));
         }

@@ -94,30 +94,10 @@ pub fn call_builtin(ds: &mut Dataset, name: &str, args: &[Value]) -> Option<Eval
             }
         }
         // --- numeric scalars ---------------------------------------------
-        "abs" => num_fn(
-            ds,
-            args,
-            |n| Some(n.abs()),
-            |a| a.map(&|x| Ok(x.abs())).ok(),
-        ),
-        "round" => num_fn(
-            ds,
-            args,
-            |n| Some(Num::Real(n.as_f64().round())),
-            |a| a.map(&|x| Ok(Num::Real(x.as_f64().round()))).ok(),
-        ),
-        "floor" => num_fn(
-            ds,
-            args,
-            |n| Some(Num::Real(n.as_f64().floor())),
-            |a| a.map(&|x| Ok(Num::Real(x.as_f64().floor()))).ok(),
-        ),
-        "ceil" => num_fn(
-            ds,
-            args,
-            |n| Some(Num::Real(n.as_f64().ceil())),
-            |a| a.map(&|x| Ok(Num::Real(x.as_f64().ceil()))).ok(),
-        ),
+        "abs" => num_fn(ds, args, Num::abs),
+        "round" => num_fn(ds, args, |n| Num::Real(n.as_f64().round())),
+        "floor" => num_fn(ds, args, |n| Num::Real(n.as_f64().floor())),
+        "ceil" => num_fn(ds, args, |n| Num::Real(n.as_f64().ceil())),
         "mod" => {
             let (Some(a), Some(b)) = (
                 args.first().and_then(Value::as_num),
@@ -178,10 +158,7 @@ pub fn call_builtin(ds: &mut Dataset, name: &str, args: &[Value]) -> Option<Eval
                     None => return Some(Ok(None)),
                 }
             }
-            Ok(Some(Value::array(
-                NumArray::from_data(ssdm_array::ArrayData::from_nums(&nums), &[nums.len()])
-                    .expect("shape matches"),
-            )))
+            Ok(Some(nums_array(&nums, &[nums.len()])))
         }
         "array_transpose" | "transpose" => {
             let Some(v) = args.first() else {
@@ -322,23 +299,12 @@ fn term_test(args: &[Value], f: impl Fn(&Term) -> bool) -> EvalResult {
 }
 
 /// A scalar-or-elementwise numeric function.
-fn num_fn(
-    ds: &mut Dataset,
-    args: &[Value],
-    scalar: impl Fn(Num) -> Option<Num>,
-    arrayf: impl Fn(&NumArray) -> Option<NumArray>,
-) -> EvalResult {
-    let Some(v) = args.first() else {
-        return Ok(None);
-    };
-    if let Some(n) = v.as_num() {
-        return Ok(scalar(n).map(Value::number));
+fn num_fn(ds: &mut Dataset, args: &[Value], f: impl Fn(Num) -> Num) -> EvalResult {
+    match args.first() {
+        Some(v) if v.as_num().is_some() => Ok(v.as_num().map(|n| Value::number(f(n)))),
+        Some(v) if v.is_array() => Ok(ds.force_array(v)?.map(&|x| Ok(f(x))).ok().map(Value::array)),
+        _ => Ok(None),
     }
-    if v.is_array() {
-        let a = ds.force_array(v)?;
-        return Ok(arrayf(&a).map(Value::array));
-    }
-    Ok(None)
 }
 
 /// A streamed aggregate's cell: an aggregate that has no value over no
@@ -457,86 +423,74 @@ fn array_contains(ds: &mut Dataset, args: &[Value]) -> EvalResult {
     }
 }
 
+/// A closure argument, or `err`.
+fn closure(arg: Option<&Value>, err: &str) -> Result<crate::functions::Closure, QueryError> {
+    match arg {
+        Some(Value::Closure(c)) => Ok(c.clone()),
+        _ => Err(QueryError::Eval(err.into())),
+    }
+}
+
+/// A closure applied where a number must come out; `None` otherwise.
+fn apply_num(
+    ds: &mut Dataset,
+    c: &crate::functions::Closure,
+    args: &[Value],
+) -> Result<Option<Num>, QueryError> {
+    Ok(apply_closure(ds, c, args)?.and_then(|v| v.as_num()))
+}
+
+/// Numbers laid out in `shape`, which holds exactly as many.
+fn nums_array(nums: &[Num], shape: &[usize]) -> Value {
+    let data = ssdm_array::ArrayData::from_nums(nums);
+    Value::array(NumArray::from_data(data, shape).expect("count matches shape"))
+}
+
 /// `array_map(f, A [, B])`.
 fn array_map(ds: &mut Dataset, args: &[Value]) -> EvalResult {
-    let Some(Value::Closure(c)) = args.first() else {
-        return Err(QueryError::Eval(
-            "array_map: first argument must be a function".into(),
-        ));
-    };
-    let c = c.clone();
-    match args.len() {
-        2 => {
-            let a = ds.force_array(&args[1])?;
-            let elems = a.elements();
-            let mut out = Vec::with_capacity(elems.len());
-            for x in elems {
-                match apply_closure(ds, &c, &[Value::number(x)])? {
-                    Some(v) => match v.as_num() {
-                        Some(n) => out.push(n),
-                        None => return Ok(None),
-                    },
-                    None => return Ok(None),
-                }
-            }
-            Ok(Some(Value::array(
-                NumArray::from_data(ssdm_array::ArrayData::from_nums(&out), &a.shape())
-                    .expect("same element count"),
-            )))
-        }
-        3 => {
-            let a = ds.force_array(&args[1])?;
-            let b = ds.force_array(&args[2])?;
-            if a.shape() != b.shape() {
-                return Ok(None);
-            }
-            let xs = a.elements();
-            let ys = b.elements();
-            let mut out = Vec::with_capacity(xs.len());
-            for (x, y) in xs.into_iter().zip(ys) {
-                match apply_closure(ds, &c, &[Value::number(x), Value::number(y)])? {
-                    Some(v) => match v.as_num() {
-                        Some(n) => out.push(n),
-                        None => return Ok(None),
-                    },
-                    None => return Ok(None),
-                }
-            }
-            Ok(Some(Value::array(
-                NumArray::from_data(ssdm_array::ArrayData::from_nums(&out), &a.shape())
-                    .expect("same element count"),
-            )))
-        }
-        n => Err(QueryError::Eval(format!(
+    let c = closure(args.first(), "array_map: first argument must be a function")?;
+    if !(2..=3).contains(&args.len()) {
+        let n = args.len();
+        return Err(QueryError::Eval(format!(
             "array_map expects 2 or 3 arguments, got {n}"
-        ))),
+        )));
     }
+    let arrays: Vec<NumArray> = args[1..]
+        .iter()
+        .map(|v| ds.force_array(v))
+        .collect::<Result<_, _>>()?;
+    let shape = arrays[0].shape();
+    if arrays.iter().any(|b| b.shape() != shape) {
+        return Ok(None);
+    }
+    let columns: Vec<Vec<Num>> = arrays.iter().map(NumArray::elements).collect();
+    let mut out = Vec::with_capacity(columns[0].len());
+    for i in 0..columns[0].len() {
+        let xs: Vec<Value> = columns.iter().map(|col| Value::number(col[i])).collect();
+        let Some(n) = apply_num(ds, &c, &xs)? else {
+            return Ok(None);
+        };
+        out.push(n);
+    }
+    Ok(Some(nums_array(&out, &shape)))
 }
 
 /// `array_condense(f, A)`: fold all elements with a binary closure.
 fn array_condense(ds: &mut Dataset, args: &[Value]) -> EvalResult {
-    let Some(Value::Closure(c)) = args.first() else {
-        return Err(QueryError::Eval(
-            "array_condense: first argument must be a function".into(),
-        ));
-    };
-    let c = c.clone();
+    let c = closure(
+        args.first(),
+        "array_condense: first argument must be a function",
+    )?;
     let Some(av) = args.get(1) else {
         return Ok(None);
     };
-    let a = ds.force_array(av)?;
-    let mut acc: Option<Num> = None;
-    for x in a.elements() {
-        acc = Some(match acc {
-            None => x,
-            Some(prev) => match apply_closure(ds, &c, &[Value::number(prev), Value::number(x)])? {
-                Some(v) => match v.as_num() {
-                    Some(n) => n,
-                    None => return Ok(None),
-                },
-                None => return Ok(None),
-            },
-        });
+    let mut elems = ds.force_array(av)?.elements().into_iter();
+    let mut acc = elems.next();
+    while let (Some(prev), Some(x)) = (acc, elems.next()) {
+        acc = apply_num(ds, &c, &[Value::number(prev), Value::number(x)])?;
+        if acc.is_none() {
+            return Ok(None);
+        }
     }
     Ok(acc.map(Value::number))
 }
@@ -544,12 +498,11 @@ fn array_condense(ds: &mut Dataset, args: &[Value]) -> EvalResult {
 /// `array_build(shape, f)`: shape is a 1-D array; `f` receives one
 /// 1-based subscript per dimension.
 fn array_build(ds: &mut Dataset, args: &[Value]) -> EvalResult {
-    let (Some(shape_v), Some(Value::Closure(c))) = (args.first(), args.get(1)) else {
+    let (Some(shape_v), Ok(c)) = (args.first(), closure(args.get(1), "")) else {
         return Err(QueryError::Eval(
             "array_build expects (shape-array, function)".into(),
         ));
     };
-    let c = c.clone();
     let shape_arr = ds.force_array(shape_v)?;
     let shape: Vec<usize> = shape_arr
         .elements()
@@ -564,13 +517,10 @@ fn array_build(ds: &mut Dataset, args: &[Value]) -> EvalResult {
     let mut ix: Vec<i64> = vec![1; shape.len()];
     for _ in 0..count {
         let args: Vec<Value> = ix.iter().map(|&i| Value::integer(i)).collect();
-        match apply_closure(ds, &c, &args)? {
-            Some(v) => match v.as_num() {
-                Some(n) => values.push(n),
-                None => return Ok(None),
-            },
-            None => return Ok(None),
-        }
+        let Some(n) = apply_num(ds, &c, &args)? else {
+            return Ok(None);
+        };
+        values.push(n);
         for d in (0..shape.len()).rev() {
             ix[d] += 1;
             if ix[d] <= shape[d] as i64 {
@@ -579,10 +529,7 @@ fn array_build(ds: &mut Dataset, args: &[Value]) -> EvalResult {
             ix[d] = 1;
         }
     }
-    Ok(Some(Value::array(
-        NumArray::from_data(ssdm_array::ArrayData::from_nums(&values), &shape)
-            .expect("count matches shape"),
-    )))
+    Ok(Some(nums_array(&values, &shape)))
 }
 
 /// Minimal regex: `^`/`$` anchors, `.` wildcard, literal otherwise.

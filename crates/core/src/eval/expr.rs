@@ -17,17 +17,18 @@ use ssdm_rdf::{Term, TermId};
 
 use crate::ast::{ArithOp, CmpOp, Expr, SubscriptExpr};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::{agg, builtins, Row, Slot, VarTable};
+use crate::eval::{builtins, Slot, VarTable};
 use crate::functions::Closure;
 use crate::value::Value;
 
 /// What an expression evaluates against: one row of a variable table,
-/// and — in a projection or HAVING over groups — the rows of its group.
+/// and — in a projection or HAVING over groups — the value each
+/// aggregate call of the query (by node) folded to over the group.
 #[derive(Clone, Copy)]
 pub struct Cx<'a> {
     pub vars: &'a VarTable,
     pub row: &'a [Slot],
-    pub group: Option<&'a [&'a Row]>,
+    pub group: Option<&'a [(*const Expr, Option<Value>)]>,
 }
 
 impl<'a> Cx<'a> {
@@ -202,7 +203,8 @@ pub fn eval_expr(ds: &mut Dataset, cx: &Cx, expr: &Expr) -> Result<Option<Value>
         Expr::Exists { pattern, negated } => {
             // The pattern sees this row's bindings: its table extends
             // the row's, so the seed is the row itself.
-            let (_, rows) = crate::eval::eval_pattern(ds, pattern, cx.vars.clone(), cx.row.into())?;
+            let vars = cx.vars.clone();
+            let (_, rows) = crate::eval::solutions(ds, pattern, vars, cx.row, Some(1))?;
             let exists = !rows.is_empty();
             Ok(Some(Value::boolean(exists != *negated)))
         }
@@ -235,21 +237,11 @@ pub fn eval_expr(ds: &mut Dataset, cx: &Cx, expr: &Expr) -> Result<Option<Value>
                 Ok(Some(Value::boolean(*negated)))
             }
         }
-        Expr::Aggregate {
-            kind,
-            distinct,
-            arg,
-            separator,
-        } => match cx.group {
-            Some(rows) => agg::compute_aggregate(
-                ds,
-                cx.vars,
-                *kind,
-                *distinct,
-                arg.as_deref(),
-                separator,
-                rows,
-            ),
+        Expr::Aggregate { .. } => match cx.group {
+            Some(done) => Ok(done
+                .iter()
+                .find(|(call, _)| std::ptr::eq(*call, expr))
+                .and_then(|(_, value)| value.clone())),
             None => Err(QueryError::Translation(
                 "aggregate used outside GROUP BY context".into(),
             )),
@@ -270,27 +262,21 @@ fn eval_subscript(
     Ok(match s {
         SubscriptExpr::Index(e) => eval_i64(ds, e)?.map(Subscript::Index),
         SubscriptExpr::Range { lo, stride, hi } => {
-            let lo = match lo {
-                Some(e) => match eval_i64(ds, e)? {
-                    Some(v) => Some(v),
-                    None => return Ok(None),
-                },
-                None => None,
+            // A bound that is written must evaluate.
+            let mut bound = |e: &Option<Expr>| match e {
+                Some(e) => Ok(eval_i64(ds, e)?.map(Some)),
+                None => Ok::<_, QueryError>(Some(None)),
             };
-            let stride = match stride {
-                Some(e) => match eval_i64(ds, e)? {
-                    Some(v) => v,
-                    None => return Ok(None),
-                },
-                None => 1,
+            let Some(lo) = bound(lo)? else {
+                return Ok(None);
             };
-            let hi = match hi {
-                Some(e) => match eval_i64(ds, e)? {
-                    Some(v) => Some(v),
-                    None => return Ok(None),
-                },
-                None => None,
+            let Some(stride) = bound(stride)? else {
+                return Ok(None);
             };
+            let Some(hi) = bound(hi)? else {
+                return Ok(None);
+            };
+            let stride = stride.unwrap_or(1);
             Some(Subscript::Range { lo, stride, hi })
         }
         SubscriptExpr::All => Some(Subscript::All),
@@ -527,10 +513,7 @@ pub fn apply_function(
         let rows = crate::eval::call_view(ds, &def, args.to_vec())?;
         // DAPLEX-style scalar context: the first column of the first
         // solution is the call's value; no solutions is an error value.
-        let first = rows
-            .into_iter()
-            .next()
-            .and_then(|r| r.into_vec().into_iter().next());
+        let first = rows.slots.into_iter().next();
         return Ok(first.and_then(|cell| crate::eval::into_value(ds, cell)));
     }
     if let Some(f) = ds.registry.lookup_foreign(name) {

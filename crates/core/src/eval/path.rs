@@ -5,34 +5,34 @@
 //! seed the search, `*`/`+` run a breadth-first fixpoint, and the
 //! resulting `(subject, object)` pairs join into the binding stream.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use ssdm_rdf::{GraphView, TermId};
 
 use crate::ast::{Path, TermPattern, TriplePattern};
 use crate::dataset::{Dataset, QueryError};
-use crate::eval::{extend, fan_out, At, Pos, Row, VarTable};
+use crate::eval::{extend, At, Flow, Out, Pos, Rows, VarTable};
 
 /// Evaluate a path-scan for each input row.
-pub fn eval_path_scan(
-    ds: &Dataset,
+pub(crate) fn eval_path_scan(
+    ds: &mut Dataset,
     vars: &VarTable,
     t: &TriplePattern,
-    input: Vec<Row>,
-) -> Result<Vec<Row>, QueryError> {
+    input: &Rows,
+    out: &mut Out,
+) -> Flow {
     // An endpoint that doesn't denote a graph node matches nothing.
     let (Some(subject), Some(object)) = (
         Pos::compile(ds, vars, &t.subject)?,
         Pos::compile(ds, vars, &t.object)?,
     ) else {
-        return Ok(Vec::new());
+        return Ok(());
     };
-    let graph = ds.active();
-    let mut out = Vec::new();
-    for row in input {
+    for row in input.iter() {
         // (free slot, bound id) of an endpoint; a value that is not a
         // node of this graph matches nothing.
-        let end = |pos: &Pos| match pos.at(&row) {
+        let end = |pos: &Pos| match pos.at(row) {
             At::Free(slot) => Some((Some(slot), None)),
             At::Id(id) => Some((None, Some(id))),
             At::Value(_) => None,
@@ -40,11 +40,14 @@ pub fn eval_path_scan(
         let (Some((s_free, s_id)), Some((o_free, o_id))) = (end(&subject), end(&object)) else {
             continue;
         };
-        fan_out(row, path_pairs(graph, &t.path, s_id, o_id)?, |r, (s, o)| {
-            extend(graph.dictionary(), r, &[(s_free, s), (o_free, o)], &mut out)
-        });
+        for (s, o) in path_pairs(ds.active(), &t.path, s_id, o_id)? {
+            let dict = ds.graph.dictionary();
+            out.rows
+                .push_edited(row, |r| extend(dict, r, &[(s_free, s), (o_free, o)]));
+            out.flush_full(ds)?;
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// All `(s, o)` pairs connected by `path`, restricted by optional bound
@@ -56,13 +59,8 @@ pub fn path_pairs(
     o: Option<TermId>,
 ) -> Result<Vec<(TermId, TermId)>, QueryError> {
     let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for pair in raw_pairs(graph, path, s, o)? {
-        if seen.insert(pair) {
-            out.push(pair);
-        }
-    }
-    Ok(out)
+    let pairs = raw_pairs(graph, path, s, o)?.into_iter();
+    Ok(pairs.filter(|pair| seen.insert(*pair)).collect())
 }
 
 fn raw_pairs(
@@ -94,35 +92,26 @@ fn raw_pairs(
             Ok(out)
         }
         Path::Seq(a, b) => {
-            // Evaluate the more-bound side first.
-            let first = raw_pairs(graph, a, s, None)?;
+            // Evaluate the more-bound side first; each distinct midpoint
+            // continues with b once.
+            let mut ends: HashMap<TermId, Vec<TermId>> = HashMap::new();
             let mut out = Vec::new();
-            let mut mids: HashSet<TermId> = HashSet::new();
-            for &(_, m) in &first {
-                mids.insert(m);
-            }
-            // For each distinct midpoint, continue with b.
-            let mut continuations: std::collections::HashMap<TermId, Vec<TermId>> =
-                std::collections::HashMap::new();
-            for m in mids {
-                let second = raw_pairs(graph, b, Some(m), o)?;
-                continuations.insert(m, second.into_iter().map(|(_, e)| e).collect());
-            }
-            for (start, m) in first {
-                if let Some(ends) = continuations.get(&m) {
-                    for &e in ends {
-                        out.push((start, e));
+            for (start, m) in raw_pairs(graph, a, s, None)? {
+                let reached = match ends.entry(m) {
+                    Entry::Occupied(known) => known.into_mut(),
+                    Entry::Vacant(new) => {
+                        let second = raw_pairs(graph, b, Some(m), o)?;
+                        new.insert(second.into_iter().map(|(_, e)| e).collect())
                     }
-                }
+                };
+                out.extend(reached.iter().map(|&e| (start, e)));
             }
             Ok(out)
         }
         Path::Opt(inner) => {
             let mut out = raw_pairs(graph, inner, s, o)?;
             // Zero-length matches: every candidate node pairs with itself.
-            for n in identity_nodes(graph, s, o) {
-                out.push((n, n));
-            }
+            out.extend(identity_nodes(graph, s, o).into_iter().map(|n| (n, n)));
             Ok(out)
         }
         Path::Star(inner) => {
@@ -133,23 +122,14 @@ fn raw_pairs(
             out.extend(closure_pairs(graph, inner, s, o)?);
             Ok(out)
         }
-        Path::Plus(inner) => closure_pairs(graph, inner, s, o)?
-            .into_iter()
-            .map(Ok)
-            .collect(),
+        Path::Plus(inner) => closure_pairs(graph, inner, s, o),
     }
 }
 
 /// Candidate nodes for zero-length path matches.
 fn identity_nodes(graph: GraphView, s: Option<TermId>, o: Option<TermId>) -> Vec<TermId> {
     match (s, o) {
-        (Some(a), Some(b)) => {
-            if a == b {
-                vec![a]
-            } else {
-                Vec::new()
-            }
-        }
+        (Some(a), Some(b)) => (a == b).then_some(a).into_iter().collect(),
         (Some(a), None) => vec![a],
         (None, Some(b)) => vec![b],
         (None, None) => {
@@ -184,10 +164,8 @@ fn closure_pairs(
         None => {
             // All possible start nodes: subjects (and objects, for
             // inverse steps) of the base path.
-            let mut set = HashSet::new();
-            for (a, _) in raw_pairs(graph, inner, None, None)? {
-                set.insert(a);
-            }
+            let base = raw_pairs(graph, inner, None, None)?.into_iter();
+            let set: HashSet<TermId> = base.map(|(a, _)| a).collect();
             set.into_iter().collect()
         }
     };
@@ -210,12 +188,10 @@ fn closure_pairs(
                 }
             }
         }
-        for reached in visited {
-            match o {
-                Some(oid) if oid != reached => {}
-                _ => out.push((start, reached)),
-            }
-        }
+        let ends = visited
+            .into_iter()
+            .filter(|&r| o.is_none_or(|oid| oid == r));
+        out.extend(ends.map(|r| (start, r)));
     }
     Ok(out)
 }

@@ -488,6 +488,15 @@ fn var_cmp_const<'e>(op: CmpOp, lhs: &'e Expr, rhs: &'e Expr) -> Option<(&'e str
     }
 }
 
+/// The window a filter says exactly and nothing more — one window on
+/// one variable, no other conjunct — with that variable.
+pub(crate) fn exact_window(expr: &Expr) -> Option<(&str, Window)> {
+    match sargable([expr]) {
+        (windows, rest) if windows.len() == 1 && rest.is_empty() => windows.first().copied(),
+        _ => None,
+    }
+}
+
 /// The recognizer of sargable filter conjuncts — the one place that
 /// decides what a range predicate on a variable is. Splits the
 /// top-level conjunction of `filters` into one [`Window`] per variable

@@ -6,20 +6,24 @@
 //!
 //! * **phase timings** — parse, rewrite (pattern → algebra), plan
 //!   (optimize) and exec, in microseconds;
-//! * **per-operator rows** — one row per evaluated plan node (plus the
-//!   synthetic `Project` / `OrderBy` operators that run outside the
-//!   plan tree), each carrying inclusive wall time, input/output row
+//! * **per-operator rows** — one row per plan node (plus the synthetic
+//!   `Project`, `OrderBy` and `Materialize` operators that run outside
+//!   the plan tree), each carrying its own wall time, input/output row
 //!   counts, and *exclusive* storage counters (back-end statements,
 //!   chunks and bytes fetched, cache hits/misses, kernel elements,
 //!   fetch fallbacks).
 //!
-//! Counters are attributed by snapshot deltas of the dataset's own
-//! backend statistics ([`CounterSnapshot`]): an operator's exclusive
-//! numbers are its inclusive delta minus its children's inclusive
-//! deltas, so summing the `operator:` rows of a profile reproduces the
+//! The executor hands batches of rows from operator to operator, so an
+//! operator runs once per input batch: each run is one frame, and a
+//! row adds up its frames. Counters are attributed by snapshot deltas
+//! of the dataset's own backend statistics ([`CounterSnapshot`]): a
+//! frame's exclusive numbers are its inclusive delta minus the deltas
+//! of the frames opened inside it (the operators it feeds and calls),
+//! so summing the `operator:` rows of a profile reproduces the
 //! `totals:` line — and the totals are exactly the `IoStats`/cache
 //! movement of the query. That reconciliation is tested, which is what
-//! keeps the profile honest as operators evolve.
+//! keeps the profile honest as operators evolve. Wall time is
+//! attributed the same way, so `time_us` is an operator's own time.
 //!
 //! [`Dataset`]: crate::dataset::Dataset
 
@@ -107,16 +111,23 @@ pub struct OpRow {
     pub depth: usize,
     pub rows_in: u64,
     pub rows_out: u64,
-    /// Inclusive wall time (covers children).
-    pub micros: u64,
+    /// Own wall time, in nanoseconds: the operator's frames minus the
+    /// frames opened inside them.
+    pub nanos: u64,
     /// Exclusive counters: this operator's work minus its children's.
     pub counters: CounterSnapshot,
     /// Planner cardinality estimate for this operator's total output
-    /// (per-row estimate × input rows), when one was computed.
+    /// (per-row estimate × input rows, summed over its batches), when
+    /// one was computed.
     pub est: Option<f64>,
     /// The scan's constant predicate, when it has one — the key the
     /// calibration table learns correction factors under.
     pub predicate: Option<String>,
+    /// Whether its consumer stopped pulling before the operator ran out
+    /// of rows (`LIMIT`, `ASK`, `EXISTS`): `rows_out` is then what it
+    /// handed on until the cut, and its estimate, made for all its
+    /// input, is no measure of the planner.
+    pub cut: bool,
 }
 
 impl OpRow {
@@ -134,8 +145,9 @@ struct Frame {
     row: usize,
     start: Instant,
     entry: CounterSnapshot,
-    /// Sum of completed children's inclusive deltas.
+    /// Sum of the inclusive deltas of the frames completed inside it.
     children: CounterSnapshot,
+    children_nanos: u64,
 }
 
 /// Collects one query's phases and operator rows. See the module docs.
@@ -180,51 +192,59 @@ impl QueryProfiler {
         }
     }
 
-    /// Open an operator frame. Pair with [`exit`](Self::exit); frames
-    /// left open by an error path are simply never rendered. `est` is
-    /// the planner's total-output estimate for the operator and
-    /// `predicate` the scan's constant predicate (both feed the
-    /// calibration table at query end).
-    pub fn enter(
-        &mut self,
-        label: String,
-        snapshot: CounterSnapshot,
-        rows_in: u64,
-        est: Option<f64>,
-        predicate: Option<String>,
-    ) {
-        let row = self.ops.len();
+    /// Add an operator row `depth` levels below the innermost open
+    /// frame's (at the top level with none open) and return its index.
+    pub fn add_op(&mut self, label: String, predicate: Option<String>, depth: usize) -> usize {
+        let base = self.stack.last().map_or(0, |f| self.ops[f.row].depth + 1);
         self.ops.push(OpRow {
             label,
-            depth: self.stack.len(),
-            rows_in,
+            depth: base + depth,
+            rows_in: 0,
             rows_out: 0,
-            micros: 0,
+            nanos: 0,
             counters: CounterSnapshot::default(),
-            est,
+            est: None,
             predicate,
+            cut: false,
         });
+        self.ops.len() - 1
+    }
+
+    /// Open a frame of operator row `row` over `rows_in` input rows.
+    /// Pair with [`exit`](Self::exit). `est` is the planner's output
+    /// estimate for those rows; it adds to the row's.
+    pub fn enter(&mut self, row: usize, snapshot: CounterSnapshot, rows_in: u64, est: Option<f64>) {
+        let op = &mut self.ops[row];
+        op.rows_in += rows_in;
+        if let Some(est) = est {
+            op.est = Some(op.est.unwrap_or(0.0) + est);
+        }
         self.stack.push(Frame {
             row,
             start: Instant::now(),
             entry: snapshot,
             children: CounterSnapshot::default(),
+            children_nanos: 0,
         });
     }
 
-    /// Close the innermost operator frame.
-    pub fn exit(&mut self, snapshot: CounterSnapshot, rows_out: u64) {
+    /// Close the innermost frame, which handed on `rows_out` rows and
+    /// was `cut` short or not.
+    pub fn exit(&mut self, snapshot: CounterSnapshot, rows_out: u64, cut: bool) {
         let Some(frame) = self.stack.pop() else {
             debug_assert!(false, "profiler exit without enter");
             return;
         };
         let inclusive = snapshot.since(&frame.entry);
+        let nanos = frame.start.elapsed().as_nanos() as u64;
         let row = &mut self.ops[frame.row];
-        row.rows_out = rows_out;
-        row.micros = frame.start.elapsed().as_micros() as u64;
-        row.counters = inclusive.since(&frame.children);
+        row.rows_out += rows_out;
+        row.nanos += nanos.saturating_sub(frame.children_nanos);
+        row.counters.add(&inclusive.since(&frame.children));
+        row.cut |= cut;
         if let Some(parent) = self.stack.last_mut() {
             parent.children.add(&inclusive);
+            parent.children_nanos += nanos;
         }
     }
 
@@ -266,10 +286,15 @@ impl QueryProfiler {
             // est/qerr render with decimals on purpose: profile
             // consumers that sum integer fields for the reconciliation
             // invariant skip float-valued columns.
+            // A cut operator's `actual` is what it handed on before the cut.
             let feedback = match (op.est, op.q_error()) {
-                (Some(est), Some(q)) => {
-                    format!(" est={:.1} actual={} qerr={:.2}", est, op.rows_out, q)
-                }
+                (Some(est), Some(q)) => format!(
+                    " est={:.1} actual={}{} qerr={:.2}",
+                    est,
+                    op.rows_out,
+                    if op.cut { " cut" } else { "" },
+                    q
+                ),
                 _ => String::new(),
             };
             out.push_str(&format!(
@@ -278,7 +303,7 @@ impl QueryProfiler {
                 op.label,
                 op.rows_in,
                 op.rows_out,
-                op.micros,
+                op.nanos / 1000,
                 feedback,
                 op.counters.render_fields()
             ));
@@ -303,16 +328,23 @@ mod tests {
     #[test]
     fn exclusive_counters_subtract_children() {
         let mut p = QueryProfiler::new(10);
-        p.enter("Join".into(), snap(0, 0), 1, None, None);
-        p.enter("Scan a".into(), snap(0, 0), 1, None, None);
-        p.exit(snap(2, 5), 4); // scan a: 2 statements, 5 chunks
-        p.enter("Scan b".into(), snap(2, 5), 4, None, None);
-        p.exit(snap(3, 6), 2); // scan b: 1 statement, 1 chunk
-        p.exit(snap(3, 6), 2); // join itself: nothing beyond children
+        let join = p.add_op("Join".into(), None, 0);
+        let a = p.add_op("Scan a".into(), None, 1);
+        let b = p.add_op("Scan b".into(), None, 1);
+        p.enter(join, snap(0, 0), 1, None);
+        p.enter(a, snap(0, 0), 1, None);
+        // Scan a hands each of two batches to scan b as it fills it.
+        p.enter(b, snap(1, 2), 2, None);
+        p.exit(snap(2, 3), 1, false); // scan b: 1 statement, 1 chunk
+        p.enter(b, snap(2, 4), 2, None);
+        p.exit(snap(2, 4), 1, false);
+        p.exit(snap(3, 6), 4, false); // scan a: the other 2 statements, 5 chunks
+        p.exit(snap(3, 6), 2, false); // join itself: nothing beyond children
         let ops = p.ops();
         assert_eq!(ops[0].counters, snap(0, 0));
         assert_eq!(ops[1].counters, snap(2, 5));
         assert_eq!(ops[2].counters, snap(1, 1));
+        assert_eq!((ops[2].rows_in, ops[2].rows_out), (4, 2));
         // Exclusive rows sum to the whole-query delta.
         let mut sum = CounterSnapshot::default();
         for op in ops {
@@ -339,10 +371,12 @@ mod tests {
     #[test]
     fn render_indents_by_depth() {
         let mut p = QueryProfiler::new(0);
-        p.enter("Join".into(), snap(0, 0), 1, None, None);
-        p.enter("Scan ?s ?p ?o".into(), snap(0, 0), 1, None, None);
-        p.exit(snap(0, 0), 3);
-        p.exit(snap(0, 0), 3);
+        let join = p.add_op("Join".into(), None, 0);
+        let scan = p.add_op("Scan ?s ?p ?o".into(), None, 1);
+        p.enter(join, snap(0, 0), 1, None);
+        p.enter(scan, snap(0, 0), 1, None);
+        p.exit(snap(0, 0), 3, false);
+        p.exit(snap(0, 0), 3, false);
         let text = p.render(Duration::from_micros(1), &snap(0, 0));
         assert!(text.contains("\n  Join rows_in=1"));
         assert!(text.contains("\n    Scan ?s ?p ?o rows_in=1 rows_out=3"));

@@ -86,15 +86,15 @@ pub fn modify(
     insert: Vec<crate::ast::TriplePattern>,
     pattern: &crate::ast::GroupPattern,
 ) -> Result<QueryResult, QueryError> {
-    use crate::eval::{eval_pattern, instantiate, Row, VarTable};
+    use crate::eval::{instantiate, solutions, Rows, VarTable};
 
-    let (vars, solutions) = eval_pattern(ds, pattern, VarTable::default(), Row::default())?;
+    let (vars, solutions) = solutions(ds, pattern, VarTable::default(), &[], None)?;
     let instantiate = |row, tp| instantiate(ds, &vars, row, tp);
     // Collect ground triples first: updates must see a stable snapshot
     // of the matched solutions.
     let mut to_delete = Vec::new();
     let mut to_insert = Vec::new();
-    for row in &solutions {
+    for row in solutions.iter().flat_map(Rows::iter) {
         for t in &delete {
             let (Some(s), Some(p), Some(o)) = (
                 instantiate(row, &t.subject),

@@ -417,3 +417,111 @@ fn explain_plans_what_explain_analyze_runs() {
         }
     }
 }
+
+/// Rows of the profile that are operators, and the phases line.
+fn operator_lines(profile: &str) -> (Vec<&str>, &str) {
+    let ops = profile.lines().filter(|l| l.contains("time_us=")).collect();
+    let phases = profile.lines().find(|l| l.starts_with("phases:")).unwrap();
+    (ops, phases)
+}
+
+/// Turning slots into result values is an operator row of its own, and
+/// the operator rows account for the execution time once each: every
+/// row reports its own time, not its inputs'.
+#[test]
+fn result_materialization_is_an_operator_row() {
+    let mut ds = Dataset::in_memory();
+    let mut turtle = String::from("@prefix ex: <http://example.org/> .\n");
+    for i in 0..2000 {
+        turtle.push_str(&format!("ex:task{i} ex:k_1 {} .\n", i % 50));
+    }
+    ds.load_turtle(&turtle).unwrap();
+    let QueryResult::Text(profile) = ds
+        .query(
+            "PREFIX ex: <http://example.org/>
+             EXPLAIN ANALYZE SELECT * WHERE { ?task ex:k_1 ?k1 FILTER(?k1 > 45) }",
+        )
+        .unwrap()
+    else {
+        panic!("text result expected");
+    };
+    let (ops, phases) = operator_lines(&profile);
+    let materialize = ops
+        .iter()
+        .find(|l| l.trim_start().starts_with("Materialize"))
+        .unwrap_or_else(|| panic!("no Materialize row in:\n{profile}"));
+    // k_1 in 46..=49: four values, forty tasks each.
+    assert_eq!(fields(materialize)["rows_in"], 160);
+    assert_eq!(fields(materialize)["rows_out"], 160);
+    let own: u64 = ops.iter().map(|l| fields(l)["time_us"]).sum();
+    let exec = fields(phases)["exec_us"];
+    assert!(
+        own <= exec + 1,
+        "{own} µs of operators in {exec} µs:\n{profile}"
+    );
+}
+
+/// An operator that `LIMIT` cuts short reports as `actual` the rows it
+/// handed on before the cut — one batch here — and is marked `cut`; its
+/// estimate, made for all its input, does not feed the calibration
+/// table. The counters still reconcile exactly.
+#[test]
+fn an_operator_cut_short_reports_what_it_handed_on() {
+    let mut ds = Dataset::in_memory();
+    ds.externalize_threshold = 16;
+    ds.chunk_bytes = 256;
+    let mut turtle = String::from("@prefix ex: <http://example.org/> .\n");
+    for m in 0..300 {
+        let elems: Vec<String> = (0..64).map(|i| (m * 1000 + i).to_string()).collect();
+        turtle.push_str(&format!("ex:m{m} ex:data ({}) .\n", elems.join(" ")));
+    }
+    ds.load_turtle(&turtle).unwrap();
+    let io_before = ds.arrays.backend().io_stats();
+    let QueryResult::Text(profile) = ds
+        .query(
+            "PREFIX ex: <http://example.org/>
+             EXPLAIN ANALYZE SELECT ?m (array_sum(?a) AS ?s) WHERE { ?m ex:data ?a } LIMIT 2",
+        )
+        .unwrap()
+    else {
+        panic!("text result expected");
+    };
+    let io_after = ds.arrays.backend().io_stats();
+    let (ops, _) = operator_lines(&profile);
+    let scan = ops.iter().find(|l| l.contains("Scan ")).unwrap();
+    let batch = scisparql::eval::BATCH_ROWS as u64;
+    assert_eq!(fields(scan)["rows_out"], batch, "{profile}");
+    assert!(scan.contains(&format!("actual={batch} cut ")), "{scan}");
+    let project = ops.iter().find(|l| l.contains("Project")).unwrap();
+    assert_eq!(
+        (fields(project)["rows_in"], fields(project)["rows_out"]),
+        (batch, 2)
+    );
+    assert!(ds.calibration.samples("<http://example.org/data>") == 0);
+
+    // Only the two projected arrays were read, and the rows reconcile.
+    let totals = fields(profile.lines().find(|l| l.starts_with("totals:")).unwrap());
+    assert_eq!(
+        totals["statements"],
+        io_after.statements - io_before.statements
+    );
+    assert!(totals["statements"] > 0);
+    for key in ["statements", "chunks", "bytes", "decoded", "bytes_decoded"] {
+        let sum: u64 = ops.iter().map(|l| fields(l)[key]).sum();
+        assert_eq!(sum, totals[key], "{key} in:\n{profile}");
+    }
+    let two_arrays = ds.query(
+        "PREFIX ex: <http://example.org/>
+         EXPLAIN ANALYZE SELECT ?m (array_sum(?a) AS ?s) WHERE { ?m ex:data ?a FILTER(?m IN (ex:m0, ex:m1)) }",
+    );
+    let QueryResult::Text(two) = two_arrays.unwrap() else {
+        panic!("text result expected");
+    };
+    let two = fields(two.lines().find(|l| l.starts_with("totals:")).unwrap());
+    assert_eq!(totals["chunks"], two["chunks"], "LIMIT 2 reads two arrays");
+
+    // Uncut, the same scan teaches the calibration table.
+    ds.query_profiled("PREFIX ex: <http://example.org/> SELECT ?m WHERE { ?m ex:data ?a }")
+        .unwrap();
+    assert!(ds.calibration.samples("<http://example.org/data>") >= 1);
+}

@@ -126,6 +126,24 @@ impl<D: Borrow<Dictionary>, I: Borrow<GraphIndex>> Graph<D, I> {
         }
     }
 
+    /// The matches of [`GraphIndex::match_object_range`] that come
+    /// after `last`, one of them, in the same order.
+    pub fn match_object_range_after(
+        &self,
+        p: TermId,
+        lo: Option<f64>,
+        hi: Option<f64>,
+        last: Option<Triple>,
+    ) -> Matches<'_> {
+        let Some(t) = last else {
+            return self.match_object_range(p, lo, hi);
+        };
+        match self.numeric_value(t.o).and_then(value_key) {
+            Some(k) => self.object_range(p, lo, hi, Some((k, t.o, t.s))),
+            None => Matches(Cursor::One(None)),
+        }
+    }
+
     /// Estimated number of matches for a pattern, without scanning.
     /// Drives join-order selection in the optimizer.
     pub fn estimate_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> f64 {
@@ -307,9 +325,29 @@ impl GraphIndex {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Matches<'_> {
+        self.match_pattern_after(s, p, o, None)
+    }
+
+    /// The matches of [`match_pattern`](Self::match_pattern) that come
+    /// after `last`, one of them, in the same order: a scan that paused
+    /// at `last` resumes here without walking what it already read.
+    pub fn match_pattern_after(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        last: Option<Triple>,
+    ) -> Matches<'_> {
         const MIN: TermId = TermId(0);
         const MAX: TermId = TermId(u32::MAX);
-        let span = |lo, hi| (Bound::Included(lo), Bound::Included(hi));
+        // An index range starts at its first key, or just past `last`'s.
+        let from = |first, key: fn(Triple) -> (TermId, TermId, TermId)| {
+            last.map_or(Bound::Included(first), |t| Bound::Excluded(key(t)))
+        };
+        let pos = |first, end| Cursor::Pos(self.pos.range((from(first, |t| (t.p, t.o, t.s)), end)));
+        let osp = |first, end| Cursor::Osp(self.osp.range((from(first, |t| (t.o, t.s, t.p)), end)));
+        let pairs_from =
+            |first| last.map_or(Bound::Included(first), |t| Bound::Excluded((t.p, t.o)));
         let subject = |s: TermId, pairs: PairRange| match self.row(s) {
             Some(row) => Cursor::Spo(Rows {
                 s,
@@ -320,26 +358,28 @@ impl GraphIndex {
         };
         Matches(match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                Cursor::One(self.contains_ids(s, p, o).then_some(Triple { s, p, o }))
+                let hit = last.is_none() && self.contains_ids(s, p, o);
+                Cursor::One(hit.then_some(Triple { s, p, o }))
             }
-            (Some(s), Some(p), None) => subject(s, pairs_of(p)),
-            (Some(s), None, None) => subject(s, (Bound::Unbounded, Bound::Unbounded)),
-            (None, Some(p), Some(o)) => Cursor::Pos(self.pos.range(span((p, o, MIN), (p, o, MAX)))),
-            (None, Some(p), None) => {
-                Cursor::Pos(self.pos.range(span((p, MIN, MIN), (p, MAX, MAX))))
+            (Some(s), Some(p), None) => {
+                subject(s, (pairs_from((p, MIN)), Bound::Included((p, MAX))))
             }
-            (None, None, Some(o)) => {
-                Cursor::Osp(self.osp.range(span((o, MIN, MIN), (o, MAX, MAX))))
+            (Some(s), None, None) => subject(s, (pairs_from((MIN, MIN)), Bound::Unbounded)),
+            (None, Some(p), Some(o)) => pos((p, o, MIN), Bound::Included((p, o, MAX))),
+            (None, Some(p), None) => pos((p, MIN, MIN), Bound::Included((p, MAX, MAX))),
+            (None, None, Some(o)) => osp((o, MIN, MIN), Bound::Included((o, MAX, MAX))),
+            (Some(s), None, Some(o)) => osp((o, s, MIN), Bound::Included((o, s, MAX))),
+            (None, None, None) => {
+                let s = last.map_or(MIN, |t| t.s);
+                match self.spo.get(s.index()..) {
+                    Some([first, rest @ ..]) => Cursor::Spo(Rows {
+                        s,
+                        row: first.range((pairs_from((MIN, MIN)), Bound::Unbounded)),
+                        rest: rest.iter(),
+                    }),
+                    _ => Cursor::One(None),
+                }
             }
-            (Some(s), None, Some(o)) => Cursor::Osp(self.osp.range(span((o, s, MIN), (o, s, MAX)))),
-            (None, None, None) => match self.spo.split_first() {
-                Some((first, rest)) => Cursor::Spo(Rows {
-                    s: TermId(0),
-                    row: first.range(..),
-                    rest: rest.iter(),
-                }),
-                None => Cursor::One(None),
-            },
         })
     }
 
@@ -353,13 +393,28 @@ impl GraphIndex {
     /// objects compare with nothing and are never returned; a NaN bound
     /// matches nothing.
     pub fn match_object_range(&self, p: TermId, lo: Option<f64>, hi: Option<f64>) -> Matches<'_> {
+        self.object_range(p, lo, hi, None)
+    }
+
+    /// [`match_object_range`](Self::match_object_range) from just past
+    /// the index entry `(p, after)`.
+    fn object_range(
+        &self,
+        p: TermId,
+        lo: Option<f64>,
+        hi: Option<f64>,
+        after: Option<(u64, TermId, TermId)>,
+    ) -> Matches<'_> {
         let key = |bound: Option<f64>, open: u64| match bound {
             None => Some(open),
             Some(v) => value_key(v),
         };
         Matches(match (key(lo, u64::MIN), key(hi, u64::MAX)) {
             (Some(lo), Some(hi)) if lo <= hi => Cursor::Num(self.num.range((
-                Bound::Included((p, lo, TermId(0), TermId(0))),
+                after.map_or(
+                    Bound::Included((p, lo, TermId(0), TermId(0))),
+                    |(k, o, s)| Bound::Excluded((p, k, o, s)),
+                ),
                 Bound::Included((p, hi, TermId(u32::MAX), TermId(u32::MAX))),
             ))),
             _ => Cursor::One(None),
@@ -616,5 +671,40 @@ mod tests {
         let st = g.stats();
         assert_eq!(st.triples, 5);
         assert_eq!(st.predicates, 2);
+    }
+
+    #[test]
+    fn a_paused_match_resumes_after_its_last_triple() {
+        let mut g = Graph::new();
+        for i in 0..6 {
+            for j in 0..3 {
+                let s = Term::uri(format!("s{i}"));
+                g.insert(s.clone(), Term::uri(format!("p{j}")), Term::integer(i * j));
+                g.insert(s, Term::uri("q"), Term::uri(format!("s{}", (i + j) % 6)));
+            }
+        }
+        let id = |t: Term| g.dictionary().lookup(&t);
+        let (s, p, o) = (id(Term::uri("s2")), id(Term::uri("q")), id(Term::uri("s3")));
+        let shapes = [None, s].into_iter().flat_map(|s| {
+            [None, p]
+                .into_iter()
+                .flat_map(move |p| [None, o].map(|o| (s, p, o)))
+        });
+        for (s, p, o) in shapes {
+            let all: Vec<Triple> = g.match_pattern(s, p, o).collect();
+            for (k, &last) in all.iter().enumerate() {
+                let rest: Vec<Triple> = g.match_pattern_after(s, p, o, Some(last)).collect();
+                assert_eq!(rest, all[k + 1..], "{s:?} {p:?} {o:?} after {k}");
+            }
+        }
+        let p1 = id(Term::uri("p1")).unwrap();
+        let all: Vec<Triple> = g.match_object_range(p1, Some(1.0), Some(4.0)).collect();
+        assert_eq!(all.len(), 4);
+        for (k, &last) in all.iter().enumerate() {
+            let rest: Vec<Triple> = g
+                .match_object_range_after(p1, Some(1.0), Some(4.0), Some(last))
+                .collect();
+            assert_eq!(rest, all[k + 1..]);
+        }
     }
 }

@@ -400,9 +400,12 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         array_id: u64,
         chunk_ids: &[u64],
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        batched_get(&self.cache, array_id, chunk_ids, |missing| {
-            self.inner.get_chunks_in(array_id, missing)
-        })
+        batched_get(
+            &self.cache,
+            chunk_ids,
+            |&c| (array_id, c),
+            |missing| self.inner.get_chunks_in(array_id, missing),
+        )
     }
 
     fn get_chunk_range(
@@ -426,8 +429,12 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
-        // Cross-array scans bypass the cache (no per-key lookups), but
-        // their results still warm it.
+        // All or nothing, like a one-array range, and here never from the
+        // cache: a cross-array range does not say which keys it spans —
+        // how many chunks each array between `lo` and `hi` has — so a
+        // key that is not resident cannot be told from one that was
+        // never stored without asking the store anyway. The rows still
+        // warm the cache.
         let rows = self.inner.get_composite_range(lo, hi)?;
         for ((a, c), data) in &rows {
             self.cache.insert(*a, *c, data);
@@ -436,11 +443,12 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
     }
 
     fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
-        let rows = self.inner.get_composite_in(keys)?;
-        for ((a, c), data) in &rows {
-            self.cache.insert(*a, *c, data);
-        }
-        Ok(rows)
+        batched_get(
+            &self.cache,
+            keys,
+            |&key| key,
+            |missing| self.inner.get_composite_in(missing),
+        )
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -497,9 +505,12 @@ impl<S: SharedChunkRead> SharedChunkRead for CachedChunkStore<S> {
         array_id: u64,
         chunk_ids: &[u64],
     ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        batched_get(&self.cache, array_id, chunk_ids, |missing| {
-            self.inner.read_chunks_in(array_id, missing)
-        })
+        batched_get(
+            &self.cache,
+            chunk_ids,
+            |&c| (array_id, c),
+            |missing| self.inner.read_chunks_in(array_id, missing),
+        )
     }
 
     fn read_chunk_range(
@@ -532,34 +543,38 @@ impl<S: RawChunkAccess> RawChunkAccess for CachedChunkStore<S> {
     }
 }
 
-/// Serve an `IN`-list read: cached ids come from the cache, the rest
-/// from one delegated fetch of only the missing ids, merged back in
-/// request order. Each id counts as one hit or one miss.
-fn batched_get(
+/// Serve an `IN`-list read — of one array's chunk ids, or of composite
+/// `(array, chunk)` keys — where `at` names each key's chunk: resident
+/// keys come from the cache, the rest from one delegated fetch of only
+/// the missing keys, merged back in request order (a key the store
+/// lacks is skipped). Each key counts as one hit or one miss.
+fn batched_get<K: Copy + Eq + std::hash::Hash>(
     cache: &ChunkCache,
-    array_id: u64,
-    chunk_ids: &[u64],
-    fetch_missing: impl FnOnce(&[u64]) -> Result<Vec<(u64, Vec<u8>)>, StorageError>,
-) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-    let mut found: HashMap<u64, Vec<u8>> = HashMap::new();
+    keys: &[K],
+    at: impl Fn(&K) -> (u64, u64),
+    fetch_missing: impl FnOnce(&[K]) -> Result<Vec<(K, Vec<u8>)>, StorageError>,
+) -> Result<Vec<(K, Vec<u8>)>, StorageError> {
+    let mut found: HashMap<K, Vec<u8>> = HashMap::new();
     let mut missing = Vec::new();
-    for &c in chunk_ids {
-        match cache.get(array_id, c) {
+    for key in keys {
+        let (a, c) = at(key);
+        match cache.get(a, c) {
             Some(data) => {
-                found.insert(c, data);
+                found.insert(*key, data);
             }
-            None => missing.push(c),
+            None => missing.push(*key),
         }
     }
     if !missing.is_empty() {
-        for (c, data) in fetch_missing(&missing)? {
-            cache.insert(array_id, c, &data);
-            found.insert(c, data);
+        for (key, data) in fetch_missing(&missing)? {
+            let (a, c) = at(&key);
+            cache.insert(a, c, &data);
+            found.insert(key, data);
         }
     }
-    Ok(chunk_ids
+    Ok(keys
         .iter()
-        .filter_map(|c| found.remove(c).map(|d| (*c, d)))
+        .filter_map(|k| found.remove(k).map(|d| (*k, d)))
         .collect())
 }
 
