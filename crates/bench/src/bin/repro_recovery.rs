@@ -10,7 +10,9 @@
 //! reopened once more: recovery now loads the snapshot and replays
 //! only the tail. Every recovered instance is checked for state
 //! equality (triple signature + array sums) against the writer before
-//! it was dropped.
+//! it was dropped. Last, a checkpointed BISTAB graph (20 000 tasks, 2 000
+//! under `--quick`) is reopened: restart time is the snapshot's parse
+//! and index build, and BISTAB Q1 must answer the same after it.
 //!
 //! ```text
 //! repro_recovery [--quick] [--updates N] [--out PATH]
@@ -18,8 +20,9 @@
 
 use std::process::ExitCode;
 
+use ssdm::bistab::{self, load_bistab, BistabConfig};
 use ssdm::{DurableOptions, FsyncPolicy, Ssdm};
-use ssdm_bench::{best_of, Args, Fmt, Report};
+use ssdm_bench::{best_of, Args, Bar, Fmt, Report};
 
 /// The deterministic update workload: every 8th op loads a Turtle
 /// collection that externalizes; the rest are scalar INSERT DATA.
@@ -67,6 +70,20 @@ fn state_signature(db: &mut Ssdm) -> (usize, String) {
         .collect();
     sums.sort();
     (scalars, sums.join(";"))
+}
+
+/// A query's rows as sorted text lines.
+fn answer(db: &mut Ssdm, query: &str) -> Vec<String> {
+    let mut rows: Vec<String> = db
+        .query(query)
+        .expect("query")
+        .into_rows()
+        .expect("rows")
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
 }
 
 fn main() -> ExitCode {
@@ -171,6 +188,50 @@ fn main() -> ExitCode {
             tail.into(),
             replay.replayed_records.into(),
             replay.replay_ms.into(),
+        ]],
+    );
+
+    // --- Restart: reopen a checkpointed BISTAB graph ----------------------
+    let tasks = if args.quick() { 2_000 } else { 20_000 };
+    let reopen_dir = base.join("reopen");
+    let mut db = Ssdm::open_durable(&reopen_dir).expect("open for reopen");
+    let config = BistabConfig {
+        tasks,
+        trajectory_len: 8,
+        ..BistabConfig::default()
+    };
+    load_bistab(&mut db, &config).expect("bistab load");
+    let q1 = &bistab::queries()[0].1;
+    let before = answer(&mut db, q1);
+    db.checkpoint().expect("checkpoint");
+    let triples = db.dataset.graph.len();
+    drop(db);
+    let (reopen_ms, mut back) = best_of(1, || Ssdm::open_durable(&reopen_dir).expect("reopen"));
+    let after = answer(&mut back, q1);
+    assert_eq!(back.dataset.graph.len(), triples, "every triple reopened");
+    let differing = before.len().abs_diff(after.len())
+        + before.iter().zip(&after).filter(|(a, b)| a != b).count();
+    report.check(
+        "BISTAB Q1 rows differing after the reopen",
+        differing as f64,
+        Bar::Equals(0.0),
+    );
+    report.table(
+        "reopen",
+        &format!("reopen of a checkpointed {tasks}-task BISTAB graph"),
+        &[
+            ("tasks", "tasks", Fmt::Plain),
+            ("triples", "triples", Fmt::Plain),
+            ("Q1 rows", "q1_rows", Fmt::Plain),
+            ("reopen ms", "reopen_ms", Fmt::Fixed(1)),
+            ("triples/s", "triples_per_s", Fmt::Fixed(0)),
+        ],
+        vec![vec![
+            tasks.into(),
+            triples.into(),
+            before.len().into(),
+            reopen_ms.into(),
+            (triples as f64 / (reopen_ms / 1e3)).into(),
         ]],
     );
     let _ = std::fs::remove_dir_all(&base);

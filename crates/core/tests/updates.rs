@@ -176,3 +176,35 @@ fn delete_where_rejects_filters_in_template() {
         .query("DELETE WHERE { ?s <http://p> ?o FILTER (?o > 1) }")
         .is_err());
 }
+
+/// A small update into a loaded graph puts its index entries in one by
+/// one: no run is gathered, sorted or merged for four triples.
+#[test]
+fn a_four_triple_insert_data_goes_in_entry_by_entry() {
+    let mut ds = Dataset::in_memory();
+    let mut doc = String::from("@prefix ex: <http://e#> .\n");
+    for i in 0..50 {
+        doc.push_str(&format!("ex:s{i} ex:v {i} ; ex:w {}.5 .\n", i % 5));
+    }
+    assert_eq!(ds.load_turtle(&doc).unwrap(), 100);
+    let loaded = ds.graph.bulk_merges();
+    assert!(loaded > 0, "the load merged its runs");
+    let QueryResult::Updated { inserted, .. } = ds
+        .query(
+            r#"PREFIX ex: <http://e#>
+               INSERT DATA { ex:n ex:v 77 ; ex:w 2.5 ; ex:name "n" . ex:s1 ex:v 99 }"#,
+        )
+        .unwrap()
+    else {
+        panic!()
+    };
+    assert_eq!(inserted, 4);
+    assert_eq!(ds.graph.bulk_merges(), loaded, "no run was merged");
+    assert_eq!(
+        count(
+            &mut ds,
+            "PREFIX ex: <http://e#> SELECT ?s WHERE { ?s ex:v 77 }"
+        ),
+        1
+    );
+}

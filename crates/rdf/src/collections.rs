@@ -63,18 +63,25 @@ pub fn consolidate_collections<'a>(graph: impl Into<GraphMut<'a>>) -> Consolidat
         // Cells may only be removed if no triple outside the list
         // structure references them (officially, blank list cells are
         // not addressable between queries — §2.3.5.1 — but be safe).
-        let externally_referenced = graph.iter().any(|u| {
-            (cells.contains(&u.o) && !cells.contains(&u.s) && (u.s, u.p, u.o) != (t.s, t.p, t.o))
-                || (cells.contains(&u.s) && u.p != first && u.p != rest)
+        // Each cell is probed as an object and as a subject, so the
+        // check costs the list's size, not the graph's.
+        let externally_referenced = cells.iter().any(|&c| {
+            graph
+                .match_pattern(None, None, Some(c))
+                .any(|u| !cells.contains(&u.s) && u != t)
+                || graph
+                    .match_pattern(Some(c), None, None)
+                    .any(|u| u.p != first && u.p != rest)
         });
         if externally_referenced {
             continue;
         }
-        // Remove the list triples.
-        let doomed: Vec<Triple> = graph
+        // Remove the list triples, in SPO order.
+        let mut doomed: Vec<Triple> = cells
             .iter()
-            .filter(|u| cells.contains(&u.s) && (u.p == first || u.p == rest))
+            .flat_map(|&c| graph.match_pattern(Some(c), None, None))
             .collect();
+        doomed.sort_unstable();
         for d in &doomed {
             graph.remove_ids(d.s, d.p, d.o);
         }

@@ -62,7 +62,7 @@ pub struct GraphIndex {
     osp: BTreeSet<(TermId, TermId, TermId)>,
     /// `(p, value_key(o), o, s)` for every triple whose object is a
     /// non-NaN numeric literal. Derived from the triples alone: rebuilt
-    /// by `insert_ids` on load, never persisted.
+    /// by `extend` on load, never persisted.
     num: BTreeSet<NumEntry>,
     pred_subjects: HashMap<TermId, HashSet<TermId>>,
     pred_objects: HashMap<TermId, HashSet<TermId>>,
@@ -71,6 +71,8 @@ pub struct GraphIndex {
     /// predicate — maintained incrementally on insert/delete and
     /// consulted by the optimizer's range/equality selectivities.
     pred_obj_stats: HashMap<TermId, ObjectStats>,
+    /// Runs `extend` merged by a bulk build rather than entry by entry.
+    bulk_merges: usize,
 }
 
 /// A graph: the indexes `I` of its triples over the term ids of the
@@ -118,14 +120,6 @@ impl<D: Borrow<Dictionary>, I: Borrow<GraphIndex>> Graph<D, I> {
         Graph::from_parts(self.dict.borrow(), self.index.borrow())
     }
 
-    /// The f64 value of a numeric-literal term id, if it is one.
-    fn numeric_value(&self, id: TermId) -> Option<f64> {
-        match self.dictionary().get(id)? {
-            Term::Number(n) => Some(n.as_f64()),
-            _ => None,
-        }
-    }
-
     /// The matches of [`GraphIndex::match_object_range`] that come
     /// after `last`, one of them, in the same order.
     pub fn match_object_range_after(
@@ -138,7 +132,7 @@ impl<D: Borrow<Dictionary>, I: Borrow<GraphIndex>> Graph<D, I> {
         let Some(t) = last else {
             return self.match_object_range(p, lo, hi);
         };
-        match self.numeric_value(t.o).and_then(value_key) {
+        match numeric_value(self.dictionary(), t.o).and_then(value_key) {
             Some(k) => self.object_range(p, lo, hi, Some((k, t.o, t.s))),
             None => Matches(Cursor::One(None)),
         }
@@ -188,8 +182,16 @@ impl<D: BorrowMut<Dictionary>, I: BorrowMut<GraphIndex>> Graph<D, I> {
 
     /// Insert a triple of already-interned ids. Returns false if present.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        let numeric = self.numeric_value(o);
-        self.index.borrow_mut().add(s, p, o, numeric)
+        self.extend_ids(&[Triple { s, p, o }]) == 1
+    }
+
+    /// Insert a batch of triples of already-interned ids, the indexes
+    /// updated once for the batch (see [`GraphIndex::extend`]). Returns
+    /// how many were new.
+    pub fn extend_ids(&mut self, triples: &[Triple]) -> usize {
+        let dict = self.dict.borrow();
+        let numeric = |o| numeric_value(dict, o);
+        self.index.borrow_mut().extend(triples, numeric)
     }
 
     /// Intern terms and insert the triple.
@@ -202,7 +204,7 @@ impl<D: BorrowMut<Dictionary>, I: BorrowMut<GraphIndex>> Graph<D, I> {
 
     /// Remove a triple. Returns true if it was present.
     pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        let numeric = self.numeric_value(o);
+        let numeric = numeric_value(self.dictionary(), o);
         self.index.borrow_mut().remove(s, p, o, numeric)
     }
 }
@@ -237,34 +239,50 @@ impl GraphIndex {
         self.len == 0
     }
 
-    /// Insert a triple whose object has the value `numeric` if it is a
-    /// number. Returns false if present.
-    fn add(&mut self, s: TermId, p: TermId, o: TermId, numeric: Option<f64>) -> bool {
-        if s.index() >= self.spo.len() {
-            self.spo.resize_with(s.index() + 1, Row::new);
-        }
-        if !self.spo[s.index()].insert((p, o)) {
-            return false;
-        }
-        self.len += 1;
-        self.pos.insert((p, o, s));
-        self.osp.insert((o, s, p));
-        *self.pred_counts.entry(p).or_default() += 1;
-        self.pred_subjects.entry(p).or_default().insert(s);
-        self.pred_objects.entry(p).or_default().insert(o);
-        if let Some(v) = numeric {
-            let st = self.pred_obj_stats.entry(p).or_default();
-            st.histogram.insert(v);
-            st.sketch.insert_f64(v);
-            if let Some(key) = value_key(v) {
-                self.num.insert((p, key, o, s));
+    /// Insert a batch of triples, `numeric` giving an object's value
+    /// if it is a number. Returns how many were new.
+    ///
+    /// Rows and statistics follow each triple as it comes, so a triple
+    /// repeated within the batch counts once. The POS, OSP and value
+    /// entries of the new triples gather in one [`Run`] per index,
+    /// sorted once and merged into it by a bulk build, unless the batch
+    /// is small next to the index ([`MERGE_RATIO`]): then they go in
+    /// one by one, with no run allocated.
+    fn extend(&mut self, triples: &[Triple], numeric: impl Fn(TermId) -> Option<f64>) -> usize {
+        let mut pos = Run::new(&mut self.pos, triples.len());
+        let mut osp = Run::new(&mut self.osp, triples.len());
+        let mut num = Run::new(&mut self.num, triples.len());
+        let mut added = 0;
+        for &Triple { s, p, o } in triples {
+            if s.index() >= self.spo.len() {
+                self.spo.resize_with(s.index() + 1, Row::new);
+            }
+            if !self.spo[s.index()].insert((p, o)) {
+                continue;
+            }
+            added += 1;
+            pos.push((p, o, s));
+            osp.push((o, s, p));
+            *self.pred_counts.entry(p).or_default() += 1;
+            self.pred_subjects.entry(p).or_default().insert(s);
+            self.pred_objects.entry(p).or_default().insert(o);
+            if let Some(v) = numeric(o) {
+                let st = self.pred_obj_stats.entry(p).or_default();
+                st.histogram.insert(v);
+                st.sketch.insert_f64(v);
+                if let Some(key) = value_key(v) {
+                    num.push((p, key, o, s));
+                }
             }
         }
-        true
+        self.len += added;
+        self.bulk_merges +=
+            usize::from(pos.finish()) + usize::from(osp.finish()) + usize::from(num.finish());
+        added
     }
 
-    /// Remove a triple (`numeric` as for [`GraphIndex::add`]). Returns
-    /// true if it was present.
+    /// Remove a triple whose object has the value `numeric` if it is a
+    /// number. Returns true if it was present.
     fn remove(&mut self, s: TermId, p: TermId, o: TermId, numeric: Option<f64>) -> bool {
         let Some(row) = self.spo.get_mut(s.index()) else {
             return false;
@@ -306,6 +324,12 @@ impl GraphIndex {
             }
         }
         true
+    }
+
+    /// How many of `extend`'s runs were merged by a bulk build; the
+    /// rest went in entry by entry. Tests read it to tell the two apart.
+    pub fn bulk_merges(&self) -> usize {
+        self.bulk_merges
     }
 
     pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
@@ -486,6 +510,62 @@ fn pairs_of(p: TermId) -> PairRange {
 
 /// `(p, value_key(o), o, s)`: one entry of the numeric value index.
 type NumEntry = (TermId, u64, TermId, TermId);
+
+/// A batch no smaller than `1 / MERGE_RATIO` of an index is merged into
+/// it (sort, bulk build, `append`: linear in index plus batch); a
+/// smaller one goes in entry by entry (a tree descent each). See
+/// DESIGN.md, "Graph indexes: one insert path".
+const MERGE_RATIO: usize = 4;
+
+/// The entries one `extend` batch adds to one ordered index.
+struct Run<'a, T> {
+    set: &'a mut BTreeSet<T>,
+    /// `None` when the batch is small next to the set: each entry then
+    /// goes straight in.
+    pending: Option<Vec<T>>,
+}
+
+impl<'a, T: Ord> Run<'a, T> {
+    /// A run for a batch of at most `batch` entries.
+    fn new(set: &'a mut BTreeSet<T>, batch: usize) -> Self {
+        let merge = batch * MERGE_RATIO >= set.len();
+        Run {
+            pending: merge.then(|| Vec::with_capacity(batch)),
+            set,
+        }
+    }
+
+    /// Add an entry that is not in the set yet.
+    fn push(&mut self, entry: T) {
+        match &mut self.pending {
+            Some(run) => run.push(entry),
+            None => {
+                self.set.insert(entry);
+            }
+        }
+    }
+
+    /// Merge what was gathered; whether a merge happened.
+    fn finish(self) -> bool {
+        let Some(mut run) = self.pending.filter(|run| !run.is_empty()) else {
+            return false;
+        };
+        // Sorted, the collect is a bulk build of full nodes; `append`
+        // then takes the new tree whole into an empty set, or rebuilds
+        // the union from the two sorted sequences.
+        run.sort_unstable();
+        self.set.append(&mut run.into_iter().collect());
+        true
+    }
+}
+
+/// The f64 value of a numeric-literal term id, if it is one.
+fn numeric_value(dict: &Dictionary, id: TermId) -> Option<f64> {
+    match dict.get(id)? {
+        Term::Number(n) => Some(n.as_f64()),
+        _ => None,
+    }
+}
 
 /// The matches of [`Graph::match_pattern`] or
 /// [`Graph::match_object_range`]: a cursor over whichever index serves

@@ -17,7 +17,7 @@
 use ssdm_array::{Nested, NumArray};
 
 use crate::dictionary::TermId;
-use crate::graph::{Graph, GraphMut};
+use crate::graph::{Graph, GraphMut, Triple};
 use crate::namespaces::{Namespaces, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE};
 use crate::term::{escape_str, RdfError, Term};
 
@@ -50,8 +50,13 @@ pub fn parse_into_with<'a>(
     text: &str,
     options: ParseOptions,
 ) -> Result<usize, RdfError> {
+    let mut graph = graph.into();
     let mut parser = Parser::new(text, options);
-    parser.parse_document(&mut graph.into())
+    let parsed = parser.parse_document(&mut graph);
+    // Nothing reads the indexes while parsing, so the document's
+    // triples go in as one batch, the ones before a syntax error too.
+    let added = graph.extend_ids(&parser.triples);
+    parsed.map(|()| added)
 }
 
 // ---------------------------------------------------------------------
@@ -476,7 +481,8 @@ struct Parser<'a> {
     ns: Namespaces,
     options: ParseOptions,
     blank_counter: usize,
-    added: usize,
+    /// The triples parsed so far, as interned ids.
+    triples: Vec<Triple>,
 }
 
 impl<'a> Parser<'a> {
@@ -487,7 +493,7 @@ impl<'a> Parser<'a> {
             ns: Namespaces::new(),
             options,
             blank_counter: 0,
-            added: 0,
+            triples: Vec::new(),
         }
     }
 
@@ -519,7 +525,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_document(&mut self, graph: &mut GraphMut) -> Result<usize, RdfError> {
+    fn parse_document(&mut self, graph: &mut GraphMut) -> Result<(), RdfError> {
         self.advance()?;
         loop {
             match &self.tok {
@@ -560,7 +566,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Ok(self.added)
+        Ok(())
     }
 
     fn parse_statement(&mut self, graph: &mut GraphMut) -> Result<(), RdfError> {
@@ -629,9 +635,11 @@ impl<'a> Parser<'a> {
             loop {
                 let node = self.parse_object(graph)?;
                 let object = self.node_to_object(graph, node)?;
-                if graph.insert_ids(subject, predicate, object) {
-                    self.added += 1;
-                }
+                self.triples.push(Triple {
+                    s: subject,
+                    p: predicate,
+                    o: object,
+                });
                 if self.tok == Tok::Comma {
                     self.advance()?;
                     continue;
@@ -773,13 +781,19 @@ impl<'a> Parser<'a> {
         }
         for (i, node) in nodes.into_iter().enumerate() {
             let value = self.node_to_object(graph, node)?;
-            if graph.insert_ids(cells[i], first, value) {
-                self.added += 1;
-            }
             let next = cells.get(i + 1).copied().unwrap_or(nil);
-            if graph.insert_ids(cells[i], rest, next) {
-                self.added += 1;
-            }
+            self.triples.extend([
+                Triple {
+                    s: cells[i],
+                    p: first,
+                    o: value,
+                },
+                Triple {
+                    s: cells[i],
+                    p: rest,
+                    o: next,
+                },
+            ]);
         }
         Ok(cells[0])
     }
@@ -1053,6 +1067,18 @@ mod tests {
             RdfError::Parse { line, .. } => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_load_that_stops_at_an_error_keeps_what_came_before() {
+        let mut g = Graph::new();
+        let text = "<http://s> <http://p> 1 , 2 ; <http://q> (\"a\") .\n<http://s> <http://p> 3 ; <http://q> .";
+        assert!(parse_into(&mut g, text).is_err());
+        // The first statement (three triples, two list triples) and the
+        // object before the error.
+        assert_eq!(g.len(), 6);
+        let p = g.dictionary().lookup(&Term::uri("http://p")).unwrap();
+        assert_eq!(g.match_object_range(p, Some(3.0), Some(3.0)).count(), 1);
     }
 
     #[test]

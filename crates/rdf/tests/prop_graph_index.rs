@@ -10,11 +10,21 @@
 //! subject table, subjects emptied and refilled, and one subject with
 //! thousands of triples under two interleaved predicates, inserted in
 //! descending object order and removed from the front.
+//!
+//! A second differential loads one seeded stream of triples into two
+//! graphs: one through `extend_ids` in random batches, one a triple at
+//! a time through `insert_ids`. Batches land in an empty graph and in a
+//! loaded one on both sides of the merge-or-insert cut-off, repeat
+//! triples within and across batches, and carry numeric objects at NaN,
+//! ±0 and ±2⁵³. After the load, after deletes and after a further load
+//! the two graphs must answer every probe alike: each pattern shape,
+//! value-range scans and their resumption, `len`, predicate statistics,
+//! histograms, sketches and every estimate.
 
 use std::collections::BTreeSet;
 
 use ssdm_rdf::stats::splitmix64;
-use ssdm_rdf::{Graph, Term, TermId, Triple};
+use ssdm_rdf::{Graph, PredicateStats, Term, TermId, Triple};
 
 struct Rng(u64);
 
@@ -306,4 +316,221 @@ fn a_high_degree_subject_drained_from_the_front() {
         trace.remove(t.s, t.p, t.o);
     }
     trace.random_steps(100);
+}
+
+/// The terms of the ingest differential, interned alike into both
+/// graphs: subjects (some of them objects too), predicates, and objects
+/// at the numeric edges.
+struct Pool {
+    subjects: Vec<TermId>,
+    preds: Vec<TermId>,
+    objects: Vec<TermId>,
+}
+
+fn intern_pool(g: &mut Graph) -> Pool {
+    let subjects: Vec<TermId> = (0..60)
+        .map(|i| g.intern(Term::uri(format!("http://s/{i}"))))
+        .collect();
+    let preds = (0..4)
+        .map(|i| g.intern(Term::uri(format!("http://p/{i}"))))
+        .collect();
+    let two53 = 9_007_199_254_740_992_i64;
+    let mut terms = vec![
+        Term::double(f64::NAN),
+        Term::double(-0.0),
+        Term::double(0.0),
+        Term::integer(0),
+        Term::double(two53 as f64),
+        Term::double(-two53 as f64),
+        Term::integer(two53),
+        Term::integer(two53 + 1),
+        Term::integer(-two53),
+        Term::integer(-two53 - 1),
+        Term::double(f64::INFINITY),
+        Term::str("x"),
+        Term::str("y"),
+    ];
+    terms.extend((0..30).map(|i| Term::integer(i % 7)));
+    terms.extend((0..20).map(|i| Term::double(f64::from(i) * 0.25 - 2.0)));
+    let mut objects: Vec<TermId> = terms.into_iter().map(|t| g.intern(t)).collect();
+    objects.extend_from_slice(&subjects[..8]);
+    Pool {
+        subjects,
+        preds,
+        objects,
+    }
+}
+
+/// Value bounds that probe the value index's edges.
+const BOUNDS: [Option<f64>; 8] = [
+    None,
+    Some(f64::NAN),
+    Some(-0.0),
+    Some(0.0),
+    Some(1.5),
+    Some(-9_007_199_254_740_992.0),
+    Some(9_007_199_254_740_992.0),
+    Some(f64::INFINITY),
+];
+
+/// `batched` and `single` answer every probe alike.
+fn assert_same(batched: &Graph, single: &Graph, pool: &Pool, when: &str) {
+    let (a, b) = (batched, single);
+    assert_eq!(a.len(), b.len(), "{when}: len");
+    assert_eq!(a.stats().predicates, b.stats().predicates, "{when}: stats");
+    assert!(a.iter().eq(b.iter()), "{when}: iter");
+    let beyond = TermId(a.dictionary().len() as u32 + 3);
+    let some = |ids: &[TermId], step: usize| -> Vec<Option<TermId>> {
+        let picked = ids.iter().step_by(step).copied().chain([beyond]);
+        [None].into_iter().chain(picked.map(Some)).collect()
+    };
+    let (ss, ps, os) = (
+        some(&pool.subjects, 7),
+        some(&pool.preds, 1),
+        some(&pool.objects, 5),
+    );
+    for &s in &ss {
+        for &p in &ps {
+            for &o in &os {
+                assert!(
+                    a.match_pattern(s, p, o).eq(b.match_pattern(s, p, o)),
+                    "{when}: pattern ({s:?}, {p:?}, {o:?})"
+                );
+                let (ea, eb) = (a.estimate_pattern(s, p, o), b.estimate_pattern(s, p, o));
+                assert_eq!(ea.to_bits(), eb.to_bits(), "{when}: estimate_pattern");
+            }
+        }
+    }
+    for &p in pool.preds.iter().chain([&beyond]) {
+        let (sa, sb) = (a.predicate_stats(p), b.predicate_stats(p));
+        let stats = |st: PredicateStats| (st.count, st.distinct_subjects, st.distinct_objects);
+        assert_eq!(stats(sa), stats(sb), "{when}: predicate_stats({p:?})");
+        let (oa, ob) = (a.object_stats(p), b.object_stats(p));
+        assert_eq!(format!("{oa:?}"), format!("{ob:?}"), "{when}: object_stats");
+        if let (Some(oa), Some(ob)) = (oa, ob) {
+            assert_eq!(oa.histogram.count(), ob.histogram.count());
+            assert_eq!(
+                oa.sketch.estimate().to_bits(),
+                ob.sketch.estimate().to_bits()
+            );
+        }
+        for lo in BOUNDS {
+            for hi in BOUNDS {
+                let range: Vec<Triple> = a.match_object_range(p, lo, hi).collect();
+                assert!(
+                    range.iter().copied().eq(b.match_object_range(p, lo, hi)),
+                    "{when}: object range {p:?} [{lo:?}, {hi:?}]"
+                );
+                for &last in range.iter().step_by(range.len() / 6 + 1) {
+                    assert!(
+                        a.match_object_range_after(p, lo, hi, Some(last))
+                            .eq(b.match_object_range_after(p, lo, hi, Some(last))),
+                        "{when}: object range after {last:?}"
+                    );
+                }
+                let bits = |e: Option<f64>| e.map(f64::to_bits);
+                assert_eq!(
+                    bits(a.estimate_object_range(p, lo, hi)),
+                    bits(b.estimate_object_range(p, lo, hi)),
+                    "{when}: estimate_object_range"
+                );
+            }
+            if let Some(v) = lo {
+                assert_eq!(
+                    a.estimate_object_eq(p, v).map(f64::to_bits),
+                    b.estimate_object_eq(p, v).map(f64::to_bits),
+                    "{when}: estimate_object_eq({v})"
+                );
+            }
+        }
+    }
+}
+
+/// Load `stream` into both graphs, `batched` in the given batch sizes.
+/// Returns how many batches of two or more triples into a non-empty
+/// graph took each path: (entry by entry, merged).
+fn load(
+    batched: &mut Graph,
+    single: &mut Graph,
+    stream: &[Triple],
+    sizes: &[usize],
+) -> (usize, usize) {
+    let (mut per_entry, mut merged) = (0, 0);
+    let mut rest = stream;
+    for &size in sizes {
+        let (batch, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        let (before, merges) = (batched.len(), batched.bulk_merges());
+        let added = batched.extend_ids(batch);
+        let fresh = batch
+            .iter()
+            .filter(|t| single.insert_ids(t.s, t.p, t.o))
+            .count();
+        assert_eq!(
+            added,
+            fresh,
+            "a batch of {} counts its new triples",
+            batch.len()
+        );
+        if before > 0 && batch.len() > 1 {
+            match batched.bulk_merges() - merges {
+                0 => per_entry += 1,
+                _ => merged += 1,
+            }
+        }
+    }
+    assert!(rest.is_empty(), "the sizes cover the stream");
+    (per_entry, merged)
+}
+
+#[test]
+fn batched_loads_equal_one_triple_at_a_time() {
+    for seed in [5u64, 0xbead_2026, 77] {
+        let (mut batched, mut single) = (Graph::new(), Graph::new());
+        let pool = intern_pool(&mut batched);
+        let again = intern_pool(&mut single);
+        assert_eq!(pool.objects, again.objects, "one id per term on both sides");
+        let mut rng = Rng(seed);
+        let draw = |rng: &mut Rng| Triple {
+            s: pick(rng, &pool.subjects),
+            p: pick(rng, &pool.preds),
+            o: pick(rng, &pool.objects),
+        };
+        let mut stream: Vec<Triple> = (0..3_000).map(|_| draw(&mut rng)).collect();
+        // Repeats within a batch and across batches.
+        for i in (0..stream.len()).step_by(13) {
+            let j = rng.below(stream.len());
+            stream[i] = stream[j];
+        }
+        // An empty graph, then batches of 1..=4 triples (well under a
+        // quarter of the graph), batches as large as the graph, and the
+        // rest.
+        let mut sizes = vec![800];
+        sizes.extend((0..100).map(|_| 1 + rng.below(4)));
+        sizes.extend([600, 1_200]);
+        sizes.push(stream.len() - sizes.iter().sum::<usize>());
+        let (per_entry, merged) = load(&mut batched, &mut single, &stream, &sizes);
+        assert!(
+            per_entry > 0 && merged > 0,
+            "both paths: {per_entry} / {merged}"
+        );
+        assert_same(&batched, &single, &pool, "after the load");
+
+        // Deletes after the load, then a further load into what is left.
+        let all: Vec<Triple> = single.iter().collect();
+        for _ in 0..400 {
+            let t = all[rng.below(all.len())];
+            let u = draw(&mut rng);
+            for t in [t, u] {
+                assert_eq!(
+                    batched.remove_ids(t.s, t.p, t.o),
+                    single.remove_ids(t.s, t.p, t.o)
+                );
+            }
+        }
+        assert_same(&batched, &single, &pool, "after deletes");
+        let more: Vec<Triple> = (0..1_500).map(|_| draw(&mut rng)).collect();
+        load(&mut batched, &mut single, &more, &[2, 700, 5, 793]);
+        assert_same(&batched, &single, &pool, "after a reload");
+    }
 }

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scisparql::QueryError;
 use ssdm_array::NumArray;
-use ssdm_rdf::Term;
+use ssdm_rdf::{Term, Triple};
 
 use crate::Ssdm;
 
@@ -55,10 +55,13 @@ fn uri(local: &str) -> Term {
 /// [`Ssdm::set_externalize_threshold`] first to store them externally).
 pub fn load_bistab(db: &mut Ssdm, config: &BistabConfig) -> Result<usize, QueryError> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let task_p = uri("task");
-    let experiment = uri("experiment1");
+    let g = &mut db.dataset.graph;
+    // Each IRI is interned once, where the first task first names it,
+    // so every term gets the id one insert at a time would give it.
+    let mut head = None;
+    let mut props = PROPERTIES.map(|name| (name, None));
+    let mut triples = Vec::with_capacity(config.tasks * (PROPERTIES.len() + 1));
     for t in 0..config.tasks {
-        let task = uri(&format!("task{t}"));
         // Parameter point (log-uniform-ish positive rates, like the
         // thesis' example magnitudes: k_1 ~ 30, k_a ~ 70, k_d ~ 1e8).
         let k1 = 10.0 + rng.gen::<f64>() * 40.0;
@@ -80,25 +83,45 @@ pub fn load_bistab(db: &mut Ssdm, config: &BistabConfig) -> Result<usize, QueryE
             level += (target - level) * 0.1 + noise;
             traj.push(level.max(0.0));
         }
-        let trajectory = NumArray::from_f64(traj);
-
-        let g = &mut db.dataset.graph;
-        g.insert(experiment.clone(), task_p.clone(), task.clone());
-        g.insert(task.clone(), uri("k_1"), Term::double(k1));
-        g.insert(task.clone(), uri("k_a"), Term::double(ka));
-        g.insert(task.clone(), uri("k_d"), Term::double(kd));
-        g.insert(task.clone(), uri("k_4"), Term::double(k4));
-        g.insert(task.clone(), uri("realization"), Term::integer(realization));
-        g.insert(
-            task.clone(),
-            uri("result"),
+        let values = [
+            Term::double(k1),
+            Term::double(ka),
+            Term::double(kd),
+            Term::double(k4),
+            Term::integer(realization),
             Term::integer(i64::from(switched)),
-        );
-        g.insert(task.clone(), uri("trajectory"), Term::Array(trajectory));
+            Term::Array(NumArray::from_f64(traj)),
+        ];
+
+        let (experiment, task_p) =
+            *head.get_or_insert_with(|| (g.intern(uri("experiment1")), g.intern(uri("task"))));
+        let task = g.intern(uri(&format!("task{t}")));
+        triples.push(Triple {
+            s: experiment,
+            p: task_p,
+            o: task,
+        });
+        for ((name, id), value) in props.iter_mut().zip(values) {
+            let p = *id.get_or_insert_with(|| g.intern(uri(name)));
+            let o = g.intern(value);
+            triples.push(Triple { s: task, p, o });
+        }
     }
+    g.extend_ids(&triples);
     db.dataset.externalize_large_arrays()?;
     Ok(config.tasks)
 }
+
+/// The per-task properties, in the order a task's triples are made.
+const PROPERTIES: [&str; 7] = [
+    "k_1",
+    "k_a",
+    "k_d",
+    "k_4",
+    "realization",
+    "result",
+    "trajectory",
+];
 
 /// The four BISTAB application queries (§6.4.4), parameterized by the
 /// vocabulary prefix. Q1 filters on metadata only; Q2 fetches single

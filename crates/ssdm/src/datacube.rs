@@ -10,7 +10,7 @@
 //! the graph size ... while preserving all information therein".
 
 use ssdm_array::{Num, NumArray};
-use ssdm_rdf::{Graph, Term, TermId};
+use ssdm_rdf::{Graph, Term, TermId, Triple};
 
 pub const QB: &str = "http://purl.org/linked-data/cube#";
 
@@ -169,7 +169,7 @@ pub fn consolidate_datacube(graph: &mut Graph) -> CubeReport {
 
         // Rewrite: remove observation triples, attach the array and the
         // dimension dictionaries to the dataset node.
-        let doomed: Vec<ssdm_rdf::Triple> = graph
+        let doomed: Vec<Triple> = graph
             .iter()
             .filter(|t| observations.contains(&t.s))
             .collect();
@@ -181,7 +181,11 @@ pub fn consolidate_datacube(graph: &mut Graph) -> CubeReport {
 
         let arr_id = graph.intern(Term::Array(array));
         let measure_array_p = graph.intern(ssdm_measure_array());
-        graph.insert_ids(dataset, measure_array_p, arr_id);
+        let mut added = vec![Triple {
+            s: dataset,
+            p: measure_array_p,
+            o: arr_id,
+        }];
         for (d, vals) in dim_values.iter().enumerate() {
             // Numeric dimensions become numeric dictionary vectors;
             // others become rdf lists of their values.
@@ -196,7 +200,11 @@ pub fn consolidate_datacube(graph: &mut Graph) -> CubeReport {
                     NumArray::from_data(ssdm_array::ArrayData::from_nums(&nums), &[nums.len()])
                         .expect("vector shape");
                 let dict_id = graph.intern(Term::Array(dict));
-                graph.insert_ids(dataset, dict_p, dict_id);
+                added.push(Triple {
+                    s: dataset,
+                    p: dict_p,
+                    o: dict_id,
+                });
             } else {
                 // Keep a linked list of the dimension's values.
                 let first = graph.intern(Term::uri(ssdm_rdf::RDF_FIRST));
@@ -207,13 +215,26 @@ pub fn consolidate_datacube(graph: &mut Graph) -> CubeReport {
                     cells_ids.push(graph.dictionary_mut().fresh_blank());
                 }
                 for (i, &v) in vals.iter().enumerate() {
-                    graph.insert_ids(cells_ids[i], first, v);
                     let next = cells_ids.get(i + 1).copied().unwrap_or(nil);
-                    graph.insert_ids(cells_ids[i], rest, next);
+                    added.push(Triple {
+                        s: cells_ids[i],
+                        p: first,
+                        o: v,
+                    });
+                    added.push(Triple {
+                        s: cells_ids[i],
+                        p: rest,
+                        o: next,
+                    });
                 }
-                graph.insert_ids(dataset, dict_p, cells_ids[0]);
+                added.push(Triple {
+                    s: dataset,
+                    p: dict_p,
+                    o: cells_ids[0],
+                });
             }
         }
+        graph.extend_ids(&added);
         report.arrays_created += 1;
         report.datasets += 1;
     }

@@ -8,6 +8,11 @@
 //! has been promoted first. Which wire the bytes are in — HTTP/1.1 or
 //! the framed protocol — is a [`Codec`] fixed when the connection is
 //! accepted; everything but decoding is common to both.
+//!
+//! Pipelined HTTP queries run side by side; an HTTP update is a barrier
+//! on its connection. It is dispatched once every request ahead of it
+//! has completed, and nothing behind it is decoded until it completes,
+//! so each request sees exactly the updates sent before it.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -18,7 +23,7 @@ use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
 
 use super::frame::{self, Decoded, Statement};
 use super::parser::{self, Limits, Parsed};
-use super::router::{self, Response, Routed};
+use super::router::{self, Exec, Response, Routed};
 use super::{HttpConfig, Work};
 
 /// Cap on requests a single HTTP connection may have in flight at once;
@@ -90,6 +95,11 @@ pub struct Conn {
     flush_seq: u64,
     /// Requests dispatched to workers and not yet completed.
     pub inflight: usize,
+    /// HTTP: the sequence of the update decoded last, until it
+    /// completes; no request behind it is decoded before then.
+    barrier: Option<u64>,
+    /// That update, while requests ahead of it are still running.
+    held: Option<Dispatch>,
     pub last_activity: Instant,
     /// Stop reading; close once the transmit buffer drains.
     close_after_flush: bool,
@@ -118,6 +128,8 @@ impl Conn {
             next_seq: 0,
             flush_seq: 0,
             inflight: 0,
+            barrier: None,
+            held: None,
             last_activity: Instant::now(),
             close_after_flush: false,
             peer_closed: false,
@@ -178,18 +190,22 @@ impl Conn {
 
     /// Decode as many buffered requests as the pipeline window allows.
     /// Immediate responses are completed in place; engine work comes
-    /// back as [`Dispatch`] entries for the reactor. HTTP requests are
-    /// independent of each other; a framed session's statements execute
-    /// in the order sent (an `ASK` sees the `INSERT` pipelined ahead of
-    /// it), so the next frame waits for the one in flight.
+    /// back as [`Dispatch`] entries for the reactor. HTTP queries are
+    /// independent of each other, an HTTP update waits for the requests
+    /// ahead of it and holds back those behind it; a framed session's
+    /// statements execute in the order sent (an `ASK` sees the `INSERT`
+    /// pipelined ahead of it), so the next frame waits for the one in
+    /// flight.
     pub fn drain_input(&mut self, config: &HttpConfig, registry: &TenantRegistry) -> Input {
         let mut input = Input::default();
+        self.release_held(&mut input.jobs);
         let window = match self.codec {
             Codec::Http => MAX_PIPELINE,
             Codec::Framed => 1,
         };
         while !self.close_after_flush
             && !self.rbuf.is_empty()
+            && self.barrier.is_none()
             && self.inflight + self.ready.len() < window
         {
             let more = match self.codec {
@@ -249,17 +265,26 @@ impl Conn {
                 match router::route(&req) {
                     Routed::Immediate(resp) => {
                         self.reply(resp.encode(keep_alive), !keep_alive);
+                        true
                     }
-                    Routed::Dispatch { exec, head_only } => self.dispatch(
-                        jobs,
-                        Work::Http {
+                    Routed::Dispatch { exec, head_only } => {
+                        let update = matches!(exec, Exec::Update { .. });
+                        let work = Work::Http {
                             exec,
                             head_only,
                             keep_alive,
-                        },
-                    ),
+                        };
+                        if update {
+                            let seq = self.take_seq();
+                            self.barrier = Some(seq);
+                            self.held = Some(Dispatch { seq, work });
+                            self.release_held(jobs);
+                            return false;
+                        }
+                        self.dispatch(jobs, work);
+                        true
+                    }
                 }
-                true
             }
         }
     }
@@ -339,6 +364,16 @@ impl Conn {
         self.complete(seq, encoded, close);
     }
 
+    /// Dispatch the held update once nothing ahead of it is running.
+    fn release_held(&mut self, jobs: &mut Vec<Dispatch>) {
+        if self.inflight == 0 {
+            if let Some(held) = self.held.take() {
+                self.inflight += 1;
+                jobs.push(held);
+            }
+        }
+    }
+
     /// Hand the request just decoded to the reactor as a job.
     fn dispatch(&mut self, jobs: &mut Vec<Dispatch>, work: Work) {
         self.inflight += 1;
@@ -363,6 +398,9 @@ impl Conn {
     /// in-flight count).
     pub fn complete_inflight(&mut self, seq: u64, encoded: Vec<u8>, close: bool) {
         self.inflight = self.inflight.saturating_sub(1);
+        if self.barrier == Some(seq) {
+            self.barrier = None;
+        }
         self.complete(seq, encoded, close);
     }
 
@@ -473,6 +511,45 @@ mod tests {
         assert!(!conn.wants_write(), "seq 1 held back until seq 0 lands");
         conn.complete_inflight(jobs[0].seq, b"FIRST".to_vec(), false);
         assert_eq!(written(&mut conn, &mut client), b"FIRSTSECOND");
+    }
+
+    #[test]
+    fn an_update_waits_for_the_requests_ahead_and_holds_back_those_behind() {
+        let (mut conn, mut client) = pair(Codec::Http);
+        let update = "POST /update HTTP/1.1\r\nContent-Type: application/sparql-update\r\nContent-Length: 6\r\n\r\nCLEAR ";
+        let query = "GET /query?query=ASK%7B%7D HTTP/1.1\r\n\r\n";
+        let wire = [query, query, update, query, query, update, update].concat();
+        send(&mut conn, &mut client, wire.as_bytes());
+        let (config, registry) = (config(), registry());
+        let drain = |conn: &mut Conn| -> Vec<u64> {
+            let jobs = conn.drain_input(&config, &registry).jobs;
+            jobs.iter().map(|d| d.seq).collect()
+        };
+        // Both queries run; the update behind them waits, and so does
+        // everything behind it.
+        assert_eq!(drain(&mut conn), [0, 1]);
+        conn.complete_inflight(1, b"B".to_vec(), false);
+        assert_eq!(drain(&mut conn), [] as [u64; 0]);
+        conn.complete_inflight(0, b"A".to_vec(), false);
+        assert_eq!(drain(&mut conn), [2], "the update runs alone");
+        assert_eq!(drain(&mut conn), [] as [u64; 0]);
+        conn.complete_inflight(2, b"U".to_vec(), false);
+        assert_eq!(
+            drain(&mut conn),
+            [3, 4],
+            "queries between updates run together"
+        );
+        conn.complete_inflight(3, b"C".to_vec(), false);
+        conn.complete_inflight(4, b"D".to_vec(), false);
+        assert_eq!(
+            drain(&mut conn),
+            [5],
+            "an update with nothing ahead runs at once"
+        );
+        conn.complete_inflight(5, b"V".to_vec(), false);
+        assert_eq!(drain(&mut conn), [6]);
+        conn.complete_inflight(6, b"W".to_vec(), false);
+        assert_eq!(written(&mut conn, &mut client), b"ABUCDVW");
     }
 
     #[test]

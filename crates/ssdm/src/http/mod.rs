@@ -865,6 +865,53 @@ mod tests {
         join.join().unwrap().unwrap();
     }
 
+    /// Fifty rounds of INSERT, ASK, DELETE, ASK on one triple, all in
+    /// one write: each ASK must see exactly the updates sent before it.
+    #[test]
+    fn pipelined_updates_are_barriers_for_the_queries_behind_them() {
+        let (addr, handle, join) = start_server(HttpConfig::default());
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let triple = "<http://ex/r> <http://ex/p> 1";
+        let request = |endpoint: &str, kind: &str, text: &str| {
+            format!(
+                "POST /{endpoint} HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-{kind}\r\nAccept: application/sparql-results+json\r\nContent-Length: {}\r\n\r\n{text}",
+                text.len()
+            )
+        };
+        let ask = request("query", "query", &format!("ASK {{ {triple} }}"));
+        let round = [
+            request("update", "update", &format!("INSERT DATA {{ {triple} }}")),
+            ask.clone(),
+            request("update", "update", &format!("DELETE DATA {{ {triple} }}")),
+            ask,
+        ]
+        .concat();
+        const ROUNDS: usize = 50;
+        let wire = round.repeat(ROUNDS);
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || writer.write_all(wire.as_bytes()).unwrap());
+        let mut reader = std::io::BufReader::new(stream);
+        for n in 0..ROUNDS {
+            for (what, want) in [
+                ("insert", "inserted 1"),
+                ("ask", "true"),
+                ("delete", "deleted 1"),
+                ("ask", "false"),
+            ] {
+                let (status, _, body) = read_response(&mut reader);
+                let body = String::from_utf8(body).unwrap();
+                assert_eq!(status, 200, "round {n} {what}: {body}");
+                assert!(body.contains(want), "round {n} {what}: {body}");
+            }
+        }
+        sender.join().unwrap();
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
     #[test]
     fn metrics_health_and_errors() {
         let (addr, handle, join) = start_server(HttpConfig::default());

@@ -410,15 +410,17 @@ fn relink_array_refs(mut graph: GraphMut) {
     refs.sort_unstable();
     refs.dedup();
     // Rewrite every triple whose object is such a URI: one OSP probe
-    // per distinct URI.
+    // per distinct URI, the rewritten triples inserted as one batch.
+    let mut relinked = Vec::new();
     for (uri_id, array_id) in refs {
         let linked: Vec<_> = graph.match_pattern(None, None, Some(uri_id)).collect();
         let new_o = graph.intern(Term::ArrayRef(array_id));
         for t in linked {
             graph.remove_ids(t.s, t.p, t.o);
-            graph.insert_ids(t.s, t.p, new_o);
+            relinked.push(ssdm_rdf::Triple { o: new_o, ..t });
         }
     }
+    graph.extend_ids(&relinked);
 }
 
 #[cfg(test)]

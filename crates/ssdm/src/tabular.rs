@@ -16,7 +16,7 @@
 //! * array cells become array values directly (no list expansion).
 
 use ssdm_array::NumArray;
-use ssdm_rdf::{Graph, Term};
+use ssdm_rdf::{Graph, Term, Triple};
 
 /// One cell of a table.
 #[derive(Debug, Clone)]
@@ -83,7 +83,15 @@ impl Table {
             .iter()
             .map(|c| Term::uri(format!("{ns}{}#{c}", self.name)))
             .collect();
-        let mut report = MappingReport::default();
+        let mut triples = Vec::new();
+        let mut add = |s: &Term, p: &Term, o: Term| {
+            let (s, p, o) = (
+                graph.intern(s.clone()),
+                graph.intern(p.clone()),
+                graph.intern(o),
+            );
+            triples.push(Triple { s, p, o });
+        };
         for (rownum, row) in self.rows.iter().enumerate() {
             let subject = match self.key.and_then(|k| row.get(k)).and_then(Cell::key_text) {
                 Some(key) => Term::uri(format!("{ns}{}/{key}", self.name)),
@@ -91,19 +99,17 @@ impl Table {
                 // blank nodes.
                 None => Term::blank(format!("{}_r{rownum}", self.name)),
             };
-            report.subjects += 1;
-            if graph.insert(subject.clone(), type_p.clone(), class.clone()) {
-                report.triples += 1;
-            }
+            add(&subject, &type_p, class.clone());
             for (col, cell) in row.iter().enumerate() {
                 if let Some(object) = cell.to_term() {
-                    if graph.insert(subject.clone(), props[col].clone(), object) {
-                        report.triples += 1;
-                    }
+                    add(&subject, &props[col], object);
                 }
             }
         }
-        report
+        MappingReport {
+            subjects: self.rows.len(),
+            triples: graph.extend_ids(&triples),
+        }
     }
 }
 
