@@ -23,7 +23,7 @@
 //!
 //! # Dispatch rules
 //!
-//! [`elementwise`] returns `None` (caller falls back to the retained
+//! `elementwise` returns `None` (caller falls back to the retained
 //! scalar reference path, counted in [`ComputeStats`]) when the result
 //! type or error behaviour could not be reproduced slice-wise:
 //!
@@ -569,7 +569,7 @@ fn extreme_f64(xs: &[f64], replaces: impl Fn(f64, f64) -> bool) -> f64 {
 /// Dense partial fold over an `f64` slice. Sum/Avg use [`pairwise_sum`]
 /// (the documented deterministic order); Prod folds left to right from
 /// the first element, and Min/Max return what that left fold would
-/// ([`extreme_f64`]).
+/// (`extreme_f64`).
 pub fn fold_f64(xs: &[f64], op: AggregateOp) -> Result<Num> {
     if let AggregateOp::Count = op {
         return Ok(Num::Int(xs.len() as i64));

@@ -41,7 +41,9 @@ use ssdm_bench::runner::rel_store;
 use ssdm_bench::{best_of, Args, Bar, Fmt, Report};
 use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk};
 use ssdm_storage::frame::crc32;
-use ssdm_storage::{ArrayStore, CodecPolicy, RetrievalStrategy, ValuePredicate, SCC_HEADER};
+use ssdm_storage::{
+    ArrayStore, CodecPolicy, Request, RetrievalStrategy, ValuePredicate, SCC_HEADER,
+};
 
 const CHUNK_BYTES: usize = 64 * 1024;
 
@@ -271,8 +273,11 @@ fn main() -> ExitCode {
         store.set_skip_enabled(enabled);
         let (ms, sum) = best_of(agg_repeats, || {
             let strategy = RetrievalStrategy::Single;
-            let sum = store.resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, strategy);
-            sum.expect("filtered aggregate")
+            let sum = Request::new(&proxy).filter(&pred).fold(AggregateOp::Sum);
+            let read = store
+                .read(&[sum], strategy)
+                .and_then(|mut r| r.remove(0).total());
+            read.expect("filtered aggregate")
         });
         (ms, sum, store.last_stats())
     };

@@ -20,7 +20,7 @@ use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_bench::{Args, Bar, Fmt, Report};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultPlan, MemoryChunkStore,
+    ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultPlan, MemoryChunkStore, Request,
     ResilientChunkStore, RetrievalStrategy, RetryPolicy,
 };
 
@@ -58,7 +58,8 @@ fn run<S: ChunkStore>(store: &mut ArrayStore<S>, expected: &mut Vec<Vec<f64>>) -
     let mut out = Outcome::default();
     for i in 0..QUERIES {
         let view = gen.instance(&base, PATTERNS[i % PATTERNS.len()]);
-        if let Ok(a) = store.resolve(&view, strategy) {
+        let read = store.read(&[Request::new(&view)], strategy);
+        if let Ok(a) = read.and_then(|mut r| r.remove(0).into_array()) {
             let got: Vec<f64> = a.elements().iter().map(|n| n.as_f64()).collect();
             if baseline {
                 expected.push(got);

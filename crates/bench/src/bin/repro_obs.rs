@@ -25,7 +25,9 @@ use relstore::LatencyModel;
 use ssdm_bench::runner::rel_store;
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_bench::{best_of, median, Args, Bar, Fmt, Report};
-use ssdm_storage::{ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, RetrievalStrategy};
+use ssdm_storage::{
+    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, Request, RetrievalStrategy,
+};
 
 const ROWS: usize = 128;
 const COLS: usize = 128;
@@ -58,7 +60,7 @@ fn sweep<S: ChunkStore>(
         let pass = |store: &mut ArrayStore<CachedChunkStore<S>>| {
             let (ms, ()) = best_of(1, || {
                 for v in &views {
-                    let got = store.resolve(v, RetrievalStrategy::Single);
+                    let got = store.read(&[Request::new(v)], RetrievalStrategy::Single);
                     std::hint::black_box(got.expect("resolve"));
                 }
             });

@@ -8,9 +8,9 @@
 //!
 //! 1. **worker sweep** — partitioning the fetch plan across workers
 //!    overlaps the simulated round trips, for two shapes: COLUMN views
-//!    materialized (`resolve_parallel`), and whole-array Sum and Max
-//!    folded chunk-side (`resolve_aggregate_parallel`: workers fold each
-//!    chunk's partial in place, the partials combine in plan order).
+//!    materialized, and whole-array Sum and Max folded chunk-side
+//!    (`ArrayStore::read_parallel` of a fold: workers fold each chunk's
+//!    partial in place, the partials combine in plan order).
 //!    Each shape is checked bit-identical to 1 worker; claim **≥2×** at
 //!    4 workers for each.
 //! 2. **cache sweep** — the same query batch twice per cache budget: a
@@ -24,12 +24,12 @@
 use std::process::ExitCode;
 
 use relstore::LatencyModel;
-use ssdm_array::{AggregateOp, Num, NumArray};
+use ssdm_array::{AggregateOp, Num};
 use ssdm_bench::runner::rel_store;
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_bench::{best_of, Args, Bar, Fmt, Json, Report};
 use ssdm_storage::{
-    ArrayProxy, ArrayStore, CachedChunkStore, ChunkStore, ParallelConfig, RelChunkStore,
+    ArrayProxy, ArrayStore, CachedChunkStore, ChunkStore, RelChunkStore, Request, Resolved,
     RetrievalStrategy,
 };
 
@@ -57,7 +57,9 @@ fn stack(cache_bytes: usize, queries: usize) -> (Stack, ArrayProxy, Vec<ArrayPro
     (store, base, views)
 }
 
-fn bits(a: &NumArray) -> Vec<u64> {
+/// The element bits of a read of one materialized view.
+fn bits(read: ssdm_storage::Result<Vec<Resolved>>) -> Vec<u64> {
+    let a = read.expect("read").remove(0).into_array().expect("array");
     a.elements().iter().map(|n| n.as_f64().to_bits()).collect()
 }
 
@@ -99,20 +101,18 @@ fn main() -> ExitCode {
     let (mut fetch_rows, mut agg_rows, mut at_4) = (Vec::new(), Vec::new(), None);
     for w in workers {
         let (mut store, base, views) = stack(0, queries);
-        let config = ParallelConfig::with_workers(w);
         store.backend_mut().reset_io_stats();
         let (ms, got) = best_of(1, || {
-            let each = views
-                .iter()
-                .map(|v| store.resolve_parallel(v, SINGLE, config));
-            each.map(|a| bits(&a.expect("resolve_parallel")))
+            let each = views.iter();
+            each.map(|v| bits(store.read_parallel(&[Request::new(v)], SINGLE, w)))
                 .collect::<Vec<_>>()
         });
         let statements = store.backend().io_stats().statements;
         store.backend_mut().reset_io_stats();
         let (agg_ms, agg) = best_of(agg_repeats, || {
-            let each = ops.map(|op| store.resolve_aggregate_parallel(&base, op, SINGLE, config));
-            each.map(|n| num_bits(&n.expect("parallel aggregate")))
+            let each =
+                ops.map(|op| store.read_parallel(&[Request::new(&base).fold(op)], SINGLE, w));
+            each.map(|r| num_bits(&r.expect("read").remove(0).total().expect("fold")))
         });
         let agg_stmts = store.backend().io_stats().statements / agg_repeats as u64;
         let (per_query_ms, per_agg_ms) = (ms / queries as f64, agg_ms / ops.len() as f64);
@@ -184,8 +184,10 @@ fn main() -> ExitCode {
         store.backend().cache().clear(); // drop write-through fills: measure a cold start
         let pass = |store: &mut Stack| {
             let (ms, got) = best_of(1, || {
-                let each = views.iter().map(|v| store.resolve(v, SINGLE));
-                each.map(|a| bits(&a.expect("resolve"))).collect::<Vec<_>>()
+                let each = views
+                    .iter()
+                    .map(|v| bits(store.read(&[Request::new(v)], SINGLE)));
+                each.collect::<Vec<_>>()
             });
             assert_eq!(got, resolved, "cached passes must be bit-identical");
             ms / queries as f64

@@ -16,7 +16,7 @@ use ssdm_bench::runner::{rel_store, run_pattern};
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_bench::{Args, Bar, Fmt, Report};
 use ssdm_storage::spd::{self, SpdOptions};
-use ssdm_storage::{ArrayStore, ChunkStore, RetrievalStrategy};
+use ssdm_storage::{ArrayStore, ChunkStore, Request, RetrievalStrategy};
 
 fn main() -> ExitCode {
     let mut report = Report::new(&Args::parse("repro_spd", &[]));
@@ -137,12 +137,13 @@ fn main() -> ExitCode {
         store.backend_mut().reset_io_stats();
         let t = Instant::now();
         for v in views.iter() {
-            store.resolve(v, spd_range).expect("resolve");
+            store.read(&[Request::new(v)], spd_range).expect("resolve");
         }
         let per = (t.elapsed().as_secs_f64() * 1e3, store.backend().io_stats());
         store.backend_mut().reset_io_stats();
         let t = Instant::now();
-        store.resolve_bag(views, spd_range).expect("bag");
+        let bag: Vec<Request> = views.iter().map(Request::new).collect();
+        store.read(&bag, spd_range).expect("bag");
         let bag = (t.elapsed().as_secs_f64() * 1e3, store.backend().io_stats());
         let decoded = store.last_stats().chunks_decoded;
         counts.extend([

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use relstore::{Db, DbOptions, LatencyModel};
-use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, RelChunkStore, RetrievalStrategy};
+use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, RelChunkStore, Request, RetrievalStrategy};
 
 use crate::workload::{AccessPattern, QueryGenerator};
 
@@ -61,7 +61,13 @@ pub fn run_pattern<S: ChunkStore>(
     let start = Instant::now();
     for _ in 0..queries {
         let proxy = generator.instance(base, pattern);
-        let resolved = store.resolve(&proxy, strategy).expect("resolve");
+        let mut resolved = store
+            .read(&[Request::new(&proxy)], strategy)
+            .expect("resolve");
+        let resolved = resolved
+            .remove(0)
+            .into_array()
+            .expect("a materialized view");
         elements += resolved.element_count() as u64;
         std::hint::black_box(&resolved);
     }

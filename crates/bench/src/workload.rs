@@ -128,7 +128,7 @@ pub fn standard_patterns() -> Vec<AccessPattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_storage::{ArrayStore, MemoryChunkStore, RetrievalStrategy};
+    use ssdm_storage::{ArrayStore, MemoryChunkStore, Request, RetrievalStrategy};
 
     #[test]
     fn instances_are_deterministic_per_seed() {
@@ -152,9 +152,8 @@ mod tests {
         let mut gen = QueryGenerator::new(32, 32, 1);
         for p in standard_patterns() {
             let proxy = gen.instance(&base, p);
-            let got = store
-                .resolve(&proxy, RetrievalStrategy::WholeArray)
-                .unwrap();
+            let got = store.read(&[Request::new(&proxy)], RetrievalStrategy::WholeArray);
+            let got = got.unwrap().remove(0).into_array().unwrap();
             // Check against the resident matrix through the same view.
             let want_addrs = proxy.view().addresses();
             let got_elems = got.elements();

@@ -15,8 +15,8 @@ use ssdm_rdf::{
     Graph, GraphIndex, GraphMut, GraphView, Namespaces, RdfError, Term, TermId, Triple,
 };
 use ssdm_storage::{
-    ArrayProxy, ArrayStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy, SharedChunkStore,
-    StorageError,
+    ArrayProxy, ArrayStore, MemoryChunkStore, Request, Resolved, RetrievalStrategy,
+    SharedChunkStore, StorageError,
 };
 
 use crate::ast::Statement;
@@ -200,10 +200,10 @@ pub struct Dataset {
     /// Chunk size for externalized arrays; 0 selects the auto-tuning
     /// heuristic per array.
     pub chunk_bytes: usize,
-    /// Worker-pool configuration for proxy resolution and streamed
-    /// aggregates. The default (1 worker) is the sequential path;
-    /// results are bit-identical for every worker count.
-    pub parallel: ParallelConfig,
+    /// Worker threads for proxy resolution and streamed aggregates. The
+    /// default (1 worker) is the sequential path; results are
+    /// bit-identical for every worker count.
+    pub workers: usize,
     /// Durability hook: when set, every committed update is offered to
     /// the journal before it is acknowledged (see [`crate::journal`]).
     pub journal: Option<Box<dyn crate::journal::UpdateJournal>>,
@@ -241,7 +241,7 @@ impl Dataset {
             },
             externalize_threshold: usize::MAX,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
-            parallel: ParallelConfig::with_workers(1),
+            workers: 1,
             journal: None,
             profiler: None,
             planner: crate::planner::PlannerConfig::from_env(),
@@ -668,12 +668,21 @@ impl Dataset {
         }
     }
 
-    /// The one way a proxy becomes resident: through the APR with the
-    /// dataset's retrieval strategy and worker count.
+    /// The one way a proxy becomes resident.
     pub fn resolve_proxy(&mut self, p: &ArrayProxy) -> Result<ssdm_array::NumArray, QueryError> {
+        Ok(self.read_array(Request::new(p))?.into_array()?)
+    }
+
+    /// Read one request through the APR with the dataset's retrieval
+    /// strategy and worker count. A `first_only` probe reads on one
+    /// worker, where its early stop saves the statements after the
+    /// first match.
+    pub(crate) fn read_array(&mut self, req: Request<'_>) -> ssdm_storage::Result<Resolved> {
+        let workers = if req.first_only { 1 } else { self.workers };
         Ok(self
             .arrays
-            .resolve_parallel(p, self.strategy, self.parallel)?)
+            .read_parallel(&[req], self.strategy, workers)?
+            .remove(0))
     }
 
     /// A proxy for a stored array id.

@@ -9,6 +9,7 @@
 
 use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_rdf::Term;
+use ssdm_storage::Request;
 
 use crate::dataset::{Dataset, QueryError};
 use crate::eval::expr::apply_closure;
@@ -325,14 +326,7 @@ fn array_aggregate(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> EvalRes
     };
     match v {
         Value::Term(Term::Array(a)) => Ok(a.aggregate(op).ok().map(Value::number)),
-        Value::Proxy(p) => {
-            let strategy = ds.strategy;
-            let parallel = ds.parallel;
-            number_or_unbound(
-                ds.arrays
-                    .resolve_aggregate_parallel(p, op, strategy, parallel),
-            )
-        }
+        Value::Proxy(p) => number_or_unbound(ds.read_array(Request::new(p).fold(op))?.total()),
         _ => Ok(None),
     }
 }
@@ -362,12 +356,8 @@ fn array_aggregate_range(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> E
             Ok(resident_filtered_aggregate(&matched, op).map(Value::number))
         }
         Value::Proxy(p) => {
-            let strategy = ds.strategy;
-            let parallel = ds.parallel;
-            number_or_unbound(
-                ds.arrays
-                    .resolve_aggregate_filtered_parallel(p, &pred, op, strategy, parallel),
-            )
+            let folded = ds.read_array(Request::new(p).filter(&pred).fold(op))?;
+            number_or_unbound(folded.total())
         }
         _ => Ok(None),
     }
@@ -415,9 +405,8 @@ fn array_contains(ds: &mut Dataset, args: &[Value]) -> EvalResult {
             a.elements().into_iter().any(|n| pred.matches(n)),
         ))),
         Value::Proxy(p) => {
-            let strategy = ds.strategy;
-            let found = ds.arrays.resolve_exists(p, &pred, strategy)?;
-            Ok(Some(Value::boolean(found)))
+            let probe = Request::new(p).filter(&pred).first_only();
+            Ok(Some(Value::boolean(ds.read_array(probe)?.found()?)))
         }
         _ => Ok(None),
     }

@@ -52,7 +52,7 @@ pub enum Slot {
     Id(TermId),
     /// A value that names no node: computed numbers and strings the
     /// dictionary lacks, derived proxies, closures. Computed values that
-    /// do name a node become `Id`s where they are bound ([`as_node`]).
+    /// do name a node become `Id`s where they are bound (`as_node`).
     Val(Rc<Value>),
 }
 

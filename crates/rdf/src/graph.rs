@@ -186,7 +186,7 @@ impl<D: BorrowMut<Dictionary>, I: BorrowMut<GraphIndex>> Graph<D, I> {
     }
 
     /// Insert a batch of triples of already-interned ids, the indexes
-    /// updated once for the batch (see [`GraphIndex::extend`]). Returns
+    /// updated once for the batch (see `GraphIndex::extend`). Returns
     /// how many were new.
     pub fn extend_ids(&mut self, triples: &[Triple]) -> usize {
         let dict = self.dict.borrow();
@@ -567,8 +567,8 @@ fn numeric_value(dict: &Dictionary, id: TermId) -> Option<f64> {
     }
 }
 
-/// The matches of [`Graph::match_pattern`] or
-/// [`Graph::match_object_range`]: a cursor over whichever index serves
+/// The matches of [`GraphIndex::match_pattern`] or
+/// [`GraphIndex::match_object_range`]: a cursor over whichever index serves
 /// the pattern.
 #[derive(Debug, Clone)]
 pub struct Matches<'a>(Cursor<'a>);

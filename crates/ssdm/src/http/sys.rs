@@ -8,7 +8,7 @@
 //! writing, closing sockets) goes through `std` in nonblocking mode, so
 //! the unsafe surface stays confined to this module.
 //!
-//! On platforms without the assembly backend the [`Poller`] degrades to
+//! On platforms without the assembly backend the `Poller` degrades to
 //! a timed busy-poll that reports every registered interest as ready;
 //! the nonblocking handlers above it simply observe `WouldBlock`.
 //! Correct everywhere, efficient where the paper's deployments run.

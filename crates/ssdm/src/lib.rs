@@ -685,7 +685,7 @@ impl Ssdm {
     /// resident arrays.
     pub fn set_parallel_workers(&mut self, workers: usize) {
         let workers = workers.max(1);
-        self.dataset.parallel = ssdm_storage::ParallelConfig::with_workers(workers);
+        self.dataset.workers = workers;
         ssdm_array::pool::set_compute_workers(workers);
     }
 }

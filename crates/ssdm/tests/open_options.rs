@@ -181,7 +181,7 @@ fn settings_are_applied_after_opening() {
     }
     .open()
     .unwrap();
-    assert_eq!(db.dataset.parallel.workers, 2);
+    assert_eq!(db.dataset.workers, 2);
     assert_eq!(db.dataset.arrays.codec(), ssdm_storage::CodecPolicy::Rle);
     assert_eq!(db.dataset.planner.mode, scisparql::PlannerMode::Greedy);
     assert_eq!(

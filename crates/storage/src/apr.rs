@@ -9,9 +9,9 @@
 //! materializing the whole view — the "costly array processing, e.g.
 //! filtering and aggregation, is thus performed on the server" behaviour
 //! of the abstract. Every shape — materialize, aggregate, filtered,
-//! existence probe, sequential or parallel — is one [`Request`] executed
-//! by one runner (`ArrayStore::run`), and a bag of proxies
-//! (`resolve_bag`) is a list of them.
+//! existence probe — is one public [`Request`]; a list of them is one
+//! [`ArrayStore::read`] (or [`ArrayStore::read_parallel`] on a worker
+//! pool), and a bag of proxies is just a longer list.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -295,230 +295,87 @@ impl<S: ChunkStore> ArrayStore<S> {
             .delete_array(array_id, meta.chunking.chunk_count())
     }
 
-    /// Resolve a proxy to a resident array (the APR operator).
-    pub fn resolve(&mut self, proxy: &ArrayProxy, strategy: RetrievalStrategy) -> Result<NumArray> {
-        self.run_one(Request::new(proxy), strategy, Lane::exclusive())?
-            .into_array(proxy)
-    }
-
-    /// Resolve a proxy with the fetch plan partitioned across a worker
-    /// pool (the parallel retrieval pipeline, [`crate::parallel`]).
+    /// Resolve a list of [`Request`]s (the APR operator; a list of
+    /// several is a bag of proxies, thesis §6.2.4) on the sequential
+    /// lane. Returns one [`Resolved`] per request, in input order, and
+    /// leaves the run's statistics in [`last_stats`](Self::last_stats).
     ///
-    /// The result is bit-identical to [`resolve`](Self::resolve) with
-    /// the same strategy — the same statements execute, concurrently —
-    /// and [`last_stats`](Self::last_stats) stays exact. When the
-    /// back-end does not tolerate shared reads
-    /// ([`Capabilities::supports_parallel`] is false) or `config`
-    /// requests at most one worker, this *is* the sequential path.
-    ///
-    /// [`Capabilities::supports_parallel`]: crate::Capabilities::supports_parallel
-    pub fn resolve_parallel(
-        &mut self,
-        proxy: &ArrayProxy,
-        strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<NumArray>
-    where
-        S: crate::SharedChunkRead,
-    {
-        let lane = self.lane(config);
-        self.run_one(Request::new(proxy), strategy, lane)?
-            .into_array(proxy)
-    }
-
-    /// Streamed aggregate over a proxy (the AAPR operator): chunks are
-    /// fetched batch-wise and folded immediately, so peak memory is one
-    /// batch regardless of the view size.
-    ///
-    /// Each chunk's needed elements, in view order, are folded into a
-    /// *per-chunk partial* by the typed kernels (`ssdm_array::kernel`),
-    /// and partials are combined in ascending chunk order — the same
-    /// fold structure for every lane, worker count, strategy and bag,
-    /// so sequential, parallel and bag AAPR are bit-identical by
-    /// construction (`f64` sums follow the documented pairwise order;
-    /// see DESIGN.md). An aggregate with no value over an empty view is
-    /// [`StorageError::EmptyView`].
-    pub fn resolve_aggregate(
-        &mut self,
-        proxy: &ArrayProxy,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-    ) -> Result<Num> {
-        let req = Request {
-            fold: Some(op),
-            ..Request::new(proxy)
-        };
-        self.run_one(req, strategy, Lane::exclusive())?.total(op)
-    }
-
-    /// Parallel AAPR: each worker decodes and folds the chunks of the
-    /// ops it claims into per-chunk partials *in place*, dropping the
-    /// payloads without central assembly — fetch and compute overlap.
-    /// Bit-identical to [`resolve_aggregate`](Self::resolve_aggregate)
-    /// for every worker count and strategy; degrades to it when
-    /// `config` requests at most one worker or the back-end lacks
-    /// [`supports_parallel`].
-    ///
-    /// [`supports_parallel`]: crate::Capabilities::supports_parallel
-    pub fn resolve_aggregate_parallel(
-        &mut self,
-        proxy: &ArrayProxy,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<Num>
-    where
-        S: crate::SharedChunkRead,
-    {
-        let req = Request {
-            fold: Some(op),
-            ..Request::new(proxy)
-        };
-        let lane = self.lane(config);
-        self.run_one(req, strategy, lane)?.total(op)
-    }
-
-    /// Resolve the elements of a proxy's view that satisfy `pred`, in
-    /// view order (the APR analogue of a `FILTER` scan). Chunks whose
-    /// summary proves no element can match are skipped before fetch;
-    /// the returned values are identical with skipping on or off.
-    pub fn resolve_filtered(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        strategy: RetrievalStrategy,
-    ) -> Result<Vec<Num>> {
-        let req = Request {
-            pred: Some(pred),
-            ..Request::new(proxy)
-        };
-        Ok(self.run_one(req, strategy, Lane::exclusive())?.matches)
-    }
-
-    /// Whether any element of the proxy's view satisfies `pred`
-    /// (membership / `EXISTS`). Skips non-qualifying chunks via the
-    /// zone map and stops at the first match.
-    pub fn resolve_exists(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        strategy: RetrievalStrategy,
-    ) -> Result<bool> {
-        let req = Request {
-            pred: Some(pred),
-            first_only: true,
-            ..Request::new(proxy)
-        };
-        let found = self.run_one(req, strategy, Lane::exclusive())?.matches;
-        Ok(!found.is_empty())
-    }
-
-    /// Streamed aggregate over the elements of a proxy's view that
-    /// satisfy `pred` (filtered AAPR). Non-qualifying chunks are
-    /// skipped before fetch; chunks none of whose addressed elements
-    /// match contribute *no* fold partial, which is what makes the
-    /// result bit-identical with skipping on or off (including `f64`
-    /// sums, whose fold order is structural). With no matching elements
-    /// the result mirrors the empty-view semantics: `Count`/`Sum` are
-    /// 0, `Prod` is 1, the rest are [`StorageError::EmptyView`].
-    pub fn resolve_aggregate_filtered(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-    ) -> Result<Num> {
-        let req = Request {
-            pred: Some(pred),
-            fold: Some(op),
-            ..Request::new(proxy)
-        };
-        self.run_one(req, strategy, Lane::exclusive())?.total(op)
-    }
-
-    /// Parallel filtered AAPR: zone-map pruning happens up front, then
-    /// the surviving plan is partitioned across the worker pool with
-    /// decode + filter + fold inside the fetching workers. Bit-identical
-    /// to [`resolve_aggregate_filtered`](Self::resolve_aggregate_filtered)
-    /// for every worker count; degrades to it when the back-end lacks
-    /// `supports_parallel` or at most one worker is requested.
-    pub fn resolve_aggregate_filtered_parallel(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<Num>
-    where
-        S: crate::SharedChunkRead,
-    {
-        let req = Request {
-            pred: Some(pred),
-            fold: Some(op),
-            ..Request::new(proxy)
-        };
-        let lane = self.lane(config);
-        self.run_one(req, strategy, lane)?.total(op)
-    }
-
-    /// The lane a parallel entry point runs on: the worker pool when it
-    /// is asked for and the back-end tolerates shared reads, else the
-    /// sequential lane.
-    fn lane(&self, config: crate::ParallelConfig) -> Lane<S, OpOut>
-    where
-        S: crate::SharedChunkRead,
-    {
-        if config.workers > 1 && self.backend.capabilities().supports_parallel {
-            Lane::shared(config.workers)
-        } else {
-            Lane::exclusive()
-        }
-    }
-
-    /// Run one request: a single-proxy `resolve*` is a bag of one.
-    fn run_one(
-        &mut self,
-        req: Request<'_>,
-        strategy: RetrievalStrategy,
-        lane: Lane<S, OpOut>,
-    ) -> Result<Resolved> {
-        Ok(self.run(&[req], strategy, lane)?.remove(0))
-    }
-
-    /// The one resolve runner. Every public `resolve*` shape, and every
-    /// bag of them, is a list of [`Request`]s executed here:
+    /// Every request shape, and every mix of them, runs through the
+    /// same steps:
     ///
     /// 1. each request's view becomes per-chunk arithmetic runs
     ///    ([`ViewRuns`]) — no element address is enumerated;
     /// 2. with a predicate, the zone map drops chunks that provably
     ///    hold no match, *before* the fetch plan is built;
     /// 3. the union of the surviving `(array, chunk)` keys becomes
-    ///    statements per the strategy ([`Self::plan`]), executed on
-    ///    `lane` — a chunk two requests read is fetched once;
+    ///    statements per the strategy — a chunk two
+    ///    requests read is fetched once, so a bag issues no more
+    ///    statements than its requests read one by one;
     /// 4. each fetched row goes to every request that reads it, is
     ///    decoded only across the span that request's runs read and
-    ///    turned into its [`ChunkOut`] inside the worker that fetched
+    ///    turned into its output inside the worker that fetched
     ///    it; a row no request reads (a covering range's overfetch) is
     ///    dropped undecoded;
     /// 5. per request, outputs are assembled in ascending chunk order:
     ///    slices copied into the typed result, or partials combined.
-    pub(crate) fn run(
+    ///
+    /// A request's result is bit-identical whichever bag it is read
+    /// in, on either entry point, with any worker count and strategy.
+    /// A `first_only` request read next to any other is
+    /// [`StorageError::InvalidRequest`]: its early stop would stop
+    /// them too.
+    pub fn read(
+        &mut self,
+        reqs: &[Request<'_>],
+        strategy: RetrievalStrategy,
+    ) -> Result<Vec<Resolved>> {
+        self.run(reqs, strategy, Lane::exclusive())
+    }
+
+    /// [`read`](Self::read) with the fetch plan partitioned across
+    /// `workers` pool threads ([`crate::parallel`]): the same
+    /// statements execute, concurrently, so results are bit-identical
+    /// and [`last_stats`](Self::last_stats) stays exact. Each worker
+    /// decodes, filters and folds the chunks it fetched, so fetch and
+    /// compute overlap. With at most one worker, or a back-end without
+    /// [`supports_parallel`], this *is* `read`.
+    ///
+    /// [`supports_parallel`]: crate::Capabilities::supports_parallel
+    pub fn read_parallel(
+        &mut self,
+        reqs: &[Request<'_>],
+        strategy: RetrievalStrategy,
+        workers: usize,
+    ) -> Result<Vec<Resolved>>
+    where
+        S: crate::SharedChunkRead,
+    {
+        let lane = if workers > 1 && self.backend.capabilities().supports_parallel {
+            Lane::shared(workers)
+        } else {
+            Lane::exclusive()
+        };
+        self.run(reqs, strategy, lane)
+    }
+
+    /// The one runner under both entry points.
+    fn run(
         &mut self,
         reqs: &[Request<'_>],
         strategy: RetrievalStrategy,
         lane: Lane<S, OpOut>,
     ) -> Result<Vec<Resolved>> {
-        debug_assert!(
-            reqs.len() == 1 || reqs.iter().all(|r| !r.first_only),
-            "a membership probe runs alone, so its early stop stops only it"
-        );
+        let misused = |r: &Request| r.first_only && (reqs.len() > 1 || r.fold.is_some());
+        if reqs.iter().any(misused) {
+            return Err(StorageError::InvalidRequest);
+        }
         let before = self.backend.io_stats();
         let before_res = self.backend.resilience_stats();
         let mut out: Vec<Resolved> = reqs.iter().map(|_| Resolved::default()).collect();
         let mut parts = Vec::with_capacity(reqs.len());
         let mut skipped = 0;
         for (at, req) in reqs.iter().enumerate() {
+            out[at].fold = req.fold;
             if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
                 // Counting an unfiltered view needs no element.
                 out[at].acc = Some(Num::Int(req.proxy.element_count() as i64));
@@ -683,21 +540,46 @@ impl<S: ChunkStore> ArrayStore<S> {
     }
 }
 
-/// One resolution: everything the public `resolve*` shapes differ in.
-pub(crate) struct Request<'a> {
-    pub(crate) proxy: &'a ArrayProxy,
+/// One array read: a proxy's view and what to make of its elements.
+/// With neither `pred` nor `fold` it materializes the view
+/// ([`Resolved::into_array`]); `pred` alone keeps the matching elements
+/// ([`Resolved::into_matches`]); `fold` folds them
+/// ([`Resolved::total`]). A list of requests is one
+/// [`ArrayStore::read`].
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    pub proxy: &'a ArrayProxy,
     /// Only elements satisfying it take part; `None` is always-true.
-    pub(crate) pred: Option<&'a ValuePredicate>,
+    /// Chunks whose zone-map summary proves no element can match are
+    /// skipped before fetch. Skipping is conservative: results are
+    /// identical with it on or off
+    /// ([`ArrayStore::set_skip_enabled`]).
+    pub pred: Option<&'a ValuePredicate>,
     /// Fold the participating elements to one number instead of
-    /// emitting them.
-    pub(crate) fold: Option<AggregateOp>,
-    /// Stop at the first participating element (membership probes).
-    pub(crate) first_only: bool,
+    /// emitting them (the AAPR operator): chunks are fetched batch-wise
+    /// and folded at once, so peak memory is one batch whatever the
+    /// view's size. Each chunk's participating elements, in view order,
+    /// fold into a *per-chunk partial* by the typed kernels
+    /// (`ssdm_array::kernel`), and partials combine in ascending chunk
+    /// order. That fold structure is the same for every lane, worker
+    /// count, strategy and bag, so the result is bit-identical across
+    /// them by construction (`f64` sums follow the documented pairwise
+    /// order; see DESIGN.md). A chunk none of whose elements take part
+    /// contributes no partial, exactly as if the zone map had skipped
+    /// it, which keeps filtered folds bit-identical with skipping on or
+    /// off. Over no elements `Count`/`Sum` are 0, `Prod` is 1 and the
+    /// rest are [`StorageError::EmptyView`].
+    pub fold: Option<AggregateOp>,
+    /// Stop at the first participating element (membership probes,
+    /// `EXISTS`): the answer is [`Resolved::found`]. A probe is read
+    /// alone and does not fold; anything else is
+    /// [`StorageError::InvalidRequest`].
+    pub first_only: bool,
 }
 
 impl<'a> Request<'a> {
     /// Materialize the whole view.
-    pub(crate) fn new(proxy: &'a ArrayProxy) -> Self {
+    pub fn new(proxy: &'a ArrayProxy) -> Self {
         Request {
             proxy,
             pred: None,
@@ -705,17 +587,42 @@ impl<'a> Request<'a> {
             first_only: false,
         }
     }
+
+    pub fn filter(self, pred: &'a ValuePredicate) -> Self {
+        Request {
+            pred: Some(pred),
+            ..self
+        }
+    }
+
+    pub fn fold(self, op: AggregateOp) -> Self {
+        Request {
+            fold: Some(op),
+            ..self
+        }
+    }
+
+    pub fn first_only(self) -> Self {
+        Request {
+            first_only: true,
+            ..self
+        }
+    }
 }
 
-/// What a [`Request`] resolved to; only the part the request's shape
-/// asks for is populated.
-#[derive(Default)]
-pub(crate) struct Resolved {
-    /// All elements of the view, in view order (unfiltered, unfolded).
-    elements: Option<Buffer>,
-    /// The matching elements, in view order (filtered, unfolded).
-    matches: Vec<Num>,
-    /// The combined fold partials and how many elements they cover.
+/// What a [`Request`] resolved to. Each accessor answers for the
+/// request shape that computes it, and is
+/// [`StorageError::NotRequested`] for the others.
+#[derive(Debug, Default)]
+pub struct Resolved {
+    /// The view, materialized (neither `pred` nor `fold`).
+    array: Option<NumArray>,
+    /// The matching elements, in view order (`pred` without `fold`, or
+    /// a probe).
+    matches: Option<Vec<Num>>,
+    /// The fold, its combined partials and how many elements they
+    /// cover.
+    fold: Option<AggregateOp>,
     acc: Option<Num>,
     folded: u64,
 }
@@ -766,27 +673,48 @@ impl Resolved {
         // Chunk order is view order for ascending views only (for which
         // this is one pass over sorted input).
         found.sort_by_key(|m| m.0);
-        self.matches = found.into_iter().map(|m| m.1).collect();
-        self.elements = emit_all.then_some(elements);
+        let matched = found.len() as u64;
+        if emit_all {
+            self.array = Some(NumArray::from_data(
+                elements.into(),
+                &part.req.proxy.shape(),
+            )?);
+        } else if part.req.fold.is_none() {
+            self.matches = Some(found.into_iter().map(|m| m.1).collect());
+        }
         Ok(if part.req.first_only {
             examined
         } else if emit_all {
             part.runs.element_count() as u64
         } else {
-            self.folded + self.matches.len() as u64
+            self.folded + matched
         })
     }
 
-    pub(crate) fn into_array(self, proxy: &ArrayProxy) -> Result<NumArray> {
-        let elements = self.elements.expect("a materializing request");
-        Ok(NumArray::from_data(elements.into(), &proxy.shape())?)
+    /// The materialized view of a request with neither `pred` nor
+    /// `fold`.
+    pub fn into_array(self) -> Result<NumArray> {
+        self.array.ok_or(StorageError::NotRequested("an array"))
     }
 
-    /// Final-value semantics of a fold: over no elements `Count`/`Sum`
-    /// are 0, `Prod` is 1 and the rest have no value
+    /// The matching elements, in view order, of a request with a `pred`
+    /// and no `fold` (a probe's: those met before it stopped).
+    pub fn into_matches(self) -> Result<Vec<Num>> {
+        self.matches.ok_or(StorageError::NotRequested("matches"))
+    }
+
+    /// Whether any element matched: the answer of a `first_only` probe.
+    pub fn found(&self) -> Result<bool> {
+        let none = StorageError::NotRequested("matches");
+        Ok(!self.matches.as_ref().ok_or(none)?.is_empty())
+    }
+
+    /// The final value of a request's fold: over no elements
+    /// `Count`/`Sum` are 0, `Prod` is 1 and the rest have no value
     /// ([`StorageError::EmptyView`]); otherwise `Avg` divides by the
     /// count.
-    pub(crate) fn total(self, op: AggregateOp) -> Result<Num> {
+    pub fn total(self) -> Result<Num> {
+        let op = self.fold.ok_or(StorageError::NotRequested("a fold"))?;
         match self.acc {
             None => match op {
                 AggregateOp::Count | AggregateOp::Sum => Ok(Num::Int(0)),
@@ -1069,7 +997,28 @@ mod tests {
     use crate::store::MemoryChunkStore;
     use ssdm_array::Subscript;
 
-    fn store_with_matrix(chunk_bytes: usize) -> (ArrayStore<MemoryChunkStore>, ArrayProxy) {
+    type Store = ArrayStore<MemoryChunkStore>;
+    const SINGLE: RetrievalStrategy = RetrievalStrategy::Single;
+    const WHOLE: RetrievalStrategy = RetrievalStrategy::WholeArray;
+
+    /// Read one request alone.
+    fn one(store: &mut Store, req: Request, strategy: RetrievalStrategy) -> Resolved {
+        store.read(&[req], strategy).unwrap().remove(0)
+    }
+
+    fn spd() -> RetrievalStrategy {
+        RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        }
+    }
+
+    fn array(store: &mut Store, view: &ArrayProxy, strategy: RetrievalStrategy) -> NumArray {
+        one(store, Request::new(view), strategy)
+            .into_array()
+            .unwrap()
+    }
+
+    fn store_with_matrix(chunk_bytes: usize) -> (Store, ArrayProxy) {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let m = NumArray::from_i64_shaped((0..400).collect(), &[20, 20]).unwrap();
         let proxy = store.store_array(&m, chunk_bytes).unwrap();
@@ -1079,9 +1028,7 @@ mod tests {
     #[test]
     fn whole_array_round_trip() {
         let (mut store, proxy) = store_with_matrix(64);
-        let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
-            .unwrap();
+        let back = array(&mut store, &proxy, WHOLE);
         assert_eq!(back.shape(), vec![20, 20]);
         assert_eq!(back.get(&[19, 19]).unwrap().as_i64(), 399);
         assert_eq!(store.last_stats().statements, 1);
@@ -1092,16 +1039,14 @@ mod tests {
         let (mut store, proxy) = store_with_matrix(64);
         let col = proxy.subscript(1, 7).unwrap();
         let strategies = [
-            RetrievalStrategy::Single,
+            SINGLE,
             RetrievalStrategy::BufferedIn { buffer_size: 4 },
-            RetrievalStrategy::SpdRange {
-                options: SpdOptions::default(),
-            },
-            RetrievalStrategy::WholeArray,
+            spd(),
+            WHOLE,
         ];
         let expected: Vec<i64> = (0..20).map(|r| r * 20 + 7).collect();
         for s in strategies {
-            let a = store.resolve(&col, s).unwrap();
+            let a = array(&mut store, &col, s);
             let got: Vec<i64> = a.elements().iter().map(|n| n.as_i64()).collect();
             assert_eq!(got, expected, "strategy {}", s.name());
         }
@@ -1111,20 +1056,15 @@ mod tests {
     fn statement_counts_differ_by_strategy() {
         let (mut store, proxy) = store_with_matrix(64); // 8 elems/chunk, 50 chunks
         let col = proxy.subscript(1, 0).unwrap(); // touches 20 distinct rows
-        store.resolve(&col, RetrievalStrategy::Single).unwrap();
+        array(&mut store, &col, SINGLE);
         let single = store.last_stats();
-        store
-            .resolve(&col, RetrievalStrategy::BufferedIn { buffer_size: 8 })
-            .unwrap();
+        array(
+            &mut store,
+            &col,
+            RetrievalStrategy::BufferedIn { buffer_size: 8 },
+        );
         let buffered = store.last_stats();
-        store
-            .resolve(
-                &col,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
+        array(&mut store, &col, spd());
         let spd = store.last_stats();
         assert!(single.statements > buffered.statements);
         assert!(buffered.statements >= spd.statements);
@@ -1138,14 +1078,7 @@ mod tests {
                                                        // covering range 0..=18 fetches 19 chunks for 10 elements.
         let row = proxy.subscript(0, 0).unwrap();
         let every2 = row.slice(0, 0, 2, 18).unwrap();
-        let a = store
-            .resolve(
-                &every2,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
+        let a = array(&mut store, &every2, spd());
         let got: Vec<i64> = a.elements().iter().map(|n| n.as_i64()).collect();
         assert_eq!(got, vec![0, 2, 4, 6, 8, 10, 12, 14, 16, 18]);
         let st = store.last_stats();
@@ -1160,7 +1093,7 @@ mod tests {
         let cell = proxy
             .dereference(&[Subscript::Index(3), Subscript::Index(5)])
             .unwrap();
-        let a = store.resolve(&cell, RetrievalStrategy::Single).unwrap();
+        let a = array(&mut store, &cell, SINGLE);
         assert_eq!(a.scalar_value().unwrap().as_i64(), 2 * 20 + 4); // (3-1)*20+(5-1)
         assert_eq!(store.last_stats().chunks_fetched, 1);
     }
@@ -1169,9 +1102,7 @@ mod tests {
     fn aggregate_matches_materialized() {
         let (mut store, proxy) = store_with_matrix(64);
         let slice = proxy.slice(0, 2, 3, 17).unwrap();
-        let materialized = store
-            .resolve(&slice, RetrievalStrategy::WholeArray)
-            .unwrap();
+        let materialized = array(&mut store, &slice, WHOLE);
         for op in [
             AggregateOp::Sum,
             AggregateOp::Avg,
@@ -1179,9 +1110,9 @@ mod tests {
             AggregateOp::Max,
             AggregateOp::Count,
         ] {
-            let streamed = store
-                .resolve_aggregate(&slice, op, RetrievalStrategy::BufferedIn { buffer_size: 4 })
-                .unwrap();
+            let strategy = RetrievalStrategy::BufferedIn { buffer_size: 4 };
+            let streamed = one(&mut store, Request::new(&slice).fold(op), strategy);
+            let streamed = streamed.total().unwrap();
             assert_eq!(streamed, materialized.aggregate(op).unwrap(), "{op:?}");
         }
     }
@@ -1189,10 +1120,11 @@ mod tests {
     #[test]
     fn aggregate_count_needs_no_io() {
         let (mut store, proxy) = store_with_matrix(64);
-        let n = store
-            .resolve_aggregate(&proxy, AggregateOp::Count, RetrievalStrategy::Single)
-            .unwrap();
-        assert_eq!(n, Num::Int(400));
+        let count = Request::new(&proxy).fold(AggregateOp::Count);
+        assert_eq!(
+            one(&mut store, count, SINGLE).total().unwrap(),
+            Num::Int(400)
+        );
         assert_eq!(store.last_stats().statements, 0);
     }
 
@@ -1201,9 +1133,7 @@ mod tests {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let a = NumArray::from_f64((0..100).map(|i| i as f64 / 4.0).collect());
         let proxy = store.store_array(&a, 32).unwrap();
-        let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
-            .unwrap();
+        let back = array(&mut store, &proxy, WHOLE);
         assert!(back.array_eq(&a));
         assert_eq!(back.numeric_type(), NumericType::Real);
     }
@@ -1214,9 +1144,7 @@ mod tests {
         let m = NumArray::from_i64_shaped((0..12).collect(), &[3, 4]).unwrap();
         let t = m.transpose();
         let proxy = store.store_array(&t, 32).unwrap();
-        let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
-            .unwrap();
+        let back = array(&mut store, &proxy, WHOLE);
         assert!(back.array_eq(&t));
     }
 
@@ -1226,7 +1154,7 @@ mod tests {
         let id = proxy.array_id();
         store.delete_array(id).unwrap();
         assert!(store.proxy(id).is_err());
-        assert!(store.resolve(&proxy, RetrievalStrategy::Single).is_err());
+        assert!(store.read(&[Request::new(&proxy)], SINGLE).is_err());
     }
 
     #[test]
@@ -1246,9 +1174,7 @@ mod tests {
             chunking,
             encoded: false,
         });
-        let a = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
-            .unwrap();
+        let a = array(&mut store, &proxy, WHOLE);
         assert_eq!(a.elements().iter().map(|n| n.as_i64()).sum::<i64>(), 45);
     }
 
@@ -1276,10 +1202,9 @@ mod tests {
             hi: Num::Int(149),
         };
         let expected: i64 = (100..150).sum();
-        let sum = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
-            .unwrap();
-        assert_eq!(sum, Num::Int(expected));
+        let sum = Request::new(&proxy).filter(&pred).fold(AggregateOp::Sum);
+        let total = |store: &mut Store| one(store, sum, SINGLE).total().unwrap();
+        assert_eq!(total(&mut store), Num::Int(expected));
         let st = store.last_stats();
         // Chunks 12..=18 qualify (they span elements 96..152); the other
         // 43 are proven irrelevant and never fetched.
@@ -1288,10 +1213,7 @@ mod tests {
         assert_eq!(st.chunks_decoded, 7);
         assert!(st.bytes_decoded > 0);
         store.set_skip_enabled(false);
-        let sum_off = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
-            .unwrap();
-        assert_eq!(sum_off, sum);
+        assert_eq!(total(&mut store), Num::Int(expected));
         let st_off = store.last_stats();
         assert_eq!(st_off.chunks_skipped, 0);
         assert_eq!(st_off.chunks_fetched, 50);
@@ -1304,49 +1226,41 @@ mod tests {
             lo: Num::Int(10),
             hi: Num::Int(13),
         };
-        let n = store
-            .resolve_aggregate_filtered(
-                &proxy,
-                &pred,
-                AggregateOp::Count,
-                RetrievalStrategy::Single,
+        let mut total = |pred, op| {
+            one(
+                &mut store,
+                Request::new(&proxy).filter(pred).fold(op),
+                SINGLE,
             )
-            .unwrap();
-        assert_eq!(n, Num::Int(4));
-        let avg = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Avg, RetrievalStrategy::Single)
-            .unwrap();
-        assert_eq!(avg, Num::Real(11.5));
+        };
+        assert_eq!(
+            total(&pred, AggregateOp::Count).total().unwrap(),
+            Num::Int(4)
+        );
+        assert_eq!(
+            total(&pred, AggregateOp::Avg).total().unwrap(),
+            Num::Real(11.5)
+        );
         // No matches: Count/Sum yield zero, Min errors (empty semantics).
         let none = ValuePredicate::Range {
             lo: Num::Int(1000),
             hi: Num::Int(2000),
         };
         assert_eq!(
-            store
-                .resolve_aggregate_filtered(
-                    &proxy,
-                    &none,
-                    AggregateOp::Count,
-                    RetrievalStrategy::Single
-                )
-                .unwrap(),
+            total(&none, AggregateOp::Count).total().unwrap(),
             Num::Int(0)
         );
+        assert!(total(&none, AggregateOp::Min).total().is_err());
         assert_eq!(store.last_stats().chunks_skipped, 50);
         assert_eq!(store.last_stats().statements, 0);
-        assert!(store
-            .resolve_aggregate_filtered(&proxy, &none, AggregateOp::Min, RetrievalStrategy::Single)
-            .is_err());
     }
 
     #[test]
     fn resolve_filtered_preserves_view_order() {
         let (mut store, proxy) = store_with_matrix(64);
         let pred = ValuePredicate::In(vec![Num::Int(399), Num::Int(5), Num::Int(123)]);
-        let got = store
-            .resolve_filtered(&proxy, &pred, RetrievalStrategy::Single)
-            .unwrap();
+        let got = one(&mut store, Request::new(&proxy).filter(&pred), SINGLE);
+        let got = got.into_matches().unwrap();
         // View order, not predicate order.
         assert_eq!(got, vec![Num::Int(5), Num::Int(123), Num::Int(399)]);
         assert_eq!(store.last_stats().chunks_fetched, 3);
@@ -1357,13 +1271,16 @@ mod tests {
     fn resolve_exists_early_exit_and_full_skip() {
         let (mut store, proxy) = store_with_matrix(64);
         let hit = ValuePredicate::In(vec![Num::Int(42)]);
-        assert!(store
-            .resolve_exists(&proxy, &hit, RetrievalStrategy::Single)
-            .unwrap());
         let miss = ValuePredicate::In(vec![Num::Int(-7)]);
-        assert!(!store
-            .resolve_exists(&proxy, &miss, RetrievalStrategy::Single)
-            .unwrap());
+        let mut exists = |pred| {
+            one(
+                &mut store,
+                Request::new(&proxy).filter(pred).first_only(),
+                SINGLE,
+            )
+        };
+        assert!(exists(&hit).found().unwrap());
+        assert!(!exists(&miss).found().unwrap());
         // Everything pruned: no statements reached the back-end.
         assert_eq!(store.last_stats().statements, 0);
         assert_eq!(store.last_stats().chunks_skipped, 50);
@@ -1386,19 +1303,11 @@ mod tests {
             AggregateOp::Max,
             AggregateOp::Count,
         ] {
-            let seq = store
-                .resolve_aggregate_filtered(&proxy, &pred, op, RetrievalStrategy::Single)
-                .unwrap();
+            let req = [Request::new(&proxy).filter(&pred).fold(op)];
+            let seq = one(&mut store, req[0], SINGLE).total().unwrap();
             for workers in [2, 4, 8] {
-                let par = store
-                    .resolve_aggregate_filtered_parallel(
-                        &proxy,
-                        &pred,
-                        op,
-                        RetrievalStrategy::Single,
-                        crate::ParallelConfig::with_workers(workers),
-                    )
-                    .unwrap();
+                let par = store.read_parallel(&req, SINGLE, workers).unwrap();
+                let par = par.into_iter().next().unwrap().total().unwrap();
                 assert_eq!(
                     par.as_f64().to_bits(),
                     seq.as_f64().to_bits(),
@@ -1418,10 +1327,8 @@ mod tests {
             lo: Num::Int(0),
             hi: Num::Int(7),
         };
-        let sum = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
-            .unwrap();
-        assert_eq!(sum, Num::Int(28));
+        let sum = Request::new(&proxy).filter(&pred).fold(AggregateOp::Sum);
+        assert_eq!(one(&mut store, sum, SINGLE).total().unwrap(), Num::Int(28));
         assert_eq!(store.last_stats().chunks_fetched, 1);
         assert_eq!(store.last_stats().chunks_skipped, 49);
     }

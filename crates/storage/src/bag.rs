@@ -2,64 +2,26 @@
 //!
 //! A query that touches an array per solution — every task's trajectory,
 //! say — produces a *bag* of proxies. Resolving them one at a time pays
-//! one round of statements per proxy; resolving the **bag** hands one
-//! request per proxy to the one runner (`ArrayStore::run`), which plans
-//! the union of the `(array, chunk)` keys they need at once: under
-//! `SpdRange` the keys are linearized in clustered table order, the SPD
-//! discovers regularity *across* proxies, and a few composite-range /
-//! IN statements serve the whole bag. This is where the thesis'
+//! one round of statements per proxy; reading the **bag** is one
+//! [`ArrayStore::read`] of one [`Request`](crate::Request) per proxy,
+//! whatever each asks of its view, and plans the union of the
+//! `(array, chunk)` keys they need at once: under `SpdRange` the keys
+//! are linearized in clustered table order, the SPD discovers
+//! regularity *across* proxies, and a few composite-range / IN
+//! statements serve the whole bag. This is where the thesis'
 //! "discover that regularity at query runtime" pays off most: chunk ids
 //! of consecutive arrays are adjacent rows in the clustered table, so
 //! per-array point probes become one scan.
 
 use std::collections::BTreeMap;
 
-use ssdm_array::{AggregateOp, Num, NumArray};
-
-use crate::apr::{ArrayStore, Request, RetrievalStrategy};
-use crate::meta::{ArrayMeta, ArrayProxy};
-use crate::parallel::{KeyOp, Lane};
+use crate::apr::ArrayStore;
+use crate::meta::ArrayMeta;
+use crate::parallel::KeyOp;
 use crate::spd::{self, FetchOp, SpdOptions};
 use crate::store::ChunkStore;
-use crate::Result;
 
 impl<S: ChunkStore> ArrayStore<S> {
-    /// Resolve every proxy in the bag, sharing back-end statements
-    /// across them. Returns the resident arrays in input order.
-    pub fn resolve_bag(
-        &mut self,
-        proxies: &[ArrayProxy],
-        strategy: RetrievalStrategy,
-    ) -> Result<Vec<NumArray>> {
-        let reqs: Vec<Request> = proxies.iter().map(Request::new).collect();
-        let resolved = self.run(&reqs, strategy, Lane::exclusive())?;
-        resolved
-            .into_iter()
-            .zip(proxies)
-            .map(|(r, p)| r.into_array(p))
-            .collect()
-    }
-
-    /// Aggregate every proxy in the bag (AAPR over a bag): one shared
-    /// fetch, one streamed fold per proxy, each bit-identical to
-    /// [`resolve_aggregate`](Self::resolve_aggregate) of that proxy.
-    pub fn resolve_aggregate_bag(
-        &mut self,
-        proxies: &[ArrayProxy],
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-    ) -> Result<Vec<Num>> {
-        let reqs: Vec<Request> = proxies
-            .iter()
-            .map(|p| Request {
-                fold: Some(op),
-                ..Request::new(p)
-            })
-            .collect();
-        let resolved = self.run(&reqs, strategy, Lane::exclusive())?;
-        resolved.into_iter().map(|r| r.total(op)).collect()
-    }
-
     /// The `SpdRange` plan of a run over several arrays, from the chunk
     /// ids each needs (ascending by array), for a back-end that scans
     /// across arrays. Arrays by ascending id are physically consecutive
@@ -119,7 +81,21 @@ impl<S: ChunkStore> ArrayStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apr::{Request, RetrievalStrategy};
     use crate::store::{MemoryChunkStore, RelChunkStore};
+    use crate::ArrayProxy;
+    use ssdm_array::{AggregateOp, Num, NumArray};
+
+    /// Materialize every proxy of the bag in one read.
+    fn bag<S: ChunkStore>(
+        store: &mut ArrayStore<S>,
+        proxies: &[ArrayProxy],
+        strategy: RetrievalStrategy,
+    ) -> Vec<NumArray> {
+        let reqs: Vec<Request> = proxies.iter().map(Request::new).collect();
+        let read = store.read(&reqs, strategy).unwrap().into_iter();
+        read.map(|r| r.into_array().unwrap()).collect()
+    }
 
     /// 50 small arrays of 8 elements, 2 chunks each (32-byte chunks).
     fn store_with_fleet<S: ChunkStore>(backend: S) -> (ArrayStore<S>, Vec<ArrayProxy>) {
@@ -148,10 +124,9 @@ mod tests {
             },
             RetrievalStrategy::WholeArray,
         ] {
-            let bag = store.resolve_bag(&views, strategy).unwrap();
-            for (v, got) in views.iter().zip(&bag) {
-                let individually = store.resolve(v, strategy).unwrap();
-                assert!(got.array_eq(&individually), "{}", strategy.name());
+            for (v, got) in views.iter().zip(bag(&mut store, &views, strategy)) {
+                let individually = bag(&mut store, std::slice::from_ref(v), strategy);
+                assert!(got.array_eq(&individually[0]), "{}", strategy.name());
             }
         }
     }
@@ -162,15 +137,10 @@ mod tests {
         // The whole fleet: every chunk of every array — one dense
         // composite range.
         store.backend_mut().reset_io_stats();
-        let bag = store
-            .resolve_bag(
-                &proxies,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
-        assert_eq!(bag.len(), 50);
+        let spd = RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        };
+        assert_eq!(bag(&mut store, &proxies, spd).len(), 50);
         let stats = store.backend().io_stats();
         assert_eq!(stats.statements, 1, "one clustered scan for the bag");
         assert_eq!(stats.chunks_returned, 100);
@@ -184,14 +154,7 @@ mod tests {
         // Versus per-proxy resolution: at least one statement each.
         store.backend_mut().reset_io_stats();
         for p in &proxies {
-            store
-                .resolve(
-                    p,
-                    RetrievalStrategy::SpdRange {
-                        options: SpdOptions::default(),
-                    },
-                )
-                .unwrap();
+            store.read(&[Request::new(p)], spd).unwrap();
         }
         assert!(store.backend().io_stats().statements >= 50);
     }
@@ -206,15 +169,11 @@ mod tests {
             .map(|p| p.slice(0, 0, 1, 3).unwrap())
             .collect();
         store.backend_mut().reset_io_stats();
-        let bag = store
-            .resolve_bag(
-                &heads,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
-        assert_eq!(bag.len(), 50);
+        let spd = RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        };
+        let arrays = bag(&mut store, &heads, spd);
+        assert_eq!(arrays.len(), 50);
         let stats = store.backend().io_stats();
         // Density 0.5 with the default threshold: one covering range.
         assert_eq!(stats.statements, 1);
@@ -226,7 +185,7 @@ mod tests {
         assert_eq!(st.chunks_decoded, 50);
         let elements: usize = heads.iter().map(|p| p.element_count()).sum();
         assert_eq!(st.elements_resolved, elements as u64);
-        for (k, a) in bag.iter().enumerate() {
+        for (k, a) in arrays.iter().enumerate() {
             assert_eq!(a.elements()[0], Num::Int(k as i64 * 100));
         }
     }
@@ -234,18 +193,18 @@ mod tests {
     #[test]
     fn bag_on_memory_backend() {
         let (mut store, proxies) = store_with_fleet(MemoryChunkStore::new());
-        let sums = store
-            .resolve_aggregate_bag(
-                &proxies,
-                AggregateOp::Sum,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
+        let sums: Vec<Request> = proxies
+            .iter()
+            .map(|p| Request::new(p).fold(AggregateOp::Sum))
+            .collect();
+        let spd = RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        };
+        let sums = store.read(&sums, spd).unwrap();
         assert_eq!(sums.len(), 50);
-        assert_eq!(sums[0], Num::Int(28)); // 0+..+7
-        assert_eq!(sums[1], Num::Int(828)); // 100..107
+        let mut sums = sums.into_iter().map(|r| r.total().unwrap());
+        assert_eq!(sums.next(), Some(Num::Int(28))); // 0+..+7
+        assert_eq!(sums.next(), Some(Num::Int(828))); // 100..107
     }
 
     #[test]
@@ -253,23 +212,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ssdm-bag-{}", std::process::id()));
         let backend = crate::store::FileChunkStore::new(&dir).unwrap();
         let (mut store, proxies) = store_with_fleet(backend);
-        let bag = store
-            .resolve_bag(
-                &proxies,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap();
-        assert_eq!(bag.len(), 50);
-        assert_eq!(bag[7].elements()[2], Num::Int(702));
+        let spd = RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        };
+        let arrays = bag(&mut store, &proxies, spd);
+        assert_eq!(arrays.len(), 50);
+        assert_eq!(arrays[7].elements()[2], Num::Int(702));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_bag() {
         let (mut store, _) = store_with_fleet(MemoryChunkStore::new());
-        let bag = store.resolve_bag(&[], RetrievalStrategy::Single).unwrap();
-        assert!(bag.is_empty());
+        assert!(bag(&mut store, &[], RetrievalStrategy::Single).is_empty());
     }
 }

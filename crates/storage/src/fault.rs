@@ -113,8 +113,8 @@ pub struct FaultPlan {
     /// Per-[`OpKind`] fault probability in `[0, 1]`, indexed `[read,
     /// write, admin]`.
     pub rates: [f64; 3],
-    /// Relative weight of each [`FaultKind`] when a fault fires, indexed
-    /// by [`FaultKind::index`]. All-zero weights disable injection.
+    /// Relative weight of each [`FaultKind`] when a fault fires, in
+    /// [`FaultKind::ALL`] order. All-zero weights disable injection.
     pub weights: [u32; 5],
     /// Busy-wait charged by a [`FaultKind::LatencySpike`].
     pub spike: Duration,
@@ -178,13 +178,13 @@ impl FaultPlan {
     }
 }
 
-/// Counters of what the injector actually did — `injected[k]` indexed by
-/// [`FaultKind::index`].
+/// Counters of what the injector actually did — `injected[k]` in
+/// [`FaultKind::ALL`] order.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Operations seen, per [`OpKind::index`].
+    /// Operations seen, per [`OpKind`], indexed `[read, write, admin]`.
     pub ops: [u64; 3],
-    /// Faults injected, per [`FaultKind::index`].
+    /// Faults injected, per [`FaultKind`] in [`FaultKind::ALL`] order.
     pub injected: [u64; 5],
 }
 

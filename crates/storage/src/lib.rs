@@ -38,7 +38,7 @@ pub mod spd;
 mod store;
 pub mod wal;
 
-pub use apr::{AprStats, ArrayStore, RetrievalStrategy};
+pub use apr::{AprStats, ArrayStore, Request, Resolved, RetrievalStrategy};
 pub use cache::{CacheStats, CachedChunkStore, ChunkCache};
 pub use chunks::{auto_chunk_bytes, Chunking};
 pub use codec::{
@@ -46,7 +46,6 @@ pub use codec::{
 };
 pub use fault::{FaultInjectingChunkStore, FaultKind, FaultPlan, FaultStats, OpKind};
 pub use meta::{ArrayMeta, ArrayProxy};
-pub use parallel::ParallelConfig;
 pub use replica::{Breaker, BreakerState, Replica, ReplicaHealth};
 pub use resilient::{ResilienceStats, ResilientChunkStore, RetryPolicy};
 pub use shard::{ShardHealth, ShardOptions, ShardStats, ShardedChunkStore};

@@ -15,7 +15,7 @@
 //! just concurrently.
 //!
 //! Sequential APR runs the same statements through the same code
-//! ([`Lane::exclusive`]), so the per-op fallback contract is one piece
+//! (the exclusive lane), so the per-op fallback contract is one piece
 //! of code for both: a failed *batched* statement degrades to per-chunk
 //! retrieval of the needed keys it covered, inside the worker that
 //! claimed it. Errors that survive the fallback are reported
@@ -44,26 +44,6 @@ use crate::Result;
 fn obs_apr_fallbacks() -> &'static Arc<obs::Counter> {
     static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     C.get_or_init(|| obs::recorder().counter("ssdm_apr_fallbacks"))
-}
-
-/// Tuning for parallel resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads to partition the fetch plan across. `0` or `1`
-    /// selects the sequential path.
-    pub workers: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig { workers: 4 }
-    }
-}
-
-impl ParallelConfig {
-    pub fn with_workers(workers: usize) -> Self {
-        ParallelConfig { workers }
-    }
 }
 
 /// Execute every op of `plan` against `backend`, partitioned across at
@@ -96,7 +76,7 @@ pub fn fetch_plan<S: SharedChunkRead + ?Sized>(
 /// The generalized pipeline under [`fetch_plan`]: each claimed op's
 /// rows are handed to `process` *inside the worker that fetched them*,
 /// so per-chunk work (CRC verification, decoding, partial aggregate
-/// folds — see `ArrayStore::run`) overlaps the
+/// folds — see `ArrayStore::read`) overlaps the
 /// round trips of the other ops and the payloads can be dropped without
 /// ever being assembled centrally. Results return per op in plan order,
 /// and the earliest op's error (fetch or process) wins

@@ -76,6 +76,13 @@ pub enum StorageError {
     /// matched. Not a failure of the back-end: callers that treat "no
     /// value" as unbound match exactly this variant.
     EmptyView,
+    /// A [`crate::Request`] list the runner refuses: a `first_only`
+    /// probe next to another request (its early stop would stop them
+    /// too), or a probe that folds.
+    InvalidRequest,
+    /// A [`crate::Resolved`] accessor asked for a result its
+    /// request did not compute, say the array of a fold.
+    NotRequested(&'static str),
 }
 
 impl StorageError {
@@ -98,7 +105,9 @@ impl StorageError {
             | StorageError::Array(_)
             | StorageError::DeadlineExceeded { .. }
             | StorageError::ShardUnavailable { .. }
-            | StorageError::EmptyView => false,
+            | StorageError::EmptyView
+            | StorageError::InvalidRequest
+            | StorageError::NotRequested(_) => false,
         }
     }
 
@@ -159,6 +168,10 @@ impl std::fmt::Display for StorageError {
                 write!(f, "shard(s) {} unavailable", list.join(", "))
             }
             StorageError::EmptyView => write!(f, "aggregate over empty array view"),
+            StorageError::InvalidRequest => {
+                write!(f, "a first_only probe is read alone and does not fold")
+            }
+            StorageError::NotRequested(what) => write!(f, "the request did not ask for {what}"),
         }
     }
 }

@@ -5,11 +5,29 @@
 //!   resolve correctly and cover every needed chunk;
 //! * `BufferedIn` with a needed-chunk count that is an exact multiple
 //!   of `buffer_size` must issue exactly `n / buffer_size` statements —
-//!   no empty trailing `IN ()` batch.
+//!   no empty trailing `IN ()` batch;
+//! * a request list or an accessor a public [`Request`] makes possible
+//!   but the runner cannot honour is a typed error.
 
-use ssdm_array::NumArray;
+use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_storage::spd::SpdOptions;
-use ssdm_storage::{ArrayStore, MemoryChunkStore, RetrievalStrategy};
+use ssdm_storage::{
+    ArrayProxy, ArrayStore, ChunkStore, MemoryChunkStore, Request, RetrievalStrategy, StorageError,
+    ValuePredicate,
+};
+
+mod common;
+use common::one;
+
+type Store = ArrayStore<MemoryChunkStore>;
+
+fn elements(store: &mut Store, view: &ArrayProxy, s: RetrievalStrategy) -> Vec<i64> {
+    let a = one(store, Request::new(view), s)
+        .unwrap()
+        .into_array()
+        .unwrap();
+    a.elements().iter().map(|n| n.as_i64()).collect()
+}
 
 #[test]
 fn spd_strides_crossing_chunk_boundaries_resolve_exactly() {
@@ -22,18 +40,10 @@ fn spd_strides_crossing_chunk_boundaries_resolve_exactly() {
         let base = store.store_array(&v, chunk_bytes).unwrap();
         let view = base.slice(0, 1, stride, 59).unwrap();
         let expected: Vec<i64> = (1..60).step_by(stride).map(|i| i as i64).collect();
-        let got: Vec<i64> = store
-            .resolve(
-                &view,
-                RetrievalStrategy::SpdRange {
-                    options: SpdOptions::default(),
-                },
-            )
-            .unwrap()
-            .elements()
-            .iter()
-            .map(|n| n.as_i64())
-            .collect();
+        let spd = RetrievalStrategy::SpdRange {
+            options: SpdOptions::default(),
+        };
+        let got = elements(&mut store, &view, spd);
         assert_eq!(got, expected, "chunk_bytes={chunk_bytes} stride={stride}");
         let stats = store.last_stats();
         assert!(stats.statements >= 1);
@@ -53,25 +63,11 @@ fn spd_stride_across_2d_chunk_seams_matches_whole_array() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&m, 56).unwrap(); // 7 elems/chunk vs 9/row
     let col = base.subscript(1, 4).unwrap();
-    let spd: Vec<i64> = store
-        .resolve(
-            &col,
-            RetrievalStrategy::SpdRange {
-                options: SpdOptions::default(),
-            },
-        )
-        .unwrap()
-        .elements()
-        .iter()
-        .map(|n| n.as_i64())
-        .collect();
-    let whole: Vec<i64> = store
-        .resolve(&col, RetrievalStrategy::WholeArray)
-        .unwrap()
-        .elements()
-        .iter()
-        .map(|n| n.as_i64())
-        .collect();
+    let spd = RetrievalStrategy::SpdRange {
+        options: SpdOptions::default(),
+    };
+    let spd = elements(&mut store, &col, spd);
+    let whole = elements(&mut store, &col, RetrievalStrategy::WholeArray);
     assert_eq!(spd, whole);
     assert_eq!(spd, (0..24).map(|r| (r * 9 + 4) * 3).collect::<Vec<_>>());
 }
@@ -82,10 +78,8 @@ fn buffered_in_exact_multiple_has_no_empty_trailing_batch() {
     let v = NumArray::from_i64_shaped((0..128).collect(), &[128]).unwrap();
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&v, 64).unwrap(); // 8 elems/chunk, 16 chunks
-    let got = store
-        .resolve(&base, RetrievalStrategy::BufferedIn { buffer_size: 4 })
-        .unwrap();
-    assert_eq!(got.element_count(), 128);
+    let buffered = RetrievalStrategy::BufferedIn { buffer_size: 4 };
+    assert_eq!(elements(&mut store, &base, buffered).len(), 128);
     let stats = store.last_stats();
     assert_eq!(stats.chunks_fetched, 16);
     assert_eq!(
@@ -100,10 +94,8 @@ fn buffered_in_exact_multiple_under_various_buffers() {
     for buffer_size in [1usize, 2, 3, 6, 12] {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let base = store.store_array(&v, 64).unwrap(); // 12 chunks
-        let got = store
-            .resolve(&base, RetrievalStrategy::BufferedIn { buffer_size })
-            .unwrap();
-        assert_eq!(got.element_count(), 96);
+        let buffered = RetrievalStrategy::BufferedIn { buffer_size };
+        assert_eq!(elements(&mut store, &base, buffered).len(), 96);
         let stats = store.last_stats();
         assert_eq!(
             stats.statements as usize,
@@ -112,4 +104,57 @@ fn buffered_in_exact_multiple_under_various_buffers() {
         );
         assert_eq!(stats.chunks_fetched, 12);
     }
+}
+
+/// A probe stops at its first match. Next to another request that stop
+/// would leave the other's chunks unfetched, so the runner refuses the
+/// list before any statement, on both entry points; so too a probe that
+/// folds.
+#[test]
+fn a_probe_in_a_bag_is_a_typed_error() {
+    let mut store = ArrayStore::new(MemoryChunkStore::new());
+    let base = store.store_array(&NumArray::from_i64((0..64).collect()), 64);
+    let base = base.unwrap();
+    let pred = ValuePredicate::In(vec![Num::Int(3)]);
+    let probe = Request::new(&base).filter(&pred).first_only();
+    let whole = Request::new(&base);
+    for bag in [[probe, whole], [whole, probe], [probe, probe]] {
+        let single = RetrievalStrategy::Single;
+        let err = store.read(&bag, single).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidRequest), "{err}");
+        let err = store.read_parallel(&bag, single, 4).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidRequest), "{err}");
+    }
+    let folded = [probe.fold(AggregateOp::Sum)];
+    let err = store.read(&folded, RetrievalStrategy::Single).unwrap_err();
+    assert!(matches!(err, StorageError::InvalidRequest), "{err}");
+    assert_eq!(store.backend().io_stats().statements, 0);
+    // Alone, the probe answers.
+    let alone = one(&mut store, probe, RetrievalStrategy::Single).unwrap();
+    assert!(alone.found().unwrap());
+}
+
+/// Each accessor answers for the request shape that computes it.
+#[test]
+fn an_accessor_the_request_did_not_ask_for_is_a_typed_error() {
+    let mut store = ArrayStore::new(MemoryChunkStore::new());
+    let base = store.store_array(&NumArray::from_i64((0..64).collect()), 64);
+    let base = base.unwrap();
+    let pred = ValuePredicate::In(vec![Num::Int(3)]);
+    let not_requested = |r: Result<_, StorageError>| match r {
+        Err(StorageError::NotRequested(_)) => {}
+        other => panic!("expected NotRequested, got {other:?}"),
+    };
+    let mut read = |req| one(&mut store, req, RetrievalStrategy::Single).unwrap();
+    let sum = Request::new(&base).fold(AggregateOp::Sum);
+    not_requested(read(sum).into_array().map(|_| ()));
+    not_requested(read(sum).into_matches().map(|_| ()));
+    not_requested(read(sum).found().map(|_| ()));
+    let whole = Request::new(&base);
+    not_requested(read(whole).total().map(|_| ()));
+    not_requested(read(whole).found().map(|_| ()));
+    let filter = Request::new(&base).filter(&pred);
+    not_requested(read(filter).into_array().map(|_| ()));
+    not_requested(read(filter).total().map(|_| ()));
+    assert_eq!(read(filter).into_matches().unwrap(), vec![Num::Int(3)]);
 }

@@ -8,9 +8,12 @@
 
 use ssdm_array::NumArray;
 use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, ResilientChunkStore,
+    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, Request, ResilientChunkStore,
     RetrievalStrategy, RetryPolicy, SharedChunkRead,
 };
+
+mod common;
+use common::one;
 
 #[test]
 fn delete_then_restore_same_id_serves_fresh_bytes() {
@@ -71,8 +74,9 @@ fn stale_chunks_never_survive_through_the_resilient_wrapper() {
     let p1 = store.store_array(&first, 64).unwrap();
     let id1 = p1.meta().array_id;
     // Read everything through the cache so every chunk is resident.
-    let got: Vec<i64> = store
-        .resolve(&p1, RetrievalStrategy::WholeArray)
+    let got: Vec<i64> = one(&mut store, Request::new(&p1), RetrievalStrategy::WholeArray)
+        .unwrap()
+        .into_array()
         .unwrap()
         .elements()
         .iter()

@@ -6,9 +6,12 @@
 use ssdm_array::NumArray;
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, RetrievalStrategy,
+    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, Request, RetrievalStrategy,
     StorageError,
 };
+
+mod common;
+use common::one;
 
 /// The most austere conforming back-end: single-chunk statements only,
 /// every batched entry point left to the trait defaults.
@@ -76,8 +79,9 @@ fn batched_plans_downgrade_to_per_chunk_statements() {
         let mut store = ArrayStore::new(SingleOnlyStore::new());
         let proxy = store.store_array(&m, 64).unwrap(); // 8 elems/chunk
         let col = proxy.subscript(1, 7).unwrap(); // touches 20 chunks
-        let got: Vec<i64> = store
-            .resolve(&col, strategy)
+        let got: Vec<i64> = one(&mut store, Request::new(&col), strategy)
+            .unwrap()
+            .into_array()
             .unwrap()
             .elements()
             .iter()
@@ -105,8 +109,7 @@ fn batched_plans_downgrade_to_per_chunk_statements() {
     let mut capable = ArrayStore::new(MemoryChunkStore::new());
     let proxy = capable.store_array(&m, 64).unwrap();
     let col = proxy.subscript(1, 7).unwrap();
-    capable
-        .resolve(&col, RetrievalStrategy::BufferedIn { buffer_size: 8 })
-        .unwrap();
+    let buffered = RetrievalStrategy::BufferedIn { buffer_size: 8 };
+    one(&mut capable, Request::new(&col), buffered).unwrap();
     assert!(capable.last_stats().statements < capable.last_stats().chunks_fetched);
 }

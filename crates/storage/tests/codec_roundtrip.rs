@@ -9,9 +9,12 @@ use proptest::prelude::*;
 use ssdm_array::{Num, NumArray, NumericType};
 use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk, summary_of};
 use ssdm_storage::{
-    ArrayStore, ChunkStore, CodecError, CodecId, CodecPolicy, MemoryChunkStore,
+    ArrayStore, ChunkStore, CodecError, CodecId, CodecPolicy, MemoryChunkStore, Request,
     ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError, ValuePredicate, SCC_HEADER,
 };
+
+mod common;
+use common::one;
 
 const POLICIES: [CodecPolicy; 4] = [
     CodecPolicy::Raw,
@@ -122,7 +125,8 @@ proptest! {
             let mut store = ArrayStore::new(MemoryChunkStore::new());
             store.set_codec(policy);
             let proxy = store.store_array(&resident, chunk_elems * 8).unwrap();
-            let got = store.resolve(&proxy, RetrievalStrategy::WholeArray).unwrap();
+            let got = one(&mut store, Request::new(&proxy), RetrievalStrategy::WholeArray);
+            let got = got.unwrap().into_array().unwrap();
             prop_assert!(got.array_eq(&resident), "policy {}", policy.name());
         }
     }
@@ -182,10 +186,8 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
     let array_id = proxy.array_id();
 
     // Sanity: intact frames resolve.
-    assert!(store
-        .resolve(&proxy, RetrievalStrategy::Single)
-        .unwrap()
-        .array_eq(&resident));
+    let back = one(&mut store, Request::new(&proxy), RetrievalStrategy::Single).unwrap();
+    assert!(back.into_array().unwrap().array_eq(&resident));
 
     // Overwrite chunk 2 with garbage that is NOT an SCC1 frame. The
     // backend re-frames it with a valid checksum, so only the codec
@@ -194,8 +196,7 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
         .backend_mut()
         .put_chunk(array_id, 2, b"not a frame")
         .unwrap();
-    let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+    let err = one(&mut store, Request::new(&proxy), RetrievalStrategy::Single)
         .expect_err("corrupt codec frame must not resolve");
     match &err {
         StorageError::Corrupt {
@@ -219,8 +220,7 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
     .0;
     frame.truncate(frame.len() - 3);
     store.backend_mut().put_chunk(array_id, 3, &frame).unwrap();
-    let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+    let err = one(&mut store, Request::new(&proxy), RetrievalStrategy::Single)
         .expect_err("truncated codec frame must not resolve");
     assert!(
         matches!(err, StorageError::Corrupt { chunk_id: 2, .. })
@@ -229,13 +229,12 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
     );
 
     // Aggregates take the same decode path and fail the same way.
-    let err = store
-        .resolve_aggregate(
-            &proxy,
-            ssdm_array::AggregateOp::Sum,
-            RetrievalStrategy::Single,
-        )
-        .expect_err("aggregate over corrupt chunk must fail");
+    let err = one(
+        &mut store,
+        Request::new(&proxy).fold(ssdm_array::AggregateOp::Sum),
+        RetrievalStrategy::Single,
+    )
+    .expect_err("aggregate over corrupt chunk must fail");
     assert!(matches!(err, StorageError::Corrupt { .. }));
 }
 
@@ -417,12 +416,10 @@ fn decode_words_reports_damage_before_its_stop_point() {
         .put_chunk(proxy.array_id(), 0, cut)
         .unwrap();
     let early = proxy.slice(0, 10, 1, 99).unwrap();
-    assert!(store
-        .resolve(&early, RetrievalStrategy::Single)
-        .unwrap()
-        .array_eq(&resident.slice(0, 10, 1, 99).unwrap()));
-    let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+    let back = one(&mut store, Request::new(&early), RetrievalStrategy::Single).unwrap();
+    let back = back.into_array().unwrap();
+    assert!(back.array_eq(&resident.slice(0, 10, 1, 99).unwrap()));
+    let err = one(&mut store, Request::new(&proxy), RetrievalStrategy::Single)
         .expect_err("the damaged block is inside the window");
     assert!(matches!(err, StorageError::Corrupt { chunk_id: 0, .. }));
 }

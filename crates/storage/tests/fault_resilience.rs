@@ -14,9 +14,12 @@ use ssdm_array::{AggregateOp, NumArray};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayProxy, ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultKind, FaultPlan,
-    MemoryChunkStore, OpKind, RawChunkAccess, RelChunkStore, ResilientChunkStore,
+    MemoryChunkStore, OpKind, RawChunkAccess, RelChunkStore, Request, ResilientChunkStore,
     RetrievalStrategy, RetryPolicy, StorageError,
 };
+
+mod common;
+use common::one;
 
 const ROWS: usize = 24;
 const COLS: usize = 24;
@@ -51,10 +54,10 @@ fn run_battery<S: ChunkStore>(
             proxy.subscript(0, 3).unwrap(),
             proxy.slice(0, 2, 3, 19).unwrap(),
         ] {
-            let resolved = store.resolve(&view, strategy)?;
+            let resolved = one(store, Request::new(&view), strategy)?.into_array()?;
             out.push(resolved.elements().iter().map(|n| n.as_i64()).collect());
         }
-        let sum = store.resolve_aggregate(proxy, AggregateOp::Sum, strategy)?;
+        let sum = one(store, Request::new(proxy).fold(AggregateOp::Sum), strategy)?.total()?;
         out.push(vec![sum.as_i64()]);
     }
     Ok(out)
@@ -108,9 +111,8 @@ fn apr_stats_report_retries_under_faults() {
 
     let mut saw_retries = false;
     for _ in 0..10 {
-        store
-            .resolve(&proxy, RetrievalStrategy::BufferedIn { buffer_size: 4 })
-            .unwrap();
+        let buffered = RetrievalStrategy::BufferedIn { buffer_size: 4 };
+        one(&mut store, Request::new(&proxy), buffered).unwrap();
         if store.last_stats().retries > 0 {
             saw_retries = true;
             assert!(store.last_stats().degraded());
@@ -171,10 +173,9 @@ fn batched_statement_giveup_degrades_to_per_chunk_fallback() {
         ArrayStore::new(ResilientChunkStore::new(injected, policy))
     };
     let probe_proxy = probe_store.store_array(&matrix(), CHUNK_BYTES).unwrap();
-    let resolved = probe_store
-        .resolve(&probe_proxy, RetrievalStrategy::WholeArray)
-        .unwrap();
-    assert_eq!(resolved.elements().len(), ROWS * COLS);
+    let whole = RetrievalStrategy::WholeArray;
+    let resolved = one(&mut probe_store, Request::new(&probe_proxy), whole).unwrap();
+    assert_eq!(resolved.into_array().unwrap().element_count(), ROWS * COLS);
     let stats = probe_store.last_stats();
     assert!(
         stats.fallbacks > 0,
@@ -228,9 +229,7 @@ fn missing_chunk_faults_fail_fast_without_retries() {
 
     // Single strategy: the per-chunk statement has no batched fallback,
     // and MissingChunk is permanent — exactly one attempt, no pauses.
-    let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
-        .unwrap_err();
+    let err = one(&mut store, Request::new(&proxy), RetrievalStrategy::Single).unwrap_err();
     assert!(matches!(err, StorageError::MissingChunk { .. }));
     let res = store.backend().resilience_stats();
     assert_eq!(res.retries, 0, "permanent faults must not be retried");
@@ -258,11 +257,10 @@ fn spd() -> RetrievalStrategy {
 }
 
 fn bag_bits<S: ChunkStore>(store: &mut ArrayStore<S>, bag: &[ArrayProxy]) -> Vec<Vec<u64>> {
-    let resolved = store.resolve_bag(bag, spd()).unwrap();
-    resolved
-        .iter()
-        .map(|a| a.elements().iter().map(|n| n.as_f64().to_bits()).collect())
-        .collect()
+    let reqs: Vec<Request> = bag.iter().map(Request::new).collect();
+    let resolved = store.read(&reqs, spd()).unwrap().into_iter();
+    let bits = |a: NumArray| a.elements().iter().map(|n| n.as_f64().to_bits()).collect();
+    resolved.map(|r| bits(r.into_array().unwrap())).collect()
 }
 
 /// A bag gets the per-op fallback contract of a single proxy: its

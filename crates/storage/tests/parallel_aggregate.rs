@@ -1,5 +1,5 @@
-//! Chunk-side parallel aggregation (`resolve_aggregate_parallel`) is
-//! **bit-identical** to sequential `resolve_aggregate` for every worker
+//! Chunk-side parallel aggregation (`read_parallel` of a fold) is
+//! **bit-identical** to the sequential `read` of it for every worker
 //! count, strategy, element type, and view shape: both paths fold each
 //! chunk's relevant elements with the same typed kernel and combine the
 //! per-chunk partials in plan order, so the fold tree never depends on
@@ -8,9 +8,12 @@
 use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, ParallelConfig,
-    RetrievalStrategy, SharedChunkRead, StorageError,
+    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, Request, RetrievalStrategy,
+    SharedChunkRead, StorageError,
 };
+
+mod common;
+use common::one;
 
 fn real_matrix() -> NumArray {
     NumArray::from_shape_fn(&[24, 24], |ix| {
@@ -62,6 +65,19 @@ fn bits(n: &Num) -> (bool, u64) {
     }
 }
 
+/// `req`'s fold, read alone on the sequential lane or on `workers`.
+fn fold<S: ChunkStore + SharedChunkRead>(
+    store: &mut ArrayStore<S>,
+    req: Request,
+    workers: Option<usize>,
+) -> Result<Num, StorageError> {
+    let s = RetrievalStrategy::Single;
+    match workers {
+        None => one(store, req, s)?.total(),
+        Some(w) => store.read_parallel(&[req], s, w)?.remove(0).total(),
+    }
+}
+
 #[test]
 fn parallel_aggregation_is_bit_identical() {
     for array in [real_matrix(), int_matrix()] {
@@ -70,16 +86,11 @@ fn parallel_aggregation_is_bit_identical() {
             let base = store.store_array(&array, 256).unwrap();
             for view in views(&base) {
                 for &op in OPS {
-                    let seq = store.resolve_aggregate(&view, op, strategy).unwrap();
+                    let req = Request::new(&view).fold(op);
+                    let seq = one(&mut store, req, strategy).unwrap().total().unwrap();
                     for workers in [1, 2, 4] {
-                        let par = store
-                            .resolve_aggregate_parallel(
-                                &view,
-                                op,
-                                strategy,
-                                ParallelConfig::with_workers(workers),
-                            )
-                            .unwrap();
+                        let par = store.read_parallel(&[req], strategy, workers).unwrap();
+                        let par = par.into_iter().next().unwrap().total().unwrap();
                         assert_eq!(
                             bits(&par),
                             bits(&seq),
@@ -101,16 +112,11 @@ fn parallel_aggregation_matches_resident_for_int() {
     let array = int_matrix();
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&array, 128).unwrap();
+    let buffered = RetrievalStrategy::BufferedIn { buffer_size: 4 };
     for &op in OPS {
         let resident = array.aggregate(op).unwrap();
-        let streamed = store
-            .resolve_aggregate_parallel(
-                &base,
-                op,
-                RetrievalStrategy::BufferedIn { buffer_size: 4 },
-                ParallelConfig::with_workers(4),
-            )
-            .unwrap();
+        let streamed = store.read_parallel(&[Request::new(&base).fold(op)], buffered, 4);
+        let streamed = streamed.unwrap().remove(0).total().unwrap();
         assert_eq!(bits(&streamed), bits(&resident), "{op:?}");
     }
 }
@@ -119,38 +125,30 @@ fn parallel_aggregation_matches_resident_for_int() {
 fn empty_views_and_count_take_no_fetches() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&real_matrix(), 256).unwrap();
-    let config = ParallelConfig::with_workers(4);
 
     // Count needs no chunk payloads at all.
     store.backend_mut().reset_io_stats();
-    let n = store
-        .resolve_aggregate_parallel(&base, AggregateOp::Count, RetrievalStrategy::Single, config)
-        .unwrap();
+    let n = fold(
+        &mut store,
+        Request::new(&base).fold(AggregateOp::Count),
+        Some(4),
+    )
+    .unwrap();
     assert_eq!(bits(&n), (true, (24 * 24) as u64));
     assert_eq!(store.backend().io_stats().statements, 0);
 
     // Empty array: Sum/Count answer without fetching, Min errors —
     // exactly like the sequential path.
     let empty = store.store_array(&NumArray::from_f64(vec![]), 256).unwrap();
-    assert_eq!(
-        bits(
-            &store
-                .resolve_aggregate_parallel(
-                    &empty,
-                    AggregateOp::Sum,
-                    RetrievalStrategy::Single,
-                    config
-                )
-                .unwrap()
-        ),
-        (true, 0)
+    let sum = fold(
+        &mut store,
+        Request::new(&empty).fold(AggregateOp::Sum),
+        Some(4),
     );
-    assert!(store
-        .resolve_aggregate_parallel(&empty, AggregateOp::Min, RetrievalStrategy::Single, config)
-        .is_err());
-    assert!(store
-        .resolve_aggregate(&empty, AggregateOp::Min, RetrievalStrategy::Single)
-        .is_err());
+    assert_eq!(bits(&sum.unwrap()), (true, 0));
+    let min = Request::new(&empty).fold(AggregateOp::Min);
+    assert!(fold(&mut store, min, Some(4)).is_err());
+    assert!(fold(&mut store, min, None).is_err());
 }
 
 /// A back-end that declares `supports_parallel: false`; any call on the
@@ -209,34 +207,18 @@ impl SharedChunkRead for NoParallelStore {
 fn aggregate_degrades_on_unsupported_backends_and_one_worker() {
     let mut store = ArrayStore::new(NoParallelStore(MemoryChunkStore::new()));
     let base = store.store_array(&real_matrix(), 256).unwrap();
-    let seq = store
-        .resolve_aggregate(&base, AggregateOp::Sum, RetrievalStrategy::Single)
-        .unwrap();
+    let sum = Request::new(&base).fold(AggregateOp::Sum);
+    let seq = fold(&mut store, sum, None).unwrap();
     // Capability gate: 4 workers requested, sequential path taken (the
     // panicking SharedChunkRead impl proves the shared path is unused).
-    let gated = store
-        .resolve_aggregate_parallel(
-            &base,
-            AggregateOp::Sum,
-            RetrievalStrategy::Single,
-            ParallelConfig::with_workers(4),
-        )
-        .unwrap();
+    let gated = fold(&mut store, sum, Some(4)).unwrap();
     assert_eq!(bits(&gated), bits(&seq));
 
     // workers == 1 degrades the same way on any back-end.
     let mut plain = ArrayStore::new(MemoryChunkStore::new());
     let base = plain.store_array(&real_matrix(), 256).unwrap();
-    let seq = plain
-        .resolve_aggregate(&base, AggregateOp::Sum, RetrievalStrategy::Single)
-        .unwrap();
-    let one = plain
-        .resolve_aggregate_parallel(
-            &base,
-            AggregateOp::Sum,
-            RetrievalStrategy::Single,
-            ParallelConfig::with_workers(1),
-        )
-        .unwrap();
+    let sum = Request::new(&base).fold(AggregateOp::Sum);
+    let seq = fold(&mut plain, sum, None).unwrap();
+    let one = fold(&mut plain, sum, Some(1)).unwrap();
     assert_eq!(bits(&one), bits(&seq));
 }

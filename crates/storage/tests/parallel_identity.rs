@@ -1,7 +1,7 @@
-//! Tentpole acceptance: `resolve_parallel` is **bit-identical** to
-//! sequential `resolve` for every strategy, pattern, and worker count —
-//! and the APR statement accounting stays exact, because the same
-//! back-end statements execute, just concurrently.
+//! `read_parallel` is **bit-identical** to sequential `read` for every
+//! strategy, pattern, worker count and mix of requests in a bag — and
+//! the APR statement accounting stays exact, because the same back-end
+//! statements execute, just concurrently.
 
 use std::sync::Arc;
 
@@ -9,10 +9,13 @@ use ssdm_array::{AggregateOp, ArrayView, Dim, Num, NumArray, NumericType};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayMeta, ArrayProxy, ArrayStore, CachedChunkStore, Capabilities, ChunkStore, Chunking,
-    FaultInjectingChunkStore, FaultPlan, FileChunkStore, IoStats, MemoryChunkStore, ParallelConfig,
-    RelChunkStore, RetrievalStrategy, ShardOptions, ShardedChunkStore, SharedChunkRead,
-    SharedChunkStore, StorageError,
+    FaultInjectingChunkStore, FaultPlan, FileChunkStore, IoStats, MemoryChunkStore, RelChunkStore,
+    Request, Resolved, RetrievalStrategy, ShardOptions, ShardedChunkStore, SharedChunkRead,
+    SharedChunkStore, StorageError, ValuePredicate,
 };
+
+mod common;
+use common::one;
 
 fn matrix() -> NumArray {
     NumArray::from_shape_fn(&[32, 32], |ix| {
@@ -50,7 +53,10 @@ fn parallel_resolution_is_bit_identical_with_exact_stats() {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let base = store.store_array(&matrix(), 256).unwrap();
         for view in views(&base) {
-            let seq = store.resolve(&view, strategy).unwrap();
+            let seq = one(&mut store, Request::new(&view), strategy)
+                .unwrap()
+                .into_array()
+                .unwrap();
             let seq_stats = store.last_stats();
             let seq_bits: Vec<u64> = seq
                 .elements()
@@ -59,7 +65,10 @@ fn parallel_resolution_is_bit_identical_with_exact_stats() {
                 .collect();
             for workers in [2, 4, 8] {
                 let par = store
-                    .resolve_parallel(&view, strategy, ParallelConfig::with_workers(workers))
+                    .read_parallel(&[Request::new(&view)], strategy, workers)
+                    .unwrap()
+                    .remove(0)
+                    .into_array()
                     .unwrap();
                 let par_bits: Vec<u64> = par
                     .elements()
@@ -93,12 +102,18 @@ fn parallel_through_the_cache_stays_identical() {
     let mut store = ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20));
     let base = store.store_array(&matrix(), 256).unwrap();
     let col = base.subscript(1, 9).unwrap();
-    let seq = store.resolve(&col, RetrievalStrategy::Single).unwrap();
+    let seq = one(&mut store, Request::new(&col), RetrievalStrategy::Single)
+        .unwrap()
+        .into_array()
+        .unwrap();
     // Repeat with warm cache and workers: identical bits, zero backend
     // statements.
     store.backend_mut().reset_io_stats();
     let par = store
-        .resolve_parallel(&col, RetrievalStrategy::Single, ParallelConfig::default())
+        .read_parallel(&[Request::new(&col)], RetrievalStrategy::Single, 4)
+        .unwrap()
+        .remove(0)
+        .into_array()
         .unwrap();
     assert_eq!(par.elements(), seq.elements());
     assert_eq!(
@@ -164,19 +179,21 @@ impl SharedChunkRead for NoParallelStore {
 
 #[test]
 fn unsupported_backends_degrade_to_sequential() {
-    // resolve_parallel must honor the capability flag and take the
+    // read_parallel must honor the capability flag and take the
     // sequential (&mut) path; the panicking SharedChunkRead impl proves
     // the shared path is never touched.
     let mut store = ArrayStore::new(NoParallelStore(MemoryChunkStore::new()));
     let base = store.store_array(&matrix(), 256).unwrap();
     let col = base.subscript(1, 2).unwrap();
-    let seq = store.resolve(&col, RetrievalStrategy::Single).unwrap();
+    let seq = one(&mut store, Request::new(&col), RetrievalStrategy::Single)
+        .unwrap()
+        .into_array()
+        .unwrap();
     let par = store
-        .resolve_parallel(
-            &col,
-            RetrievalStrategy::Single,
-            ParallelConfig::with_workers(4),
-        )
+        .read_parallel(&[Request::new(&col)], RetrievalStrategy::Single, 4)
+        .unwrap()
+        .remove(0)
+        .into_array()
         .unwrap();
     assert_eq!(seq.elements(), par.elements());
 }
@@ -199,13 +216,15 @@ fn one_worker_is_the_sequential_path() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&matrix(), 256).unwrap();
     let view = base.subscript(1, 0).unwrap();
-    let seq = store.resolve(&view, RetrievalStrategy::Single).unwrap();
+    let seq = one(&mut store, Request::new(&view), RetrievalStrategy::Single)
+        .unwrap()
+        .into_array()
+        .unwrap();
     let one = store
-        .resolve_parallel(
-            &view,
-            RetrievalStrategy::Single,
-            ParallelConfig::with_workers(1),
-        )
+        .read_parallel(&[Request::new(&view)], RetrievalStrategy::Single, 1)
+        .unwrap()
+        .remove(0)
+        .into_array()
         .unwrap();
     assert_eq!(seq.elements(), one.elements());
 }
@@ -296,72 +315,102 @@ fn fleet<S: ChunkStore>(store: &mut ArrayStore<S>, seed: u64, arrays: u64) -> Ve
     bag
 }
 
-/// Bit-exact key for an aggregate result; errors compare by message.
-fn outcome(r: Result<Num, StorageError>) -> Result<(u8, u64), String> {
-    match r {
-        Ok(Num::Int(v)) => Ok((0, v as u64)),
-        Ok(Num::Real(v)) => Ok((1, v.to_bits())),
-        Err(e) => Err(e.to_string()),
-    }
+/// What one request of a read came to, bit for bit: an array's shape
+/// then its elements, the matches, or the fold. Errors compare by
+/// message.
+fn outcome(req: &Request, r: Result<Resolved, StorageError>) -> Result<Vec<(u8, u64)>, String> {
+    let key = |n: Num| match n {
+        Num::Int(v) => (0, v as u64),
+        Num::Real(v) => (1, v.to_bits()),
+    };
+    let keys = r.and_then(|r| match (req.pred, req.fold) {
+        (_, Some(_)) => Ok(vec![key(r.total()?)]),
+        (Some(_), None) => Ok(r.into_matches()?.into_iter().map(key).collect()),
+        (None, None) => {
+            let a = r.into_array()?;
+            let shape = a.shape().into_iter().map(|d| (2, d as u64));
+            Ok(shape.chain(a.elements().into_iter().map(key)).collect())
+        }
+    });
+    keys.map_err(|e| e.to_string())
 }
 
-fn element_bits(a: &NumArray) -> (Vec<usize>, Vec<(u8, u64)>) {
-    let bits = a.elements().into_iter().map(|n| outcome(Ok(n)).unwrap());
-    (a.shape(), bits.collect())
-}
-
-/// `resolve_bag[i]` is bit-identical to `resolve(p_i)`,
-/// `resolve_aggregate_bag[i]` to `resolve_aggregate(p_i)` for every
-/// aggregate, and the bag issues no more statements than resolving its
-/// proxies one by one. `fresh` empties any chunk cache, so both sides
-/// are counted cold.
-fn bag_differential<S: ChunkStore>(mut store: ArrayStore<S>, fresh: impl Fn(&ArrayStore<S>)) {
+/// Each request of a bag is bit-identical to the same request read
+/// alone, on `read` and on `read_parallel` at 1 and 4 workers, and the
+/// bag issues no more statements than its requests read one by one.
+/// The bags: every proxy materialized; every proxy folded; and mixed,
+/// the proxies taking turns to materialize, fold, filter and fold over
+/// a filter — Int and Real arrays, some read twice, so requests on one
+/// array share chunks. `fresh` empties any chunk cache, so every read
+/// is counted cold.
+fn bag_differential<S: ChunkStore + SharedChunkRead>(
+    mut store: ArrayStore<S>,
+    fresh: impl Fn(&ArrayStore<S>),
+) {
+    let pred = ValuePredicate::Range {
+        lo: Num::Int(-20),
+        hi: Num::Real(30.5),
+    };
     for (seed, arrays) in [(1, 1), (2, 7), (3, 40)] {
-        let bag = fleet(&mut store, seed, arrays);
-        for strategy in strategies() {
-            fresh(&store);
-            let resolved = store.resolve_bag(&bag, strategy).unwrap();
-            let bag_statements = store.last_stats().statements;
-            let mut statements = 0;
-            for (p, got) in bag.iter().zip(&resolved) {
-                fresh(&store);
-                let one = store.resolve(p, strategy).unwrap();
-                statements += store.last_stats().statements;
-                assert_eq!(element_bits(got), element_bits(&one), "{}", strategy.name());
-            }
-            assert!(
-                bag_statements <= statements,
-                "{}: bag {bag_statements} > per-proxy {statements} statements",
-                strategy.name()
-            );
-            for op in [
-                AggregateOp::Sum,
-                AggregateOp::Prod,
-                AggregateOp::Avg,
-                AggregateOp::Min,
-                AggregateOp::Max,
-                AggregateOp::Count,
-            ] {
-                // A bag answers for all its proxies or fails: it fails
-                // exactly when one proxy alone does (an empty view's
-                // `Min`, an overflowing `Prod`), and the proxies that
-                // have an answer get it bit for bit.
-                let singles: Vec<_> = bag
-                    .iter()
-                    .map(|p| outcome(store.resolve_aggregate(p, op, strategy)))
-                    .collect();
-                let answered = store.resolve_aggregate_bag(&bag, op, strategy);
-                assert_eq!(answered.is_err(), singles.iter().any(|r| r.is_err()));
-                let answerable: Vec<ArrayProxy> = bag
-                    .iter()
-                    .zip(&singles)
-                    .filter(|(_, r)| r.is_ok())
-                    .map(|(p, _)| p.clone())
-                    .collect();
-                let folds = store.resolve_aggregate_bag(&answerable, op, strategy);
-                let folds: Vec<_> = folds.unwrap().into_iter().map(|n| outcome(Ok(n))).collect();
-                let expected: Vec<_> = singles.into_iter().filter(|r| r.is_ok()).collect();
-                assert_eq!(folds, expected, "{op:?} {}", strategy.name());
+        let proxies = fleet(&mut store, seed, arrays);
+        let whole: Vec<Request> = proxies.iter().map(Request::new).collect();
+        let mut bags = vec![whole.clone()];
+        for op in [
+            AggregateOp::Sum,
+            AggregateOp::Prod,
+            AggregateOp::Avg,
+            AggregateOp::Min,
+            AggregateOp::Max,
+            AggregateOp::Count,
+        ] {
+            bags.push(whole.iter().map(|r| r.fold(op)).collect());
+            let mixed = whole.iter().enumerate().map(|(i, r)| match i % 4 {
+                0 => *r,
+                1 => r.fold(op),
+                2 => r.filter(&pred),
+                _ => r.filter(&pred).fold(op),
+            });
+            bags.push(mixed.collect());
+        }
+        for bag in &bags {
+            for strategy in strategies() {
+                let (mut singles, mut statements) = (Vec::new(), 0);
+                for req in bag {
+                    fresh(&store);
+                    singles.push(outcome(req, one(&mut store, *req, strategy)));
+                    statements += store.last_stats().statements;
+                }
+                for workers in [None, Some(1), Some(4)] {
+                    let mut read = |reqs: &[Request]| {
+                        fresh(&store);
+                        let read = match workers {
+                            None => store.read(reqs, strategy),
+                            Some(w) => store.read_parallel(reqs, strategy, w),
+                        };
+                        let got =
+                            read.map(|rs| reqs.iter().zip(rs).map(|(q, r)| outcome(q, Ok(r))));
+                        (got.map(Vec::from_iter), store.last_stats().statements)
+                    };
+                    let at = format!("{} workers {workers:?}", strategy.name());
+                    let (got, bag_statements) = read(bag);
+                    assert!(
+                        bag_statements <= statements,
+                        "{at}: {bag_statements} statements"
+                    );
+                    match got {
+                        Ok(got) => assert_eq!(got, singles, "{at}"),
+                        // An overflowing `Prod` fails the read it is in;
+                        // without it, the others get their answers.
+                        Err(_) => {
+                            let ok = |(_, s): &(_, &Result<_, _>)| s.is_ok();
+                            let (answerable, expected): (Vec<Request>, Vec<_>) =
+                                bag.iter().zip(&singles).filter(ok).unzip();
+                            assert!(expected.len() < singles.len(), "{at}");
+                            let answers = read(&answerable).0.unwrap();
+                            assert!(answers.iter().eq(expected), "{at}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -5,8 +5,12 @@
 use proptest::prelude::*;
 use ssdm_array::{AggregateOp, NumArray};
 use ssdm_storage::{
-    spd::SpdOptions, ArrayStore, ChunkStore, MemoryChunkStore, RelChunkStore, RetrievalStrategy,
+    spd::SpdOptions, ArrayStore, ChunkStore, MemoryChunkStore, RelChunkStore, Request,
+    RetrievalStrategy,
 };
+
+mod common;
+use common::one;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -71,16 +75,16 @@ fn check<S: ChunkStore>(backend: S, sc: &Scenario) {
         RetrievalStrategy::WholeArray,
     ];
     for s in strategies {
-        let got = store.resolve(&view_proxy, s).unwrap();
+        let got = one(&mut store, Request::new(&view_proxy), s).unwrap();
+        let got = got.into_array().unwrap();
         assert!(
             got.array_eq(&view_resident),
             "strategy {} diverged: {got} vs {view_resident}",
             s.name()
         );
         if view_resident.element_count() > 0 {
-            let agg = store
-                .resolve_aggregate(&view_proxy, AggregateOp::Sum, s)
-                .unwrap();
+            let sum = Request::new(&view_proxy).fold(AggregateOp::Sum);
+            let agg = one(&mut store, sum, s).unwrap().total().unwrap();
             assert_eq!(agg, view_resident.sum().unwrap(), "sum via {}", s.name());
         }
     }

@@ -9,10 +9,13 @@
 
 use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, CodecPolicy, MemoryChunkStore, ParallelConfig,
-    ResilientChunkStore, RetrievalStrategy, RetryPolicy, ShardOptions, ShardedChunkStore,
+    ArrayStore, CachedChunkStore, ChunkStore, CodecPolicy, MemoryChunkStore, Request,
+    ResilientChunkStore, Resolved, RetrievalStrategy, RetryPolicy, ShardOptions, ShardedChunkStore,
     SharedChunkRead, SharedChunkStore, ValuePredicate,
 };
+
+mod common;
+use common::one;
 
 const POLICIES: [CodecPolicy; 4] = [
     CodecPolicy::Raw,
@@ -110,24 +113,28 @@ where
             let p_on = on.store_array(&resident, 64 * 8).unwrap();
             let p_off = off.store_array(&resident, 64 * 8).unwrap();
 
+            let (filter_on, filter_off) = (Request::new(&p_on), Request::new(&p_off));
+            let (filter_on, filter_off) = (filter_on.filter(&pred), filter_off.filter(&pred));
             for strategy in [
                 RetrievalStrategy::Single,
                 RetrievalStrategy::BufferedIn { buffer_size: 4 },
                 RetrievalStrategy::WholeArray,
             ] {
-                let a = on.resolve_filtered(&p_on, &pred, strategy).unwrap();
-                let b = off.resolve_filtered(&p_off, &pred, strategy).unwrap();
+                let a = one(&mut on, filter_on, strategy).unwrap();
+                let b = one(&mut off, filter_off, strategy).unwrap();
                 assert_eq!(
-                    bits_vec(&a),
-                    bits_vec(&b),
+                    bits_vec(&a.into_matches().unwrap()),
+                    bits_vec(&b.into_matches().unwrap()),
                     "filtered scan differs: {} / {:?} / {:?}",
                     name,
                     policy.name(),
                     strategy
                 );
+                let a = one(&mut on, filter_on.first_only(), strategy).unwrap();
+                let b = one(&mut off, filter_off.first_only(), strategy).unwrap();
                 assert_eq!(
-                    on.resolve_exists(&p_on, &pred, strategy).unwrap(),
-                    off.resolve_exists(&p_off, &pred, strategy).unwrap(),
+                    a.found().unwrap(),
+                    b.found().unwrap(),
                     "exists differs: {name}"
                 );
                 for op in [
@@ -136,8 +143,8 @@ where
                     AggregateOp::Max,
                     AggregateOp::Count,
                 ] {
-                    let a = on.resolve_aggregate_filtered(&p_on, &pred, op, strategy);
-                    let b = off.resolve_aggregate_filtered(&p_off, &pred, op, strategy);
+                    let a = one(&mut on, filter_on.fold(op), strategy).and_then(Resolved::total);
+                    let b = one(&mut off, filter_off.fold(op), strategy).and_then(Resolved::total);
                     match (a, b) {
                         (Ok(x), Ok(y)) => assert_eq!(
                             bits(x),
@@ -151,14 +158,10 @@ where
                     // The parallel fold must agree with the sequential
                     // one bit-for-bit at every worker count.
                     for workers in [1usize, 4] {
-                        let par = on.resolve_aggregate_filtered_parallel(
-                            &p_on,
-                            &pred,
-                            op,
-                            strategy,
-                            ParallelConfig { workers },
-                        );
-                        let seq = off.resolve_aggregate_filtered(&p_off, &pred, op, strategy);
+                        let par = on.read_parallel(&[filter_on.fold(op)], strategy, workers);
+                        let par = par.and_then(|mut r| r.remove(0).total());
+                        let seq =
+                            one(&mut off, filter_off.fold(op), strategy).and_then(Resolved::total);
                         match (par, seq) {
                             (Ok(x), Ok(y)) => assert_eq!(
                                 bits(x),
@@ -176,12 +179,8 @@ where
 
             // Selective predicates must actually skip with the zone map
             // on, and never with it off.
-            let _ = on
-                .resolve_filtered(&p_on, &pred, RetrievalStrategy::Single)
-                .unwrap();
-            let _ = off
-                .resolve_filtered(&p_off, &pred, RetrievalStrategy::Single)
-                .unwrap();
+            one(&mut on, filter_on, RetrievalStrategy::Single).unwrap();
+            one(&mut off, filter_off, RetrievalStrategy::Single).unwrap();
             assert!(
                 on.last_stats().chunks_skipped > 0,
                 "no chunks skipped for {} under {}",
@@ -247,12 +246,10 @@ fn real_arrays_with_nans_prune_conservatively() {
         off.set_skip_enabled(false);
         let p_on = on.store_array(&resident, 64 * 8).unwrap();
         let p_off = off.store_array(&resident, 64 * 8).unwrap();
-        let a = on
-            .resolve_filtered(&p_on, &pred, RetrievalStrategy::Single)
-            .unwrap();
-        let b = off
-            .resolve_filtered(&p_off, &pred, RetrievalStrategy::Single)
-            .unwrap();
+        let single = RetrievalStrategy::Single;
+        let a = one(&mut on, Request::new(&p_on).filter(&pred), single).unwrap();
+        let b = one(&mut off, Request::new(&p_off).filter(&pred), single).unwrap();
+        let (a, b) = (a.into_matches().unwrap(), b.into_matches().unwrap());
         assert_eq!(bits_vec(&a), bits_vec(&b), "policy {}", policy.name());
         assert_eq!(a.len(), 63, "range covers one chunk minus its NaN");
         assert!(

@@ -3,7 +3,11 @@
 //! back-end only for the keys the cache lacks.
 
 use ssdm_array::NumArray;
-use ssdm_storage::{ArrayStore, CachedChunkStore, ChunkStore, RelChunkStore, RetrievalStrategy};
+use ssdm_storage::{
+    ArrayStore, CachedChunkStore, ChunkStore, RelChunkStore, Request, RetrievalStrategy,
+};
+
+type Store = ArrayStore<CachedChunkStore<RelChunkStore>>;
 
 #[test]
 fn a_warm_bag_issues_no_statements_and_returns_the_same_arrays() {
@@ -21,22 +25,26 @@ fn a_warm_bag_issues_no_statements_and_returns_the_same_arrays() {
     let strategy = RetrievalStrategy::SpdRange {
         options: Default::default(),
     };
-    let statements =
-        |store: &ArrayStore<CachedChunkStore<RelChunkStore>>| store.backend().io_stats().statements;
+    let statements = |store: &Store| store.backend().io_stats().statements;
+    let read = |store: &mut Store, reqs: &[Request]| -> Vec<NumArray> {
+        let resolved = store.read(reqs, strategy).unwrap().into_iter();
+        resolved.map(|r| r.into_array().unwrap()).collect()
+    };
+    let bag: Vec<Request> = heads.iter().map(Request::new).collect();
     store.backend().cache().clear();
 
     let before = statements(&store);
-    let cold = store.resolve_bag(&heads, strategy).unwrap();
+    let cold = read(&mut store, &bag);
     assert_eq!(statements(&store) - before, 1, "one composite IN, cold");
 
     let before = statements(&store);
-    let warm = store.resolve_bag(&heads, strategy).unwrap();
+    let warm = read(&mut store, &bag);
     assert_eq!(
         statements(&store) - before,
         0,
         "a warm bag reaches no back-end"
     );
-    for ((c, w), p) in cold.iter().zip(&warm).zip(&heads) {
+    for ((c, w), req) in cold.iter().zip(&warm).zip(&bag) {
         let bits = |a: &NumArray| {
             a.elements()
                 .iter()
@@ -44,10 +52,8 @@ fn a_warm_bag_issues_no_statements_and_returns_the_same_arrays() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(w), bits(c));
-        assert_eq!(
-            bits(w),
-            bits(&store.resolve(p, RetrievalStrategy::Single).unwrap())
-        );
+        let mut alone = store.read(&[*req], RetrievalStrategy::Single).unwrap();
+        assert_eq!(bits(w), bits(&alone.remove(0).into_array().unwrap()));
     }
 
     // Half warm: only the missing keys are fetched, still in one IN.
@@ -56,7 +62,7 @@ fn a_warm_bag_issues_no_statements_and_returns_the_same_arrays() {
         store.backend().cache().invalidate(array, chunk);
     }
     let before = statements(&store);
-    let half = store.resolve_bag(&heads, strategy).unwrap();
+    let half = read(&mut store, &bag);
     assert_eq!(statements(&store) - before, 1);
     assert!(half.iter().zip(&cold).all(|(h, c)| h.array_eq(c)));
 }
