@@ -674,14 +674,11 @@ impl Dataset {
     }
 
     /// Read one request through the APR with the dataset's retrieval
-    /// strategy and worker count. A `first_only` probe reads on one
-    /// worker, where its early stop saves the statements after the
-    /// first match.
+    /// strategy and worker count.
     pub(crate) fn read_array(&mut self, req: Request<'_>) -> ssdm_storage::Result<Resolved> {
-        let workers = if req.first_only { 1 } else { self.workers };
         Ok(self
             .arrays
-            .read_parallel(&[req], self.strategy, workers)?
+            .read_parallel(&[req], self.strategy, self.workers)?
             .remove(0))
     }
 

@@ -405,7 +405,7 @@ fn array_contains(ds: &mut Dataset, args: &[Value]) -> EvalResult {
             a.elements().into_iter().any(|n| pred.matches(n)),
         ))),
         Value::Proxy(p) => {
-            let probe = Request::new(p).filter(&pred).first_only();
+            let probe = Request::new(p).probe(&pred);
             Ok(Some(Value::boolean(ds.read_array(probe)?.found()?)))
         }
         _ => Ok(None),

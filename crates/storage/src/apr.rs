@@ -321,7 +321,7 @@ impl<S: ChunkStore> ArrayStore<S> {
     ///
     /// A request's result is bit-identical whichever bag it is read
     /// in, on either entry point, with any worker count and strategy.
-    /// A `first_only` request read next to any other is
+    /// A [`probe`](Request::probe) read next to any other request is
     /// [`StorageError::InvalidRequest`]: its early stop would stop
     /// them too.
     pub fn read(
@@ -337,8 +337,10 @@ impl<S: ChunkStore> ArrayStore<S> {
     /// statements execute, concurrently, so results are bit-identical
     /// and [`last_stats`](Self::last_stats) stays exact. Each worker
     /// decodes, filters and folds the chunks it fetched, so fetch and
-    /// compute overlap. With at most one worker, or a back-end without
-    /// [`supports_parallel`], this *is* `read`.
+    /// compute overlap. With at most one worker, a back-end without
+    /// [`supports_parallel`], or a [`probe`](Request::probe), this *is*
+    /// `read`: a probe's early stop saves the statements after its
+    /// first match only when one worker fetches in plan order.
     ///
     /// [`supports_parallel`]: crate::Capabilities::supports_parallel
     pub fn read_parallel(
@@ -350,7 +352,8 @@ impl<S: ChunkStore> ArrayStore<S> {
     where
         S: crate::SharedChunkRead,
     {
-        let lane = if workers > 1 && self.backend.capabilities().supports_parallel {
+        let parallel = workers > 1 && self.backend.capabilities().supports_parallel;
+        let lane = if parallel && !reqs.iter().any(|r| r.first_only) {
             Lane::shared(workers)
         } else {
             Lane::exclusive()
@@ -378,7 +381,7 @@ impl<S: ChunkStore> ArrayStore<S> {
             out[at].fold = req.fold;
             if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
                 // Counting an unfiltered view needs no element.
-                out[at].acc = Some(Num::Int(req.proxy.element_count() as i64));
+                out[at].acc = Some(Ok(Num::Int(req.proxy.element_count() as i64)));
                 continue;
             }
             let meta = req.proxy.meta();
@@ -541,40 +544,18 @@ impl<S: ChunkStore> ArrayStore<S> {
 }
 
 /// One array read: a proxy's view and what to make of its elements.
-/// With neither `pred` nor `fold` it materializes the view
-/// ([`Resolved::into_array`]); `pred` alone keeps the matching elements
-/// ([`Resolved::into_matches`]); `fold` folds them
-/// ([`Resolved::total`]). A list of requests is one
+/// [`Request::new`] materializes the view ([`Resolved::into_array`]);
+/// [`filter`](Request::filter) keeps the matching elements
+/// ([`Resolved::into_matches`]); [`fold`](Request::fold) folds them
+/// ([`Resolved::total`]); [`probe`](Request::probe) asks whether any
+/// element matches ([`Resolved::found`]). A list of requests is one
 /// [`ArrayStore::read`].
 #[derive(Debug, Clone, Copy)]
 pub struct Request<'a> {
-    pub proxy: &'a ArrayProxy,
-    /// Only elements satisfying it take part; `None` is always-true.
-    /// Chunks whose zone-map summary proves no element can match are
-    /// skipped before fetch. Skipping is conservative: results are
-    /// identical with it on or off
-    /// ([`ArrayStore::set_skip_enabled`]).
-    pub pred: Option<&'a ValuePredicate>,
-    /// Fold the participating elements to one number instead of
-    /// emitting them (the AAPR operator): chunks are fetched batch-wise
-    /// and folded at once, so peak memory is one batch whatever the
-    /// view's size. Each chunk's participating elements, in view order,
-    /// fold into a *per-chunk partial* by the typed kernels
-    /// (`ssdm_array::kernel`), and partials combine in ascending chunk
-    /// order. That fold structure is the same for every lane, worker
-    /// count, strategy and bag, so the result is bit-identical across
-    /// them by construction (`f64` sums follow the documented pairwise
-    /// order; see DESIGN.md). A chunk none of whose elements take part
-    /// contributes no partial, exactly as if the zone map had skipped
-    /// it, which keeps filtered folds bit-identical with skipping on or
-    /// off. Over no elements `Count`/`Sum` are 0, `Prod` is 1 and the
-    /// rest are [`StorageError::EmptyView`].
-    pub fold: Option<AggregateOp>,
-    /// Stop at the first participating element (membership probes,
-    /// `EXISTS`): the answer is [`Resolved::found`]. A probe is read
-    /// alone and does not fold; anything else is
-    /// [`StorageError::InvalidRequest`].
-    pub first_only: bool,
+    proxy: &'a ArrayProxy,
+    pred: Option<&'a ValuePredicate>,
+    fold: Option<AggregateOp>,
+    first_only: bool,
 }
 
 impl<'a> Request<'a> {
@@ -588,6 +569,10 @@ impl<'a> Request<'a> {
         }
     }
 
+    /// Only elements satisfying `pred` take part. Chunks whose zone-map
+    /// summary proves no element can match are skipped before fetch.
+    /// Skipping is conservative: results are identical with it on or
+    /// off ([`ArrayStore::set_skip_enabled`]).
     pub fn filter(self, pred: &'a ValuePredicate) -> Self {
         Request {
             pred: Some(pred),
@@ -595,6 +580,22 @@ impl<'a> Request<'a> {
         }
     }
 
+    /// Fold the participating elements to one number instead of
+    /// emitting them (the AAPR operator): chunks are fetched batch-wise
+    /// and folded at once, so peak memory is one batch whatever the
+    /// view's size. Each chunk's participating elements, in view order,
+    /// fold into a *per-chunk partial* by the typed kernels
+    /// (`ssdm_array::kernel`), and partials combine in ascending chunk
+    /// order. That fold structure is the same for every lane, worker
+    /// count, strategy and bag, so the result is bit-identical across
+    /// them by construction (`f64` sums follow the documented pairwise
+    /// order; see DESIGN.md). A chunk none of whose elements take part
+    /// contributes no partial, exactly as if the zone map had skipped
+    /// it, which keeps filtered folds bit-identical with skipping on or
+    /// off. Over no elements `Count`/`Sum` are 0, `Prod` is 1 and the
+    /// rest are [`StorageError::EmptyView`]. A fold that fails (an
+    /// overflowing `Prod`) fails only this request's
+    /// [`Resolved::total`].
     pub fn fold(self, op: AggregateOp) -> Self {
         Request {
             fold: Some(op),
@@ -602,10 +603,14 @@ impl<'a> Request<'a> {
         }
     }
 
-    pub fn first_only(self) -> Self {
+    /// Stop at the first element satisfying `pred` (membership probes,
+    /// `EXISTS`): the answer is [`Resolved::found`]. A probe is read
+    /// alone and does not fold; anything else is
+    /// [`StorageError::InvalidRequest`].
+    pub fn probe(self, pred: &'a ValuePredicate) -> Self {
         Request {
             first_only: true,
-            ..self
+            ..self.filter(pred)
         }
     }
 }
@@ -620,10 +625,11 @@ pub struct Resolved {
     /// The matching elements, in view order (`pred` without `fold`, or
     /// a probe).
     matches: Option<Vec<Num>>,
-    /// The fold, its combined partials and how many elements they
+    /// The fold, its combined partials (or the first error, in chunk
+    /// order, folding or combining them) and how many elements they
     /// cover.
     fold: Option<AggregateOp>,
-    acc: Option<Num>,
+    acc: Option<Result<Num>>,
     folded: u64,
 }
 
@@ -663,8 +669,9 @@ impl Resolved {
                 Some(ChunkOut::Partial(None)) => {}
                 Some(ChunkOut::Partial(Some((partial, n)))) => {
                     self.folded += n;
-                    self.acc = Some(match (self.acc, part.req.fold) {
-                        (Some(prev), Some(op)) => combine(op, prev, partial)?,
+                    self.acc = Some(match (self.acc.take(), part.req.fold) {
+                        (Some(Ok(prev)), Some(op)) => partial.and_then(|p| combine(op, prev, p)),
+                        (Some(Err(e)), _) => Err(e),
                         _ => partial,
                     });
                 }
@@ -691,19 +698,21 @@ impl Resolved {
         })
     }
 
-    /// The materialized view of a request with neither `pred` nor
-    /// `fold`.
+    /// The materialized view of a request with neither a
+    /// [`filter`](Request::filter) nor a [`fold`](Request::fold).
     pub fn into_array(self) -> Result<NumArray> {
         self.array.ok_or(StorageError::NotRequested("an array"))
     }
 
-    /// The matching elements, in view order, of a request with a `pred`
-    /// and no `fold` (a probe's: those met before it stopped).
+    /// The matching elements, in view order, of a request with a
+    /// [`filter`](Request::filter) and no [`fold`](Request::fold) (a
+    /// probe's: those met before it stopped).
     pub fn into_matches(self) -> Result<Vec<Num>> {
         self.matches.ok_or(StorageError::NotRequested("matches"))
     }
 
-    /// Whether any element matched: the answer of a `first_only` probe.
+    /// Whether any element matched: the answer of a
+    /// [`probe`](Request::probe).
     pub fn found(&self) -> Result<bool> {
         let none = StorageError::NotRequested("matches");
         Ok(!self.matches.as_ref().ok_or(none)?.is_empty())
@@ -721,7 +730,7 @@ impl Resolved {
                 AggregateOp::Prod => Ok(Num::Int(1)),
                 _ => Err(StorageError::EmptyView),
             },
-            Some(total) => Ok(match op {
+            Some(total) => total.map(|total| match op {
                 AggregateOp::Avg => Num::Real(total.as_f64() / self.folded as f64),
                 _ => total,
             }),
@@ -750,11 +759,12 @@ pub(crate) enum ChunkOut {
     Dense(Buffer),
     /// Matching elements with their positions in the view's order.
     Matches(Vec<(usize, Num)>),
-    /// The fold partial over the participating elements and how many
-    /// there were; `None` when none took part, exactly as if the zone
-    /// map had skipped the chunk. `Avg` partials are raw sums and
-    /// `Count` partials are counts.
-    Partial(Option<(Num, u64)>),
+    /// The fold partial over the participating elements (or the error
+    /// folding them, which fails only its request) and how many there
+    /// were; `None` when none took part, exactly as if the zone map had
+    /// skipped the chunk. `Avg` partials are raw sums and `Count`
+    /// partials are counts.
+    Partial(Option<(Result<Num>, u64)>),
 }
 
 /// Decode and examine tallies of one resolution, shared by its workers.
@@ -897,13 +907,13 @@ impl ChunkCtx<'_> {
                     .collect(),
             ),
             Some(op) if req.pred.is_none() => {
-                ChunkOut::Partial(Some((W::fold(dense, op)?, dense.len() as u64)))
+                ChunkOut::Partial(Some((W::fold(dense, op), dense.len() as u64)))
             }
             Some(op) => {
                 let kept: Vec<W> = dense.iter().copied().filter(matches).collect();
                 ChunkOut::Partial(match kept.len() {
                     0 => None,
-                    n => Some((W::fold(&kept, op)?, n as u64)),
+                    n => Some((W::fold(&kept, op), n as u64)),
                 })
             }
         };
@@ -1272,13 +1282,7 @@ mod tests {
         let (mut store, proxy) = store_with_matrix(64);
         let hit = ValuePredicate::In(vec![Num::Int(42)]);
         let miss = ValuePredicate::In(vec![Num::Int(-7)]);
-        let mut exists = |pred| {
-            one(
-                &mut store,
-                Request::new(&proxy).filter(pred).first_only(),
-                SINGLE,
-            )
-        };
+        let mut exists = |pred| one(&mut store, Request::new(&proxy).probe(pred), SINGLE);
         assert!(exists(&hit).found().unwrap());
         assert!(!exists(&miss).found().unwrap());
         // Everything pruned: no statements reached the back-end.

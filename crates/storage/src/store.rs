@@ -76,9 +76,9 @@ pub enum StorageError {
     /// matched. Not a failure of the back-end: callers that treat "no
     /// value" as unbound match exactly this variant.
     EmptyView,
-    /// A [`crate::Request`] list the runner refuses: a `first_only`
-    /// probe next to another request (its early stop would stop them
-    /// too), or a probe that folds.
+    /// A [`crate::Request`] list the runner refuses: a probe
+    /// ([`crate::Request::probe`]) next to another request (its early
+    /// stop would stop them too), or a probe that folds.
     InvalidRequest,
     /// A [`crate::Resolved`] accessor asked for a result its
     /// request did not compute, say the array of a fold.
@@ -169,7 +169,7 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::EmptyView => write!(f, "aggregate over empty array view"),
             StorageError::InvalidRequest => {
-                write!(f, "a first_only probe is read alone and does not fold")
+                write!(f, "a probe is read alone and does not fold")
             }
             StorageError::NotRequested(what) => write!(f, "the request did not ask for {what}"),
         }

@@ -109,14 +109,15 @@ fn buffered_in_exact_multiple_under_various_buffers() {
 /// A probe stops at its first match. Next to another request that stop
 /// would leave the other's chunks unfetched, so the runner refuses the
 /// list before any statement, on both entry points; so too a probe that
-/// folds.
+/// folds. (A probe without a predicate cannot be built: `probe` takes
+/// one.)
 #[test]
 fn a_probe_in_a_bag_is_a_typed_error() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&NumArray::from_i64((0..64).collect()), 64);
     let base = base.unwrap();
     let pred = ValuePredicate::In(vec![Num::Int(3)]);
-    let probe = Request::new(&base).filter(&pred).first_only();
+    let probe = Request::new(&base).probe(&pred);
     let whole = Request::new(&base);
     for bag in [[probe, whole], [whole, probe], [probe, probe]] {
         let single = RetrievalStrategy::Single;
@@ -157,4 +158,36 @@ fn an_accessor_the_request_did_not_ask_for_is_a_typed_error() {
     not_requested(read(filter).into_array().map(|_| ()));
     not_requested(read(filter).total().map(|_| ()));
     assert_eq!(read(filter).into_matches().unwrap(), vec![Num::Int(3)]);
+}
+
+/// A fold that overflows fails its own request's `total` and no other:
+/// the read succeeds and every other request of the bag answers, on
+/// both entry points and whichever chunk order the workers finish in.
+/// Two elements a chunk: `2^20` products overflow when the per-chunk
+/// partials combine, `2^40` products inside one chunk's fold.
+#[test]
+fn a_failed_fold_fails_only_its_request() {
+    let mut store = ArrayStore::new(MemoryChunkStore::new());
+    let single = RetrievalStrategy::Single;
+    for v in [1i64 << 20, 1 << 40] {
+        let big = store.store_array(&NumArray::from_i64(vec![v; 16]), 16);
+        let big = big.unwrap();
+        let prod = Request::new(&big).fold(AggregateOp::Prod);
+        let sum = Request::new(&big).fold(AggregateOp::Sum);
+        let whole = Request::new(&big);
+        let alone = one(&mut store, prod, single).unwrap();
+        let overflow = alone.total().unwrap_err();
+        assert!(matches!(overflow, StorageError::Array(_)), "{overflow}");
+        for workers in [None, Some(4)] {
+            let bag = [whole, prod, sum];
+            let got = match workers {
+                None => store.read(&bag, single),
+                Some(w) => store.read_parallel(&bag, single, w),
+            };
+            let [array, prod, sum] = <[_; 3]>::try_from(got.unwrap()).unwrap();
+            assert_eq!(array.into_array().unwrap().elements().len(), 16);
+            assert_eq!(prod.total().unwrap_err().to_string(), overflow.to_string());
+            assert_eq!(sum.total().unwrap(), Num::Int(16 * v));
+        }
+    }
 }

@@ -316,28 +316,43 @@ fn fleet<S: ChunkStore>(store: &mut ArrayStore<S>, seed: u64, arrays: u64) -> Ve
 }
 
 /// What one request of a read came to, bit for bit: an array's shape
-/// then its elements, the matches, or the fold. Errors compare by
-/// message.
-fn outcome(req: &Request, r: Result<Resolved, StorageError>) -> Result<Vec<(u8, u64)>, String> {
-    let key = |n: Num| match n {
+/// then its elements, the matches, or the fold.
+type Keys = Result<Vec<(u8, u64)>, StorageError>;
+
+/// Takes a request's answer out of its [`Resolved`].
+type Take = fn(Resolved) -> Keys;
+
+fn key(n: Num) -> (u8, u64) {
+    match n {
         Num::Int(v) => (0, v as u64),
         Num::Real(v) => (1, v.to_bits()),
-    };
-    let keys = r.and_then(|r| match (req.pred, req.fold) {
-        (_, Some(_)) => Ok(vec![key(r.total()?)]),
-        (Some(_), None) => Ok(r.into_matches()?.into_iter().map(key).collect()),
-        (None, None) => {
-            let a = r.into_array()?;
-            let shape = a.shape().into_iter().map(|d| (2, d as u64));
-            Ok(shape.chain(a.elements().into_iter().map(key)).collect())
-        }
-    });
-    keys.map_err(|e| e.to_string())
+    }
+}
+
+fn array(r: Resolved) -> Keys {
+    let a = r.into_array()?;
+    let shape = a.shape().into_iter().map(|d| (2, d as u64));
+    Ok(shape.chain(a.elements().into_iter().map(key)).collect())
+}
+
+fn matches(r: Resolved) -> Keys {
+    Ok(r.into_matches()?.into_iter().map(key).collect())
+}
+
+fn total(r: Resolved) -> Keys {
+    Ok(vec![key(r.total()?)])
+}
+
+/// One request's answer; errors compare by message.
+fn outcome(take: Take, r: Result<Resolved, StorageError>) -> Result<Vec<(u8, u64)>, String> {
+    r.and_then(take).map_err(|e| e.to_string())
 }
 
 /// Each request of a bag is bit-identical to the same request read
 /// alone, on `read` and on `read_parallel` at 1 and 4 workers, and the
-/// bag issues no more statements than its requests read one by one.
+/// bag issues no more statements than its requests read one by one. A
+/// request whose fold fails (an overflowing `Prod`, an empty `Min`)
+/// fails alone: the bag's read succeeds and its other requests answer.
 /// The bags: every proxy materialized; every proxy folded; and mixed,
 /// the proxies taking turns to materialize, fold, filter and fold over
 /// a filter — Int and Real arrays, some read twice, so requests on one
@@ -351,9 +366,13 @@ fn bag_differential<S: ChunkStore + SharedChunkRead>(
         lo: Num::Int(-20),
         hi: Num::Real(30.5),
     };
+    let mut overflowed = 0;
     for (seed, arrays) in [(1, 1), (2, 7), (3, 40)] {
         let proxies = fleet(&mut store, seed, arrays);
-        let whole: Vec<Request> = proxies.iter().map(Request::new).collect();
+        let whole: Vec<(Request, Take)> = proxies
+            .iter()
+            .map(|p| (Request::new(p), array as Take))
+            .collect();
         let mut bags = vec![whole.clone()];
         for op in [
             AggregateOp::Sum,
@@ -363,57 +382,57 @@ fn bag_differential<S: ChunkStore + SharedChunkRead>(
             AggregateOp::Max,
             AggregateOp::Count,
         ] {
-            bags.push(whole.iter().map(|r| r.fold(op)).collect());
-            let mixed = whole.iter().enumerate().map(|(i, r)| match i % 4 {
-                0 => *r,
-                1 => r.fold(op),
-                2 => r.filter(&pred),
-                _ => r.filter(&pred).fold(op),
+            bags.push(
+                whole
+                    .iter()
+                    .map(|(r, _)| (r.fold(op), total as Take))
+                    .collect(),
+            );
+            let mixed = whole.iter().enumerate().map(|(i, &(r, _))| -> (_, Take) {
+                match i % 4 {
+                    0 => (r, array),
+                    1 => (r.fold(op), total),
+                    2 => (r.filter(&pred), matches),
+                    _ => (r.filter(&pred).fold(op), total),
+                }
             });
             bags.push(mixed.collect());
         }
         for bag in &bags {
             for strategy in strategies() {
                 let (mut singles, mut statements) = (Vec::new(), 0);
-                for req in bag {
+                for &(req, take) in bag {
                     fresh(&store);
-                    singles.push(outcome(req, one(&mut store, *req, strategy)));
+                    singles.push(outcome(take, one(&mut store, req, strategy)));
                     statements += store.last_stats().statements;
                 }
+                let overflow =
+                    |s: &&Result<_, String>| s.as_ref().is_err_and(|e| e.contains("overflow"));
+                overflowed += singles.iter().filter(overflow).count();
+                let reqs: Vec<Request> = bag.iter().map(|&(req, _)| req).collect();
                 for workers in [None, Some(1), Some(4)] {
-                    let mut read = |reqs: &[Request]| {
-                        fresh(&store);
-                        let read = match workers {
-                            None => store.read(reqs, strategy),
-                            Some(w) => store.read_parallel(reqs, strategy, w),
-                        };
-                        let got =
-                            read.map(|rs| reqs.iter().zip(rs).map(|(q, r)| outcome(q, Ok(r))));
-                        (got.map(Vec::from_iter), store.last_stats().statements)
+                    fresh(&store);
+                    let read = match workers {
+                        None => store.read(&reqs, strategy),
+                        Some(w) => store.read_parallel(&reqs, strategy, w),
                     };
                     let at = format!("{} workers {workers:?}", strategy.name());
-                    let (got, bag_statements) = read(bag);
+                    let got: Vec<_> = bag
+                        .iter()
+                        .zip(read.unwrap_or_else(|e| panic!("{at}: {e}")))
+                        .map(|(&(_, take), r)| outcome(take, Ok(r)))
+                        .collect();
+                    assert_eq!(got, singles, "{at}");
+                    let bag_statements = store.last_stats().statements;
                     assert!(
                         bag_statements <= statements,
                         "{at}: {bag_statements} statements"
                     );
-                    match got {
-                        Ok(got) => assert_eq!(got, singles, "{at}"),
-                        // An overflowing `Prod` fails the read it is in;
-                        // without it, the others get their answers.
-                        Err(_) => {
-                            let ok = |(_, s): &(_, &Result<_, _>)| s.is_ok();
-                            let (answerable, expected): (Vec<Request>, Vec<_>) =
-                                bag.iter().zip(&singles).filter(ok).unzip();
-                            assert!(expected.len() < singles.len(), "{at}");
-                            let answers = read(&answerable).0.unwrap();
-                            assert!(answers.iter().eq(expected), "{at}");
-                        }
-                    }
                 }
             }
         }
     }
+    assert!(overflowed > 0, "no fold overflowed");
 }
 
 #[test]

@@ -130,8 +130,8 @@ where
                     policy.name(),
                     strategy
                 );
-                let a = one(&mut on, filter_on.first_only(), strategy).unwrap();
-                let b = one(&mut off, filter_off.first_only(), strategy).unwrap();
+                let a = one(&mut on, filter_on.probe(&pred), strategy).unwrap();
+                let b = one(&mut off, filter_off.probe(&pred), strategy).unwrap();
                 assert_eq!(
                     a.found().unwrap(),
                     b.found().unwrap(),
