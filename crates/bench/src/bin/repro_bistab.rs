@@ -146,8 +146,10 @@ fn main() -> ExitCode {
     println!(
         "\nReading: Q1 (metadata only) is storage-independent; Q2/Q3 touch small parts \
          of each trajectory, so chunked back-ends transfer KiB where 'resident' holds \
-         everything in RAM; Q4 (whole-array max) pays full transfer on every back-end, \
-         and the latency model shows the round-trip share."
+         everything in RAM; Q4 (whole-array max) is answered from the chunk summaries \
+         the zone map keeps, so no back-end transfers a trajectory for it (with the zone \
+         map off it pays full transfer on every back-end, as in the thesis), and the \
+         latency model shows the round-trip share."
     );
     std::fs::remove_dir_all(&dir).ok();
     report.finish()

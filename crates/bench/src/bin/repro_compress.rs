@@ -14,7 +14,9 @@
 //!    (`networked_dbms`: 500 µs per statement). The zone map prunes
 //!    non-qualifying chunks before any statement is issued. Claims:
 //!    **≥2×** end-to-end speedup with skipping on vs off, and chunks
-//!    skipped; results identical.
+//!    skipped; results identical. An unfiltered `Max` over the same
+//!    array is decided from the chunk summaries: claim, **0** chunks
+//!    fetched, with the answer of the zone map off.
 //! 3. **frame checksum** — `frame::crc32` (slicing-by-16), which every
 //!    fetched chunk and every replayed WAL record passes through, beside
 //!    the byte-at-a-time table loop it replaced. Claim: a **≥3×** ratio,
@@ -269,26 +271,36 @@ fn main() -> ExitCode {
         lo: Num::Int(64 * 100_000),
         hi: Num::Int(64 * 100_000 + 1023),
     };
-    let mut skipping = |enabled: bool| {
+    let mut aggregate = |enabled: bool, req: Request| {
         store.set_skip_enabled(enabled);
-        let (ms, sum) = best_of(agg_repeats, || {
-            let strategy = RetrievalStrategy::Single;
-            let sum = Request::new(&proxy).filter(&pred).fold(AggregateOp::Sum);
+        let (ms, total) = best_of(agg_repeats, || {
             let read = store
-                .read(&[sum], strategy)
+                .read(&[req], RetrievalStrategy::Single)
                 .and_then(|mut r| r.remove(0).total());
-            read.expect("filtered aggregate")
+            read.expect("aggregate")
         });
-        (ms, sum, store.last_stats())
+        (ms, total, store.last_stats())
     };
-    let (off_ms, off_sum, off_stats) = skipping(false);
-    let (on_ms, on_sum, on_stats) = skipping(true);
+    let sum = Request::new(&proxy).filter(&pred).fold(AggregateOp::Sum);
+    let max = Request::new(&proxy).fold(AggregateOp::Max);
+    let (off_ms, off_sum, off_stats) = aggregate(false, sum);
+    let (on_ms, on_sum, on_stats) = aggregate(true, sum);
+    let (_, off_max, _) = aggregate(false, max);
+    let (max_ms, on_max, max_stats) = aggregate(true, max);
     assert_eq!(on_sum, off_sum, "skipping changed an aggregate result");
+    assert_eq!(on_max, off_max, "deciding changed an aggregate result");
     assert_eq!(off_stats.chunks_skipped, 0);
     let skip_speedup = off_ms / on_ms;
     let row = |label: &str, ms: f64, stats: ssdm_storage::AprStats| {
         let (fetched, skipped) = (stats.chunks_fetched, stats.chunks_skipped);
-        vec![label.into(), ms.into(), fetched.into(), skipped.into()]
+        let decided = stats.chunks_decided;
+        vec![
+            label.into(),
+            ms.into(),
+            fetched.into(),
+            skipped.into(),
+            decided.into(),
+        ]
     };
     report.table(
         "skipping",
@@ -298,8 +310,13 @@ fn main() -> ExitCode {
             ("ms/aggregate", "ms", Fmt::Fixed(2)),
             ("chunks fetched", "chunks_fetched", Fmt::Plain),
             ("skipped", "chunks_skipped", Fmt::Plain),
+            ("decided", "chunks_decided", Fmt::Plain),
         ],
-        vec![row("off", off_ms, off_stats), row("on", on_ms, on_stats)],
+        vec![
+            row("off", off_ms, off_stats),
+            row("on", on_ms, on_stats),
+            row("on, unfiltered max", max_ms, max_stats),
+        ],
     );
 
     // --- Sweep 3: frame checksum ------------------------------------------
@@ -411,6 +428,8 @@ fn main() -> ExitCode {
     );
     let claim = "chunks the zone map skipped";
     report.check(claim, on_stats.chunks_skipped as f64, Bar::AtLeast(1.0));
+    let claim = "chunks an unfiltered max fetches with the zone map on";
+    report.check(claim, max_stats.chunks_fetched as f64, Bar::Equals(0.0));
     let claim = "sliced crc32 vs the byte-at-a-time loop";
     report.check(claim, crc_ratio, Bar::AtLeast(3.0));
     for (what, ratio) in kernel_ratios {

@@ -435,6 +435,7 @@ impl Dataset {
             kernel_elements: compute.elements_processed,
             fallbacks: apr.fallbacks,
             chunks_skipped: apr.chunks_skipped,
+            chunks_decided: apr.chunks_decided,
             chunks_decoded: apr.chunks_decoded,
             bytes_decoded: apr.bytes_decoded,
         }

@@ -344,12 +344,11 @@ impl ZoneStatsProvider for ArrayStore<DynChunkStore> {
     fn zone_selectivity(&self, pred: &ValuePredicate) -> ZoneSelectivity {
         let mut z = ZoneSelectivity::default();
         for zm in self.zone_maps() {
-            for (i, s) in zm.summaries.iter().enumerate() {
+            for s in &zm.summaries {
                 z.chunks_total += 1;
                 if s.may_match(zm.ty, pred) {
                     z.chunks_matching += 1;
                 }
-                let _ = i;
             }
         }
         z

@@ -49,6 +49,9 @@ pub struct CounterSnapshot {
     pub fallbacks: u64,
     /// Chunks skipped by zone-map predicate pruning (APR cumulative).
     pub chunks_skipped: u64,
+    /// Chunks whose fold partial the zone map decided, unread (APR
+    /// cumulative).
+    pub chunks_decided: u64,
     /// `SCC1` codec frames decoded (APR cumulative).
     pub chunks_decoded: u64,
     /// Uncompressed bytes produced by codec decodes (APR cumulative).
@@ -67,6 +70,7 @@ impl CounterSnapshot {
             kernel_elements: self.kernel_elements.saturating_sub(earlier.kernel_elements),
             fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
             chunks_skipped: self.chunks_skipped.saturating_sub(earlier.chunks_skipped),
+            chunks_decided: self.chunks_decided.saturating_sub(earlier.chunks_decided),
             chunks_decoded: self.chunks_decoded.saturating_sub(earlier.chunks_decoded),
             bytes_decoded: self.bytes_decoded.saturating_sub(earlier.bytes_decoded),
         }
@@ -81,13 +85,14 @@ impl CounterSnapshot {
         self.kernel_elements += other.kernel_elements;
         self.fallbacks += other.fallbacks;
         self.chunks_skipped += other.chunks_skipped;
+        self.chunks_decided += other.chunks_decided;
         self.chunks_decoded += other.chunks_decoded;
         self.bytes_decoded += other.bytes_decoded;
     }
 
     fn render_fields(&self) -> String {
         format!(
-            "statements={} chunks={} bytes={} cache_hits={} cache_misses={} kernel_elems={} fallbacks={} skipped={} decoded={} bytes_decoded={}",
+            "statements={} chunks={} bytes={} cache_hits={} cache_misses={} kernel_elems={} fallbacks={} skipped={} decided={} decoded={} bytes_decoded={}",
             self.statements,
             self.chunks_fetched,
             self.bytes_fetched,
@@ -96,6 +101,7 @@ impl CounterSnapshot {
             self.kernel_elements,
             self.fallbacks,
             self.chunks_skipped,
+            self.chunks_decided,
             self.chunks_decoded,
             self.bytes_decoded
         )

@@ -346,34 +346,66 @@ fn an_aggregate_argument_is_evaluated_once_per_row() {
     assert_eq!(ds.externalize_large_arrays().unwrap(), 20);
 
     let pattern = "?task ex:k ?k ; ex:tr ?tr FILTER(?k > 5)";
-    ds.arrays.backend_mut().reset_io_stats();
-    let maxima: Vec<Num> = rows(
-        &mut ds,
-        &format!("SELECT (array_max(?tr) AS ?m) WHERE {{ {pattern} }}"),
-    )
-    .iter()
-    .map(|r| r[0].as_ref().and_then(Value::as_num).unwrap())
-    .collect();
-    let per_row = ds.arrays.backend().io_stats();
-    assert_eq!(maxima.len(), 14);
+    // Back-end I/O and chunks decided from the zone map, per query.
+    let io = |ds: &Dataset| {
+        let io = ds.arrays.backend().io_stats();
+        let decided = ds.arrays.cumulative_stats().chunks_decided;
+        (io.statements, io.chunks_returned, decided)
+    };
+    let since = |ds: &Dataset, (s0, c0, d0)| {
+        let (s, c, d) = io(ds);
+        (s - s0, c - c0, d - d0)
+    };
+    let measure = |ds: &mut Dataset| {
+        let start = io(ds);
+        let maxima: Vec<Num> = rows(
+            ds,
+            &format!("SELECT (array_max(?tr) AS ?m) WHERE {{ {pattern} }}"),
+        )
+        .iter()
+        .map(|r| r[0].as_ref().and_then(Value::as_num).unwrap())
+        .collect();
+        let per_row = since(ds, start);
+        let start = io(ds);
+        let row = rows(
+            ds,
+            &format!(
+                "SELECT (AVG(array_max(?tr)) AS ?a) (SUM(array_max(?tr)) AS ?s) WHERE {{ {pattern} }}"
+            ),
+        )
+        .remove(0);
+        let aggregated = since(ds, start);
+        (
+            maxima,
+            per_row,
+            [exact(&row[0]), exact(&row[1])],
+            aggregated,
+        )
+    };
 
-    ds.arrays.backend_mut().reset_io_stats();
-    let row = &rows(
-        &mut ds,
-        &format!(
-            "SELECT (AVG(array_max(?tr)) AS ?a) (SUM(array_max(?tr)) AS ?s) WHERE {{ {pattern} }}"
-        ),
-    )[0];
-    let aggregated = ds.arrays.backend().io_stats();
+    // With the zone map off every `array_max` reads its chunks, so the
+    // back-end counts how often the argument is evaluated.
+    ds.arrays.set_skip_enabled(false);
+    let (maxima, per_row, row, aggregated) = measure(&mut ds);
+    assert_eq!(maxima.len(), 14);
     let (sum, avg) = fold(&maxima);
-    assert_eq!(
-        [exact(&row[0]), exact(&row[1])],
-        [exact(&cell(avg)), exact(&cell(sum))]
-    );
+    assert_eq!(row, [exact(&cell(avg)), exact(&cell(sum))]);
     // Two aggregates, each reading every array once: twice the
     // statements and chunks of the projection.
-    assert_eq!(per_row.statements, 14);
-    assert_eq!(per_row.chunks_returned, 14 * 8);
-    assert_eq!(aggregated.statements, 2 * per_row.statements);
-    assert_eq!(aggregated.chunks_returned, 2 * per_row.chunks_returned);
+    let (statements, chunks_returned, _) = per_row;
+    assert_eq!(statements, 14);
+    assert_eq!(chunks_returned, 14 * 8);
+    assert_eq!(aggregated.0, 2 * per_row.0);
+    assert_eq!(aggregated.1, 2 * per_row.1);
+
+    // With it on, each chunk's summary holds its maximum: the same
+    // answers, no chunk fetched, and the decided chunks count the
+    // evaluations instead.
+    ds.arrays.set_skip_enabled(true);
+    let (decided, per_row, decided_row, aggregated) = measure(&mut ds);
+    let bits = |v: &[Num]| v.iter().map(|n| exact(&cell(Some(*n)))).collect::<Vec<_>>();
+    assert_eq!(bits(&decided), bits(&maxima));
+    assert_eq!(decided_row, row);
+    assert_eq!(per_row, (0, 0, 14 * 8));
+    assert_eq!(aggregated, (0, 0, 2 * 14 * 8));
 }

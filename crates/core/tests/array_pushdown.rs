@@ -51,15 +51,34 @@ fn range_count_over_a_whole_raster_prunes_before_it_enumerates() {
     let mut ds = Dataset::in_memory();
     banded_raster(&mut ds);
     // Rows 100..108 hold exactly the values 6400..6911.
-    let q = format!(
-        "SELECT (array_count_range(?img, {}, {}) AS ?n) WHERE {{ <http://e#raster> <http://e#image> ?img }}",
-        BAND * 100,
-        BAND * 108 - 1
-    );
-    let pruned = single_cell(&mut ds, &q).unwrap().unwrap();
+    let range = |f: &str| {
+        format!(
+            "SELECT ({f}(?img, {}, {}) AS ?n) WHERE {{ <http://e#raster> <http://e#image> ?img }}",
+            BAND * 100,
+            BAND * 108 - 1
+        )
+    };
+    let q = range("array_count_range");
+    // With the zone map on, the 8 rows' summaries lie inside the range:
+    // their counts are decided, and nothing is fetched or examined.
+    let decided = single_cell(&mut ds, &q).unwrap().unwrap();
     let stats = ds.arrays.last_stats();
-    assert_eq!(pruned, (8 * SIDE).to_string());
+    assert_eq!(decided, (8 * SIDE).to_string());
     assert_eq!(stats.chunks_skipped, SIDE as u64 - 8);
+    assert_eq!(stats.chunks_decided, 8);
+    assert_eq!((stats.statements, stats.chunks_fetched), (0, 0));
+    assert_eq!(stats.chunks_decoded, 0);
+    assert_eq!(stats.elements_examined, 0);
+    assert_eq!(stats.elements_resolved, 8 * SIDE as u64);
+
+    // A sum over the same range is never decided: pruning alone leaves
+    // the 8 rows, and only their elements are examined.
+    single_cell(&mut ds, &range("array_sum_range"))
+        .unwrap()
+        .unwrap();
+    let stats = ds.arrays.last_stats();
+    assert_eq!(stats.chunks_skipped, SIDE as u64 - 8);
+    assert_eq!(stats.chunks_decided, 0);
     assert_eq!(stats.chunks_fetched, 8);
     assert_eq!(stats.chunks_decoded, 8);
     assert_eq!(stats.elements_examined, 8 * SIDE as u64);
@@ -69,8 +88,9 @@ fn range_count_over_a_whole_raster_prunes_before_it_enumerates() {
     ds.arrays.set_skip_enabled(false);
     let scanned = single_cell(&mut ds, &q).unwrap().unwrap();
     let stats = ds.arrays.last_stats();
-    assert_eq!(scanned, pruned, "skipping never changes the answer");
+    assert_eq!(scanned, decided, "the zone map never changes the answer");
     assert_eq!(stats.chunks_skipped, 0);
+    assert_eq!(stats.chunks_decided, 0);
     assert_eq!(stats.chunks_decoded, SIDE as u64);
     assert_eq!(stats.elements_examined, (SIDE * SIDE) as u64);
     assert_eq!(stats.elements_resolved, 8 * SIDE as u64);

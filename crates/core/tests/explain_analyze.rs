@@ -80,19 +80,18 @@ fn profile_reports_phases_and_operators() {
     }
 }
 
-#[test]
-fn operator_counters_reconcile_with_io_totals() {
-    let mut ds = chunked_dataset();
+const STATION_MAX: &str = "PREFIX ex: <http://example.org/>
+     SELECT ?st (array_max(?a) AS ?m)
+     WHERE { ?x ex:data ?a ; ex:station ?st }
+     ORDER BY ?st";
+
+/// Profile `STATION_MAX`, check that its per-operator rows sum exactly
+/// to its totals and that the totals are exactly the back-end's
+/// `IoStats`/cache movement over the query, and return the totals.
+fn reconciled_totals(ds: &mut Dataset) -> std::collections::HashMap<String, u64> {
     let io_before = ds.arrays.backend().io_stats();
     let cache_before = ds.arrays.backend().cache_stats();
-    let result = ds
-        .query(
-            "PREFIX ex: <http://example.org/>
-             EXPLAIN ANALYZE SELECT ?st (array_max(?a) AS ?m)
-             WHERE { ?x ex:data ?a ; ex:station ?st }
-             ORDER BY ?st",
-        )
-        .unwrap();
+    let result = ds.query(&format!("EXPLAIN ANALYZE {STATION_MAX}")).unwrap();
     let QueryResult::Text(profile) = result else {
         panic!("text result expected");
     };
@@ -122,6 +121,7 @@ fn operator_counters_reconcile_with_io_totals() {
         "cache_misses",
         "fallbacks",
         "skipped",
+        "decided",
         "decoded",
         "bytes_decoded",
     ] {
@@ -150,14 +150,46 @@ fn operator_counters_reconcile_with_io_totals() {
         totals["cache_misses"],
         cache_after.misses - cache_before.misses
     );
+    totals
+}
+
+/// `STATION_MAX`'s rows, printed.
+fn station_max(ds: &mut Dataset) -> Vec<Vec<Option<String>>> {
+    let rows = ds.query(STATION_MAX).unwrap().into_rows().unwrap();
+    let print = |row: Vec<_>| {
+        row.into_iter()
+            .map(|c: Option<_>| c.map(|v| format!("{v:?}")))
+    };
+    rows.into_iter().map(|r| print(r).collect()).collect()
+}
+
+#[test]
+fn operator_counters_reconcile_with_io_totals() {
+    let mut ds = chunked_dataset();
+    // With the zone map off, `array_max` reads every chunk.
+    ds.arrays.set_skip_enabled(false);
+    let answer = station_max(&mut ds);
+    let totals = reconciled_totals(&mut ds);
     // The query really did chunked work, so the reconciliation above is
     // not vacuous.
-    assert!(totals["statements"] > 0, "query did no I/O:\n{profile}");
+    assert!(totals["statements"] > 0, "query did no I/O: {totals:?}");
     assert!(totals["chunks"] > 0);
     // Externalized arrays are stored as SCC1 codec frames, so every
     // fetched chunk is decoded and the decode counters must move.
-    assert!(totals["decoded"] > 0, "no decodes recorded:\n{profile}");
+    assert!(totals["decoded"] > 0, "no decodes recorded: {totals:?}");
     assert!(totals["bytes_decoded"] > 0);
+    assert_eq!(totals["decided"], 0);
+
+    // With it on, every chunk's summary decides its maximum: the same
+    // answer, nothing fetched or decoded, and the decided chunks
+    // reconcile like every other counter.
+    ds.arrays.set_skip_enabled(true);
+    assert_eq!(station_max(&mut ds), answer);
+    let totals = reconciled_totals(&mut ds);
+    assert_eq!(totals["decided"], 4000 / 32, "{totals:?}");
+    for key in ["statements", "chunks", "decoded", "bytes_decoded"] {
+        assert_eq!(totals[key], 0, "{key} with every chunk decided");
+    }
 }
 
 #[test]
@@ -275,7 +307,7 @@ fn metadata_filter_sinks_below_array_bind() {
         ));
     }
     ds.load_turtle(&turtle).unwrap();
-    let mut profile = |select: &str, body: &str| {
+    let profile = |ds: &mut Dataset, select: &str, body: &str| {
         let q = format!(
             "PREFIX ex: <http://example.org/>
              EXPLAIN ANALYZE SELECT {select} WHERE {{ ?x ex:data ?a ; ex:k ?k . {body} }}"
@@ -284,11 +316,23 @@ fn metadata_filter_sinks_below_array_bind() {
             panic!("text result expected");
         };
         let totals = profile.lines().find(|l| l.starts_with("totals:")).unwrap();
-        (fields(totals)["chunks"], profile)
+        (fields(totals), profile)
     };
-    let (in_projection, _) = profile("(array_max(?a) AS ?m)", "FILTER (?k = 5)");
-    let (sunk, plan) = profile("?m", "BIND (array_max(?a) AS ?m) FILTER (?k = 5)");
-    let (held, _) = profile("?m", "BIND (array_max(?a) AS ?m) FILTER (?k = 5 && ?m > 0)");
+    let measure = |ds: &mut Dataset| {
+        let in_projection = profile(ds, "(array_max(?a) AS ?m)", "FILTER (?k = 5)");
+        let sunk = profile(ds, "?m", "BIND (array_max(?a) AS ?m) FILTER (?k = 5)");
+        let held = profile(
+            ds,
+            "?m",
+            "BIND (array_max(?a) AS ?m) FILTER (?k = 5 && ?m > 0)",
+        );
+        (in_projection, sunk, held)
+    };
+    // With the zone map off, `array_max` fetches the chunks it reads.
+    ds.arrays.set_skip_enabled(false);
+    let ((in_projection, _), (sunk, plan), (held, _)) = measure(&mut ds);
+    let chunks = |t: &std::collections::HashMap<String, u64>| t["chunks"];
+    let (in_projection, sunk, held) = (chunks(&in_projection), chunks(&sunk), chunks(&held));
     assert!(in_projection > 0);
     assert_eq!(sunk, in_projection, "one station's chunks:\n{plan}");
     assert_eq!(
@@ -301,6 +345,18 @@ fn metadata_filter_sinks_below_array_bind() {
         line("Extend").unwrap() < line("Filter").unwrap(),
         "Filter sits below the Extend:\n{plan}"
     );
+
+    // With it on, every maximum is decided from the zone map: nothing
+    // is fetched, and the decided chunks show the same sinking.
+    ds.arrays.set_skip_enabled(true);
+    let ((on_projection, _), (on_sunk, plan), (on_held, _)) = measure(&mut ds);
+    let decided = |t: &std::collections::HashMap<String, u64>| t["decided"];
+    for totals in [&on_projection, &on_sunk, &on_held] {
+        assert_eq!(chunks(totals), 0, "{totals:?}");
+    }
+    assert_eq!(decided(&on_projection), in_projection);
+    assert_eq!(decided(&on_sunk), in_projection, "one station's:\n{plan}");
+    assert_eq!(decided(&on_held), 8 * in_projection);
 }
 
 #[test]

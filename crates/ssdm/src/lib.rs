@@ -335,7 +335,7 @@ pub struct Ssdm {
 /// The process-wide recorder's series in Prometheus text format, with
 /// the core histograms and codec counters registered first, so a scrape
 /// sees stable series (with zero counts) even before the first chunk
-/// fetch, fsync, query, skipped or decoded chunk.
+/// fetch, fsync, query, skipped, decided or decoded chunk.
 pub(crate) fn recorder_prometheus_text() -> String {
     let rec = ssdm_obs::recorder();
     for name in [
@@ -345,7 +345,11 @@ pub(crate) fn recorder_prometheus_text() -> String {
     ] {
         let _ = rec.histogram(name);
     }
-    for name in ["ssdm_chunks_skipped", "ssdm_chunks_decoded"] {
+    for name in [
+        "ssdm_chunks_skipped",
+        "ssdm_chunks_decided",
+        "ssdm_chunks_decoded",
+    ] {
         let _ = rec.counter(name);
     }
     rec.prometheus_text()
@@ -445,6 +449,7 @@ impl Ssdm {
             r.push_int("apr", scope, "retries", apr.retries);
             r.push_int("apr", scope, "repaired", apr.corruption_repaired);
             r.push_int("apr", scope, "chunks_skipped", apr.chunks_skipped);
+            r.push_int("apr", scope, "chunks_decided", apr.chunks_decided);
             r.push_int("apr", scope, "chunks_decoded", apr.chunks_decoded);
             r.push_int("apr", scope, "bytes_decoded", apr.bytes_decoded);
             r.push_int("apr", scope, "elements_examined", apr.elements_examined);

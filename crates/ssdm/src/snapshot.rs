@@ -45,10 +45,12 @@ pub(crate) struct SnapshotContents {
     /// 0 for plain `.save` snapshots.
     pub(crate) wal_lsn: u64,
     metas: Vec<ArrayMeta>,
-    /// Chunk-summary zone maps (`zm` catalog lines), keyed by array id.
-    /// Restored after the catalog link so skipping survives restarts
-    /// without re-reading any chunk.
-    zone_maps: HashMap<u64, Vec<ChunkSummary>>,
+    /// Chunk-summary zone maps (`zm` catalog lines), keyed by array id,
+    /// each checked against its array ([`ZoneMap::check`]): a restored
+    /// summary decides answers, not only which chunks to skip. Restored
+    /// after the catalog link so the zone map survives restarts without
+    /// re-reading any chunk.
+    zone_maps: HashMap<u64, ZoneMap>,
     /// Planner calibration entries (`cal` catalog lines):
     /// `(predicate, ln_factor, samples)`. The learned per-predicate
     /// cardinality corrections survive restarts instead of the planner
@@ -135,8 +137,8 @@ impl Ssdm {
                 )
                 .expect("string write");
             }
-            // Persist the chunk-summary zone map so predicate-driven
-            // skipping works immediately after a restart, without
+            // Persist the chunk-summary zone map so skipping and
+            // deciding work immediately after a restart, without
             // touching the back-end: one `count:nulls:min:max` cell
             // per chunk (bit patterns, so NaN/-0.0 survive exactly).
             if let Some(zm) = self.dataset.arrays.zone_map(m.array_id) {
@@ -202,13 +204,12 @@ impl Ssdm {
         self.dataset.calibration = calibration;
         let mut zone_maps = contents.zone_maps;
         for meta in contents.metas {
-            let ty = meta.numeric_type;
             let array_id = meta.array_id;
             self.dataset.arrays.link_external(meta);
-            if let Some(summaries) = zone_maps.remove(&array_id) {
-                self.dataset
-                    .arrays
-                    .set_zone_map(array_id, ZoneMap { ty, summaries });
+            if let Some(zone_map) = zone_maps.remove(&array_id) {
+                let arrays = &mut self.dataset.arrays;
+                let installed = arrays.set_zone_map(array_id, zone_map);
+                installed.expect("zone map checked when the snapshot was parsed");
             }
         }
         Ok(wal_lsn)
@@ -299,6 +300,7 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
     // `Some(Some(name))` = named graph.
     let mut section: Option<Option<String>> = None;
     let mut block = String::new();
+    let mut summaries: HashMap<u64, Vec<ChunkSummary>> = HashMap::new();
     let flush = |contents: &mut SnapshotContents,
                  section: &Option<Option<String>>,
                  block: &str|
@@ -337,8 +339,8 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
             // zone-map line `zm id count:nulls:min:max,...`.
             let parts: Vec<&str> = line.split_whitespace().collect();
             if parts.first() == Some(&"zm") {
-                let (id, summaries) = parse_zone_map_line(&parts)?;
-                contents.zone_maps.insert(id, summaries);
+                let (id, cells) = parse_zone_map_line(&parts)?;
+                summaries.insert(id, cells);
                 continue;
             }
             if let Some(rest) = line.strip_prefix("cal ") {
@@ -391,6 +393,14 @@ fn parse_snapshot(text: &str) -> Result<SnapshotContents, QueryError> {
         }
     }
     flush(&mut contents, &section, &block)?;
+    for meta in &contents.metas {
+        if let Some(summaries) = summaries.remove(&meta.array_id) {
+            let ty = meta.numeric_type;
+            let zone_map = ZoneMap { ty, summaries };
+            zone_map.check(meta).map_err(QueryError::Storage)?;
+            contents.zone_maps.insert(meta.array_id, zone_map);
+        }
+    }
     Ok(contents)
 }
 
@@ -549,6 +559,59 @@ mod tests {
         let mut db = Ssdm::open(Backend::Memory);
         assert!(db.load_snapshot(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A `zm` line that does not describe its array's chunks is refused
+    /// with a typed error naming the array, and the engine is left as it
+    /// was: a summary that decides answers must be one the store wrote.
+    #[test]
+    fn a_tampered_zone_map_is_refused_on_reopen() {
+        use scisparql::QueryError;
+        use ssdm_storage::StorageError;
+        let good = tmp("zm-good");
+        let bad = tmp("zm-bad");
+        let mut db = Ssdm::open(Backend::Memory);
+        // Five elements, two to a chunk: the last chunk is short.
+        db.set_externalize_threshold(2, 16);
+        db.load_turtle("<http://r> <http://d> (3 1 4 1 5) .")
+            .unwrap();
+        let id = db.dataset.arrays.catalog().next().unwrap().array_id;
+        db.save_snapshot(&good).unwrap();
+        let text = std::fs::read_to_string(&good).unwrap();
+        let zm = text.lines().find(|l| l.starts_with("zm ")).unwrap();
+        let cells: Vec<&str> = zm.split(' ').nth(2).unwrap().split(',').collect();
+        assert_eq!(cells.len(), 3, "{zm}");
+        let with = |cells: &[String]| format!("zm {id} {}", cells.join(","));
+        let swap = |at: usize, cell: &str| {
+            let mut cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
+            cells[at] = cell.to_string();
+            with(&cells)
+        };
+        let min_max = |at: usize| cells[at].splitn(3, ':').nth(2).unwrap().to_string();
+        let tampered = [
+            with(&cells[..2].iter().map(|c| c.to_string()).collect::<Vec<_>>()),
+            swap(2, &format!("2:0:{}", min_max(2))),
+            swap(0, &format!("2:3:{}", min_max(0))),
+            swap(1, &format!("2:1:{}", min_max(1))),
+        ];
+        let mut reopened = Ssdm::open(Backend::Memory);
+        reopened.load_turtle("<http://s> <http://p> 1 .").unwrap();
+        for line in tampered {
+            std::fs::write(&bad, text.replace(zm, &line)).unwrap();
+            match reopened.load_snapshot(&bad) {
+                Err(QueryError::Storage(StorageError::UntrustedZoneMap { array_id, .. })) => {
+                    assert_eq!(array_id, id, "{line}")
+                }
+                other => panic!("{line} restored as {other:?}"),
+            }
+            assert_eq!(reopened.dataset.graph.len(), 1, "{line}");
+            assert_eq!(reopened.dataset.arrays.catalog().count(), 0);
+        }
+        reopened.load_snapshot(&good).unwrap();
+        let restored = reopened.dataset.arrays.zone_map(id).unwrap();
+        assert_eq!(Some(restored), db.dataset.arrays.zone_map(id));
+        std::fs::remove_file(&good).ok();
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]

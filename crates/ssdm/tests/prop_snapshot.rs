@@ -173,7 +173,8 @@ proptest! {
 
     /// The external-array catalog round-trips over a reopened file
     /// back-end: a fresh instance on the same chunk directory restores
-    /// proxies that resolve to the original data.
+    /// proxies that resolve to the original data, and the zone map the
+    /// store wrote, which then decides the maximum unread.
     #[test]
     fn external_catalog_round_trips_over_file_backend(
         values in prop::collection::vec(-10_000i64..10_000, 5..40),
@@ -187,18 +188,22 @@ proptest! {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join(" ");
-        {
+        let zone_map = {
             let mut db = Ssdm::open(Backend::File(dir.clone()));
             db.set_externalize_threshold(4, chunk_bytes);
             db.load_turtle(&format!("<http://r> <http://data> ( {list} ) ."))
                 .unwrap();
             prop_assert_eq!(db.dataset.arrays.catalog().count(), 1, "array must externalize");
             db.save_snapshot(&path).unwrap();
-        }
+            let id = db.dataset.arrays.catalog().next().unwrap().array_id;
+            db.dataset.arrays.zone_map(id).cloned()
+        };
         let mut back = Ssdm::open(Backend::File(dir.clone()));
         back.load_snapshot(&path).unwrap();
+        let id = back.dataset.arrays.catalog().next().unwrap().array_id;
+        prop_assert_eq!(back.dataset.arrays.zone_map(id).cloned(), zone_map);
         let rows = back
-            .query("SELECT (array_sum(?v) AS ?s) (array_count(?v) AS ?n) \
+            .query("SELECT (array_sum(?v) AS ?s) (array_count(?v) AS ?n) (array_max(?v) AS ?m) \
                     WHERE { <http://r> <http://data> ?v }")
             .unwrap()
             .into_rows()
@@ -209,6 +214,8 @@ proptest! {
             rows[0][1].as_ref().unwrap().to_string(),
             values.len().to_string()
         );
+        let max = values.iter().max().unwrap();
+        prop_assert_eq!(rows[0][2].as_ref().unwrap().to_string(), max.to_string());
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir_all(&dir).ok();
     }

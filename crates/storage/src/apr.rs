@@ -79,6 +79,11 @@ pub struct AprStats {
     /// they were dropped from the fetch plan before any back-end
     /// statement was issued.
     pub chunks_skipped: u64,
+    /// Chunks whose `Min`, `Max` or `Count` fold partial the zone map
+    /// held exactly ([`ChunkSummary::decide`]): the partial came from
+    /// the summary, and the chunk was neither fetched nor decoded for
+    /// the request that decided it.
+    pub chunks_decided: u64,
     /// Fetched `SCC1` frames that were decompressed during this
     /// resolution (zero for raw-stored arrays).
     pub chunks_decoded: u64,
@@ -109,6 +114,7 @@ impl AprStats {
         self.retries += delta.retries;
         self.corruption_repaired += delta.corruption_repaired;
         self.chunks_skipped += delta.chunks_skipped;
+        self.chunks_decided += delta.chunks_decided;
         self.chunks_decoded += delta.chunks_decoded;
         self.bytes_decoded += delta.bytes_decoded;
         self.elements_examined += delta.elements_examined;
@@ -119,6 +125,12 @@ impl AprStats {
 fn obs_chunks_skipped() -> &'static Arc<ssdm_obs::Counter> {
     static C: OnceLock<Arc<ssdm_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| ssdm_obs::recorder().counter("ssdm_chunks_skipped"))
+}
+
+/// Process-wide count of chunks whose fold partial the zone map decided.
+fn obs_chunks_decided() -> &'static Arc<ssdm_obs::Counter> {
+    static C: OnceLock<Arc<ssdm_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| ssdm_obs::recorder().counter("ssdm_chunks_decided"))
 }
 
 /// Process-wide count of `SCC1` frames decompressed.
@@ -141,8 +153,8 @@ pub struct ArrayStore<S: ChunkStore> {
     catalog: HashMap<u64, Arc<ArrayMeta>>,
     /// Chunk-summary catalog: one zone map per *stored* array (linked
     /// external arrays have none until one is restored from a
-    /// snapshot), consulted by the filtered resolve paths to skip
-    /// chunks before fetch.
+    /// snapshot), consulted before fetch to skip the chunks a predicate
+    /// cannot match and to decide the fold partials a summary holds.
     zone_maps: HashMap<u64, Arc<ZoneMap>>,
     codec: CodecPolicy,
     skip_enabled: bool,
@@ -174,9 +186,10 @@ impl<S: ChunkStore> ArrayStore<S> {
         self.codec = codec;
     }
 
-    /// Whether filtered resolutions consult zone maps to skip chunks.
-    /// On by default; turning it off never changes results (skipping is
-    /// strictly conservative), only how many chunks are fetched.
+    /// Whether reads consult zone maps, to skip the chunks a predicate
+    /// cannot match and to decide the `Min`/`Max`/`Count` partials a
+    /// summary holds exactly. On by default; turning it off never
+    /// changes results, only how many chunks are fetched and decoded.
     pub fn skip_enabled(&self) -> bool {
         self.skip_enabled
     }
@@ -190,10 +203,18 @@ impl<S: ChunkStore> ArrayStore<S> {
         self.zone_maps.get(&array_id)
     }
 
-    /// Install a zone map for an array (snapshot restore of linked
-    /// external arrays).
-    pub fn set_zone_map(&mut self, array_id: u64, zone_map: ZoneMap) {
+    /// Install a zone map for a cataloged array (snapshot restore of
+    /// linked external arrays). An installed summary decides answers,
+    /// so one that does not describe the array's chunks is refused
+    /// ([`ZoneMap::check`]).
+    pub fn set_zone_map(&mut self, array_id: u64, zone_map: ZoneMap) -> Result<()> {
+        let meta = self
+            .catalog
+            .get(&array_id)
+            .ok_or(StorageError::MissingArray(array_id))?;
+        zone_map.check(meta)?;
         self.zone_maps.insert(array_id, Arc::new(zone_map));
+        Ok(())
     }
 
     /// Every zone map in the store, unordered. The planner walks these
@@ -306,8 +327,10 @@ impl<S: ChunkStore> ArrayStore<S> {
     /// 1. each request's view becomes per-chunk arithmetic runs
     ///    ([`ViewRuns`]) — no element address is enumerated;
     /// 2. with a predicate, the zone map drops chunks that provably
-    ///    hold no match, *before* the fetch plan is built;
-    /// 3. the union of the surviving `(array, chunk)` keys becomes
+    ///    hold no match, and for a `Min`, `Max` or `Count` fold it
+    ///    decides the chunks whose partial a summary holds exactly
+    ///    ([`ChunkSummary::decide`]), *before* the fetch plan is built;
+    /// 3. the union of the `(array, chunk)` keys still undecided becomes
     ///    statements per the strategy — a chunk two
     ///    requests read is fetched once, so a bag issues no more
     ///    statements than its requests read one by one;
@@ -376,7 +399,7 @@ impl<S: ChunkStore> ArrayStore<S> {
         let before_res = self.backend.resilience_stats();
         let mut out: Vec<Resolved> = reqs.iter().map(|_| Resolved::default()).collect();
         let mut parts = Vec::with_capacity(reqs.len());
-        let mut skipped = 0;
+        let mut tally = Tally::default();
         for (at, req) in reqs.iter().enumerate() {
             out[at].fold = req.fold;
             if req.pred.is_none() && req.fold == Some(AggregateOp::Count) {
@@ -386,14 +409,13 @@ impl<S: ChunkStore> ArrayStore<S> {
             }
             let meta = req.proxy.meta();
             let mut runs = ViewRuns::of(req.proxy.view(), &meta.chunking);
-            if let Some(pred) = req.pred {
-                skipped += self.prune_chunks(meta.array_id, &mut runs, pred) as u64;
-            }
+            let decided = self.consult_zone_map(req, meta, &mut runs, &mut tally);
             parts.push(Part {
                 at,
                 req,
                 meta,
                 runs,
+                decided,
             });
         }
         // Stable: the requests reading one array stay adjacent, so a
@@ -401,13 +423,14 @@ impl<S: ChunkStore> ArrayStore<S> {
         parts.sort_by_key(|p| p.meta.array_id);
         let mut arrays: Vec<(&ArrayMeta, Vec<u64>)> = Vec::new();
         for reading in parts.chunk_by(|a, b| a.meta.array_id == b.meta.array_id) {
-            let mut ids = reading[0].runs.chunk_ids();
+            let mut ids: Vec<u64> = reading[0].fetched_ids().collect();
             if reading.len() > 1 {
-                ids.extend(reading[1..].iter().flat_map(|p| p.runs.chunk_ids()));
+                ids.extend(reading[1..].iter().flat_map(Part::fetched_ids));
                 ids.sort_unstable();
                 ids.dedup();
             }
-            // An empty view, or every chunk pruned: no statement.
+            // An empty view, or every chunk pruned or decided: no
+            // statement.
             if !ids.is_empty() {
                 arrays.push((reading[0].meta, ids));
             }
@@ -418,7 +441,6 @@ impl<S: ChunkStore> ArrayStore<S> {
             .collect();
         let plan = self.plan(&arrays, strategy, !lane.is_shared());
         let done = AtomicBool::new(false);
-        let tally = Tally::default();
         let ctx = ChunkCtx {
             parts: &parts,
             tally: &tally,
@@ -445,12 +467,10 @@ impl<S: ChunkStore> ArrayStore<S> {
             outs.extend(ctx.process::<f64>(reals)?);
             Ok(outs)
         };
+        // A decided chunk's partial fills its slot before the fetch, so
+        // it combines in chunk order like a fetched one.
+        let mut slots: Vec<Vec<Option<ChunkOut>>> = parts.iter().map(Part::decided_outs).collect();
         let (per_op, fallbacks) = lane.run(&mut self.backend, &job, &process)?;
-
-        let mut slots: Vec<Vec<Option<ChunkOut>>> = parts
-            .iter()
-            .map(|p| p.runs.chunks().iter().map(|_| None).collect())
-            .collect();
         for (p, idx, chunk_out) in per_op.into_iter().flatten() {
             slots[p][idx] = Some(chunk_out);
         }
@@ -459,7 +479,7 @@ impl<S: ChunkStore> ArrayStore<S> {
         for (part, slots) in parts.iter().zip(slots) {
             resolved += out[part.at].assemble(part, slots, stopped, examined)?;
         }
-        self.finish_stats(before, before_res, fallbacks, resolved, skipped, &tally);
+        self.finish_stats(before, before_res, fallbacks, resolved, &tally);
         Ok(out)
     }
 
@@ -501,7 +521,6 @@ impl<S: ChunkStore> ArrayStore<S> {
         before_res: ResilienceStats,
         fallbacks: u64,
         elements: u64,
-        skipped: u64,
         tally: &Tally,
     ) {
         let after = self.backend.io_stats();
@@ -514,7 +533,8 @@ impl<S: ChunkStore> ArrayStore<S> {
             fallbacks,
             retries: res.retries,
             corruption_repaired: res.corruption_repaired,
-            chunks_skipped: skipped,
+            chunks_skipped: tally.skipped,
+            chunks_decided: tally.decided,
             chunks_decoded: tally.decoded_chunks.load(Ordering::Relaxed),
             bytes_decoded: tally.decoded_bytes.load(Ordering::Relaxed),
             elements_examined: tally.examined.load(Ordering::Relaxed),
@@ -522,24 +542,50 @@ impl<S: ChunkStore> ArrayStore<S> {
         self.cumulative.accumulate(&self.last_stats);
     }
 
-    /// Drop the chunks of `runs` whose zone-map summary proves they
-    /// cannot hold a match for `pred` — *before* the fetch plan is
-    /// built and before any of their elements is looked at, so range
-    /// plans shrink and skipped chunks never reach the back-end.
-    /// Returns the number of chunks skipped. No-ops (and stays correct)
-    /// when skipping is disabled or the array has no zone map.
-    fn prune_chunks(&self, array_id: u64, runs: &mut ViewRuns, pred: &ValuePredicate) -> usize {
-        if !self.skip_enabled {
-            return 0;
-        }
-        let Some(zm) = self.zone_maps.get(&array_id) else {
-            return 0;
+    /// Consult the array's zone map before the fetch plan is built.
+    /// With a predicate, drop the chunks of `runs` that provably hold no
+    /// match ([`ChunkSummary::may_match`]). For a `Min`, `Max` or
+    /// `Count` fold, decide the chunks whose partial a summary holds
+    /// exactly ([`ChunkSummary::decide`]). Counts both in `tally` and
+    /// returns, per remaining chunk, its decided partial (empty when
+    /// none is). Neither kind reaches the back-end for this request.
+    /// No-ops when skipping is disabled or the array has no zone map.
+    fn consult_zone_map(
+        &self,
+        req: &Request,
+        meta: &ArrayMeta,
+        runs: &mut ViewRuns,
+        tally: &mut Tally,
+    ) -> Vec<Option<Num>> {
+        let zm = match self.zone_maps.get(&meta.array_id) {
+            Some(zm) if self.skip_enabled => zm,
+            _ => return Vec::new(),
         };
-        let skipped = runs.retain_chunks(|cid| zm.may_match(cid, pred));
-        if skipped > 0 && ssdm_obs::recorder().enabled() {
+        let skipped = match req.pred {
+            Some(pred) => runs.retain_chunks(|cid| zm.may_match(cid, pred)),
+            None => 0,
+        };
+        let decided: Vec<Option<Num>> = match req.fold {
+            Some(op @ (AggregateOp::Min | AggregateOp::Max | AggregateOp::Count)) => runs
+                .chunks()
+                .iter()
+                .map(|c| {
+                    let whole =
+                        runs.distinct() && c.elements == meta.chunking.chunk_len(c.chunk_id);
+                    let summary = zm.summaries.get(c.chunk_id as usize)?;
+                    summary.decide(zm.ty, op, req.pred, c.elements, whole)
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let decided_count = decided.iter().flatten().count() as u64;
+        tally.skipped += skipped as u64;
+        tally.decided += decided_count;
+        if ssdm_obs::recorder().enabled() {
             obs_chunks_skipped().add(skipped as u64);
+            obs_chunks_decided().add(decided_count);
         }
-        skipped
+        decided
     }
 }
 
@@ -570,9 +616,11 @@ impl<'a> Request<'a> {
     }
 
     /// Only elements satisfying `pred` take part. Chunks whose zone-map
-    /// summary proves no element can match are skipped before fetch.
-    /// Skipping is conservative: results are identical with it on or
-    /// off ([`ArrayStore::set_skip_enabled`]).
+    /// summary proves no element can match are skipped before fetch;
+    /// for a `Min`, `Max` or `Count` [`fold`](Request::fold), chunks
+    /// whose summary proves every element matches may be decided from
+    /// it instead of read. Results are bit-identical with the zone map
+    /// on or off ([`ArrayStore::set_skip_enabled`]).
     pub fn filter(self, pred: &'a ValuePredicate) -> Self {
         Request {
             pred: Some(pred),
@@ -592,9 +640,15 @@ impl<'a> Request<'a> {
     /// order; see DESIGN.md). A chunk none of whose elements take part
     /// contributes no partial, exactly as if the zone map had skipped
     /// it, which keeps filtered folds bit-identical with skipping on or
-    /// off. Over no elements `Count`/`Sum` are 0, `Prod` is 1 and the
-    /// rest are [`StorageError::EmptyView`]. A fold that fails (an
-    /// overflowing `Prod`) fails only this request's
+    /// off. A `Min`, `Max` or `Count` partial the chunk's zone-map
+    /// summary holds exactly ([`ChunkSummary::decide`]: no NaN, every
+    /// element matching, for `Min`/`Max` the chunk read whole and its
+    /// bound not a real zero) is taken from the summary and the chunk
+    /// is not fetched; being exact, it is the partial a decode would
+    /// fold, so the order and the result do not change. `Sum`, `Avg`
+    /// and `Prod` always decode. Over no elements `Count`/`Sum` are 0,
+    /// `Prod` is 1 and the rest are [`StorageError::EmptyView`]. A fold
+    /// that fails (an overflowing `Prod`) fails only this request's
     /// [`Resolved::total`].
     pub fn fold(self, op: AggregateOp) -> Self {
         Request {
@@ -746,6 +800,37 @@ struct Part<'a> {
     req: &'a Request<'a>,
     meta: &'a ArrayMeta,
     runs: ViewRuns,
+    /// Per chunk of `runs`, the fold partial its zone-map summary
+    /// decided (empty when none was).
+    decided: Vec<Option<Num>>,
+}
+
+impl Part<'_> {
+    /// The partial the zone map decided for the chunk at `idx`.
+    fn decided(&self, idx: usize) -> Option<Num> {
+        self.decided.get(idx).copied().flatten()
+    }
+
+    /// The chunks this request needs fetched: every chunk of its runs
+    /// the zone map did not decide.
+    fn fetched_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..)
+            .zip(self.runs.chunks())
+            .filter(|(idx, _)| self.decided(*idx).is_none())
+            .map(|(_, c)| c.chunk_id)
+    }
+
+    /// One output slot per chunk: the decided ones filled, the rest
+    /// left for the fetch.
+    fn decided_outs(&self) -> Vec<Option<ChunkOut>> {
+        (0..)
+            .zip(self.runs.chunks())
+            .map(|(idx, c)| {
+                let partial = self.decided(idx)?;
+                Some(ChunkOut::Partial(Some((Ok(partial), c.elements as u64))))
+            })
+            .collect()
+    }
 }
 
 /// What a statement's rows become, inside the worker that fetched
@@ -767,9 +852,13 @@ pub(crate) enum ChunkOut {
     Partial(Option<(Result<Num>, u64)>),
 }
 
-/// Decode and examine tallies of one resolution, shared by its workers.
+/// Zone-map, decode and examine tallies of one resolution. The
+/// zone-map counts are settled before the fetch; the rest are shared by
+/// its workers.
 #[derive(Default)]
 struct Tally {
+    skipped: u64,
+    decided: u64,
     decoded_chunks: AtomicU64,
     decoded_bytes: AtomicU64,
     examined: AtomicU64,
@@ -838,8 +927,9 @@ impl ChunkCtx<'_> {
                 .filter(|(_, p)| p.meta.numeric_type == W::TYPE);
             for (p, part) in readers {
                 // Rows a covering range overfetched, or the zone map
-                // pruned, are dropped undecoded.
-                let Some(idx) = part.runs.position(cid) else {
+                // pruned or decided for this part, are dropped undecoded.
+                let idx = part.runs.position(cid);
+                let Some(idx) = idx.filter(|&i| part.decided(i).is_none()) else {
                     continue;
                 };
                 outs.push((p, idx, self.chunk_out(part, idx, &payload, &mut scratch)?));
@@ -1202,6 +1292,34 @@ mod tests {
         assert_eq!(summary.min_bits, zm.summaries[0].min_bits);
         store.delete_array(id).unwrap();
         assert!(store.zone_map(id).is_none());
+    }
+
+    #[test]
+    fn a_zone_map_that_does_not_describe_its_array_is_refused() {
+        let (mut store, proxy) = store_with_matrix(64); // 50 chunks of 8
+        let id = proxy.array_id();
+        let zm = ZoneMap::clone(store.zone_map(id).unwrap());
+        assert!(matches!(
+            store.set_zone_map(id + 1, zm.clone()),
+            Err(StorageError::MissingArray(_))
+        ));
+        let mut short = zm.clone();
+        short.summaries.pop();
+        let mut miscounted = zm.clone();
+        miscounted.summaries[3].count = 7;
+        let mut nan_int = zm.clone();
+        nan_int.summaries[4].nulls = 1;
+        let real = ZoneMap {
+            ty: NumericType::Real,
+            ..zm.clone()
+        };
+        for bad in [short, miscounted, nan_int, real] {
+            let refused = store.set_zone_map(id, bad);
+            assert!(
+                matches!(refused, Err(StorageError::UntrustedZoneMap { array_id, .. }) if array_id == id)
+            );
+        }
+        store.set_zone_map(id, zm).unwrap();
     }
 
     #[test]

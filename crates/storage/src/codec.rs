@@ -53,11 +53,13 @@
 //! [`ValuePredicate`] — before any fetch happens. Skipping is strictly
 //! conservative: a chunk is dropped only when *no* element in it can
 //! match, so filtered results are bit-identical with skipping on or
-//! off.
+//! off. The same summary also *decides* a chunk whose `Min`, `Max` or
+//! `Count` fold partial it holds exactly ([`ChunkSummary::decide`]), so
+//! that chunk is not fetched either.
 
 use std::ops::Range;
 
-use ssdm_array::{Num, NumericType};
+use ssdm_array::{AggregateOp, Num, NumericType};
 
 /// Inner-frame magic: "Ssdm Compressed Chunk v1".
 pub const SCC_MAGIC: [u8; 4] = *b"SCC1";
@@ -240,6 +242,51 @@ impl ChunkSummary {
             ValuePredicate::In(values) => values.iter().any(|v| !(below(*v, mn) || below(mx, *v))),
         }
     }
+
+    /// The fold partial of `op` over the `elements` view elements a
+    /// chunk with this summary contributes, when the summary alone gives
+    /// the kernel's exact bits (`ssdm_array::kernel`); `None` sends the
+    /// chunk to the decoder. `whole` says the view reads every element
+    /// of the chunk exactly once.
+    ///
+    /// Exact, not conservative. The chunk must hold no NaN and every
+    /// element must satisfy `pred`, if there is one: `lo <= min` and
+    /// `max <= hi` for a range, `min == max` in the set for membership.
+    /// Then a `Count` partial is `elements`. A `Min` or `Max` partial is
+    /// the summary's bound, but only when the view is `whole` and the
+    /// summary covers exactly its `elements`, and never at a real zero:
+    /// the left fold keeps whichever of `0.0` and `-0.0` comes first in
+    /// the view's order, which the summary does not record. `Sum`, `Avg` and `Prod` are
+    /// never decided.
+    pub fn decide(
+        &self,
+        ty: NumericType,
+        op: AggregateOp,
+        pred: Option<&ValuePredicate>,
+        elements: usize,
+        whole: bool,
+    ) -> Option<Num> {
+        if self.count == 0 || self.nulls != 0 || elements == 0 {
+            return None;
+        }
+        let (mn, mx) = (self.min(ty), self.max(ty));
+        let every_element_matches = match pred {
+            None => true,
+            Some(p @ ValuePredicate::Range { .. }) => p.matches(mn) && p.matches(mx),
+            Some(p @ ValuePredicate::In(_)) => mn == mx && p.matches(mn),
+        };
+        if !every_element_matches {
+            return None;
+        }
+        let bound = match op {
+            AggregateOp::Count => return Some(Num::Int(elements as i64)),
+            AggregateOp::Min => mn,
+            AggregateOp::Max => mx,
+            AggregateOp::Sum | AggregateOp::Avg | AggregateOp::Prod => return None,
+        };
+        let zero = matches!(bound, Num::Real(v) if v == 0.0);
+        (whole && elements as u64 == self.count && !zero).then_some(bound)
+    }
 }
 
 /// A `FILTER`-style element predicate the APR can evaluate against
@@ -286,6 +333,45 @@ impl ZoneMap {
         match self.summaries.get(chunk_id as usize) {
             Some(s) => s.may_match(self.ty, pred),
             None => true,
+        }
+    }
+
+    /// Check that this zone map can be trusted to describe `meta`'s
+    /// chunks: summaries of its element type, one per chunk, each
+    /// counting exactly the chunk's elements, with no more NaNs than
+    /// elements and none in an integer array. A summary decides answers ([`ChunkSummary::decide`]), so
+    /// one restored from outside the store is checked before it is
+    /// installed; the error names the array and the first fault.
+    pub fn check(&self, meta: &crate::ArrayMeta) -> Result<(), crate::StorageError> {
+        let chunks = meta.chunking.chunk_count();
+        let fault = if self.ty != meta.numeric_type {
+            Some(format!("summaries of {:?} elements", self.ty))
+        } else if self.summaries.len() as u64 != chunks {
+            let n = self.summaries.len();
+            Some(format!("{n} chunk summaries for {chunks} chunks"))
+        } else {
+            (0..chunks).zip(&self.summaries).find_map(|(c, s)| {
+                let len = meta.chunking.chunk_len(c) as u64;
+                if s.count != len {
+                    Some(format!(
+                        "chunk {c} summarizes {} of {len} elements",
+                        s.count
+                    ))
+                } else if s.nulls > s.count {
+                    Some(format!("chunk {c} has {} NaNs in {len} elements", s.nulls))
+                } else if s.nulls != 0 && self.ty == NumericType::Int {
+                    Some(format!("integer chunk {c} has {} NaNs", s.nulls))
+                } else {
+                    None
+                }
+            })
+        };
+        match fault {
+            None => Ok(()),
+            Some(detail) => Err(crate::StorageError::UntrustedZoneMap {
+                array_id: meta.array_id,
+                detail,
+            }),
         }
     }
 }

@@ -74,14 +74,17 @@ pub struct ViewRuns {
     runs: Vec<Run>,
     chunks: Vec<ChunkRuns>,
     elements: usize,
+    distinct: bool,
 }
 
 impl ViewRuns {
     pub fn of(view: &ArrayView, chunking: &Chunking) -> ViewRuns {
         let elements = view.element_count();
         let mut runs = Vec::new();
+        let mut distinct = true;
         if elements > 0 {
             let dims = merged_dims(view.dims());
+            distinct = distinct_addresses(&dims);
             let (inner, outer) = match dims.split_last() {
                 Some((inner, outer)) => (*inner, outer),
                 None => (Dim { size: 1, stride: 0 }, &[][..]),
@@ -116,7 +119,14 @@ impl ViewRuns {
             runs,
             chunks,
             elements,
+            distinct,
         }
+    }
+
+    /// Whether the view provably addresses no element twice, so a chunk
+    /// it reads `chunk_len` elements of is read whole.
+    pub fn distinct(&self) -> bool {
+        self.distinct
     }
 
     /// Elements the view addresses (duplicates of a zero-stride view
@@ -178,6 +188,25 @@ fn merged_dims(dims: &[Dim]) -> Vec<Dim> {
         }
     }
     out
+}
+
+/// Whether no two positions of a view with these merged dims share an
+/// address: taken by ascending stride magnitude, every dim steps past
+/// the farthest address the smaller ones reach. Sufficient, not
+/// necessary; a zero stride fails it, and a view sliced, subscripted or
+/// permuted out of a dense array always passes.
+fn distinct_addresses(dims: &[Dim]) -> bool {
+    let mut steps: Vec<(usize, usize)> = dims
+        .iter()
+        .map(|d| (d.stride.unsigned_abs(), d.size))
+        .collect();
+    steps.sort_unstable();
+    let mut reach = 0usize;
+    steps.iter().all(|&(stride, size)| {
+        let past = stride > reach;
+        reach = reach.saturating_add(stride.saturating_mul(size - 1));
+        past
+    })
 }
 
 /// Call `f(base address)` for every combination of `outer` subscripts,
@@ -285,6 +314,49 @@ mod tests {
             let got: Vec<usize> = expand(&runs, 3).into_iter().map(|(_, a)| a).collect();
             assert_eq!(got, view.addresses(), "{view:?}");
             assert_eq!(runs.element_count(), view.element_count());
+        }
+    }
+
+    #[test]
+    fn distinct_is_claimed_only_for_views_without_a_repeated_address() {
+        let chunking = Chunking::new(24, 64);
+        for (dims, distinct) in [
+            (vec![Dim { size: 5, stride: 0 }], false),
+            (
+                vec![Dim {
+                    size: 7,
+                    stride: -4,
+                }],
+                true,
+            ),
+            (
+                vec![
+                    Dim { size: 3, stride: 7 },
+                    Dim {
+                        size: 4,
+                        stride: -2,
+                    },
+                ],
+                true,
+            ),
+            // Overlapping windows: addresses 0 1 2, 1 2 3.
+            (
+                vec![Dim { size: 2, stride: 1 }, Dim { size: 3, stride: 1 }],
+                false,
+            ),
+            // A stride that skips past its inner dim: 0 1 5 6.
+            (
+                vec![Dim { size: 2, stride: 5 }, Dim { size: 2, stride: 1 }],
+                true,
+            ),
+        ] {
+            let view = ArrayView::from_parts(28, dims);
+            let runs = ViewRuns::of(&view, &chunking);
+            assert_eq!(runs.distinct(), distinct, "{view:?}");
+            let mut addresses = view.addresses();
+            addresses.sort_unstable();
+            addresses.dedup();
+            assert_eq!(addresses.len() == view.element_count(), distinct);
         }
     }
 

@@ -83,6 +83,13 @@ pub enum StorageError {
     /// A [`crate::Resolved`] accessor asked for a result its
     /// request did not compute, say the array of a fold.
     NotRequested(&'static str),
+    /// A zone map restored from outside the store does not describe the
+    /// array's chunks ([`crate::ZoneMap::check`]): installed, it would
+    /// decide wrong answers.
+    UntrustedZoneMap {
+        array_id: u64,
+        detail: String,
+    },
 }
 
 impl StorageError {
@@ -107,7 +114,8 @@ impl StorageError {
             | StorageError::ShardUnavailable { .. }
             | StorageError::EmptyView
             | StorageError::InvalidRequest
-            | StorageError::NotRequested(_) => false,
+            | StorageError::NotRequested(_)
+            | StorageError::UntrustedZoneMap { .. } => false,
         }
     }
 
@@ -172,6 +180,9 @@ impl std::fmt::Display for StorageError {
                 write!(f, "a probe is read alone and does not fold")
             }
             StorageError::NotRequested(what) => write!(f, "the request did not ask for {what}"),
+            StorageError::UntrustedZoneMap { array_id, detail } => {
+                write!(f, "untrusted zone map for array {array_id}: {detail}")
+            }
         }
     }
 }

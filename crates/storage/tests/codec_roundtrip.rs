@@ -3,11 +3,12 @@
 //! `-0.0`, NaN bit patterns and `i64::MIN` — and summaries must never
 //! prune a chunk that holds a matching element. Corrupt frames must
 //! surface as typed [`StorageError::Corrupt`] through the resilience
-//! stack, never as silently wrong data.
+//! stack, never as silently wrong data. A summary that *decides* a fold
+//! partial must give the kernel's exact bits.
 
 use proptest::prelude::*;
-use ssdm_array::{Num, NumArray, NumericType};
-use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk, summary_of};
+use ssdm_array::{kernel, AggregateOp, Num, NumArray, NumericType};
+use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk, summarize, summary_of};
 use ssdm_storage::{
     ArrayStore, ChunkStore, CodecError, CodecId, CodecPolicy, MemoryChunkStore, Request,
     ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError, ValuePredicate, SCC_HEADER,
@@ -56,6 +57,70 @@ fn chunk() -> impl Strategy<Value = Vec<u64>> {
 
 fn bytes_of(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// Chunks a summary can decide: the [`chunk`] soup, plus ordinary
+/// reals (no NaN, but `±0.0`, infinities and repeats), all-equal ones
+/// included, and short chunks of zeros of both signs beside `±1.5`.
+fn decidable_chunk() -> impl Strategy<Value = Vec<u64>> {
+    let real = || {
+        prop_oneof![
+            (-1000i32..1000).prop_map(|v| (v as f64 / 8.0).to_bits()),
+            Just((-0.0f64).to_bits()),
+            Just(0.0f64.to_bits()),
+            Just(f64::INFINITY.to_bits()),
+            Just(f64::NEG_INFINITY.to_bits()),
+            Just(f64::MAX.to_bits()),
+        ]
+    };
+    let zeros = prop_oneof![
+        Just((-0.0f64).to_bits()),
+        Just(0.0f64.to_bits()),
+        Just((-1.5f64).to_bits()),
+        Just(1.5f64.to_bits()),
+    ];
+    prop_oneof![
+        chunk(),
+        prop::collection::vec(real(), 1..40),
+        (real(), 1usize..40).prop_map(|(w, n)| vec![w; n]),
+        prop::collection::vec(zeros, 1..8),
+    ]
+}
+
+/// A word as a typed number.
+fn num(w: u64, ty: NumericType) -> Num {
+    match ty {
+        NumericType::Int => Num::Int(w as i64),
+        NumericType::Real => Num::Real(f64::from_bits(w)),
+    }
+}
+
+/// Bit-exact key for a `Num`: kind and bits, so `-0.0` and `0.0` differ.
+fn bits(n: Num) -> (u8, u64) {
+    match n {
+        Num::Int(v) => (0, v as u64),
+        Num::Real(v) => (1, v.to_bits()),
+    }
+}
+
+/// The typed kernel's fold of the elements of `view` that satisfy
+/// `pred`: what a decoded chunk contributes.
+fn kernel_fold(
+    view: &[u64],
+    ty: NumericType,
+    pred: Option<&ValuePredicate>,
+    op: AggregateOp,
+) -> Num {
+    let kept = view
+        .iter()
+        .filter(|&&w| pred.is_none_or(|p| p.matches(num(w, ty))));
+    let folded = match ty {
+        NumericType::Int => kernel::fold_i64(&kept.map(|&w| w as i64).collect::<Vec<_>>(), op),
+        NumericType::Real => {
+            kernel::fold_f64(&kept.map(|&w| f64::from_bits(w)).collect::<Vec<_>>(), op)
+        }
+    };
+    folded.expect("a decided partial folds at least one element")
 }
 
 proptest! {
@@ -109,6 +174,66 @@ proptest! {
                     pred.matches(n)
                 });
                 prop_assert!(!any_match, "pruned a chunk with a match (ty {ty:?})");
+            }
+        }
+    }
+
+    /// The summary an encode returns is the summary of what decodes, and
+    /// whenever it decides a `Min`, `Max` or `Count` partial — over the
+    /// whole chunk in storage order or reversed (as a negative-stride or
+    /// transposed view reads it) or a prefix of it, unfiltered, under a
+    /// range or a membership list — that partial is the kernel's fold of
+    /// the decoded view, bit for bit.
+    #[test]
+    fn a_decided_partial_is_the_kernel_fold_bit_for_bit(
+        words in decidable_chunk(),
+        prefix in 1usize..200,
+        (a, b, member) in (word(), word(), word()),
+    ) {
+        let raw = bytes_of(&words);
+        for ty in [NumericType::Int, NumericType::Real] {
+            let summary = summarize(&raw, ty);
+            for policy in POLICIES {
+                let (frame, encoded) = encode_chunk(&raw, ty, policy);
+                let decoded = decode_chunk(&frame).expect("well-formed frame");
+                prop_assert_eq!(encoded, summarize(&decoded, ty), "policy {}", policy.name());
+            }
+            if words.is_empty() {
+                continue;
+            }
+            let (mn, mx) = (summary.min(ty), summary.max(ty));
+            let (a, b) = (num(a, ty), num(b, ty));
+            let preds = [
+                None,
+                Some(ValuePredicate::Range { lo: a.min(b), hi: a.max(b) }),
+                Some(ValuePredicate::Range { lo: mn, hi: mx }),
+                Some(ValuePredicate::In(vec![num(words[0], ty), num(member, ty)])),
+            ];
+            // The whole chunk both ways, and a prefix: a view that covers
+            // part of it.
+            let part = prefix.min(words.len());
+            let reversed: Vec<u64> = words.iter().rev().copied().collect();
+            let views = [
+                (&words[..], true),
+                (&reversed[..], true),
+                (&words[..part], part == words.len()),
+            ];
+            for pred in &preds {
+                for op in [AggregateOp::Min, AggregateOp::Max, AggregateOp::Count] {
+                    for (view, whole) in views {
+                        let Some(partial) = summary.decide(ty, op, pred.as_ref(), view.len(), whole)
+                        else {
+                            continue;
+                        };
+                        let want = kernel_fold(view, ty, pred.as_ref(), op);
+                        prop_assert_eq!(
+                            bits(partial),
+                            bits(want),
+                            "{:?} {:?} over {} of {} elements, {:?}",
+                            ty, op, view.len(), words.len(), pred
+                        );
+                    }
+                }
             }
         }
     }
@@ -436,7 +561,6 @@ fn decode_words_reports_damage_before_its_stop_point() {
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssdm_storage::codec::summarize;
 
 fn zigzag(d: i64) -> u64 {
     ((d << 1) ^ (d >> 63)) as u64

@@ -28,6 +28,9 @@ fn assert_runs_match(view: &ArrayView, chunking: &Chunking) {
     let runs = ViewRuns::of(view, chunking);
     let expected = by_enumeration(view, chunking);
     assert_eq!(runs.element_count(), view.element_count(), "{view:?}");
+    // Slicing, subscripting and permuting a dense array never repeat an
+    // address, and the check that lets a chunk be decided knows it.
+    assert!(runs.distinct(), "{view:?}");
     assert_eq!(
         runs.chunk_ids(),
         expected.keys().copied().collect::<Vec<_>>(),
