@@ -8,11 +8,13 @@
 //!
 //! 1. **worker sweep** — partitioning the fetch plan across workers
 //!    overlaps the simulated round trips, for two shapes: COLUMN views
-//!    materialized, and whole-array Sum and Max folded chunk-side
+//!    materialized, and whole-array Sum and Avg folded chunk-side
 //!    (`ArrayStore::read_parallel` of a fold: workers fold each chunk's
-//!    partial in place, the partials combine in plan order).
-//!    Each shape is checked bit-identical to 1 worker; claim **≥2×** at
-//!    4 workers for each.
+//!    partial in place, the partials combine in plan order). Both folds
+//!    are ones the zone map cannot decide from chunk summaries, so every
+//!    chunk is fetched and folded in a worker (checked: no chunk
+//!    decided). Each shape is checked bit-identical to 1 worker; claim
+//!    **≥2×** at 4 workers for each.
 //! 2. **cache sweep** — the same query batch twice per cache budget: a
 //!    cold pass that fills the [`CachedChunkStore`] and a warm pass that
 //!    must be served from it. Claim **≥2×** for the warm repeat.
@@ -90,15 +92,16 @@ fn main() -> ExitCode {
     println!("Parallel retrieval + chunk cache: Single strategy");
     println!(
         "matrix {ROWS}x{COLS} f64, chunk {CHUNK_BYTES} B, networked-DBMS latency \
-         (500 us/statement), {queries} COLUMN queries per cell, whole-array Sum and Max \
+         (500 us/statement), {queries} COLUMN queries per cell, whole-array Sum and Avg \
          best of {agg_repeats}"
     );
 
     // --- Sweep 1: workers (cold, uncached), both shapes -----------------
-    let ops = [AggregateOp::Sum, AggregateOp::Max];
+    let ops = [AggregateOp::Sum, AggregateOp::Avg];
     let (mut resolved, mut folded) = (Vec::new(), Vec::new());
     let (mut base_ms, mut base_agg_ms) = (0.0, 0.0);
     let (mut fetch_rows, mut agg_rows, mut at_4) = (Vec::new(), Vec::new(), None);
+    let mut decided = 0;
     for w in workers {
         let (mut store, base, views) = stack(0, queries);
         store.backend_mut().reset_io_stats();
@@ -115,6 +118,7 @@ fn main() -> ExitCode {
             each.map(|r| num_bits(&r.expect("read").remove(0).total().expect("fold")))
         });
         let agg_stmts = store.backend().io_stats().statements / agg_repeats as u64;
+        decided += store.cumulative_stats().chunks_decided;
         let (per_query_ms, per_agg_ms) = (ms / queries as f64, agg_ms / ops.len() as f64);
         if w == 1 {
             (resolved, folded) = (got.clone(), agg.to_vec());
@@ -170,6 +174,11 @@ fn main() -> ExitCode {
             Bar::AtLeast(2.0),
         );
     }
+    report.check(
+        "aggregate sweep chunks decided by the zone map",
+        decided as f64,
+        Bar::Equals(0.0),
+    );
 
     // --- Sweep 2: cache budgets (cold fill vs. warm repeat) --------------
     let budgets: &[usize] = if quick {

@@ -160,7 +160,7 @@ impl QueryResult {
 /// [`SharedChunkStore`] combines the mutating `ChunkStore` contract
 /// with the concurrent `SharedChunkRead` one, so the dataset's queries
 /// can take the parallel retrieval/aggregation pipelines; every shipped
-/// back-end (and the cache/resilience wrappers) qualifies. The trait
+/// back-end (and the cache wrapper) qualifies. The trait
 /// impls for `Box<dyn SharedChunkStore>` live in `ssdm-storage`.
 pub type DynChunkStore = Box<dyn SharedChunkStore>;
 

@@ -458,13 +458,23 @@ fn into_value(ds: &Dataset, slot: Slot) -> Option<Value> {
     }
 }
 
-/// Equality of two bound slots for joins: the same id is the same node;
-/// everything else compares by value.
+/// Equality of two bound slots for joins: RDF term equality, the
+/// equality a scan probe matches by. With one dictionary per dataset,
+/// two ids are one term exactly when they are equal, and two numbers
+/// are one term only with the same type and bits (`0`, `0.0` and
+/// `-0.0` are three terms). Computed arrays, proxies and closures,
+/// which have no id, compare by value.
 fn slot_eq(ds: &Dataset, a: &Slot, b: &Slot) -> bool {
     match (a, b) {
-        (Slot::Id(x), Slot::Id(y)) => x == y || ds.graph.term(*x).value_eq(ds.graph.term(*y)),
+        (Slot::Id(x), Slot::Id(y)) => x == y,
         _ => match (Operand::of_slot(a), Operand::of_slot(b)) {
-            (Some(x), Some(y)) => x.value(ds).value_eq(&y.value(ds)),
+            (Some(x), Some(y)) => {
+                let (x, y) = (x.value(ds), y.value(ds));
+                match (x.as_num(), y.as_num()) {
+                    (Some(_), Some(_)) => x.as_term() == y.as_term(),
+                    _ => x.value_eq(&y),
+                }
+            }
             _ => false,
         },
     }

@@ -512,3 +512,28 @@ fn delete_where_with_a_range_filter_removes_what_the_filter_selects() {
     assert_eq!(count(ds.query(&delete).unwrap()), 19);
     assert_eq!(count(ds.query(&delete).unwrap()), 0);
 }
+
+/// A `VALUES` table joins by RDF term equality, as a scan probe does:
+/// `0`, `0.0` and `-0.0` are three terms, so whichever side the planner
+/// puts first, each stored object meets its own row and no other.
+#[test]
+fn values_join_by_term_equality_in_every_mode() {
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle(
+        "@prefix ex: <http://example.org/> .\n\
+         @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n\
+         ex:a ex:v 0 . ex:b ex:v 0.0 . ex:c ex:v \"-0.0\"^^xsd:double .",
+    )
+    .unwrap();
+    let query = "PREFIX ex: <http://example.org/> \
+                 SELECT ?x ?v { ?x ex:v ?v VALUES ?v { -0.0 0.0 0 } }";
+    let expected = [
+        "v=-0.0|x=<http://example.org/c>",
+        "v=0.0|x=<http://example.org/b>",
+        "v=0|x=<http://example.org/a>",
+    ];
+    for mode in [PlannerMode::Textual, PlannerMode::Greedy, PlannerMode::Dp] {
+        ds.planner = config(mode);
+        assert_eq!(row_multiset(&mut ds, query), expected, "{mode:?}");
+    }
+}

@@ -33,7 +33,7 @@
 //! wrong shards.
 //!
 //! Send the statement `SHUTDOWN` to stop the server, `STATS` for
-//! back-end/cache/resilience/durability statistics, `METRICS` for the
+//! back-end/cache/APR/durability statistics, `METRICS` for the
 //! Prometheus text dump. SIGTERM/SIGINT begin the same graceful drain
 //! as `SHUTDOWN`: requests in flight finish, then the process exits 0.
 //!

@@ -394,7 +394,6 @@ impl Ssdm {
         let backend = self.dataset.arrays.backend();
         let io = backend.io_stats();
         let cache = backend.cache_stats();
-        let res = backend.resilience_stats();
         let compute = ssdm_array::compute_stats();
         let mut r = ssdm_obs::Report::default();
 
@@ -409,34 +408,6 @@ impl Ssdm {
         r.push_int("cache", LastOp, "resident_bytes", cache.resident_bytes);
         r.push_int("cache", LastOp, "capacity_bytes", cache.capacity_bytes);
 
-        r.push_int("resilience", Cumulative, "retries", res.retries);
-        r.push_int(
-            "resilience",
-            Cumulative,
-            "transient",
-            res.transient_failures,
-        );
-        r.push_int(
-            "resilience",
-            Cumulative,
-            "permanent",
-            res.permanent_failures,
-        );
-        r.push_int(
-            "resilience",
-            Cumulative,
-            "corruption_detected",
-            res.corruption_detected,
-        );
-        r.push_int(
-            "resilience",
-            Cumulative,
-            "corruption_repaired",
-            res.corruption_repaired,
-        );
-        r.push_int("resilience", Cumulative, "short_reads", res.short_reads);
-        r.push_int("resilience", Cumulative, "giveups", res.giveups);
-
         for (scope, apr) in [
             (Cumulative, self.dataset.arrays.cumulative_stats()),
             (LastOp, self.dataset.arrays.last_stats()),
@@ -446,8 +417,6 @@ impl Ssdm {
             r.push_int("apr", scope, "bytes", apr.bytes_fetched);
             r.push_int("apr", scope, "elements", apr.elements_resolved);
             r.push_int("apr", scope, "fallbacks", apr.fallbacks);
-            r.push_int("apr", scope, "retries", apr.retries);
-            r.push_int("apr", scope, "repaired", apr.corruption_repaired);
             r.push_int("apr", scope, "chunks_skipped", apr.chunks_skipped);
             r.push_int("apr", scope, "chunks_decided", apr.chunks_decided);
             r.push_int("apr", scope, "chunks_decoded", apr.chunks_decoded);
@@ -611,7 +580,7 @@ impl Ssdm {
         r
     }
 
-    /// Human-readable back-end/cache/resilience/APR statistics — what
+    /// Human-readable back-end/cache/APR statistics — what
     /// the CLI's `.stats` command and the server's `STATS` statement
     /// print. One line per `section[scope]` of [`Ssdm::report`].
     pub fn stats_report(&self) -> String {

@@ -13,7 +13,7 @@
 //!
 //! Six statements are handled by the wire layer itself: `SHUTDOWN`
 //! stops the server, `STATS` returns the session tenant's back-end /
-//! cache / resilience / APR / durability statistics plus the
+//! cache / APR / durability statistics plus the
 //! per-tenant admission counters, `METRICS` returns the Prometheus
 //! dump (tenant-labelled series included), `CHECKPOINT` runs a
 //! durability checkpoint on the session tenant's engine (an error on
@@ -458,7 +458,6 @@ mod tests {
         for section in [
             "backend[cumulative]:",
             "cache[cumulative]:",
-            "resilience[cumulative]:",
             "apr[cumulative]:",
             "apr[last_op]:",
             "compute[cumulative]:",

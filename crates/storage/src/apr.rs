@@ -23,7 +23,6 @@ use crate::chunks::Chunking;
 use crate::codec::{self, ChunkSummary, CodecPolicy, ValuePredicate, ZoneMap};
 use crate::meta::{ArrayMeta, ArrayProxy};
 use crate::parallel::{Job, KeyOp, Lane};
-use crate::resilient::ResilienceStats;
 use crate::runs::{Run, ViewRuns};
 use crate::spd::{self, FetchOp, SpdOptions};
 use crate::store::{ChunkStore, CompositeRows, IoStats, StorageError};
@@ -69,12 +68,6 @@ pub struct AprStats {
     /// served by per-chunk `Single` retrieval instead of aborting the
     /// query (graceful degradation).
     pub fallbacks: u64,
-    /// Retries performed by a [`crate::ResilientChunkStore`] in the
-    /// back-end stack during this resolution (zero for plain stacks).
-    pub retries: u64,
-    /// Checksum violations that were healed by a successful re-read
-    /// during this resolution.
-    pub corruption_repaired: u64,
     /// Chunks the zone map proved irrelevant for a filtered resolution:
     /// they were dropped from the fetch plan before any back-end
     /// statement was issued.
@@ -98,10 +91,10 @@ pub struct AprStats {
 }
 
 impl AprStats {
-    /// True when this resolution needed any resilience machinery —
+    /// True when this resolution needed the per-chunk fallback —
     /// useful to flag degraded-but-successful queries in logs.
     pub fn degraded(&self) -> bool {
-        self.fallbacks > 0 || self.retries > 0 || self.corruption_repaired > 0
+        self.fallbacks > 0
     }
 
     /// Field-wise accumulation (used for the store-lifetime totals).
@@ -111,8 +104,6 @@ impl AprStats {
         self.bytes_fetched += delta.bytes_fetched;
         self.elements_resolved += delta.elements_resolved;
         self.fallbacks += delta.fallbacks;
-        self.retries += delta.retries;
-        self.corruption_repaired += delta.corruption_repaired;
         self.chunks_skipped += delta.chunks_skipped;
         self.chunks_decided += delta.chunks_decided;
         self.chunks_decoded += delta.chunks_decoded;
@@ -396,7 +387,6 @@ impl<S: ChunkStore> ArrayStore<S> {
             return Err(StorageError::InvalidRequest);
         }
         let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
         let mut out: Vec<Resolved> = reqs.iter().map(|_| Resolved::default()).collect();
         let mut parts = Vec::with_capacity(reqs.len());
         let mut tally = Tally::default();
@@ -479,7 +469,7 @@ impl<S: ChunkStore> ArrayStore<S> {
         for (part, slots) in parts.iter().zip(slots) {
             resolved += out[part.at].assemble(part, slots, stopped, examined)?;
         }
-        self.finish_stats(before, before_res, fallbacks, resolved, &tally);
+        self.finish_stats(before, fallbacks, resolved, &tally);
         Ok(out)
     }
 
@@ -515,24 +505,14 @@ impl<S: ChunkStore> ArrayStore<S> {
         }
     }
 
-    fn finish_stats(
-        &mut self,
-        before: IoStats,
-        before_res: ResilienceStats,
-        fallbacks: u64,
-        elements: u64,
-        tally: &Tally,
-    ) {
+    fn finish_stats(&mut self, before: IoStats, fallbacks: u64, elements: u64, tally: &Tally) {
         let after = self.backend.io_stats();
-        let res = self.backend.resilience_stats().since(&before_res);
         self.last_stats = AprStats {
             statements: after.statements - before.statements,
             chunks_fetched: after.chunks_returned - before.chunks_returned,
             bytes_fetched: after.bytes_returned - before.bytes_returned,
             elements_resolved: elements,
             fallbacks,
-            retries: res.retries,
-            corruption_repaired: res.corruption_repaired,
             chunks_skipped: tally.skipped,
             chunks_decided: tally.decided,
             chunks_decoded: tally.decoded_chunks.load(Ordering::Relaxed),
@@ -946,8 +926,8 @@ impl ChunkCtx<'_> {
 
     /// Decode the span of one chunk the part's runs read and produce
     /// its output. Malformed frames surface as the same typed
-    /// [`StorageError::Corrupt`] the CRC layer raises, so resilience and
-    /// retry accounting treat codec damage exactly like frame damage.
+    /// [`StorageError::Corrupt`] the CRC layer raises, so a caller sees
+    /// codec damage exactly as it sees frame damage.
     fn chunk_out<W: Element>(
         &self,
         part: &Part<'_>,

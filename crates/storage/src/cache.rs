@@ -15,9 +15,7 @@
 //!   contend on the same mutex;
 //! * **composition** — the wrapper is itself a [`ChunkStore`] (and a
 //!   [`SharedChunkRead`] when the inner store is), so it stacks above
-//!   [`ResilientChunkStore`](crate::ResilientChunkStore): a chunk the
-//!   resilient layer repaired through retries is cached and never
-//!   re-fetched.
+//!   any back-end, the sharded store or the fault injector.
 //!
 //! Cached payloads are post-CRC bytes as stored: a hit skips both the
 //! back-end statement and the checksum pass. For `SCC1` codec frames
@@ -463,16 +461,8 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         self.inner.reset_io_stats();
     }
 
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        self.inner.resilience_stats()
-    }
-
     fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
         self.inner.shard_stats()
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        self.inner.reset_resilience_stats();
     }
 
     fn cache_stats(&self) -> CacheStats {

@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::resilient::ResilienceStats;
 use crate::store::{
     Capabilities, ChunkStore, CompositeRows, IoStats, RawChunkAccess, SharedChunkRead, StorageError,
 };
@@ -50,7 +49,7 @@ pub enum FaultKind {
     /// this into [`StorageError::Corrupt`]; retrying succeeds.
     BitFlip,
     /// The chunk is reported absent ([`StorageError::MissingChunk`]) —
-    /// a *permanent* error the retry layer must NOT retry.
+    /// a *permanent* error that no re-read can repair.
     Missing,
 }
 
@@ -137,8 +136,10 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// A plan injecting only *transient* flavors (transient errors,
     /// latency spikes, short reads, in-transit bit flips) into reads at
-    /// probability `rate`. Queries behind a retry layer must survive it
-    /// bit-identically; queries without one will eventually fail.
+    /// probability `rate`. A failed batched statement falls back to
+    /// per-chunk reads, but a per-chunk read that fails has no second
+    /// chance, so under this plan some queries fail; none returns wrong
+    /// bits.
     pub fn transient_reads(seed: u64, rate: f64) -> Self {
         FaultPlan {
             seed,
@@ -431,7 +432,7 @@ impl<S: ChunkStore + RawChunkAccess + SharedChunkRead> FaultInjectingChunkStore<
     /// the at-rest representation here (that needs `&mut`), so the
     /// injector fabricates the [`StorageError::Corrupt`] the checksum
     /// would have raised for an in-transit flip — same error class, same
-    /// transience, no stored state mutated, so a retry succeeds exactly
+    /// transience, no stored state mutated, so a re-read succeeds exactly
     /// as it does on the exclusive path.
     fn shared_read_op<T>(
         &self,
@@ -556,16 +557,8 @@ impl<S: ChunkStore + RawChunkAccess> ChunkStore for FaultInjectingChunkStore<S> 
         self.inner.reset_io_stats()
     }
 
-    fn resilience_stats(&self) -> ResilienceStats {
-        self.inner.resilience_stats()
-    }
-
     fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
         self.inner.shard_stats()
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        self.inner.reset_resilience_stats()
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {

@@ -31,7 +31,6 @@ pub mod frame;
 mod meta;
 pub mod parallel;
 pub mod replica;
-pub mod resilient;
 pub mod runs;
 pub mod shard;
 pub mod spd;
@@ -47,7 +46,6 @@ pub use codec::{
 pub use fault::{FaultInjectingChunkStore, FaultKind, FaultPlan, FaultStats, OpKind};
 pub use meta::{ArrayMeta, ArrayProxy};
 pub use replica::{Breaker, BreakerState, Replica, ReplicaHealth};
-pub use resilient::{ResilienceStats, ResilientChunkStore, RetryPolicy};
 pub use shard::{ShardHealth, ShardOptions, ShardStats, ShardedChunkStore};
 pub use store::{
     Capabilities, ChunkStore, FileChunkStore, IoStats, MemoryChunkStore, RawChunkAccess,

@@ -675,20 +675,6 @@ impl ChunkStore for ShardedChunkStore {
         *self.stats.get_mut().expect("stats mutex") = IoStats::default();
     }
 
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        self.shards
-            .iter()
-            .fold(crate::resilient::ResilienceStats::default(), |acc, s| {
-                acc.merge(&s.primary.resilience_stats())
-            })
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        for shard in &mut self.shards {
-            shard.primary.reset_resilience_stats();
-        }
-    }
-
     fn shard_stats(&self) -> Option<ShardStats> {
         Some(self.stats())
     }

@@ -22,8 +22,9 @@ use relstore::{Db, Key, LatencyModel};
 ///
 /// Every error classifies as either *transient* (worth retrying: the
 /// fault may not recur) or *permanent* (retrying cannot help) via
-/// [`StorageError::is_transient`]. The resilience layer
-/// ([`crate::ResilientChunkStore`]) retries transient errors only.
+/// [`StorageError::is_transient`]. The shard router fails over on
+/// transient errors only; the APR's per-chunk fallback re-reads a
+/// failed batched statement whatever its error.
 #[derive(Debug)]
 pub enum StorageError {
     Io(io::Error),
@@ -54,13 +55,6 @@ pub enum StorageError {
         chunk_id: u64,
         expected: usize,
         got: usize,
-    },
-    /// The retry policy exhausted its attempt or time budget; the last
-    /// underlying error is carried as text.
-    DeadlineExceeded {
-        op: &'static str,
-        attempts: u32,
-        last_error: String,
     },
     /// One or more shards of a [`crate::ShardedChunkStore`] could not
     /// serve the read: the primary is down and every replica failed or
@@ -110,7 +104,6 @@ impl StorageError {
             | StorageError::MissingChunk { .. }
             | StorageError::MissingArray(_)
             | StorageError::Array(_)
-            | StorageError::DeadlineExceeded { .. }
             | StorageError::ShardUnavailable { .. }
             | StorageError::EmptyView
             | StorageError::InvalidRequest
@@ -162,14 +155,6 @@ impl std::fmt::Display for StorageError {
             } => write!(
                 f,
                 "short read of chunk {chunk_id} of array {array_id}: {got} of {expected} bytes"
-            ),
-            StorageError::DeadlineExceeded {
-                op,
-                attempts,
-                last_error,
-            } => write!(
-                f,
-                "{op} failed after {attempts} attempts (retry budget exhausted): {last_error}"
             ),
             StorageError::ShardUnavailable { shards } => {
                 let list: Vec<String> = shards.iter().map(|s| s.to_string()).collect();
@@ -313,14 +298,6 @@ pub trait ChunkStore: Send {
 
     fn reset_io_stats(&mut self);
 
-    /// Retry/corruption counters of the resilience layer, if any is
-    /// present in this store stack. Plain back-ends report zeros.
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        crate::resilient::ResilienceStats::default()
-    }
-
-    fn reset_resilience_stats(&mut self) {}
-
     /// Hit/miss/eviction counters of the chunk cache, if any is present
     /// in this store stack. Uncached stacks report zeros.
     fn cache_stats(&self) -> crate::cache::CacheStats {
@@ -396,9 +373,8 @@ pub trait RawChunkAccess {
 /// back-end must provide so *both* the mutating store path and the
 /// parallel read pipeline work through one trait object. Blanket-
 /// implemented for every type with both traits — all shipped back-ends
-/// (memory, file, relational, their cache/resilience wrappers, the
-/// sharded store, and the fault injector over a shared-readable inner
-/// store) qualify. The injector still advertises `supports_parallel:
+/// (memory, file, relational, their cache wrapper, the sharded store,
+/// and the fault injector over a shared-readable inner store) qualify. The injector still advertises `supports_parallel:
 /// false` unless a test opts in via `enable_parallel`, so capability-
 /// based downgrades to the sequential path are unchanged.
 pub trait SharedChunkStore: ChunkStore + SharedChunkRead {}
@@ -461,14 +437,6 @@ impl ChunkStore for Box<dyn SharedChunkStore> {
 
     fn reset_io_stats(&mut self) {
         (**self).reset_io_stats()
-    }
-
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        (**self).resilience_stats()
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        (**self).reset_resilience_stats()
     }
 
     fn cache_stats(&self) -> crate::cache::CacheStats {

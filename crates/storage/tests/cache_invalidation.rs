@@ -3,13 +3,13 @@
 //! Deleting an array and re-storing different data under the *same*
 //! array id is the hostile case — every read path (exclusive, shared,
 //! batched, ranged) must observe the new bytes, including when the
-//! cache is stacked above a `ResilientChunkStore` so repaired chunks
-//! were cached on the way in.
+//! chunks were cached by an `ArrayStore` read and the array was
+//! deleted through the `ArrayStore`.
 
 use ssdm_array::NumArray;
 use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, Request, ResilientChunkStore,
-    RetrievalStrategy, RetryPolicy, SharedChunkRead,
+    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, Request, RetrievalStrategy,
+    SharedChunkRead,
 };
 
 mod common;
@@ -60,13 +60,9 @@ fn restore_without_delete_is_covered_by_begin_array() {
 
 #[test]
 fn stale_chunks_never_survive_through_the_resilient_wrapper() {
-    // Cache above resilience: a chunk cached after retry repair must
-    // still be dropped when the array is deleted and re-stored.
-    let stack = CachedChunkStore::new(
-        ResilientChunkStore::new(MemoryChunkStore::new(), RetryPolicy::default()),
-        1 << 20,
-    );
-    let mut store = ArrayStore::new(stack);
+    // A chunk cached by an APR read must be dropped when the array is
+    // deleted through the `ArrayStore` and re-stored under its id.
+    let mut store = ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20));
 
     let first = NumArray::from_i64_shaped((0..64).collect(), &[8, 8]).unwrap();
     let second = NumArray::from_i64_shaped((1000..1064).collect(), &[8, 8]).unwrap();

@@ -2,8 +2,8 @@
 //! every chunk bit-identically — including adversarial payloads full of
 //! `-0.0`, NaN bit patterns and `i64::MIN` — and summaries must never
 //! prune a chunk that holds a matching element. Corrupt frames must
-//! surface as typed [`StorageError::Corrupt`] through the resilience
-//! stack, never as silently wrong data. A summary that *decides* a fold
+//! surface as typed [`StorageError::Corrupt`] through the store stack,
+//! never as silently wrong data. A summary that *decides* a fold
 //! partial must give the kernel's exact bits.
 
 use proptest::prelude::*;
@@ -11,7 +11,7 @@ use ssdm_array::{kernel, AggregateOp, Num, NumArray, NumericType};
 use ssdm_storage::codec::{decode_chunk, decode_words, encode_chunk, summarize, summary_of};
 use ssdm_storage::{
     ArrayStore, ChunkStore, CodecError, CodecId, CodecPolicy, MemoryChunkStore, Request,
-    ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError, ValuePredicate, SCC_HEADER,
+    RetrievalStrategy, StorageError, ValuePredicate, SCC_HEADER,
 };
 
 mod common;
@@ -300,12 +300,11 @@ fn all_nan_and_empty_chunks_round_trip() {
 
 /// Codec-level damage under a valid CRC frame: the store stack returns
 /// the bytes happily, and the decode layer must turn them into a typed,
-/// chunk-addressed `Corrupt` error that the resilience machinery
-/// classifies as transient (retryable), never into wrong elements.
+/// chunk-addressed `Corrupt` error classified as transient, never into
+/// wrong elements.
 #[test]
 fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
-    let resilient = ResilientChunkStore::new(MemoryChunkStore::new(), RetryPolicy::aggressive());
-    let mut store = ArrayStore::new(resilient);
+    let mut store = ArrayStore::new(MemoryChunkStore::new());
     let resident = NumArray::from_i64((0..64).collect());
     let proxy = store.store_array(&resident, 64).unwrap();
     let array_id = proxy.array_id();
@@ -333,7 +332,7 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
         }
         other => panic!("expected Corrupt, got {other:?}"),
     }
-    assert!(err.is_transient(), "codec damage must be retryable");
+    assert!(err.is_transient(), "codec damage is classified transient");
 
     // A truncated frame body — valid header, missing payload bytes —
     // is equally typed, not a panic or a short result.

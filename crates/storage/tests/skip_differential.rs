@@ -2,7 +2,7 @@
 //! enabled or disabled, every filtered resolution — scans, existence
 //! probes, sequential and parallel aggregates — must return
 //! bit-identical results, across every codec policy and back-end stack
-//! (plain memory, cached, resilient, sharded). Skipping is purely a
+//! (plain memory, cached, sharded). Skipping is purely a
 //! plan transformation; only the I/O counters may differ, and on a
 //! chunk-selective predicate `chunks_skipped` must actually be
 //! positive, otherwise the optimisation is dead code.
@@ -20,8 +20,8 @@ use std::sync::Arc;
 use ssdm_array::{AggregateOp, ArrayView, Dim, Num, NumArray};
 use ssdm_storage::{
     ArrayProxy, ArrayStore, CachedChunkStore, ChunkStore, CodecPolicy, MemoryChunkStore, Request,
-    ResilientChunkStore, Resolved, RetrievalStrategy, RetryPolicy, ShardOptions, ShardedChunkStore,
-    SharedChunkRead, SharedChunkStore, StorageError, ValuePredicate,
+    Resolved, RetrievalStrategy, ShardOptions, ShardedChunkStore, SharedChunkRead,
+    SharedChunkStore, StorageError, ValuePredicate,
 };
 
 mod common;
@@ -214,16 +214,6 @@ fn memory_store_skip_differential() {
 #[test]
 fn cached_store_skip_differential() {
     run_matrix(|| ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20)));
-}
-
-#[test]
-fn resilient_store_skip_differential() {
-    run_matrix(|| {
-        ArrayStore::new(ResilientChunkStore::new(
-            MemoryChunkStore::new(),
-            RetryPolicy::aggressive(),
-        ))
-    });
 }
 
 #[test]
@@ -522,16 +512,6 @@ fn memory_store_decide_differential() {
 #[test]
 fn cached_store_decide_differential() {
     decide_matrix(|| ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20)));
-}
-
-#[test]
-fn resilient_store_decide_differential() {
-    decide_matrix(|| {
-        ArrayStore::new(ResilientChunkStore::new(
-            MemoryChunkStore::new(),
-            RetryPolicy::aggressive(),
-        ))
-    });
 }
 
 #[test]
