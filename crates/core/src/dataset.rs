@@ -21,6 +21,7 @@ use ssdm_storage::{
 
 use crate::ast::Statement;
 use crate::functions::FunctionRegistry;
+use crate::parser::Prepared;
 use crate::value::Value;
 
 /// Errors raised by SciSPARQL parsing and evaluation.
@@ -349,23 +350,8 @@ impl Dataset {
     /// before they are acknowledged; replay paths use
     /// [`Dataset::execute`] directly, which does not journal.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, QueryError> {
-        let _latency = ssdm_obs::Span::start(obs_query_hist());
-        let parse_start = std::time::Instant::now();
-        let stmt = crate::parser::parse(text)?;
-        let parse_micros = parse_start.elapsed().as_micros() as u64;
-        if let Statement::ExplainAnalyze(q) = stmt {
-            // Capture the real parse time instead of the zero the
-            // pre-parsed `execute` path would report.
-            let (_, profile) =
-                self.with_profiler(parse_micros, |ds| crate::eval::execute_select(ds, &q))?;
-            return Ok(QueryResult::Text(profile));
-        }
-        let is_mutation = stmt.is_mutation();
-        let result = self.execute(stmt)?;
-        if is_mutation {
-            self.journal_entry(crate::journal::JournalEntry::Statement(text))?;
-        }
-        Ok(result)
+        let prepared = Prepared::parse(text)?;
+        Ok(self.query_parsed(text, prepared, false)?.0)
     }
 
     /// Parse and execute one statement with the profiler attached,
@@ -373,12 +359,44 @@ impl Dataset {
     /// of the slow-query log. Mutations journal exactly as in
     /// [`query`](Self::query).
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, String), QueryError> {
-        let _latency = ssdm_obs::Span::start(obs_query_hist());
-        let parse_start = std::time::Instant::now();
-        let stmt = crate::parser::parse(text)?;
-        let parse_micros = parse_start.elapsed().as_micros() as u64;
+        let prepared = Prepared::parse(text)?;
+        let (result, profile) = self.query_parsed(text, prepared, true)?;
+        Ok((result, profile.expect("a profiled run renders its profile")))
+    }
+
+    /// Execute `prepared`, parsed from `text`: the one execution path
+    /// under [`query`](Self::query) and
+    /// [`query_profiled`](Self::query_profiled), and the entry for a
+    /// caller that parsed the statement already. A mutation journals
+    /// `text`; an `EXPLAIN ANALYZE` and a `profiled` run report
+    /// `prepared.parse_micros` as their parse phase. With `profiled`
+    /// the profiler is attached and its rendered profile returned.
+    pub fn query_parsed(
+        &mut self,
+        text: &str,
+        prepared: Prepared,
+        profiled: bool,
+    ) -> Result<(QueryResult, Option<String>), QueryError> {
+        let Prepared { stmt, parse_micros } = prepared;
+        let _latency = ssdm_obs::Span::start_back(
+            obs_query_hist(),
+            std::time::Duration::from_micros(parse_micros),
+        );
         let is_mutation = stmt.is_mutation();
-        let (result, profile) = self.with_profiler(parse_micros, |ds| ds.execute(stmt))?;
+        let (result, profile) = match stmt {
+            Statement::ExplainAnalyze(q) if !profiled => {
+                // Capture the real parse time instead of the zero the
+                // pre-parsed `execute` path would report.
+                let (_, profile) =
+                    self.with_profiler(parse_micros, |ds| crate::eval::execute_select(ds, &q))?;
+                (QueryResult::Text(profile), None)
+            }
+            stmt if profiled => {
+                let (result, profile) = self.with_profiler(parse_micros, |ds| ds.execute(stmt))?;
+                (result, Some(profile))
+            }
+            stmt => (self.execute(stmt)?, None),
+        };
         if is_mutation {
             self.journal_entry(crate::journal::JournalEntry::Statement(text))?;
         }
@@ -512,7 +530,7 @@ impl Dataset {
             }))),
             Statement::ExplainAnalyze(q) => {
                 // Pre-parsed entry (wire protocol, replay): no parse
-                // phase to report. `Dataset::query` intercepts the
+                // phase to report. `Dataset::query_parsed` intercepts the
                 // parsed-from-text case to include it.
                 let (_, profile) =
                     self.with_profiler(0, |ds| crate::eval::execute_select(ds, &q))?;

@@ -26,6 +26,27 @@ pub fn parse(text: &str) -> Result<Statement, QueryError> {
     Ok(stmt)
 }
 
+/// A statement parsed ahead of its execution, with how long the parse
+/// took: what an `EXPLAIN ANALYZE` profile and the slow-query log
+/// report as the parse phase, wherever the parse ran.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    pub stmt: Statement,
+    pub parse_micros: u64,
+}
+
+impl Prepared {
+    /// [`parse`], timed.
+    pub fn parse(text: &str) -> Result<Prepared, QueryError> {
+        let start = std::time::Instant::now();
+        let stmt = parse(text)?;
+        Ok(Prepared {
+            stmt,
+            parse_micros: start.elapsed().as_micros() as u64,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------

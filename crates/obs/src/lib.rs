@@ -161,6 +161,16 @@ impl Span {
         }
     }
 
+    /// [`Span::start`] for work that began `already` ago: its first
+    /// part (a statement's parse) was timed apart.
+    pub fn start_back(hist: &Arc<Histogram>, already: std::time::Duration) -> Span {
+        let mut span = Span::start(hist);
+        if let Some((_, start)) = span.target.as_mut() {
+            *start = start.checked_sub(already).unwrap_or(*start);
+        }
+        span
+    }
+
     /// A span that never records (for code paths that must hand back a
     /// `Span` unconditionally).
     pub fn disabled() -> Span {

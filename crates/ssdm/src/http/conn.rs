@@ -24,6 +24,7 @@ use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
 use super::frame::{self, Decoded, Statement};
 use super::parser::{self, Limits, Parsed};
 use super::router::{self, Exec, Response, Routed};
+use super::sys::{counters, Interest};
 use super::{HttpConfig, Work};
 
 /// Cap on requests a single HTTP connection may have in flight at once;
@@ -78,6 +79,9 @@ pub enum FlushState {
 pub struct Conn {
     pub stream: TcpStream,
     pub token: u64,
+    /// The interest the poller holds for this socket: it is changed
+    /// only when the wanted interest differs.
+    pub(crate) registered: Interest,
     codec: Codec,
     rbuf: Vec<u8>,
     /// Bytes the request being received will occupy, as far as its
@@ -119,6 +123,7 @@ impl Conn {
         Conn {
             stream,
             token,
+            registered: Interest::READ,
             codec,
             rbuf: Vec::new(),
             need: 0,
@@ -162,8 +167,12 @@ impl Conn {
         self.wbuf.len() > self.wpos
     }
 
-    /// Read everything currently available. Returns `false` when the
-    /// peer closed its write side (pending responses still flush).
+    /// Read what is available, up to the receive cap. A read that
+    /// does not fill the chunk has taken everything the socket held, so
+    /// reading stops there instead of asking again for a `WouldBlock`;
+    /// bytes arriving later make the level-triggered poller report the
+    /// socket again. Returns `false` when the peer closed its write
+    /// side (pending responses still flush).
     pub fn fill(&mut self, max_buffered: usize) -> io::Result<bool> {
         let cap = max_buffered.max(self.need);
         let mut chunk = [0u8; 16 * 1024];
@@ -172,6 +181,7 @@ impl Conn {
                 // Backpressure: stop reading until the pipeline drains.
                 return Ok(!self.peer_closed);
             }
+            counters().socket_reads.inc();
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.peer_closed = true;
@@ -180,6 +190,9 @@ impl Conn {
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     self.last_activity = Instant::now();
+                    if n < chunk.len() {
+                        return Ok(true);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -408,6 +421,7 @@ impl Conn {
     /// empties.
     pub fn flush(&mut self) -> FlushState {
         while self.wpos < self.wbuf.len() {
+            counters().socket_writes.inc();
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return FlushState::Closed,
                 Ok(n) => {

@@ -176,7 +176,7 @@ impl FramedExec {
             }
             // The lock is held per statement: rendering happens with
             // the engine free for other sessions.
-            FramedExec::Query(statement) => match router::run(statement, tenant.engine()) {
+            FramedExec::Query(statement) => match router::run(statement, None, tenant.engine()) {
                 Ok(result) => (0, render(&result)),
                 Err(e) => (1, e.to_string()),
             },

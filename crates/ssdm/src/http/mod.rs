@@ -53,7 +53,10 @@
 //! (`ssdm_http_panics_total` included); request latency is per wire
 //! (`ssdm_http_request_seconds`, `ssdm_framed_request_seconds`).
 //! `ssdm_http_reactor_wakeups_total` counts returns of the poller: set
-//! against bytes or requests served it shows a loop that spins.
+//! against bytes or requests served it shows a loop that spins. What a
+//! request costs the front end in syscalls is counted beside it:
+//! `ssdm_http_socket_reads_total`, `ssdm_http_socket_writes_total`,
+//! `ssdm_http_epoll_ctl_total` and `ssdm_http_waker_writes_total`.
 //!
 //! HTTP requests on one connection are independent and up to
 //! [`conn::MAX_PIPELINE`] of them execute at once; a framed connection
@@ -81,8 +84,9 @@ pub mod sys;
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -92,7 +96,7 @@ use crate::tenant::{FairDispatch, Tenant, TenantRegistry, DEFAULT_QUANTUM};
 use conn::{Codec, Conn, FlushState};
 use frame::FramedExec;
 use router::{Exec, Response};
-use sys::{Interest, Poller};
+use sys::{counters, Interest, Poller};
 
 pub use negotiate::ResultFormat as Format;
 pub use sys::native_event_loop;
@@ -183,14 +187,21 @@ pub fn raise_nofile_limit(target: u64) -> std::io::Result<u64> {
 /// Orders the reactor to begin its graceful drain from another thread.
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
-    waker: TcpStream,
+    waker: UnixStream,
 }
 
 impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        let _ = (&self.waker).write(&[1]);
+        wake(&self.waker);
     }
+}
+
+/// Wake the reactor out of `epoll_wait`. The waker is a socket pair
+/// whose read end the reactor polls; a full pipe already wakes it.
+fn wake(waker: &UnixStream) {
+    counters().waker_writes.inc();
+    let _ = (&*waker).write(&[1]);
 }
 
 /// The serving core, bound and not yet serving. Named for its first
@@ -200,8 +211,8 @@ pub struct HttpServer {
     listeners: Vec<(TcpListener, Codec)>,
     config: HttpConfig,
     shutdown: Arc<AtomicBool>,
-    waker_rx: TcpStream,
-    waker_tx: TcpStream,
+    waker_rx: UnixStream,
+    waker_tx: UnixStream,
 }
 
 /// What a request needs from a worker, and the wire its reply goes out
@@ -241,8 +252,14 @@ impl Work {
     }
 
     /// Execute on a worker; returns whether it succeeded, and the
-    /// encoded reply.
-    fn run(&self, tenant: &Tenant, registry: &TenantRegistry, max_frame: u32) -> (bool, Vec<u8>) {
+    /// encoded reply. A statement the router parsed is moved out into
+    /// the engine.
+    fn run(
+        &mut self,
+        tenant: &Tenant,
+        registry: &TenantRegistry,
+        max_frame: u32,
+    ) -> (bool, Vec<u8>) {
         match self {
             Work::Http {
                 exec,
@@ -332,19 +349,6 @@ impl DrainState {
     }
 }
 
-/// Loopback byte-pipe used to wake the reactor out of `epoll_wait`
-/// from worker threads and shutdown handles.
-fn waker_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let (rx, _) = listener.accept()?;
-    rx.set_nonblocking(true)?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    Ok((rx, tx))
-}
-
 impl HttpServer {
     pub fn bind(addr: impl ToSocketAddrs, config: HttpConfig) -> std::io::Result<HttpServer> {
         HttpServer::bind_as(addr, config, Codec::Http)
@@ -356,7 +360,11 @@ impl HttpServer {
         config: HttpConfig,
         codec: Codec,
     ) -> std::io::Result<HttpServer> {
-        let (waker_rx, waker_tx) = waker_pair()?;
+        // Wakes the reactor out of `epoll_wait` from worker threads
+        // and shutdown handles.
+        let (waker_rx, waker_tx) = UnixStream::pair()?;
+        waker_rx.set_nonblocking(true)?;
+        waker_tx.set_nonblocking(true)?;
         let mut server = HttpServer {
             listeners: Vec::new(),
             config,
@@ -414,7 +422,7 @@ impl HttpServer {
         ssdm_array::pool::run_scoped(
             config.workers.max(1),
             || {
-                while let Some((tenant_name, job)) = dispatch.pop() {
+                while let Some((tenant_name, mut job)) = dispatch.pop() {
                     // `None`: the job outwaited its queue bound.
                     let run = || {
                         if job.enqueued.elapsed() > config.request_timeout {
@@ -443,13 +451,20 @@ impl HttpServer {
                             job.tenant.note_timed_out();
                         }
                     }
-                    done.lock().expect("completion list").push(Done {
+                    let mut completed = done.lock().expect("completion list");
+                    // The reactor takes the whole list in one pass, so
+                    // only the completion that starts a list wakes it.
+                    let first = completed.is_empty();
+                    completed.push(Done {
                         token: job.token,
                         seq: job.seq,
                         encoded,
                         close: job.work.closes(),
                     });
-                    let _ = (&waker_tx).write(&[1]);
+                    drop(completed);
+                    if first {
+                        wake(&waker_tx);
+                    }
                 }
             },
             || {
@@ -470,7 +485,7 @@ fn reactor(
     listeners: &[(TcpListener, Codec)],
     config: &HttpConfig,
     shutdown: &AtomicBool,
-    waker_rx: TcpStream,
+    waker_rx: UnixStream,
     registry: &TenantRegistry,
     dispatch: &FairDispatch<Job>,
     done: &Mutex<Vec<Done>>,
@@ -491,20 +506,21 @@ fn reactor(
     let mut next_token = first_conn_token;
     let mut events = Vec::new();
     let rec = ssdm_obs::recorder();
-    // Every return of the poller, timeouts included: a loop that spins
-    // on a readable socket it will not read shows here, not in a timing.
-    let wakeups = rec.counter("ssdm_http_reactor_wakeups_total");
+    let counters = counters();
 
     loop {
         poller.wait(&mut events, Some(Duration::from_millis(200)))?;
-        wakeups.inc();
+        counters.wakeups.inc();
         let mut touched: Vec<u64> = Vec::new();
 
         for ev in &events {
             match ev.token {
                 TOKEN_WAKER => {
-                    let mut sink = [0u8; 64];
-                    while matches!((&waker_rx).read(&mut sink), Ok(n) if n > 0) {}
+                    // One read: a byte left behind keeps the
+                    // level-triggered poller reporting the waker. It
+                    // comes before the completion list is taken below,
+                    // so a byte written after that take stays unread.
+                    let _ = (&waker_rx).read(&mut [0u8; 64]);
                 }
                 TOKEN_SIGNAL => {
                     if config
@@ -568,7 +584,13 @@ fn reactor(
                     read: true,
                     write: conn.wants_write(),
                 };
-                let _ = poller.modify(conn.stream.as_raw_fd(), token, interest);
+                if interest != conn.registered
+                    && poller
+                        .modify(conn.stream.as_raw_fd(), token, interest)
+                        .is_ok()
+                {
+                    conn.registered = interest;
+                }
             }
         }
 
@@ -615,6 +637,7 @@ fn accept_ready(
                 if conns.len() >= config.max_connections {
                     rec.counter("ssdm_http_rejected_connections_total").inc();
                     let _ = stream.set_nonblocking(true);
+                    counters().socket_writes.inc();
                     let _ = (&stream).write(&codec.busy_reply(config.max_frame));
                     continue;
                 }
@@ -709,6 +732,7 @@ mod tests {
     use crate::Ssdm;
     use scisparql::QueryResult;
     use std::io::BufRead;
+    use std::net::TcpStream;
 
     fn start_server(
         config: HttpConfig,
@@ -993,6 +1017,114 @@ mod tests {
         let (status, _, _) = read_response(&mut third);
         assert_eq!(status, 503);
         drop(held);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    /// 8 connections × 64 pipelined queries on 4 workers, against two
+    /// tenants capped below the pool (one and two statements at once),
+    /// so workers keep blocking behind a capped tenant and only
+    /// `finish` can wake them. Every response must arrive, in order; a
+    /// lost wake-up shows as a read timing out, not as a hang.
+    #[test]
+    fn pipelined_connections_on_capped_tenants_lose_no_wakeup() {
+        const CONNS: usize = 8;
+        const DEPTH: usize = 64;
+        let quotas = |max_concurrent| TenantQuotas {
+            max_concurrent,
+            max_queued: CONNS * DEPTH,
+            rate: None,
+        };
+        let registry = TenantRegistry::new(Ssdm::open(crate::Backend::Memory), quotas(1));
+        registry
+            .add("alice", Ssdm::open(crate::Backend::Memory), quotas(2))
+            .unwrap();
+        let config = HttpConfig {
+            workers: 4,
+            queue_depth: CONNS * DEPTH,
+            ..HttpConfig::default()
+        };
+        let server = HttpServer::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle().unwrap();
+        let registry = Arc::new(registry);
+        let join = std::thread::spawn(move || server.serve_registry(registry));
+
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(20)))
+                        .unwrap();
+                    let path = if c % 2 == 0 {
+                        "/query"
+                    } else {
+                        "/tenants/alice/query"
+                    };
+                    let wire: String = (0..DEPTH)
+                        .map(|i| {
+                            let n = c * 1000 + i;
+                            format!(
+                                "GET {path}?query=SELECT%20%28{n}%20AS%20%3Fn%29%20WHERE%20%7B%7D HTTP/1.1\r\nHost: t\r\nAccept: text/csv\r\n\r\n"
+                            )
+                        })
+                        .collect();
+                    (&stream).write_all(wire.as_bytes()).unwrap();
+                    let mut reader = std::io::BufReader::new(stream);
+                    for i in 0..DEPTH {
+                        let (status, _, body) = read_response(&mut reader);
+                        let body = String::from_utf8(body).unwrap();
+                        assert_eq!(status, 200, "connection {c} request {i}: {body}");
+                        let n = body.lines().last().unwrap_or_default().trim();
+                        assert_eq!(n, (c * 1000 + i).to_string(), "connection {c} out of order");
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    /// `fill` stops after a read that does not fill its chunk: a body
+    /// longer than one chunk must still be read whole, and a request
+    /// trickling in a byte per write must still complete.
+    #[test]
+    fn short_reads_lose_no_request_bytes() {
+        let (addr, handle, join) = start_server(HttpConfig::default());
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+
+        // 40 KiB body, more than two of `fill`'s 16 KiB chunks, in one
+        // write.
+        let query = format!(
+            "ASK {{ <http://ex/s> <http://ex/p> 42 }} #{}",
+            "x".repeat(40 << 10)
+        );
+        let request = format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nAccept: application/sparql-results+json\r\nContent-Length: {}\r\n\r\n{query}",
+            query.len()
+        );
+        (&stream).write_all(request.as_bytes()).unwrap();
+        let (status, _, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert_eq!(body, br#"{"head":{},"boolean":true}"#);
+
+        // The same keep-alive connection, one byte per write.
+        let request = "GET /query?query=ASK%7B%3Chttp%3A%2F%2Fex%2Fs%3E%20%3Chttp%3A%2F%2Fex%2Fp%3E%2042%7D HTTP/1.1\r\nHost: t\r\nAccept: application/sparql-results+json\r\n\r\n";
+        for byte in request.as_bytes() {
+            (&stream).write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        let (status, _, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert_eq!(body, br#"{"head":{},"boolean":true}"#);
         handle.shutdown();
         join.join().unwrap().unwrap();
     }

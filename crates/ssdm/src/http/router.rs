@@ -23,6 +23,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
+use scisparql::parser::Prepared;
 use ssdm_obs::Span;
 
 use crate::tenant::TenantRegistry;
@@ -116,19 +117,24 @@ impl Response {
 }
 
 /// What a request needs from the engine. `tenant: None` means the
-/// default tenant (the bare `/query`-family paths).
+/// default tenant (the bare `/query`-family paths). `parsed` is the
+/// statement as the router parsed it to check its endpoint, which the
+/// worker hands to the engine instead of parsing `statement` again;
+/// `None` when it did not parse, and the engine reports why.
 #[derive(Debug, Clone)]
 pub enum Exec {
     /// A read statement from `/query`, answered in `format`.
     Query {
         tenant: Option<String>,
         statement: String,
+        parsed: Option<Box<Prepared>>,
         format: ResultFormat,
     },
     /// An update statement from `/update`.
     Update {
         tenant: Option<String>,
         statement: String,
+        parsed: Option<Box<Prepared>>,
     },
     /// The Prometheus dump across every tenant.
     Metrics,
@@ -322,20 +328,20 @@ fn route_query(req: &Request, tenant: Option<String>, head_only: bool) -> Routed
              application/sparql-results+xml, text/csv, text/tab-separated-values",
         ));
     };
-    // The protocol forbids updates through the query endpoint. Parse
-    // errors pass through: the engine reports them with its own
-    // positions, and some statements (DEFINE FUNCTION...) only it
-    // accepts.
-    if let Ok(stmt) = scisparql::parser::parse(&statement) {
-        if stmt.is_mutation() {
-            return bad_request("update statements must use the /update endpoint");
-        }
+    // The protocol forbids updates through the query endpoint. The
+    // router and the engine share one parser: a statement that fails
+    // here travels as text and the engine reports the same error, in
+    // the same place as every other failed statement.
+    let parsed = Prepared::parse(&statement).ok().map(Box::new);
+    if parsed.as_ref().is_some_and(|p| p.stmt.is_mutation()) {
+        return bad_request("update statements must use the /update endpoint");
     }
     counter("ssdm_http_query_requests_total");
     Routed::Dispatch {
         exec: Exec::Query {
             tenant,
             statement,
+            parsed,
             format,
         },
         head_only,
@@ -360,15 +366,17 @@ fn route_update(req: &Request, tenant: Option<String>) -> Routed {
         Ok(s) => s,
         Err(r) => return r,
     };
-    match scisparql::parser::parse(&statement) {
-        Ok(stmt) if !stmt.is_mutation() => {
-            return bad_request("read statements must use the /query endpoint");
-        }
-        _ => {}
+    let parsed = Prepared::parse(&statement).ok().map(Box::new);
+    if parsed.as_ref().is_some_and(|p| !p.stmt.is_mutation()) {
+        return bad_request("read statements must use the /query endpoint");
     }
     counter("ssdm_http_update_requests_total");
     Routed::Dispatch {
-        exec: Exec::Update { tenant, statement },
+        exec: Exec::Update {
+            tenant,
+            statement,
+            parsed,
+        },
         head_only: false,
     }
 }
@@ -436,8 +444,9 @@ fn extract_post_statement(
 /// here; the engine lock is taken per statement and a poisoned one is
 /// recovered (the evaluator holds no cross-statement invariants over a
 /// panic edge). Tenants are resolved again here because one may be
-/// evicted between admission and execution.
-pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
+/// evicted between admission and execution. The parsed statement is
+/// moved out of `exec` into the engine.
+pub fn execute(exec: &mut Exec, registry: &TenantRegistry) -> Response {
     // Observed on drop, so a statement that panics is timed too.
     let _timed = Span::start(&ssdm_obs::recorder().histogram("ssdm_http_request_seconds"));
     match exec {
@@ -453,10 +462,11 @@ pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
         Exec::Query {
             tenant,
             statement,
+            parsed,
             format,
         } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run(statement, t.engine()) {
+            Ok(t) => match run(statement, parsed.take(), t.engine()) {
                 Ok(result) => Response::new(
                     200,
                     format.content_type(),
@@ -468,9 +478,13 @@ pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
                 }
             },
         },
-        Exec::Update { tenant, statement } => match registry.resolve(tenant.as_deref()) {
+        Exec::Update {
+            tenant,
+            statement,
+            parsed,
+        } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run(statement, t.engine()) {
+            Ok(t) => match run(statement, parsed.take(), t.engine()) {
                 // The protocol leaves the success body open; report the
                 // engine's mutation counts as plain text.
                 Ok(scisparql::QueryResult::Updated { inserted, deleted }) => {
@@ -487,15 +501,18 @@ pub fn execute(exec: &Exec, registry: &TenantRegistry) -> Response {
 }
 
 /// One statement under the engine lock, released before the result is
-/// serialized.
+/// serialized; `parsed`, when the router parsed `statement` already,
+/// spares the engine its parse.
 pub(super) fn run(
     statement: &str,
+    parsed: Option<Box<Prepared>>,
     engine: &Mutex<Ssdm>,
 ) -> Result<scisparql::QueryResult, scisparql::QueryError> {
-    engine
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .query(statement)
+    let mut engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
+    match parsed {
+        Some(prepared) => engine.query_parsed(statement, *prepared),
+        None => engine.query(statement),
+    }
 }
 
 #[cfg(test)]
@@ -533,10 +550,15 @@ mod tests {
             Exec::Query {
                 tenant,
                 statement,
+                parsed,
                 format,
             } => {
                 assert_eq!(tenant, None);
                 assert_eq!(statement, "SELECT * WHERE {}");
+                assert!(matches!(
+                    parsed.map(|p| p.stmt),
+                    Some(scisparql::ast::Statement::Select(_))
+                ));
                 assert_eq!(format, ResultFormat::Csv);
             }
             other => panic!("{other:?}"),
@@ -743,38 +765,95 @@ mod tests {
         assert!(wire.ends_with("\r\n\r\n"));
     }
 
+    /// A routed statement carries the router's parse into the engine;
+    /// one that does not parse travels as text, and the reply is the
+    /// engine's own error for it.
+    #[test]
+    fn routed_statements_run_once_parsed_and_parse_errors_come_from_the_engine() {
+        let registry = TenantRegistry::new(
+            crate::Ssdm::open(crate::Backend::Memory),
+            crate::tenant::TenantQuotas::default(),
+        );
+        let body = "INSERT DATA { <http://s> <http://p> 5 }";
+        let raw = format!(
+            "POST /update HTTP/1.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut update = dispatched(route(&parse(raw.as_bytes())));
+        assert!(matches!(
+            &update,
+            Exec::Update {
+                parsed: Some(_),
+                ..
+            }
+        ));
+        assert_eq!(execute(&mut update, &registry).status, 200);
+        assert!(matches!(&update, Exec::Update { parsed: None, .. }));
+
+        let req = parse(b"GET /query?query=ASK%20%7B%20%3Chttp%3A%2F%2Fs%3E%20%3Chttp%3A%2F%2Fp%3E%205%20%7D HTTP/1.1\r\n\r\n");
+        let mut ask = dispatched(route(&req));
+        assert!(matches!(
+            &ask,
+            Exec::Query {
+                parsed: Some(_),
+                ..
+            }
+        ));
+        let resp = execute(&mut ask, &registry);
+        assert_eq!(
+            String::from_utf8(resp.body).unwrap(),
+            r#"{"head":{},"boolean":true}"#
+        );
+
+        let req = parse(b"GET /query?query=SELECT%20syntax%20error HTTP/1.1\r\n\r\n");
+        let mut bad = dispatched(route(&req));
+        assert!(matches!(&bad, Exec::Query { parsed: None, .. }));
+        let resp = execute(&mut bad, &registry);
+        assert_eq!(resp.status, 400);
+        let engine_error = crate::Ssdm::open(crate::Backend::Memory)
+            .query("SELECT syntax error")
+            .unwrap_err();
+        assert_eq!(
+            String::from_utf8(resp.body).unwrap(),
+            format!("{engine_error}\n")
+        );
+    }
+
     #[test]
     fn execute_runs_queries_and_updates_against_an_engine() {
         let registry = TenantRegistry::new(
             crate::Ssdm::open(crate::Backend::Memory),
             crate::tenant::TenantQuotas::default(),
         );
-        let update = Exec::Update {
+        let mut update = Exec::Update {
             tenant: None,
             statement: "INSERT DATA { <http://s> <http://p> 41 }".into(),
+            parsed: None,
         };
-        let resp = execute(&update, &registry);
+        let resp = execute(&mut update, &registry);
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8_lossy(&resp.body).contains("inserted 1"));
 
-        let query = Exec::Query {
+        let mut query = Exec::Query {
             tenant: None,
             statement: "SELECT ?o WHERE { <http://s> <http://p> ?o }".into(),
+            parsed: None,
             format: ResultFormat::Json,
         };
-        let resp = execute(&query, &registry);
+        let resp = execute(&mut query, &registry);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "application/sparql-results+json");
         assert!(String::from_utf8_lossy(&resp.body).contains("\"41\""));
 
-        let bad = Exec::Query {
+        let mut bad = Exec::Query {
             tenant: None,
             statement: "SELECT syntax error".into(),
+            parsed: None,
             format: ResultFormat::Json,
         };
-        assert_eq!(execute(&bad, &registry).status, 400);
+        assert_eq!(execute(&mut bad, &registry).status, 400);
 
-        let metrics = execute(&Exec::Metrics, &registry);
+        let metrics = execute(&mut Exec::Metrics, &registry);
         assert_eq!(metrics.status, 200);
         assert!(String::from_utf8_lossy(&metrics.body).contains("ssdm_"));
     }
@@ -793,29 +872,32 @@ mod tests {
             )
             .unwrap();
 
-        let update = Exec::Update {
+        let mut update = Exec::Update {
             tenant: Some("alice".into()),
             statement: "INSERT DATA { <http://s> <http://p> 7 }".into(),
+            parsed: None,
         };
-        assert_eq!(execute(&update, &registry).status, 200);
+        assert_eq!(execute(&mut update, &registry).status, 200);
 
         // Alice sees her row; the default tenant does not.
         let ask = |tenant: Option<&str>| {
-            let exec = Exec::Query {
+            let mut exec = Exec::Query {
                 tenant: tenant.map(String::from),
                 statement: "ASK { <http://s> <http://p> 7 }".into(),
+                parsed: None,
                 format: ResultFormat::Json,
             };
-            String::from_utf8(execute(&exec, &registry).body).unwrap()
+            String::from_utf8(execute(&mut exec, &registry).body).unwrap()
         };
         assert!(ask(Some("alice")).contains("true"));
         assert!(ask(None).contains("false"));
 
-        let gone = Exec::Query {
+        let mut gone = Exec::Query {
             tenant: Some("nobody".into()),
             statement: "ASK {}".into(),
+            parsed: None,
             format: ResultFormat::Json,
         };
-        assert_eq!(execute(&gone, &registry).status, 404);
+        assert_eq!(execute(&mut gone, &registry).status, 404);
     }
 }

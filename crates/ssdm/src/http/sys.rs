@@ -17,7 +17,41 @@
 
 use std::io;
 use std::os::fd::RawFd;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+use ssdm_obs::Counter;
+
+/// The serving core's process-wide counters of what a request costs it
+/// in syscalls and wake-ups, resolved once.
+pub(crate) struct Counters {
+    /// Returns of the poller, timeouts included: a loop that spins on a
+    /// readable socket it will not read shows here, not in a timing.
+    pub wakeups: Arc<Counter>,
+    /// `read` calls on connection sockets.
+    pub socket_reads: Arc<Counter>,
+    /// `write` calls on connection sockets.
+    pub socket_writes: Arc<Counter>,
+    /// `epoll_ctl` calls: registrations, interest changes, removals.
+    pub epoll_ctl: Arc<Counter>,
+    /// Writes that wake the reactor: a worker's first completion of a
+    /// batch, or a shutdown handle.
+    pub waker_writes: Arc<Counter>,
+}
+
+pub(crate) fn counters() -> &'static Counters {
+    static COUNTERS: OnceLock<Counters> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let rec = ssdm_obs::recorder();
+        Counters {
+            wakeups: rec.counter("ssdm_http_reactor_wakeups_total"),
+            socket_reads: rec.counter("ssdm_http_socket_reads_total"),
+            socket_writes: rec.counter("ssdm_http_socket_writes_total"),
+            epoll_ctl: rec.counter("ssdm_http_epoll_ctl_total"),
+            waker_writes: rec.counter("ssdm_http_waker_writes_total"),
+        }
+    })
+}
 
 /// Readiness interest for one registered file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +215,7 @@ mod imp {
         }
 
         fn ctl(&self, op: usize, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            counters().epoll_ctl.inc();
             let mut events = EPOLLRDHUP;
             if interest.read {
                 events |= EPOLLIN;
@@ -217,6 +252,7 @@ mod imp {
         pub fn delete(&self, fd: RawFd) -> io::Result<()> {
             // Pre-2.6.9 kernels demanded a non-null event for DEL; pass
             // one unconditionally, it is ignored on anything modern.
+            counters().epoll_ctl.inc();
             let ev = EpollEvent { events: 0, data: 0 };
             check(unsafe {
                 syscall6(

@@ -59,7 +59,7 @@ fn restore_without_delete_is_covered_by_begin_array() {
 }
 
 #[test]
-fn stale_chunks_never_survive_through_the_resilient_wrapper() {
+fn stale_chunks_never_survive_an_array_store_delete() {
     // A chunk cached by an APR read must be dropped when the array is
     // deleted through the `ArrayStore` and re-stored under its id.
     let mut store = ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20));

@@ -303,7 +303,7 @@ fn all_nan_and_empty_chunks_round_trip() {
 /// chunk-addressed `Corrupt` error classified as transient, never into
 /// wrong elements.
 #[test]
-fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
+fn corrupt_frames_surface_as_typed_errors() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let resident = NumArray::from_i64((0..64).collect());
     let proxy = store.store_array(&resident, 64).unwrap();

@@ -67,7 +67,7 @@ fn seed() -> u64 {
 }
 
 #[test]
-fn same_plan_without_resilience_fails() {
+fn ten_percent_transient_faults_sink_some_queries_on_a_bare_stack() {
     let plan = FaultPlan::transient_reads(seed(), 0.10);
     let injected = FaultInjectingChunkStore::new(MemoryChunkStore::new(), plan);
     let mut store = ArrayStore::new(injected);
