@@ -20,6 +20,7 @@ use ssdm_storage::{
 };
 
 use crate::ast::Statement;
+use crate::eval::Rows;
 use crate::functions::FunctionRegistry;
 use crate::parser::Prepared;
 use crate::value::Value;
@@ -94,6 +95,32 @@ pub enum QueryResult {
     Updated { inserted: usize, deleted: usize },
     /// EXPLAIN output: the rendered operator tree.
     Text(String),
+}
+
+/// What a statement answers before a SELECT's cells become values.
+// Variant sizes differ by design, as in `QueryResult`.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Answer {
+    /// An unprofiled SELECT: the projected column names and rows, whose
+    /// cells are still slots — ids into the dataset's dictionary, or
+    /// computed values. A caller that writes the rows out reads each
+    /// `Id` cell's term where the dictionary keeps it.
+    Solutions { vars: Vec<String>, rows: Rows },
+    /// Every other statement, and a SELECT run under the profiler
+    /// (whose profile includes the `Materialize` row).
+    Result(QueryResult),
+}
+
+impl Answer {
+    /// The answer as a [`QueryResult`]: a SELECT's rows are
+    /// materialized here, by the step a profile shows as `Materialize`.
+    pub fn into_result(self, ds: &mut Dataset) -> QueryResult {
+        match self {
+            Answer::Solutions { vars, rows } => crate::eval::materialize(ds, vars, rows),
+            Answer::Result(result) => result,
+        }
+    }
 }
 
 impl QueryResult {
@@ -351,7 +378,8 @@ impl Dataset {
     /// [`Dataset::execute`] directly, which does not journal.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, QueryError> {
         let prepared = Prepared::parse(text)?;
-        Ok(self.query_parsed(text, prepared, false)?.0)
+        let (answer, _) = self.query_parsed(text, prepared, false)?;
+        Ok(answer.into_result(self))
     }
 
     /// Parse and execute one statement with the profiler attached,
@@ -360,8 +388,9 @@ impl Dataset {
     /// [`query`](Self::query).
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, String), QueryError> {
         let prepared = Prepared::parse(text)?;
-        let (result, profile) = self.query_parsed(text, prepared, true)?;
-        Ok((result, profile.expect("a profiled run renders its profile")))
+        let (answer, profile) = self.query_parsed(text, prepared, true)?;
+        let profile = profile.expect("a profiled run renders its profile");
+        Ok((answer.into_result(self), profile))
     }
 
     /// Execute `prepared`, parsed from `text`: the one execution path
@@ -370,37 +399,44 @@ impl Dataset {
     /// caller that parsed the statement already. A mutation journals
     /// `text`; an `EXPLAIN ANALYZE` and a `profiled` run report
     /// `prepared.parse_micros` as their parse phase. With `profiled`
-    /// the profiler is attached and its rendered profile returned.
+    /// the profiler is attached and its rendered profile returned. An
+    /// unprofiled SELECT answers its projected rows unmaterialized
+    /// ([`Answer::into_result`] materializes them).
     pub fn query_parsed(
         &mut self,
         text: &str,
         prepared: Prepared,
         profiled: bool,
-    ) -> Result<(QueryResult, Option<String>), QueryError> {
+    ) -> Result<(Answer, Option<String>), QueryError> {
         let Prepared { stmt, parse_micros } = prepared;
         let _latency = ssdm_obs::Span::start_back(
             obs_query_hist(),
             std::time::Duration::from_micros(parse_micros),
         );
         let is_mutation = stmt.is_mutation();
-        let (result, profile) = match stmt {
+        let (answer, profile) = match stmt {
             Statement::ExplainAnalyze(q) if !profiled => {
                 // Capture the real parse time instead of the zero the
                 // pre-parsed `execute` path would report.
                 let (_, profile) =
                     self.with_profiler(parse_micros, |ds| crate::eval::execute_select(ds, &q))?;
-                (QueryResult::Text(profile), None)
+                (Answer::Result(QueryResult::Text(profile)), None)
             }
             stmt if profiled => {
                 let (result, profile) = self.with_profiler(parse_micros, |ds| ds.execute(stmt))?;
-                (result, Some(profile))
+                (Answer::Result(result), Some(profile))
             }
-            stmt => (self.execute(stmt)?, None),
+            Statement::Select(q) => {
+                let (vars, rows) =
+                    crate::eval::select_solutions(self, &q, Vec::new(), crate::eval::BATCH_ROWS)?;
+                (Answer::Solutions { vars, rows }, None)
+            }
+            stmt => (Answer::Result(self.execute(stmt)?), None),
         };
         if is_mutation {
             self.journal_entry(crate::journal::JournalEntry::Statement(text))?;
         }
-        Ok((result, profile))
+        Ok((answer, profile))
     }
 
     /// Run `f` with a fresh profiler attached, returning its result and

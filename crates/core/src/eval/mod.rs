@@ -274,14 +274,21 @@ impl VarTable {
     }
 }
 
-/// Execute a SELECT query: the one place its cells become values.
+/// Execute a SELECT query to its materialized result.
 pub fn execute_select(ds: &mut Dataset, q: &SelectQuery) -> Result<QueryResult, QueryError> {
     let (vars, rows) = select_solutions(ds, q, Vec::new(), BATCH_ROWS)?;
+    Ok(materialize(ds, vars, rows))
+}
+
+/// The one place a SELECT's projected cells become values: the
+/// `Materialize` row of a profile. A caller that only writes the rows
+/// out reads them as slots instead ([`crate::Answer::Solutions`]).
+pub(crate) fn materialize(ds: &mut Dataset, vars: Vec<String>, rows: Rows) -> QueryResult {
     let op = ds.prof_add("Materialize".into(), None, 0);
     ds.prof_enter(op, rows.len(), None);
     let rows: Vec<_> = rows.into_rows(|c| into_value(ds, c)).collect();
     ds.prof_exit(rows.len(), false);
-    Ok(QueryResult::Solutions { vars, rows })
+    QueryResult::Solutions { vars, rows }
 }
 
 /// Execute a SELECT query with initial bindings (the entry point for

@@ -49,7 +49,7 @@ pub mod profile;
 pub mod update;
 pub mod value;
 
-pub use dataset::{Dataset, QueryError, QueryResult};
+pub use dataset::{Answer, Dataset, QueryError, QueryResult};
 pub use functions::{Closure, ForeignFunction, FunctionCost, FunctionRegistry};
 pub use journal::{JournalEntry, UpdateJournal};
 pub use planner::{Calibration, PlannerConfig, PlannerCtx, PlannerMode};

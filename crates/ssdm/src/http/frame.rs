@@ -17,11 +17,12 @@
 
 use std::sync::PoisonError;
 
-use scisparql::QueryResult;
+use scisparql::{Answer, Dataset, QueryResult};
 use ssdm_obs::Span;
 
 use crate::tenant::{Tenant, TenantRegistry};
 
+use super::results::{self, Table};
 use super::router;
 
 /// Default cap on a request or response payload: 64 MiB.
@@ -75,22 +76,15 @@ pub fn encode(status: u8, payload: &str, max_frame: u32) -> Vec<u8> {
     out
 }
 
-/// Serialize a result for the framed wire.
-pub fn render(result: &QueryResult) -> String {
+/// Serialize an answer for the framed wire; `ds` keeps the terms a
+/// SELECT's ids name.
+pub fn render(answer: &Answer, ds: &Dataset) -> String {
+    let result = match answer {
+        Answer::Solutions { vars, rows } => return results::framed(vars, Table::Slots(rows, ds)),
+        Answer::Result(result) => result,
+    };
     match result {
-        QueryResult::Solutions { vars, rows } => {
-            let mut out = vars.join("\t");
-            out.push('\n');
-            for row in rows {
-                let cells: Vec<String> = row
-                    .iter()
-                    .map(|c| c.as_ref().map(|v| v.to_string()).unwrap_or_default())
-                    .collect();
-                out.push_str(&cells.join("\t"));
-                out.push('\n');
-            }
-            out
-        }
+        QueryResult::Solutions { vars, rows } => results::framed(vars, Table::Values(rows)),
         QueryResult::Boolean(b) => format!("{b}\n"),
         QueryResult::Graph(g) => ssdm_rdf::ntriples::serialize(g),
         QueryResult::Updated { inserted, deleted } => {
@@ -174,12 +168,14 @@ impl FramedExec {
                     Err(e) => (1, e.to_string()),
                 }
             }
-            // The lock is held per statement: rendering happens with
-            // the engine free for other sessions.
-            FramedExec::Query(statement) => match router::run(statement, None, tenant.engine()) {
-                Ok(result) => (0, render(&result)),
-                Err(e) => (1, e.to_string()),
-            },
+            // The lock is held per statement, rendering included: a
+            // SELECT's cells are read from the dictionary in place.
+            FramedExec::Query(statement) => {
+                match router::run(statement, None, tenant.engine(), render) {
+                    Ok(payload) => (0, payload),
+                    Err(e) => (1, e.to_string()),
+                }
+            }
         }
     }
 }

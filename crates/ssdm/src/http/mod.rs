@@ -19,7 +19,8 @@
 //! * [`frame`] — the framed wire: restartable decoder, reply frames,
 //!   the six wire statements;
 //! * [`negotiate`] — Accept-header selection of the result format;
-//! * [`results`] — SPARQL JSON / XML / CSV / TSV serializers;
+//! * [`results`] — SPARQL JSON / XML / CSV / TSV, written by one writer
+//!   from borrowed cells;
 //! * [`router`] — SPARQL 1.1 Protocol routing and engine execution;
 //! * [`conn`] — per-connection buffers and pipelined response order;
 //! * [`sys`] — the epoll/signalfd syscall layer.

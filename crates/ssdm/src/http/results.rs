@@ -1,85 +1,148 @@
-//! SPARQL result serializers: JSON, XML, CSV, TSV.
+//! SPARQL result serializers: JSON, XML, CSV, TSV, through one writer.
 //!
-//! All four operate over [`QueryResult`] directly. Non-SELECT shapes
-//! are lowered first: CONSTRUCT graphs become `?subject ?predicate
-//! ?object` solutions, updates become a one-row `?inserted ?deleted`
-//! table, and EXPLAIN text a one-column `?text` table — so every
-//! format can carry every result kind.
+//! `Writer` writes a table a cell at a time straight into the one
+//! output buffer. A cell is a term borrowed where it lies — in the
+//! dataset's dictionary, a CONSTRUCT graph, a materialized value — or a
+//! value that names no term (a proxy, a closure). Three tables feed it:
+//! a SELECT's projected rows, whose `Id` cells are read from the
+//! dictionary under the engine lock ([`serialize_answer`]); a
+//! materialized [`QueryResult`] ([`serialize`]); and a graph's triples.
+//! The framed wire writes its SELECT rows through the same writer
+//! ([`super::frame::render`]).
+//!
+//! Non-SELECT shapes are lowered first: CONSTRUCT graphs become
+//! `?subject ?predicate ?object` solutions, updates become a one-row
+//! `?inserted ?deleted` table, and EXPLAIN text a one-column `?text`
+//! table — so every format can carry every result kind.
 //!
 //! Mapping of SSDM-specific values: resident arrays and array proxies
 //! serialize as literals typed `urn:ssdm:array` whose lexical form is
 //! the SciSPARQL collection notation; closures as `urn:ssdm:closure`.
+//! A double that is not finite writes as the `xsd:double` lexical form
+//! `INF`, `-INF` or `NaN`; in TSV, where a bare token must be a SPARQL
+//! number, as the typed literal `"INF"^^<…#double>`.
 
-use std::borrow::Cow;
 use std::fmt::{self, Display, Write};
 
-use scisparql::{QueryResult, Value};
+use scisparql::eval::{Rows, Slot};
+use scisparql::{Answer, Dataset, QueryResult, Value};
 use ssdm_array::Num;
-use ssdm_rdf::Term;
+use ssdm_rdf::{Graph, Term};
 
 use super::negotiate::ResultFormat;
 
-const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
-const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
-const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
-const SSDM_ARRAY: &str = "urn:ssdm:array";
-const SSDM_CLOSURE: &str = "urn:ssdm:closure";
-
-type Rows = [Vec<Option<Value>>];
-
-/// Serialize a result in the negotiated format. A SELECT result is
-/// read where it lies; every lexical form is written, escaped, straight
-/// into the one output buffer.
+/// Serialize a materialized result in the negotiated format.
 pub fn serialize(result: &QueryResult, format: ResultFormat) -> Vec<u8> {
-    let (vars, rows) = match lower(result) {
-        Lowered::Solutions { vars, rows } => (vars, rows),
-        Lowered::Boolean(b) => return boolean(b, format).into_bytes(),
-    };
-    let mut out = String::with_capacity(256 + 64 * vars.len() * rows.len());
-    match format {
-        ResultFormat::Json => to_json(&mut out, &vars, &rows),
-        ResultFormat::Xml => to_xml(&mut out, &vars, &rows),
-        ResultFormat::Csv => to_csv(&mut out, &vars, &rows),
-        ResultFormat::Tsv => to_tsv(&mut out, &vars, &rows),
-    }
-    out.into_bytes()
-}
-
-enum Lowered<'a> {
-    Solutions {
-        vars: Cow<'a, [String]>,
-        rows: Cow<'a, Rows>,
-    },
-    Boolean(bool),
-}
-
-/// Lower every result kind to a table or a boolean.
-fn lower(result: &QueryResult) -> Lowered<'_> {
-    let table = |vars: &[&str], rows| Lowered::Solutions {
-        vars: vars.iter().map(|v| v.to_string()).collect(),
-        rows: Cow::Owned(rows),
-    };
+    let count = |n: usize| Some(Value::integer(n as i64));
     match result {
-        QueryResult::Solutions { vars, rows } => Lowered::Solutions {
-            vars: Cow::Borrowed(vars),
-            rows: Cow::Borrowed(rows),
-        },
-        QueryResult::Boolean(b) => Lowered::Boolean(*b),
+        QueryResult::Solutions { vars, rows } => table(format, vars, Table::Values(rows)),
+        QueryResult::Boolean(b) => boolean(*b, format),
         QueryResult::Graph(g) => {
-            let node = |id| Some(Value::Term(g.term(id).clone()));
-            let rows = g.iter().map(|t| vec![node(t.s), node(t.p), node(t.o)]);
-            table(&["subject", "predicate", "object"], rows.collect())
+            let vars = ["subject", "predicate", "object"];
+            table(format, &vars, Table::Triples(g))
         }
         QueryResult::Updated { inserted, deleted } => {
-            let count = |n: usize| Some(Value::integer(n as i64));
-            let row = vec![count(*inserted), count(*deleted)];
-            table(&["inserted", "deleted"], vec![row])
+            let row = [vec![count(*inserted), count(*deleted)]];
+            table(format, &["inserted", "deleted"], Table::Values(&row))
         }
         QueryResult::Text(t) => {
             let line = |l| vec![Some(Value::Term(Term::str(l)))];
-            table(&["text"], t.lines().map(line).collect())
+            let rows: Vec<_> = t.lines().map(line).collect();
+            table(format, &["text"], Table::Values(&rows))
         }
     }
+    .into_bytes()
+}
+
+/// Serialize a statement's answer in the negotiated format, byte for
+/// byte as [`serialize`] writes its materialized result. A SELECT's
+/// cells are read where they lie: `ds` is the dataset whose dictionary
+/// its ids index.
+pub fn serialize_answer(answer: &Answer, ds: &Dataset, format: ResultFormat) -> Vec<u8> {
+    match answer {
+        Answer::Solutions { vars, rows } => {
+            table(format, vars, Table::Slots(rows, ds)).into_bytes()
+        }
+        Answer::Result(result) => serialize(result, format),
+    }
+}
+
+/// A table for the framed wire: TSV cells under a header of bare
+/// variable names.
+pub(crate) fn framed(vars: &[String], table: Table<'_>) -> String {
+    let mut w = Writer::bare(ResultFormat::Tsv, vars.len(), &table);
+    w.out.push_str(&vars.join("\t"));
+    w.out.push('\n');
+    write(w, table)
+}
+
+/// Where a table's cells lie.
+#[derive(Clone, Copy)]
+pub(crate) enum Table<'a> {
+    /// A SELECT's projected rows: dictionary ids, whose terms `ds`
+    /// keeps, and computed values.
+    Slots(&'a Rows, &'a Dataset),
+    /// Materialized rows.
+    Values(&'a [Vec<Option<Value>>]),
+    /// A graph's triples, one `?subject ?predicate ?object` row each.
+    Triples(&'a Graph),
+}
+
+impl Table<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Table::Slots(rows, _) => rows.len(),
+            Table::Values(rows) => rows.len(),
+            Table::Triples(g) => g.len(),
+        }
+    }
+}
+
+/// `table` under a header naming `vars`, whole.
+fn table(format: ResultFormat, vars: &[impl AsRef<str>], table: Table<'_>) -> String {
+    write(Writer::new(format, vars, &table), table)
+}
+
+/// Every row of `table` through `w`, then the close.
+fn write(mut w: Writer, table: Table<'_>) -> String {
+    match table {
+        Table::Slots(rows, ds) => {
+            for row in rows.iter() {
+                w.start_row();
+                for slot in row {
+                    match slot {
+                        Slot::Unbound => w.cell(None),
+                        Slot::Id(id) => match ds.graph.term(*id) {
+                            // Shows as its proxy, as it materializes.
+                            t @ Term::ArrayRef(_) => {
+                                w.cell(Some(Cell::Value(&ds.term_to_value(t))))
+                            }
+                            t => w.cell(Some(Cell::Term(t))),
+                        },
+                        Slot::Val(v) => w.cell(Some(Cell::Value(v))),
+                    }
+                }
+                w.end_row();
+            }
+        }
+        Table::Values(rows) => {
+            for row in rows {
+                w.start_row();
+                row.iter().for_each(|c| w.cell(c.as_ref().map(Cell::Value)));
+                w.end_row();
+            }
+        }
+        Table::Triples(g) => {
+            for t in g.iter() {
+                w.start_row();
+                for id in [t.s, t.p, t.o] {
+                    w.cell(Some(Cell::Term(g.term(id))));
+                }
+                w.end_row();
+            }
+        }
+    }
+    w.finish()
 }
 
 /// An ASK result, whole.
@@ -94,38 +157,280 @@ fn boolean(b: bool, format: ResultFormat) -> String {
     }
 }
 
-/// The (lexical form, term kind) decomposition every serializer needs,
-/// borrowed from the value: a lexical form is whatever displays as it.
+/// One cell: a term where it lies, or a value.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Term(&'a Term),
+    Value(&'a Value),
+}
+
+/// The datatypes the engine assigns itself, each written as one
+/// constant fragment.
+macro_rules! known_datatypes {
+    ($($name:ident = $iri:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum Known { $($name,)* }
+
+        impl Known {
+            /// `,"datatype":"…"}`: the end of a JSON literal.
+            fn json(self) -> &'static str {
+                match self { $(Known::$name => concat!(",\"datatype\":\"", $iri, "\"}"),)* }
+            }
+
+            /// ` datatype="…">`: the end of an XML literal's start tag.
+            fn xml(self) -> &'static str {
+                match self { $(Known::$name => concat!(" datatype=\"", $iri, "\">"),)* }
+            }
+        }
+    };
+}
+
+known_datatypes! {
+    Integer = "http://www.w3.org/2001/XMLSchema#integer",
+    Double = "http://www.w3.org/2001/XMLSchema#double",
+    Boolean = "http://www.w3.org/2001/XMLSchema#boolean",
+    Array = "urn:ssdm:array",
+    Closure = "urn:ssdm:closure",
+}
+
+enum Datatype<'a> {
+    Plain,
+    Known(Known),
+    Iri(&'a str),
+}
+
+/// A literal's lexical form, as it lies.
+enum Lexical<'a> {
+    /// Text, escaped as the format needs.
+    Text(&'a str),
+    Int(i64),
+    Real(f64),
+    Bool(bool),
+    /// Collection notation, proxies, closures: whatever displays as it.
+    Shown(&'a dyn Display),
+}
+
+/// The (kind, lexical form) decomposition the JSON, XML and CSV cells
+/// need, borrowed from the cell.
 enum Node<'a> {
     Uri(&'a str),
     Bnode(&'a str),
-    /// value, optional language tag, optional datatype URI.
-    Literal(&'a dyn Display, Option<&'a str>, Option<&'a str>),
+    /// lexical form, optional language tag, datatype.
+    Literal(Lexical<'a>, Option<&'a str>, Datatype<'a>),
 }
 
-fn decompose(value: &Value) -> Node<'_> {
-    match value {
-        Value::Term(t) => match t {
-            Term::Uri(u) => Node::Uri(u),
-            Term::Blank(b) => Node::Bnode(b),
-            Term::Str(s) => Node::Literal(s, None, None),
-            Term::LangStr { value, lang } => Node::Literal(value, Some(lang), None),
-            Term::Number(Num::Int(i)) => Node::Literal(i, None, Some(XSD_INTEGER)),
-            Term::Number(n @ Num::Real(_)) => Node::Literal(n, None, Some(XSD_DOUBLE)),
-            Term::Bool(b) => Node::Literal(b, None, Some(XSD_BOOLEAN)),
-            Term::Typed { value, datatype } => Node::Literal(value, None, Some(datatype)),
-            Term::Array(a) => Node::Literal(a, None, Some(SSDM_ARRAY)),
-            // Displays as `@array:<id>`.
-            Term::ArrayRef(_) => Node::Literal(t, None, Some(SSDM_ARRAY)),
-        },
-        Value::Proxy(_) => Node::Literal(value, None, Some(SSDM_ARRAY)),
-        Value::Closure(_) => Node::Literal(value, None, Some(SSDM_CLOSURE)),
+fn decompose(cell: Cell<'_>) -> Node<'_> {
+    let literal = |lexical, datatype| Node::Literal(lexical, None, Datatype::Known(datatype));
+    let term = match cell {
+        Cell::Term(t) | Cell::Value(Value::Term(t)) => t,
+        Cell::Value(v @ Value::Proxy(_)) => return literal(Lexical::Shown(v), Known::Array),
+        Cell::Value(v @ Value::Closure(_)) => return literal(Lexical::Shown(v), Known::Closure),
+    };
+    match term {
+        Term::Uri(u) => Node::Uri(u),
+        Term::Blank(b) => Node::Bnode(b),
+        Term::Str(s) => Node::Literal(Lexical::Text(s), None, Datatype::Plain),
+        Term::LangStr { value, lang } => {
+            Node::Literal(Lexical::Text(value), Some(lang), Datatype::Plain)
+        }
+        Term::Number(Num::Int(i)) => literal(Lexical::Int(*i), Known::Integer),
+        Term::Number(Num::Real(r)) => literal(Lexical::Real(*r), Known::Double),
+        Term::Bool(b) => literal(Lexical::Bool(*b), Known::Boolean),
+        Term::Typed { value, datatype } => {
+            Node::Literal(Lexical::Text(value), None, Datatype::Iri(datatype))
+        }
+        Term::Array(a) => literal(Lexical::Shown(a), Known::Array),
+        // Displays as `@array:<id>`.
+        Term::ArrayRef(_) => literal(Lexical::Shown(term), Known::Array),
     }
 }
 
-/// Appends what is written to it to `out`, with each byte `replace`
-/// knows replaced by what it returns. (Every escaped character of
+/// Writes one table in one format: the header when made, then each
+/// row a cell at a time.
+struct Writer {
+    format: ResultFormat,
+    out: String,
+    /// Per column, what opens a bound cell: `"var":` in JSON,
+    /// `      <binding name="var">` in XML; empty in CSV and TSV.
+    open: Vec<String>,
+    /// Columns per row; cells past it are not written.
+    width: usize,
+    /// The next column of the current row.
+    col: usize,
+    /// JSON: a cell of the current row is written.
+    bound: bool,
+    rows: usize,
+}
+
+impl Writer {
+    /// A writer of `table`, `width` columns wide, that has written
+    /// nothing yet.
+    fn bare(format: ResultFormat, width: usize, table: &Table<'_>) -> Writer {
+        Writer {
+            format,
+            out: String::with_capacity(256 + 64 * width * table.len()),
+            open: Vec::new(),
+            width,
+            col: 0,
+            bound: false,
+            rows: 0,
+        }
+    }
+
+    /// A writer of `table` that has written the header naming `vars`.
+    fn new(format: ResultFormat, vars: &[impl AsRef<str>], table: &Table<'_>) -> Writer {
+        let mut w = Writer::bare(format, vars.len(), table);
+        let (out, open) = (&mut w.out, &mut w.open);
+        let names = vars.iter().map(AsRef::as_ref);
+        match format {
+            ResultFormat::Json => {
+                out.push_str("{\"head\":{\"vars\":[");
+                for (i, v) in names.enumerate() {
+                    let mut key = String::from("\"");
+                    push_escaped(&mut key, v, json_special);
+                    key.push('"');
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(&key);
+                    key.push(':');
+                    open.push(key);
+                }
+                out.push_str("]},\"results\":{\"bindings\":[");
+            }
+            ResultFormat::Xml => {
+                out.push_str(XML_OPEN);
+                out.push_str("  <head>\n");
+                for v in names {
+                    out.push_str("    <variable");
+                    xml_attribute(out, "name", v);
+                    out.push_str("/>\n");
+                    let mut binding = String::from("      <binding");
+                    xml_attribute(&mut binding, "name", v);
+                    binding.push('>');
+                    open.push(binding);
+                }
+                out.push_str("  </head>\n  <results>\n");
+            }
+            ResultFormat::Csv => {
+                for (i, v) in names.enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    csv_text(out, "", v);
+                }
+                out.push_str("\r\n");
+            }
+            ResultFormat::Tsv => {
+                for (i, v) in names.enumerate() {
+                    out.push_str(if i > 0 { "\t?" } else { "?" });
+                    out.push_str(v);
+                }
+                out.push('\n');
+            }
+        }
+        w
+    }
+
+    fn start_row(&mut self) {
+        (self.col, self.bound) = (0, false);
+        match self.format {
+            ResultFormat::Json => self.out.push_str(if self.rows > 0 { ",{" } else { "{" }),
+            ResultFormat::Xml => self.out.push_str("    <result>\n"),
+            ResultFormat::Csv | ResultFormat::Tsv => {}
+        }
+    }
+
+    /// The current row's next cell; `None` is unbound.
+    fn cell(&mut self, cell: Option<Cell<'_>>) {
+        let col = self.col;
+        self.col += 1;
+        if col >= self.width {
+            return;
+        }
+        let out = &mut self.out;
+        match self.format {
+            ResultFormat::Json => {
+                let Some(cell) = cell else { return };
+                out.push_str(if self.bound { "," } else { "" });
+                self.bound = true;
+                out.push_str(&self.open[col]);
+                json_node(out, decompose(cell));
+            }
+            ResultFormat::Xml => {
+                let Some(cell) = cell else { return };
+                out.push_str(&self.open[col]);
+                xml_node(out, decompose(cell));
+                out.push_str("</binding>\n");
+            }
+            ResultFormat::Csv => {
+                out.push_str(if col > 0 { "," } else { "" });
+                match cell.map(decompose) {
+                    None => {}
+                    Some(Node::Uri(u)) => csv_text(out, "", u),
+                    Some(Node::Bnode(b)) => csv_text(out, "_:", b),
+                    Some(Node::Literal(lexical, _, _)) => csv_lexical(out, lexical),
+                }
+            }
+            ResultFormat::Tsv => {
+                out.push_str(if col > 0 { "\t" } else { "" });
+                match cell {
+                    None => {}
+                    Some(Cell::Term(t) | Cell::Value(Value::Term(t))) => tsv_term(out, t),
+                    Some(Cell::Value(v)) => {
+                        let _ = write!(out, "{v}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.rows += 1;
+        self.out.push_str(match self.format {
+            ResultFormat::Json => "}",
+            ResultFormat::Xml => "    </result>\n",
+            ResultFormat::Csv => "\r\n",
+            ResultFormat::Tsv => "\n",
+        });
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str(match self.format {
+            ResultFormat::Json => "]}}",
+            ResultFormat::Xml => "  </results>\n</sparql>\n",
+            ResultFormat::Csv | ResultFormat::Tsv => "",
+        });
+        self.out
+    }
+}
+
+/// Whether `s` holds a byte `special` picks. It tests 16-byte blocks
+/// without a branch per byte, which the compiler turns into vector
+/// compares: most lexical forms hold nothing to escape.
+fn holds(s: &str, special: impl Fn(u8) -> bool) -> bool {
+    let any = |block: &[u8]| block.iter().fold(false, |found, &b| found | special(b));
+    let mut blocks = s.as_bytes().chunks_exact(16);
+    blocks.by_ref().any(any) || any(blocks.remainder())
+}
+
+/// Append `s` with each byte `replace` knows replaced by what it
+/// returns; a clean `s` is copied whole. (Every escaped character of
 /// every format is ASCII, so bytes are characters here.)
+fn push_escaped(out: &mut String, s: &str, replace: impl Fn(u8) -> Option<&'static str>) {
+    if !holds(s, |b| replace(b).is_some()) {
+        out.push_str(s);
+        return;
+    }
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(replacement) = replace(b) {
+            out.push_str(&s[clean..i]);
+            out.push_str(replacement);
+            clean = i + 1;
+        }
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Appends what is written to it to `out`, escaped by `replace`: the
+/// lexical forms that only display (arrays, proxies, closures).
 struct Escaped<'o, F> {
     out: &'o mut String,
     replace: F,
@@ -133,23 +438,70 @@ struct Escaped<'o, F> {
 
 impl<F: Fn(u8) -> Option<&'static str>> Write for Escaped<'_, F> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut clean = 0;
-        for (i, b) in s.bytes().enumerate() {
-            if let Some(replacement) = (self.replace)(b) {
-                self.out.push_str(&s[clean..i]);
-                self.out.push_str(replacement);
-                clean = i + 1;
-            }
-        }
-        self.out.push_str(&s[clean..]);
+        push_escaped(self.out, s, &self.replace);
         Ok(())
     }
 }
 
-/// Append `lexical`, escaped by `replace`, to `out`.
-fn escaped(out: &mut String, lexical: &dyn Display, replace: impl Fn(u8) -> Option<&'static str>) {
-    // Writing to a `String` cannot fail.
-    let _ = write!(Escaped { out, replace }, "{lexical}");
+/// Append `lexical`, escaped by `replace`.
+fn push_lexical(
+    out: &mut String,
+    lexical: Lexical<'_>,
+    replace: impl Fn(u8) -> Option<&'static str>,
+) {
+    match lexical {
+        Lexical::Text(s) => push_escaped(out, s, replace),
+        Lexical::Int(i) => push_int(out, i),
+        Lexical::Real(r) => push_real(out, r),
+        Lexical::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        Lexical::Shown(d) => {
+            // Writing to a `String` cannot fail.
+            let _ = write!(Escaped { out, replace }, "{d}");
+        }
+    }
+}
+
+/// Append an integer's decimal digits.
+fn push_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    let (mut n, mut digits, mut at) = (i.unsigned_abs(), [0u8; 20], 20);
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append a double's lexical form: `Num`'s `Display` for a finite one
+/// (`5.0` for an integral value under 1e15, the shortest round-trip
+/// form otherwise), `INF`, `-INF` or `NaN` for the rest.
+fn push_real(out: &mut String, r: f64) {
+    if !r.is_finite() {
+        out.push_str(non_finite(r));
+    } else if r.fract() == 0.0 && r.abs() < 1e15 {
+        if r.is_sign_negative() {
+            out.push('-');
+        }
+        push_int(out, r.abs() as i64);
+        out.push_str(".0");
+    } else {
+        let _ = write!(out, "{r}");
+    }
+}
+
+/// The `xsd:double` lexical form of a non-finite double.
+fn non_finite(r: f64) -> &'static str {
+    match r {
+        f64::INFINITY => "INF",
+        f64::NEG_INFINITY => "-INF",
+        _ => "NaN",
+    }
 }
 
 // ---------------------------------------------------------------- JSON
@@ -171,74 +523,39 @@ fn json_special(b: u8) -> Option<&'static str> {
     }
 }
 
-/// Append `"name":"value"`, `value` escaped.
-fn json_member(out: &mut String, name: &str, value: &dyn Display) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":\"");
-    escaped(out, value, json_special);
-    out.push('"');
-}
-
-fn to_json(out: &mut String, vars: &[String], rows: &Rows) {
-    // `"var":`, escaped once.
-    let keys: Vec<String> = vars
-        .iter()
-        .map(|v| {
-            let mut key = String::from("\"");
-            escaped(&mut key, v, json_special);
-            key.push_str("\":");
-            key
-        })
-        .collect();
-    out.push_str("{\"head\":{\"vars\":[");
-    for (i, key) in keys.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Append one bound cell's JSON object.
+fn json_node(out: &mut String, node: Node<'_>) {
+    match node {
+        Node::Uri(u) => {
+            out.push_str("{\"type\":\"uri\",\"value\":\"");
+            push_escaped(out, u, json_special);
+            out.push_str("\"}");
         }
-        out.push_str(&key[..key.len() - 1]);
-    }
-    out.push_str("]},\"results\":{\"bindings\":[");
-    for (ri, row) in rows.iter().enumerate() {
-        if ri > 0 {
-            out.push(',');
+        Node::Bnode(b) => {
+            out.push_str("{\"type\":\"bnode\",\"value\":\"");
+            push_escaped(out, b, json_special);
+            out.push_str("\"}");
         }
-        out.push('{');
-        let mut first = true;
-        for (key, cell) in keys.iter().zip(row.iter()) {
-            let Some(value) = cell else { continue };
-            if !first {
-                out.push(',');
+        Node::Literal(lexical, lang, datatype) => {
+            out.push_str("{\"type\":\"literal\",\"value\":\"");
+            push_lexical(out, lexical, json_special);
+            out.push('"');
+            if let Some(lang) = lang {
+                out.push_str(",\"xml:lang\":\"");
+                push_escaped(out, lang, json_special);
+                out.push('"');
             }
-            first = false;
-            out.push_str(key);
-            match decompose(value) {
-                Node::Uri(u) => {
-                    out.push_str("{\"type\":\"uri\",");
-                    json_member(out, "value", &u);
-                }
-                Node::Bnode(b) => {
-                    out.push_str("{\"type\":\"bnode\",");
-                    json_member(out, "value", &b);
-                }
-                Node::Literal(v, lang, dt) => {
-                    out.push_str("{\"type\":\"literal\",");
-                    json_member(out, "value", v);
-                    if let Some(lang) = lang {
-                        out.push(',');
-                        json_member(out, "xml:lang", &lang);
-                    }
-                    if let Some(dt) = dt {
-                        out.push(',');
-                        json_member(out, "datatype", &dt);
-                    }
+            match datatype {
+                Datatype::Plain => out.push('}'),
+                Datatype::Known(known) => out.push_str(known.json()),
+                Datatype::Iri(iri) => {
+                    out.push_str(",\"datatype\":\"");
+                    push_escaped(out, iri, json_special);
+                    out.push_str("\"}");
                 }
             }
-            out.push('}');
         }
-        out.push('}');
     }
-    out.push_str("]}}");
 }
 
 // ----------------------------------------------------------------- XML
@@ -262,125 +579,142 @@ fn xml_attribute(out: &mut String, name: &str, value: &str) {
     out.push(' ');
     out.push_str(name);
     out.push_str("=\"");
-    escaped(out, &value, xml_special);
+    push_escaped(out, value, xml_special);
     out.push('"');
 }
 
-fn to_xml(out: &mut String, vars: &[String], rows: &Rows) {
-    out.push_str(XML_OPEN);
-    out.push_str("  <head>\n");
-    for v in vars {
-        out.push_str("    <variable");
-        xml_attribute(out, "name", v);
-        out.push_str("/>\n");
-    }
-    out.push_str("  </head>\n  <results>\n");
-    for row in rows {
-        out.push_str("    <result>\n");
-        for (var, cell) in vars.iter().zip(row.iter()) {
-            let Some(value) = cell else { continue };
-            out.push_str("      <binding");
-            xml_attribute(out, "name", var);
-            out.push('>');
-            match decompose(value) {
-                Node::Uri(u) => {
-                    out.push_str("<uri>");
-                    escaped(out, &u, xml_special);
-                    out.push_str("</uri>");
-                }
-                Node::Bnode(b) => {
-                    out.push_str("<bnode>");
-                    escaped(out, &b, xml_special);
-                    out.push_str("</bnode>");
-                }
-                Node::Literal(v, lang, dt) => {
-                    out.push_str("<literal");
-                    if let Some(lang) = lang {
-                        xml_attribute(out, "xml:lang", lang);
-                    }
-                    if let Some(dt) = dt {
-                        xml_attribute(out, "datatype", dt);
-                    }
+/// Append one bound cell's element.
+fn xml_node(out: &mut String, node: Node<'_>) {
+    match node {
+        Node::Uri(u) => {
+            out.push_str("<uri>");
+            push_escaped(out, u, xml_special);
+            out.push_str("</uri>");
+        }
+        Node::Bnode(b) => {
+            out.push_str("<bnode>");
+            push_escaped(out, b, xml_special);
+            out.push_str("</bnode>");
+        }
+        Node::Literal(lexical, lang, datatype) => {
+            out.push_str("<literal");
+            if let Some(lang) = lang {
+                xml_attribute(out, "xml:lang", lang);
+            }
+            match datatype {
+                Datatype::Plain => out.push('>'),
+                Datatype::Known(known) => out.push_str(known.xml()),
+                Datatype::Iri(iri) => {
+                    xml_attribute(out, "datatype", iri);
                     out.push('>');
-                    escaped(out, v, xml_special);
-                    out.push_str("</literal>");
                 }
             }
-            out.push_str("</binding>\n");
+            push_lexical(out, lexical, xml_special);
+            out.push_str("</literal>");
         }
-        out.push_str("    </result>\n");
     }
-    out.push_str("  </results>\n</sparql>\n");
 }
 
 // ----------------------------------------------------------------- CSV
+//
+// CSV serializes bare lexical forms (SPARQL 1.1 Query Results CSV
+// format): IRIs without brackets, literals without quotes or type
+// annotations. A field is quoted (RFC 4180) when it contains a comma,
+// quote, CR or LF; embedded quotes double.
 
-/// Append one field with RFC 4180 quoting: wrapped in double quotes
-/// when it contains a comma, quote, CR, or LF; embedded quotes double.
-fn csv_field(out: &mut String, prefix: &str, lexical: &dyn Display) {
-    let start = out.len();
-    out.push_str(prefix);
-    let _ = write!(out, "{lexical}");
-    if out[start..].contains([',', '"', '\n', '\r']) {
-        let field = out.split_off(start);
-        out.push('"');
-        out.push_str(&field.replace('"', "\"\""));
-        out.push('"');
-    }
+fn csv_special(b: u8) -> bool {
+    matches!(b, b',' | b'"' | b'\n' | b'\r')
 }
 
-/// CSV serializes bare lexical forms (SPARQL 1.1 Query Results CSV
-/// format): IRIs without brackets, literals without quotes or type
-/// annotations.
-fn to_csv(out: &mut String, vars: &[String], rows: &Rows) {
-    for (i, v) in vars.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        csv_field(out, "", v);
+/// Append `prefix` + `text` as one field.
+fn csv_text(out: &mut String, prefix: &str, text: &str) {
+    if !holds(text, csv_special) {
+        out.push_str(prefix);
+        out.push_str(text);
+        return;
     }
-    out.push_str("\r\n");
-    for row in rows {
-        for (i, (_, cell)) in vars.iter().zip(row.iter()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match cell.as_ref().map(decompose) {
-                None => {}
-                Some(Node::Uri(u)) => csv_field(out, "", &u),
-                Some(Node::Bnode(b)) => csv_field(out, "_:", &b),
-                Some(Node::Literal(v, _, _)) => csv_field(out, "", v),
+    out.push('"');
+    out.push_str(prefix);
+    push_escaped(out, text, |b| (b == b'"').then_some("\"\""));
+    out.push('"');
+}
+
+/// Append a literal's lexical form as one field.
+fn csv_lexical(out: &mut String, lexical: Lexical<'_>) {
+    match lexical {
+        Lexical::Text(s) => csv_text(out, "", s),
+        Lexical::Shown(d) => {
+            let start = out.len();
+            let _ = write!(out, "{d}");
+            if holds(&out[start..], csv_special) {
+                let field = out.split_off(start);
+                csv_text(out, "", &field);
             }
         }
-        out.push_str("\r\n");
+        // Digits, signs, `.`, `e`, letters: never quoted.
+        other => push_lexical(out, other, |_| None),
     }
 }
 
 // ----------------------------------------------------------------- TSV
 
 /// TSV serializes full SPARQL syntax (the Query Results TSV format):
-/// `<iri>`, `"literal"@lang`, `"lex"^^<dt>`, numbers bare. [`Term`]'s
-/// `Display` already produces exactly this, with tabs and newlines
-/// escaped inside literals.
-fn to_tsv(out: &mut String, vars: &[String], rows: &Rows) {
-    for (i, v) in vars.iter().enumerate() {
-        if i > 0 {
-            out.push('\t');
+/// `<iri>`, `"literal"@lang`, `"lex"^^<dt>`, numbers bare — what
+/// [`Term`]'s `Display` writes, with tabs and newlines escaped inside
+/// literals — except a non-finite double, which no bare number
+/// spells.
+fn tsv_term(out: &mut String, t: &Term) {
+    let quoted = |out: &mut String, s: &str| {
+        out.push('"');
+        push_escaped(out, s, tsv_special);
+        out.push('"');
+    };
+    match t {
+        Term::Uri(u) => {
+            out.push('<');
+            out.push_str(u);
+            out.push('>');
         }
-        out.push('?');
-        out.push_str(v);
+        Term::Blank(b) => {
+            out.push_str("_:");
+            out.push_str(b);
+        }
+        Term::Str(s) => quoted(out, s),
+        Term::LangStr { value, lang } => {
+            quoted(out, value);
+            out.push('@');
+            out.push_str(lang);
+        }
+        Term::Number(Num::Int(i)) => push_int(out, *i),
+        Term::Number(Num::Real(r)) if !r.is_finite() => {
+            out.push('"');
+            out.push_str(non_finite(*r));
+            out.push_str("\"^^<http://www.w3.org/2001/XMLSchema#double>");
+        }
+        Term::Number(Num::Real(r)) => push_real(out, *r),
+        Term::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Term::Typed { value, datatype } => {
+            quoted(out, value);
+            out.push_str("^^<");
+            out.push_str(datatype);
+            out.push('>');
+        }
+        Term::Array(_) | Term::ArrayRef(_) => {
+            let _ = write!(out, "{t}");
+        }
     }
-    out.push('\n');
-    for row in rows {
-        for (i, (_, cell)) in vars.iter().zip(row.iter()).enumerate() {
-            if i > 0 {
-                out.push('\t');
-            }
-            if let Some(value) = cell {
-                let _ = write!(out, "{value}");
-            }
-        }
-        out.push('\n');
+}
+
+/// The escape of one byte inside a quoted Turtle/N-Triples literal, as
+/// `Term`'s `Display` writes it.
+fn tsv_special(b: u8) -> Option<&'static str> {
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        b'\n' => Some("\\n"),
+        b'\r' => Some("\\r"),
+        b'\t' => Some("\\t"),
+        _ => None,
     }
 }
 
@@ -388,6 +722,8 @@ fn to_tsv(out: &mut String, vars: &[String], rows: &Rows) {
 mod tests {
     use super::*;
     use ssdm_array::NumArray;
+
+    const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
 
     fn solutions(vars: &[&str], rows: Vec<Vec<Option<Value>>>) -> QueryResult {
         QueryResult::Solutions {
@@ -596,6 +932,69 @@ mod tests {
         let r = QueryResult::Text("plan\nscan".into());
         let tsv = text_of(&r, ResultFormat::Tsv);
         assert_eq!(tsv, "?text\n\"plan\"\n\"scan\"\n");
+    }
+
+    #[test]
+    fn non_finite_doubles_use_the_xsd_double_lexical_forms() {
+        let r = solutions(
+            &["x", "y", "z"],
+            vec![vec![
+                Some(Value::double(f64::INFINITY)),
+                Some(Value::double(f64::NEG_INFINITY)),
+                Some(Value::double(f64::NAN)),
+            ]],
+        );
+        let json = text_of(&r, ResultFormat::Json);
+        for lexical in ["INF", "-INF", "NaN"] {
+            assert!(json.contains(&format!(
+                r#"{{"type":"literal","value":"{lexical}","datatype":"{XSD_DOUBLE}"}}"#
+            )));
+        }
+        let xml = text_of(&r, ResultFormat::Xml);
+        for lexical in ["INF", "-INF", "NaN"] {
+            assert!(xml.contains(&format!(
+                r#"<literal datatype="{XSD_DOUBLE}">{lexical}</literal>"#
+            )));
+        }
+        assert_eq!(text_of(&r, ResultFormat::Csv), "x,y,z\r\nINF,-INF,NaN\r\n");
+        assert_eq!(
+            text_of(&r, ResultFormat::Tsv),
+            format!(
+                "?x\t?y\t?z\n\"INF\"^^<{XSD_DOUBLE}>\t\"-INF\"^^<{XSD_DOUBLE}>\t\"NaN\"^^<{XSD_DOUBLE}>\n"
+            )
+        );
+    }
+
+    #[test]
+    fn numbers_write_as_num_displays_them() {
+        let reals = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            0.1,
+            1e-7,
+            123.456,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1e16,
+            1.5e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for r in reals {
+            let mut out = String::new();
+            push_real(&mut out, r);
+            assert_eq!(out, Num::Real(r).to_string(), "{r:e}");
+        }
+        for i in [0, 7, -7, 42, 1_000_000, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            push_int(&mut out, i);
+            assert_eq!(out, Num::Int(i).to_string());
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use scisparql::parser::Prepared;
+use scisparql::{Answer, Dataset, QueryError, QueryResult};
 use ssdm_obs::Span;
 
 use crate::tenant::TenantRegistry;
@@ -466,12 +467,10 @@ pub fn execute(exec: &mut Exec, registry: &TenantRegistry) -> Response {
             format,
         } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run(statement, parsed.take(), t.engine()) {
-                Ok(result) => Response::new(
-                    200,
-                    format.content_type(),
-                    results::serialize(&result, *format),
-                ),
+            Ok(t) => match run(statement, parsed.take(), t.engine(), |answer, ds| {
+                results::serialize_answer(answer, ds, *format)
+            }) {
+                Ok(body) => Response::new(200, format.content_type(), body),
                 Err(e) => {
                     counter("ssdm_http_query_errors_total");
                     Response::text(400, e.to_string())
@@ -484,13 +483,20 @@ pub fn execute(exec: &mut Exec, registry: &TenantRegistry) -> Response {
             parsed,
         } => match registry.resolve(tenant.as_deref()) {
             Err(why) => Response::text(why.http_status(), why.message()),
-            Ok(t) => match run(statement, parsed.take(), t.engine()) {
-                // The protocol leaves the success body open; report the
-                // engine's mutation counts as plain text.
-                Ok(scisparql::QueryResult::Updated { inserted, deleted }) => {
-                    Response::text(200, format!("inserted {inserted} deleted {deleted}"))
-                }
-                Ok(_) => Response::text(200, "ok"),
+            Ok(t) => match run(
+                statement,
+                parsed.take(),
+                t.engine(),
+                |answer, _| match answer {
+                    // The protocol leaves the success body open; report the
+                    // engine's mutation counts as plain text.
+                    Answer::Result(QueryResult::Updated { inserted, deleted }) => {
+                        Response::text(200, format!("inserted {inserted} deleted {deleted}"))
+                    }
+                    _ => Response::text(200, "ok"),
+                },
+            ) {
+                Ok(response) => response,
                 Err(e) => {
                     counter("ssdm_http_update_errors_total");
                     Response::text(400, e.to_string())
@@ -500,19 +506,24 @@ pub fn execute(exec: &mut Exec, registry: &TenantRegistry) -> Response {
     }
 }
 
-/// One statement under the engine lock, released before the result is
-/// serialized; `parsed`, when the router parsed `statement` already,
-/// spares the engine its parse.
-pub(super) fn run(
+/// One statement under the engine lock, its answer written out by
+/// `write` before the lock is released: a SELECT's cells are read from
+/// the dictionary where they lie, never cloned into values. `parsed`,
+/// when the router parsed `statement` already, spares the engine its
+/// parse.
+pub(super) fn run<T>(
     statement: &str,
     parsed: Option<Box<Prepared>>,
     engine: &Mutex<Ssdm>,
-) -> Result<scisparql::QueryResult, scisparql::QueryError> {
+    write: impl FnOnce(&Answer, &Dataset) -> T,
+) -> Result<T, QueryError> {
     let mut engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-    match parsed {
-        Some(prepared) => engine.query_parsed(statement, *prepared),
-        None => engine.query(statement),
-    }
+    let prepared = match parsed {
+        Some(prepared) => *prepared,
+        None => Prepared::parse(statement)?,
+    };
+    let answer = engine.query_parsed(statement, prepared)?;
+    Ok(write(&answer, &engine.dataset))
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ use std::path::{Path, PathBuf};
 
 use scisparql::dataset::{DynChunkStore, DEFAULT_CHUNK_BYTES};
 use scisparql::parser::Prepared;
-use scisparql::{Dataset, PlannerMode, QueryError, QueryResult};
+use scisparql::{Answer, Dataset, PlannerMode, QueryError, QueryResult};
 use ssdm_storage::{
     CachedChunkStore, ChunkStore, CodecPolicy, FileChunkStore, MemoryChunkStore, RelChunkStore,
     ShardedChunkStore, StorageError,
@@ -601,22 +601,21 @@ impl Ssdm {
     /// Parse and execute one SciSPARQL statement.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, QueryError> {
         let prepared = Prepared::parse(text)?;
-        self.query_parsed(text, prepared)
+        let answer = self.query_parsed(text, prepared)?;
+        Ok(answer.into_result(&mut self.dataset))
     }
 
     /// Execute a statement already parsed from `text` (the HTTP router
     /// parses every query it routes), exactly as [`Ssdm::query`] would:
     /// the same journaling of `text`, slow-query log and reported parse
-    /// time, without a second parse.
-    pub fn query_parsed(
-        &mut self,
-        text: &str,
-        prepared: Prepared,
-    ) -> Result<QueryResult, QueryError> {
+    /// time, without a second parse. A SELECT answers its rows
+    /// unmaterialized unless the slow-query log profiled it; a caller
+    /// that writes them out reads their terms from `self.dataset`.
+    pub fn query_parsed(&mut self, text: &str, prepared: Prepared) -> Result<Answer, QueryError> {
         let parse = std::time::Duration::from_micros(prepared.parse_micros);
         let start = std::time::Instant::now();
         let profiled = self.slow_query_ms.is_some();
-        let (result, profile) = self.dataset.query_parsed(text, prepared, profiled)?;
+        let (answer, profile) = self.dataset.query_parsed(text, prepared, profiled)?;
         if let (Some(threshold), Some(profile)) = (self.slow_query_ms, profile) {
             let elapsed_ms = (start.elapsed() + parse).as_millis() as u64;
             if elapsed_ms >= threshold {
@@ -627,7 +626,7 @@ impl Ssdm {
                 );
             }
         }
-        Ok(result)
+        Ok(answer)
     }
 
     /// Load Turtle text (collections consolidate into arrays; arrays

@@ -7,7 +7,10 @@
 //! escapes, unbound cells, empty tables and every non-SELECT result
 //! kind is in there. To add a case, append it (a new section at the end
 //! of the golden file) — never re-generate the existing sections from
-//! the code under test.
+//! the code under test. One deliberate edit since, made by hand: the
+//! `numbers` sections spell a non-finite double as the `xsd:double`
+//! lexical forms `INF`, `-INF` and `NaN` (typed literals in TSV), where
+//! the serializer used to write Rust's `inf` and `-inf`.
 
 use scisparql::{Closure, QueryResult, Value};
 use ssdm::http::results::serialize;
