@@ -8,11 +8,25 @@
 //! `DEFINE FUNCTION` parameterized views, function references and
 //! partial application (`fn(1, ?_)`) producing lexical closures.
 //!
-//! One deliberate restriction: prefixed names require a non-empty
-//! prefix (`ex:p`, not `:p`), because a bare leading colon is claimed
-//! by the array range syntax `?a[1:3]`.
+//! RDF terms (IRIs, blank nodes, literals, numbers, prefixed names) are
+//! read by [`ssdm_rdf::lex`], the lexer the Turtle loader uses, so a
+//! term written the same way in data and in a query is the same term;
+//! this module keeps the operators, variables, bare words and the
+//! `<`-is-an-IRI-or-less-than lookahead. One deliberate restriction:
+//! prefixed names require a non-empty prefix (`ex:p`, not `:p`),
+//! because a bare leading colon is claimed by the array range syntax
+//! `?a[1:3]`.
+//!
+//! Every parse ends: a group that reads nothing more is an error, and
+//! nesting deeper than [`ssdm_rdf::lex::MAX_NESTING`] levels is refused
+//! with a positioned error rather than overflowing the stack (the
+//! router parses on the event loop thread). The loops that build
+//! left-deep chains (`||`, `&&`, `+`, `*`, path `/` and `|`, path
+//! modifiers, subscripts) count a level per link, so no expression or
+//! path tree grows deeper than the bound either.
 
 use ssdm_array::Num;
+use ssdm_rdf::lex::{typed_literal, Cursor};
 use ssdm_rdf::{Namespaces, RdfError, Term, RDF_TYPE};
 
 use crate::ast::*;
@@ -59,8 +73,7 @@ pub(crate) enum Tok {
     BlankLabel(String),
     Str(String),
     LangTag(String),
-    Integer(i64),
-    Double(f64),
+    Number(Num),
     Name(String), // bare word: keyword or function name
     LBrace,
     RBrace,
@@ -92,426 +105,94 @@ pub(crate) enum Tok {
     Eof,
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
+/// A lexer error as a positioned syntax error.
+fn syntax(e: RdfError) -> QueryError {
+    match e {
+        RdfError::Parse { line, col, msg } => QueryError::Parse { line, col, msg },
+        other => QueryError::Rdf(other),
+    }
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
+/// The next token and the line and column it starts at.
+fn next_token(cur: &mut Cursor) -> Result<(Tok, usize, usize), QueryError> {
+    cur.skip_ws();
+    let (line, col) = cur.line_col();
+    let tok = lex(cur).map_err(syntax)?;
+    Ok((tok, line, col))
+}
 
-    fn err(&self, msg: impl Into<String>) -> QueryError {
-        QueryError::Parse {
-            line: self.line,
-            col: self.col,
-            msg: msg.into(),
+fn lex(cur: &mut Cursor) -> Result<Tok, RdfError> {
+    let Some(c) = cur.peek() else {
+        return Ok(Tok::Eof);
+    };
+    let next = cur.peek_at(1);
+    let (tok, len) = match (c, next) {
+        (b'<', _) if iri_ahead(cur) => return cur.iri().map(Tok::Iri),
+        (b'"' | b'\'', _) => return cur.string().map(Tok::Str),
+        (b'_', Some(b':')) => return Ok(Tok::BlankLabel(cur.blank_label()?.to_string())),
+        (b'@', _) => return Ok(Tok::LangTag(cur.lang_tag()?.to_string())),
+        (b'0'..=b'9', _) | (b'.', Some(b'0'..=b'9')) => return cur.number(false).map(Tok::Number),
+        // A variable, or a bare '?' (the path zero-or-one operator).
+        (b'?' | b'$', Some(n)) if n.is_ascii_alphanumeric() || n == b'_' => {
+            cur.bump();
+            return Ok(Tok::Var(cur.word().to_string()));
         }
+        (c, _) if c.is_ascii_alphabetic() || c == b'_' => {
+            return Ok(match cur.prefixed_name() {
+                Some((prefix, local)) => Tok::PName {
+                    prefix: prefix.to_string(),
+                    local: local.to_string(),
+                },
+                None => Tok::Name(cur.word().to_string()),
+            })
+        }
+        (b'<', Some(b'=')) => (Tok::Le, 2),
+        (b'>', Some(b'=')) => (Tok::Ge, 2),
+        (b'!', Some(b'=')) => (Tok::Ne, 2),
+        (b'&', Some(b'&')) => (Tok::AndAnd, 2),
+        (b'|', Some(b'|')) => (Tok::OrOr, 2),
+        (b'^', Some(b'^')) => (Tok::DoubleCaret, 2),
+        (b'{', _) => (Tok::LBrace, 1),
+        (b'}', _) => (Tok::RBrace, 1),
+        (b'(', _) => (Tok::LParen, 1),
+        (b')', _) => (Tok::RParen, 1),
+        (b'[', _) => (Tok::LBracket, 1),
+        (b']', _) => (Tok::RBracket, 1),
+        (b',', _) => (Tok::Comma, 1),
+        (b';', _) => (Tok::Semicolon, 1),
+        (b':', _) => (Tok::Colon, 1),
+        (b'.', _) => (Tok::Dot, 1),
+        (b'?' | b'$', _) => (Tok::Question, 1),
+        (b'<', _) => (Tok::Lt, 1),
+        (b'>', _) => (Tok::Gt, 1),
+        (b'=', _) => (Tok::Eq, 1),
+        (b'!', _) => (Tok::Bang, 1),
+        (b'|', _) => (Tok::Pipe, 1),
+        (b'+', _) => (Tok::Plus, 1),
+        (b'-', _) => (Tok::Minus, 1),
+        (b'*', _) => (Tok::Star, 1),
+        (b'/', _) => (Tok::Slash, 1),
+        (b'^', _) => (Tok::Caret, 1),
+        (b'&', _) => return Err(cur.err("expected '&&'")),
+        (other, _) => {
+            return Err(cur.err(format!("unexpected character '{}'", other.escape_ascii())))
+        }
+    };
+    for _ in 0..len {
+        cur.bump();
     }
+    Ok(tok)
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, k: usize) -> Option<u8> {
-        self.src.get(self.pos + k).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'#') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next(&mut self) -> Result<(Tok, usize, usize), QueryError> {
-        self.skip_ws();
-        let line = self.line;
-        let col = self.col;
-        let tok = self.next_inner()?;
-        Ok((tok, line, col))
-    }
-
-    fn next_inner(&mut self) -> Result<Tok, QueryError> {
-        let Some(c) = self.peek() else {
-            return Ok(Tok::Eof);
-        };
-        match c {
-            b'{' => {
-                self.bump();
-                Ok(Tok::LBrace)
-            }
-            b'}' => {
-                self.bump();
-                Ok(Tok::RBrace)
-            }
-            b'(' => {
-                self.bump();
-                Ok(Tok::LParen)
-            }
-            b')' => {
-                self.bump();
-                Ok(Tok::RParen)
-            }
-            b'[' => {
-                self.bump();
-                Ok(Tok::LBracket)
-            }
-            b']' => {
-                self.bump();
-                Ok(Tok::RBracket)
-            }
-            b',' => {
-                self.bump();
-                Ok(Tok::Comma)
-            }
-            b';' => {
-                self.bump();
-                Ok(Tok::Semicolon)
-            }
-            b':' => {
-                self.bump();
-                Ok(Tok::Colon)
-            }
-            b'.' => {
-                if self.peek_at(1).map(|n| n.is_ascii_digit()).unwrap_or(false) {
-                    self.lex_number()
-                } else {
-                    self.bump();
-                    Ok(Tok::Dot)
-                }
-            }
-            b'?' | b'$' => {
-                // Variable, or a bare '?' (path zero-or-one operator).
-                if self
-                    .peek_at(1)
-                    .map(|n| n.is_ascii_alphanumeric() || n == b'_')
-                    .unwrap_or(false)
-                {
-                    self.bump();
-                    let mut name = String::new();
-                    while let Some(n) = self.peek() {
-                        if n.is_ascii_alphanumeric() || n == b'_' {
-                            name.push(self.bump().unwrap() as char);
-                        } else {
-                            break;
-                        }
-                    }
-                    Ok(Tok::Var(name))
-                } else {
-                    self.bump();
-                    Ok(Tok::Question)
-                }
-            }
-            b'<' => {
-                // IRI or comparison operator.
-                let nxt = self.peek_at(1);
-                match nxt {
-                    Some(b'=') => {
-                        self.bump();
-                        self.bump();
-                        Ok(Tok::Le)
-                    }
-                    Some(n)
-                        if n.is_ascii_alphanumeric()
-                            || n == b'h'
-                            || n == b'_'
-                            || n == b'/'
-                            || n == b'>' =>
-                    {
-                        // Treat as IRI if a '>' appears before whitespace.
-                        let mut k = 1;
-                        let mut is_iri = false;
-                        while let Some(ch) = self.peek_at(k) {
-                            if ch == b'>' {
-                                is_iri = true;
-                                break;
-                            }
-                            if ch.is_ascii_whitespace() {
-                                break;
-                            }
-                            k += 1;
-                        }
-                        if is_iri {
-                            self.lex_iri()
-                        } else {
-                            self.bump();
-                            Ok(Tok::Lt)
-                        }
-                    }
-                    _ => {
-                        self.bump();
-                        Ok(Tok::Lt)
-                    }
-                }
-            }
-            b'>' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Ok(Tok::Ge)
-                } else {
-                    Ok(Tok::Gt)
-                }
-            }
-            b'=' => {
-                self.bump();
-                Ok(Tok::Eq)
-            }
-            b'!' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Ok(Tok::Ne)
-                } else {
-                    Ok(Tok::Bang)
-                }
-            }
-            b'&' => {
-                self.bump();
-                if self.peek() == Some(b'&') {
-                    self.bump();
-                    Ok(Tok::AndAnd)
-                } else {
-                    Err(self.err("expected '&&'"))
-                }
-            }
-            b'|' => {
-                self.bump();
-                if self.peek() == Some(b'|') {
-                    self.bump();
-                    Ok(Tok::OrOr)
-                } else {
-                    Ok(Tok::Pipe)
-                }
-            }
-            b'+' => {
-                self.bump();
-                Ok(Tok::Plus)
-            }
-            b'-' => {
-                self.bump();
-                Ok(Tok::Minus)
-            }
-            b'*' => {
-                self.bump();
-                Ok(Tok::Star)
-            }
-            b'/' => {
-                self.bump();
-                Ok(Tok::Slash)
-            }
-            b'^' => {
-                self.bump();
-                if self.peek() == Some(b'^') {
-                    self.bump();
-                    Ok(Tok::DoubleCaret)
-                } else {
-                    Ok(Tok::Caret)
-                }
-            }
-            b'"' | b'\'' => self.lex_string(),
-            b'_' if self.peek_at(1) == Some(b':') => self.lex_blank(),
-            b'@' => {
-                self.bump();
-                let mut tag = String::new();
-                while let Some(n) = self.peek() {
-                    if n.is_ascii_alphanumeric() || n == b'-' {
-                        tag.push(self.bump().unwrap() as char);
-                    } else {
-                        break;
-                    }
-                }
-                if tag.is_empty() {
-                    Err(self.err("empty language tag"))
-                } else {
-                    Ok(Tok::LangTag(tag))
-                }
-            }
-            c if c.is_ascii_digit() => self.lex_number(),
-            c if c.is_ascii_alphabetic() || c == b'_' => self.lex_word(),
-            other => Err(self.err(format!("unexpected character '{}'", other as char))),
-        }
-    }
-
-    fn lex_iri(&mut self) -> Result<Tok, QueryError> {
-        self.bump(); // <
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'>') => return Ok(Tok::Iri(out)),
-                Some(c) => out.push(c as char),
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-    }
-
-    fn lex_blank(&mut self) -> Result<Tok, QueryError> {
-        self.bump(); // _
-        self.bump(); // :
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' {
-                out.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
-        if out.is_empty() {
-            Err(self.err("empty blank node label"))
-        } else {
-            Ok(Tok::BlankLabel(out))
-        }
-    }
-
-    fn lex_string(&mut self) -> Result<Tok, QueryError> {
-        let quote = self.bump().unwrap();
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.bump() else {
-                return Err(self.err("unterminated string"));
-            };
-            if c == quote {
-                break;
-            }
-            if c == b'\\' {
-                let Some(e) = self.bump() else {
-                    return Err(self.err("unterminated escape"));
-                };
-                match e {
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'"' => out.push('"'),
-                    b'\'' => out.push('\''),
-                    b'\\' => out.push('\\'),
-                    other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
-                }
-                continue;
-            }
-            if c < 0x80 {
-                out.push(c as char);
-            } else {
-                let mut buf = vec![c];
-                while self.peek().map(|b| b & 0xC0 == 0x80).unwrap_or(false) {
-                    buf.push(self.bump().unwrap());
-                }
-                out.push_str(std::str::from_utf8(&buf).map_err(|_| self.err("invalid UTF-8"))?);
-            }
-        }
-        Ok(Tok::Str(out))
-    }
-
-    fn lex_number(&mut self) -> Result<Tok, QueryError> {
-        let start = self.pos;
-        let mut is_real = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                self.bump();
-            } else if c == b'.' && self.peek_at(1).map(|n| n.is_ascii_digit()).unwrap_or(false) {
-                is_real = true;
-                self.bump();
-            } else if c == b'e' || c == b'E' {
-                // Exponent only if followed by digit or sign+digit.
-                let k1 = self.peek_at(1);
-                let exp = match k1 {
-                    Some(d) if d.is_ascii_digit() => true,
-                    Some(b'+') | Some(b'-') => {
-                        self.peek_at(2).map(|d| d.is_ascii_digit()).unwrap_or(false)
-                    }
-                    _ => false,
-                };
-                if !exp {
-                    break;
-                }
-                is_real = true;
-                self.bump();
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.bump();
-                }
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        if is_real {
-            text.parse::<f64>()
-                .map(Tok::Double)
-                .map_err(|_| self.err(format!("bad number '{text}'")))
-        } else {
-            text.parse::<i64>()
-                .map(Tok::Integer)
-                .map_err(|_| self.err(format!("bad number '{text}'")))
-        }
-    }
-
-    #[allow(clippy::if_same_then_else)]
-    fn lex_word(&mut self) -> Result<Tok, QueryError> {
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                word.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
-        // A ':' right after a word makes it a prefixed name.
-        if self.peek() == Some(b':') {
-            self.bump();
-            let mut local = String::new();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' {
-                    local.push(self.bump().unwrap() as char);
-                } else if c == b'.'
-                    && self
-                        .peek_at(1)
-                        .map(|n| n.is_ascii_alphanumeric() || n == b'_')
-                        .unwrap_or(false)
-                {
-                    local.push(self.bump().unwrap() as char);
-                } else {
-                    break;
-                }
-            }
-            return Ok(Tok::PName {
-                prefix: word,
-                local,
-            });
-        }
-        Ok(Tok::Name(word))
-    }
+/// Whether the `<` at the cursor opens an IRI rather than comparing:
+/// it does when a name character follows and a `>` comes before any
+/// whitespace.
+fn iri_ahead(cur: &Cursor) -> bool {
+    let opens = |n: u8| n.is_ascii_alphanumeric() || n >= 0x80 || matches!(n, b'_' | b'/' | b'>');
+    cur.peek_at(1).is_some_and(opens)
+        && (1..)
+            .map_while(|k| cur.peek_at(k).filter(|c| !c.is_ascii_whitespace()))
+            .any(|c| c == b'>')
 }
 
 // ---------------------------------------------------------------------
@@ -519,7 +200,7 @@ impl<'a> Lexer<'a> {
 // ---------------------------------------------------------------------
 
 struct Parser<'a> {
-    lexer: Lexer<'a>,
+    cur: Cursor<'a>,
     tok: Tok,
     line: usize,
     col: usize,
@@ -530,7 +211,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Result<Self, QueryError> {
         let mut p = Parser {
-            lexer: Lexer::new(text),
+            cur: Cursor::new(text),
             tok: Tok::Eof,
             line: 1,
             col: 1,
@@ -542,7 +223,7 @@ impl<'a> Parser<'a> {
     }
 
     fn advance(&mut self) -> Result<(), QueryError> {
-        let (tok, line, col) = self.lexer.next()?;
+        let (tok, line, col) = next_token(&mut self.cur)?;
         self.tok = tok;
         self.line = line;
         self.col = col;
@@ -596,18 +277,57 @@ impl<'a> Parser<'a> {
     }
 
     /// True when the current token is `{` and the next token is SELECT
-    /// (detected by probing a clone of the lexer state).
+    /// (detected by probing a clone of the cursor).
     fn peek_is_select(&mut self) -> bool {
-        if self.tok != Tok::LBrace {
-            return false;
-        }
-        let mut probe = Lexer {
-            src: self.lexer.src,
-            pos: self.lexer.pos,
-            line: self.lexer.line,
-            col: self.lexer.col,
-        };
-        matches!(probe.next(), Ok((Tok::Name(w), _, _)) if w.eq_ignore_ascii_case("SELECT"))
+        self.tok == Tok::LBrace
+            && matches!(next_token(&mut self.cur.clone()), Ok((Tok::Name(w), _, _)) if w.eq_ignore_ascii_case("SELECT"))
+    }
+
+    /// Go one nesting level deeper (see [`ssdm_rdf::lex::MAX_NESTING`]);
+    /// pair with `self.cur.leave()`.
+    fn enter(&mut self) -> Result<(), QueryError> {
+        self.cur.enter().map_err(syntax)
+    }
+
+    /// Run `f` from nesting depth `base`, beside what was parsed since
+    /// `base` (the next argument of a call, say): afterwards the deeper
+    /// of the two counts.
+    fn beside<T>(
+        &mut self,
+        base: usize,
+        f: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let deep = self.cur.depth();
+        self.cur.set_depth(base);
+        let out = f(self)?;
+        self.cur.set_depth(deep.max(self.cur.depth()));
+        Ok(out)
+    }
+
+    /// The right operand of a link of a left-deep chain begun at depth
+    /// `base` (`a + b + c` is `(a + b) + c`), with the link counted: a
+    /// chain of n links nests its first operand n levels deep, and each
+    /// link stays counted until the expression or path ends.
+    fn link<T>(
+        &mut self,
+        base: usize,
+        operand: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let right = self.beside(base, operand)?;
+        self.enter()?;
+        Ok(right)
+    }
+
+    /// Run `f` over an expression or a path that stands alone in the
+    /// statement, and give back the levels its chains counted.
+    fn alone<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let depth = self.cur.depth();
+        let out = f(self)?;
+        self.cur.set_depth(depth);
+        Ok(out)
     }
 
     fn fresh_var(&mut self) -> String {
@@ -615,11 +335,39 @@ impl<'a> Parser<'a> {
         format!("_anon{}", self.fresh)
     }
 
-    fn expand(&self, prefix: &str, local: &str) -> Result<String, QueryError> {
-        self.ns.expand(prefix, local).map_err(|e| match e {
-            RdfError::UnknownPrefix(p) => self.err(format!("unknown prefix '{p}:'")),
-            other => self.err(other.to_string()),
-        })
+    /// The IRI an IRI reference or prefixed name stands for, consumed;
+    /// `None` at any other token.
+    fn iri(&mut self) -> Result<Option<String>, QueryError> {
+        let iri = match &self.tok {
+            Tok::Iri(u) => self.ns.resolve(u),
+            Tok::PName { prefix, local } => self
+                .ns
+                .expand(prefix, local)
+                .map_err(|e| self.err(e.to_string()))?,
+            _ => return Ok(None),
+        };
+        self.advance()?;
+        Ok(Some(iri))
+    }
+
+    /// The literal a string starts: plain, language-tagged or typed
+    /// (through the term syntax Turtle uses, so `"42"^^xsd:integer` is
+    /// the number 42 in both).
+    fn literal(&mut self, value: String) -> Result<Term, QueryError> {
+        match self.tok.clone() {
+            Tok::LangTag(lang) => {
+                self.advance()?;
+                Ok(Term::LangStr { value, lang })
+            }
+            Tok::DoubleCaret => {
+                self.advance()?;
+                let Some(dt) = self.iri()? else {
+                    return Err(self.err(format!("bad datatype {:?}", self.tok)));
+                };
+                typed_literal(value, dt).map_err(|e| self.err(e.to_string()))
+            }
+            _ => Ok(Term::Str(value)),
+        }
     }
 
     // -----------------------------------------------------------------
@@ -667,18 +415,8 @@ impl<'a> Parser<'a> {
         } else if self.at_kw("DESCRIBE") {
             self.advance()?;
             let mut targets = Vec::new();
-            loop {
-                match self.tok.clone() {
-                    Tok::Iri(u) => {
-                        self.advance()?;
-                        targets.push(Term::uri(self.ns.resolve(&u)));
-                    }
-                    Tok::PName { prefix, local } => {
-                        self.advance()?;
-                        targets.push(Term::uri(self.expand(&prefix, &local)?));
-                    }
-                    _ => break,
-                }
+            while let Some(iri) = self.iri()? {
+                targets.push(Term::uri(iri));
             }
             if targets.is_empty() {
                 return Err(self.err("DESCRIBE needs at least one IRI"));
@@ -811,22 +549,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_function_name(&mut self) -> Result<String, QueryError> {
-        match self.tok.clone() {
-            Tok::Name(n) => {
-                self.advance()?;
-                Ok(n)
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                self.expand(&prefix, &local)
-            }
-            other => Err(self.err(format!("expected function name, found {other:?}"))),
+        if let Tok::Name(n) = self.tok.clone() {
+            self.advance()?;
+            return Ok(n);
         }
+        self.iri()?
+            .ok_or_else(|| self.err(format!("expected function name, found {:?}", self.tok)))
     }
 
     fn parse_usize(&mut self) -> Result<usize, QueryError> {
         match self.tok {
-            Tok::Integer(i) if i >= 0 => {
+            Tok::Number(Num::Int(i)) if i >= 0 => {
                 self.advance()?;
                 Ok(i as usize)
             }
@@ -853,7 +586,8 @@ impl<'a> Parser<'a> {
                         // Allow array dereference on projected vars:
                         // SELECT ?a[2] — implicit alias.
                         if self.tok == Tok::LBracket {
-                            let expr = self.parse_postfix_from(Expr::Var(v.clone()))?;
+                            let var = Expr::Var(v.clone());
+                            let expr = self.alone(|p| p.parse_postfix_from(var))?;
                             items.push(ProjectionItem {
                                 expr,
                                 alias: Some(v),
@@ -892,16 +626,8 @@ impl<'a> Parser<'a> {
         while self.at_kw("FROM") {
             self.advance()?;
             let named = self.eat_kw("NAMED")?;
-            let uri = match self.tok.clone() {
-                Tok::Iri(u) => {
-                    self.advance()?;
-                    self.ns.resolve(&u)
-                }
-                Tok::PName { prefix, local } => {
-                    self.advance()?;
-                    self.expand(&prefix, &local)?
-                }
-                other => return Err(self.err(format!("expected IRI after FROM, found {other:?}"))),
+            let Some(uri) = self.iri()? else {
+                return Err(self.err(format!("expected IRI after FROM, found {:?}", self.tok)));
             };
             if named {
                 from_named.push(uri);
@@ -1002,6 +728,7 @@ impl<'a> Parser<'a> {
     // -----------------------------------------------------------------
 
     fn parse_group(&mut self) -> Result<GroupPattern, QueryError> {
+        self.enter()?;
         self.expect(Tok::LBrace)?;
         let mut elems: Vec<PatternElem> = Vec::new();
         loop {
@@ -1039,20 +766,13 @@ impl<'a> Parser<'a> {
                 elems.push(self.parse_values()?);
             } else if self.at_kw("GRAPH") {
                 self.advance()?;
-                let name = match self.tok.clone() {
-                    Tok::Var(v) => {
+                let name = match (self.iri()?, self.tok.clone()) {
+                    (Some(iri), _) => TermPattern::Term(Term::uri(iri)),
+                    (None, Tok::Var(v)) => {
                         self.advance()?;
                         TermPattern::Var(v)
                     }
-                    Tok::Iri(u) => {
-                        self.advance()?;
-                        TermPattern::Term(Term::uri(self.ns.resolve(&u)))
-                    }
-                    Tok::PName { prefix, local } => {
-                        self.advance()?;
-                        TermPattern::Term(Term::uri(self.expand(&prefix, &local)?))
-                    }
-                    other => return Err(self.err(format!("bad GRAPH name: {other:?}"))),
+                    (None, other) => return Err(self.err(format!("bad GRAPH name: {other:?}"))),
                 };
                 let pattern = self.parse_group()?;
                 elems.push(PatternElem::Graph { name, pattern });
@@ -1082,8 +802,14 @@ impl<'a> Parser<'a> {
                     elems.push(PatternElem::Group(first));
                 }
             } else {
-                // Triples block.
+                // Triples block; one that reads nothing is a token no
+                // pattern starts with, or the end of the input.
                 let triples = self.parse_triples_block(Tok::RBrace)?;
+                if triples.is_empty() {
+                    return Err(
+                        self.err(format!("expected a pattern or '}}', found {:?}", self.tok))
+                    );
+                }
                 elems.extend(triples.into_iter().map(PatternElem::Triple));
             }
             // Optional separating dot.
@@ -1091,6 +817,7 @@ impl<'a> Parser<'a> {
                 self.advance()?;
             }
         }
+        self.cur.leave();
         Ok(GroupPattern { elems })
     }
 
@@ -1197,7 +924,7 @@ impl<'a> Parser<'a> {
         out: &mut Vec<TriplePattern>,
     ) -> Result<(), QueryError> {
         loop {
-            let path = self.parse_path()?;
+            let path = self.alone(Self::parse_path)?;
             loop {
                 let object = self.parse_term_pattern(out)?;
                 out.push(TriplePattern {
@@ -1236,12 +963,14 @@ impl<'a> Parser<'a> {
                 Ok(TermPattern::Var(v))
             }
             Tok::LBracket => {
+                self.enter()?;
                 self.advance()?;
                 let var = self.fresh_var();
                 if self.tok != Tok::RBracket {
                     self.parse_property_list(TermPattern::Var(var.clone()), out)?;
                 }
                 self.expect(Tok::RBracket)?;
+                self.cur.leave();
                 Ok(TermPattern::Var(var))
             }
             Tok::LParen => {
@@ -1259,8 +988,13 @@ impl<'a> Parser<'a> {
     fn parse_collection_const(&mut self) -> Result<Term, QueryError> {
         use ssdm_array::Nested;
         fn read(p: &mut Parser<'_>) -> Result<Nested, QueryError> {
+            p.enter()?;
             let mut rows = Vec::new();
             loop {
+                if let Some(n) = p.number()? {
+                    rows.push(Nested::Leaf(n));
+                    continue;
+                }
                 match p.tok.clone() {
                     Tok::RParen => {
                         p.advance()?;
@@ -1270,28 +1004,6 @@ impl<'a> Parser<'a> {
                         p.advance()?;
                         rows.push(read(p)?);
                     }
-                    Tok::Integer(i) => {
-                        p.advance()?;
-                        rows.push(Nested::Leaf(Num::Int(i)));
-                    }
-                    Tok::Double(d) => {
-                        p.advance()?;
-                        rows.push(Nested::Leaf(Num::Real(d)));
-                    }
-                    Tok::Minus => {
-                        p.advance()?;
-                        match p.tok.clone() {
-                            Tok::Integer(i) => {
-                                p.advance()?;
-                                rows.push(Nested::Leaf(Num::Int(-i)));
-                            }
-                            Tok::Double(d) => {
-                                p.advance()?;
-                                rows.push(Nested::Leaf(Num::Real(-d)));
-                            }
-                            _ => return Err(p.err("expected number after '-'")),
-                        }
-                    }
                     other => {
                         return Err(p.err(format!(
                             "collections in queries must be numeric, found {other:?}"
@@ -1299,6 +1011,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
+            p.cur.leave();
             Ok(Nested::Row(rows))
         }
         let nested = read(self)?;
@@ -1307,69 +1020,45 @@ impl<'a> Parser<'a> {
         Ok(Term::Array(arr))
     }
 
+    /// A number constant, a leading `-` or `+` token read as its sign (so
+    /// every number Turtle reads, down to `i64::MIN`, reads here too);
+    /// `None` at any other token.
+    fn number(&mut self) -> Result<Option<Num>, QueryError> {
+        let n = match self.tok {
+            Tok::Number(n) => n,
+            // The cursor is just past the sign.
+            Tok::Minus | Tok::Plus => {
+                self.cur.skip_ws();
+                if !self
+                    .cur
+                    .peek()
+                    .is_some_and(|c| c.is_ascii_digit() || c == b'.')
+                {
+                    return Err(self.err(format!("expected number after {:?}", self.tok)));
+                }
+                self.cur.number(self.tok == Tok::Minus).map_err(syntax)?
+            }
+            _ => return Ok(None),
+        };
+        self.advance()?;
+        Ok(Some(n))
+    }
+
     fn parse_ground_term(&mut self) -> Result<Term, QueryError> {
+        if let Some(iri) = self.iri()? {
+            return Ok(Term::uri(iri));
+        }
+        if let Some(n) = self.number()? {
+            return Ok(Term::Number(n));
+        }
         match self.tok.clone() {
-            Tok::Iri(u) => {
-                self.advance()?;
-                Ok(Term::uri(self.ns.resolve(&u)))
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                Ok(Term::uri(self.expand(&prefix, &local)?))
-            }
             Tok::BlankLabel(b) => {
                 self.advance()?;
                 Ok(Term::blank(b))
             }
-            Tok::Integer(i) => {
-                self.advance()?;
-                Ok(Term::integer(i))
-            }
-            Tok::Double(d) => {
-                self.advance()?;
-                Ok(Term::double(d))
-            }
-            Tok::Minus => {
-                self.advance()?;
-                match self.tok.clone() {
-                    Tok::Integer(i) => {
-                        self.advance()?;
-                        Ok(Term::integer(-i))
-                    }
-                    Tok::Double(d) => {
-                        self.advance()?;
-                        Ok(Term::double(-d))
-                    }
-                    _ => Err(self.err("expected number after '-'")),
-                }
-            }
             Tok::Str(s) => {
                 self.advance()?;
-                match self.tok.clone() {
-                    Tok::LangTag(lang) => {
-                        self.advance()?;
-                        Ok(Term::LangStr { value: s, lang })
-                    }
-                    Tok::DoubleCaret => {
-                        self.advance()?;
-                        let dt = match self.tok.clone() {
-                            Tok::Iri(u) => {
-                                self.advance()?;
-                                self.ns.resolve(&u)
-                            }
-                            Tok::PName { prefix, local } => {
-                                self.advance()?;
-                                self.expand(&prefix, &local)?
-                            }
-                            other => return Err(self.err(format!("bad datatype {other:?}"))),
-                        };
-                        Ok(Term::Typed {
-                            value: s,
-                            datatype: dt,
-                        })
-                    }
-                    _ => Ok(Term::Str(s)),
-                }
+                self.literal(s)
             }
             Tok::Name(w) if w.eq_ignore_ascii_case("true") => {
                 self.advance()?;
@@ -1438,20 +1127,22 @@ impl<'a> Parser<'a> {
     // -----------------------------------------------------------------
 
     fn parse_path(&mut self) -> Result<Path, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_path_seq()?;
         while self.tok == Tok::Pipe {
             self.advance()?;
-            let right = self.parse_path_seq()?;
+            let right = self.link(base, Self::parse_path_seq)?;
             left = Path::Alt(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
     fn parse_path_seq(&mut self) -> Result<Path, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_path_elt()?;
         while self.tok == Tok::Slash {
             self.advance()?;
-            let right = self.parse_path_elt()?;
+            let right = self.link(base, Self::parse_path_elt)?;
             left = Path::Seq(Box::new(left), Box::new(right));
         }
         Ok(left)
@@ -1466,21 +1157,15 @@ impl<'a> Parser<'a> {
         };
         let mut p = self.parse_path_primary()?;
         loop {
-            match self.tok {
-                Tok::Star => {
-                    self.advance()?;
-                    p = Path::Star(Box::new(p));
-                }
-                Tok::Plus => {
-                    self.advance()?;
-                    p = Path::Plus(Box::new(p));
-                }
-                Tok::Question => {
-                    self.advance()?;
-                    p = Path::Opt(Box::new(p));
-                }
+            let modifier = match self.tok {
+                Tok::Star => Path::Star,
+                Tok::Plus => Path::Plus,
+                Tok::Question => Path::Opt,
                 _ => break,
-            }
+            };
+            self.advance()?;
+            self.enter()?;
+            p = modifier(Box::new(p));
         }
         if inverted {
             p = Path::Inv(Box::new(p));
@@ -1489,19 +1174,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_path_primary(&mut self) -> Result<Path, QueryError> {
+        if let Some(iri) = self.iri()? {
+            return Ok(Path::Pred(TermPattern::Term(Term::uri(iri))));
+        }
         match self.tok.clone() {
-            Tok::Iri(u) => {
-                self.advance()?;
-                Ok(Path::Pred(TermPattern::Term(Term::uri(
-                    self.ns.resolve(&u),
-                ))))
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                Ok(Path::Pred(TermPattern::Term(Term::uri(
-                    self.expand(&prefix, &local)?,
-                ))))
-            }
             Tok::Name(w) if w == "a" => {
                 self.advance()?;
                 Ok(Path::Pred(TermPattern::Term(Term::uri(RDF_TYPE))))
@@ -1511,9 +1187,11 @@ impl<'a> Parser<'a> {
                 Ok(Path::Pred(TermPattern::Var(v)))
             }
             Tok::LParen => {
+                self.enter()?;
                 self.advance()?;
                 let p = self.parse_path()?;
                 self.expect(Tok::RParen)?;
+                self.cur.leave();
                 Ok(p)
             }
             other => Err(self.err(format!("expected predicate or path, found {other:?}"))),
@@ -1524,31 +1202,36 @@ impl<'a> Parser<'a> {
     // Expressions
     // -----------------------------------------------------------------
 
+    /// An expression that stands alone: a FILTER, a BIND, a projection
+    /// or a solution modifier. Nested expressions start at `parse_or`.
     fn parse_expr(&mut self) -> Result<Expr, QueryError> {
-        self.parse_or()
+        self.alone(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_and()?;
         while self.tok == Tok::OrOr {
             self.advance()?;
-            let right = self.parse_and()?;
+            let right = self.link(base, Self::parse_and)?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
     fn parse_and(&mut self) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_rel()?;
         while self.tok == Tok::AndAnd {
             self.advance()?;
-            let right = self.parse_rel()?;
+            let right = self.link(base, Self::parse_rel)?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
     fn parse_rel(&mut self) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         let left = self.parse_add()?;
         // IN / NOT IN list membership.
         if self.at_kw("IN") || self.at_kw("NOT") {
@@ -1570,7 +1253,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::LParen)?;
                 let mut haystack = Vec::new();
                 while self.tok != Tok::RParen {
-                    haystack.push(self.parse_expr()?);
+                    haystack.push(self.beside(base, Self::parse_or)?);
                     if self.tok == Tok::Comma {
                         self.advance()?;
                     }
@@ -1593,11 +1276,12 @@ impl<'a> Parser<'a> {
             _ => return Ok(left),
         };
         self.advance()?;
-        let right = self.parse_add()?;
+        let right = self.beside(base, Self::parse_add)?;
         Ok(Expr::Cmp(op, Box::new(left), Box::new(right)))
     }
 
     fn parse_add(&mut self) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_mul()?;
         loop {
             let op = match self.tok {
@@ -1606,13 +1290,14 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.advance()?;
-            let right = self.parse_mul()?;
+            let right = self.link(base, Self::parse_mul)?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
     fn parse_mul(&mut self) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.tok {
@@ -1621,36 +1306,43 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.advance()?;
-            let right = self.parse_unary()?;
+            let right = self.link(base, Self::parse_unary)?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
+    /// A unary expression, one nesting level down: every way an
+    /// expression nests (brackets, calls, prefix operators, powers,
+    /// subscripts) passes through here.
     fn parse_unary(&mut self) -> Result<Expr, QueryError> {
-        match self.tok {
+        self.enter()?;
+        let e = match self.tok {
             Tok::Bang => {
                 self.advance()?;
-                Ok(Expr::Not(Box::new(self.parse_unary()?)))
+                Expr::Not(Box::new(self.parse_unary()?))
             }
             Tok::Minus => {
                 self.advance()?;
-                Ok(Expr::Neg(Box::new(self.parse_unary()?)))
+                Expr::Neg(Box::new(self.parse_unary()?))
             }
             Tok::Plus => {
                 self.advance()?;
-                self.parse_unary()
+                self.parse_unary()?
             }
-            _ => self.parse_power(),
-        }
+            _ => self.parse_power()?,
+        };
+        self.cur.leave();
+        Ok(e)
     }
 
     fn parse_power(&mut self) -> Result<Expr, QueryError> {
+        let depth = self.cur.depth();
         let base = self.parse_postfix()?;
         if self.tok == Tok::Caret {
             self.advance()?;
             // Right-associative.
-            let exp = self.parse_unary()?;
+            let exp = self.beside(depth, Self::parse_unary)?;
             Ok(Expr::Arith(ArithOp::Pow, Box::new(base), Box::new(exp)))
         } else {
             Ok(base)
@@ -1663,11 +1355,12 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_postfix_from(&mut self, mut e: Expr) -> Result<Expr, QueryError> {
+        let base = self.cur.depth();
         while self.tok == Tok::LBracket {
             self.advance()?;
             let mut subs = Vec::new();
             loop {
-                subs.push(self.parse_subscript()?);
+                subs.push(self.beside(base, Self::parse_subscript)?);
                 if self.tok == Tok::Comma {
                     self.advance()?;
                     continue;
@@ -1675,6 +1368,7 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.expect(Tok::RBracket)?;
+            self.enter()?;
             e = Expr::ArrayDeref {
                 base: Box::new(e),
                 subscripts: subs,
@@ -1747,49 +1441,29 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, QueryError> {
+        if let Some(uri) = self.iri()? {
+            return if self.tok == Tok::LParen {
+                self.parse_call(uri)
+            } else {
+                Ok(Expr::Const(Term::uri(uri)))
+            };
+        }
         match self.tok.clone() {
             Tok::Var(v) => {
                 self.advance()?;
                 Ok(Expr::Var(v))
             }
-            Tok::Integer(i) => {
+            Tok::Number(n) => {
                 self.advance()?;
-                Ok(Expr::Const(Term::integer(i)))
-            }
-            Tok::Double(d) => {
-                self.advance()?;
-                Ok(Expr::Const(Term::double(d)))
+                Ok(Expr::Const(Term::Number(n)))
             }
             Tok::Str(s) => {
                 self.advance()?;
-                if let Tok::LangTag(lang) = self.tok.clone() {
-                    self.advance()?;
-                    Ok(Expr::Const(Term::LangStr { value: s, lang }))
-                } else {
-                    Ok(Expr::Const(Term::Str(s)))
-                }
-            }
-            Tok::Iri(u) => {
-                self.advance()?;
-                let uri = self.ns.resolve(&u);
-                if self.tok == Tok::LParen {
-                    self.parse_call(uri)
-                } else {
-                    Ok(Expr::Const(Term::uri(uri)))
-                }
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                let uri = self.expand(&prefix, &local)?;
-                if self.tok == Tok::LParen {
-                    self.parse_call(uri)
-                } else {
-                    Ok(Expr::Const(Term::uri(uri)))
-                }
+                Ok(Expr::Const(self.literal(s)?))
             }
             Tok::LParen => {
                 self.advance()?;
-                let e = self.parse_expr()?;
+                let e = self.parse_or()?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -1853,7 +1527,7 @@ impl<'a> Parser<'a> {
             self.advance()?;
             None
         } else {
-            Some(Box::new(self.parse_expr()?))
+            Some(Box::new(self.parse_or()?))
         };
         let mut separator = None;
         if self.tok == Tok::Semicolon {
@@ -1879,12 +1553,13 @@ impl<'a> Parser<'a> {
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
         let mut has_placeholder = false;
+        let base = self.cur.depth();
         loop {
             if self.tok == Tok::RParen {
                 self.advance()?;
                 break;
             }
-            let arg = self.parse_expr()?;
+            let arg = self.beside(base, Self::parse_or)?;
             if matches!(&arg, Expr::Var(v) if v == "_") {
                 has_placeholder = true;
             }

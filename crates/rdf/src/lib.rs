@@ -28,6 +28,7 @@
 pub mod collections;
 mod dictionary;
 mod graph;
+pub mod lex;
 mod namespaces;
 pub mod ntriples;
 pub mod stats;

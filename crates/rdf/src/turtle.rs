@@ -14,10 +14,11 @@
 //! the standard `rdf:first`/`rdf:rest` linked list. Consolidation can be
 //! disabled to measure its effect (experiment E5).
 
-use ssdm_array::{Nested, NumArray};
+use ssdm_array::{Nested, Num, NumArray};
 
 use crate::dictionary::TermId;
 use crate::graph::{Graph, GraphMut, Triple};
+use crate::lex::{typed_literal, Cursor};
 use crate::namespaces::{Namespaces, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE};
 use crate::term::{escape_str, RdfError, Term};
 
@@ -71,8 +72,7 @@ enum Tok {
     Anon, // []
     StringLit(String),
     LangTag(String),
-    Integer(i64),
-    Double(f64),
+    Number(Num),
     KwA,
     KwPrefix, // @prefix or PREFIX
     KwBase,   // @base or BASE
@@ -89,375 +89,68 @@ enum Tok {
     Eof,
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
+fn next_token(cur: &mut Cursor) -> Result<Tok, RdfError> {
+    cur.skip_ws();
+    let Some(c) = cur.peek() else {
+        return Ok(Tok::Eof);
+    };
+    let punct = match c {
+        b'<' => return cur.iri().map(Tok::IriRef),
+        b'_' if cur.peek_at(1) == Some(b':') => {
+            return Ok(Tok::BlankLabel(cur.blank_label()?.to_string()))
+        }
+        b'"' | b'\'' => return cur.string().map(Tok::StringLit),
+        b'@' => {
+            return Ok(match cur.lang_tag()? {
+                "prefix" => Tok::KwPrefix,
+                "base" => Tok::KwBase,
+                tag => Tok::LangTag(tag.to_string()),
+            })
+        }
+        b'.' if !cur.peek_at(1).is_some_and(|n| n.is_ascii_digit()) => Tok::Dot,
+        b'+' | b'-' | b'.' | b'0'..=b'9' => return cur.number(false).map(Tok::Number),
+        b';' => Tok::Semicolon,
+        b',' => Tok::Comma,
+        b'(' => Tok::LParen,
+        b')' => Tok::RParen,
+        b']' => Tok::RBracket,
+        b'[' => {
+            cur.bump();
+            cur.skip_ws();
+            if cur.peek() != Some(b']') {
+                return Ok(Tok::LBracket);
+            }
+            Tok::Anon
+        }
+        b'^' if cur.peek_at(1) == Some(b'^') => {
+            cur.bump();
+            Tok::DoubleCaret
+        }
+        _ => return name(cur),
+    };
+    cur.bump();
+    Ok(punct)
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
+/// A prefixed name or a keyword.
+fn name(cur: &mut Cursor) -> Result<Tok, RdfError> {
+    if let Some((prefix, local)) = cur.prefixed_name() {
+        return Ok(Tok::PName {
+            prefix: prefix.to_string(),
+            local: local.to_string(),
+        });
     }
-
-    fn err(&self, msg: impl Into<String>) -> RdfError {
-        RdfError::Parse {
-            line: self.line,
-            col: self.col,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'#') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next_token(&mut self) -> Result<Tok, RdfError> {
-        self.skip_ws();
-        let Some(c) = self.peek() else {
-            return Ok(Tok::Eof);
-        };
-        match c {
-            b'<' => self.lex_iri(),
-            b'_' if self.peek2() == Some(b':') => self.lex_blank(),
-            b'"' | b'\'' => self.lex_string(),
-            b'@' => self.lex_at(),
-            b'.' => {
-                // Distinguish statement dot from a leading decimal point.
-                if self
-                    .src
-                    .get(self.pos + 1)
-                    .map(|c| c.is_ascii_digit())
-                    .unwrap_or(false)
-                {
-                    self.lex_number()
-                } else {
-                    self.bump();
-                    Ok(Tok::Dot)
-                }
-            }
-            b';' => {
-                self.bump();
-                Ok(Tok::Semicolon)
-            }
-            b',' => {
-                self.bump();
-                Ok(Tok::Comma)
-            }
-            b'(' => {
-                self.bump();
-                Ok(Tok::LParen)
-            }
-            b')' => {
-                self.bump();
-                Ok(Tok::RParen)
-            }
-            b'[' => {
-                self.bump();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.bump();
-                    Ok(Tok::Anon)
-                } else {
-                    Ok(Tok::LBracket)
-                }
-            }
-            b']' => {
-                self.bump();
-                Ok(Tok::RBracket)
-            }
-            b'^' => {
-                self.bump();
-                if self.peek() == Some(b'^') {
-                    self.bump();
-                    Ok(Tok::DoubleCaret)
-                } else {
-                    Err(self.err("expected '^^'"))
-                }
-            }
-            b'+' | b'-' => self.lex_number(),
-            c if c.is_ascii_digit() => self.lex_number(),
-            _ => self.lex_name(),
-        }
-    }
-
-    fn lex_iri(&mut self) -> Result<Tok, RdfError> {
-        self.bump(); // <
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'>') => return Ok(Tok::IriRef(out)),
-                Some(b'\\') => match self.bump() {
-                    Some(c) => {
-                        out.push('\\');
-                        out.push(c as char);
-                    }
-                    None => return Err(self.err("unterminated IRI")),
-                },
-                // Re-assemble UTF-8 multibyte sequences (as lex_string).
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(c) => {
-                    let mut buf = vec![c];
-                    while self.peek().map(|b| b & 0xC0 == 0x80).unwrap_or(false) {
-                        buf.push(self.bump().unwrap());
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&buf).map_err(|_| self.err("invalid UTF-8 in IRI"))?,
-                    );
-                }
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-    }
-
-    fn lex_blank(&mut self) -> Result<Tok, RdfError> {
-        self.bump(); // _
-        self.bump(); // :
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' {
-                // A dot only continues the label if followed by a label char.
-                if c == b'.'
-                    && !self
-                        .src
-                        .get(self.pos + 1)
-                        .map(|n| n.is_ascii_alphanumeric() || *n == b'_')
-                        .unwrap_or(false)
-                {
-                    break;
-                }
-                out.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
-        if out.is_empty() {
-            return Err(self.err("empty blank node label"));
-        }
-        Ok(Tok::BlankLabel(out))
-    }
-
-    fn lex_string(&mut self) -> Result<Tok, RdfError> {
-        let quote = self.bump().unwrap();
-        // Long form """ / '''
-        let long = self.peek() == Some(quote) && self.peek2() == Some(quote);
-        if long {
-            self.bump();
-            self.bump();
-        }
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.bump() else {
-                return Err(self.err("unterminated string"));
-            };
-            if c == quote {
-                if !long {
-                    break;
-                }
-                if self.peek() == Some(quote) && self.peek2() == Some(quote) {
-                    self.bump();
-                    self.bump();
-                    break;
-                }
-                out.push(quote as char);
-                continue;
-            }
-            if c == b'\\' {
-                let Some(e) = self.bump() else {
-                    return Err(self.err("unterminated escape"));
-                };
-                match e {
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'"' => out.push('"'),
-                    b'\'' => out.push('\''),
-                    b'\\' => out.push('\\'),
-                    b'u' | b'U' => {
-                        let n = if e == b'u' { 4 } else { 8 };
-                        let mut v: u32 = 0;
-                        for _ in 0..n {
-                            let Some(h) = self.bump() else {
-                                return Err(self.err("unterminated \\u escape"));
-                            };
-                            v = v * 16
-                                + (h as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| self.err("bad hex digit"))?;
-                        }
-                        out.push(char::from_u32(v).ok_or_else(|| self.err("bad code point"))?);
-                    }
-                    other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
-                }
-                continue;
-            }
-            // Re-assemble UTF-8 multibyte sequences.
-            if c < 0x80 {
-                out.push(c as char);
-            } else {
-                let mut buf = vec![c];
-                while self.peek().map(|b| b & 0xC0 == 0x80).unwrap_or(false) {
-                    buf.push(self.bump().unwrap());
-                }
-                out.push_str(std::str::from_utf8(&buf).map_err(|_| self.err("invalid UTF-8"))?);
-            }
-        }
-        Ok(Tok::StringLit(out))
-    }
-
-    fn lex_at(&mut self) -> Result<Tok, RdfError> {
-        self.bump(); // @
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'-' {
-                word.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
-        match word.as_str() {
-            "prefix" => Ok(Tok::KwPrefix),
-            "base" => Ok(Tok::KwBase),
-            _ if !word.is_empty() => Ok(Tok::LangTag(word)),
-            _ => Err(self.err("empty @ directive")),
-        }
-    }
-
-    fn lex_number(&mut self) -> Result<Tok, RdfError> {
-        let start = self.pos;
-        if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-            self.bump();
-        }
-        let mut is_real = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                self.bump();
-            } else if c == b'.'
-                && self
-                    .src
-                    .get(self.pos + 1)
-                    .map(|n| n.is_ascii_digit())
-                    .unwrap_or(false)
-            {
-                is_real = true;
-                self.bump();
-            } else if c == b'e' || c == b'E' {
-                is_real = true;
-                self.bump();
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.bump();
-                }
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        if is_real {
-            text.parse::<f64>()
-                .map(Tok::Double)
-                .map_err(|_| self.err(format!("bad number '{text}'")))
-        } else {
-            text.parse::<i64>()
-                .map(Tok::Integer)
-                .map_err(|_| self.err(format!("bad number '{text}'")))
-        }
-    }
-
-    // The duplicate-looking branches below differ in their guards,
-    // which encode Turtle's dot-in-name rules; keep them explicit.
-    #[allow(clippy::if_same_then_else)]
-    fn lex_name(&mut self) -> Result<Tok, RdfError> {
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'%' {
-                word.push(self.bump().unwrap() as char);
-            } else if c == b'.'
-                && self
-                    .src
-                    .get(self.pos + 1)
-                    .map(|n| n.is_ascii_alphanumeric() || *n == b'_')
-                    .unwrap_or(false)
-                && word.contains(':')
-            {
-                word.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
-        if self.peek() == Some(b':') {
-            self.bump();
-            let prefix = word;
-            let mut local = String::new();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'%' {
-                    local.push(self.bump().unwrap() as char);
-                } else if c == b'.'
-                    && self
-                        .src
-                        .get(self.pos + 1)
-                        .map(|n| n.is_ascii_alphanumeric() || *n == b'_')
-                        .unwrap_or(false)
-                {
-                    local.push(self.bump().unwrap() as char);
-                } else {
-                    break;
-                }
-            }
-            return Ok(Tok::PName { prefix, local });
-        }
-        match word.as_str() {
-            "a" => Ok(Tok::KwA),
-            "true" => Ok(Tok::KwTrue),
-            "false" => Ok(Tok::KwFalse),
-            "PREFIX" | "prefix" => Ok(Tok::KwPrefix),
-            "BASE" | "base" => Ok(Tok::KwBase),
-            "" => Err(self.err(format!(
-                "unexpected character '{}'",
-                self.peek().map(|c| c as char).unwrap_or('?')
-            ))),
-            other => Err(self.err(format!("unexpected token '{other}'"))),
-        }
+    match cur.word() {
+        "a" => Ok(Tok::KwA),
+        "true" => Ok(Tok::KwTrue),
+        "false" => Ok(Tok::KwFalse),
+        "PREFIX" | "prefix" => Ok(Tok::KwPrefix),
+        "BASE" | "base" => Ok(Tok::KwBase),
+        "" => Err(cur.err(format!(
+            "unexpected character '{}'",
+            cur.peek().unwrap_or(b'?').escape_ascii()
+        ))),
+        other => Err(cur.err(format!("unexpected token '{other}'"))),
     }
 }
 
@@ -476,7 +169,7 @@ enum Node {
 }
 
 struct Parser<'a> {
-    lexer: Lexer<'a>,
+    cur: Cursor<'a>,
     tok: Tok,
     ns: Namespaces,
     options: ParseOptions,
@@ -488,7 +181,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str, options: ParseOptions) -> Self {
         Parser {
-            lexer: Lexer::new(text),
+            cur: Cursor::new(text),
             tok: Tok::Eof,
             ns: Namespaces::new(),
             options,
@@ -498,12 +191,12 @@ impl<'a> Parser<'a> {
     }
 
     fn advance(&mut self) -> Result<(), RdfError> {
-        self.tok = self.lexer.next_token()?;
+        self.tok = next_token(&mut self.cur)?;
         Ok(())
     }
 
     fn err(&self, msg: impl Into<String>) -> RdfError {
-        self.lexer.err(msg)
+        self.cur.err(msg)
     }
 
     fn expect(&mut self, tok: Tok) -> Result<(), RdfError> {
@@ -523,6 +216,18 @@ impl<'a> Parser<'a> {
                 return graph.intern(t);
             }
         }
+    }
+
+    /// The IRI an IRI reference or prefixed name stands for, consumed;
+    /// `None` at any other token.
+    fn iri(&mut self) -> Result<Option<String>, RdfError> {
+        let iri = match &self.tok {
+            Tok::IriRef(u) => self.ns.resolve(u),
+            Tok::PName { prefix, local } => self.ns.expand(prefix, local)?,
+            _ => return Ok(None),
+        };
+        self.advance()?;
+        Ok(Some(iri))
     }
 
     fn parse_document(&mut self, graph: &mut GraphMut) -> Result<(), RdfError> {
@@ -576,15 +281,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_subject(&mut self, graph: &mut GraphMut) -> Result<TermId, RdfError> {
+        if let Some(iri) = self.iri()? {
+            return Ok(graph.intern(Term::uri(iri)));
+        }
         match self.tok.clone() {
-            Tok::IriRef(u) => {
-                self.advance()?;
-                Ok(graph.intern(Term::uri(self.ns.resolve(&u))))
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                Ok(graph.intern(Term::uri(self.ns.expand(&prefix, &local)?)))
-            }
             Tok::KwA => Err(self.err("'a' cannot be a subject")),
             Tok::BlankLabel(b) => {
                 self.advance()?;
@@ -594,16 +294,9 @@ impl<'a> Parser<'a> {
                 self.advance()?;
                 Ok(self.fresh_blank(graph))
             }
-            Tok::LBracket => {
-                self.advance()?;
-                let node = self.fresh_blank(graph);
-                self.parse_predicate_object_list(graph, node)?;
-                self.expect(Tok::RBracket)?;
-                Ok(node)
-            }
+            Tok::LBracket => self.parse_blank_with_props(graph),
             Tok::LParen => {
                 // A collection as subject always expands to a list.
-                self.advance()?;
                 let nodes = self.parse_collection_nodes(graph)?;
                 self.emit_list(graph, nodes)
             }
@@ -617,20 +310,13 @@ impl<'a> Parser<'a> {
         subject: TermId,
     ) -> Result<(), RdfError> {
         loop {
-            let predicate = match self.tok.clone() {
-                Tok::KwA => {
+            let predicate = match self.iri()? {
+                Some(iri) => graph.intern(Term::uri(iri)),
+                None if self.tok == Tok::KwA => {
                     self.advance()?;
                     graph.intern(Term::uri(RDF_TYPE))
                 }
-                Tok::IriRef(u) => {
-                    self.advance()?;
-                    graph.intern(Term::uri(self.ns.resolve(&u)))
-                }
-                Tok::PName { prefix, local } => {
-                    self.advance()?;
-                    graph.intern(Term::uri(self.ns.expand(&prefix, &local)?))
-                }
-                other => return Err(self.err(format!("bad predicate: {other:?}"))),
+                None => return Err(self.err(format!("bad predicate: {:?}", self.tok))),
             };
             loop {
                 let node = self.parse_object(graph)?;
@@ -660,81 +346,59 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self, graph: &mut GraphMut) -> Result<Node, RdfError> {
-        match self.tok.clone() {
-            Tok::IriRef(u) => {
-                self.advance()?;
-                Ok(Node::Term(Term::uri(self.ns.resolve(&u))))
-            }
-            Tok::PName { prefix, local } => {
-                self.advance()?;
-                Ok(Node::Term(Term::uri(self.ns.expand(&prefix, &local)?)))
-            }
-            Tok::BlankLabel(b) => {
-                self.advance()?;
-                Ok(Node::Term(Term::blank(b)))
-            }
+        if let Some(iri) = self.iri()? {
+            return Ok(Node::Term(Term::uri(iri)));
+        }
+        let term = match self.tok.clone() {
+            Tok::BlankLabel(b) => Term::blank(b),
             Tok::Anon => {
                 self.advance()?;
-                Ok(Node::BlankWithProps(self.fresh_blank(graph)))
+                return Ok(Node::BlankWithProps(self.fresh_blank(graph)));
             }
-            Tok::Integer(i) => {
-                self.advance()?;
-                Ok(Node::Term(Term::integer(i)))
-            }
-            Tok::Double(d) => {
-                self.advance()?;
-                Ok(Node::Term(Term::double(d)))
-            }
-            Tok::KwTrue => {
-                self.advance()?;
-                Ok(Node::Term(Term::Bool(true)))
-            }
-            Tok::KwFalse => {
-                self.advance()?;
-                Ok(Node::Term(Term::Bool(false)))
-            }
+            Tok::Number(n) => Term::Number(n),
+            Tok::KwTrue => Term::Bool(true),
+            Tok::KwFalse => Term::Bool(false),
             Tok::StringLit(s) => {
                 self.advance()?;
-                match self.tok.clone() {
+                return Ok(Node::Term(match self.tok.clone() {
                     Tok::LangTag(lang) => {
                         self.advance()?;
-                        Ok(Node::Term(Term::LangStr { value: s, lang }))
+                        Term::LangStr { value: s, lang }
                     }
                     Tok::DoubleCaret => {
                         self.advance()?;
-                        let dt = match self.tok.clone() {
-                            Tok::IriRef(u) => {
-                                self.advance()?;
-                                self.ns.resolve(&u)
-                            }
-                            Tok::PName { prefix, local } => {
-                                self.advance()?;
-                                self.ns.expand(&prefix, &local)?
-                            }
-                            other => return Err(self.err(format!("bad datatype: {other:?}"))),
+                        let Some(dt) = self.iri()? else {
+                            return Err(self.err(format!("bad datatype: {:?}", self.tok)));
                         };
-                        Ok(Node::Term(typed_literal(s, dt)?))
+                        typed_literal(s, dt)?
                     }
-                    _ => Ok(Node::Term(Term::Str(s))),
-                }
+                    _ => Term::Str(s),
+                }));
             }
-            Tok::LBracket => {
-                self.advance()?;
-                let node = self.fresh_blank(graph);
-                self.parse_predicate_object_list(graph, node)?;
-                self.expect(Tok::RBracket)?;
-                Ok(Node::BlankWithProps(node))
-            }
-            Tok::LParen => {
-                self.advance()?;
-                let nodes = self.parse_collection_nodes(graph)?;
-                Ok(Node::Collection(nodes))
-            }
-            other => Err(self.err(format!("bad object: {other:?}"))),
-        }
+            Tok::LBracket => return Ok(Node::BlankWithProps(self.parse_blank_with_props(graph)?)),
+            Tok::LParen => return Ok(Node::Collection(self.parse_collection_nodes(graph)?)),
+            other => return Err(self.err(format!("bad object: {other:?}"))),
+        };
+        self.advance()?;
+        Ok(Node::Term(term))
     }
 
+    /// `[ po-list ]`: a fresh blank node and its triples, one nesting
+    /// level down.
+    fn parse_blank_with_props(&mut self, graph: &mut GraphMut) -> Result<TermId, RdfError> {
+        self.cur.enter()?;
+        self.advance()?;
+        let node = self.fresh_blank(graph);
+        self.parse_predicate_object_list(graph, node)?;
+        self.expect(Tok::RBracket)?;
+        self.cur.leave();
+        Ok(node)
+    }
+
+    /// `( object* )`, one nesting level down.
     fn parse_collection_nodes(&mut self, graph: &mut GraphMut) -> Result<Vec<Node>, RdfError> {
+        self.cur.enter()?;
+        self.advance()?;
         let mut nodes = Vec::new();
         while self.tok != Tok::RParen {
             if self.tok == Tok::Eof {
@@ -743,6 +407,7 @@ impl<'a> Parser<'a> {
             nodes.push(self.parse_object(graph)?);
         }
         self.advance()?; // )
+        self.cur.leave();
         Ok(nodes)
     }
 
@@ -815,32 +480,6 @@ fn collection_to_nested(nodes: &[Node]) -> Option<Nested> {
     Some(Nested::Row(rows))
 }
 
-/// Interpret a `"..."^^<datatype>` literal, mapping the numeric XSD
-/// types onto native numbers.
-fn typed_literal(value: String, datatype: String) -> Result<Term, RdfError> {
-    match datatype.as_str() {
-        "http://www.w3.org/2001/XMLSchema#integer"
-        | "http://www.w3.org/2001/XMLSchema#int"
-        | "http://www.w3.org/2001/XMLSchema#long" => value
-            .parse::<i64>()
-            .map(Term::integer)
-            .map_err(|_| RdfError::BadLiteral(value)),
-        "http://www.w3.org/2001/XMLSchema#double"
-        | "http://www.w3.org/2001/XMLSchema#float"
-        | "http://www.w3.org/2001/XMLSchema#decimal" => value
-            .parse::<f64>()
-            .map(Term::double)
-            .map_err(|_| RdfError::BadLiteral(value)),
-        "http://www.w3.org/2001/XMLSchema#boolean" => match value.as_str() {
-            "true" | "1" => Ok(Term::Bool(true)),
-            "false" | "0" => Ok(Term::Bool(false)),
-            _ => Err(RdfError::BadLiteral(value)),
-        },
-        "http://www.w3.org/2001/XMLSchema#string" => Ok(Term::Str(value)),
-        _ => Ok(Term::Typed { value, datatype }),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------
@@ -900,7 +539,6 @@ pub fn term_text(term: &Term, ns: &Namespaces) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_array::Num;
 
     fn parse(text: &str) -> Graph {
         let mut g = Graph::new();

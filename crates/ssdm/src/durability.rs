@@ -443,6 +443,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The snapshot writes IRIs between `<` and `>` as they are and
+    /// reads them back through the Turtle loader, so an IRI that only
+    /// an escape could write must never be stored.
+    #[test]
+    fn escaped_iris_survive_checkpoint_or_are_refused() {
+        let dir = tmp_dir("iri-escapes");
+        {
+            let mut db = Ssdm::open_durable(&dir).unwrap();
+            for bad in [
+                r"<http://a\u0020b>",
+                r"<http://a\u003Eb>",
+                r"<http://a\U0000005Cb>",
+                r"<http://a\nb>",
+                "<http://a b>",
+            ] {
+                let insert = format!("INSERT DATA {{ {bad} <http://p> 1 . }}");
+                assert!(db.query(&insert).is_err(), "{insert}");
+                let turtle = format!("{bad} <http://p> 1 .");
+                assert!(db.load_turtle(&turtle).is_err(), "{turtle}");
+            }
+            db.query(r"INSERT DATA { <http://caf\u00E9> <http://p> 1 . }")
+                .unwrap();
+            db.load_turtle(r"<http://na\u00EFve> <http://p> 2 .")
+                .unwrap();
+            db.checkpoint().unwrap();
+        }
+        let mut db = Ssdm::open_durable(&dir).unwrap();
+        assert_eq!(count(&mut db), 2);
+        for ask in [
+            "ASK { <http://café> <http://p> 1 }",
+            "ASK { <http://naïve> <http://p> 2 }",
+        ] {
+            assert_eq!(db.query(ask).unwrap().as_bool(), Some(true), "{ask}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn checkpoint_on_non_durable_instance_errors() {
         let mut db = Ssdm::open(crate::Backend::Memory);
