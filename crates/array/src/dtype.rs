@@ -213,15 +213,12 @@ impl fmt::Display for Num {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Num::Int(i) => write!(f, "{i}"),
-            Num::Real(r) => {
-                if r.fract() == 0.0 && r.is_finite() && r.abs() < 1e15 {
-                    // Keep a trailing ".0" so reals stay distinguishable
-                    // from integers in query results and Turtle output.
-                    write!(f, "{r:.1}")
-                } else {
-                    write!(f, "{r}")
-                }
-            }
+            // A whole real keeps a trailing ".0", or from 1e15 on an
+            // exponent, so it stays distinguishable from an integer in
+            // query results and Turtle output.
+            Num::Real(r) if r.fract() == 0.0 && r.abs() < 1e15 => write!(f, "{r:.1}"),
+            Num::Real(r) if r.fract() == 0.0 => write!(f, "{r:e}"),
+            Num::Real(r) => write!(f, "{r}"),
         }
     }
 }

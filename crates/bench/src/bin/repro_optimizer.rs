@@ -48,9 +48,7 @@ fn plan_for(ds: &Dataset, query: &str, mode: PlannerMode, calibrated: bool) -> P
     }
     let config = PlannerConfig {
         mode,
-        adaptive_qerror: None,
         calibration: calibrated,
-        ..PlannerConfig::default()
     };
     let ctx = PlannerCtx {
         graph: ds.graph.view(),
@@ -144,9 +142,6 @@ fn main() -> ExitCode {
         seed: 3,
     };
     bistab::load_bistab(&mut db, &config).expect("load");
-    // Static plans only: adaptivity would partially repair the bad
-    // textual order mid-flight and blur the comparison.
-    db.dataset.planner.adaptive_qerror = None;
 
     // Queries written selective-pattern-LAST (worst textual order).
     let b = bistab::NS;
@@ -272,7 +267,6 @@ fn main() -> ExitCode {
 
     // ----- calibration leg -------------------------------------------------
     let mut skew = skew_dataset(n);
-    skew.planner.adaptive_qerror = None;
     let query = "PREFIX ex: <http://example.org/>
                  SELECT ?s ?p WHERE {
                    ?s ex:status \"common\" .

@@ -499,7 +499,7 @@ fn choose_order(
         PlannerMode::Textual => (0..n).collect(),
         PlannerMode::Greedy => greedy_order(items, ctx, outer_bound),
         PlannerMode::Dp => {
-            if (2..=ctx.config.dp_max_patterns.min(16)).contains(&n) {
+            if (2..=consts::DP_MAX_PATTERNS).contains(&n) {
                 dp_order(items, filters, ctx, outer_bound)
             } else {
                 greedy_order(items, ctx, outer_bound)
@@ -951,24 +951,6 @@ pub(crate) fn scan_predicate(plan: &Plan) -> Option<String> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-/// Greedily re-order the unexecuted scan suffix of a running join by
-/// estimated cardinality against the *actually* bound variables — the
-/// mid-query re-optimization step. Callers guarantee every element is
-/// a plain triple-pattern scan, so any permutation is join-equivalent.
-pub(crate) fn reorder_scans(graph: GraphView, suffix: &mut [&Plan], mut bound: HashSet<String>) {
-    for i in 0..suffix.len() {
-        let best = (i..suffix.len())
-            .min_by(|&a, &b| {
-                let ea = estimate(suffix[a], graph, &bound);
-                let eb = estimate(suffix[b], graph, &bound);
-                ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nonempty range");
-        suffix.swap(i, best);
-        suffix[i].certain_vars(&mut bound);
     }
 }
 

@@ -239,8 +239,8 @@ pub struct Dataset {
     /// slow-query log; `None` (the default) keeps every profiling hook
     /// on the zero-cost path.
     pub(crate) profiler: Option<crate::profile::QueryProfiler>,
-    /// Planner configuration (join enumeration mode, adaptivity,
-    /// calibration switch). Seeded from the environment; override the
+    /// Planner configuration (join enumeration mode, calibration
+    /// switch). Seeded from the environment; override the
     /// field directly to force a mode per dataset.
     pub planner: crate::planner::PlannerConfig,
     /// Runtime feedback: per-predicate cardinality corrections and the
@@ -518,13 +518,6 @@ impl Dataset {
             if let Some(p) = self.profiler.as_mut() {
                 p.enter(row, snap, rows_in as u64, est);
             }
-        }
-    }
-
-    /// Record one mid-query re-optimization (no-op unprofiled).
-    pub(crate) fn prof_note_reopt(&mut self) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.note_reopt();
         }
     }
 

@@ -37,10 +37,10 @@ pub(crate) fn key_part(ds: &Dataset, op: Option<Operand>) -> KeyPart {
         other => ds.node_id(&other.value(ds)),
     };
     // Arrays of one content render alike under different ids, and so do
-    // a huge integral real and the integer it equals.
+    // NaNs of different bits.
     let named_by_rendering = |id: &TermId| match ds.graph.term(*id) {
         Term::Array(_) | Term::ArrayRef(_) => false,
-        Term::Number(Num::Real(r)) => r.is_finite() && r.abs() < 1e15,
+        Term::Number(Num::Real(r)) => r.is_finite(),
         _ => true,
     };
     match id.filter(named_by_rendering) {

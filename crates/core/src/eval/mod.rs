@@ -25,7 +25,7 @@ pub mod builtins;
 pub mod expr;
 pub mod path;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::ptr;
 use std::rc::Rc;
@@ -70,6 +70,11 @@ impl From<Value> for Slot {
 
 /// The most rows one batch holds.
 pub const BATCH_ROWS: usize = 256;
+
+/// The most join children that stream into one another at once: each
+/// holds a few stack frames until the batch it fed on comes back, so a
+/// join child past this many gathers its input instead.
+const STREAM_LINKS: usize = 64;
 
 /// Rows of one width in one slab of slots: row `i` is
 /// `slots[i * width..][..width]`. A batch is `Rows` of at most the
@@ -673,6 +678,8 @@ struct Exec<'a> {
     ops: Vec<(*const Plan, usize)>,
     /// Operand tables, each computed once per active graph.
     tables: RefCell<Vec<(TableKey, Rc<Table>)>>,
+    /// How many join children are streaming into the next one now.
+    links: Cell<usize>,
 }
 
 /// Where an operator's rows gather until a batch is full and goes to
@@ -742,6 +749,7 @@ impl<'a> Exec<'a> {
             tags,
             ops,
             tables,
+            links: Cell::new(0),
         };
         exec.index(ds, plan, 0);
         exec
@@ -806,7 +814,7 @@ impl<'a> Exec<'a> {
                 }
                 out.flush(ds)
             }
-            Plan::Join(children) => self.join(ds, children, input, sink),
+            Plan::Join(children) => self.chain(ds, children, input, sink),
             Plan::LeftJoin { left, right } => self.run(ds, left, input, &mut |ds, lefts| {
                 self.left_join(ds, plan, right, lefts, sink)
             }),
@@ -924,60 +932,42 @@ impl<'a> Exec<'a> {
     }
 
     /// A conjunction: children run left-to-right, each over what the
-    /// ones before it bound.
-    ///
-    /// Adaptive execution: when a child's observed cardinality exceeds
-    /// its estimate by more than the configured Q-error bound, the
-    /// *unexecuted* suffix is re-ordered against the now-known
-    /// bindings. Produced rows are kept untouched, and only commutative
-    /// suffixes (pure triple-pattern scans) are rewritten, so results
-    /// are multiset-identical to the static plan. The check needs the
-    /// child's whole output, so while one could still rewrite something
-    /// downstream, the join gathers each child's batches before feeding
-    /// them on: a pipeline breaker. The last two children stream.
-    fn join(&self, ds: &mut Dataset, children: &[Plan], input: Rows, sink: Sink) -> Flow {
-        let mut seq: Vec<&Plan> = children.iter().collect();
-        let (mut batches, mut at) = (vec![input], 0);
-        while let Some(qmax) = ds.planner.adaptive_qerror.filter(|_| seq.len() - at > 2) {
-            let rows_in: usize = batches.iter().map(Rows::len).sum();
-            let bound = self.vars.bound_names(&batches[0]);
-            let est = algebra::estimate(seq[at], ds.active(), &bound) * rows_in as f64;
-            let mut out = Vec::new();
-            for rows in batches {
-                self.run(ds, seq[at], rows, &mut |_, rows| {
-                    out.push(rows);
-                    Ok(())
-                })?;
-            }
-            let Some(first) = out.first() else {
-                return Ok(());
-            };
-            at += 1;
-            let actual: usize = out.iter().map(Rows::len).sum();
-            let scans = |c: &&Plan| matches!(c, Plan::Scan(t, _) if t.path.as_pred().is_some());
-            if actual as f64 / est.max(0.5) > qmax
-                && actual >= ds.planner.adaptive_min_rows
-                && seq[at..].iter().all(scans)
-            {
-                algebra::reorder_scans(ds.active(), &mut seq[at..], self.vars.bound_names(first));
-                ds.prof_note_reopt();
-            }
-            batches = out;
-        }
-        for rows in batches {
-            self.chain(ds, &seq[at..], rows, sink)?;
-        }
-        Ok(())
-    }
-
-    /// Feed `input` through `seq`, each child's batches into the next.
-    fn chain(&self, ds: &mut Dataset, seq: &[&Plan], input: Rows, sink: Sink) -> Flow {
+    /// ones before it bound, every batch a child makes fed straight
+    /// into the next. Past [`STREAM_LINKS`] links deep, each child
+    /// runs over all the batches gathered before it instead, in the
+    /// order they were made, so the stack stays bounded however wide
+    /// the join.
+    fn chain(&self, ds: &mut Dataset, seq: &[Plan], input: Rows, sink: Sink) -> Flow {
+        let links = self.links.get();
         match seq.split_first() {
             None => sink(ds, input),
-            Some((first, rest)) => self.run(ds, first, input, &mut |ds, rows| {
-                self.chain(ds, rest, rows, sink)
-            }),
+            Some((first, rest)) if links < STREAM_LINKS => {
+                self.links.set(links + 1);
+                let flow = self.run(ds, first, input, &mut |ds, rows| {
+                    self.chain(ds, rest, rows, sink)
+                });
+                self.links.set(links);
+                flow
+            }
+            Some(_) => seq
+                .iter()
+                .try_fold(vec![input], |b, child| self.gather(ds, child, b))?
+                .into_iter()
+                .try_for_each(|rows| sink(ds, rows)),
         }
+    }
+
+    /// Run `plan` over each of `inputs` and gather the batches it makes,
+    /// in order.
+    fn gather(&self, ds: &mut Dataset, plan: &Plan, inputs: Vec<Rows>) -> Result<Vec<Rows>, Halt> {
+        let mut out = Vec::new();
+        for rows in inputs {
+            self.run(ds, plan, rows, &mut |_, rows| {
+                out.push(rows);
+                Ok(())
+            })?;
+        }
+        Ok(out)
     }
 
     /// OPTIONAL over one batch of left rows: the right side runs once
@@ -996,11 +986,7 @@ impl<'a> Exec<'a> {
         for i in 0..lefts.len {
             lefts.slots[i * lefts.width + tag] = Slot::Id(TermId(i as u32));
         }
-        let mut matched = Vec::new();
-        self.run(ds, right, lefts.clone(), &mut |_, rows| {
-            matched.push(rows);
-            Ok(())
-        })?;
+        let matched = self.gather(ds, right, vec![lefts.clone()])?;
         let tag_of = |row: &[Slot]| match row[tag] {
             Slot::Id(TermId(i)) => i as usize,
             _ => unreachable!("a right side keeps its rows' tags"),
@@ -1587,6 +1573,45 @@ mod tests {
         assert_eq!(ds.query(exists).unwrap().into_rows().unwrap().len(), 1);
         let [_, scans, visited, _, _] = scan_work();
         assert_eq!((scans, visited), (1, BATCH_ROWS));
+
+        // A join streams: its first scan hands on one batch, and LIMIT
+        // stops it there instead of after all 20 000 rows.
+        let mut turtle = String::new();
+        for i in 0..20_000 {
+            turtle.push_str(&format!(
+                "<http://task{i}> <http://k_2> {i} ; <http://k_3> {i} .\n"
+            ));
+        }
+        ds.load_turtle(&turtle).unwrap();
+        scan_work();
+        let star =
+            "SELECT ?t WHERE { ?t <http://k_1> ?k ; <http://k_2> ?a ; <http://k_3> ?b } LIMIT 1";
+        assert_eq!(ds.query(star).unwrap().into_rows().unwrap().len(), 1);
+        // The first scan visits one batch of entries; each of its rows is
+        // one probe, visiting one entry, in each of the two later scans.
+        let [_, scans, visited, _, batches] = scan_work();
+        assert_eq!(
+            (scans, visited, batches),
+            (1 + 2 * BATCH_ROWS, 3 * BATCH_ROWS, 3)
+        );
+    }
+
+    #[test]
+    fn a_join_wider_than_the_streaming_links_keeps_rows_and_order() {
+        let mut ds = Dataset::in_memory();
+        let mut turtle = String::new();
+        for i in 0..600 {
+            turtle.push_str(&format!("<http://task{i}> <http://k_1> {} .\n", i % 7));
+        }
+        ds.load_turtle(&turtle).unwrap();
+        let select = |ds: &mut Dataset, width: usize| {
+            let body = "?t <http://k_1> ?k . ".repeat(width);
+            let q = format!("SELECT ?t ?k WHERE {{ {body}}}");
+            format!("{:?}", ds.query(&q).unwrap().into_rows().unwrap())
+        };
+        let narrow = select(&mut ds, 1);
+        assert_eq!(narrow.matches("task").count(), 600);
+        assert_eq!(select(&mut ds, STREAM_LINKS + 6), narrow);
     }
 
     #[test]

@@ -23,12 +23,8 @@
 //!   a per-backend cost-per-statement figure from the process-wide
 //!   `ssdm_chunk_fetch_seconds` latency histogram. The planner multiplies
 //!   scan estimates by the learned factor, so misestimates shrink with
-//!   each observation instead of repeating forever.
-//!
-//! The mid-query re-optimization protocol (rewriting the unexecuted
-//! suffix of a running join when the observed cardinality blows past the
-//! estimate by more than [`PlannerConfig::adaptive_qerror`]) lives in
-//! `eval`; its knobs are configured here.
+//!   each observation instead of repeating forever. A plan, once chosen,
+//!   runs as written: the loop corrects the next query, not this one.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -82,13 +78,6 @@ pub mod consts {
     /// DP join enumeration handles joins up to this many children;
     /// larger conjunctions fall back to greedy (2^n state table).
     pub const DP_MAX_PATTERNS: usize = 10;
-    /// Default Q-error bound for mid-query re-optimization: the
-    /// unexecuted join suffix is re-ordered when observed cardinality
-    /// exceeds the estimate by more than this factor.
-    pub const DEFAULT_REOPT_QERROR: f64 = 8.0;
-    /// Minimum intermediate rows before re-optimization is considered
-    /// (tiny intermediates are cheaper to finish than to re-plan).
-    pub const REOPT_MIN_ROWS: usize = 64;
     /// EWMA weight of the newest observation in a calibration factor.
     pub const CALIBRATION_ALPHA: f64 = 0.5;
     /// Clamp on a calibration factor's log-magnitude (`ln 64`): one
@@ -110,7 +99,7 @@ pub enum PlannerMode {
     /// One-shot greedy minimum-cardinality ordering (pre-v2 default).
     Greedy,
     /// Bottom-up dynamic programming over connected subsets, greedy
-    /// fallback above [`PlannerConfig::dp_max_patterns`] children.
+    /// fallback above [`consts::DP_MAX_PATTERNS`] children.
     Dp,
 }
 
@@ -138,13 +127,6 @@ impl PlannerMode {
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     pub mode: PlannerMode,
-    /// DP enumeration cutoff; joins with more children use greedy.
-    pub dp_max_patterns: usize,
-    /// Mid-query re-optimization Q-error bound; `None` disables
-    /// adaptivity entirely.
-    pub adaptive_qerror: Option<f64>,
-    /// Minimum intermediate rows before re-optimization is considered.
-    pub adaptive_min_rows: usize,
     /// Whether learned per-predicate correction factors feed estimates.
     pub calibration: bool,
 }
@@ -153,9 +135,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             mode: PlannerMode::Dp,
-            dp_max_patterns: consts::DP_MAX_PATTERNS,
-            adaptive_qerror: Some(consts::DEFAULT_REOPT_QERROR),
-            adaptive_min_rows: consts::REOPT_MIN_ROWS,
             calibration: true,
         }
     }
@@ -163,27 +142,12 @@ impl Default for PlannerConfig {
 
 impl PlannerConfig {
     /// The default configuration with environment overrides applied:
-    /// `SSDM_PLANNER=textual|greedy|dp`, `SSDM_PLANNER_DP_MAX=<n>`,
-    /// `SSDM_REOPT_QERROR=<q>|off`, `SSDM_CALIBRATION=on|off`.
+    /// `SSDM_PLANNER=textual|greedy|dp`, `SSDM_CALIBRATION=on|off`.
     pub fn from_env() -> Self {
         let mut cfg = PlannerConfig::default();
         if let Ok(v) = std::env::var("SSDM_PLANNER") {
             if let Some(m) = PlannerMode::parse(&v) {
                 cfg.mode = m;
-            }
-        }
-        if let Ok(v) = std::env::var("SSDM_PLANNER_DP_MAX") {
-            if let Ok(n) = v.parse::<usize>() {
-                cfg.dp_max_patterns = n.min(16);
-            }
-        }
-        if let Ok(v) = std::env::var("SSDM_REOPT_QERROR") {
-            if v.eq_ignore_ascii_case("off") || v == "0" {
-                cfg.adaptive_qerror = None;
-            } else if let Ok(q) = v.parse::<f64>() {
-                if q.is_finite() && q > 1.0 {
-                    cfg.adaptive_qerror = Some(q);
-                }
             }
         }
         if let Ok(v) = std::env::var("SSDM_CALIBRATION") {

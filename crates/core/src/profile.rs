@@ -162,8 +162,6 @@ pub struct QueryProfiler {
     phases: Vec<(&'static str, u64)>,
     ops: Vec<OpRow>,
     stack: Vec<Frame>,
-    /// Mid-query re-optimizations triggered by the adaptive executor.
-    reopts: u64,
 }
 
 impl QueryProfiler {
@@ -174,18 +172,7 @@ impl QueryProfiler {
             phases: vec![("parse", parse_micros)],
             ops: Vec::new(),
             stack: Vec::new(),
-            reopts: 0,
         }
-    }
-
-    /// Record one mid-query re-optimization.
-    pub fn note_reopt(&mut self) {
-        self.reopts += 1;
-    }
-
-    /// Mid-query re-optimizations recorded so far.
-    pub fn reopts(&self) -> u64 {
-        self.reopts
     }
 
     /// Add time to a named phase (accumulates across calls — a query
@@ -282,10 +269,9 @@ impl QueryProfiler {
             out.push_str(&format!(" {name}_us={micros}"));
         }
         out.push_str(&format!(
-            " exec_us={} total_us={} reopts={}\n",
+            " exec_us={} total_us={}\n",
             exec_micros.saturating_sub(planned),
             parse + exec_micros,
-            self.reopts
         ));
         out.push_str("operators:\n");
         for op in &self.ops {

@@ -262,8 +262,9 @@ fn arrays_sum_element_wise_and_never_with_numbers() {
 
 #[test]
 fn two_keys_keyed_by_rendering() {
-    // A real at or beyond 1e15 is keyed by how it prints, and so is an
-    // array: equal renderings are one group, whatever their ids.
+    // An array is keyed by how it prints: equal renderings are one
+    // group, whatever their ids. A real of 1e15 or more is not the
+    // integer it equals.
     let mut ds = Dataset::in_memory();
     let (k1, k2, v) = (
         Term::uri("http://example.org/k1"),
@@ -300,8 +301,8 @@ fn two_keys_keyed_by_rendering() {
         .map(|r| r.iter().map(exact).collect::<Vec<_>>().join(" "))
         .collect();
     got.sort();
-    // The integer 10¹⁵ is keyed by its id, the reals by rendering; the
-    // two arrays [1.0, 2.0] are one node, [1, 2] prints apart from them.
+    // The integer 10¹⁵ and the reals are keyed by their ids; the two
+    // arrays [1.0, 2.0] are one node, [1, 2] prints apart from them.
     let (int, e15, e15_25) = (
         "Int(1000000000000000)",
         "Real(0x430c6bf526340000)",

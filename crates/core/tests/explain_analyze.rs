@@ -51,7 +51,6 @@ fn profile_reports_phases_and_operators() {
         "plan_us=",
         "exec_us=",
         "total_us=",
-        "reopts=",
         "operators:",
         "Scan",
         "Project",

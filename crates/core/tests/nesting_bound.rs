@@ -5,6 +5,7 @@
 
 mod common;
 
+use scisparql::parser::MAX_PATTERNS;
 use scisparql::{Dataset, QueryError};
 use ssdm_rdf::lex::MAX_NESTING;
 use ssdm_rdf::RdfError;
@@ -54,6 +55,18 @@ fn query_forms() -> Vec<(&'static str, usize, Form)> {
             nest("ASK { FILTER(?a", "[1]", "", "", " != 0) }", k)
         }),
         ("groups", 0, |k| nest("ASK ", "{", "", "}", "", k)),
+        // Each FILTER or OPTIONAL of a group wraps its plan once more.
+        ("FILTERs of a group", 1, |k| {
+            nest("ASK { ?s ?p ?o ", "FILTER(?o != 1) ", "", "", "}", k)
+        }),
+        ("OPTIONALs of a group", 1, |k| {
+            nest("ASK { ?s ?p ?o ", "OPTIONAL { ?s ?p ?o } ", "", "", "}", k)
+        }),
+        // More join children along the way than stream at once.
+        ("OPTIONALs of wide groups", 1, |k| {
+            let open = format!("{}OPTIONAL {{ ", "?s ?p ?o . ".repeat(8));
+            nest("ASK { ", &open, "", "} ", "}", k)
+        }),
         ("sub-selects", 1, |k| {
             nest("ASK { ", "{ SELECT * WHERE { ", "", "} }", " }", k)
         }),
@@ -173,6 +186,15 @@ fn a_statement_nested_far_past_the_bound_is_refused() {
             100_000,
         ),
         nest("ASK { FILTER(?a", "[1]", "", "", " != 0) }", 100_000),
+        nest("ASK { ?s ?p ?o ", "FILTER(?o != 1) ", "", "", "}", 3_000),
+        nest(
+            "ASK { ?s ?p ?o ",
+            "OPTIONAL { ?s ?p ?o } ",
+            "",
+            "",
+            "}",
+            3_000,
+        ),
         nest(
             "INSERT DATA { <http://s> <http://p> ",
             "(",
@@ -183,5 +205,24 @@ fn a_statement_nested_far_past_the_bound_is_refused() {
         ),
     ] {
         assert!(matches!(run(statement), Err(QueryError::Parse { .. })));
+    }
+}
+
+/// A group's triple patterns make one join, which runs on a stack of
+/// bounded depth however wide it is; a statement of more than
+/// `MAX_PATTERNS` triple patterns is refused.
+#[test]
+fn a_wide_group_of_triple_patterns_answers_on_a_small_stack() {
+    let wide = |k| nest("ASK { ", "?s ?p ?o . ", "", "", "}", k);
+    for k in [3_000, MAX_PATTERNS] {
+        if let Err(e) = run(wide(k)) {
+            panic!("{k} patterns: {e}");
+        }
+    }
+    for k in [MAX_PATTERNS + 1, 100_000] {
+        match run(wide(k)) {
+            Err(QueryError::Parse { msg, .. }) => assert!(msg.contains("triple patterns"), "{msg}"),
+            other => panic!("{k} patterns: {other:?}"),
+        }
     }
 }

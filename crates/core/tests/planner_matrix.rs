@@ -1,7 +1,7 @@
 //! Differential planner matrix: every join-enumeration mode (textual,
-//! greedy, DP), with and without calibration and under forced
-//! mid-query re-optimization, must produce the *same result multiset*
-//! for the same query — plans may differ, answers may not.
+//! greedy, DP), with and without calibration, must produce the *same
+//! result multiset* for the same query — plans may differ, answers may
+//! not.
 //!
 //! Queries are seeded random BGPs (star, chain and mixed shapes) with
 //! random filters over a deterministic synthetic graph, so failures
@@ -42,8 +42,8 @@ fn build_dataset() -> Dataset {
         let score = if i % 10 == 9 { 1000 + i } else { i % 10 };
         let link = (i * 7 + 3) % N_SUBJECTS;
         // Skewed group membership: "g0" holds 70% of subjects, so the
-        // uniform count/distinct model *under*-estimates it — the
-        // trigger condition for mid-query re-optimization.
+        // uniform count/distinct model *under*-estimates it, which the
+        // calibration loop then corrects.
         let group = if i % 10 < 7 { 0 } else { i % 8 };
         turtle.push_str(&format!(
             "ex:s{i} ex:type \"t{ty}\" ; ex:score {score} ; \
@@ -216,9 +216,7 @@ fn row_multiset(ds: &mut Dataset, query: &str) -> Vec<String> {
 fn config(mode: PlannerMode) -> PlannerConfig {
     PlannerConfig {
         mode,
-        adaptive_qerror: None,
         calibration: false,
-        ..PlannerConfig::default()
     }
 }
 
@@ -240,48 +238,6 @@ fn planner_modes_are_result_identical() {
 }
 
 #[test]
-fn adaptive_reoptimization_is_result_identical() {
-    let mut ds = build_dataset();
-    let mut rng = Rng(0xfeed_f00d);
-    let mut reopts_seen = 0u64;
-    for case in 0..30 {
-        let query = random_query(&mut rng);
-        ds.planner = config(PlannerMode::Dp);
-        let baseline = row_multiset(&mut ds, &query);
-        // Hair-trigger adaptivity: any estimate overshoot rewrites the
-        // suffix, on any intermediate size.
-        ds.planner = PlannerConfig {
-            mode: PlannerMode::Dp,
-            adaptive_qerror: Some(1.01),
-            adaptive_min_rows: 0,
-            calibration: false,
-            ..PlannerConfig::default()
-        };
-        let adaptive = row_multiset(&mut ds, &query);
-        assert_eq!(
-            baseline, adaptive,
-            "case {case}: adaptive diverged\n{query}"
-        );
-        let (_, profile) = ds.query_profiled(&query).unwrap();
-        let reopts: u64 = profile
-            .lines()
-            .find(|l| l.starts_with("phases:"))
-            .and_then(|l| {
-                l.split_whitespace()
-                    .find(|t| t.starts_with("reopts="))
-                    .and_then(|t| t["reopts=".len()..].parse().ok())
-            })
-            .unwrap_or(0);
-        reopts_seen += reopts;
-    }
-    assert!(
-        reopts_seen > 0,
-        "forced Q-error bound of 1.01 never triggered a re-optimization — \
-         the adaptive path is not being exercised"
-    );
-}
-
-#[test]
 fn calibration_preserves_results() {
     let mut ds = build_dataset();
     let mut rng = Rng(0x00dd_ba11);
@@ -293,9 +249,7 @@ fn calibration_preserves_results() {
         // the calibration table, then replan with corrections live.
         ds.planner = PlannerConfig {
             mode: PlannerMode::Dp,
-            adaptive_qerror: None,
             calibration: true,
-            ..PlannerConfig::default()
         };
         ds.query_profiled(&query).unwrap();
         let calibrated = row_multiset(&mut ds, &query);
@@ -346,16 +300,10 @@ fn windowed_scans(ds: &mut Dataset, query: &str) -> usize {
 fn sargable_filters_equal_their_disguised_twins() {
     let mut ds = build_edge_dataset();
     let mut rng = Rng(0x5a26_ab1e);
-    let forced_reopt = PlannerConfig {
-        adaptive_qerror: Some(1.01),
-        adaptive_min_rows: 0,
-        ..config(PlannerMode::Dp)
-    };
     let configs = [
         config(PlannerMode::Textual),
         config(PlannerMode::Greedy),
         config(PlannerMode::Dp),
-        forced_reopt,
     ];
     let mut nonempty = 0;
     for case in 0..80 {

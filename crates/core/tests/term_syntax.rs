@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use scisparql::Dataset;
 use ssdm_array::Num;
-use ssdm_rdf::{ntriples, Term};
+use ssdm_rdf::{ntriples, turtle, Graph, Namespaces, Term};
 
 const PREFIXES: &str = "ex: <http://ex.org/> xsd: <http://www.w3.org/2001/XMLSchema#> \
                         my-ns: <http://ex.org/my/>";
@@ -118,6 +118,9 @@ lines with "quotes" inside""""#,
     "-2.5E-3",
     "-9223372036854775808",
     "9223372036854775807",
+    "1e15",
+    "2.5e18",
+    "1e20",
     "true",
     "false",
 ];
@@ -162,6 +165,55 @@ fn typed_literals_are_native_terms_before_and_after_a_snapshot() {
     assert_eq!(rows.len(), 1);
 }
 
+/// A whole real of 1e15 or more is written so that it reads back as
+/// the same double, by Turtle and by N-Triples.
+#[test]
+fn huge_whole_reals_keep_their_type_through_text() {
+    for r in [1e15, -1e15, 2.5e18, 1e20, f64::MAX] {
+        let mut graph = Graph::new();
+        let (s, p) = (Term::uri("http://ex.org/s"), Term::uri("http://ex.org/p"));
+        graph.insert(s, p, Term::double(r));
+        let texts = [
+            turtle::serialize(&graph, &Namespaces::new()),
+            ntriples::serialize(&graph),
+        ];
+        for text in texts {
+            let mut back = Graph::new();
+            turtle::parse_into(&mut back, &text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let o = back.iter().next().expect("one triple").o;
+            let term = back.term(o);
+            assert!(
+                term.same_node(&Term::double(r)),
+                "{text} read back as {term:?}"
+            );
+        }
+    }
+}
+
+/// A `-` right before a number in an expression is its sign, as in a
+/// pattern, so a FILTER finds the `i64::MIN` Turtle stored; a binary
+/// minus still subtracts, and a power still binds before the sign.
+#[test]
+fn a_negative_literal_reads_the_same_in_an_expression() {
+    let mut ds = Dataset::in_memory();
+    ds.load_turtle("<http://s> <http://p> -9223372036854775808 .")
+        .unwrap();
+    let filters = [
+        "?o = -9223372036854775808",
+        "?o < -9223372036854775807",
+        "?o + 1 = -9223372036854775807",
+        "3 -1 = 2",
+        "3 - -1 = 4",
+        "-2^2 = -4",
+        "-2.5 * 2 = -5",
+    ];
+    for filter in filters {
+        let q = format!("ASK {{ <http://s> <http://p> ?o FILTER({filter}) }}");
+        let answer = ds.query(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        assert_eq!(answer.as_bool(), Some(true), "{q}");
+    }
+}
+
 /// A generated term, for its `Display` text.
 fn terms() -> impl Strategy<Value = Term> {
     prop_oneof![
@@ -169,9 +221,8 @@ fn terms() -> impl Strategy<Value = Term> {
         "[ -~é☃😀\n\t\r]{0,16}".prop_map(Term::str),
         ("[ -~é日]{0,8}", "[a-z]{1,8}").prop_map(|(value, lang)| Term::LangStr { value, lang }),
         any::<i64>().prop_map(Term::integer),
-        // Display writes a whole real of 1e15 or more without a
-        // fraction or exponent, which reads back as an integer.
-        (-1.0e14f64..1.0e14).prop_map(Term::double),
+        (-1.0e18f64..1.0e18).prop_map(Term::double),
+        (-1.0e300f64..1.0e300).prop_map(Term::double),
         (-1.0f64..1.0).prop_map(|r| Term::double(r / 1.0e9)),
         any::<bool>().prop_map(Term::Bool),
         ("[a-z][a-z0-9_.-]{0,6}[a-z0-9]").prop_map(Term::blank),

@@ -169,9 +169,7 @@ fn row_multiset(ds: &mut Dataset, query: &str) -> Vec<String> {
 fn config(mode: PlannerMode) -> PlannerConfig {
     PlannerConfig {
         mode,
-        adaptive_qerror: None,
         calibration: false,
-        ..PlannerConfig::default()
     }
 }
 

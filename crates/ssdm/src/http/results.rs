@@ -479,8 +479,9 @@ fn push_int(out: &mut String, i: i64) {
 }
 
 /// Append a double's lexical form: `Num`'s `Display` for a finite one
-/// (`5.0` for an integral value under 1e15, the shortest round-trip
-/// form otherwise), `INF`, `-INF` or `NaN` for the rest.
+/// (`5.0` for an integral value under 1e15, `1e15` for a larger one, the
+/// shortest round-trip form otherwise), `INF`, `-INF` or `NaN` for the
+/// rest.
 fn push_real(out: &mut String, r: f64) {
     if !r.is_finite() {
         out.push_str(non_finite(r));
@@ -490,6 +491,8 @@ fn push_real(out: &mut String, r: f64) {
         }
         push_int(out, r.abs() as i64);
         out.push_str(".0");
+    } else if r.fract() == 0.0 {
+        let _ = write!(out, "{r:e}");
     } else {
         let _ = write!(out, "{r}");
     }

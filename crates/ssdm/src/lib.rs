@@ -462,18 +462,6 @@ impl Ssdm {
         r.push_int(
             "planner",
             LastOp,
-            "dp_max_patterns",
-            planner.dp_max_patterns as u64,
-        );
-        r.push_float(
-            "planner",
-            LastOp,
-            "reopt_qerror",
-            planner.adaptive_qerror.unwrap_or(0.0),
-        );
-        r.push_int(
-            "planner",
-            LastOp,
             "calibration_enabled",
             u64::from(planner.calibration),
         );

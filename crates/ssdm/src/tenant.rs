@@ -1002,9 +1002,13 @@ mod tests {
             let popped = rx.recv_timeout(Duration::from_secs(10));
             got.push(popped.expect("a finish left every worker blocked"));
         }
+        // Which worker answers first is the scheduler's choice: once item 3
+        // is out, the last worker can find the queue closed and empty before
+        // the one holding item 3 has sent it.
+        got.sort();
         assert_eq!(
             got,
-            vec![Some(("a".to_string(), 2)), Some(("a".to_string(), 3)), None]
+            vec![None, Some(("a".to_string(), 2)), Some(("a".to_string(), 3))]
         );
         for w in workers {
             w.join().unwrap();

@@ -2,7 +2,8 @@
 //! the real event loop: the router parses each query on the reactor
 //! thread, so a parse that never ends froze every connection, and one
 //! nested past the stack aborted the process. Both now answer 400, and
-//! the server keeps serving other connections.
+//! the server keeps serving other connections; a join of thousands of
+//! triple patterns answers too.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -45,10 +46,10 @@ fn unterminated_and_deeply_nested_queries_answer_400_and_the_server_lives_on() {
     let server = HttpServer::bind("127.0.0.1:0", HttpConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle().unwrap();
-    let registry = Arc::new(TenantRegistry::new(
-        Ssdm::open(Backend::Memory),
-        TenantQuotas::default(),
-    ));
+    let mut ssdm = Ssdm::open(Backend::Memory);
+    ssdm.load_turtle("<http://s> <http://p> <http://o> .")
+        .unwrap();
+    let registry = Arc::new(TenantRegistry::new(ssdm, TenantQuotas::default()));
     let join = std::thread::spawn(move || server.serve_registry(registry));
 
     let healthz = "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
@@ -57,12 +58,30 @@ fn unterminated_and_deeply_nested_queries_answer_400_and_the_server_lives_on() {
         "(".repeat(4000),
         ")".repeat(4000)
     );
+    // A group's FILTERs and OPTIONALs each wrap its plan once more.
+    let filters = format!("ASK {{ ?s ?p ?o {}}}", "FILTER(?o != 1) ".repeat(3000));
+    let optionals = format!(
+        "ASK {{ ?s ?p ?o {}}}",
+        "OPTIONAL { ?s ?p ?o } ".repeat(3000)
+    );
     for request in [
         "GET /query?query=ASK%20%7B HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
         post_query("SELECT * WHERE { UNION }"),
         post_query(&nested),
+        post_query(&filters),
+        post_query(&optionals),
     ] {
         assert_eq!(status(addr, &request), "HTTP/1.1 400 Bad Request");
+        assert_eq!(status(addr, healthz), "HTTP/1.1 200 OK");
+    }
+    // A group's triple patterns make one join, whose stack depth is
+    // bounded however wide it is; past `MAX_PATTERNS` it is refused.
+    let wide = |k| format!("ASK {{ {}}}", "?s ?p ?o . ".repeat(k));
+    for (k, answer) in [
+        (3_000, "HTTP/1.1 200 OK"),
+        (100_000, "HTTP/1.1 400 Bad Request"),
+    ] {
+        assert_eq!(status(addr, &post_query(&wide(k))), answer, "{k} patterns");
         assert_eq!(status(addr, healthz), "HTTP/1.1 200 OK");
     }
 

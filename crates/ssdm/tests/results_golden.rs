@@ -7,10 +7,14 @@
 //! escapes, unbound cells, empty tables and every non-SELECT result
 //! kind is in there. To add a case, append it (a new section at the end
 //! of the golden file) — never re-generate the existing sections from
-//! the code under test. One deliberate edit since, made by hand: the
+//! the code under test. Two deliberate edits since, made by hand: the
 //! `numbers` sections spell a non-finite double as the `xsd:double`
 //! lexical forms `INF`, `-INF` and `NaN` (typed literals in TSV), where
-//! the serializer used to write Rust's `inf` and `-inf`.
+//! the serializer used to write Rust's `inf` and `-inf`; and a whole
+//! double of 1e15 or more is spelt with an exponent, `1e15` in the
+//! `numbers` sections and `1.5e300` in the `kinds` sections, where the
+//! serializer used to write all its digits, which a reader takes for an
+//! integer.
 
 use scisparql::{Closure, QueryResult, Value};
 use ssdm::http::results::serialize;
