@@ -209,20 +209,6 @@ impl From<f64> for Num {
     }
 }
 
-impl fmt::Display for Num {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Num::Int(i) => write!(f, "{i}"),
-            // A whole real keeps a trailing ".0", or from 1e15 on an
-            // exponent, so it stays distinguishable from an integer in
-            // query results and Turtle output.
-            Num::Real(r) if r.fract() == 0.0 && r.abs() < 1e15 => write!(f, "{r:.1}"),
-            Num::Real(r) if r.fract() == 0.0 => write!(f, "{r:e}"),
-            Num::Real(r) => write!(f, "{r}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,6 +51,7 @@ pub use agg::AggregateOp;
 pub use data::{ArrayData, Buffer};
 pub use dtype::{Num, NumericType};
 pub use error::{ArrayError, Result};
+pub use fmt::{write_lexical, write_num, XSD_DOUBLE};
 pub use kernel::{compute_stats, reset_compute_stats, ComputeStats};
 pub use num_array::{Nested, NumArray, Subscript};
 pub use ops::BinOp;

@@ -140,7 +140,8 @@ impl QueryResult {
     }
 
     /// Render a SELECT result as an aligned text table (for examples
-    /// and the CLI).
+    /// and the CLI). The one place an array is shortened: to 16
+    /// elements per dimension.
     pub fn to_table(&self) -> String {
         match self {
             QueryResult::Solutions { vars, rows } => {
@@ -150,6 +151,7 @@ impl QueryResult {
                     .map(|r| {
                         r.iter()
                             .map(|c| match c {
+                                Some(Value::Term(Term::Array(a))) => format!("{a:.16}"),
                                 Some(v) => v.to_string(),
                                 None => String::new(),
                             })
@@ -461,15 +463,14 @@ impl Dataset {
         let value = result?;
         let totals = end.since(&begin);
         // Feedback: fold observed-vs-estimated scan cardinalities into
-        // the calibration table and refresh the backend cost figure, so
-        // the next plan benefits from what this query measured.
+        // the calibration table, so the next plan benefits from what
+        // this query measured.
         if self.planner.calibration {
             for op in profiler.ops().iter().filter(|op| !op.cut) {
                 if let (Some(est), Some(pred)) = (op.est, op.predicate.as_ref()) {
                     self.calibration.observe(pred, est, op.rows_out as f64);
                 }
             }
-            self.calibration.refresh_backend_cost();
         }
         Ok((value, profiler.render(exec_total, &totals)))
     }

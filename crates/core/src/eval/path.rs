@@ -6,7 +6,7 @@
 //! resulting `(subject, object)` pairs join into the binding stream.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use ssdm_rdf::{GraphView, TermId};
 
@@ -133,13 +133,10 @@ fn identity_nodes(graph: GraphView, s: Option<TermId>, o: Option<TermId>) -> Vec
         (Some(a), None) => vec![a],
         (None, Some(b)) => vec![b],
         (None, None) => {
-            // All nodes occurring in the graph.
-            let mut set = HashSet::new();
-            for t in graph.iter() {
-                set.insert(t.s);
-                set.insert(t.o);
-            }
-            set.into_iter().collect()
+            // All nodes occurring in the graph, in first-seen order.
+            let mut seen = HashSet::new();
+            let nodes = graph.iter().flat_map(|t| [t.s, t.o]);
+            nodes.filter(|n| seen.insert(*n)).collect()
         }
     }
 }
@@ -163,32 +160,32 @@ fn closure_pairs(
         Some(id) => vec![id],
         None => {
             // All possible start nodes: subjects (and objects, for
-            // inverse steps) of the base path.
+            // inverse steps) of the base path, in first-seen order.
+            let mut seen = HashSet::new();
             let base = raw_pairs(graph, inner, None, None)?.into_iter();
-            let set: HashSet<TermId> = base.map(|(a, _)| a).collect();
-            set.into_iter().collect()
+            base.map(|(a, _)| a).filter(|a| seen.insert(*a)).collect()
         }
     };
     let mut out = Vec::new();
     for start in starts {
+        // BFS over one-step expansions. `reached` is both the queue and,
+        // in first-reached order, the ends (the zero-step start only if
+        // a cycle reaches it); `visited` keeps each node in it once.
         let mut visited: HashSet<TermId> = HashSet::new();
-        let mut queue: VecDeque<TermId> = VecDeque::new();
-        queue.push_back(start);
-        // BFS over one-step expansions; `visited` holds reached nodes
-        // (excluding the zero-step start unless reachable).
-        let mut frontier_guard = 0usize;
-        while let Some(node) = queue.pop_front() {
-            frontier_guard += 1;
-            if frontier_guard > graph.len() + graph.dictionary().len() + 1 {
-                break; // safety bound; cycles are caught by `visited`
-            }
+        let mut reached: Vec<TermId> = Vec::new();
+        let mut node = start;
+        for next_at in 0.. {
             for (_, next) in raw_pairs(graph, inner, Some(node), None)? {
                 if visited.insert(next) {
-                    queue.push_back(next);
+                    reached.push(next);
                 }
             }
+            match reached.get(next_at) {
+                Some(&next) => node = next,
+                None => break,
+            }
         }
-        let ends = visited
+        let ends = reached
             .into_iter()
             .filter(|&r| o.is_none_or(|oid| oid == r));
         out.extend(ends.map(|r| (start, r)));

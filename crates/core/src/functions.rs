@@ -1,6 +1,6 @@
 //! The function registry: user-defined functions (parameterized
 //! queries, thesis §4.2), lexical closures (§4.3), and foreign
-//! functions with cost estimates (§4.4).
+//! functions (§4.4).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -10,26 +10,6 @@ use crate::ast::FunctionDef;
 use crate::dataset::QueryError;
 use crate::value::Value;
 
-/// Optimizer-facing cost annotation of a foreign function (thesis §4.4:
-/// "cost estimates and alternative evaluation directions may be
-/// specified").
-#[derive(Debug, Clone, Copy)]
-pub struct FunctionCost {
-    /// Cost units per invocation (same scale as triple-pattern scans).
-    pub per_call: f64,
-    /// Expected result fan-out (1.0 for scalar functions).
-    pub fanout: f64,
-}
-
-impl Default for FunctionCost {
-    fn default() -> Self {
-        FunctionCost {
-            per_call: 1.0,
-            fanout: 1.0,
-        }
-    }
-}
-
 /// The native implementation of a foreign function.
 pub type ForeignImpl = Arc<dyn Fn(&[Value]) -> Result<Value, QueryError> + Send + Sync + 'static>;
 
@@ -38,7 +18,6 @@ pub type ForeignImpl = Arc<dyn Fn(&[Value]) -> Result<Value, QueryError> + Send 
 pub struct ForeignFunction {
     pub name: String,
     pub arity: usize,
-    pub cost: FunctionCost,
     pub imp: ForeignImpl,
 }
 
@@ -160,10 +139,6 @@ impl FunctionRegistry {
             r.register_foreign(ForeignFunction {
                 name: name.to_string(),
                 arity: 1,
-                cost: FunctionCost {
-                    per_call: 0.1,
-                    fanout: 1.0,
-                },
                 imp: Arc::new(move |args: &[Value]| {
                     let n = args.first().and_then(Value::as_num).ok_or_else(|| {
                         QueryError::Eval(format!("{name}: numeric argument required"))
@@ -204,11 +179,6 @@ impl FunctionRegistry {
 
     pub fn is_known(&self, name: &str) -> bool {
         self.defined.contains_key(name) || self.foreign.contains_key(name)
-    }
-
-    /// Cost estimate for a call, for the optimizer.
-    pub fn call_cost(&self, name: &str) -> FunctionCost {
-        self.foreign.get(name).map(|f| f.cost).unwrap_or_default()
     }
 }
 

@@ -50,7 +50,7 @@ pub mod update;
 pub mod value;
 
 pub use dataset::{Answer, Dataset, QueryError, QueryResult};
-pub use functions::{Closure, ForeignFunction, FunctionCost, FunctionRegistry};
+pub use functions::{Closure, ForeignFunction, FunctionRegistry};
 pub use journal::{JournalEntry, UpdateJournal};
 pub use planner::{Calibration, PlannerConfig, PlannerCtx, PlannerMode};
 pub use profile::{CounterSnapshot, QueryProfiler};

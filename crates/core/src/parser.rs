@@ -1025,6 +1025,19 @@ impl<'a> Parser<'a> {
                         p.advance()?;
                         rows.push(read(p)?);
                     }
+                    // A typed number, as a double that is not finite is
+                    // written (`"NaN"^^xsd:double`).
+                    Tok::Str(s) => {
+                        p.advance()?;
+                        match p.literal(s)? {
+                            Term::Number(n) => rows.push(Nested::Leaf(n)),
+                            t => {
+                                return Err(p.err(format!(
+                                    "collections in queries must be numeric, found {t}"
+                                )))
+                            }
+                        }
+                    }
                     other => {
                         return Err(p.err(format!(
                             "collections in queries must be numeric, found {other:?}"

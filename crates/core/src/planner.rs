@@ -86,9 +86,6 @@ pub mod consts {
     /// Half-row floor used in Q-error and calibration ratios so empty
     /// results stay finite.
     pub const CARD_FLOOR: f64 = 0.5;
-    /// Cost per back-end statement (µs) before any latency histogram
-    /// observation exists for the process.
-    pub const DEFAULT_STATEMENT_COST_US: f64 = 50.0;
 }
 
 /// Join-enumeration strategy.
@@ -166,13 +163,10 @@ struct PredFactor {
 }
 
 /// The runtime feedback table: per-predicate cardinality correction
-/// factors learned from profiled queries, and a per-backend
-/// cost-per-statement figure refreshed from the observability layer's
-/// chunk-fetch latency histogram.
+/// factors learned from profiled queries.
 #[derive(Debug, Default, Clone)]
 pub struct Calibration {
     factors: HashMap<String, PredFactor>,
-    cost_per_statement_us: Option<f64>,
 }
 
 impl Calibration {
@@ -258,22 +252,6 @@ impl Calibration {
                 samples,
             },
         );
-    }
-
-    /// Refresh the per-backend cost-per-statement from the process-wide
-    /// chunk-fetch latency histogram (mean observed fetch, µs).
-    pub fn refresh_backend_cost(&mut self) {
-        let hist = ssdm_obs::recorder().histogram("ssdm_chunk_fetch_seconds");
-        let count = hist.count();
-        if count > 0 {
-            self.cost_per_statement_us = Some(hist.sum_micros() as f64 / count as f64);
-        }
-    }
-
-    /// Cost in microseconds the planner charges per back-end statement.
-    pub fn cost_per_statement_us(&self) -> f64 {
-        self.cost_per_statement_us
-            .unwrap_or(consts::DEFAULT_STATEMENT_COST_US)
     }
 }
 

@@ -410,3 +410,33 @@ fn an_aggregate_argument_is_evaluated_once_per_row() {
     assert_eq!(per_row, (0, 0, 14 * 8));
     assert_eq!(aggregated, (0, 0, 2 * 14 * 8));
 }
+
+/// Two arrays that differ only past their 16th element are two keys:
+/// DISTINCT, `COUNT(DISTINCT)` and GROUP BY see each array whole.
+#[test]
+fn arrays_differing_past_the_sixteenth_element_are_two_keys() {
+    let mut ds = Dataset::in_memory();
+    let list = |at_18: i64| {
+        let cells = (0..20).map(|i| if i == 18 { at_18 } else { i });
+        cells.map(|i| i.to_string()).collect::<Vec<_>>().join(" ")
+    };
+    let data = format!(
+        "{PROLOGUE}ex:a ex:v ({}) . ex:b ex:v ({}) .",
+        list(18),
+        list(-1)
+    );
+    ds.load_turtle(&data).unwrap();
+    let distinct = rows(&mut ds, "SELECT DISTINCT ?v WHERE { ?s ex:v ?v }");
+    assert_eq!(distinct.len(), 2);
+    assert!(matches!(&distinct[0][0], Some(Value::Term(Term::Array(_)))));
+    let count = rows(
+        &mut ds,
+        "SELECT (COUNT(DISTINCT ?v) AS ?n) WHERE { ?s ex:v ?v }",
+    );
+    assert_eq!(exact(&count[0][0]), "Int(2)");
+    let groups = rows(
+        &mut ds,
+        "SELECT ?v (COUNT(*) AS ?n) WHERE { ?s ex:v ?v } GROUP BY ?v",
+    );
+    assert_eq!(groups.len(), 2);
+}

@@ -120,6 +120,26 @@ fn property_path_plus() {
     assert_eq!(strings(&r2, 0), vec!["\"Alice\"", "\"Bob\"", "\"Daniel\""]);
 }
 
+/// A closure's rows come in the order the nodes are first reached, the
+/// same on every evaluation (not in a hash set's per-instance order).
+#[test]
+fn property_path_rows_come_in_one_order() {
+    let mut ds = foaf_dataset();
+    let queries = [
+        r#"SELECT DISTINCT ?n WHERE { ?a foaf:name "Alice" . ?a foaf:knows+ ?f . ?f foaf:name ?n }"#,
+        "SELECT ?a ?f WHERE { ?a foaf:knows+ ?f }",
+        "SELECT ?a ?f WHERE { ?a foaf:knows* ?f }",
+    ];
+    for q in queries {
+        let q = format!("PREFIX foaf: <http://xmlns.com/foaf/0.1/> {q}");
+        let show = |r: Vec<Vec<Option<Value>>>| format!("{r:?}");
+        let first = show(rows(&mut ds, &q));
+        for _ in 0..20 {
+            assert_eq!(show(rows(&mut ds, &q)), first, "{q}");
+        }
+    }
+}
+
 #[test]
 fn property_path_sequence_and_inverse() {
     let mut ds = foaf_dataset();
@@ -531,15 +551,11 @@ fn foreign_math_functions() {
 
 #[test]
 fn custom_foreign_function_with_cost() {
-    use scisparql::{ForeignFunction, FunctionCost};
+    use scisparql::ForeignFunction;
     let mut ds = Dataset::in_memory();
     ds.registry.register_foreign(ForeignFunction {
         name: "triple_it".into(),
         arity: 1,
-        cost: FunctionCost {
-            per_call: 5.0,
-            fanout: 1.0,
-        },
         imp: std::sync::Arc::new(|args| {
             let n = args[0]
                 .as_num()
@@ -663,6 +679,22 @@ fn string_builtins() {
     assert_eq!(r[0][1].as_ref().unwrap().to_string(), "\"ABC\"");
     assert_eq!(r[0][2].as_ref().unwrap().to_string(), "\"abc\"");
     assert_eq!(r[0][3].as_ref().unwrap().to_string(), "\"ell\"");
+}
+
+/// `STR` of a number is its lexical form, a non-finite double's too.
+#[test]
+fn str_of_a_number_is_its_lexical_form() {
+    let mut ds = Dataset::in_memory();
+    let r = rows(
+        &mut ds,
+        "SELECT (STR(1.0/0.0) AS ?inf) (STR(-1.0/0.0) AS ?neg) (STR(2.0) AS ?two) (STR(7) AS ?i)
+         WHERE { }",
+    );
+    let cells: Vec<String> = r[0]
+        .iter()
+        .map(|c| c.as_ref().unwrap().to_string())
+        .collect();
+    assert_eq!(cells, ["\"INF\"", "\"-INF\"", "\"2.0\"", "\"7\""]);
 }
 
 #[test]

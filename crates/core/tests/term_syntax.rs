@@ -6,12 +6,12 @@
 //! - `INSERT DATA { ex:s ex:p T }` into a fresh dataset stores the very
 //!   term Turtle stored;
 //! - the stored term's `Display` text, written back into a query, finds
-//!   it (except non-finite doubles: `inf` and `NaN` are not syntax).
+//!   it.
 
 use proptest::prelude::*;
 use scisparql::Dataset;
-use ssdm_array::Num;
-use ssdm_rdf::{ntriples, turtle, Graph, Namespaces, Term};
+use ssdm_array::NumArray;
+use ssdm_rdf::{ntriples, turtle, Graph, Term};
 
 const PREFIXES: &str = "ex: <http://ex.org/> xsd: <http://www.w3.org/2001/XMLSchema#> \
                         my-ns: <http://ex.org/my/>";
@@ -60,9 +60,6 @@ fn check(text: &str) -> Result<(), String> {
     if !got.same_node(&stored) {
         return Err(format!("INSERT DATA stored {got:?}, Turtle {stored:?}"));
     }
-    if matches!(stored, Term::Number(Num::Real(r)) if !r.is_finite()) {
-        return Ok(());
-    }
     let shown = stored.to_string();
     if !asks(&mut loaded, &shown)? {
         return Err(format!("its Display text {shown} misses {stored:?}"));
@@ -87,6 +84,7 @@ const TERMS: &[&str] = &[
     r#""text"^^xsd:string"#,
     r#""INF"^^xsd:double"#,
     r#""NaN"^^xsd:double"#,
+    r#""-INF"^^xsd:double"#,
     r#""2024-01-01"^^xsd:date"#,
     r#""7"^^<http://ex.org/dt>"#,
     r#""7"^^ex:dt"#,
@@ -165,18 +163,27 @@ fn typed_literals_are_native_terms_before_and_after_a_snapshot() {
     assert_eq!(rows.len(), 1);
 }
 
-/// A whole real of 1e15 or more is written so that it reads back as
-/// the same double, by Turtle and by N-Triples.
+/// A whole real of 1e15 or more, and a double that is not finite, is
+/// written so that it reads back as the same double, by the term writer
+/// and by N-Triples.
 #[test]
 fn huge_whole_reals_keep_their_type_through_text() {
-    for r in [1e15, -1e15, 2.5e18, 1e20, f64::MAX] {
+    let reals = [
+        1e15,
+        -1e15,
+        2.5e18,
+        1e20,
+        f64::MAX,
+        f64::INFINITY,
+        -f64::INFINITY,
+        f64::NAN,
+    ];
+    for r in reals {
         let mut graph = Graph::new();
         let (s, p) = (Term::uri("http://ex.org/s"), Term::uri("http://ex.org/p"));
+        let shown = format!("{s} {p} {} .", Term::double(r));
         graph.insert(s, p, Term::double(r));
-        let texts = [
-            turtle::serialize(&graph, &Namespaces::new()),
-            ntriples::serialize(&graph),
-        ];
+        let texts = [shown, ntriples::serialize(&graph)];
         for text in texts {
             let mut back = Graph::new();
             turtle::parse_into(&mut back, &text).unwrap_or_else(|e| panic!("{text}: {e}"));
@@ -186,6 +193,46 @@ fn huge_whole_reals_keep_their_type_through_text() {
                 term.same_node(&Term::double(r)),
                 "{text} read back as {term:?}"
             );
+        }
+    }
+}
+
+/// An array's text, whole and with non-finite elements as typed
+/// literals, reads back as the same array in Turtle and in a query.
+#[test]
+fn an_array_reads_back_from_its_text_in_turtle_and_in_a_query() {
+    let reals: Vec<f64> = (0..30).map(|i| i as f64 / 4.0).chain(EDGE_REALS).collect();
+    let arrays = [
+        NumArray::from_i64((0..40).collect()),
+        NumArray::from_f64(reals),
+        NumArray::from_f64_shaped(EDGE_REALS.repeat(3), &[3, 6]).unwrap(),
+    ];
+    for a in arrays {
+        let text = Term::Array(a.clone()).to_string();
+        let mut loaded = Dataset::in_memory();
+        let ttl = format!("{}ex:s ex:p {text} .", prefixes("@prefix", " ."));
+        loaded
+            .load_turtle(&ttl)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        let mut inserted = Dataset::in_memory();
+        let update = format!(
+            "{}INSERT DATA {{ ex:s ex:p {text} }}",
+            prefixes("PREFIX", "")
+        );
+        inserted
+            .query(&update)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        for ds in [&loaded, &inserted] {
+            let back = object(ds);
+            let back = back.as_array().expect("an array");
+            assert_eq!(back.shape(), a.shape(), "{text}");
+            let bits = |a: &NumArray| {
+                a.elements()
+                    .iter()
+                    .map(|n| format!("{n:?}"))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(back), bits(&a), "{text}");
         }
     }
 }
@@ -214,6 +261,9 @@ fn a_negative_literal_reads_the_same_in_an_expression() {
     }
 }
 
+/// Doubles at the edges of the number syntax.
+const EDGE_REALS: [f64; 6] = [f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0, 1e300, -1e300];
+
 /// A generated term, for its `Display` text.
 fn terms() -> impl Strategy<Value = Term> {
     prop_oneof![
@@ -223,6 +273,7 @@ fn terms() -> impl Strategy<Value = Term> {
         any::<i64>().prop_map(Term::integer),
         (-1.0e18f64..1.0e18).prop_map(Term::double),
         (-1.0e300f64..1.0e300).prop_map(Term::double),
+        (0..EDGE_REALS.len()).prop_map(|i| Term::double(EDGE_REALS[i])),
         (-1.0f64..1.0).prop_map(|r| Term::double(r / 1.0e9)),
         any::<bool>().prop_map(Term::Bool),
         ("[a-z][a-z0-9_.-]{0,6}[a-z0-9]").prop_map(Term::blank),

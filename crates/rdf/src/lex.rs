@@ -10,6 +10,10 @@
 //! Each parser keeps its own tokens, punctuation and keywords; nothing
 //! here knows which one is calling.
 //!
+//! Every term is written back by one writer, [`write_term`], in text
+//! the cursor reads as the same term; numbers and arrays through the
+//! array crate's [`write_num`].
+//!
 //! The cursor also carries the one nesting bound, [`MAX_NESTING`]: both
 //! parsers descend recursively, and a statement nested past the bound
 //! is refused with a positioned error instead of overflowing the stack.
@@ -18,7 +22,9 @@
 //! letters, digits, `_` and `-`, with inner dots, and local names also
 //! `%`-escapes. IRIs and strings keep any UTF-8.
 
-use ssdm_array::Num;
+use std::fmt::{self, Write};
+
+use ssdm_array::{write_num, Num};
 
 use crate::term::{RdfError, Term};
 
@@ -369,6 +375,91 @@ pub fn typed_literal(value: String, datatype: String) -> Result<Term, RdfError> 
         _ => return Ok(Term::Typed { value, datatype }),
     }
     .ok_or(RdfError::BadLiteral(value))
+}
+
+/// Write `term` in the syntax [`Cursor`] reads back as the same term:
+/// `<iri>`, `_:label`, a quoted string (`"`, `\`, newline, return and
+/// tab escaped) with its `@lang` or `^^<datatype>`, a number in its
+/// term form, `true`/`false`, an array whole in collection notation.
+/// An external array's reference writes as `@array:<id>`, which names
+/// it but is no syntax.
+pub fn write_term(out: &mut impl Write, term: &Term) -> fmt::Result {
+    match term {
+        Term::Uri(u) => write_iri(out, u),
+        Term::Blank(b) => write!(out, "_:{b}"),
+        Term::Str(s) => write_string(out, s),
+        Term::LangStr { value, lang } => {
+            write_string(out, value)?;
+            out.write_char('@')?;
+            out.write_str(lang)
+        }
+        Term::Number(n) => write_num(out, *n),
+        Term::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Term::Typed { value, datatype } => {
+            write_string(out, value)?;
+            out.write_str("^^")?;
+            write_iri(out, datatype)
+        }
+        Term::Array(a) => write!(out, "{a}"),
+        Term::ArrayRef(id) => write!(out, "@array:{id}"),
+    }
+}
+
+/// `<iri>`, as it is: [`Cursor::iri`] reads no character that needs
+/// an escape.
+#[inline]
+fn write_iri(out: &mut impl Write, iri: &str) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(iri)?;
+    out.write_char('>')
+}
+
+/// `"s"`, with the characters [`Cursor::string`] reads escaped.
+#[inline]
+fn write_string(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    write_escaped(out, s, |b| match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        b'\n' => Some("\\n"),
+        b'\r' => Some("\\r"),
+        b'\t' => Some("\\t"),
+        _ => None,
+    })?;
+    out.write_char('"')
+}
+
+/// Whether `s` holds a byte `special` picks. It tests 16-byte blocks
+/// without a branch per byte, which the compiler turns into vector
+/// compares: most texts hold nothing to escape.
+#[inline]
+pub fn holds(s: &str, special: impl Fn(u8) -> bool) -> bool {
+    let any = |block: &[u8]| block.iter().fold(false, |found, &b| found | special(b));
+    let mut blocks = s.as_bytes().chunks_exact(16);
+    blocks.by_ref().any(any) || any(blocks.remainder())
+}
+
+/// Write `s` with each byte `replace` knows replaced by what it
+/// returns; a clean `s` is written whole. (Every escaped character is
+/// ASCII, so bytes are characters here.)
+#[inline]
+pub fn write_escaped(
+    out: &mut impl Write,
+    s: &str,
+    replace: impl Fn(u8) -> Option<&'static str>,
+) -> fmt::Result {
+    if !holds(s, |b| replace(b).is_some()) {
+        return out.write_str(s);
+    }
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(replacement) = replace(b) {
+            out.write_str(&s[clean..i])?;
+            out.write_str(replacement)?;
+            clean = i + 1;
+        }
+    }
+    out.write_str(&s[clean..])
 }
 
 #[cfg(test)]

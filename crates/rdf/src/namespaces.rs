@@ -9,7 +9,7 @@ pub const RDF_FIRST: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#first";
 pub const RDF_REST: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#rest";
 pub const RDF_NIL: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil";
 pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
-pub const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
+pub use ssdm_array::XSD_DOUBLE;
 
 /// A prefix → namespace-URI map with the ubiquitous W3C namespaces
 /// pre-declared (rdf, rdfs, xsd, owl).
@@ -75,27 +75,6 @@ impl Namespaces {
             format!("{}{uri}", self.base.as_deref().unwrap())
         }
     }
-
-    /// Compact a full URI back into `prefix:local` form if a declared
-    /// namespace covers it (longest match wins). For serialization.
-    pub fn compact(&self, uri: &str) -> Option<String> {
-        let mut best: Option<(&str, &str)> = None;
-        for (p, ns) in &self.map {
-            if let Some(local) = uri.strip_prefix(ns.as_str()) {
-                if local.contains('/') || local.contains('#') {
-                    continue;
-                }
-                if best.map(|(_, b)| ns.len() > b.len()).unwrap_or(true) {
-                    best = Some((p, ns));
-                }
-            }
-        }
-        best.map(|(p, ns)| format!("{p}:{}", &uri[ns.len()..]))
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &String)> {
-        self.map.iter()
-    }
 }
 
 #[cfg(test)]
@@ -133,14 +112,5 @@ mod tests {
         ns.set_base("http://example.org/");
         assert_eq!(ns.resolve("thing"), "http://example.org/thing");
         assert_eq!(ns.resolve("http://other.org/x"), "http://other.org/x");
-    }
-
-    #[test]
-    fn compact_longest_match() {
-        let mut ns = Namespaces::new();
-        ns.declare("ex", "http://example.org/");
-        ns.declare("exsub", "http://example.org/sub/");
-        assert_eq!(ns.compact("http://example.org/sub/x").unwrap(), "exsub:x");
-        assert_eq!(ns.compact("http://unknown.org/x"), None);
     }
 }

@@ -6,11 +6,14 @@
 //! keeps SSDM exports consumable by any standard RDF tool, and the
 //! expand → parse → consolidate round trip is exercised in tests.
 
-use ssdm_array::NumArray;
+use std::fmt::Write;
+
+use ssdm_array::{write_lexical, write_num, Num, NumArray};
 
 use crate::graph::{GraphMut, GraphView};
-use crate::namespaces::{RDF_FIRST, RDF_NIL, RDF_REST};
-use crate::term::{escape_str, RdfError, Term};
+use crate::lex::write_term;
+use crate::namespaces::{RDF_FIRST, RDF_NIL, RDF_REST, XSD_DOUBLE, XSD_INTEGER};
+use crate::term::{RdfError, Term};
 
 /// Serialize a graph as N-Triples text. Arrays expand to linked lists
 /// with generated blank nodes.
@@ -19,77 +22,71 @@ pub fn serialize<'a>(graph: impl Into<GraphView<'a>>) -> String {
     let mut out = String::new();
     let mut gen = 0usize;
     for t in graph.iter() {
-        let s = term_text(graph.term(t.s));
-        let p = term_text(graph.term(t.p));
-        match graph.term(t.o) {
-            Term::Array(a) => {
-                let head = expand_array(a, &mut out, &mut gen);
-                out.push_str(&format!("{s} {p} {head} .\n"));
-            }
-            o => {
-                out.push_str(&format!("{s} {p} {} .\n", term_text(o)));
-            }
+        let head = match graph.term(t.o) {
+            Term::Array(a) => Some(expand_array(a, &mut out, &mut gen)),
+            _ => None,
+        };
+        write_nt(&mut out, graph.term(t.s));
+        out.push(' ');
+        write_nt(&mut out, graph.term(t.p));
+        out.push(' ');
+        match head {
+            Some(head) => out.push_str(&head),
+            None => write_nt(&mut out, graph.term(t.o)),
         }
+        out.push_str(" .\n");
     }
     out
 }
 
 /// Emit the linked-list triples for (a slice of) an array; returns the
-/// head node's text.
+/// head node's text. An element is written as a term: bare when finite.
 fn expand_array(a: &NumArray, out: &mut String, gen: &mut usize) -> String {
     let size = if a.ndims() == 0 { 1 } else { a.shape()[0] };
     if size == 0 {
         return format!("<{RDF_NIL}>");
     }
-    let cells: Vec<String> = (0..size)
-        .map(|_| {
-            let c = format!("_:arr{}", *gen);
-            *gen += 1;
-            c
-        })
-        .collect();
-    for i in 0..size {
+    let first = *gen;
+    *gen += size;
+    for (i, cell) in (first..first + size).enumerate() {
         let value = if a.ndims() <= 1 {
-            let v = a.get(&[i]).expect("in-bounds by construction");
-            Term::Number(v).to_string()
+            let mut text = String::new();
+            let _ = write_num(&mut text, a.get(&[i]).expect("in-bounds by construction"));
+            text
         } else {
             let slice = a.subscript(0, i).expect("in-bounds by construction");
             expand_array(&slice, out, gen)
         };
-        out.push_str(&format!("{} <{RDF_FIRST}> {value} .\n", cells[i]));
-        let next = cells
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| format!("<{RDF_NIL}>"));
-        out.push_str(&format!("{} <{RDF_REST}> {next} .\n", cells[i]));
+        let rest = match i + 1 < size {
+            true => format!("_:arr{}", cell + 1),
+            false => format!("<{RDF_NIL}>"),
+        };
+        let _ = writeln!(out, "_:arr{cell} <{RDF_FIRST}> {value} .");
+        let _ = writeln!(out, "_:arr{cell} <{RDF_REST}> {rest} .");
     }
-    cells[0].clone()
+    format!("_:arr{first}")
 }
 
-/// Render one term in N-Triples syntax (always fully qualified).
-pub fn term_text(term: &Term) -> String {
-    match term {
-        Term::Uri(u) => format!("<{u}>"),
-        Term::Blank(b) => format!("_:{b}"),
-        Term::Str(s) => format!("\"{}\"", escape_str(s)),
-        Term::LangStr { value, lang } => format!("\"{}\"@{lang}", escape_str(value)),
-        Term::Number(n) => match n {
-            ssdm_array::Num::Int(i) => {
-                format!("\"{i}\"^^<http://www.w3.org/2001/XMLSchema#integer>")
-            }
-            ssdm_array::Num::Real(r) => {
-                format!("\"{r}\"^^<http://www.w3.org/2001/XMLSchema#double>")
-            }
-        },
-        Term::Bool(b) => format!("\"{b}\"^^<http://www.w3.org/2001/XMLSchema#boolean>"),
-        Term::Typed { value, datatype } => {
-            format!("\"{}\"^^<{datatype}>", escape_str(value))
+/// Write one term in N-Triples syntax: as [`write_term`] writes it, but
+/// a number or a boolean as a typed literal (`"2.0"^^<…#double>`), and
+/// an external array as the IRI `<urn:ssdm:array:ID>` (its chunks live
+/// in the back-end, not in the RDF serialization).
+fn write_nt(out: &mut String, term: &Term) {
+    let _ = match term {
+        Term::Number(n) => {
+            out.push('"');
+            let _ = write_lexical(out, *n);
+            let dt = if let Num::Int(_) = n {
+                XSD_INTEGER
+            } else {
+                XSD_DOUBLE
+            };
+            write!(out, "\"^^<{dt}>")
         }
-        Term::Array(_) => unreachable!("arrays expand before rendering"),
-        // External arrays export as an SSDM-scoped URI; the chunk data
-        // itself lives in the back-end, not in the RDF serialization.
-        Term::ArrayRef(id) => format!("<urn:ssdm:array:{id}>"),
-    }
+        Term::Bool(b) => write!(out, "\"{b}\"^^<http://www.w3.org/2001/XMLSchema#boolean>"),
+        Term::ArrayRef(id) => write!(out, "<urn:ssdm:array:{id}>"),
+        t => write_term(out, t),
+    };
 }
 
 /// Parse N-Triples text (a syntactic subset of Turtle).
@@ -136,9 +133,18 @@ mod tests {
 
     #[test]
     fn typed_numeric_output() {
-        assert_eq!(
-            term_text(&Term::integer(5)),
-            "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>"
-        );
+        let mut g = Graph::new();
+        let (s, p) = (Term::uri("http://s"), Term::uri("http://p"));
+        for o in [Term::integer(5), Term::double(2.0), Term::double(f64::NAN)] {
+            g.insert(s.clone(), p.clone(), o);
+        }
+        let text = serialize(&g);
+        for lexical in [
+            "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+            "\"2.0\"^^<http://www.w3.org/2001/XMLSchema#double>",
+            "\"NaN\"^^<http://www.w3.org/2001/XMLSchema#double>",
+        ] {
+            assert!(text.contains(lexical), "{text}");
+        }
     }
 }

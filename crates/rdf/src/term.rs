@@ -271,37 +271,11 @@ impl Hash for Term {
 }
 
 impl fmt::Display for Term {
+    /// The term in the syntax both parsers read back
+    /// ([`crate::lex::write_term`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Uri(u) => write!(f, "<{u}>"),
-            Term::Blank(b) => write!(f, "_:{b}"),
-            Term::Str(s) => write!(f, "\"{}\"", escape_str(s)),
-            Term::LangStr { value, lang } => write!(f, "\"{}\"@{lang}", escape_str(value)),
-            Term::Number(n) => write!(f, "{n}"),
-            Term::Bool(b) => write!(f, "{b}"),
-            Term::Typed { value, datatype } => {
-                write!(f, "\"{}\"^^<{datatype}>", escape_str(value))
-            }
-            Term::Array(a) => write!(f, "{a}"),
-            Term::ArrayRef(id) => write!(f, "@array:{id}"),
-        }
+        crate::lex::write_term(f, self)
     }
-}
-
-/// Escape a string for Turtle/N-Triples output.
-pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -17,16 +17,18 @@
 //!
 //! Mapping of SSDM-specific values: resident arrays and array proxies
 //! serialize as literals typed `urn:ssdm:array` whose lexical form is
-//! the SciSPARQL collection notation; closures as `urn:ssdm:closure`.
-//! A double that is not finite writes as the `xsd:double` lexical form
-//! `INF`, `-INF` or `NaN`; in TSV, where a bare token must be a SPARQL
-//! number, as the typed literal `"INF"^^<…#double>`.
+//! the SciSPARQL collection notation, whole; closures as
+//! `urn:ssdm:closure`. A number's lexical form is
+//! [`ssdm_array::write_lexical`]'s (`INF`, `-INF` or `NaN` for a double
+//! that is not finite); a TSV cell is the term as
+//! [`ssdm_rdf::lex::write_term`] writes it (`"INF"^^<…#double>`).
 
 use std::fmt::{self, Display, Write};
 
 use scisparql::eval::{Rows, Slot};
 use scisparql::{Answer, Dataset, QueryResult, Value};
-use ssdm_array::Num;
+use ssdm_array::{write_lexical, Num};
+use ssdm_rdf::lex::{holds, write_escaped, write_term};
 use ssdm_rdf::{Graph, Term};
 
 use super::negotiate::ResultFormat;
@@ -203,8 +205,7 @@ enum Datatype<'a> {
 enum Lexical<'a> {
     /// Text, escaped as the format needs.
     Text(&'a str),
-    Int(i64),
-    Real(f64),
+    Num(Num),
     Bool(bool),
     /// Collection notation, proxies, closures: whatever displays as it.
     Shown(&'a dyn Display),
@@ -233,8 +234,8 @@ fn decompose(cell: Cell<'_>) -> Node<'_> {
         Term::LangStr { value, lang } => {
             Node::Literal(Lexical::Text(value), Some(lang), Datatype::Plain)
         }
-        Term::Number(Num::Int(i)) => literal(Lexical::Int(*i), Known::Integer),
-        Term::Number(Num::Real(r)) => literal(Lexical::Real(*r), Known::Double),
+        Term::Number(n @ Num::Int(_)) => literal(Lexical::Num(*n), Known::Integer),
+        Term::Number(n) => literal(Lexical::Num(*n), Known::Double),
         Term::Bool(b) => literal(Lexical::Bool(*b), Known::Boolean),
         Term::Typed { value, datatype } => {
             Node::Literal(Lexical::Text(value), None, Datatype::Iri(datatype))
@@ -370,13 +371,12 @@ impl Writer {
             }
             ResultFormat::Tsv => {
                 out.push_str(if col > 0 { "\t" } else { "" });
-                match cell {
-                    None => {}
-                    Some(Cell::Term(t) | Cell::Value(Value::Term(t))) => tsv_term(out, t),
-                    Some(Cell::Value(v)) => {
-                        let _ = write!(out, "{v}");
-                    }
-                }
+                // Writing to a `String` cannot fail.
+                let _ = match cell {
+                    None => Ok(()),
+                    Some(Cell::Term(t) | Cell::Value(Value::Term(t))) => write_term(out, t),
+                    Some(Cell::Value(v)) => write!(out, "{v}"),
+                };
             }
         }
     }
@@ -401,32 +401,11 @@ impl Writer {
     }
 }
 
-/// Whether `s` holds a byte `special` picks. It tests 16-byte blocks
-/// without a branch per byte, which the compiler turns into vector
-/// compares: most lexical forms hold nothing to escape.
-fn holds(s: &str, special: impl Fn(u8) -> bool) -> bool {
-    let any = |block: &[u8]| block.iter().fold(false, |found, &b| found | special(b));
-    let mut blocks = s.as_bytes().chunks_exact(16);
-    blocks.by_ref().any(any) || any(blocks.remainder())
-}
-
 /// Append `s` with each byte `replace` knows replaced by what it
-/// returns; a clean `s` is copied whole. (Every escaped character of
-/// every format is ASCII, so bytes are characters here.)
+/// returns.
 fn push_escaped(out: &mut String, s: &str, replace: impl Fn(u8) -> Option<&'static str>) {
-    if !holds(s, |b| replace(b).is_some()) {
-        out.push_str(s);
-        return;
-    }
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if let Some(replacement) = replace(b) {
-            out.push_str(&s[clean..i]);
-            out.push_str(replacement);
-            clean = i + 1;
-        }
-    }
-    out.push_str(&s[clean..]);
+    // Writing to a `String` cannot fail.
+    let _ = write_escaped(out, s, replace);
 }
 
 /// Appends what is written to it to `out`, escaped by `replace`: the
@@ -438,8 +417,7 @@ struct Escaped<'o, F> {
 
 impl<F: Fn(u8) -> Option<&'static str>> Write for Escaped<'_, F> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        push_escaped(self.out, s, &self.replace);
-        Ok(())
+        write_escaped(self.out, s, &self.replace)
     }
 }
 
@@ -451,59 +429,14 @@ fn push_lexical(
 ) {
     match lexical {
         Lexical::Text(s) => push_escaped(out, s, replace),
-        Lexical::Int(i) => push_int(out, i),
-        Lexical::Real(r) => push_real(out, r),
+        Lexical::Num(n) => {
+            let _ = write_lexical(out, n);
+        }
         Lexical::Bool(b) => out.push_str(if b { "true" } else { "false" }),
         Lexical::Shown(d) => {
             // Writing to a `String` cannot fail.
             let _ = write!(Escaped { out, replace }, "{d}");
         }
-    }
-}
-
-/// Append an integer's decimal digits.
-fn push_int(out: &mut String, i: i64) {
-    if i < 0 {
-        out.push('-');
-    }
-    let (mut n, mut digits, mut at) = (i.unsigned_abs(), [0u8; 20], 20);
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
-/// Append a double's lexical form: `Num`'s `Display` for a finite one
-/// (`5.0` for an integral value under 1e15, `1e15` for a larger one, the
-/// shortest round-trip form otherwise), `INF`, `-INF` or `NaN` for the
-/// rest.
-fn push_real(out: &mut String, r: f64) {
-    if !r.is_finite() {
-        out.push_str(non_finite(r));
-    } else if r.fract() == 0.0 && r.abs() < 1e15 {
-        if r.is_sign_negative() {
-            out.push('-');
-        }
-        push_int(out, r.abs() as i64);
-        out.push_str(".0");
-    } else if r.fract() == 0.0 {
-        let _ = write!(out, "{r:e}");
-    } else {
-        let _ = write!(out, "{r}");
-    }
-}
-
-/// The `xsd:double` lexical form of a non-finite double.
-fn non_finite(r: f64) -> &'static str {
-    match r {
-        f64::INFINITY => "INF",
-        f64::NEG_INFINITY => "-INF",
-        _ => "NaN",
     }
 }
 
@@ -659,68 +592,6 @@ fn csv_lexical(out: &mut String, lexical: Lexical<'_>) {
     }
 }
 
-// ----------------------------------------------------------------- TSV
-
-/// TSV serializes full SPARQL syntax (the Query Results TSV format):
-/// `<iri>`, `"literal"@lang`, `"lex"^^<dt>`, numbers bare — what
-/// [`Term`]'s `Display` writes, with tabs and newlines escaped inside
-/// literals — except a non-finite double, which no bare number
-/// spells.
-fn tsv_term(out: &mut String, t: &Term) {
-    let quoted = |out: &mut String, s: &str| {
-        out.push('"');
-        push_escaped(out, s, tsv_special);
-        out.push('"');
-    };
-    match t {
-        Term::Uri(u) => {
-            out.push('<');
-            out.push_str(u);
-            out.push('>');
-        }
-        Term::Blank(b) => {
-            out.push_str("_:");
-            out.push_str(b);
-        }
-        Term::Str(s) => quoted(out, s),
-        Term::LangStr { value, lang } => {
-            quoted(out, value);
-            out.push('@');
-            out.push_str(lang);
-        }
-        Term::Number(Num::Int(i)) => push_int(out, *i),
-        Term::Number(Num::Real(r)) if !r.is_finite() => {
-            out.push('"');
-            out.push_str(non_finite(*r));
-            out.push_str("\"^^<http://www.w3.org/2001/XMLSchema#double>");
-        }
-        Term::Number(Num::Real(r)) => push_real(out, *r),
-        Term::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Term::Typed { value, datatype } => {
-            quoted(out, value);
-            out.push_str("^^<");
-            out.push_str(datatype);
-            out.push('>');
-        }
-        Term::Array(_) | Term::ArrayRef(_) => {
-            let _ = write!(out, "{t}");
-        }
-    }
-}
-
-/// The escape of one byte inside a quoted Turtle/N-Triples literal, as
-/// `Term`'s `Display` writes it.
-fn tsv_special(b: u8) -> Option<&'static str> {
-    match b {
-        b'"' => Some("\\\""),
-        b'\\' => Some("\\\\"),
-        b'\n' => Some("\\n"),
-        b'\r' => Some("\\r"),
-        b'\t' => Some("\\t"),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,6 +686,36 @@ mod tests {
         let json = text_of(&r, ResultFormat::Json);
         assert!(json.contains(r#""datatype":"urn:ssdm:array""#));
         assert!(json.contains("(1 2 3)"));
+    }
+
+    #[test]
+    fn arrays_are_written_whole_in_every_format() {
+        let values = (0..40).map(f64::from).chain([f64::NAN]).collect();
+        let a = NumArray::from_f64(values);
+        let rows = vec![vec![Some(Value::Term(Term::Array(a.clone())))]];
+        let whole = a.to_string();
+        let end = format!(" 38.0 39.0 \"NaN\"^^<{XSD_DOUBLE}>)");
+        assert!(
+            whole.starts_with("(0.0 1.0 2.0 ") && whole.ends_with(&end),
+            "{whole}"
+        );
+        let r = solutions(&["a"], rows.clone());
+        assert_eq!(text_of(&r, ResultFormat::Tsv), format!("?a\n{whole}\n"));
+        assert_eq!(
+            framed(&["a".into()], Table::Values(&rows)),
+            format!("a\n{whole}\n")
+        );
+        let json_whole = whole.replace('"', "\\\"");
+        assert!(text_of(&r, ResultFormat::Json).contains(&json_whole));
+        let xml = text_of(&r, ResultFormat::Xml);
+        assert!(xml.contains(
+            &whole
+                .replace('"', "&quot;")
+                .replace('<', "&lt;")
+                .replace('>', "&gt;")
+        ));
+        let csv = text_of(&r, ResultFormat::Csv);
+        assert!(csv.contains(&format!("\"{}\"", whole.replace('"', "\"\""))));
     }
 
     #[test]
@@ -988,15 +889,12 @@ mod tests {
             f64::MAX,
             f64::MIN_POSITIVE,
         ];
-        for r in reals {
-            let mut out = String::new();
-            push_real(&mut out, r);
-            assert_eq!(out, Num::Real(r).to_string(), "{r:e}");
-        }
-        for i in [0, 7, -7, 42, 1_000_000, i64::MAX, i64::MIN] {
-            let mut out = String::new();
-            push_int(&mut out, i);
-            assert_eq!(out, Num::Int(i).to_string());
+        let ints = [0, 7, -7, 42, 1_000_000, i64::MAX, i64::MIN];
+        let nums = reals.map(Num::Real).into_iter().chain(ints.map(Num::Int));
+        for n in nums {
+            let r = solutions(&["n"], vec![vec![Some(Value::number(n))]]);
+            assert_eq!(text_of(&r, ResultFormat::Csv), format!("n\r\n{n}\r\n"));
+            assert_eq!(text_of(&r, ResultFormat::Tsv), format!("?n\n{n}\n"));
         }
     }
 

@@ -471,12 +471,6 @@ impl Ssdm {
             "calibration_entries",
             self.dataset.calibration.len() as u64,
         );
-        r.push_float(
-            "planner",
-            Cumulative,
-            "cost_per_statement_us",
-            self.dataset.calibration.cost_per_statement_us(),
-        );
 
         match self.durability_stats() {
             None => r.push_int("durability", Cumulative, "enabled", 0),

@@ -321,3 +321,34 @@ fn a_range_query_answers_the_same_after_a_durable_reopen() {
     assert_eq!(rows(&mut db, oracle), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A collection holding non-finite doubles is written into the
+/// checkpoint's snapshot as text that reads back: the engine reopens
+/// from it and answers as before.
+#[test]
+fn a_collection_holding_nan_reopens_after_a_checkpoint() {
+    let dir = tmp_dir("nan");
+    let query = "SELECT ?v (array_count(?v) AS ?n) WHERE { <http://e/r> <http://e/signal> ?v }";
+    let answer = |db: &mut Ssdm| {
+        let rows = db.query(query).unwrap().into_rows().unwrap();
+        let cells = rows
+            .iter()
+            .flatten()
+            .map(|c| c.as_ref().unwrap().to_string());
+        cells.collect::<Vec<_>>()
+    };
+    let before = {
+        let mut db = Ssdm::open_durable(&dir).unwrap();
+        db.load_turtle(
+            "@prefix ex: <http://e/> . @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+             ex:r ex:signal (1.5 \"NaN\"^^xsd:double 2.5) .",
+        )
+        .unwrap();
+        db.checkpoint().unwrap();
+        answer(&mut db)
+    };
+    assert_eq!(before.len(), 2, "{before:?}");
+    let mut db = Ssdm::open_durable(&dir).unwrap();
+    assert_eq!(answer(&mut db), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}

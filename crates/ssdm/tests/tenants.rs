@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use scisparql::{ForeignFunction, FunctionCost, Value};
+use scisparql::{ForeignFunction, Value};
 use ssdm::server::{Client, Server, ServerConfig};
 use ssdm::tenant::{
     FairDispatch, RateLimit, Rejection, TenantCaps, TenantQuotas, TenantRegistry, DEFAULT_QUANTUM,
@@ -65,7 +65,6 @@ impl Hold {
         db.dataset.registry.register_foreign(ForeignFunction {
             name: "hold".into(),
             arity: 0,
-            cost: FunctionCost::default(),
             imp: Arc::new(move |_| {
                 parked.running.fetch_add(1, Ordering::SeqCst);
                 let mut released = parked.released.lock().unwrap();
@@ -466,7 +465,6 @@ fn a_panicking_statement_costs_one_reply_on_either_wire() {
     db.dataset.registry.register_foreign(ForeignFunction {
         name: "boom".into(),
         arity: 0,
-        cost: FunctionCost::default(),
         imp: Arc::new(|_| panic!("boom went off")),
     });
     let quotas = TenantQuotas {
