@@ -5,7 +5,10 @@
 //! normalized physical representation of RDF terms in SSDM (thesis §5.1)
 //! and keeps join processing on fixed-size integers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+
+use ssdm_array::Num;
 
 use crate::term::Term;
 
@@ -34,8 +37,11 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Intern a term, returning its id (existing or fresh).
+    /// Intern a term, returning its id (existing or fresh). A double
+    /// NaN becomes `f64::NAN`'s bits, whichever NaN it was, so that the
+    /// node survives being written as `"NaN"^^xsd:double` and read back.
     pub fn intern(&mut self, term: Term) -> TermId {
+        let term = canonical(Cow::Owned(term)).into_owned();
         if let Some(&id) = self.ids.get(&term) {
             return id;
         }
@@ -45,9 +51,10 @@ impl Dictionary {
         id
     }
 
-    /// Id of an already-interned term, if any.
+    /// Id of an already-interned term, if any; a double NaN finds the
+    /// one NaN [`Dictionary::intern`] stores.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        self.ids.get(&*canonical(Cow::Borrowed(term))).copied()
     }
 
     /// The term behind an id. Panics on a foreign id.
@@ -78,6 +85,17 @@ impl Dictionary {
             }
             return self.intern(t);
         }
+    }
+}
+
+/// `term` with a double NaN replaced by `f64::NAN`: the one NaN text
+/// reads back as.
+fn canonical(term: Cow<'_, Term>) -> Cow<'_, Term> {
+    match &*term {
+        Term::Number(Num::Real(x)) if x.is_nan() && x.to_bits() != f64::NAN.to_bits() => {
+            Cow::Owned(Term::double(f64::NAN))
+        }
+        _ => term,
     }
 }
 
@@ -115,6 +133,22 @@ mod tests {
         let b1 = d.intern(Term::Array(arr.clone()));
         let b2 = d.intern(Term::Array(arr));
         assert_eq!(b1, b2, "the same shared buffer interns once");
+    }
+
+    #[test]
+    fn every_double_nan_is_one_node() {
+        let mut d = Dictionary::new();
+        let quiet = d.intern(Term::double(f64::NAN));
+        let negative = Term::double(f64::from_bits(0xfff8_0000_0000_0000));
+        assert_eq!(d.lookup(&negative), Some(quiet));
+        assert_eq!(d.intern(negative), quiet);
+        let payload = d.intern(Term::double(f64::from_bits(0x7ff0_0000_0000_0001)));
+        assert_eq!(payload, quiet);
+        match d.term(quiet) {
+            Term::Number(Num::Real(x)) => assert_eq!(x.to_bits(), f64::NAN.to_bits()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct Cursor<'a> {
 
 /// A byte of a prefix, a local name or a blank-node label.
 #[inline]
-fn is_name_byte(c: u8) -> bool {
+pub fn is_name_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c == b'-'
 }
 
@@ -60,7 +60,7 @@ fn is_name_byte(c: u8) -> bool {
 /// are kept, as the loader always kept them.) The bytes of a multibyte
 /// character all pass.
 #[inline]
-fn is_iri_byte(c: u8) -> bool {
+pub fn is_iri_byte(c: u8) -> bool {
     c > b' ' && c != b'>' && c != b'\\'
 }
 

@@ -14,8 +14,14 @@
 //!   keyless tables);
 //! * each column becomes a property; `NULL` cells emit no triple;
 //! * array cells become array values directly (no list expansion).
+//!
+//! Table and column names go into IRIs with `%HH` in place of each byte
+//! an IRI may not hold and of `%` itself, and into blank-node labels
+//! with `.HH` in place of each byte a label may not hold, so whatever a
+//! CSV header says, the graph can be written out and read back.
 
 use ssdm_array::NumArray;
+use ssdm_rdf::lex::{is_iri_byte, is_name_byte};
 use ssdm_rdf::{Graph, Term, Triple};
 
 /// One cell of a table.
@@ -76,13 +82,15 @@ impl Table {
     /// Map this table into `graph` under the namespace `ns`
     /// (e.g. `http://example.org/db/`). Returns what was created.
     pub fn map_to_rdf(&self, graph: &mut Graph, ns: &str) -> MappingReport {
-        let class = Term::uri(format!("{ns}{}", self.name));
+        let table = iri_part(&self.name);
+        let class = Term::uri(format!("{ns}{table}"));
         let type_p = Term::uri(ssdm_rdf::RDF_TYPE);
         let props: Vec<Term> = self
             .columns
             .iter()
-            .map(|c| Term::uri(format!("{ns}{}#{c}", self.name)))
+            .map(|c| Term::uri(format!("{ns}{table}#{}", iri_part(c))))
             .collect();
+        let label = escaped(&self.name, b'.', |b| !is_name_byte(b));
         let mut triples = Vec::new();
         let mut add = |s: &Term, p: &Term, o: Term| {
             let (s, p, o) = (
@@ -94,10 +102,10 @@ impl Table {
         };
         for (rownum, row) in self.rows.iter().enumerate() {
             let subject = match self.key.and_then(|k| row.get(k)).and_then(Cell::key_text) {
-                Some(key) => Term::uri(format!("{ns}{}/{key}", self.name)),
+                Some(key) => Term::uri(format!("{ns}{table}/{key}")),
                 // Direct Mapping: rows without a primary key become
                 // blank nodes.
-                None => Term::blank(format!("{}_r{rownum}", self.name)),
+                None => Term::blank(format!("{label}_r{rownum}")),
             };
             add(&subject, &type_p, class.clone());
             for (col, cell) in row.iter().enumerate() {
@@ -111,6 +119,27 @@ impl Table {
             triples: graph.extend_ids(&triples),
         }
     }
+}
+
+/// `name` as part of an IRI: `%` and every byte an IRI may not hold
+/// written `%HH`, so distinct names stay distinct IRIs.
+fn iri_part(name: &str) -> String {
+    escaped(name, b'%', |b| b == b'%' || !is_iri_byte(b))
+}
+
+/// `name` with each byte `special` picks written as `mark` and two
+/// upper-case hex digits. `special` must pick every byte of a
+/// multibyte character or none.
+fn escaped(name: &str, mark: u8, special: impl Fn(u8) -> bool) -> String {
+    let mut out = Vec::with_capacity(name.len());
+    for b in name.bytes() {
+        if special(b) {
+            out.extend_from_slice(format!("{}{b:02X}", mark as char).as_bytes());
+        } else {
+            out.push(b);
+        }
+    }
+    String::from_utf8(out).expect("whole characters kept or escaped")
 }
 
 /// Parse a simple CSV (comma-separated, optional double quotes, no
@@ -314,6 +343,18 @@ task,k_1,k_a,realization,result,trajectory
             .into_rows()
             .unwrap();
         assert_eq!(rows[0][0].as_ref().unwrap().to_string(), "3");
+    }
+
+    #[test]
+    fn names_go_into_iris_and_labels_escaped_only_where_they_must() {
+        // Names of bytes an IRI holds, with no `%`, are used as they are.
+        assert_eq!(iri_part("k_1.x-é~"), "k_1.x-é~");
+        assert_eq!(iri_part("first name"), "first%20name");
+        assert_eq!(iri_part("a>b\\c\t%"), "a%3Eb%5Cc%09%25");
+        assert_ne!(iri_part("a b"), iri_part("a%20b"));
+        let label = |s: &str| escaped(s, b'.', |b| !is_name_byte(b));
+        assert_eq!(label("log_2-x"), "log_2-x");
+        assert_eq!(label("odd table.é"), "odd.20table.2E.C3.A9");
     }
 
     #[test]

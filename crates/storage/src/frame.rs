@@ -103,9 +103,39 @@ const fn build_crc_tables() -> [[u32; 256]; CRC_SLICES] {
     tables
 }
 
-/// CRC32 of `data`, slicing-by-16: sixteen bytes per step, one table
-/// per byte position, the trailing `len % 16` bytes one at a time.
+/// CRC32 of `data`: the carry-less-multiply kernel where the CPU has
+/// one and `data` holds at least one 64-byte block, the portable
+/// slicing-by-16 loop for the rest (other CPUs, short inputs, the
+/// `len % 16` tail the kernel leaves).
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::detected() {
+        let (crc, tail) = clmul::fold(!0, data);
+        return !sliced(crc, tail);
+    }
+    crc32_portable(data)
+}
+
+/// [`crc32`] through the portable loop alone, whatever the CPU: the
+/// path other CPUs take, kept callable for tests and benchmarks.
+pub fn crc32_portable(data: &[u8]) -> u32 {
+    !sliced(!0, data)
+}
+
+/// Whether [`crc32`] runs the carry-less-multiply kernel on this CPU
+/// (for inputs of 64 bytes or more).
+pub fn crc32_has_kernel() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return clmul::detected();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Slicing-by-16 on the running CRC register `crc` (before the final
+/// inversion): sixteen
+/// bytes per step, one table per byte position, the trailing
+/// `len % 16` bytes one at a time.
+fn sliced(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let fold = |w: u32, hi: usize| {
@@ -114,7 +144,6 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[hi - 2][((w >> 16) & 0xFF) as usize]
             ^ t[hi - 3][(w >> 24) as usize]
     };
-    let mut crc = 0xFFFF_FFFFu32;
     let mut blocks = data.chunks_exact(CRC_SLICES);
     for b in &mut blocks {
         crc = fold(word(&b[0..4]) ^ crc, 15)
@@ -125,7 +154,119 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The CRC32 folding kernel for x86_64 CPUs with PCLMULQDQ (Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction", Intel 2009): four 128-bit accumulators each fold one
+/// 16-byte block per step, 64 bytes in all, by carry-less multiplies
+/// with `x^(512±32) mod P`; they are folded into one, which takes any
+/// remaining 16-byte blocks, and the 128 bits are reduced to 64 and
+/// then, by Barrett reduction, to the 32-bit CRC.
+/// The constants are those of the paper for the reflected IEEE
+/// polynomial, so the result is bit for bit the portable loop's.
+///
+/// The one module of this crate that holds `unsafe`: the call into a
+/// `target_feature` function after run-time detection, and the
+/// unaligned 16-byte loads.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The shortest input [`fold`] takes: one step of four blocks.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// Whether this CPU has PCLMULQDQ. The standard library caches the
+    /// answer after the first query, so this is one atomic load.
+    pub(super) fn detected() -> bool {
+        std::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    /// Fold the whole 16-byte blocks of `data` into the running CRC
+    /// register `crc`; returns the register and the `len % 16`
+    /// bytes left over. Panics unless [`detected`] and `data` holds at
+    /// least [`MIN_LEN`] bytes.
+    pub(super) fn fold(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+        assert!(detected(), "the CRC kernel needs PCLMULQDQ");
+        assert!(
+            data.len() >= MIN_LEN,
+            "the CRC kernel takes 64 bytes or more"
+        );
+        // SAFETY: `fold_blocks` needs PCLMULQDQ (just detected) and
+        // SSE2 (baseline on x86_64); it reads only through `load`,
+        // within `data`.
+        unsafe { fold_blocks(crc, data) }
+    }
+
+    /// A 16-byte block as a vector; any alignment.
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, exactly what the
+        // unaligned load reads.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// `x·k_lo ⊕ x·k_hi ⊕ next`: the 128-bit accumulator `x` moved
+    /// forward by the distance the constants `k` stand for, plus the
+    /// block found there.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn step(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_blocks(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (quads, singles) = blocks.as_chunks::<4>();
+        let Some((first, quads)) = quads.split_first() else {
+            return (crc, data);
+        };
+        // x^(4·128+32) and x^(4·128-32) mod P, bit-reflected: a move
+        // of four blocks.
+        let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+        // x^(128+32) and x^(128-32) mod P: a move of one block.
+        let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+        // x^64 mod P.
+        let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+        // P and μ = x^64 / P for the Barrett reduction.
+        let poly = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+
+        let mut x = first.map(|b| load(&b));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        for quad in quads {
+            for (acc, block) in x.iter_mut().zip(quad) {
+                *acc = step(*acc, k1k2, load(block));
+            }
+        }
+        let mut acc = step(x[0], k3k4, x[1]);
+        acc = step(acc, k3k4, x[2]);
+        acc = step(acc, k3k4, x[3]);
+        for block in singles {
+            acc = step(acc, k3k4, load(block));
+        }
+
+        // 128 bits to 64, then Barrett reduction to 32.
+        let t = _mm_clmulepi64_si128::<0x10>(acc, k3k4);
+        acc = _mm_xor_si128(_mm_srli_si128::<8>(acc), t);
+        let t = _mm_srli_si128::<4>(acc);
+        acc = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), k5);
+        acc = _mm_xor_si128(acc, t);
+        let mut t = _mm_and_si128(acc, low32);
+        t = _mm_clmulepi64_si128::<0x10>(t, poly);
+        t = _mm_and_si128(t, low32);
+        t = _mm_clmulepi64_si128::<0x00>(t, poly);
+        acc = _mm_xor_si128(acc, t);
+        (_mm_cvtsi128_si32(_mm_srli_si128::<4>(acc)) as u32, tail)
+    }
 }
 
 /// Wrap a chunk payload in a checksummed frame.
@@ -221,27 +362,90 @@ mod tests {
         !crc
     }
 
-    #[test]
-    fn sliced_crc32_matches_the_byte_loop_at_every_length_and_offset() {
+    /// `n` pseudo-random bytes from a fixed seed.
+    fn noise(n: usize) -> Vec<u8> {
         let mut state = 0x5EED_C0DE_u64;
-        let buf: Vec<u8> = (0..4_200 + 16)
+        (0..n)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 (state >> 56) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    /// [`crc32`] (the kernel from 64 bytes on, where the CPU has one)
+    /// and the portable loop each against the byte loop.
+    fn check_both(data: &[u8], what: &str) {
+        let want = crc32_reference(data);
+        assert_eq!(crc32(data), want, "crc32, {what}");
+        assert_eq!(crc32_portable(data), want, "portable loop, {what}");
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_byte_loop_at_every_length_and_offset() {
+        let buf = noise(4_200 + 16);
         assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
         for start in 0..16 {
             for len in 0..=4_200 {
-                let slice = &buf[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_reference(slice),
-                    "start {start} len {len}"
+                check_both(
+                    &buf[start..start + len],
+                    &format!("start {start} len {len}"),
                 );
             }
+        }
+    }
+
+    #[test]
+    fn both_crc32_paths_match_the_byte_loop_at_random_lengths_up_to_a_mib() {
+        let buf = noise((1 << 20) + 16);
+        let mut state = 0x00DD_BA11_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..40 {
+            let (start, len) = (next(16), next((1 << 20) + 1));
+            check_both(
+                &buf[start..start + len],
+                &format!("start {start} len {len}"),
+            );
+        }
+        check_both(&buf[..1 << 20], "a whole MiB");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_kernel_leaves_the_tail_past_the_last_whole_block() {
+        if !clmul::detected() {
+            return;
+        }
+        let buf = noise(200);
+        for len in clmul::MIN_LEN..200 {
+            let (crc, tail) = clmul::fold(!0, &buf[..len]);
+            assert_eq!(tail.len(), len % 16, "len {len}");
+            let whole = &buf[..len - len % 16];
+            assert_eq!(!crc, crc32_reference(whole), "len {len}");
+        }
+    }
+
+    #[test]
+    fn any_single_bit_flip_in_a_16_kib_frame_is_corrupt() {
+        let frame = encode(&noise(16 * 1024));
+        for bit in 0..frame.len() * 8 {
+            let mut bad = frame.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let err = decode(&bad).expect_err("a flipped bit is caught");
+            // A flip in the length field makes the frame promise more
+            // (truncated) or less (checksum of a shorter payload).
+            let in_length = (4..8).contains(&(bit / 8));
+            assert!(
+                in_length || !matches!(err, FrameError::Truncated { .. }),
+                "bit {bit}: {err:?}"
+            );
         }
     }
 

@@ -20,6 +20,12 @@
 //! Back-ends provided: [`MemoryChunkStore`], [`FileChunkStore`] (binary
 //! files, the paper's file-link scenario) and [`RelChunkStore`] (the
 //! embedded relational substrate standing in for MySQL).
+//!
+//! The crate is safe Rust but for one module, the CRC32 kernel in
+//! [`frame`]; each `unsafe` block there states why it is sound.
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod apr;
 mod bag;
@@ -54,6 +60,36 @@ pub use store::{
 pub use wal::{
     CrashPlan, FsyncPolicy, WalOptions, WalReader, WalRecord, WalRecovery, WalStats, WalWriter,
 };
+
+/// A fresh directory under the system's temporary directory, removed
+/// when the guard drops: at the end of the test, or while it unwinds
+/// from a failed assert.
+#[cfg(test)]
+pub(crate) struct TmpDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TmpDir {
+    pub(crate) fn new(tag: &str) -> TmpDir {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ssdm-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a test directory");
+        TmpDir(dir)
+    }
+
+    pub(crate) fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

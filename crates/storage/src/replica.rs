@@ -315,16 +315,10 @@ impl Replica {
 mod tests {
     use super::*;
     use crate::wal::{WalOptions, WalWriter};
+    use crate::TmpDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64 as A;
-        static N: A = A::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("ssdm-replica-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_dir(tag: &str) -> TmpDir {
+        TmpDir::new(&format!("replica-{tag}"))
     }
 
     #[test]
@@ -358,8 +352,9 @@ mod tests {
 
     #[test]
     fn replica_replays_chunk_records_and_tracks_lsn() {
-        let primary_wal = tmp_dir("primary");
-        let (mut wal, _) = WalWriter::open(&primary_wal, WalOptions::default()).unwrap();
+        let primary = tmp_dir("primary");
+        let primary_wal = primary.path();
+        let (mut wal, _) = WalWriter::open(primary_wal, WalOptions::default()).unwrap();
         wal.append(&WalRecord::BeginArray {
             array_id: 1,
             chunk_bytes: 16,
@@ -374,8 +369,9 @@ mod tests {
             .unwrap();
         }
 
-        let replica = Replica::new(tmp_dir("follower"), 3, 2).unwrap();
-        replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
+        let follower = tmp_dir("follower");
+        let replica = Replica::new(follower.path().to_path_buf(), 3, 2).unwrap();
+        replica.catch_up(primary_wal, wal.next_lsn()).unwrap();
         assert_eq!(replica.applied_lsn(), wal.next_lsn());
         let rows = replica
             .read(|s| s.read_chunks_in(1, &[0, 1, 2, 3]))
@@ -390,7 +386,7 @@ mod tests {
             data: vec![9u8; 16],
         })
         .unwrap();
-        replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
+        replica.catch_up(primary_wal, wal.next_lsn()).unwrap();
         let row = replica.read(|s| s.read_chunk(1, 4)).unwrap();
         assert_eq!(row, vec![9u8; 16]);
 
@@ -400,21 +396,23 @@ mod tests {
             chunk_count: 5,
         })
         .unwrap();
-        replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
+        replica.catch_up(primary_wal, wal.next_lsn()).unwrap();
         assert!(replica.read(|s| s.read_chunk(1, 0)).is_err());
     }
 
     #[test]
     fn dead_replica_fails_reads_and_catch_up_transiently() {
-        let primary_wal = tmp_dir("primary-dead");
-        let (wal, _) = WalWriter::open(&primary_wal, WalOptions::default()).unwrap();
-        let replica = Replica::new(tmp_dir("follower-dead"), 3, 2).unwrap();
+        let primary = tmp_dir("primary-dead");
+        let primary_wal = primary.path();
+        let (wal, _) = WalWriter::open(primary_wal, WalOptions::default()).unwrap();
+        let follower = tmp_dir("follower-dead");
+        let replica = Replica::new(follower.path().to_path_buf(), 3, 2).unwrap();
         replica.set_alive(false);
         let err = replica.read(|s| s.read_chunk(1, 0)).unwrap_err();
         assert!(err.is_transient());
-        let err = replica.catch_up(&primary_wal, wal.next_lsn()).unwrap_err();
+        let err = replica.catch_up(primary_wal, wal.next_lsn()).unwrap_err();
         assert!(err.is_transient());
         replica.set_alive(true);
-        replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
+        replica.catch_up(primary_wal, wal.next_lsn()).unwrap();
     }
 }

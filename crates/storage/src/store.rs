@@ -716,6 +716,14 @@ struct ArrayFile {
     chunk_bytes: usize,
 }
 
+/// What a slot read first asks for: one page, which holds the frame
+/// header and, for most compressed chunks, the whole frame.
+const FIRST_READ: u64 = 4096;
+
+/// The most one `pread` returns on Linux (`MAX_RW_COUNT`): a read that
+/// got this much has not necessarily met the end of the file.
+const MAX_PREAD: u64 = 0x7fff_f000;
+
 /// Array-file header: magic + chunk size. `SSDMARR2` introduced
 /// per-chunk checksum frames; v1 files (no frames) are rejected with a
 /// clear error rather than misread.
@@ -816,28 +824,45 @@ impl FileChunkStore {
         (crate::frame::FRAME_HEADER + crate::codec::SCC_HEADER + chunk_bytes) as u64
     }
 
-    /// Up to `want` bytes at `offset`, stopping where the file ends. How
-    /// many come back is how the read paths learn where that is, with no
-    /// `fstat` beside the read; the buffer grows by what the file has
-    /// already proven to hold, so a `want` far past the end allocates
-    /// nothing for it.
-    fn read_up_to(file: &File, offset: u64, want: u64) -> io::Result<Vec<u8>> {
-        let mut buf = Vec::new();
+    /// Up to `want` bytes at `offset`, appended to `buf`, stopping where
+    /// the file ends. How many come back is how the read paths learn
+    /// where that is, with no `fstat` beside the read: a `pread` of a
+    /// regular file that returns less than it asked for (and less than
+    /// one call can return) has met the end, so no further call asks
+    /// again. The buffer grows by what the file has already proven to
+    /// hold, so a `want` far past the end allocates nothing for it.
+    fn read_up_to(file: &File, offset: u64, want: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+        let start = buf.len();
         let mut got = 0;
         while (got as u64) < want {
-            if got == buf.len() {
+            if start + got == buf.len() {
                 let step = (want - got as u64).min((got as u64).max(1 << 20));
-                buf.resize(got + step as usize, 0);
+                buf.resize(start + got + step as usize, 0);
             }
-            match file.read_at(&mut buf[got..], offset + got as u64) {
-                Ok(0) => break,
+            let ask = (buf.len() - start - got) as u64;
+            let read = file.read_at(&mut buf[start + got..], offset + got as u64);
+            #[cfg(test)]
+            tests::count_pread(&read);
+            match read {
+                Ok(n) if (n as u64) < ask.min(MAX_PREAD) => {
+                    got += n;
+                    break;
+                }
                 Ok(n) => got += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        buf.truncate(got);
-        Ok(buf)
+        buf.truncate(start + got);
+        Ok(())
+    }
+
+    /// Where chunk `chunk_id`'s slot starts, if a file can have it.
+    fn slot_offset(af: &ArrayFile, chunk_id: u64) -> Option<u64> {
+        chunk_id
+            .checked_mul(Self::slot_bytes(af.chunk_bytes))
+            .and_then(|o| o.checked_add(FILE_HEADER))
+            .filter(|&o| o <= i64::MAX as u64)
     }
 
     /// The stored bytes from chunk `first`'s slot on, up to `want` of
@@ -850,14 +875,10 @@ impl FileChunkStore {
         first: u64,
         want: u64,
     ) -> Result<Vec<u8>, StorageError> {
-        let offset = first
-            .checked_mul(Self::slot_bytes(af.chunk_bytes))
-            .and_then(|o| o.checked_add(FILE_HEADER))
-            .filter(|&o| o <= i64::MAX as u64);
-        let bytes = match offset {
-            Some(offset) => Self::read_up_to(&af.file, offset, want)?,
-            None => Vec::new(),
-        };
+        let mut bytes = Vec::new();
+        if let Some(offset) = Self::slot_offset(af, first) {
+            Self::read_up_to(&af.file, offset, want, &mut bytes)?;
+        }
         if bytes.is_empty() {
             return Err(StorageError::MissingChunk {
                 array_id,
@@ -867,12 +888,29 @@ impl FileChunkStore {
         Ok(bytes)
     }
 
-    /// Read one slot into the buffer that becomes the payload, and
-    /// verify the frame in it; a frame cut off by the file end is a
-    /// short read.
+    /// Read one chunk's frame into the buffer that becomes the payload,
+    /// and verify it; a frame cut off by the file end is a short read.
+    /// The first read takes the slot's leading page; when the header
+    /// promises a longer frame, one more read fetches only the missing
+    /// bytes. Nothing past the slot is read, whatever the header
+    /// promises.
     fn read_slot(af: &ArrayFile, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let slot = Self::read_slots(af, array_id, chunk_id, Self::slot_bytes(af.chunk_bytes))?;
-        crate::frame::into_payload(slot)
+        let slot = Self::slot_bytes(af.chunk_bytes);
+        let first = FIRST_READ.min(slot);
+        let mut frame = Self::read_slots(af, array_id, chunk_id, first)?;
+        let got = frame.len() as u64;
+        // The frame's length, up to the slot's, once its header is in.
+        let need = crate::frame::payload_len(&frame).map_or(0, |len| {
+            ((crate::frame::FRAME_HEADER + len) as u64).min(slot)
+        });
+        // A first read that came back short met the end of the file:
+        // there is no more to read, and the frame decodes as truncated.
+        if got == first && need > got {
+            let offset = Self::slot_offset(af, chunk_id).expect("the first read had it") + got;
+            frame.reserve_exact((need - got) as usize);
+            Self::read_up_to(&af.file, offset, need - got, &mut frame)?;
+        }
+        crate::frame::into_payload(frame)
             .map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
     }
 
@@ -1311,6 +1349,27 @@ impl ChunkStore for RelChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FRAME_HEADER;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `pread` calls this thread made, and the bytes they returned.
+        static PREADS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count_pread(read: &io::Result<usize>) {
+        let n = *read.as_ref().unwrap_or(&0);
+        PREADS.with(|p| p.set((p.get().0 + 1, p.get().1 + n)));
+    }
+
+    /// `f`'s result with the `pread` calls it made and the bytes they
+    /// returned.
+    fn preads<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        PREADS.with(|p| p.set((0, 0)));
+        let out = f();
+        let (calls, bytes) = PREADS.with(Cell::get);
+        (out, calls, bytes)
+    }
 
     fn exercise(store: &mut dyn ChunkStore) {
         store.put_chunk(1, 0, b"aaaaaaaa").unwrap();
@@ -1415,5 +1474,180 @@ mod tests {
         assert!(!f.capabilities().supports_in_list);
         assert!(f.capabilities().supports_range);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Chunk size of the read-boundary tests: a slot of 16 400 bytes,
+    /// four times the first read.
+    const BIG_CHUNK: usize = 16_384;
+    const PAGE: usize = FIRST_READ as usize;
+
+    fn bytes(n: usize, seed: u8) -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect()
+    }
+
+    /// A file store over a fresh directory holding array 1 with
+    /// `chunks` at ids 0, 1, ...
+    fn store_with(dir: &crate::TmpDir, chunks: &[Vec<u8>]) -> FileChunkStore {
+        let mut s = FileChunkStore::new(dir.path()).unwrap();
+        s.create_array(1, BIG_CHUNK).unwrap();
+        for (c, data) in chunks.iter().enumerate() {
+            s.put_chunk(1, c as u64, data).unwrap();
+        }
+        FileChunkStore::new(dir.path()).unwrap()
+    }
+
+    #[test]
+    fn a_frame_that_fits_the_first_page_is_one_read_one_byte_more_is_two() {
+        let dir = crate::TmpDir::new("fcs-page");
+        let (fits, over) = (bytes(PAGE - 16, 1), bytes(PAGE - 15, 2));
+        let s = store_with(&dir, &[fits.clone(), over.clone()]);
+        let (got, calls, read) = preads(|| s.read_chunk(1, 0).unwrap());
+        assert_eq!((got, calls, read), (fits, 1, PAGE));
+        // The first page, then the one byte it missed.
+        let (got, calls, read) = preads(|| s.read_chunk(1, 1).unwrap());
+        assert_eq!((got, calls, read), (over, 2, PAGE + 1));
+        assert_eq!(s.io_stats().statements, 2);
+        assert_eq!(s.io_stats().bytes_returned, 2 * PAGE as u64 - 31);
+    }
+
+    #[test]
+    fn a_raw_chunk_is_a_page_and_its_rest_a_tail_frame_one_read() {
+        let dir = crate::TmpDir::new("fcs-raw");
+        let full = |seed| bytes(BIG_CHUNK, seed);
+        let tail = bytes(100, 9);
+        let s = store_with(&dir, &[full(1), full(2), tail.clone()]);
+        for c in [0, 1] {
+            let (got, calls, read) = preads(|| s.read_chunk(1, c).unwrap());
+            assert_eq!(
+                (got, calls, read),
+                (full(c as u8 + 1), 2, FRAME_HEADER + BIG_CHUNK)
+            );
+        }
+        // The tail frame ends the file: its page comes back short, and
+        // nothing asks again.
+        let (got, calls, read) = preads(|| s.read_chunk(1, 2).unwrap());
+        assert_eq!((got, calls, read), (tail, 1, FRAME_HEADER + 100));
+    }
+
+    #[test]
+    fn a_range_read_is_one_read_of_the_span_also_where_the_file_ends() {
+        let dir = crate::TmpDir::new("fcs-range");
+        let chunks = [
+            bytes(BIG_CHUNK, 1),
+            bytes(10, 2),
+            bytes(BIG_CHUNK, 3),
+            bytes(100, 4),
+        ];
+        let s = store_with(&dir, &chunks);
+        let slot = FileChunkStore::slot_bytes(BIG_CHUNK) as usize;
+        let (range, calls, read) = preads(|| s.read_chunk_range(1, 0, 1).unwrap());
+        assert_eq!((range.len(), calls, read), (2, 1, 2 * slot));
+        // Past the last chunk: the span comes back short, and that is
+        // the end of the file.
+        let (range, calls, read) = preads(|| s.read_chunk_range(1, 1, 9).unwrap());
+        let want: Vec<_> = (1..4).map(|c| (c, chunks[c as usize].clone())).collect();
+        assert_eq!(
+            (range, calls, read),
+            (want, 1, 2 * slot + FRAME_HEADER + 100)
+        );
+    }
+
+    #[test]
+    fn a_file_cut_inside_the_second_read_is_a_short_read() {
+        let dir = crate::TmpDir::new("fcs-cut");
+        let s = store_with(&dir, &[bytes(10_000, 1)]);
+        let f = OpenOptions::new()
+            .write(true)
+            .open(dir.path().join("arr_1.bin"))
+            .unwrap();
+        f.set_len(FILE_HEADER + 6_000).unwrap();
+        let (err, calls, _) = preads(|| s.read_chunk(1, 0).unwrap_err());
+        assert!(
+            matches!(
+                err,
+                StorageError::ShortRead {
+                    array_id: 1,
+                    chunk_id: 0,
+                    expected: 10_000,
+                    got: 5_984
+                }
+            ),
+            "{err:?}"
+        );
+        // First page, then the part of the rest the file has.
+        assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn a_length_past_the_slot_reads_no_further_than_the_slot() {
+        let dir = crate::TmpDir::new("fcs-long");
+        let s = store_with(&dir, &[bytes(100, 1), bytes(100, 2)]);
+        let slot = FileChunkStore::slot_bytes(BIG_CHUNK) as usize;
+        // The next slot's frame sits right behind this slot, so the file
+        // holds far more than the slot; the length field claims 1 GiB.
+        let f = OpenOptions::new()
+            .write(true)
+            .open(dir.path().join("arr_1.bin"))
+            .unwrap();
+        f.write_all_at(&(1u32 << 30).to_le_bytes(), FILE_HEADER + 4)
+            .unwrap();
+        let (err, _, read) = preads(|| s.read_chunk(1, 0).unwrap_err());
+        assert!(
+            matches!(
+                err,
+                StorageError::ShortRead {
+                    expected: 0x4000_0000,
+                    got,
+                    ..
+                } if got == slot - FRAME_HEADER
+            ),
+            "{err:?}"
+        );
+        assert_eq!(read, slot);
+    }
+
+    #[test]
+    fn a_slot_past_the_end_of_the_file_is_missing() {
+        let dir = crate::TmpDir::new("fcs-empty");
+        let s = store_with(&dir, &[bytes(100, 1)]);
+        for c in [1, 2, u64::MAX] {
+            assert!(
+                matches!(
+                    s.read_chunk(1, c),
+                    Err(StorageError::MissingChunk { array_id: 1, chunk_id }) if chunk_id == c
+                ),
+                "chunk {c}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_chunks_in_over_every_frame_size() {
+        let dir = crate::TmpDir::new("fcs-mix");
+        let chunks = [
+            bytes(PAGE - 16, 1),
+            bytes(BIG_CHUNK, 2),
+            bytes(PAGE - 15, 3),
+            bytes(10, 4),
+            bytes(BIG_CHUNK, 5),
+            bytes(100, 6),
+        ];
+        let s = store_with(&dir, &chunks);
+        let ids = [3, 1, 0, 4, 2, 5, 1];
+        let rows = s.read_chunks_in(1, &ids).unwrap();
+        let want: Vec<_> = ids
+            .iter()
+            .map(|&c| (c, chunks[c as usize].clone()))
+            .collect();
+        assert_eq!(rows, want);
+        let stats = s.io_stats();
+        assert_eq!((stats.statements, stats.chunks_returned), (1, 7));
+        let sum: usize = ids.iter().map(|&c| chunks[c as usize].len()).sum();
+        assert_eq!(stats.bytes_returned, sum as u64);
+        // A missing chunk anywhere in the list fails the statement.
+        assert!(matches!(
+            s.read_chunks_in(1, &[0, 6, 1]),
+            Err(StorageError::MissingChunk { chunk_id: 6, .. })
+        ));
     }
 }
